@@ -1,0 +1,697 @@
+"""Dataflow runner: round schedule, streams, and inference drivers.
+
+The network executes as a loop of rounds. Round k runs the depthwise
+layer of block k, the projection of block k, the addition slot of block
+k, and the expansion of block k+1, whose output lands in the frame
+buffer the next round's depthwise layer will read. Round 0 additionally
+runs the entry convolution; after the last block, the head layers run
+as single-engine trailing rounds (head expansion, pooling, classifier).
+One frame is in flight and rounds execute in order.
+
+Within a round, engines are independent processes connected by streams:
+frame buffers on both sides of the depthwise engine (it needs random
+access for striding and channel-group passes), bounded word-counted
+queues from projection to addition to expansion, and a bounded residual
+FIFO that carries each shortcut frame from its addition slot to the
+next round's. Processes are plain generators that yield Blocked tokens
+when a stream cannot move; a deterministic round-robin scheduler (the
+reference) or a thread-per-process driver turns them loose.
+"""
+from __future__ import annotations
+
+import threading
+from collections import deque, namedtuple
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .engines import (
+    EngineStats,
+    ExpStreamKernel,
+    add_elements,
+    c2d_forward,
+    dwc_avgpool,
+    dwc_forward,
+    nominal_stats,
+    pro_forward,
+    run_layer,
+)
+from .errors import DeadlockError, DomainError, PlanError, SequencingError, ShapeError
+from .modelkit import LANES, Kind, LayerDesc, PreparedModel, QTensor
+from .quantcore import Rounding
+
+#: A process yields one of these when a stream cannot move this instant.
+#: kind is "empty" (get from empty queue), "full" (put into full queue)
+#: or "frame" (waiting on an incomplete frame buffer).
+Blocked = namedtuple("Blocked", ["kind", "resource"])
+
+# Monotonic count of successful stream operations. The round-robin
+# scheduler compares it across a sweep to tell a real deadlock from a
+# sweep in which processes advanced and then blocked again.
+_op_clock = 0
+
+
+def _tick() -> None:
+    global _op_clock
+    _op_clock += 1
+
+
+class BoundedQueue:
+    """FIFO with capacity counted in 16-lane words.
+
+    Items carry a word weight (a whole-frame channel batch of npix
+    pixels weighs npix words), so capacity semantics match a hardware
+    FIFO holding individual words regardless of message granularity.
+    """
+
+    def __init__(self, capacity_words: int, label: str = ""):
+        if capacity_words < 1:
+            raise DomainError("queue capacity must be at least one word")
+        self.capacity = capacity_words
+        self.label = label
+        self._items: deque = deque()
+        self._words = 0
+        self.peak_words = 0
+        self._cond = threading.Condition()
+
+    @property
+    def words(self) -> int:
+        return self._words
+
+    def try_put(self, item, words: int = 1) -> bool:
+        if words > self.capacity:
+            raise DomainError(
+                f"item of {words} words can never fit queue '{self.label}' "
+                f"of capacity {self.capacity}"
+            )
+        with self._cond:
+            if self._words + words > self.capacity:
+                return False
+            self._items.append((words, item))
+            self._words += words
+            self.peak_words = max(self.peak_words, self._words)
+            _tick()
+            self._cond.notify_all()
+            return True
+
+    def try_get(self):
+        with self._cond:
+            if not self._items:
+                return False, None
+            words, item = self._items.popleft()
+            self._words -= words
+            _tick()
+            self._cond.notify_all()
+            return True, item
+
+    def put_g(self, item, words: int = 1):
+        """Generator put: yields Blocked until the item fits."""
+        while not self.try_put(item, words):
+            yield Blocked("full", self)
+
+    def get_g(self):
+        """Generator get: yields Blocked until an item arrives."""
+        while True:
+            ok, item = self.try_get()
+            if ok:
+                return item
+            yield Blocked("empty", self)
+
+    def wait_for_change(self, timeout: float = 0.05) -> None:
+        with self._cond:
+            self._cond.wait(timeout)
+
+
+class FrameBuffer:
+    """One full activation frame assembled from 16-channel batch slices.
+
+    Producers feed each batch index exactly once; consumers wait until
+    every batch is present. Attempted reads before completion are
+    counted (and blocked), which is what makes the depthwise reorder
+    boundary observable in tests.
+    """
+
+    def __init__(self, npix: int, nbatches: int, label: str = ""):
+        self.npix = npix
+        self.nbatches = nbatches
+        self.label = label
+        self._slots: list = [None] * nbatches
+        self._filled = 0
+        self.reads_before_complete = 0
+        self._cond = threading.Condition()
+
+    def feed(self, index: int, batch: np.ndarray) -> None:
+        if not (0 <= index < self.nbatches):
+            raise SequencingError(
+                f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
+            )
+        arr = np.asarray(batch, dtype=np.uint8)
+        if arr.shape != (self.npix, LANES):
+            raise DomainError(
+                f"frame '{self.label}' batch shape {arr.shape} != ({self.npix}, {LANES})"
+            )
+        with self._cond:
+            if self._slots[index] is not None:
+                raise SequencingError(
+                    f"frame '{self.label}' batch {index} was fed twice"
+                )
+            self._slots[index] = arr
+            self._filled += 1
+            _tick()
+            self._cond.notify_all()
+
+    def put_g(self, item, words: int = 0):
+        """Queue-compatible sink: feeding a frame never blocks."""
+        index, batch = item
+        self.feed(index, batch)
+        return
+        yield  # makes this a generator like BoundedQueue.put_g
+
+    def set_tensor(self, data: np.ndarray) -> None:
+        """Feed a whole (npix, channels) frame at once."""
+        flat = np.asarray(data, dtype=np.uint8).reshape(self.npix, -1)
+        for b in range(self.nbatches):
+            self.feed(b, flat[:, b * LANES : (b + 1) * LANES])
+
+    @property
+    def complete(self) -> bool:
+        with self._cond:
+            return self._filled == self.nbatches
+
+    def wait_complete_g(self):
+        while not self.complete:
+            self.reads_before_complete += 1
+            yield Blocked("frame", self)
+
+    def assemble(self) -> np.ndarray:
+        if not self.complete:
+            raise SequencingError(f"frame '{self.label}' read before completion")
+        return np.concatenate(self._slots, axis=1)
+
+    def wait_for_change(self, timeout: float = 0.05) -> None:
+        with self._cond:
+            self._cond.wait(timeout)
+
+
+class SingleConsumptionStream:
+    """Adapter enforcing that each batch index is taken exactly once.
+
+    The expansion engine folds every input batch into its accumulators
+    the moment it arrives and can never ask for it again; this adapter
+    turns a violation of that contract into a SequencingError instead
+    of silent recomputation.
+    """
+
+    def __init__(self, queue: BoundedQueue):
+        self._queue = queue
+        self._seen: set[int] = set()
+
+    def get_g(self):
+        item = yield from self._queue.get_g()
+        index = item[0]
+        if index in self._seen:
+            raise SequencingError(f"input batch {index} consumed twice")
+        self._seen.add(index)
+        return item
+
+    def mark(self, index: int) -> None:
+        """Record a consumption without pulling from the queue."""
+        if index in self._seen:
+            raise SequencingError(f"input batch {index} consumed twice")
+        self._seen.add(index)
+
+
+def split_c2d_stream(frame32: np.ndarray):
+    """Split the entry convolution's 32-channel frame into two batches.
+
+    The engine emits one 32-wide pixel per cycle; lanes 0..15 go out
+    directly while lanes 16..31 pass through a small reorder buffer, so
+    downstream sees batch 0 then batch 1 of the frame. Yields
+    (batch_index, (npix, 16) array).
+    """
+    npix, ch = frame32.shape
+    if ch != 32:
+        raise DomainError(f"entry split expects 32 channels, got {ch}")
+    yield 0, frame32[:, :LANES]
+    yield 1, frame32[:, LANES:]
+
+
+# ---------------------------------------------------------------------------
+# round schedule
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RoundPlan:
+    """Engine slots of one round; values are layer indices."""
+
+    index: int
+    c2d: int | None = None
+    exp_pre: int | None = None
+    dwc: int | None = None
+    pro: int | None = None
+    add: int | None = None
+    exp: int | None = None
+    trailing: bool = False
+
+    @property
+    def slots(self) -> list[tuple[str, int]]:
+        out = []
+        for name in ("c2d", "exp_pre", "dwc", "pro", "add", "exp"):
+            v = getattr(self, name)
+            if v is not None:
+                out.append((name, v))
+        return out
+
+
+def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
+    """Assign every layer to its round and engine slot."""
+    by_block: dict[int, dict[Kind, int]] = {}
+    head: list[int] = []
+    entry: int | None = None
+    for idx, l in enumerate(model.layers):
+        if l.block is not None:
+            slot = by_block.setdefault(l.block, {})
+            if l.kind in slot:
+                raise PlanError(f"block {l.block} has two {l.kind.value} layers")
+            slot[l.kind] = idx
+        elif l.kind is Kind.C2D:
+            if entry is not None:
+                raise PlanError("more than one entry convolution")
+            entry = idx
+        else:
+            head.append(idx)
+
+    nblocks = len(by_block)
+    if set(by_block) != set(range(nblocks)):
+        raise PlanError("block indices are not contiguous from zero")
+    plans: list[RoundPlan] = []
+    for k in range(nblocks):
+        slot = by_block[k]
+        if Kind.DWC not in slot or Kind.PRO not in slot or Kind.ADD not in slot:
+            raise PlanError(f"block {k} is missing an engine slot")
+        plan = RoundPlan(
+            index=k,
+            dwc=slot[Kind.DWC],
+            pro=slot[Kind.PRO],
+            add=slot[Kind.ADD],
+        )
+        if k == 0:
+            plan.c2d = entry
+            plan.exp_pre = slot.get(Kind.EXP)
+        next_slot = by_block.get(k + 1, {})
+        plan.exp = next_slot.get(Kind.EXP)
+        plans.append(plan)
+
+    base = nblocks
+    for j, idx in enumerate(head):
+        l = model.layers[idx]
+        plan = RoundPlan(index=base + j, trailing=True)
+        if l.kind is Kind.EXP:
+            plan.exp = idx
+        elif l.kind is Kind.AVGPOOL:
+            plan.dwc = idx
+        elif l.kind is Kind.PRO:
+            plan.pro = idx
+        else:
+            raise PlanError(f"layer {idx} ({l.kind.value}) cannot run as a trailing round")
+        plans.append(plan)
+    return plans
+
+
+def residual_fifo_capacity(model: PreparedModel) -> int:
+    """Residual FIFO capacity in 16-lane words.
+
+    The FIFO must hold one full projection output frame while the next
+    round drains it, so it is sized by the largest projection frame in
+    the network (pixels times channel batches).
+    """
+    best = 0
+    for l in model.layers:
+        if l.kind is Kind.PRO:
+            best = max(best, l.out_h * l.out_w * (l.out_ch // LANES))
+    if best == 0:
+        raise PlanError("model has no projection layers")
+    return best
+
+
+# ---------------------------------------------------------------------------
+# processes
+# ---------------------------------------------------------------------------
+
+def _feed_frame(buf: FrameBuffer, data2d: np.ndarray) -> None:
+    for b in range(buf.nbatches):
+        buf.feed(b, data2d[:, b * LANES : (b + 1) * LANES])
+
+
+def _tensor_from_frame(buf: FrameBuffer, layer: LayerDesc, which: str) -> QTensor:
+    data = buf.assemble()
+    if which == "in":
+        h, w, c, zp, sc = layer.in_h, layer.in_w, layer.in_ch, layer.in_zero, layer.in_scale
+    else:
+        h, w, c, zp, sc = layer.out_h, layer.out_w, layer.out_ch, layer.out_zero, layer.out_scale
+    return QTensor(h, w, c, data.reshape(h, w, c), zp, sc)
+
+
+def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer,
+                 rounding: Rounding, stats: dict, index: int):
+    out, st = c2d_forward(image, layer, rounding)
+    stats[index] = st
+    flat = out.data.reshape(-1, 32)
+    for b, batch in split_c2d_stream(flat):
+        yield from out_buf.put_g((b, batch))
+
+
+def _dwc_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
+                 rounding: Rounding, stats: dict, index: int):
+    yield from in_buf.wait_complete_g()
+    x = _tensor_from_frame(in_buf, layer, "in")
+    if layer.kind is Kind.AVGPOOL:
+        out, st = dwc_avgpool(x, layer, rounding)
+    else:
+        out, st = dwc_forward(x, layer, rounding)
+    stats[index] = st
+    _feed_frame(out_buf, out.data.reshape(-1, out.channels))
+
+
+def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, sinks: list,
+                 rounding: Rounding, stats: dict, index: int):
+    yield from in_buf.wait_complete_g()
+    x = _tensor_from_frame(in_buf, layer, "in")
+    out, st = pro_forward(x, layer, rounding)
+    stats[index] = st
+    flat = out.data.reshape(-1, out.channels)
+    npix = flat.shape[0]
+    for fb in range(layer.fpass):
+        batch = flat[:, fb * LANES : (fb + 1) * LANES]
+        for sink in sinks:
+            yield from sink.put_g((fb, batch), words=npix)
+
+
+def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
+                 rounding: Rounding, stats: dict, index: int):
+    nb = layer.out_ch // LANES
+    npix = layer.out_h * layer.out_w
+    for b in range(nb):
+        bi, batch = yield from in_q.get_g()
+        if bi != b:
+            raise SequencingError(f"addition slot got batch {bi}, expected {b}")
+        if layer.residual_from is not None:
+            ri, rbatch = yield from res_q.get_g()
+            if ri != b:
+                raise SequencingError(f"residual batch {ri} arrived out of order")
+            out = add_elements(batch, rbatch, layer.add_params, rounding)
+        else:
+            out = batch
+        for sink in sinks:
+            yield from sink.put_g((b, out), words=npix)
+    st = nominal_stats(layer)
+    if layer.residual_from is None:
+        st.madds = 0
+    stats[index] = st
+
+
+def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
+                 npix: int, rounding: Rounding, stats: dict, index: int,
+                 probe=None):
+    kernel = ExpStreamKernel(layer, rounding, probe=probe)
+    kernel.begin_frame(npix)
+    stream = SingleConsumptionStream(in_q)
+    for ab in range(layer.apass):
+        bi, batch = yield from stream.get_g()
+        kernel.consume(bi, batch)
+    out = kernel.outputs()
+    for fb in range(layer.fpass):
+        yield from out_buf.put_g((fb, kernel.output_batch(fb)))
+    stats[index] = nominal_stats(layer)
+
+
+def _exp_from_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
+                            out_buf: FrameBuffer, rounding: Rounding,
+                            stats: dict, index: int, probe=None):
+    """Trailing expansion round: stream batches out of a finished frame."""
+    yield from in_buf.wait_complete_g()
+    flat = in_buf.assemble()
+    npix = flat.shape[0]
+    kernel = ExpStreamKernel(layer, rounding, probe=probe)
+    kernel.begin_frame(npix)
+    for ab in range(layer.apass):
+        kernel.consume(ab, flat[:, ab * LANES : (ab + 1) * LANES])
+        yield
+    for fb in range(layer.fpass):
+        yield from out_buf.put_g((fb, kernel.output_batch(fb)))
+    stats[index] = nominal_stats(layer)
+
+
+def _pro_to_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
+                          out_buf: FrameBuffer, rounding: Rounding,
+                          stats: dict, index: int):
+    """Trailing projection round (the classifier)."""
+    yield from in_buf.wait_complete_g()
+    x = _tensor_from_frame(in_buf, layer, "in")
+    out, st = pro_forward(x, layer, rounding)
+    stats[index] = st
+    _feed_frame(out_buf, out.data.reshape(-1, out.channels))
+
+
+# ---------------------------------------------------------------------------
+# drivers
+# ---------------------------------------------------------------------------
+
+def _run_round_robin(procs: list) -> None:
+    """Deterministic reference scheduler with deadlock detection.
+
+    A sweep resumes every runnable process once. Progress is any
+    completed process, any non-blocked yield, or any successful stream
+    operation (the op clock); a full sweep with none of those means no
+    process can ever move again.
+    """
+    active = list(procs)
+    while active:
+        clock_before = _op_clock
+        progressed = False
+        blocked: list[Blocked] = []
+        for g in list(active):
+            try:
+                token = next(g)
+            except StopIteration:
+                active.remove(g)
+                progressed = True
+                continue
+            if isinstance(token, Blocked):
+                blocked.append(token)
+            else:
+                progressed = True
+        if active and not progressed and _op_clock == clock_before:
+            detail = ", ".join(
+                f"{t.kind} on '{getattr(t.resource, 'label', '?')}'" for t in blocked
+            )
+            raise DeadlockError(f"no process can make progress: {detail}")
+
+
+def _run_threaded(procs: list) -> None:
+    """One thread per process; Blocked tokens wait on the resource."""
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def drive(g):
+        try:
+            while True:
+                with lock:
+                    if errors:  # a sibling failed; unblock instead of spinning
+                        return
+                try:
+                    token = next(g)
+                except StopIteration:
+                    return
+                if isinstance(token, Blocked):
+                    token.resource.wait_for_change()
+        except BaseException as e:  # surface through the caller
+            with lock:
+                errors.append(e)
+
+    threads = [threading.Thread(target=drive, args=(g,), daemon=True) for g in procs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+@dataclass
+class InferenceResult:
+    """Logits plus per-layer work accounting."""
+
+    logits: QTensor
+    stats: dict[int, EngineStats]
+    mode: str
+
+    @property
+    def total(self) -> EngineStats:
+        out = EngineStats(0, 0, 0, 0)
+        for st in self.stats.values():
+            out = out + st
+        return out
+
+
+def _check_image(model: PreparedModel, image: QTensor) -> None:
+    first = model.layers[0]
+    if (image.height, image.width, image.channels) != (first.in_h, first.in_w, first.in_ch):
+        raise ShapeError(
+            f"image {(image.height, image.width, image.channels)} does not match "
+            f"the model input {(first.in_h, first.in_w, first.in_ch)}"
+        )
+    if image.scale != first.in_scale or image.zero_point != first.in_zero:
+        raise DomainError("image quantization does not match the model's entry edge")
+
+
+def run_inference(
+    model: PreparedModel,
+    image: QTensor,
+    mode: str = "stream",
+    rounding: Rounding | None = None,
+    exp_probe=None,
+) -> InferenceResult:
+    """Run one frame through the model.
+
+    mode selects the driver: "sequential" runs layers one after another
+    on their engines, "stream" runs the round dataflow under the
+    deterministic round-robin scheduler, "threads" runs the same
+    dataflow with one thread per process. All three produce identical
+    logits; they differ only in how engine execution is interleaved.
+    """
+    if mode not in ("sequential", "stream", "threads"):
+        raise DomainError(f"unknown inference mode {mode!r}")
+    rounding = model.rounding if rounding is None else rounding
+    _check_image(model, image)
+    if mode == "sequential":
+        return _run_sequential(model, image, rounding, exp_probe)
+    return _run_rounds(model, image, rounding, exp_probe, threaded=(mode == "threads"))
+
+
+def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
+    stats: dict[int, EngineStats] = {}
+    kept: dict[int, QTensor] = {}
+    sources = model.residual_sources
+    x = image
+    for idx, layer in enumerate(model.layers):
+        residual = kept.pop(layer.residual_from, None) if layer.kind is Kind.ADD else None
+        if layer.kind is Kind.EXP and exp_probe is not None:
+            from .engines import exp_forward
+            probe = (lambda i: lambda ab, acc: exp_probe(i, ab, acc))(idx)
+            x, st = exp_forward(x, layer, rounding, probe=probe)
+        else:
+            x, st = run_layer(x, layer, residual=residual, rounding=rounding)
+        stats[idx] = st
+        if idx in sources:
+            kept[idx] = x
+    return InferenceResult(logits=x, stats=stats, mode="sequential")
+
+
+def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
+    plans = schedule_rounds(model)
+    layers = model.layers
+    stats: dict[int, EngineStats] = {}
+    res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
+    sources = model.residual_sources
+    last_index = len(layers) - 1
+
+    def frame_for(idx: int, which: str, label: str) -> FrameBuffer:
+        l = layers[idx]
+        if which == "in":
+            return FrameBuffer(l.in_h * l.in_w, l.in_ch // LANES, label)
+        return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
+
+    def probe_for(idx: int):
+        if exp_probe is None:
+            return None
+        return lambda ab, acc: exp_probe(idx, ab, acc)
+
+    # frame buffer feeding each round's depthwise (or trailing) input
+    next_in: FrameBuffer | None = None
+    result_buf: FrameBuffer | None = None
+
+    for plan in plans:
+        procs: list = []
+        if plan.trailing:
+            idx = plan.exp if plan.exp is not None else (
+                plan.dwc if plan.dwc is not None else plan.pro)
+            in_buf = next_in
+            out_buf = frame_for(idx, "out", f"round{plan.index}-out")
+            l = layers[idx]
+            if l.kind is Kind.EXP:
+                procs.append(_exp_from_frame_process(
+                    l, in_buf, out_buf, rounding, stats, idx, probe_for(idx)))
+            elif l.kind is Kind.AVGPOOL:
+                procs.append(_dwc_process(l, in_buf, out_buf, rounding, stats, idx))
+            else:
+                procs.append(_pro_to_frame_process(l, in_buf, out_buf, rounding, stats, idx))
+            next_in = out_buf
+            if idx == last_index:
+                result_buf = out_buf
+            _run_threaded(procs) if threaded else _run_round_robin(procs)
+            continue
+
+        dwc_l = layers[plan.dwc]
+        pro_l = layers[plan.pro]
+        add_l = layers[plan.add]
+        npix_out = pro_l.out_h * pro_l.out_w
+
+        if plan.index == 0:
+            if plan.exp_pre is not None:
+                pre_l = layers[plan.exp_pre]
+                c2d_out = frame_for(plan.exp_pre, "in", "entry-out")
+                dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
+                procs.append(_c2d_process(
+                    image, layers[plan.c2d], c2d_out, rounding, stats, plan.c2d))
+                procs.append(_exp_from_frame_process(
+                    pre_l, c2d_out, dwc_in, rounding, stats, plan.exp_pre,
+                    probe_for(plan.exp_pre)))
+            else:
+                dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
+                procs.append(_c2d_process(
+                    image, layers[plan.c2d], dwc_in, rounding, stats, plan.c2d))
+        else:
+            dwc_in = next_in
+
+        dwc_out = frame_for(plan.pro, "in", f"round{plan.index}-dwc-out")
+        q_pro_add = BoundedQueue(2 * npix_out, f"round{plan.index}-pro-add")
+        q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
+
+        procs.append(_dwc_process(dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
+        procs.append(_pro_process(pro_l, dwc_out, [q_pro_add], rounding, stats, plan.pro))
+
+        add_sinks: list = []
+        if plan.exp is not None:
+            exp_l = layers[plan.exp]
+            exp_out = frame_for(plan.exp, "out", f"round{plan.index}-exp-out")
+            add_sinks.append(q_add_exp)
+            procs.append(_exp_process(
+                exp_l, q_add_exp, exp_out, npix_out, rounding, stats, plan.exp,
+                probe_for(plan.exp)))
+            next_round_in = exp_out
+        else:
+            # no expansion next block: the addition output frame feeds
+            # the next round's depthwise input (or the trailing head)
+            add_out = frame_for(plan.add, "out", f"round{plan.index}-add-out")
+            add_sinks.append(add_out)
+            next_round_in = add_out
+        if plan.add in sources:
+            add_sinks.append(res_fifo)
+        res_in = res_fifo if add_l.residual_from is not None else None
+        procs.append(_add_process(
+            add_l, q_pro_add, res_in, add_sinks, rounding, stats, plan.add))
+        if plan.add == last_index:
+            if plan.exp is not None:
+                raise PlanError("final layer cannot share its round with an expansion")
+            result_buf = next_round_in
+
+        _run_threaded(procs) if threaded else _run_round_robin(procs)
+        next_in = next_round_in
+
+    if result_buf is None:
+        raise PlanError("no round produced the final layer's output")
+    last = layers[last_index]
+    logits = _tensor_from_frame(result_buf, last, "out")
+    mode = "threads" if threaded else "stream"
+    return InferenceResult(logits=logits, stats=stats, mode=mode)

@@ -1,0 +1,261 @@
+"""Integer-only fixed-point arithmetic for quantized inference.
+
+Everything on the inference path works on integers. Real-valued rescale
+factors appear only while deriving parameters ahead of time: a factor
+m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, and
+applying it to an accumulator is a 64-bit multiply followed by a
+rounding shift. The module also folds batch normalization into
+convolution weights/biases and validates narrow bias storage.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .errors import DomainError, RangeError
+
+MULT_BITS = 32
+MULT_MIN = 1 << (MULT_BITS - 1)
+MULT_MAX = (1 << MULT_BITS) - 1
+MAX_SHIFT = 255
+
+#: Scalars below this still encode fine, but the canonical model scales
+#: are drawn so that per-channel conv rescales stay at or above it.
+MIN_CANONICAL_SCALAR = 2.0 ** -24
+
+
+class Rounding(Enum):
+    """Rounding behaviour of the requantizing right shift.
+
+    NEAREST adds half before shifting, with ties resolved away from
+    zero. TRUNCATE is a plain arithmetic shift toward negative
+    infinity.
+    """
+
+    NEAREST = "nearest"
+    TRUNCATE = "truncate"
+
+
+@dataclass(frozen=True)
+class MultShift:
+    """Fixed-point encoding of a real scalar m in (0, 1).
+
+    The represented value is mult * 2**-shift. mult is normalized to
+    [2**31, 2**32), so shift equals 32 plus the number of doublings
+    needed to bring m into [0.5, 1).
+    """
+
+    mult: int
+    shift: int
+
+    def __post_init__(self):
+        if not (MULT_MIN <= self.mult <= MULT_MAX):
+            raise DomainError(f"multiplier {self.mult} not normalized to [2^31, 2^32)")
+        if not (MULT_BITS <= self.shift <= MAX_SHIFT):
+            raise DomainError(f"shift {self.shift} outside [{MULT_BITS}, {MAX_SHIFT}]")
+
+    @property
+    def value(self) -> float:
+        """The real scalar this pair encodes."""
+        return self.mult * 2.0 ** -self.shift
+
+
+@dataclass(frozen=True)
+class RequantParams:
+    """Per-channel requantization: rescale, re-center and clamp bounds."""
+
+    ms: MultShift
+    out_zero: int
+    out_min: int = 0
+    out_max: int = 255
+
+    def __post_init__(self):
+        if not (self.out_min <= self.out_zero <= self.out_max):
+            raise DomainError(
+                f"output zero point {self.out_zero} outside clamp "
+                f"[{self.out_min}, {self.out_max}]"
+            )
+
+
+@dataclass(frozen=True)
+class AddParams:
+    """Parameters of the two-input residual addition.
+
+    Both inputs are re-centered, pre-shifted left by ``pre_shift`` bits
+    for headroom and rescaled to a shared intermediate scale; the sum is
+    then rescaled to the output quantization. Outputs clamp to [0, 255].
+    """
+
+    mult1: MultShift
+    mult2: MultShift
+    mult3: MultShift
+    in1_zero: int
+    in2_zero: int
+    out_zero: int
+    pre_shift: int = 20
+
+    def __post_init__(self):
+        for name, z in (("in1", self.in1_zero), ("in2", self.in2_zero), ("out", self.out_zero)):
+            if not (0 <= z <= 255):
+                raise DomainError(f"{name} zero point {z} outside [0, 255]")
+        if self.pre_shift != 20:
+            raise DomainError("the addition pre-shift is fixed at 20 bits")
+
+
+@dataclass
+class BatchNormParams:
+    """Per-channel batch normalization statistics and affine terms."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    epsilon: float = 1e-3
+
+
+def _round_half_away(x: float) -> int:
+    # positive domain only; adding 0.5 is exact for the magnitudes used here
+    return math.floor(x + 0.5)
+
+
+def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> MultShift:
+    """Encode a real scalar m in (0, 1) as a MultShift pair.
+
+    m is doubled until it lands in [0.5, 1); the doubled value is scaled
+    by 2**32 and rounded to the 32-bit multiplier per ``rounding``. The
+    relative encoding error is at most 2**-31. Raises DomainError for
+    m <= 0, m >= 1, non-finite m, or when the shift would not fit the
+    8-bit encoding.
+    """
+    if not isinstance(m, (int, float)) or not math.isfinite(m):
+        raise DomainError(f"rescale factor {m!r} is not a finite number")
+    if m <= 0.0 or m >= 1.0:
+        raise DomainError(f"rescale factor {m!r} outside (0, 1)")
+    norm = float(m)
+    doublings = 0
+    while norm < 0.5:
+        norm *= 2.0  # exact: exponent shift only
+        doublings += 1
+        if MULT_BITS + doublings > MAX_SHIFT:
+            raise DomainError(f"rescale factor {m!r} needs a shift beyond {MAX_SHIFT}")
+    scaled = norm * float(1 << MULT_BITS)  # still exact
+    if rounding is Rounding.TRUNCATE:
+        mult = math.floor(scaled)
+    else:
+        mult = _round_half_away(scaled)
+    shift = MULT_BITS + doublings
+    if mult == 1 << MULT_BITS:
+        # rounding pushed the normalized value up to exactly 1.0
+        if doublings > 0:
+            mult >>= 1
+            shift -= 1
+        else:
+            mult -= 1
+    return MultShift(mult, shift)
+
+
+def shift_round(x: int, shift: int, rounding: Rounding = Rounding.NEAREST) -> int:
+    """Arithmetic right shift of a signed integer with selectable rounding."""
+    if shift == 0:
+        return x
+    if rounding is Rounding.TRUNCATE:
+        return x >> shift
+    half = 1 << (shift - 1)
+    if x >= 0:
+        return (x + half) >> shift
+    return -((-x + half) >> shift)
+
+
+def apply_mult_shift(acc: int, ms: MultShift, rounding: Rounding = Rounding.NEAREST) -> int:
+    """Rescale a signed accumulator by ms.value using integer arithmetic."""
+    return shift_round(int(acc) * ms.mult, ms.shift, rounding)
+
+
+def requantize(acc: int, params: RequantParams, rounding: Rounding = Rounding.NEAREST) -> int:
+    """Rescale an accumulator and add the output zero point.
+
+    The result is returned unclamped; callers clamp to the params'
+    [out_min, out_max] when producing activations.
+    """
+    return apply_mult_shift(acc, params.ms, rounding) + params.out_zero
+
+
+def requantize_array(
+    acc: np.ndarray,
+    mults: np.ndarray | int,
+    shifts: np.ndarray | int,
+    out_zero: np.ndarray | int = 0,
+    rounding: Rounding = Rounding.NEAREST,
+) -> np.ndarray:
+    """Vectorized requantize over an int64 accumulator array.
+
+    mults/shifts/out_zero broadcast against acc. Callers must keep
+    |acc| * mult below 2**62 so the int64 intermediates cannot
+    overflow; every accumulator produced by the engines is well inside
+    that bound.
+    """
+    acc = np.asarray(acc, dtype=np.int64)
+    mults = np.asarray(mults, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    prod = acc * mults
+    if rounding is Rounding.TRUNCATE:
+        res = prod >> shifts
+    else:
+        half = np.int64(1) << (shifts - 1)
+        mag = (np.abs(prod) + half) >> shifts
+        res = np.where(prod < 0, -mag, mag)
+    return res + out_zero
+
+
+def clamp(value: int, lo: int, hi: int) -> int:
+    """Clamp a scalar to [lo, hi]; DomainError if the bounds are inverted."""
+    if lo > hi:
+        raise DomainError(f"clamp bounds inverted: [{lo}, {hi}]")
+    return lo if value < lo else hi if value > hi else value
+
+
+def fold_batch_norm(
+    weights: np.ndarray, bias: np.ndarray, bn: BatchNormParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold batch normalization into the preceding convolution.
+
+    weights must have output channels on the last axis; bias, and all
+    BatchNormParams vectors, must match that channel count. Returns the
+    folded real-valued (weights, bias) pair.
+    """
+    gamma = np.asarray(bn.gamma, dtype=np.float64)
+    beta = np.asarray(bn.beta, dtype=np.float64)
+    mean = np.asarray(bn.mean, dtype=np.float64)
+    variance = np.asarray(bn.variance, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    n = weights.shape[-1]
+    for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean), ("variance", variance), ("bias", bias)):
+        if v.shape != (n,):
+            raise DomainError(f"{name} has shape {v.shape}, expected ({n},)")
+    denom2 = variance + bn.epsilon
+    if np.any(denom2 <= 0.0):
+        raise DomainError("variance + epsilon must be positive for every channel")
+    scale = gamma / np.sqrt(denom2)
+    folded_w = weights * scale
+    folded_b = (bias - mean) * scale + beta
+    return folded_w, folded_b
+
+
+def narrow_bias(bias: int, bits: int) -> int:
+    """Validate that a bias fits ``bits`` signed bits; returns it unchanged.
+
+    bits must be 16 or 18. Raises RangeError when the value falls
+    outside [-2**(bits-1), 2**(bits-1) - 1].
+    """
+    if bits not in (16, 18):
+        raise DomainError(f"unsupported bias width {bits}, expected 16 or 18")
+    lo = -(1 << (bits - 1))
+    hi = (1 << (bits - 1)) - 1
+    b = int(bias)
+    if not (lo <= b <= hi):
+        raise RangeError(f"bias {b} does not fit {bits} signed bits [{lo}, {hi}]")
+    return b
