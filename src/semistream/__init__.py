@@ -52,6 +52,7 @@ from .modelkit import (
     validate_graph,
 )
 from .engines import (
+    ACC_BOUND,
     ADD_OPS_PER_CYCLE,
     ADD_STREAM_BITS,
     MADDS_PER_CYCLE,
@@ -63,6 +64,7 @@ from .engines import (
     add_passthrough,
     address_map,
     c2d_forward,
+    check_acc_bound,
     dwc_avgpool,
     dwc_forward,
     engine_cycles,

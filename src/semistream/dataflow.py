@@ -419,7 +419,6 @@ def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
     for ab in range(layer.apass):
         bi, batch = yield from stream.get_g()
         kernel.consume(bi, batch)
-    out = kernel.outputs()
     for fb in range(layer.fpass):
         yield from out_buf.put_g((fb, kernel.output_batch(fb)))
     stats[index] = nominal_stats(layer)

@@ -1,18 +1,29 @@
 """The five fixed-function engines and their weight memory layout.
 
-Every engine consumes uint8 activations, accumulates in wide integers,
+Every engine consumes uint8 activations, accumulates exact integer sums,
 rescales through a 32-bit multiplier plus right shift, and clamps back
-to uint8. The loop structure of each engine mirrors its hardware pass
-ordering; the arithmetic inside a pass is vectorized with numpy but the
-pass boundaries (and therefore everything observable through probes and
-streaming kernels) are preserved.
+to uint8. The observable pass boundaries of each engine are preserved
+(the expansion engine folds input batches in order, one at a time, and
+its probe sees every partial bank); inside those boundaries the
+arithmetic is vectorized with numpy.
+
+The multiply-accumulate of C2D, PRO and EXP runs on float64 as an exact
+integer carrier, so numpy can hand it to a BLAS GEMM: both
+zero-corrected operands lie in [-255, 255], and check_acc_bound holds
+every accumulator of a layer, K * 255**2 plus its largest bias for K
+terms, below ACC_BOUND = 2**30. Every partial sum is then an integer
+far below 2**53, so any summation order is exact. DWC accumulates in
+int32 under the same bound. Results are widened to int64 for the
+rescale, whose |acc| * mult < 2**62 precondition the bound also gives.
+This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
+arXiv 1712.05877.
 
 Engines:
-  C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, row raster
+  C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
   DWC  depthwise 3x3 over 16-channel groups (also runs average pooling)
-  PRO  1x1 projection, filter-major pass order, output written per pixel
+  PRO  1x1 projection, one GEMM per frame
   EXP  1x1 expansion, channel-major pass order, partial sums held across
-       passes (streaming kernel available for the dataflow runner)
+       input batches (streaming kernel available for the dataflow runner)
   ADD  elementwise residual addition through a fixed-point chain
 """
 from __future__ import annotations
@@ -22,13 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .modelkit import LANES, Kind, LayerDesc, QTensor
-from .quantcore import (
-    AddParams,
-    Rounding,
-    requantize_array,
-    shift_round,
-)
+from .modelkit import LANES, Kind, LayerDesc, QFilterSet, QTensor
+from .quantcore import AddParams, Rounding, requantize_array
 
 #: Multiply-accumulate throughput of each engine, per clock cycle.
 MADDS_PER_CYCLE = {"C2D": 896, "DWC": 160, "PRO": 272, "EXP": 272}
@@ -124,13 +130,49 @@ def _check_edge(x: QTensor, layer: LayerDesc) -> None:
 
 def _out_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
     return QTensor(layer.out_h, layer.out_w, layer.out_ch,
-                   data.astype(np.uint8), layer.out_zero, layer.out_scale)
+                   data, layer.out_zero, layer.out_scale)
 
 
-def _mult_arrays(layer: LayerDesc) -> tuple[np.ndarray, np.ndarray]:
-    mults = np.array([m.mult for m in layer.mults], dtype=np.int64)
-    shifts = np.array([m.shift for m in layer.mults], dtype=np.int64)
-    return mults, shifts
+#: Bound on every accumulator magnitude; see the module docstring.
+ACC_BOUND = 1 << 30
+
+
+def check_acc_bound(layer: LayerDesc) -> None:
+    """Raise DomainError unless every accumulator of the layer stays below ACC_BOUND.
+
+    A filter bank of K = kh * kw * in_ch taps per output sums K products
+    of two zero-corrected codes onto its bias; average pooling sums
+    in_h * in_w zero-corrected codes. Addition needs no check: its
+    operands are bounded by construction.
+    """
+    f = layer.filters
+    if f is not None:
+        k = f.kernel_h * f.kernel_w * f.in_channels
+        worst = k * 255 * 255 + int(np.abs(f.biases).max(initial=0))
+    elif layer.kind is Kind.AVGPOOL:
+        worst = layer.in_h * layer.in_w * 255
+    else:
+        return
+    if worst >= ACC_BOUND:
+        raise DomainError(
+            f"{layer.kind.value} layer accumulators reach {worst}, not below 2**30: "
+            "integer sums would no longer be exact"
+        )
+
+
+def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
+    """Zero-corrected weights in one new array of dtype."""
+    w = f.weights.astype(dtype)
+    w -= f.zero_points
+    return w
+
+
+def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rounding: Rounding) -> np.ndarray:
+    """Rescale a layer's accumulators onto its output edge, clamped to uint8."""
+    mults, shifts = layer.mult_vectors()
+    vals = requantize_array(acc, mults, shifts, layer.out_zero, rounding)
+    np.clip(vals, 0, 255, out=vals)
+    return vals.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +185,9 @@ def c2d_forward(
     """Run the specialized entry convolution.
 
     Fixed shape contract: 3 input channels, 32 filters, 3x3 kernel,
-    stride 2, even input sides. The frame is consumed in row raster
-    order with a two-row reach, one input pixel per cycle.
+    stride 2, even input sides. The engine consumes the frame in row
+    raster order with a two-row reach, one input pixel per cycle; here
+    all output pixels are computed together by one im2col GEMM.
     """
     if layer.kind is not Kind.C2D:
         raise DomainError(f"c2d_forward cannot run a {layer.kind.value} layer")
@@ -154,29 +197,26 @@ def c2d_forward(
     if x.height % 2 or x.width % 2:
         raise ShapeError(f"entry frame {x.height}x{x.width} must have even sides")
 
+    check_acc_bound(layer)
+
     f = layer.filters
     in_h, in_w = x.height, x.width
     out_h, out_w = layer.out_h, layer.out_w
-    padded = np.full((in_h + 2, in_w + 2, 3), x.zero_point, dtype=np.int64)
+    # zero-corrected frame with a ring of zeros (the zero-point padding)
+    padded = np.zeros((in_h + 2, in_w + 2, 3))
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    # signed taps: weights minus their per-filter zero point
-    taps = f.weights.astype(np.int64) - f.zero_points[None, None, None, :]
-    mults, shifts = _mult_arrays(layer)
-    biases = f.biases
-
-    out = np.empty((out_h, out_w, 32), dtype=np.uint8)
-    for r in range(out_h):
-        acc = np.broadcast_to(biases, (out_w, 32)).copy()
-        for i in range(3):
-            row = padded[2 * r + i]
-            for j in range(3):
-                cols = row[j : j + 2 * (out_w - 1) + 1 : 2] - x.zero_point
-                acc += cols @ taps[i, j]
-        vals = requantize_array(acc, mults, shifts, layer.out_zero, rounding)
-        out[r] = np.clip(vals, 0, 255)
-
-    stats = nominal_stats(layer)
-    return _out_tensor(layer, out), stats
+    padded[1 : in_h + 1, 1 : in_w + 1, :] -= x.zero_point
+    # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
+    cols = np.empty((out_h, out_w, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j, :] = padded[i : i + 2 * out_h - 1 : 2,
+                                         j : j + 2 * out_w - 1 : 2, :]
+    taps = _signed_weights(f, np.float64).reshape(27, 32)
+    acc = (cols.reshape(out_h * out_w, 27) @ taps).astype(np.int64)
+    acc += f.biases
+    out = _requant_uint8(acc, layer, rounding).reshape(out_h, out_w, 32)
+    return _out_tensor(layer, out), nominal_stats(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +240,19 @@ def dwc_forward(
     if layer.stride not in (1, 2):
         raise ShapeError(f"depthwise stride {layer.stride} unsupported")
 
+    check_acc_bound(layer)
+
     f = layer.filters
     in_h, in_w, ch = x.height, x.width, x.channels
     out_h, out_w = layer.out_h, layer.out_w
     s = layer.stride
-    padded = np.full((in_h + 2, in_w + 2, ch), x.zero_point, dtype=np.int64)
+    padded = np.zeros((in_h + 2, in_w + 2, ch), dtype=np.int32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    taps = f.weights.astype(np.int64)[:, :, 0, :] - f.zero_points[None, None, :]
-    mults, shifts = _mult_arrays(layer)
+    padded[1 : in_h + 1, 1 : in_w + 1, :] -= x.zero_point
+    taps = _signed_weights(f, np.int32)[:, :, 0, :]
 
-    acc = np.broadcast_to(f.biases, (out_h, out_w, ch)).copy()
+    acc = np.empty((out_h, out_w, ch), dtype=np.int32)
+    acc[...] = f.biases
     for i in range(3):
         for j in range(3):
             window = padded[
@@ -217,10 +260,8 @@ def dwc_forward(
                 j : j + s * (out_w - 1) + 1 : s,
                 :,
             ]
-            acc += (window - x.zero_point) * taps[i, j]
-    vals = requantize_array(acc, mults, shifts, layer.out_zero, rounding)
-    out = np.clip(vals, 0, 255).astype(np.uint8)
-    return _out_tensor(layer, out), nominal_stats(layer)
+            acc += window * taps[i, j]
+    return _out_tensor(layer, _requant_uint8(acc, layer, rounding)), nominal_stats(layer)
 
 
 def dwc_avgpool(
@@ -240,10 +281,10 @@ def dwc_avgpool(
     if x.channels % LANES:
         raise ShapeError(f"pooled channels {x.channels} not a multiple of {LANES}")
 
+    check_acc_bound(layer)
+
     acc = (x.data.astype(np.int64) - x.zero_point).sum(axis=(0, 1))
-    mults, shifts = _mult_arrays(layer)
-    vals = requantize_array(acc, mults, shifts, layer.out_zero, rounding)
-    out = np.clip(vals, 0, 255).astype(np.uint8).reshape(1, 1, x.channels)
+    out = _requant_uint8(acc, layer, rounding).reshape(1, 1, x.channels)
     return _out_tensor(layer, out), nominal_stats(layer)
 
 
@@ -259,8 +300,9 @@ def pro_forward(
     Pass order per pixel: outer loop over output filter batches, inner
     loop over input channel batches; the accumulator bank starts at the
     bias word and each output batch is rescaled and written the moment
-    its last input batch lands. All pixels advance together here, which
-    leaves per-batch arithmetic identical to the per-pixel schedule.
+    its last input batch lands. Integer sums do not depend on their
+    order, so the whole frame runs here as one exact GEMM, with results
+    identical to the per-pass schedule.
     """
     if layer.kind is not Kind.PRO:
         raise DomainError(f"pro_forward cannot run a {layer.kind.value} layer")
@@ -268,26 +310,15 @@ def pro_forward(
     if x.channels % LANES or layer.out_ch % LANES:
         raise ShapeError("projection channel counts must be multiples of 16")
 
+    check_acc_bound(layer)
+
     f = layer.filters
     npix = x.height * x.width
-    flat = x.data.reshape(npix, x.channels).astype(np.int64) - x.zero_point
-    w = f.weights[0, 0].astype(np.int64) - f.zero_points[None, :]
-    mults, shifts = _mult_arrays(layer)
-    apass, fpass = layer.apass, layer.fpass
-
-    out = np.empty((npix, layer.out_ch), dtype=np.uint8)
-    for fb in range(fpass):
-        fsl = slice(fb * LANES, (fb + 1) * LANES)
-        acc = np.broadcast_to(f.biases[fsl], (npix, LANES)).copy()
-        for ab in range(apass):
-            asl = slice(ab * LANES, (ab + 1) * LANES)
-            acc += flat[:, asl] @ w[asl, fsl]
-            if ab == apass - 1:
-                vals = requantize_array(
-                    acc, mults[fsl], shifts[fsl], layer.out_zero, rounding
-                )
-                out[:, fsl] = np.clip(vals, 0, 255)
-    data = out.reshape(layer.out_h, layer.out_w, layer.out_ch)
+    flat = x.data.reshape(npix, x.channels).astype(np.float64)
+    flat -= x.zero_point
+    acc = (flat @ _signed_weights(f, np.float64)[0, 0]).astype(np.int64)
+    acc += f.biases
+    data = _requant_uint8(acc, layer, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), nominal_stats(layer)
 
 
@@ -309,9 +340,10 @@ def exp_forward(
     batch, so the engine holds fpass*16 accumulators per pixel. Each
     input batch is consumed exactly once.
 
-    probe, if given, is called as probe(ab, acc.copy()) after input
-    batch ab has been folded into every filter batch; acc has shape
-    (fpass, pixels, 16) and holds raw partial sums (bias included).
+    probe, if given, is called as probe(ab, acc) after input batch ab
+    has been folded into every filter batch; acc is a fresh int64 array
+    of shape (fpass, pixels, 16) holding the raw partial sums (bias
+    included).
     """
     if layer.kind is not Kind.EXP:
         raise DomainError(f"exp_forward cannot run a {layer.kind.value} layer")
@@ -333,9 +365,11 @@ class ExpStreamKernel:
     """Streaming form of the expansion engine.
 
     Feed input channel batches in order with consume(); after the last
-    one, outputs() returns the finished frame. The accumulator bank is
-    (fpass, pixels, 16) and persists across batches, mirroring the
-    fpass*16 per-pixel working set of the engine.
+    one, outputs() returns the finished frame. The accumulator bank
+    holds every filter's partial sum for every pixel, the fpass*16
+    per-pixel working set of the engine, and persists across batches;
+    each batch is folded into all filter batches by one exact float64
+    GEMM.
     """
 
     def __init__(self, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST,
@@ -344,24 +378,21 @@ class ExpStreamKernel:
             raise DomainError(f"expansion kernel cannot run a {layer.kind.value} layer")
         if layer.in_ch % LANES or layer.out_ch % LANES:
             raise ShapeError("expansion channel counts must be multiples of 16")
+        check_acc_bound(layer)
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
-        f = layer.filters
-        self._w = f.weights[0, 0].astype(np.int64) - f.zero_points[None, :]
-        self._mults, self._shifts = _mult_arrays(layer)
+        self._w = _signed_weights(layer.filters, np.float64)[0, 0]
         self._acc = None
         self._next_batch = 0
         self._out = None
 
     def begin_frame(self, npix: int) -> None:
         layer = self.layer
-        f = layer.filters
-        self._acc = np.empty((layer.fpass, npix, LANES), dtype=np.int64)
-        for fb in range(layer.fpass):
-            self._acc[fb] = f.biases[fb * LANES : (fb + 1) * LANES]
+        self._acc = np.empty((npix, layer.out_ch))
+        self._acc[...] = layer.filters.biases
         self._next_batch = 0
-        self._out = np.empty((npix, layer.out_ch), dtype=np.uint8)
+        self._out = None
 
     def consume(self, ab: int, batch: np.ndarray) -> None:
         """Fold input channel batch ab (pixels x 16 uint8) into the bank."""
@@ -370,20 +401,15 @@ class ExpStreamKernel:
         if ab != self._next_batch:
             raise DomainError(f"input batch {ab} arrived, expected {self._next_batch}")
         layer = self.layer
-        signed = batch.astype(np.int64) - layer.in_zero
-        asl = slice(ab * LANES, (ab + 1) * LANES)
-        last = ab == layer.apass - 1
-        for fb in range(layer.fpass):
-            fsl = slice(fb * LANES, (fb + 1) * LANES)
-            self._acc[fb] += signed @ self._w[asl, fsl]
-            if last:
-                vals = requantize_array(
-                    self._acc[fb], self._mults[fsl], self._shifts[fsl],
-                    layer.out_zero, self.rounding,
-                )
-                self._out[:, fsl] = np.clip(vals, 0, 255)
+        signed = batch.astype(np.float64)
+        signed -= layer.in_zero
+        self._acc += signed @ self._w[ab * LANES : (ab + 1) * LANES]
+        if ab == layer.apass - 1:
+            self._out = _requant_uint8(self._acc.astype(np.int64), layer, self.rounding)
         if self.probe is not None:
-            self.probe(ab, self._acc.copy())
+            npix = self._acc.shape[0]
+            banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)
+            self.probe(ab, np.ascontiguousarray(banks, dtype=np.int64))
         self._next_batch = ab + 1
 
     def outputs(self) -> np.ndarray:
@@ -413,19 +439,11 @@ def add_elements(
     """
     x1 = (np.asarray(a1, dtype=np.int64) - params.in1_zero) << params.pre_shift
     x2 = (np.asarray(a2, dtype=np.int64) - params.in2_zero) << params.pre_shift
-    t1 = _scale_signed(x1, params.mult1.mult, params.mult1.shift, rounding)
-    t2 = _scale_signed(x2, params.mult2.mult, params.mult2.shift, rounding)
-    vals = _scale_signed(t1 + t2, params.mult3.mult, params.mult3.shift, rounding)
-    return np.clip(vals + params.out_zero, 0, 255).astype(np.uint8)
-
-
-def _scale_signed(x: np.ndarray, mult: int, shift: int, rounding: Rounding) -> np.ndarray:
-    prod = x * mult
-    if rounding is Rounding.TRUNCATE:
-        return prod >> shift
-    half = np.int64(1) << (shift - 1)
-    mag = (np.abs(prod) + half) >> shift
-    return np.where(prod < 0, -mag, mag)
+    t = requantize_array(x1, params.mult1.mult, params.mult1.shift, 0, rounding)
+    t += requantize_array(x2, params.mult2.mult, params.mult2.shift, 0, rounding)
+    vals = requantize_array(t, params.mult3.mult, params.mult3.shift, params.out_zero, rounding)
+    np.clip(vals, 0, 255, out=vals)
+    return vals.astype(np.uint8)
 
 
 def add_forward(

@@ -188,6 +188,8 @@ class LayerDesc:
     add_params: AddParams | None = None
     apass: int = 0
     fpass: int = 0
+    # (mults, int64 multipliers, int64 shifts), built by mult_vectors()
+    _mult_vectors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.orig_in_ch == 0:
@@ -206,6 +208,20 @@ class LayerDesc:
         return all(getattr(self, f) == getattr(other, f) for f in plain) and (
             self.filters == other.filters
         )
+
+    def mult_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``mults`` as read-only int64 multiplier and shift vectors.
+
+        Built on first use and again whenever ``mults`` is reassigned, so
+        the engines convert the MultShift list once per layer, not per call.
+        """
+        cached = self._mult_vectors
+        if cached is None or cached[0] is not self.mults:
+            mults = np.array([m.mult for m in self.mults], dtype=np.int64)
+            shifts = np.array([m.shift for m in self.mults], dtype=np.int64)
+            mults.flags.writeable = shifts.flags.writeable = False
+            cached = self._mult_vectors = (self.mults, mults, shifts)
+        return cached[1], cached[2]
 
 
 @dataclass(eq=False)

@@ -22,10 +22,6 @@ MULT_MIN = 1 << (MULT_BITS - 1)
 MULT_MAX = (1 << MULT_BITS) - 1
 MAX_SHIFT = 255
 
-#: Scalars below this still encode fine, but the canonical model scales
-#: are drawn so that per-channel conv rescales stay at or above it.
-MIN_CANONICAL_SCALAR = 2.0 ** -24
-
 
 class Rounding(Enum):
     """Rounding behaviour of the requantizing right shift.
@@ -190,24 +186,27 @@ def requantize_array(
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """Vectorized requantize over an int64 accumulator array.
+    """Vectorized requantize over an integer accumulator array.
 
-    mults/shifts/out_zero broadcast against acc. Callers must keep
-    |acc| * mult below 2**62 so the int64 intermediates cannot
-    overflow; every accumulator produced by the engines is well inside
-    that bound.
+    mults/shifts/out_zero broadcast against acc, which is left untouched:
+    the product is formed in one new int64 buffer and every later step
+    runs in place on it. Callers must keep |acc| * mult below 2**62 so
+    the int64 product cannot overflow; the engines check a per-layer
+    accumulator bound (engines.ACC_BOUND) that implies it.
     """
-    acc = np.asarray(acc, dtype=np.int64)
     mults = np.asarray(mults, dtype=np.int64)
     shifts = np.asarray(shifts, dtype=np.int64)
-    prod = acc * mults
+    res = np.multiply(acc, mults, dtype=np.int64)
     if rounding is Rounding.TRUNCATE:
-        res = prod >> shifts
+        res >>= shifts
     else:
-        half = np.int64(1) << (shifts - 1)
-        mag = (np.abs(prod) + half) >> shifts
-        res = np.where(prod < 0, -mag, mag)
-    return res + out_zero
+        neg = res < 0
+        np.abs(res, out=res)
+        res += np.int64(1) << (shifts - 1)
+        res >>= shifts
+        np.negative(res, out=res, where=neg)
+    res += out_zero
+    return res
 
 
 def clamp(value: int, lo: int, hi: int) -> int:

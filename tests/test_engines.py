@@ -5,8 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistream.engines import (
+    ACC_BOUND,
     ADD_OPS_PER_CYCLE,
     MADDS_PER_CYCLE,
     WEIGHT_GEOMETRY,
@@ -16,6 +19,7 @@ from semistream.engines import (
     add_passthrough,
     address_map,
     c2d_forward,
+    check_acc_bound,
     dwc_avgpool,
     dwc_forward,
     engine_cycles,
@@ -32,7 +36,11 @@ from semistream.modelkit import (
     LayerDesc,
     QFilterSet,
     QTensor,
+    build_mobilenet_v2,
+    load_package,
     pad_channels,
+    prepare,
+    save_package,
 )
 from semistream.oracle import naive_quant_layer
 from semistream.quantcore import Rounding, quantize_multiplier
@@ -568,3 +576,170 @@ def test_layout_rejects_portless_kinds():
         address_map("DWC", dwc_layer(rng), 0, 0, kpos=9)
     with pytest.raises(DomainError, match="layout"):
         address_map("ADD", dwc_layer(rng), 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# exact carrier: differential against the oracle, bound guard
+# ---------------------------------------------------------------------------
+
+def _span_mults(layer, rng):
+    """Reassign multipliers so that outputs span the uint8 range even
+    when every product sits at the extreme (|acc| near K * 255**2)."""
+    f = layer.filters
+    k = f.kernel_h * f.kernel_w * f.in_channels
+    layer.mults = [quantize_multiplier(float(m))
+                   for m in 2.0 ** rng.uniform(-8.0, -1.1, layer.out_ch) / (k * 255)]
+
+
+def _worst_case(layer, x, act_hi, w_hi):
+    """Every operand at 0 or 255 with its zero point at the opposite
+    extreme, and every bias at the edge of its storage width with the
+    products' sign: each accumulator reaches K * 255**2 + max bias.
+    The output zero point is centred so _span_mults keeps results off
+    the clamps."""
+    f = layer.filters
+    layer.out_zero = 128
+    x.data[...] = 255 if act_hi else 0
+    x.zero_point = layer.in_zero = 0 if act_hi else 255
+    f.weights[...] = 255 if w_hi else 0
+    f.zero_points[...] = 0 if w_hi else 255
+    sign = 1 if act_hi == w_hi else -1
+    f.biases[...] = sign * ((1 << (layer.bias_bits - 1)) - 1)
+
+
+def _raw_pointwise_acc(layer, x):
+    f = layer.filters
+    signed = x.data.reshape(-1, layer.in_ch).astype(np.int64) - layer.in_zero
+    return signed @ (f.weights[0, 0].astype(np.int64) - f.zero_points) + f.biases
+
+
+@st.composite
+def mac_cases(draw):
+    """(layer, input, rounding) for one of the four MAC engines."""
+    kind = draw(st.sampled_from([Kind.PRO, Kind.EXP, Kind.C2D, Kind.DWC]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in (Kind.PRO, Kind.EXP):
+        layer = pointwise_layer(
+            rng, kind, h=draw(st.integers(1, 3)), w=draw(st.integers(1, 3)),
+            cin=LANES * draw(st.integers(1, 80)), cout=LANES * draw(st.integers(1, 63)))
+    elif kind is Kind.C2D:
+        h, w = 2 * draw(st.integers(1, 8)), 2 * draw(st.integers(1, 8))
+        layer = dataclasses.replace(c2d_layer(rng), in_h=h, in_w=w, out_h=h // 2, out_w=w // 2)
+    else:
+        layer = dwc_layer(rng, h=draw(st.integers(1, 9)), w=draw(st.integers(1, 9)),
+                          ch=LANES * draw(st.integers(1, 6)), stride=draw(st.sampled_from([1, 2])))
+    _span_mults(layer, rng)
+    x = qinput(rng, layer)
+    if draw(st.booleans()):
+        _worst_case(layer, x, draw(st.booleans()), draw(st.booleans()))
+    return layer, x, draw(st.sampled_from(list(Rounding)))
+
+
+def _check_against_oracle(layer, x, rounding):
+    """Outputs match the oracle; EXP's raw final partials match exactly."""
+    partials = []
+    if layer.kind is Kind.EXP:
+        got, _ = exp_forward(x, layer, rounding, probe=lambda ab, acc: partials.append(acc))
+        last = partials[-1].transpose(1, 0, 2).reshape(-1, layer.out_ch)
+        np.testing.assert_array_equal(last, _raw_pointwise_acc(layer, x))
+    else:
+        got, _ = run_layer(x, layer, rounding=rounding)
+    want = naive_quant_layer(x.data, layer, rounding=rounding)
+    np.testing.assert_array_equal(got.data, want)
+    return want
+
+
+@given(mac_cases())
+@settings(max_examples=80, deadline=None)
+def test_mac_engines_match_the_oracle(case):
+    _check_against_oracle(*case)
+
+
+def test_classifier_shape_worst_case_is_exact():
+    """npix = 1, K = 1280, N = 1008 at every worst-case corner."""
+    rng = np.random.default_rng(31)
+    for kind in (Kind.PRO, Kind.EXP):
+        for act_hi in (False, True):
+            for w_hi in (False, True):
+                layer = pointwise_layer(rng, kind, h=1, w=1, cin=1280, cout=1008)
+                _span_mults(layer, rng)
+                x = qinput(rng, layer)
+                _worst_case(layer, x, act_hi, w_hi)
+                for rounding in Rounding:
+                    want = _check_against_oracle(layer, x, rounding)
+                    assert 0 < want.min() and want.max() < 255  # not clamped away
+
+
+def test_acc_bound_guard_is_tight():
+    """K * 255**2 plus the largest bias must stay below 2**30."""
+    rng = np.random.default_rng(32)
+    k = (ACC_BOUND - 1) // (255 * 255)  # 16512 taps: 49023 of headroom left
+    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=k, cout=16)
+    _span_mults(layer, rng)
+    x = qinput(rng, layer)
+    _worst_case(layer, x, True, True)
+    layer.filters.biases[...] = ACC_BOUND - 1 - k * 255 * 255
+    check_acc_bound(layer)
+    got, _ = pro_forward(x, layer)  # |acc| = 2**30 - 1, still exact
+    np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
+    layer.filters.biases[0] += 1
+    with pytest.raises(DomainError, match="2\\*\\*30"):
+        pro_forward(x, layer)
+
+
+def test_every_engine_checks_the_bound():
+    rng = np.random.default_rng(33)
+    cases = [small_c2d(rng), dwc_layer(rng), pointwise_layer(rng, Kind.PRO),
+             pointwise_layer(rng, Kind.EXP)]
+    for layer in cases:
+        layer.filters.biases[-1] = -ACC_BOUND
+        with pytest.raises(DomainError, match="2\\*\\*30"):
+            run_layer(qinput(rng, layer), layer)
+    with pytest.raises(DomainError, match="2\\*\\*30"):
+        ExpStreamKernel(cases[-1])
+    pool = pool_layer(rng)
+    check_acc_bound(pool)
+    with pytest.raises(DomainError, match="2\\*\\*30"):
+        check_acc_bound(dataclasses.replace(pool, in_h=2048, in_w=2060))
+    check_acc_bound(add_layer(rng))  # no accumulators to bound
+
+
+def test_exp_probe_partials_are_int64_banks():
+    rng = np.random.default_rng(34)
+    layer = pointwise_layer(rng, Kind.EXP, h=2, w=3, cin=32, cout=48)
+    x = qinput(rng, layer)
+    seen = []
+    out, _ = exp_forward(x, layer, probe=lambda ab, acc: seen.append(acc))
+    assert len(seen) == layer.apass
+    for acc in seen:
+        assert acc.dtype == np.int64
+        assert acc.shape == (layer.fpass, 6, LANES)
+    f = layer.filters
+    signed = x.data.reshape(6, 32).astype(np.int64) - layer.in_zero
+    w = f.weights[0, 0].astype(np.int64) - f.zero_points
+    first = (signed[:, :16] @ w[:16] + f.biases).reshape(6, layer.fpass, LANES)
+    np.testing.assert_array_equal(seen[0], first.transpose(1, 0, 2))
+    seen[-1][...] = 0  # the probe gets a copy: the frame is unaffected
+    np.testing.assert_array_equal(out.data, naive_quant_layer(x.data, layer))
+
+
+def test_mult_vectors_follow_reassignment():
+    rng = np.random.default_rng(35)
+    layer = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
+    x = qinput(rng, layer)
+    before, _ = pro_forward(x, layer)
+    mults, _ = layer.mult_vectors()
+    assert layer.mult_vectors()[0] is mults  # built once
+    layer.mults = [quantize_multiplier(m.value / 2) for m in layer.mults]
+    after, _ = pro_forward(x, layer)
+    assert not np.array_equal(before.data, after.data)
+    np.testing.assert_array_equal(after.data, naive_quant_layer(x.data, layer))
+
+
+@pytest.mark.parametrize("width, resolution", [(1.0, 224), (0.5, 64)])
+def test_standard_models_pass_the_bound_guard(tmp_path, width, resolution):
+    model = prepare(build_mobilenet_v2(width, resolution))
+    loaded = load_package(save_package(model, tmp_path / "pkg"))
+    for m in (model, loaded):
+        for layer in m.layers:
+            check_acc_bound(layer)
