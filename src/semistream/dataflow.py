@@ -30,8 +30,6 @@ from .engines import (
     ExpStreamKernel,
     add_elements,
     c2d_forward,
-    dwc_avgpool,
-    dwc_forward,
     nominal_stats,
     pro_forward,
     run_layer,
@@ -361,15 +359,12 @@ def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer,
         yield from out_buf.put_g((b, batch))
 
 
-def _dwc_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
-                 rounding: Rounding, stats: dict, index: int):
+def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
+                   rounding: Rounding, stats: dict, index: int):
+    """Whole frame in, whole frame out: depthwise, pooling and classifier."""
     yield from in_buf.wait_complete_g()
     x = _tensor_from_frame(in_buf, layer, "in")
-    if layer.kind is Kind.AVGPOOL:
-        out, st = dwc_avgpool(x, layer, rounding)
-    else:
-        out, st = dwc_forward(x, layer, rounding)
-    stats[index] = st
+    out, stats[index] = run_layer(x, layer, rounding=rounding)
     _feed_frame(out_buf, out.data.reshape(-1, out.channels))
 
 
@@ -439,17 +434,6 @@ def _exp_from_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
     for fb in range(layer.fpass):
         yield from out_buf.put_g((fb, kernel.output_batch(fb)))
     stats[index] = nominal_stats(layer)
-
-
-def _pro_to_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
-                          out_buf: FrameBuffer, rounding: Rounding,
-                          stats: dict, index: int):
-    """Trailing projection round (the classifier)."""
-    yield from in_buf.wait_complete_g()
-    x = _tensor_from_frame(in_buf, layer, "in")
-    out, st = pro_forward(x, layer, rounding)
-    stats[index] = st
-    _feed_frame(out_buf, out.data.reshape(-1, out.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +605,8 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
             if l.kind is Kind.EXP:
                 procs.append(_exp_from_frame_process(
                     l, in_buf, out_buf, rounding, stats, idx, probe_for(idx)))
-            elif l.kind is Kind.AVGPOOL:
-                procs.append(_dwc_process(l, in_buf, out_buf, rounding, stats, idx))
             else:
-                procs.append(_pro_to_frame_process(l, in_buf, out_buf, rounding, stats, idx))
+                procs.append(_frame_process(l, in_buf, out_buf, rounding, stats, idx))
             next_in = out_buf
             if idx == last_index:
                 result_buf = out_buf
@@ -657,7 +639,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
         q_pro_add = BoundedQueue(2 * npix_out, f"round{plan.index}-pro-add")
         q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
 
-        procs.append(_dwc_process(dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
+        procs.append(_frame_process(dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
         procs.append(_pro_process(pro_l, dwc_out, [q_pro_add], rounding, stats, plan.pro))
 
         add_sinks: list = []

@@ -18,10 +18,18 @@ rescale, whose |acc| * mult < 2**62 precondition the bound also gives.
 This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
 arXiv 1712.05877.
 
+A one-pixel projection (the classifier) is a GEMV, too small for a
+zero-corrected float64 weight copy to pay off. It runs on the raw uint8
+weights instead, using the same zero-point algebra:
+acc_n = sum_k x'_k * W_kn - zw_n * sum_k x'_k, with the first term cast
+from uint8 in small buffers. |x'_k| <= 255 and W_kn in [0, 255], so each
+term is also below K * 255**2 < 2**30 and exact. Larger frames keep the
+GEMM, which beats this form there.
+
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
   DWC  depthwise 3x3 over 16-channel groups (also runs average pooling)
-  PRO  1x1 projection, one GEMM per frame
+  PRO  1x1 projection, one GEMM per frame (one GEMV at one pixel)
   EXP  1x1 expansion, channel-major pass order, partial sums held across
        input batches (streaming kernel available for the dataflow runner)
   ADD  elementwise residual addition through a fixed-point chain
@@ -167,12 +175,25 @@ def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     return w
 
 
+def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
+    """Codes centred + zero clamped to [0, 255], as uint8.
+
+    Clamps centred in place to [-zero, 255 - zero] first; the narrowing
+    cast then wraps negatives modulo 256 and adding zero in uint8 wraps
+    them back, so no int64 pass adds the zero point. The bounds are
+    numpy integers because clip checks Python-int bounds against the
+    dtype's range on every call, which costs more than a small clamp.
+    """
+    centred.clip(np.int64(-zero), np.int64(255 - zero), out=centred)
+    out = centred.astype(np.uint8)
+    out += np.uint8(zero)
+    return out
+
+
 def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rounding: Rounding) -> np.ndarray:
     """Rescale a layer's accumulators onto its output edge, clamped to uint8."""
     mults, shifts = layer.mult_vectors()
-    vals = requantize_array(acc, mults, shifts, layer.out_zero, rounding)
-    np.clip(vals, 0, 255, out=vals)
-    return vals.astype(np.uint8)
+    return _narrow_uint8(requantize_array(acc, mults, shifts, 0, rounding), layer.out_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +322,8 @@ def pro_forward(
     loop over input channel batches; the accumulator bank starts at the
     bias word and each output batch is rescaled and written the moment
     its last input batch lands. Integer sums do not depend on their
-    order, so the whole frame runs here as one exact GEMM, with results
+    order, so the whole frame runs here as one exact GEMM (a GEMV on the
+    raw weights at one pixel, see the module docstring), with results
     identical to the per-pass schedule.
     """
     if layer.kind is not Kind.PRO:
@@ -316,7 +338,14 @@ def pro_forward(
     npix = x.height * x.width
     flat = x.data.reshape(npix, x.channels).astype(np.float64)
     flat -= x.zero_point
-    acc = (flat @ _signed_weights(f, np.float64)[0, 0]).astype(np.int64)
+    if npix == 1:
+        # sum_k x'_k (W_kn - zw_n) = sum_k x'_k W_kn - zw_n sum_k x'_k
+        acc = np.einsum("pk,kn->pn", flat, f.weights[0, 0],
+                        dtype=np.float64, casting="unsafe")
+        acc -= flat.sum() * f.zero_points
+    else:
+        acc = flat @ _signed_weights(f, np.float64)[0, 0]
+    acc = acc.astype(np.int64)
     acc += f.biases
     data = _requant_uint8(acc, layer, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), nominal_stats(layer)
@@ -441,9 +470,8 @@ def add_elements(
     x2 = (np.asarray(a2, dtype=np.int64) - params.in2_zero) << params.pre_shift
     t = requantize_array(x1, params.mult1.mult, params.mult1.shift, 0, rounding)
     t += requantize_array(x2, params.mult2.mult, params.mult2.shift, 0, rounding)
-    vals = requantize_array(t, params.mult3.mult, params.mult3.shift, params.out_zero, rounding)
-    np.clip(vals, 0, 255, out=vals)
-    return vals.astype(np.uint8)
+    vals = requantize_array(t, params.mult3.mult, params.mult3.shift, 0, rounding)
+    return _narrow_uint8(vals, params.out_zero)
 
 
 def add_forward(

@@ -189,23 +189,36 @@ def requantize_array(
     """Vectorized requantize over an integer accumulator array.
 
     mults/shifts/out_zero broadcast against acc, which is left untouched:
-    the product is formed in one new int64 buffer and every later step
-    runs in place on it. Callers must keep |acc| * mult below 2**62 so
-    the int64 product cannot overflow; the engines check a per-layer
-    accumulator bound (engines.ACC_BOUND) that implies it.
+    the product p = acc * mult is formed in one new int64 buffer and
+    every later step runs in place on it.
+
+    Preconditions: every mult is positive (MultShift keeps it in
+    [2**31, 2**32)), so sign(p) == sign(acc); every shift is at least 1;
+    and |acc| * mult < 2**62, so the int64 product cannot overflow. The
+    engines check a per-layer accumulator bound (engines.ACC_BOUND) that
+    implies the last one.
+
+    NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
+    half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)
+    for p < 0. The latter equals (p + h - 1) >> s, because
+    -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
+    path adds h, subtracts (acc < 0) and shifts once; an exact tie
+    p = (2j + 1) * h is where the -1 matters.
+
+    Shifts above 63 are applied as 63, which is exact under both
+    roundings while |p| < 2**62: NEAREST gives 0 either way, TRUNCATE
+    gives 0 or -1 by sign. Without the clamp 1 << 63 wraps in int64 and
+    a shift of 64 or more is undefined.
     """
     mults = np.asarray(mults, dtype=np.int64)
-    shifts = np.asarray(shifts, dtype=np.int64)
+    shifts = np.minimum(shifts, 63, dtype=np.int64)
     res = np.multiply(acc, mults, dtype=np.int64)
-    if rounding is Rounding.TRUNCATE:
-        res >>= shifts
-    else:
-        neg = res < 0
-        np.abs(res, out=res)
+    if rounding is Rounding.NEAREST:
         res += np.int64(1) << (shifts - 1)
-        res >>= shifts
-        np.negative(res, out=res, where=neg)
-    res += out_zero
+        res -= acc < 0
+    res >>= shifts
+    if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
+        res += out_zero
     return res
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -668,6 +669,21 @@ def test_classifier_shape_worst_case_is_exact():
                 for rounding in Rounding:
                     want = _check_against_oracle(layer, x, rounding)
                     assert 0 < want.min() and want.max() < 255  # not clamped away
+
+
+def test_classifier_allocates_no_weight_copy():
+    """At npix = 1 the projection never builds a float copy of its weights."""
+    rng = np.random.default_rng(36)
+    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=1280, cout=1008)
+    x = qinput(rng, layer)
+    pro_forward(x, layer)  # first-call set-up (multiplier vectors) untraced
+    tracemalloc.start()
+    try:
+        pro_forward(x, layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < layer.filters.weights.nbytes
 
 
 def test_acc_bound_guard_is_tight():

@@ -160,6 +160,42 @@ def test_requantize_array_matches_scalar():
             assert got.tolist() == want
 
 
+def _array_vs_scalar(accs, ms, rounding, dtype=np.int64):
+    got = requantize_array(np.array(accs, dtype=dtype), ms.mult, ms.shift, 0, rounding)
+    want = [requantize(a, RequantParams(ms, out_zero=0), rounding) for a in accs]
+    return got.tolist(), want
+
+
+def test_requantize_array_ties_round_away_from_zero():
+    """acc * mult an exact odd multiple of 2**(shift - 1), both signs.
+
+    mult = m0 * 2**t with m0 odd, acc = k * 2**(shift - 1 - t) with k odd.
+    """
+    negative_ties = {np.int32: 0, np.int64: 0}
+    for m0, t in ((1, 31), (3, 30), (5, 29), (40961, 16)):
+        for shift in (32, 33, 40, 61):
+            ms = MultShift(m0 << t, shift)
+            accs = [s * k << (shift - 1 - t) for k in (1, 3, 5, 255) for s in (1, -1)]
+            accs = [a for a in accs if abs(a) * ms.mult < 2 ** 62]
+            for dtype in negative_ties:
+                info = np.iinfo(dtype)
+                fit = [a for a in accs if info.min <= a <= info.max]
+                got, want = _array_vs_scalar(fit, ms, Rounding.NEAREST, dtype)
+                assert got == want, (ms, dtype)
+                negative_ties[dtype] += sum(a < 0 for a in fit)
+    assert min(negative_ties.values()) >= 10
+
+
+def test_requantize_array_large_shifts():
+    """Shifts up to MAX_SHIFT agree with the scalar path under both roundings."""
+    accs = [2 ** 29, -(2 ** 29), 5, -5, 1, -1, 0]
+    for shift in (32, 62, 63, 64, 65, MAX_SHIFT):
+        for mult in (MULT_MIN, 3 << 30, MULT_MAX):
+            for rounding in Rounding:
+                got, want = _array_vs_scalar(accs, MultShift(mult, shift), rounding)
+                assert got == want, (shift, mult, rounding)
+
+
 def test_clamp():
     assert clamp(-5, 0, 255) == 0
     assert clamp(300, 0, 255) == 255
