@@ -6,19 +6,32 @@ k, and the expansion of block k+1, whose output lands in the frame
 buffer the next round's depthwise layer will read. Round 0 additionally
 runs the entry convolution; after the last block, the head layers run
 as single-engine trailing rounds (head expansion, pooling, classifier).
-One frame is in flight and rounds execute in order.
+One frame is in flight.
 
-Within a round, engines are independent processes connected by streams:
-frame buffers on both sides of the depthwise engine (it needs random
-access for striding and channel-group passes), bounded word-counted
-queues from projection to addition to expansion, and a bounded residual
-FIFO that carries each shortcut frame from its addition slot to the
-next round's. Processes are plain generators that yield Blocked tokens
-when a stream cannot move; a deterministic round-robin scheduler (the
-reference) or a thread-per-process driver turns them loose.
+Engines are independent processes connected by streams: frame buffers
+on both sides of the depthwise engine (it needs random access for
+striding and channel-group passes), bounded word-counted queues from
+projection to addition to expansion, and a bounded residual FIFO that
+carries each shortcut frame from its addition slot to the next round's.
+Processes are plain generators that yield Blocked tokens when a stream
+cannot move. Every round's processes are built up front. Stream mode
+runs them one round at a time under a deterministic round-robin
+scheduler (the reference). Threads mode chains each engine's processes
+(C2D, EXP, DWC, PRO, ADD) in round order and runs the chains at once,
+one OS thread per engine for the whole frame, so data streams from
+round to round with no barrier between rounds.
+
+Both drivers share one deadlock contract. Each stream counts its
+successful operations under its own lock (its progress counter), and a
+Blocked token carries the count seen before the attempt that failed;
+when every unfinished process is blocked on a stream that has not moved
+since, none can move again and the driver raises DeadlockError. The
+counters belong to the streams a run builds, so other runs cannot mask
+a deadlock.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
@@ -40,18 +53,9 @@ from .quantcore import Rounding
 
 #: A process yields one of these when a stream cannot move this instant.
 #: kind is "empty" (get from empty queue), "full" (put into full queue)
-#: or "frame" (waiting on an incomplete frame buffer).
-Blocked = namedtuple("Blocked", ["kind", "resource"])
-
-# Monotonic count of successful stream operations. The round-robin
-# scheduler compares it across a sweep to tell a real deadlock from a
-# sweep in which processes advanced and then blocked again.
-_op_clock = 0
-
-
-def _tick() -> None:
-    global _op_clock
-    _op_clock += 1
+#: or "frame" (waiting on an incomplete frame buffer); seen is the
+#: resource's progress counter read before the attempt that failed.
+Blocked = namedtuple("Blocked", ["kind", "resource", "seen"])
 
 
 class BoundedQueue:
@@ -70,6 +74,7 @@ class BoundedQueue:
         self._items: deque = deque()
         self._words = 0
         self.peak_words = 0
+        self.progress = 0  # successful puts and gets
         self._cond = threading.Condition()
 
     @property
@@ -88,7 +93,7 @@ class BoundedQueue:
             self._items.append((words, item))
             self._words += words
             self.peak_words = max(self.peak_words, self._words)
-            _tick()
+            self.progress += 1
             self._cond.notify_all()
             return True
 
@@ -98,26 +103,26 @@ class BoundedQueue:
                 return False, None
             words, item = self._items.popleft()
             self._words -= words
-            _tick()
+            self.progress += 1
             self._cond.notify_all()
             return True, item
 
     def put_g(self, item, words: int = 1):
         """Generator put: yields Blocked until the item fits."""
-        while not self.try_put(item, words):
-            yield Blocked("full", self)
+        while True:
+            seen = self.progress
+            if self.try_put(item, words):
+                return
+            yield Blocked("full", self, seen)
 
     def get_g(self):
         """Generator get: yields Blocked until an item arrives."""
         while True:
+            seen = self.progress
             ok, item = self.try_get()
             if ok:
                 return item
-            yield Blocked("empty", self)
-
-    def wait_for_change(self, timeout: float = 0.05) -> None:
-        with self._cond:
-            self._cond.wait(timeout)
+            yield Blocked("empty", self, seen)
 
 
 class FrameBuffer:
@@ -134,7 +139,7 @@ class FrameBuffer:
         self.nbatches = nbatches
         self.label = label
         self._slots: list = [None] * nbatches
-        self._filled = 0
+        self.progress = 0  # batches fed
         self.reads_before_complete = 0
         self._cond = threading.Condition()
 
@@ -154,8 +159,7 @@ class FrameBuffer:
                     f"frame '{self.label}' batch {index} was fed twice"
                 )
             self._slots[index] = arr
-            self._filled += 1
-            _tick()
+            self.progress += 1
             self._cond.notify_all()
 
     def put_g(self, item, words: int = 0):
@@ -174,21 +178,20 @@ class FrameBuffer:
     @property
     def complete(self) -> bool:
         with self._cond:
-            return self._filled == self.nbatches
+            return self.progress == self.nbatches
 
     def wait_complete_g(self):
-        while not self.complete:
+        while True:
+            seen = self.progress
+            if self.complete:
+                return
             self.reads_before_complete += 1
-            yield Blocked("frame", self)
+            yield Blocked("frame", self, seen)
 
     def assemble(self) -> np.ndarray:
         if not self.complete:
             raise SequencingError(f"frame '{self.label}' read before completion")
         return np.concatenate(self._slots, axis=1)
-
-    def wait_for_change(self, timeout: float = 0.05) -> None:
-        with self._cond:
-            self._cond.wait(timeout)
 
 
 class SingleConsumptionStream:
@@ -211,12 +214,6 @@ class SingleConsumptionStream:
             raise SequencingError(f"input batch {index} consumed twice")
         self._seen.add(index)
         return item
-
-    def mark(self, index: int) -> None:
-        """Record a consumption without pulling from the queue."""
-        if index in self._seen:
-            raise SequencingError(f"input batch {index} consumed twice")
-        self._seen.add(index)
 
 
 def split_c2d_stream(frame32: np.ndarray):
@@ -336,11 +333,6 @@ def residual_fifo_capacity(model: PreparedModel) -> int:
 # processes
 # ---------------------------------------------------------------------------
 
-def _feed_frame(buf: FrameBuffer, data2d: np.ndarray) -> None:
-    for b in range(buf.nbatches):
-        buf.feed(b, data2d[:, b * LANES : (b + 1) * LANES])
-
-
 def _tensor_from_frame(buf: FrameBuffer, layer: LayerDesc, which: str) -> QTensor:
     data = buf.assemble()
     if which == "in":
@@ -365,7 +357,7 @@ def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
     yield from in_buf.wait_complete_g()
     x = _tensor_from_frame(in_buf, layer, "in")
     out, stats[index] = run_layer(x, layer, rounding=rounding)
-    _feed_frame(out_buf, out.data.reshape(-1, out.channels))
+    out_buf.set_tensor(out.data)
 
 
 def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, sinks: list,
@@ -405,32 +397,31 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
     stats[index] = st
 
 
-def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
-                 npix: int, rounding: Rounding, stats: dict, index: int,
-                 probe=None):
-    kernel = ExpStreamKernel(layer, rounding, probe=probe)
-    kernel.begin_frame(npix)
-    stream = SingleConsumptionStream(in_q)
+def _exp_process(layer: LayerDesc, source, out_buf: FrameBuffer,
+                 rounding: Rounding, stats: dict, index: int, probe=None):
+    """Expansion: fold each input batch into the accumulators as it arrives.
+
+    source is the addition slot's queue, read through a
+    SingleConsumptionStream, or a finished frame (the round-0
+    pre-expansion and the head expansion).
+    """
+    from_frame = isinstance(source, FrameBuffer)
+    if from_frame:
+        yield from source.wait_complete_g()
+        flat = source.assemble()
+    else:
+        stream = SingleConsumptionStream(source)
     for ab in range(layer.apass):
-        bi, batch = yield from stream.get_g()
+        if from_frame:
+            bi, batch = ab, flat[:, ab * LANES : (ab + 1) * LANES]
+        else:
+            bi, batch = yield from stream.get_g()
+        if ab == 0:
+            # the EXP thread reaches this process before its input exists;
+            # allocate the accumulator bank only once input arrives
+            kernel = ExpStreamKernel(layer, rounding, probe=probe)
+            kernel.begin_frame(layer.in_h * layer.in_w)
         kernel.consume(bi, batch)
-    for fb in range(layer.fpass):
-        yield from out_buf.put_g((fb, kernel.output_batch(fb)))
-    stats[index] = nominal_stats(layer)
-
-
-def _exp_from_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
-                            out_buf: FrameBuffer, rounding: Rounding,
-                            stats: dict, index: int, probe=None):
-    """Trailing expansion round: stream batches out of a finished frame."""
-    yield from in_buf.wait_complete_g()
-    flat = in_buf.assemble()
-    npix = flat.shape[0]
-    kernel = ExpStreamKernel(layer, rounding, probe=probe)
-    kernel.begin_frame(npix)
-    for ab in range(layer.apass):
-        kernel.consume(ab, flat[:, ab * LANES : (ab + 1) * LANES])
-        yield
     for fb in range(layer.fpass):
         yield from out_buf.put_g((fb, kernel.output_batch(fb)))
     stats[index] = nominal_stats(layer)
@@ -440,17 +431,28 @@ def _exp_from_frame_process(layer: LayerDesc, in_buf: FrameBuffer,
 # drivers
 # ---------------------------------------------------------------------------
 
+def _stuck(blocked) -> bool:
+    """True when no blocked stream has moved since its process saw it."""
+    return all(t.resource.progress == t.seen for t in blocked)
+
+
+def _deadlock(blocked) -> DeadlockError:
+    detail = ", ".join(
+        f"{t.kind} on '{getattr(t.resource, 'label', '?')}'" for t in blocked
+    )
+    return DeadlockError(f"no process can make progress: {detail}")
+
+
 def _run_round_robin(procs: list) -> None:
     """Deterministic reference scheduler with deadlock detection.
 
     A sweep resumes every runnable process once. Progress is any
-    completed process, any non-blocked yield, or any successful stream
-    operation (the op clock); a full sweep with none of those means no
-    process can ever move again.
+    completed process, any non-blocked yield, or any blocked stream
+    whose progress counter moved after its process saw it; a full sweep
+    with none of those means no process can ever move again.
     """
     active = list(procs)
     while active:
-        clock_before = _op_clock
         progressed = False
         blocked: list[Blocked] = []
         for g in list(active):
@@ -464,39 +466,77 @@ def _run_round_robin(procs: list) -> None:
                 blocked.append(token)
             else:
                 progressed = True
-        if active and not progressed and _op_clock == clock_before:
-            detail = ", ".join(
-                f"{t.kind} on '{getattr(t.resource, 'label', '?')}'" for t in blocked
-            )
-            raise DeadlockError(f"no process can make progress: {detail}")
+        if active and not progressed and _stuck(blocked):
+            raise _deadlock(blocked)
 
 
 def _run_threaded(procs: list) -> None:
-    """One thread per process; Blocked tokens wait on the resource."""
-    errors: list[BaseException] = []
-    lock = threading.Lock()
+    """One thread per process, under the round-robin deadlock contract.
 
-    def drive(g):
+    A thread whose process yields Blocked waits on that stream's
+    condition until the stream's progress counter moves past the value
+    the process saw; the check and the wait happen under the stream's
+    lock, so no wakeup is lost. When every live thread waits on a stream
+    that has not moved, the thread that completes that picture raises
+    DeadlockError for the run. The first error wakes every waiting
+    thread, and every thread is joined before this returns or raises.
+    """
+    lock = threading.Lock()  # guards waiting, live and errors
+    waiting: dict[int, Blocked] = {}
+    errors: list[BaseException] = []
+    live = len(procs)
+
+    def fail(err: BaseException) -> None:  # caller holds lock
+        errors.append(err)
+        for t in waiting.values():
+            with t.resource._cond:
+                t.resource._cond.notify_all()
+
+    def judge() -> None:  # caller holds lock
+        if not errors and waiting and len(waiting) == live and _stuck(waiting.values()):
+            fail(_deadlock(waiting.values()))
+
+    def drive(i: int, g) -> None:
+        nonlocal live
         try:
-            while True:
+            for token in g:
+                if not isinstance(token, Blocked):
+                    continue
                 with lock:
-                    if errors:  # a sibling failed; unblock instead of spinning
-                        return
-                try:
-                    token = next(g)
-                except StopIteration:
+                    waiting[i] = token
+                    judge()
+                cond = token.resource._cond
+                with cond:
+                    while not errors and token.resource.progress == token.seen:
+                        cond.wait()
+                with lock:
+                    del waiting[i]
+                if errors:
                     return
-                if isinstance(token, Blocked):
-                    token.resource.wait_for_change()
         except BaseException as e:  # surface through the caller
             with lock:
-                errors.append(e)
+                fail(e)
+        finally:
+            with lock:
+                live -= 1
+                judge()
 
-    threads = [threading.Thread(target=drive, args=(g,), daemon=True) for g in procs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=drive, args=(i, g), daemon=True,
+                                name=f"semistream-{i}")
+               for i, g in enumerate(procs)]
+    started = []
+    try:
+        for t in threads:
+            t.start()
+            started.append(t)
+    except BaseException as e:  # wake the started threads, then re-raise
+        with lock:
+            live -= len(threads) - len(started)
+            fail(e)
+        raise
+    finally:
+        for t in started:
+            t.join()
     if errors:
         raise errors[0]
 
@@ -538,9 +578,11 @@ def run_inference(
     """Run one frame through the model.
 
     mode selects the driver: "sequential" runs layers one after another
-    on their engines, "stream" runs the round dataflow under the
-    deterministic round-robin scheduler, "threads" runs the same
-    dataflow with one thread per process. All three produce identical
+    on their engines, "stream" runs the round dataflow one round at a
+    time under the deterministic round-robin scheduler, "threads" runs
+    the same processes chained per engine, one OS thread per engine for
+    the whole frame. Both dataflow modes raise DeadlockError rather than
+    hang. All three produce identical
     logits; they differ only in how engine execution is interleaved.
     """
     if mode not in ("sequential", "stream", "threads"):
@@ -572,12 +614,22 @@ def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
 
 
 def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
+    """Build every round's processes up front, then run them.
+
+    Stream mode sweeps one round at a time, as the reference schedule
+    does; threads mode chains each engine's processes in round order and
+    runs the five chains at once, one thread each.
+    """
     plans = schedule_rounds(model)
     layers = model.layers
     stats: dict[int, EngineStats] = {}
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
     sources = model.residual_sources
     last_index = len(layers) - 1
+    rounds: list[list[tuple[str, object]]] = []  # (engine, process) per round
+
+    def add(engine: str, proc) -> None:
+        rounds[-1].append((engine, proc))
 
     def frame_for(idx: int, which: str, label: str) -> FrameBuffer:
         l = layers[idx]
@@ -585,32 +637,30 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
             return FrameBuffer(l.in_h * l.in_w, l.in_ch // LANES, label)
         return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
 
-    def probe_for(idx: int):
-        if exp_probe is None:
-            return None
-        return lambda ab, acc: exp_probe(idx, ab, acc)
+    def exp_for(idx: int, source, out_buf: FrameBuffer):
+        probe = None
+        if exp_probe is not None:
+            probe = lambda ab, acc: exp_probe(idx, ab, acc)
+        add("exp", _exp_process(
+            layers[idx], source, out_buf, rounding, stats, idx, probe))
 
     # frame buffer feeding each round's depthwise (or trailing) input
     next_in: FrameBuffer | None = None
     result_buf: FrameBuffer | None = None
 
     for plan in plans:
-        procs: list = []
+        rounds.append([])
         if plan.trailing:
-            idx = plan.exp if plan.exp is not None else (
-                plan.dwc if plan.dwc is not None else plan.pro)
-            in_buf = next_in
+            (engine, idx), = plan.slots
             out_buf = frame_for(idx, "out", f"round{plan.index}-out")
-            l = layers[idx]
-            if l.kind is Kind.EXP:
-                procs.append(_exp_from_frame_process(
-                    l, in_buf, out_buf, rounding, stats, idx, probe_for(idx)))
+            if engine == "exp":
+                exp_for(idx, next_in, out_buf)
             else:
-                procs.append(_frame_process(l, in_buf, out_buf, rounding, stats, idx))
+                add(engine, _frame_process(
+                    layers[idx], next_in, out_buf, rounding, stats, idx))
             next_in = out_buf
             if idx == last_index:
                 result_buf = out_buf
-            _run_threaded(procs) if threaded else _run_round_robin(procs)
             continue
 
         dwc_l = layers[plan.dwc]
@@ -619,60 +669,56 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
         npix_out = pro_l.out_h * pro_l.out_w
 
         if plan.index == 0:
+            dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
+            c2d_out = dwc_in
             if plan.exp_pre is not None:
-                pre_l = layers[plan.exp_pre]
                 c2d_out = frame_for(plan.exp_pre, "in", "entry-out")
-                dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
-                procs.append(_c2d_process(
-                    image, layers[plan.c2d], c2d_out, rounding, stats, plan.c2d))
-                procs.append(_exp_from_frame_process(
-                    pre_l, c2d_out, dwc_in, rounding, stats, plan.exp_pre,
-                    probe_for(plan.exp_pre)))
-            else:
-                dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
-                procs.append(_c2d_process(
-                    image, layers[plan.c2d], dwc_in, rounding, stats, plan.c2d))
+            add("c2d", _c2d_process(
+                image, layers[plan.c2d], c2d_out, rounding, stats, plan.c2d))
+            if plan.exp_pre is not None:
+                exp_for(plan.exp_pre, c2d_out, dwc_in)
         else:
             dwc_in = next_in
 
         dwc_out = frame_for(plan.pro, "in", f"round{plan.index}-dwc-out")
         q_pro_add = BoundedQueue(2 * npix_out, f"round{plan.index}-pro-add")
-        q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
+        add("dwc", _frame_process(
+            dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
+        add("pro", _pro_process(
+            pro_l, dwc_out, [q_pro_add], rounding, stats, plan.pro))
 
-        procs.append(_frame_process(dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
-        procs.append(_pro_process(pro_l, dwc_out, [q_pro_add], rounding, stats, plan.pro))
-
-        add_sinks: list = []
         if plan.exp is not None:
-            exp_l = layers[plan.exp]
-            exp_out = frame_for(plan.exp, "out", f"round{plan.index}-exp-out")
-            add_sinks.append(q_add_exp)
-            procs.append(_exp_process(
-                exp_l, q_add_exp, exp_out, npix_out, rounding, stats, plan.exp,
-                probe_for(plan.exp)))
-            next_round_in = exp_out
+            q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
+            next_in = frame_for(plan.exp, "out", f"round{plan.index}-exp-out")
+            exp_for(plan.exp, q_add_exp, next_in)
+            add_sinks: list = [q_add_exp]
         else:
             # no expansion next block: the addition output frame feeds
             # the next round's depthwise input (or the trailing head)
-            add_out = frame_for(plan.add, "out", f"round{plan.index}-add-out")
-            add_sinks.append(add_out)
-            next_round_in = add_out
+            next_in = frame_for(plan.add, "out", f"round{plan.index}-add-out")
+            add_sinks = [next_in]
         if plan.add in sources:
             add_sinks.append(res_fifo)
         res_in = res_fifo if add_l.residual_from is not None else None
-        procs.append(_add_process(
+        add("add", _add_process(
             add_l, q_pro_add, res_in, add_sinks, rounding, stats, plan.add))
         if plan.add == last_index:
             if plan.exp is not None:
                 raise PlanError("final layer cannot share its round with an expansion")
-            result_buf = next_round_in
-
-        _run_threaded(procs) if threaded else _run_round_robin(procs)
-        next_in = next_round_in
+            result_buf = next_in
 
     if result_buf is None:
         raise PlanError("no round produced the final layer's output")
-    last = layers[last_index]
-    logits = _tensor_from_frame(result_buf, last, "out")
+    if threaded:
+        chains: dict[str, list] = {}
+        for procs in rounds:
+            for engine, g in procs:
+                chains.setdefault(engine, []).append(g)
+        # each engine's processes run one after another as one process
+        _run_threaded([itertools.chain(*c) for c in chains.values()])
+    else:
+        for procs in rounds:
+            _run_round_robin([g for _, g in procs])
+    logits = _tensor_from_frame(result_buf, layers[last_index], "out")
     mode = "threads" if threaded else "stream"
     return InferenceResult(logits=logits, stats=stats, mode=mode)

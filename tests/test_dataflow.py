@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from semistream.dataflow import (
     FrameBuffer,
     SingleConsumptionStream,
     _run_round_robin,
+    _run_threaded,
     residual_fifo_capacity,
     run_inference,
     schedule_rounds,
@@ -29,6 +32,7 @@ from semistream.modelkit import (
     PreparedModel,
     QTensor,
     build_mobilenet_v2,
+    image_to_qtensor,
     prepare,
 )
 from semistream.oracle import run_model_naive
@@ -46,6 +50,29 @@ def drain(gen):
     """Run a generator to completion, failing the test if it blocks."""
     for token in gen:
         pytest.fail(f"unexpected block: {token}")
+
+
+def outcome(fn, timeout: float = 10.0):
+    """Run fn in a helper thread and return what it raised (None if nothing).
+
+    A driver that hangs fails the test after timeout seconds instead of
+    stalling the suite.
+    """
+    box: list = []
+
+    def target():
+        try:
+            fn()
+            box.append(None)
+        except BaseException as e:
+            box.append(e)
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    if helper.is_alive():
+        pytest.fail(f"driver gave no result within {timeout} s")
+    return box[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +167,6 @@ def test_single_consumption_stream():
     q.try_put((0, "again"))
     with pytest.raises(SequencingError, match="consumed twice"):
         drain(stream.get_g())
-    stream.mark(1)
-    with pytest.raises(SequencingError):
-        stream.mark(1)
 
 
 def test_split_c2d_stream():
@@ -270,6 +294,105 @@ def test_round_robin_detects_an_undrained_queue():
         _run_round_robin([stuff()])
 
 
+def fill(q, n=2):
+    for v in range(n):
+        yield from q.put_g(v)
+
+
+def test_threaded_detects_a_cycle():
+    qa = BoundedQueue(1, "qa")
+    qb = BoundedQueue(1, "qb")
+    err = outcome(lambda: _run_threaded([shuttle(qa, qb), shuttle(qb, qa)]))
+    assert isinstance(err, DeadlockError)
+    assert "empty on 'qa'" in str(err) and "empty on 'qb'" in str(err)
+
+
+def test_threaded_detects_an_undrained_queue():
+    q = BoundedQueue(1, "narrow")
+    err = outcome(lambda: _run_threaded([fill(q)]))
+    assert isinstance(err, DeadlockError)
+    assert "full on 'narrow'" in str(err)
+
+
+def test_threaded_detects_a_deadlock_left_by_a_finished_thread():
+    def take_one(q):
+        yield from q.get_g()
+
+    # whichever comes last, the taker's exit or the producer's block on
+    # its third item, must give the verdict
+    for _ in range(20):
+        q = BoundedQueue(1, "narrow")
+        err = outcome(lambda: _run_threaded([fill(q, 3), take_one(q)]))
+        assert isinstance(err, DeadlockError), err
+        assert str(err).endswith("full on 'narrow'")
+
+
+def test_threaded_relay_under_frequent_switches():
+    """More threads than cores, switching often: no item lost, no false verdict."""
+    n = 40
+
+    def produce(q):
+        for v in range(n):
+            yield from q.put_g(v)
+
+    def relay(src, dst):
+        for _ in range(n):
+            item = yield from src.get_g()
+            yield from dst.put_g(item)
+
+    def collect(q, out):
+        for _ in range(n):
+            out.append((yield from q.get_g()))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            qs = [BoundedQueue(1, f"q{i}") for i in range(6)]
+            out: list = []
+            procs = [produce(qs[0]), collect(qs[-1], out)]
+            procs += [relay(a, b) for a, b in zip(qs, qs[1:])]
+            assert outcome(lambda: _run_threaded(procs)) is None
+            assert out == list(range(n))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_round_robin_deadlock_is_not_masked_by_another_thread():
+    """Streams of other runs never count as this run's progress."""
+    busy = BoundedQueue(1, "busy")
+    turn, moved, stop = threading.Event(), threading.Event(), threading.Event()
+
+    def mover():
+        while not stop.is_set():
+            if turn.wait(0.05):
+                turn.clear()
+                busy.try_put("x")
+                busy.try_get()
+                moved.set()
+
+    def reader_beside_mover(q):
+        # every resume lets the other thread move one item first, so
+        # each sweep of this run overlaps a move on an unrelated queue
+        reader = q.get_g()
+        while True:
+            turn.set()
+            moved.wait(1.0)
+            moved.clear()
+            yield next(reader)
+
+    qa = BoundedQueue(1, "qa")
+    other = threading.Thread(target=mover)
+    other.start()
+    try:
+        err = outcome(lambda: _run_round_robin([reader_beside_mover(qa)]), timeout=5.0)
+    finally:
+        stop.set()
+        other.join()
+    assert isinstance(err, DeadlockError)
+    assert busy.progress > 0
+
+
 def test_round_robin_finishes_a_real_chain():
     qa = BoundedQueue(1, "qa")
     qb = BoundedQueue(1, "qb")
@@ -342,16 +465,76 @@ def test_exp_probe_sees_every_partial():
 
     seq: dict = {}
     stream: dict = {}
+    threads: dict = {}
     run_inference(model, image, mode="sequential", exp_probe=capture(seq))
     run_inference(model, image, mode="stream", exp_probe=capture(stream))
+    run_inference(model, image, mode="threads", exp_probe=capture(threads))
     assert sorted(seq) == exp_layers
     assert sorted(stream) == exp_layers
+    assert sorted(threads) == exp_layers
     for idx in exp_layers:
         layer = model.layers[idx]
         assert [ab for ab, _ in seq[idx]] == list(range(layer.apass))
         assert [ab for ab, _ in stream[idx]] == list(range(layer.apass))
+        assert [ab for ab, _ in threads[idx]] == list(range(layer.apass))
         for (_, a), (_, b) in zip(seq[idx], stream[idx]):
             np.testing.assert_array_equal(a, b)
+        for (_, a), (_, b) in zip(seq[idx], threads[idx]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_threads_mode_propagates_a_worker_error():
+    model, image, _ = toy_pair(1)
+    before = threading.active_count()
+
+    class ProbeFailure(Exception):
+        pass
+
+    def probe(idx, ab, acc):
+        raise ProbeFailure(idx)
+
+    err = outcome(lambda: run_inference(model, image, mode="threads", exp_probe=probe))
+    assert isinstance(err, ProbeFailure)
+    assert threading.active_count() == before
+
+
+def test_threads_mode_joins_its_threads_when_a_start_fails(monkeypatch):
+    model, image, _ = toy_pair(1)
+    before = threading.active_count()
+    real_start = threading.Thread.start
+    driver_starts = []
+
+    def flaky_start(self):
+        if threading.current_thread() is not threading.main_thread():
+            driver_starts.append(self)  # started by the driver, not by outcome()
+            if len(driver_starts) == 3:
+                raise RuntimeError("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", flaky_start)
+    err = outcome(lambda: run_inference(model, image, mode="threads"))
+    monkeypatch.undo()
+    assert isinstance(err, RuntimeError) and "can't start" in str(err)
+    assert threading.active_count() == before
+
+
+def test_threads_mode_starts_one_thread_per_engine(monkeypatch):
+    model = prepare(build_mobilenet_v2(0.5, 64, seed=0))
+    pixels = np.random.default_rng(0).integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+    image = image_to_qtensor(pixels, model)
+    want = run_inference(model, image, mode="sequential")
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    got = run_inference(model, image, mode="threads")
+    assert len(started) <= 5, started
+    np.testing.assert_array_equal(got.logits.data, want.logits.data)
+    assert got.stats == want.stats
 
 
 def test_inference_input_checks():
