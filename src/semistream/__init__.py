@@ -83,7 +83,6 @@ from .oracle import (
     run_model_naive,
 )
 from .dataflow import (
-    Blocked,
     BoundedQueue,
     FrameBuffer,
     InferenceResult,

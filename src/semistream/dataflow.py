@@ -14,12 +14,12 @@ striding and channel-group passes), bounded word-counted queues from
 projection to addition to expansion, and a bounded residual FIFO that
 carries each shortcut frame from its addition slot to the next round's.
 Processes are plain generators that yield Blocked tokens when a stream
-cannot move. Every round's processes are built up front. Stream mode
-runs them one round at a time under a deterministic round-robin
-scheduler (the reference). Threads mode chains each engine's processes
-(C2D, EXP, DWC, PRO, ADD) in round order and runs the chains at once,
-one OS thread per engine for the whole frame, so data streams from
-round to round with no barrier between rounds.
+cannot move. Every round's processes are built up front and chained per
+engine (C2D, EXP, DWC, PRO, ADD) in round order, so data streams from
+round to round with no barrier between rounds. Stream mode resumes the
+five chains under a deterministic round-robin scheduler (the
+reference); threads mode runs them at once, one OS thread per engine
+for the whole frame.
 
 Both drivers share one deadlock contract. Each stream counts its
 successful operations under its own lock (its progress counter), and a
@@ -170,8 +170,9 @@ class FrameBuffer:
         yield  # makes this a generator like BoundedQueue.put_g
 
     def set_tensor(self, data: np.ndarray) -> None:
-        """Feed a whole (npix, channels) frame at once."""
-        flat = np.asarray(data, dtype=np.uint8).reshape(self.npix, -1)
+        """Feed a whole (..., channels) frame at once."""
+        arr = np.asarray(data, dtype=np.uint8)
+        flat = arr.reshape(-1, arr.shape[-1])
         for b in range(self.nbatches):
             self.feed(b, flat[:, b * LANES : (b + 1) * LANES])
 
@@ -214,6 +215,24 @@ class SingleConsumptionStream:
             raise SequencingError(f"input batch {index} consumed twice")
         self._seen.add(index)
         return item
+
+
+class _FrameReader:
+    """A finished frame handed out batch by batch through a stream's get_g.
+
+    The round-0 pre-expansion and the head expansion read a frame
+    buffer; through this adapter they run the queue-fed expansion body.
+    """
+
+    def __init__(self, buf: FrameBuffer):
+        self._buf = buf
+        self._next = 0
+
+    def get_g(self):
+        yield from self._buf.wait_complete_g()
+        b = self._next
+        self._next += 1
+        return b, self._buf._slots[b]
 
 
 def split_c2d_stream(frame32: np.ndarray):
@@ -397,31 +416,22 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
     stats[index] = st
 
 
-def _exp_process(layer: LayerDesc, source, out_buf: FrameBuffer,
+def _exp_process(layer: LayerDesc, stream, out_buf: FrameBuffer,
                  rounding: Rounding, stats: dict, index: int, probe=None):
     """Expansion: fold each input batch into the accumulators as it arrives.
 
-    source is the addition slot's queue, read through a
-    SingleConsumptionStream, or a finished frame (the round-0
-    pre-expansion and the head expansion).
+    stream hands over the input batches in order: the addition slot's
+    queue through a SingleConsumptionStream, or a finished frame through
+    a _FrameReader.
     """
-    from_frame = isinstance(source, FrameBuffer)
-    if from_frame:
-        yield from source.wait_complete_g()
-        flat = source.assemble()
-    else:
-        stream = SingleConsumptionStream(source)
-    for ab in range(layer.apass):
-        if from_frame:
-            bi, batch = ab, flat[:, ab * LANES : (ab + 1) * LANES]
-        else:
-            bi, batch = yield from stream.get_g()
-        if ab == 0:
-            # the EXP thread reaches this process before its input exists;
-            # allocate the accumulator bank only once input arrives
-            kernel = ExpStreamKernel(layer, rounding, probe=probe)
-            kernel.begin_frame(layer.in_h * layer.in_w)
-        kernel.consume(bi, batch)
+    first = yield from stream.get_g()
+    # the EXP chain reaches this process before its input exists;
+    # allocate the accumulator bank only once input arrives
+    kernel = ExpStreamKernel(layer, rounding, probe=probe)
+    kernel.begin_frame(layer.in_h * layer.in_w)
+    kernel.consume(*first)
+    for _ in range(1, layer.apass):
+        kernel.consume(*(yield from stream.get_g()))
     for fb in range(layer.fpass):
         yield from out_buf.put_g((fb, kernel.output_batch(fb)))
     stats[index] = nominal_stats(layer)
@@ -578,11 +588,11 @@ def run_inference(
     """Run one frame through the model.
 
     mode selects the driver: "sequential" runs layers one after another
-    on their engines, "stream" runs the round dataflow one round at a
-    time under the deterministic round-robin scheduler, "threads" runs
-    the same processes chained per engine, one OS thread per engine for
-    the whole frame. Both dataflow modes raise DeadlockError rather than
-    hang. All three produce identical
+    on their engines; "stream" and "threads" run the round dataflow with
+    each engine's processes chained in round order, "stream" under the
+    deterministic round-robin scheduler and "threads" with one OS thread
+    per engine for the whole frame. Both dataflow modes raise
+    DeadlockError rather than hang. All three produce identical
     logits; they differ only in how engine execution is interleaved.
     """
     if mode not in ("sequential", "stream", "threads"):
@@ -614,11 +624,10 @@ def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
 
 
 def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
-    """Build every round's processes up front, then run them.
+    """Chain each engine's processes in round order, then run the chains.
 
-    Stream mode sweeps one round at a time, as the reference schedule
-    does; threads mode chains each engine's processes in round order and
-    runs the five chains at once, one thread each.
+    Stream mode resumes the five chains under the round-robin scheduler;
+    threads mode runs them at once, one thread each.
     """
     plans = schedule_rounds(model)
     layers = model.layers
@@ -626,10 +635,10 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
     sources = model.residual_sources
     last_index = len(layers) - 1
-    rounds: list[list[tuple[str, object]]] = []  # (engine, process) per round
+    chains: dict[str, list] = {}  # engine -> its processes in round order
 
     def add(engine: str, proc) -> None:
-        rounds[-1].append((engine, proc))
+        chains.setdefault(engine, []).append(proc)
 
     def frame_for(idx: int, which: str, label: str) -> FrameBuffer:
         l = layers[idx]
@@ -637,24 +646,23 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
             return FrameBuffer(l.in_h * l.in_w, l.in_ch // LANES, label)
         return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
 
-    def exp_for(idx: int, source, out_buf: FrameBuffer):
+    def exp_for(idx: int, stream, out_buf: FrameBuffer):
         probe = None
         if exp_probe is not None:
             probe = lambda ab, acc: exp_probe(idx, ab, acc)
         add("exp", _exp_process(
-            layers[idx], source, out_buf, rounding, stats, idx, probe))
+            layers[idx], stream, out_buf, rounding, stats, idx, probe))
 
     # frame buffer feeding each round's depthwise (or trailing) input
     next_in: FrameBuffer | None = None
     result_buf: FrameBuffer | None = None
 
     for plan in plans:
-        rounds.append([])
         if plan.trailing:
             (engine, idx), = plan.slots
             out_buf = frame_for(idx, "out", f"round{plan.index}-out")
             if engine == "exp":
-                exp_for(idx, next_in, out_buf)
+                exp_for(idx, _FrameReader(next_in), out_buf)
             else:
                 add(engine, _frame_process(
                     layers[idx], next_in, out_buf, rounding, stats, idx))
@@ -676,7 +684,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
             add("c2d", _c2d_process(
                 image, layers[plan.c2d], c2d_out, rounding, stats, plan.c2d))
             if plan.exp_pre is not None:
-                exp_for(plan.exp_pre, c2d_out, dwc_in)
+                exp_for(plan.exp_pre, _FrameReader(c2d_out), dwc_in)
         else:
             dwc_in = next_in
 
@@ -690,7 +698,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
         if plan.exp is not None:
             q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
             next_in = frame_for(plan.exp, "out", f"round{plan.index}-exp-out")
-            exp_for(plan.exp, q_add_exp, next_in)
+            exp_for(plan.exp, SingleConsumptionStream(q_add_exp), next_in)
             add_sinks: list = [q_add_exp]
         else:
             # no expansion next block: the addition output frame feeds
@@ -709,16 +717,9 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
 
     if result_buf is None:
         raise PlanError("no round produced the final layer's output")
-    if threaded:
-        chains: dict[str, list] = {}
-        for procs in rounds:
-            for engine, g in procs:
-                chains.setdefault(engine, []).append(g)
-        # each engine's processes run one after another as one process
-        _run_threaded([itertools.chain(*c) for c in chains.values()])
-    else:
-        for procs in rounds:
-            _run_round_robin([g for _, g in procs])
+    # each engine's processes run one after another as one process
+    procs = [itertools.chain(*c) for c in chains.values()]
+    _run_threaded(procs) if threaded else _run_round_robin(procs)
     logits = _tensor_from_frame(result_buf, layers[last_index], "out")
     mode = "threads" if threaded else "stream"
     return InferenceResult(logits=logits, stats=stats, mode=mode)
