@@ -144,22 +144,31 @@ class FrameBuffer:
         self._cond = threading.Condition()
 
     def feed(self, index: int, batch: np.ndarray) -> None:
-        if not (0 <= index < self.nbatches):
-            raise SequencingError(
-                f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
-            )
-        arr = np.asarray(batch, dtype=np.uint8)
-        if arr.shape != (self.npix, LANES):
-            raise DomainError(
-                f"frame '{self.label}' batch shape {arr.shape} != ({self.npix}, {LANES})"
-            )
-        with self._cond:
-            if self._slots[index] is not None:
+        self._feed_all([(index, batch)])
+
+    def _feed_all(self, items) -> None:
+        """Store (index, batch) pairs under one lock and one wakeup."""
+        checked = []
+        for index, batch in items:
+            if not (0 <= index < self.nbatches):
                 raise SequencingError(
-                    f"frame '{self.label}' batch {index} was fed twice"
+                    f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
                 )
-            self._slots[index] = arr
-            self.progress += 1
+            arr = np.asarray(batch, dtype=np.uint8)
+            if arr.shape != (self.npix, LANES):
+                raise DomainError(
+                    f"frame '{self.label}' batch shape {arr.shape} != ({self.npix}, {LANES})"
+                )
+            checked.append((index, arr))
+        with self._cond:
+            for index, _ in checked:
+                if self._slots[index] is not None:
+                    raise SequencingError(
+                        f"frame '{self.label}' batch {index} was fed twice"
+                    )
+            for index, arr in checked:
+                self._slots[index] = arr
+            self.progress += len(checked)
             self._cond.notify_all()
 
     def put_g(self, item, words: int = 0):
@@ -173,8 +182,8 @@ class FrameBuffer:
         """Feed a whole (..., channels) frame at once."""
         arr = np.asarray(data, dtype=np.uint8)
         flat = arr.reshape(-1, arr.shape[-1])
-        for b in range(self.nbatches):
-            self.feed(b, flat[:, b * LANES : (b + 1) * LANES])
+        self._feed_all(
+            (b, flat[:, b * LANES : (b + 1) * LANES]) for b in range(self.nbatches))
 
     @property
     def complete(self) -> bool:
@@ -456,28 +465,26 @@ def _deadlock(blocked) -> DeadlockError:
 def _run_round_robin(procs: list) -> None:
     """Deterministic reference scheduler with deadlock detection.
 
-    A sweep resumes every runnable process once. Progress is any
-    completed process, any non-blocked yield, or any blocked stream
-    whose progress counter moved after its process saw it; a full sweep
-    with none of those means no process can ever move again.
+    A sweep resumes each unfinished process once, except a process
+    blocked on a stream whose progress counter has not moved since the
+    process saw it: it could only block again. A sweep that resumes no
+    process means none can ever move again.
     """
-    active = list(procs)
-    while active:
-        progressed = False
-        blocked: list[Blocked] = []
-        for g in list(active):
+    waits = dict.fromkeys(procs)  # process -> the Blocked token it last yielded
+    while waits:
+        resumed = False
+        for g, token in list(waits.items()):
+            if token is not None and token.resource.progress == token.seen:
+                continue
+            resumed = True
             try:
                 token = next(g)
             except StopIteration:
-                active.remove(g)
-                progressed = True
+                del waits[g]
                 continue
-            if isinstance(token, Blocked):
-                blocked.append(token)
-            else:
-                progressed = True
-        if active and not progressed and _stuck(blocked):
-            raise _deadlock(blocked)
+            waits[g] = token if isinstance(token, Blocked) else None
+        if not resumed:
+            raise _deadlock(waits.values())
 
 
 def _run_threaded(procs: list) -> None:

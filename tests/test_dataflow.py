@@ -141,6 +141,9 @@ def test_frame_buffer_feed_contract():
         buf.feed(2, batch)
     with pytest.raises(DomainError, match="shape"):
         buf.feed(1, np.zeros((3, LANES), dtype=np.uint8))
+    # a whole frame of the right size but the wrong pixel count
+    with pytest.raises(DomainError, match="shape"):
+        FrameBuffer(npix=4, nbatches=2).set_tensor(np.zeros((2, 4 * LANES), dtype=np.uint8))
 
 
 def test_frame_buffer_counts_early_reads():
