@@ -32,6 +32,7 @@ from .quantcore import (
     shift_round,
 )
 from .modelkit import (
+    ACC_BOUND,
     BlockSpec,
     Kind,
     LayerDesc,
@@ -41,6 +42,7 @@ from .modelkit import (
     QTensor,
     build_mobilenet_v2,
     build_model,
+    check_acc_bound,
     image_to_qtensor,
     load_image,
     load_package,
@@ -52,7 +54,6 @@ from .modelkit import (
     validate_graph,
 )
 from .engines import (
-    ACC_BOUND,
     ADD_OPS_PER_CYCLE,
     ADD_STREAM_BITS,
     MADDS_PER_CYCLE,
@@ -64,7 +65,6 @@ from .engines import (
     add_passthrough,
     address_map,
     c2d_forward,
-    check_acc_bound,
     dwc_avgpool,
     dwc_forward,
     engine_cycles,

@@ -18,6 +18,7 @@ from .dataflow import run_inference, schedule_rounds
 from .engines import EngineStats, exp_forward, pro_forward
 from .errors import SemistreamError
 from .modelkit import (
+    ENGINE_FOR_KIND,
     BlockSpec,
     Kind,
     LayerDesc,
@@ -68,11 +69,10 @@ def gen_model(out_dir, seed, width, resolution, rounding):
         _fail(str(e))
     click.echo(f"wrote {out_dir}: {len(model.layers)} layers, "
                f"{model.num_blocks} blocks, resolution {resolution}, seed {seed}")
-    click.echo(_round_summary(model))
+    click.echo(_round_summary(schedule_rounds(model)))
 
 
-def _round_summary(model: PreparedModel) -> str:
-    plans = schedule_rounds(model)
+def _round_summary(plans: list) -> str:
     main = sum(1 for p in plans if not p.trailing)
     trailing = len(plans) - main
     return (f"round plan: {main} rounds through the block pipeline "
@@ -104,11 +104,12 @@ def prepare_cmd(model_dir):
     """Load a package, validate it, and print a layer summary."""
     try:
         model = load_package(model_dir)
+        plans = schedule_rounds(model)
     except SemistreamError as e:
         _fail(str(e))
     click.echo(f"package ok: {len(model.layers)} layers, {model.num_blocks} blocks, "
                f"resolution {model.resolution}, rounding {model.rounding.value}")
-    click.echo(_round_summary(model))
+    click.echo(_round_summary(plans))
     header = f"{'idx':>3}  {'kind':<8}{'in':<16}{'out':<16}{'stride':<7}{'block':<6}shortcut"
     click.echo(header)
     for idx, l in enumerate(model.layers):
@@ -118,7 +119,7 @@ def prepare_cmd(model_dir):
         res = "-" if l.residual_from is None else f"layer {l.residual_from}"
         click.echo(f"{idx:>3}  {l.kind.value:<8}{ins:<16}{outs:<16}{l.stride:<7}{block:<6}{res}")
     click.echo(f"{'round':>5}  slots")
-    for p in schedule_rounds(model):
+    for p in plans:
         tag = "T" if p.trailing else " "
         slots = ", ".join(f"{name} -> layer {idx}" for name, idx in p.slots)
         click.echo(f"{p.index:>4}{tag}  {slots}")
@@ -176,8 +177,6 @@ def infer(model_dir, image_path, mode, rounding, top, stats, out_path):
 
 
 def _stats_by_engine(model: PreparedModel, stats: dict[int, EngineStats]) -> dict[str, EngineStats]:
-    from .modelkit import ENGINE_FOR_KIND
-
     out: dict[str, EngineStats] = {}
     for idx, st in sorted(stats.items()):
         engine = ENGINE_FOR_KIND[model.layers[idx].kind]

@@ -41,7 +41,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .modelkit import LANES, Kind, LayerDesc, QFilterSet, QTensor
+from .modelkit import (
+    ACC_BOUND,
+    ENGINE_FOR_KIND,
+    LANES,
+    Kind,
+    LayerDesc,
+    QFilterSet,
+    QTensor,
+    check_acc_bound,
+)
 from .quantcore import AddParams, Rounding, requantize_array
 
 #: Multiply-accumulate throughput of each engine, per clock cycle.
@@ -110,12 +119,10 @@ def weight_bytes(layer: LayerDesc) -> int:
 def nominal_stats(layer: LayerDesc) -> EngineStats:
     """Stats an engine reports for the layer, without running it."""
     cycles = engine_cycles(layer)
-    engine = {"C2D": "C2D", "DWC": "DWC", "AVGPOOL": "DWC",
-              "PRO": "PRO", "EXP": "EXP"}.get(layer.kind.value)
     if layer.kind is Kind.ADD:
         madds = ADD_OPS_PER_CYCLE * cycles
     else:
-        madds = MADDS_PER_CYCLE[engine] * cycles
+        madds = MADDS_PER_CYCLE[ENGINE_FOR_KIND[layer.kind]] * cycles
     acc = layer.fpass * LANES if layer.kind is Kind.EXP else 0
     return EngineStats(
         cycles=cycles,
@@ -139,33 +146,6 @@ def _check_edge(x: QTensor, layer: LayerDesc) -> None:
 def _out_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
     return QTensor(layer.out_h, layer.out_w, layer.out_ch,
                    data, layer.out_zero, layer.out_scale)
-
-
-#: Bound on every accumulator magnitude; see the module docstring.
-ACC_BOUND = 1 << 30
-
-
-def check_acc_bound(layer: LayerDesc) -> None:
-    """Raise DomainError unless every accumulator of the layer stays below ACC_BOUND.
-
-    A filter bank of K = kh * kw * in_ch taps per output sums K products
-    of two zero-corrected codes onto its bias; average pooling sums
-    in_h * in_w zero-corrected codes. Addition needs no check: its
-    operands are bounded by construction.
-    """
-    f = layer.filters
-    if f is not None:
-        k = f.kernel_h * f.kernel_w * f.in_channels
-        worst = k * 255 * 255 + int(np.abs(f.biases).max(initial=0))
-    elif layer.kind is Kind.AVGPOOL:
-        worst = layer.in_h * layer.in_w * 255
-    else:
-        return
-    if worst >= ACC_BOUND:
-        raise DomainError(
-            f"{layer.kind.value} layer accumulators reach {worst}, not below 2**30: "
-            "integer sums would no longer be exact"
-        )
 
 
 def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
@@ -555,8 +535,8 @@ def address_map(engine: str, layer: LayerDesc, filt: int, channel: int,
 
 def layout_weights(layer: LayerDesc) -> WeightMemoryImage:
     """Arrange a prepared layer's weights into engine memory images."""
-    engine = {"DWC": "DWC", "PRO": "PRO", "EXP": "EXP"}.get(layer.kind.value)
-    if engine is None:
+    engine = ENGINE_FOR_KIND[layer.kind]
+    if engine not in WEIGHT_GEOMETRY or layer.filters is None:
         raise DomainError(f"{layer.kind.value} layers have no external weight memories")
     nmem, word_bits, bias_word_bits = WEIGHT_GEOMETRY[engine]
     f = layer.filters

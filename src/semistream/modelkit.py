@@ -16,11 +16,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, SemistreamError
 from .quantcore import (
     AddParams,
     MultShift,
@@ -29,7 +30,7 @@ from .quantcore import (
     quantize_multiplier,
 )
 
-PACKAGE_FORMAT_VERSION = 1
+PACKAGE_FORMAT_VERSION = 2
 LANES = 16
 
 #: (expand, out_channels, repeats, first_stride) rows of the standard topology.
@@ -72,6 +73,9 @@ ENGINE_FOR_KIND = {
     Kind.ADD: "ADD",
     Kind.AVGPOOL: "DWC",
 }
+
+#: Kernel side of each filter-bearing kind; ADD and AVGPOOL carry no filters.
+_KERNEL_SIDE = {Kind.C2D: 3, Kind.DWC: 3, Kind.EXP: 1, Kind.PRO: 1}
 
 
 def pad16(n: int) -> int:
@@ -132,6 +136,8 @@ class QFilterSet:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.uint8)
+        if np.asarray(self.zero_points).dtype.kind not in "iu":
+            raise DomainError("weight zero points must be integers")
         self.zero_points = np.asarray(self.zero_points, dtype=np.int64)
         self.scales = np.asarray(self.scales, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.int64)
@@ -183,7 +189,7 @@ class LayerDesc:
     bias_bits: int = 16
     orig_in_ch: int = 0
     orig_out_ch: int = 0
-    # derived by prepare()
+    # derived from the fields above by prepare() and load_package()
     mults: list[MultShift] | None = None
     add_params: AddParams | None = None
     apass: int = 0
@@ -247,7 +253,6 @@ class PreparedModel:
     width_multiplier: float
     seed: int | None
     rounding: Rounding
-    residual_table: dict[int, int]
 
     @property
     def num_blocks(self) -> int:
@@ -258,6 +263,12 @@ class PreparedModel:
         """(scale, zero_point) the input image must carry."""
         first = self.layers[0]
         return first.in_scale, first.in_zero
+
+    @property
+    def residual_table(self) -> dict[int, int]:
+        """Shortcut addition layer index -> index of its residual source."""
+        return {i: l.residual_from for i, l in enumerate(self.layers)
+                if l.residual_from is not None}
 
     @property
     def residual_sources(self) -> set[int]:
@@ -271,7 +282,6 @@ class PreparedModel:
             and self.width_multiplier == other.width_multiplier
             and self.seed == other.seed
             and self.rounding == other.rounding
-            and self.residual_table == other.residual_table
             and len(self.layers) == len(other.layers)
             and all(a == b for a, b in zip(self.layers, other.layers))
         )
@@ -503,12 +513,23 @@ def build_mobilenet_v2(
 # validation, padding and preparation
 # ---------------------------------------------------------------------------
 
-def validate_graph(graph: ModelGraph) -> None:
-    """Check dimension chaining, edge quantization agreement and filters."""
+def validate_graph(graph: ModelGraph | PreparedModel) -> None:
+    """Check sizes, dimension chaining, edge quantization and filters.
+
+    Also accepts a prepared model, whose padded channels chain the same way.
+    """
     layers = graph.layers
     if not layers:
         raise DomainError("graph has no layers")
     for idx, l in enumerate(layers):
+        sizes = (l.in_h, l.in_w, l.in_ch, l.out_h, l.out_w, l.out_ch,
+                 l.stride, l.orig_in_ch, l.orig_out_ch)
+        if not all(isinstance(v, Integral) and v > 0 for v in sizes):
+            raise DomainError(f"layer {idx} sizes must be positive integers")
+        if not (0 < l.in_scale and 0 < l.out_scale):
+            raise DomainError(f"layer {idx} has a non-positive scale")
+        if not all(isinstance(z, Integral) and 0 <= z <= 255 for z in (l.in_zero, l.out_zero)):
+            raise DomainError(f"layer {idx} zero point outside [0, 255]")
         if idx > 0:
             prev = layers[idx - 1]
             if (l.in_h, l.in_w, l.in_ch) != (prev.out_h, prev.out_w, prev.out_ch):
@@ -524,24 +545,30 @@ def validate_graph(graph: ModelGraph) -> None:
                 raise DomainError(f"layer {idx} output dims do not match stride {l.stride}")
         if l.kind in (Kind.EXP, Kind.PRO) and (l.out_h, l.out_w) != (l.in_h, l.in_w):
             raise DomainError(f"pointwise layer {idx} must preserve spatial dims")
-        if l.kind is Kind.ADD:
-            if (l.in_h, l.in_w, l.in_ch) != (l.out_h, l.out_w, l.out_ch):
-                raise DomainError(f"addition layer {idx} must preserve dims")
-            if l.residual_from is not None:
-                if not (0 <= l.residual_from < idx):
-                    raise DomainError(f"layer {idx} residual source {l.residual_from} invalid")
-                src = layers[l.residual_from]
-                if (src.out_h, src.out_w, src.out_ch) != (l.in_h, l.in_w, l.in_ch):
-                    raise DomainError(f"layer {idx} residual dims do not match its input")
-        if l.filters is not None:
-            f = l.filters
-            expect_cin = 1 if l.kind is Kind.DWC else l.in_ch
-            if f.in_channels != expect_cin or f.out_channels != l.out_ch:
-                raise DomainError(f"layer {idx} filter channels do not match the layer")
-        if not (0 < l.in_scale and 0 < l.out_scale):
-            raise DomainError(f"layer {idx} has a non-positive scale")
-        if not (0 <= l.in_zero <= 255 and 0 <= l.out_zero <= 255):
-            raise DomainError(f"layer {idx} zero point outside [0, 255]")
+        if l.kind in (Kind.DWC, Kind.AVGPOOL) and l.out_ch != l.in_ch:
+            raise DomainError(f"layer {idx} must preserve its channel count")
+        if l.kind is Kind.ADD and (l.in_h, l.in_w, l.in_ch) != (l.out_h, l.out_w, l.out_ch):
+            raise DomainError(f"addition layer {idx} must preserve dims")
+        if l.residual_from is not None:
+            r = l.residual_from
+            if not (l.kind is Kind.ADD and isinstance(r, Integral) and 0 <= r < idx):
+                raise DomainError(f"layer {idx} residual source {r!r} invalid")
+            src = layers[r]
+            if (src.out_h, src.out_w, src.out_ch) != (l.in_h, l.in_w, l.in_ch):
+                raise DomainError(f"layer {idx} residual dims do not match its input")
+        elif l.kind is Kind.ADD and (l.in_scale, l.in_zero) != (l.out_scale, l.out_zero):
+            raise DomainError(f"pass-through layer {idx} must keep its input edge")
+        side, f = _KERNEL_SIDE.get(l.kind), l.filters
+        if (side is None) != (f is None):
+            need = "need" if side else "carry no"
+            raise DomainError(f"layer {idx}: {l.kind.value} layers {need} filters")
+        if f is not None:
+            expect = (side, side, 1 if l.kind is Kind.DWC else l.in_ch, l.out_ch)
+            if (f.kernel_h, f.kernel_w, f.in_channels, f.out_channels) != expect:
+                raise DomainError(f"layer {idx} filter bank does not match the layer")
+    first = layers[0]
+    if (first.in_h, first.in_w) != (graph.resolution, graph.resolution):
+        raise DomainError(f"resolution {graph.resolution!r} does not match the entry layer")
 
 
 def pad_channels(layer: LayerDesc) -> LayerDesc:
@@ -557,7 +584,7 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     cin_p = pad16(layer.in_ch)
     cout_p = pad16(layer.out_ch)
     if cin_p == layer.in_ch and cout_p == layer.out_ch:
-        return layer
+        return dataclasses.replace(layer)  # a copy: derivation writes into it
     f = layer.filters
     synthetic_scale = 0.5 * layer.out_scale / layer.in_scale
     if layer.kind is Kind.DWC:
@@ -605,12 +632,74 @@ def _derive_add_params(layer: LayerDesc, source: LayerDesc, rounding: Rounding) 
     )
 
 
+#: Bound on every accumulator magnitude: below it, every integer sum the
+#: engines form is exact on their float64 GEMM carrier and in int32.
+ACC_BOUND = 1 << 30
+
+
+def check_acc_bound(layer: LayerDesc) -> None:
+    """Raise DomainError unless every accumulator of the layer stays below ACC_BOUND.
+
+    A filter bank of K = kh * kw * in_ch taps per output sums K products
+    of two zero-corrected codes onto its bias; average pooling sums
+    in_h * in_w zero-corrected codes. Addition needs no check: its
+    operands are bounded by construction.
+    """
+    f = layer.filters
+    if f is not None:
+        k = f.kernel_h * f.kernel_w * f.in_channels
+        worst = k * 255 * 255 + int(np.abs(f.biases).max(initial=0))
+    elif layer.kind is Kind.AVGPOOL:
+        worst = layer.in_h * layer.in_w * 255
+    else:
+        return
+    if worst >= ACC_BOUND:
+        raise DomainError(
+            f"{layer.kind.value} layer accumulators reach {worst}, not below 2**30: "
+            "integer sums would no longer be exact"
+        )
+
+
+def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
+    """Derive every run-time integer parameter of validated, padded layers in place.
+
+    The one derivation behind prepare() and load_package(): converts
+    per-channel rescale factors to multiplier/shift pairs, checks narrow
+    bias storage (16 bits, or 18 for projection layers) and the
+    accumulator bound, and sets addition parameters and pass counts.
+    """
+    for idx, l in enumerate(layers):
+        check_acc_bound(l)
+        l.apass = 1 if l.kind is Kind.C2D else l.in_ch // LANES
+        l.fpass = l.out_ch // LANES
+        if l.kind in (Kind.C2D, Kind.DWC, Kind.EXP, Kind.PRO):
+            f = l.filters
+            mults = []
+            for ch, (scale, bias) in enumerate(zip(f.scales.tolist(), f.biases.tolist())):
+                m = l.in_scale * scale / l.out_scale
+                if not (0.0 < m < 1.0):
+                    raise DomainError(
+                        f"layer {idx} channel {ch}: rescale factor {m!r} outside (0, 1)"
+                    )
+                mults.append(quantize_multiplier(m, rounding))
+                narrow_bias(bias, l.bias_bits)
+            l.mults = mults
+        elif l.kind is Kind.AVGPOOL:
+            m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
+            if not (0.0 < m < 1.0):
+                raise DomainError(f"pool layer {idx}: rescale factor {m!r} outside (0, 1)")
+            ms = quantize_multiplier(m, rounding)
+            l.mults = [ms] * l.out_ch
+        elif l.kind is Kind.ADD and l.residual_from is not None:
+            l.add_params = _derive_add_params(l, layers[l.residual_from], rounding)
+
+
 def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> PreparedModel:
     """Derive all run-time integer parameters for a generated graph.
 
-    Pads channels, converts per-channel rescale factors to multiplier/
-    shift pairs, validates narrow bias storage (16 bits, or 18 for
-    projection layers), computes addition parameters and pass counts.
+    Validates the graph, pads channels to the 16-lane width and runs the
+    derivation load_package() shares: multiplier/shift pairs, narrow bias
+    storage, the accumulator bound, addition parameters and pass counts.
     """
     validate_graph(graph)
     layers: list[LayerDesc] = []
@@ -622,48 +711,13 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
                 layer, in_ch=pad16(layer.in_ch), out_ch=pad16(layer.out_ch)))
         else:
             layers.append(dataclasses.replace(layer))
-
-    residual_table: dict[int, int] = {}
-    for idx, l in enumerate(layers):
-        if l.kind in (Kind.C2D, Kind.DWC, Kind.EXP, Kind.PRO):
-            f = l.filters
-            mults = []
-            for ch in range(f.out_channels):
-                m = l.in_scale * float(f.scales[ch]) / l.out_scale
-                if not (0.0 < m < 1.0):
-                    raise DomainError(
-                        f"layer {idx} channel {ch}: rescale factor {m!r} outside (0, 1)"
-                    )
-                mults.append(quantize_multiplier(m, rounding))
-                narrow_bias(int(f.biases[ch]), l.bias_bits)
-            l.mults = mults
-            if l.kind is Kind.C2D:
-                l.apass, l.fpass = 1, l.out_ch // LANES
-            elif l.kind is Kind.DWC:
-                l.apass = l.fpass = l.out_ch // LANES
-            else:
-                l.apass, l.fpass = l.in_ch // LANES, l.out_ch // LANES
-        elif l.kind is Kind.AVGPOOL:
-            m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
-            if not (0.0 < m < 1.0):
-                raise DomainError(f"pool layer {idx}: rescale factor {m!r} outside (0, 1)")
-            ms = quantize_multiplier(m, rounding)
-            l.mults = [ms] * l.out_ch
-            l.apass = l.fpass = l.out_ch // LANES
-        elif l.kind is Kind.ADD:
-            l.apass = l.fpass = l.out_ch // LANES
-            if l.residual_from is not None:
-                source = layers[l.residual_from]
-                l.add_params = _derive_add_params(l, source, rounding)
-                residual_table[idx] = l.residual_from
-
+    _derive_parameters(layers, rounding)
     return PreparedModel(
         layers=layers,
         resolution=graph.resolution,
         width_multiplier=graph.width_multiplier,
         seed=graph.seed,
         rounding=rounding,
-        residual_table=residual_table,
     )
 
 
@@ -675,71 +729,49 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _ms_pair(ms: MultShift) -> list[int]:
-    return [ms.mult, ms.shift]
+#: LayerDesc fields a manifest layer entry stores under their own names.
+_SCALAR_FIELDS = ("stride", "block", "residual_from", "bias_bits", "orig_in_ch",
+                  "orig_out_ch", "in_scale", "in_zero", "out_scale", "out_zero")
+
+
+def _blob_name(idx: int, part: str) -> str:
+    """Package-relative path of a layer's blob, fixed by the layer's position."""
+    return f"blobs/layer{idx:03d}.{part}.bin"
 
 
 def save_package(model: PreparedModel, path: str | Path) -> Path:
     """Write a prepared model as a package directory.
 
-    The directory holds a ``manifest.json`` with every scalar in decimal
-    plus per-blob checksums, and raw little-endian blobs: uint8 weights
+    The ``manifest.json`` stores only facts, every scalar in decimal:
+    geometry, quantization, per-blob checksums and the rounding mode. No
+    derived parameter is stored; load_package() re-derives them all.
+    Blobs are raw little-endian, named by layer position: uint8 weights,
     and biases widened to 32-bit two's complement with their logical
     width declared in the manifest. Saving the same model twice produces
     byte-identical trees.
     """
     root = Path(path)
-    blob_dir = root / "blobs"
-    blob_dir.mkdir(parents=True, exist_ok=True)
+    (root / "blobs").mkdir(parents=True, exist_ok=True)
     manifest_layers = []
     for idx, l in enumerate(model.layers):
         entry = {
-            "index": idx,
             "kind": l.kind.value,
             "in": [l.in_h, l.in_w, l.in_ch],
             "out": [l.out_h, l.out_w, l.out_ch],
-            "stride": l.stride,
-            "block": l.block,
-            "residual_from": l.residual_from,
-            "bias_bits": l.bias_bits,
-            "orig_in_ch": l.orig_in_ch,
-            "orig_out_ch": l.orig_out_ch,
-            "apass": l.apass,
-            "fpass": l.fpass,
-            "in_scale": l.in_scale,
-            "in_zero": l.in_zero,
-            "out_scale": l.out_scale,
-            "out_zero": l.out_zero,
-            "mults": None if l.mults is None else [_ms_pair(m) for m in l.mults],
-            "add_params": None,
             "filters": None,
+            **{name: getattr(l, name) for name in _SCALAR_FIELDS},
         }
-        if l.add_params is not None:
-            p = l.add_params
-            entry["add_params"] = {
-                "mult1": _ms_pair(p.mult1),
-                "mult2": _ms_pair(p.mult2),
-                "mult3": _ms_pair(p.mult3),
-                "in1_zero": p.in1_zero,
-                "in2_zero": p.in2_zero,
-                "out_zero": p.out_zero,
-                "pre_shift": p.pre_shift,
-            }
         if l.filters is not None:
             f = l.filters
-            wname = f"layer{idx:03d}.weights.bin"
-            bname = f"layer{idx:03d}.biases.bin"
             wdata = f.weights.tobytes()
             bdata = f.biases.astype("<i4").tobytes()
-            (blob_dir / wname).write_bytes(wdata)
-            (blob_dir / bname).write_bytes(bdata)
+            (root / _blob_name(idx, "weights")).write_bytes(wdata)
+            (root / _blob_name(idx, "biases")).write_bytes(bdata)
             entry["filters"] = {
                 "kernel": [f.kernel_h, f.kernel_w],
                 "in_channels": f.in_channels,
                 "out_channels": f.out_channels,
-                "weights_blob": f"blobs/{wname}",
                 "weights_sha256": _sha256(wdata),
-                "bias_blob": f"blobs/{bname}",
                 "bias_sha256": _sha256(bdata),
                 "zero_points": [int(z) for z in f.zero_points],
                 "scales": [float(s) for s in f.scales],
@@ -753,7 +785,6 @@ def save_package(model: PreparedModel, path: str | Path) -> Path:
         "width_multiplier": model.width_multiplier,
         "seed": model.seed,
         "rounding": model.rounding.value,
-        "residual_table": {str(k): v for k, v in sorted(model.residual_table.items())},
         "layers": manifest_layers,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -775,11 +806,43 @@ def _load_blob(root: Path, rel: str, sha: str, expect_len: int) -> bytes:
     return data
 
 
+def _load_layer(root: Path, idx: int, entry: dict) -> LayerDesc:
+    """One manifest layer entry and its blobs, before validation."""
+    filters = None
+    fent = entry["filters"]
+    if fent is not None:
+        (kh, kw), cin, cout = fent["kernel"], fent["in_channels"], fent["out_channels"]
+        wdata = _load_blob(
+            root, _blob_name(idx, "weights"), fent["weights_sha256"], kh * kw * cin * cout
+        )
+        bdata = _load_blob(root, _blob_name(idx, "biases"), fent["bias_sha256"], 4 * cout)
+        filters = QFilterSet(
+            kh, kw, cin, cout,
+            np.frombuffer(wdata, dtype=np.uint8).reshape(kh, kw, cin, cout).copy(),
+            fent["zero_points"],
+            fent["scales"],
+            np.frombuffer(bdata, dtype="<i4").astype(np.int64),
+        )
+    (in_h, in_w, in_ch), (out_h, out_w, out_ch) = entry["in"], entry["out"]
+    return LayerDesc(
+        kind=Kind(entry["kind"]),
+        in_h=in_h, in_w=in_w, in_ch=in_ch,
+        out_h=out_h, out_w=out_w, out_ch=out_ch,
+        filters=filters,
+        **{name: entry[name] for name in _SCALAR_FIELDS},
+    )
+
+
 def load_package(path: str | Path) -> PreparedModel:
     """Read a package directory back into a PreparedModel.
 
-    Raises FormatError on a version mismatch, a missing or truncated
-    blob, or a checksum failure.
+    Blob names follow from layer positions, so the manifest cannot point
+    a read outside the package. The model must pass validate_graph(), and
+    every integer parameter is re-derived by the code prepare() runs.
+
+    Raises FormatError for a malformed manifest, another format version
+    (regenerate older packages) or a missing, truncated or corrupt blob;
+    DomainError or RangeError when validation or derivation rejects it.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -787,81 +850,33 @@ def load_package(path: str | Path) -> PreparedModel:
         raise FormatError(f"no manifest.json under {root}")
     try:
         manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise FormatError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != PACKAGE_FORMAT_VERSION:
         raise FormatError(
-            f"unsupported package format version {version}, "
-            f"this reader understands {PACKAGE_FORMAT_VERSION}"
+            f"unsupported package format version {version}; this reader understands "
+            f"only version {PACKAGE_FORMAT_VERSION}: regenerate the package "
+            "(semistream gen-model, or prepare() and save_package())"
         )
     try:
-        rounding = Rounding(manifest["rounding"])
-        layers = []
-        for entry in manifest["layers"]:
-            filters = None
-            fent = entry["filters"]
-            if fent is not None:
-                kh, kw = fent["kernel"]
-                cin, cout = fent["in_channels"], fent["out_channels"]
-                wdata = _load_blob(
-                    root, fent["weights_blob"], fent["weights_sha256"], kh * kw * cin * cout
-                )
-                bdata = _load_blob(root, fent["bias_blob"], fent["bias_sha256"], 4 * cout)
-                weights = np.frombuffer(wdata, dtype=np.uint8).reshape(kh, kw, cin, cout)
-                biases = np.frombuffer(bdata, dtype="<i4").astype(np.int64)
-                filters = QFilterSet(
-                    kh, kw, cin, cout, weights.copy(),
-                    np.asarray(fent["zero_points"], dtype=np.int64),
-                    np.asarray(fent["scales"], dtype=np.float64),
-                    biases,
-                )
-            add_params = None
-            if entry["add_params"] is not None:
-                a = entry["add_params"]
-                add_params = AddParams(
-                    mult1=MultShift(*a["mult1"]),
-                    mult2=MultShift(*a["mult2"]),
-                    mult3=MultShift(*a["mult3"]),
-                    in1_zero=a["in1_zero"],
-                    in2_zero=a["in2_zero"],
-                    out_zero=a["out_zero"],
-                    pre_shift=a["pre_shift"],
-                )
-            layer = LayerDesc(
-                kind=Kind(entry["kind"]),
-                in_h=entry["in"][0], in_w=entry["in"][1], in_ch=entry["in"][2],
-                out_h=entry["out"][0], out_w=entry["out"][1], out_ch=entry["out"][2],
-                in_scale=entry["in_scale"], in_zero=entry["in_zero"],
-                out_scale=entry["out_scale"], out_zero=entry["out_zero"],
-                stride=entry["stride"],
-                filters=filters,
-                block=entry["block"],
-                residual_from=entry["residual_from"],
-                bias_bits=entry["bias_bits"],
-                orig_in_ch=entry["orig_in_ch"],
-                orig_out_ch=entry["orig_out_ch"],
-            )
-            layer.mults = (
-                None if entry["mults"] is None
-                else [MultShift(m, s) for m, s in entry["mults"]]
-            )
-            layer.add_params = add_params
-            layer.apass = entry["apass"]
-            layer.fpass = entry["fpass"]
-            layers.append(layer)
-        return PreparedModel(
-            layers=layers,
+        model = PreparedModel(
+            layers=[_load_layer(root, idx, entry)
+                    for idx, entry in enumerate(manifest["layers"])],
             resolution=manifest["resolution"],
             width_multiplier=manifest["width_multiplier"],
             seed=manifest["seed"],
-            rounding=rounding,
-            residual_table={int(k): v for k, v in manifest["residual_table"].items()},
+            rounding=Rounding(manifest["rounding"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, FormatError):
-            raise
-        raise FormatError(f"malformed manifest: {e}") from e
+        validate_graph(model)
+        _derive_parameters(model.layers, model.rounding)
+    except SemistreamError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"malformed manifest: {e!r}") from e
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,10 @@ def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> Mult
         raise DomainError(f"rescale factor {m!r} is not a finite number")
     if m <= 0.0 or m >= 1.0:
         raise DomainError(f"rescale factor {m!r} outside (0, 1)")
-    norm = float(m)
-    doublings = 0
-    while norm < 0.5:
-        norm *= 2.0  # exact: exponent shift only
-        doublings += 1
-        if MULT_BITS + doublings > MAX_SHIFT:
-            raise DomainError(f"rescale factor {m!r} needs a shift beyond {MAX_SHIFT}")
+    norm, exponent = math.frexp(m)  # exact: m == norm * 2**exponent, norm in [0.5, 1)
+    doublings = -exponent
+    if MULT_BITS + doublings > MAX_SHIFT:
+        raise DomainError(f"rescale factor {m!r} needs a shift beyond {MAX_SHIFT}")
     scaled = norm * float(1 << MULT_BITS)  # still exact
     if rounding is Rounding.TRUNCATE:
         mult = math.floor(scaled)
@@ -194,9 +191,10 @@ def requantize_array(
 
     Preconditions: every mult is positive (MultShift keeps it in
     [2**31, 2**32)), so sign(p) == sign(acc); every shift is at least 1;
-    and |acc| * mult < 2**62, so the int64 product cannot overflow. The
-    engines check a per-layer accumulator bound (engines.ACC_BOUND) that
-    implies the last one.
+    and |acc| * mult < 2**62, so the int64 product cannot overflow. A
+    per-layer accumulator bound (modelkit.ACC_BOUND), checked when a
+    layer's parameters are derived and on every engine call, implies the
+    last one.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)

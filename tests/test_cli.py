@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,25 @@ def test_prepare_lists_layers_and_rounds(pkg64):
     assert "19T" in res.output  # the classifier round is marked trailing
 
 
-def test_prepare_rejects_a_non_package(tmp_path):
+def test_prepare_rejects_a_non_package(tmp_path, pkg64):
     empty = tmp_path / "hollow"
     empty.mkdir()
-    res = run_cli("prepare", "--model", empty)
-    assert res.exit_code == 2
-    assert "error:" in res.stderr
+    listed = tmp_path / "listed"
+    listed.mkdir()
+    (listed / "manifest.json").write_text("[1, 2]\n")
+    # loads, but its blocks no longer number from zero
+    unplanned = tmp_path / "unplanned"
+    shutil.copytree(pkg64, unplanned)
+    manifest = json.loads((unplanned / "manifest.json").read_text())
+    for entry in manifest["layers"]:
+        if entry["block"] == 0:
+            entry["block"] = 99
+    (unplanned / "manifest.json").write_text(json.dumps(manifest))
+    for bad in (empty, listed, unplanned):
+        res = run_cli("prepare", "--model", bad)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # through _fail, no traceback
+        assert "error:" in res.stderr
 
 
 # ---------------------------------------------------------------------------

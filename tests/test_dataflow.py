@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistream.dataflow import (
     BoundedQueue,
@@ -28,12 +31,16 @@ from semistream.errors import (
 )
 from semistream.modelkit import (
     LANES,
+    BlockSpec,
     Kind,
     PreparedModel,
     QTensor,
     build_mobilenet_v2,
+    build_model,
     image_to_qtensor,
+    load_package,
     prepare,
+    save_package,
 )
 from semistream.oracle import run_model_naive
 from semistream.quantcore import Rounding
@@ -230,7 +237,6 @@ def _with_layers(model, layers):
         width_multiplier=model.width_multiplier,
         seed=model.seed,
         rounding=model.rounding,
-        residual_table=model.residual_table,
     )
 
 
@@ -436,6 +442,42 @@ def test_stream_matches_naive_reference():
         model, image, _ = toy_pair(seed)
         got = run_inference(model, image, mode="stream")
         want = run_model_naive(model, image.data)
+        np.testing.assert_array_equal(got.logits.data, want)
+
+
+@st.composite
+def block_graphs(draw):
+    """Random bottleneck graphs: odd channel counts, resolutions off the 32 grid."""
+    blocks, ch = [], 32
+    for _ in range(draw(st.integers(1, 3))):
+        stride = draw(st.sampled_from([1, 2]))
+        out_ch = ch if draw(st.booleans()) else draw(st.integers(1, 40))
+        blocks.append(BlockSpec(draw(st.integers(1, 3)), out_ch, stride))
+        ch = out_ch
+    resolution = draw(st.integers(2, 24).map(lambda n: 2 * n).filter(lambda r: r % 32))
+    graph = build_model(
+        blocks, resolution, seed=draw(st.integers(0, 2**31 - 1)),
+        include_head=draw(st.booleans()),
+        head_channels=draw(st.integers(1, 40)), classes=draw(st.integers(1, 20)),
+    )
+    return graph, draw(st.sampled_from(list(Rounding)))
+
+
+@given(case=block_graphs(), pixel_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_random_graphs_survive_a_package_and_match_the_oracle(case, pixel_seed):
+    graph, rounding = case
+    model = prepare(graph, rounding)
+    with tempfile.TemporaryDirectory() as root:
+        save_package(model, root)
+        loaded = load_package(root)
+    assert loaded == model
+    rng = np.random.default_rng(pixel_seed)
+    pixels = rng.integers(0, 256, size=(graph.resolution, graph.resolution, 3), dtype=np.uint8)
+    want = run_model_naive(loaded, pixels)
+    image = image_to_qtensor(pixels, loaded)
+    for mode in ("sequential", "stream", "threads"):
+        got = run_inference(loaded, image, mode=mode)
         np.testing.assert_array_equal(got.logits.data, want)
 
 

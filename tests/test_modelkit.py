@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semistream.errors import DomainError, FormatError, RangeError
+from semistream.errors import DomainError, FormatError, RangeError, SemistreamError
 from semistream.modelkit import (
     LANES,
     BlockSpec,
@@ -100,6 +102,13 @@ def test_build_is_deterministic():
     assert a != c
 
 
+def test_prepare_leaves_earlier_models_alone():
+    graph = build_mobilenet_v2(seed=0, resolution=32)
+    first = prepare(graph, Rounding.NEAREST)
+    prepare(graph, Rounding.TRUNCATE)
+    assert first == prepare(build_mobilenet_v2(seed=0, resolution=32), Rounding.NEAREST)
+
+
 def test_resolution_must_divide_32():
     with pytest.raises(DomainError):
         build_mobilenet_v2(resolution=100)
@@ -174,6 +183,17 @@ def test_prepare_equal_scale_addition_is_symmetric():
             assert p.mult1 == p.mult2 == quantize_multiplier(0.5)
         # the larger-scaled operand always normalizes to exactly 1/2
         assert max(p.mult1, p.mult2, key=lambda m: m.value) == quantize_multiplier(0.5)
+
+
+def test_prepare_rejects_accumulators_beyond_2_30():
+    # 16512 * 255**2 plus a bias below 49024 stays under 2**30; one more
+    # input channel (padded to 16528) does not
+    rng = np.random.default_rng(16)
+    fits = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16512, cout=16)
+    prepare(_singleton_graph(fits, resolution=1))
+    over = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16513, cout=16)
+    with pytest.raises(DomainError, match=r"2\*\*30"):
+        prepare(_singleton_graph(over, resolution=1))
 
 
 def test_prepare_pass_counts():
@@ -271,9 +291,36 @@ def test_validate_graph_catches_bad_stride_dims():
         validate_graph(ModelGraph([layer], resolution=224))
 
 
+def test_validate_graph_checks_filters_per_kind():
+    graph = build_mobilenet_v2(seed=0, resolution=32)
+    layers = list(graph.layers)
+    dwc = next(i for i, l in enumerate(layers) if l.kind is Kind.DWC)
+    graph.layers[dwc] = dataclasses.replace(layers[dwc], filters=None)
+    with pytest.raises(DomainError, match="DWC layers need filters"):
+        validate_graph(graph)
+    graph.layers = layers
+    add = next(i for i, l in enumerate(layers) if l.kind is Kind.ADD)
+    layers[add] = dataclasses.replace(layers[add], filters=layers[add - 1].filters)
+    with pytest.raises(DomainError, match="ADD layers carry no filters"):
+        validate_graph(graph)
+
+
 # ---------------------------------------------------------------------------
 # package round-trips
 # ---------------------------------------------------------------------------
+
+def small_model():
+    """Two blocks, one shortcut and a small classification head."""
+    blocks = [BlockSpec(2, 8, 1), BlockSpec(3, 8, 1)]
+    return prepare(build_model(blocks, 8, seed=3, head_channels=24, classes=10))
+
+
+def _rewrite_manifest(root: Path, edit) -> None:
+    """Apply an in-place edit to a package's manifest."""
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
 
 def test_package_roundtrip_many_models(tmp_path):
     for seed in range(100):
@@ -304,6 +351,135 @@ def test_package_rejects_unknown_version(tmp_path):
         load_package(tmp_path)
 
 
+def test_package_rejects_version_1(tmp_path):
+    save_package(toy_model(2), tmp_path)
+    _rewrite_manifest(tmp_path, lambda m: m.update(format_version=1))
+    with pytest.raises(FormatError, match="version 1.*regenerate"):
+        load_package(tmp_path)
+
+
+def test_saved_manifest_stores_no_derived_fields(tmp_path):
+    model = small_model()
+    assert model.residual_table and any(l.add_params for l in model.layers)
+    save_package(model, tmp_path)
+    text = (tmp_path / "manifest.json").read_text()
+    for key in ("mults", "add_params", "apass", "fpass", "residual_table",
+                "weights_blob", "bias_blob"):
+        assert f'"{key}"' not in text
+    assert load_package(tmp_path) == model
+
+
+def test_blob_names_come_from_layer_positions(tmp_path):
+    root = tmp_path / "pkg"
+    model = small_model()
+    save_package(model, root)
+
+    def plant(manifest):
+        for entry in manifest["layers"]:
+            if entry["filters"] is not None:
+                entry["filters"]["weights_blob"] = "../../x"
+
+    _rewrite_manifest(root, plant)
+    assert load_package(root) == model
+    # a copy outside the package cannot stand in for a missing blob
+    (root / "blobs" / "layer000.weights.bin").rename(tmp_path / "outside.bin")
+    _rewrite_manifest(root, lambda m: m["layers"][0]["filters"].update(
+        weights_blob="../outside.bin"))
+    with pytest.raises(FormatError, match="layer000.weights.bin"):
+        load_package(root)
+
+
+def _breaks_chain(manifest):
+    manifest["layers"][6]["in"][2] += 16
+
+
+def _wrong_residual_shape(manifest):
+    add = next(e for e in manifest["layers"] if e["residual_from"] is not None)
+    add["residual_from"] = 2  # the first block's 64-channel depthwise layer
+
+
+def _requantizes_a_pass_through(manifest):
+    add = next(e for e in manifest["layers"] if e["kind"] == "ADD")
+    after = manifest["layers"][manifest["layers"].index(add) + 1]
+    add["out_zero"] = after["in_zero"] = (add["out_zero"] + 1) % 256
+
+
+def _drops_dwc_filters(manifest):
+    next(e for e in manifest["layers"] if e["kind"] == "DWC")["filters"] = None
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    pytest.param(lambda m: m["layers"][2]["in"].pop(), FormatError, "unpack", id="short-in"),
+    pytest.param(lambda m: m["layers"][2]["out"].append(1), FormatError, "unpack", id="long-out"),
+    pytest.param(lambda m: m["layers"][0]["filters"]["kernel"].append(3), FormatError, "unpack",
+                 id="long-kernel"),
+    pytest.param(_breaks_chain, DomainError, "does not chain", id="broken-chain"),
+    pytest.param(_wrong_residual_shape, DomainError, "residual dims", id="residual-shape"),
+    pytest.param(_requantizes_a_pass_through, DomainError, "pass-through",
+                 id="pass-through-edge"),
+    pytest.param(_drops_dwc_filters, DomainError, "need filters", id="dwc-without-filters"),
+])
+def test_package_rejects_a_malformed_manifest(tmp_path, edit, error, match):
+    save_package(small_model(), tmp_path)
+    _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(error, match=match):
+        load_package(tmp_path)
+
+
+#: One value of each type json.loads produces.
+JSON_VALUES = (None, True, 7, -3, 2**40, 0.5, -1e300, float("nan"),
+               "", "x", [], [1, 2], {}, {"a": 1})
+
+
+def _manifest_paths(node, path=()):
+    """Paths to every node; a list of scalars contributes its first element only."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _manifest_paths(child, path + (key,))
+    elif isinstance(node, list):
+        scalars = not any(isinstance(child, (dict, list)) for child in node)
+        for i, child in enumerate(node[:1] if scalars else node):
+            yield from _manifest_paths(child, path + (i,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_package(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_package(small_model(), root)
+    text = (root / "manifest.json").read_text()
+    return root, text, list(_manifest_paths(json.loads(text)))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_manifests_raise_only_package_errors(fuzz_package, data):
+    root, text, paths = fuzz_package
+    how = data.draw(st.sampled_from(["truncate", "delete", "replace"]))
+    if how == "truncate":
+        mutated = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        doc = json.loads(text)
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]] if path else doc
+        new = data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+        if not path:
+            doc = new
+        elif how == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+        mutated = json.dumps(doc)
+    (root / "manifest.json").write_text(mutated)
+    try:
+        load_package(root)
+    except SemistreamError:
+        pass
+
+
 def test_package_rejects_corrupt_blob(tmp_path):
     save_package(toy_model(3), tmp_path)
     blob = next((tmp_path / "blobs").glob("*.weights.bin"))
@@ -324,6 +500,9 @@ def test_package_rejects_truncated_blob(tmp_path):
 
 def test_package_missing_manifest(tmp_path):
     with pytest.raises(FormatError):
+        load_package(tmp_path)
+    (tmp_path / "manifest.json").write_text("[2]\n")
+    with pytest.raises(FormatError, match="not a JSON object"):
         load_package(tmp_path)
 
 
