@@ -91,7 +91,6 @@ from .dataflow import (
     residual_fifo_capacity,
     run_inference,
     schedule_rounds,
-    split_c2d_stream,
 )
 from .perfmodel import (
     CALIBRATED_BANDWIDTH_GBPS,

@@ -13,6 +13,9 @@ on both sides of the depthwise engine (it needs random access for
 striding and channel-group passes), bounded word-counted queues from
 projection to addition to expansion, and a bounded residual FIFO that
 carries each shortcut frame from its addition slot to the next round's.
+A frame buffer is one preallocated array filled in place: the addition
+slot fills it batch by batch, every other producer writes its whole
+frame at once, and readers get the array itself or column views of it.
 Processes are plain generators that yield Blocked tokens when a stream
 cannot move. Every round's processes are built up front and chained per
 engine (C2D, EXP, DWC, PRO, ADD) in round order, so data streams from
@@ -126,49 +129,51 @@ class BoundedQueue:
 
 
 class FrameBuffer:
-    """One full activation frame assembled from 16-channel batch slices.
+    """One full activation frame: a preallocated (npix, channels) uint8
+    array filled in place.
 
-    Producers feed each batch index exactly once; consumers wait until
-    every batch is present. Attempted reads before completion are
-    counted (and blocked), which is what makes the depthwise reorder
-    boundary observable in tests.
+    Producers fill each 16-channel batch exactly once, one batch at a
+    time with feed or the whole frame with set_tensor; consumers wait
+    until every batch is present and then read the array itself.
+    Attempted reads before completion are counted (and blocked), which
+    is what makes the depthwise reorder boundary observable in tests.
     """
 
     def __init__(self, npix: int, nbatches: int, label: str = ""):
         self.npix = npix
         self.nbatches = nbatches
         self.label = label
-        self._slots: list = [None] * nbatches
+        self._data = np.empty((npix, nbatches * LANES), dtype=np.uint8)
+        self._fed = [False] * nbatches
         self.progress = 0  # batches fed
         self.reads_before_complete = 0
         self._cond = threading.Condition()
 
     def feed(self, index: int, batch: np.ndarray) -> None:
-        self._feed_all([(index, batch)])
+        if not (0 <= index < self.nbatches):
+            raise SequencingError(
+                f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
+            )
+        self._store(index, index + 1, batch)
 
-    def _feed_all(self, items) -> None:
-        """Store (index, batch) pairs under one lock and one wakeup."""
-        checked = []
-        for index, batch in items:
-            if not (0 <= index < self.nbatches):
-                raise SequencingError(
-                    f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
-                )
-            arr = np.asarray(batch, dtype=np.uint8)
-            if arr.shape != (self.npix, LANES):
-                raise DomainError(
-                    f"frame '{self.label}' batch shape {arr.shape} != ({self.npix}, {LANES})"
-                )
-            checked.append((index, arr))
+    def set_tensor(self, data: np.ndarray) -> None:
+        """Fill the whole frame from one (..., channels) array."""
+        arr = np.asarray(data)
+        self._store(0, self.nbatches, arr.reshape(-1, arr.shape[-1]))
+
+    def _store(self, first: int, stop: int, data: np.ndarray) -> None:
+        """Copy batches first..stop-1 in place under one lock and one wakeup."""
+        data = np.asarray(data)
+        want = (self.npix, (stop - first) * LANES)
+        if data.shape != want:
+            raise DomainError(f"frame '{self.label}' data shape {data.shape} != {want}")
         with self._cond:
-            for index, _ in checked:
-                if self._slots[index] is not None:
-                    raise SequencingError(
-                        f"frame '{self.label}' batch {index} was fed twice"
-                    )
-            for index, arr in checked:
-                self._slots[index] = arr
-            self.progress += len(checked)
+            if any(self._fed[first:stop]):
+                index = self._fed.index(True, first, stop)
+                raise SequencingError(f"frame '{self.label}' batch {index} was fed twice")
+            self._data[:, first * LANES : stop * LANES] = data
+            self._fed[first:stop] = [True] * (stop - first)
+            self.progress += stop - first
             self._cond.notify_all()
 
     def put_g(self, item, words: int = 0):
@@ -177,13 +182,6 @@ class FrameBuffer:
         self.feed(index, batch)
         return
         yield  # makes this a generator like BoundedQueue.put_g
-
-    def set_tensor(self, data: np.ndarray) -> None:
-        """Feed a whole (..., channels) frame at once."""
-        arr = np.asarray(data, dtype=np.uint8)
-        flat = arr.reshape(-1, arr.shape[-1])
-        self._feed_all(
-            (b, flat[:, b * LANES : (b + 1) * LANES]) for b in range(self.nbatches))
 
     @property
     def complete(self) -> bool:
@@ -199,9 +197,10 @@ class FrameBuffer:
             yield Blocked("frame", self, seen)
 
     def assemble(self) -> np.ndarray:
+        """The finished frame itself, not a copy."""
         if not self.complete:
             raise SequencingError(f"frame '{self.label}' read before completion")
-        return np.concatenate(self._slots, axis=1)
+        return self._data
 
 
 class SingleConsumptionStream:
@@ -231,6 +230,7 @@ class _FrameReader:
 
     The round-0 pre-expansion and the head expansion read a frame
     buffer; through this adapter they run the queue-fed expansion body.
+    Each batch is a column view of the frame.
     """
 
     def __init__(self, buf: FrameBuffer):
@@ -241,22 +241,7 @@ class _FrameReader:
         yield from self._buf.wait_complete_g()
         b = self._next
         self._next += 1
-        return b, self._buf._slots[b]
-
-
-def split_c2d_stream(frame32: np.ndarray):
-    """Split the entry convolution's 32-channel frame into two batches.
-
-    The engine emits one 32-wide pixel per cycle; lanes 0..15 go out
-    directly while lanes 16..31 pass through a small reorder buffer, so
-    downstream sees batch 0 then batch 1 of the frame. Yields
-    (batch_index, (npix, 16) array).
-    """
-    npix, ch = frame32.shape
-    if ch != 32:
-        raise DomainError(f"entry split expects 32 channels, got {ch}")
-    yield 0, frame32[:, :LANES]
-    yield 1, frame32[:, LANES:]
+        return b, self._buf.assemble()[:, b * LANES : (b + 1) * LANES]
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +357,10 @@ def _tensor_from_frame(buf: FrameBuffer, layer: LayerDesc, which: str) -> QTenso
 
 def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer,
                  rounding: Rounding, stats: dict, index: int):
-    out, st = c2d_forward(image, layer, rounding)
-    stats[index] = st
-    flat = out.data.reshape(-1, 32)
-    for b, batch in split_c2d_stream(flat):
-        yield from out_buf.put_g((b, batch))
+    out, stats[index] = c2d_forward(image, layer, rounding)
+    out_buf.set_tensor(out.data)
+    return
+    yield  # a process is a generator, even one that never blocks
 
 
 def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
@@ -441,8 +425,7 @@ def _exp_process(layer: LayerDesc, stream, out_buf: FrameBuffer,
     kernel.consume(*first)
     for _ in range(1, layer.apass):
         kernel.consume(*(yield from stream.get_g()))
-    for fb in range(layer.fpass):
-        yield from out_buf.put_g((fb, kernel.output_batch(fb)))
+    out_buf.set_tensor(kernel.outputs())
     stats[index] = nominal_stats(layer)
 
 

@@ -426,11 +426,6 @@ class ExpStreamKernel:
             raise DomainError("expansion frame is not finished")
         return self._out
 
-    def output_batch(self, fb: int) -> np.ndarray:
-        """One finished 16-filter slice of the frame, (pixels, 16)."""
-        out = self.outputs()
-        return out[:, fb * LANES : (fb + 1) * LANES]
-
 
 # ---------------------------------------------------------------------------
 # ADD: residual addition

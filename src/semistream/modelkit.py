@@ -887,24 +887,32 @@ def load_image(path: str | Path) -> np.ndarray:
     """Read an 8-bit image file into an (h, w, c) uint8 array.
 
     Accepts binary PPM (P6, maxval 255) or a raw blob with a one-line
-    ``HWC <h> <w> <c>`` header.
+    ``HWC <h> <w> <c>`` header. Header sizes must be positive integers;
+    any malformed file raises FormatError.
     """
     data = Path(path).read_bytes()
     if data.startswith(b"P6"):
         return _parse_ppm(data)
     if data.startswith(b"HWC "):
-        nl = data.index(b"\n")
-        parts = data[:nl].split()
-        if len(parts) != 4:
-            raise FormatError("raw image header must be 'HWC <h> <w> <c>'")
-        h, w, c = (int(p) for p in parts[1:])
-        body = data[nl + 1 :]
+        header, nl, body = data.partition(b"\n")
+        parts = header.split()
+        if not nl or len(parts) != 4:
+            raise FormatError("raw image header must be one line 'HWC <h> <w> <c>'")
+        h, w, c = _header_sizes(parts[1:], "raw image")
         if len(body) != h * w * c:
             raise FormatError(
                 f"raw image body holds {len(body)} bytes, expected {h * w * c}"
             )
         return np.frombuffer(body, dtype=np.uint8).reshape(h, w, c).copy()
     raise FormatError("unrecognized image file: expected P6 PPM or HWC raw blob")
+
+
+def _header_sizes(fields: list[bytes], what: str) -> list[int]:
+    """Image header fields as positive decimal integers, else FormatError."""
+    if not all(f.isdigit() and int(f) > 0 for f in fields):
+        shown = b" ".join(fields).decode("ascii", "replace")
+        raise FormatError(f"{what} header fields must be positive integers, got '{shown}'")
+    return [int(f) for f in fields]
 
 
 def _parse_ppm(data: bytes) -> np.ndarray:
@@ -924,10 +932,7 @@ def _parse_ppm(data: bytes) -> np.ndarray:
             raise FormatError("truncated PPM header")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError as e:
-        raise FormatError(f"bad PPM header field: {e}") from e
+    w, h, maxval = _header_sizes(fields, "PPM")
     if maxval != 255:
         raise FormatError(f"PPM maxval {maxval} unsupported, expected 255")
     body = data[pos:]

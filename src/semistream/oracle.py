@@ -28,13 +28,14 @@ def dequantize(data: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
 def _rescale(acc: np.ndarray, mult: np.ndarray, shift: np.ndarray,
              rounding: Rounding) -> np.ndarray:
     # own fixed-point rescale: multiply into int64, shift right with the
-    # selected rounding (half away from zero, or plain floor)
+    # selected rounding (half away from zero, or plain floor). Rounding
+    # uses floor((m + 2**(s-1)) / 2**s) == (floor(m / 2**(s-1)) + 1) >> 1,
+    # which never forms 1 << (s - 1): at s = 64 that wraps in int64.
     prod = acc.astype(np.int64) * mult
     if rounding is Rounding.TRUNCATE:
         return prod >> shift
-    half = np.int64(1) << (shift - 1)
     neg = prod < 0
-    mag = (np.where(neg, -prod, prod) + half) >> shift
+    mag = ((np.where(neg, -prod, prod) >> (shift - 1)) + 1) >> 1
     return np.where(neg, -mag, mag)
 
 

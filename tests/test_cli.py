@@ -174,6 +174,15 @@ def test_infer_rejects_a_wrong_size_image(pkg64, tmp_path):
     assert "(32, 32, 3)" in res.stderr and "(64, 64, 3)" in res.stderr
 
 
+def test_infer_rejects_a_malformed_image(pkg64, tmp_path):
+    bad = tmp_path / "bad.raw"
+    bad.write_bytes(b"HWC -1 -1 3\n" + bytes(3))
+    res = run_cli("infer", "--model", pkg64, "--image", bad)
+    assert res.exit_code == 2
+    assert "positive integers" in res.stderr
+    assert "Traceback" not in alltext(res)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from semistream.dataflow import (
     BoundedQueue,
     FrameBuffer,
     SingleConsumptionStream,
+    _FrameReader,
     _run_round_robin,
     _run_threaded,
     residual_fifo_capacity,
     run_inference,
     schedule_rounds,
-    split_c2d_stream,
 )
 from semistream.errors import (
     DeadlockError,
@@ -153,6 +153,29 @@ def test_frame_buffer_feed_contract():
         FrameBuffer(npix=4, nbatches=2).set_tensor(np.zeros((2, 4 * LANES), dtype=np.uint8))
 
 
+def test_frame_buffer_is_one_array_filled_in_place():
+    buf = FrameBuffer(npix=3, nbatches=3, label="h")
+    data = np.arange(3 * 48, dtype=np.uint8).reshape(3, 48)
+    buf.feed(1, data[:, 16:32])
+    # a whole-frame write may not overwrite a batch that is already in
+    with pytest.raises(SequencingError, match="fed twice"):
+        buf.set_tensor(data)
+    assert buf.progress == 1 and not buf.complete
+    buf.feed(0, data[:, :16])
+    buf.feed(2, data[:, 32:])
+    frame = buf.assemble()
+    np.testing.assert_array_equal(frame, data)
+    assert np.shares_memory(frame, buf.assemble())
+    reader = _FrameReader(buf)
+    for b in range(3):
+        with pytest.raises(StopIteration) as stop:
+            next(reader.get_g())  # the frame is complete: no block
+        index, batch = stop.value.value
+        assert index == b
+        np.testing.assert_array_equal(batch, data[:, b * LANES : (b + 1) * LANES])
+        assert np.shares_memory(batch, frame)
+
+
 def test_frame_buffer_counts_early_reads():
     buf = FrameBuffer(npix=2, nbatches=1)
     waiter = buf.wait_complete_g()
@@ -177,16 +200,6 @@ def test_single_consumption_stream():
     q.try_put((0, "again"))
     with pytest.raises(SequencingError, match="consumed twice"):
         drain(stream.get_g())
-
-
-def test_split_c2d_stream():
-    frame = np.arange(5 * 32, dtype=np.uint8).reshape(5, 32)
-    parts = list(split_c2d_stream(frame))
-    assert [b for b, _ in parts] == [0, 1]
-    np.testing.assert_array_equal(parts[0][1], frame[:, :16])
-    np.testing.assert_array_equal(parts[1][1], frame[:, 16:])
-    with pytest.raises(DomainError, match="32 channels"):
-        list(split_c2d_stream(frame[:, :24]))
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,22 @@ def test_raw_roundtrip(tmp_path):
     assert np.array_equal(load_image(path), pixels)
 
 
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"HWC 2 2 3", id="raw-no-newline"),
+    pytest.param(b"HWC a b c\n", id="raw-not-integers"),
+    pytest.param(b"HWC -1 -1 3\n" + bytes(3), id="raw-negative"),
+    pytest.param(b"HWC 0 5 3\n", id="raw-zero"),
+    pytest.param(b"P6 -2 -2 255\n" + bytes(12), id="ppm-negative"),
+    pytest.param(b"P6 0 0 255\n", id="ppm-zero"),
+    pytest.param(b"P6 2 x 255\n" + bytes(12), id="ppm-not-integer"),
+])
+def test_malformed_image_headers_raise_format_error(tmp_path, blob):
+    path = tmp_path / "bad.img"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        load_image(path)
+
+
 def test_unknown_image_magic(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"GIF89a whatever")

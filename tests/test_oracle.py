@@ -15,7 +15,7 @@ from semistream.oracle import (
     run_model_float,
     run_model_naive,
 )
-from semistream.quantcore import Rounding
+from semistream.quantcore import MultShift, Rounding
 
 from conftest import (
     add_layer,
@@ -42,19 +42,26 @@ def clip8(v: int) -> int:
 def test_naive_pointwise_single_pixel_exact():
     for seed in range(6):
         rng = np.random.default_rng(30 + seed)
-        layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16, cout=16)
-        x = qinput(rng, layer)
-        f = layer.filters
-        signed = x.data.reshape(16).astype(int) - layer.in_zero
-        for rounding in Rounding:
-            out = naive_quant_layer(x.data, layer, rounding=rounding)
-            for c in range(16):
-                acc = int(f.biases[c])
-                for k in range(16):
-                    acc += signed[k] * (int(f.weights[0, 0, k, c]) - int(f.zero_points[c]))
-                want = clip8(rational_requant(acc, layer.mults[c],
-                                              layer.out_zero, rounding))
-                assert out[0, 0, c] == want
+        base = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16, cout=16)
+        x = qinput(rng, base)
+        f = base.filters
+        signed = x.data.reshape(16).astype(int) - base.in_zero
+        # besides the layer's own multipliers, shifts around 64, where a
+        # half of 1 << (shift - 1) no longer fits in int64
+        variants = [base] + [
+            dataclasses.replace(base, mults=[MultShift(2**31 + 5, s)] * 16, out_zero=128)
+            for s in (63, 64, 65)
+        ]
+        for layer in variants:
+            for rounding in Rounding:
+                out = naive_quant_layer(x.data, layer, rounding=rounding)
+                for c in range(16):
+                    acc = int(f.biases[c])
+                    for k in range(16):
+                        acc += signed[k] * (int(f.weights[0, 0, k, c]) - int(f.zero_points[c]))
+                    want = clip8(rational_requant(acc, layer.mults[c],
+                                                  layer.out_zero, rounding))
+                    assert out[0, 0, c] == want, (layer.mults[c], rounding, acc)
 
 
 def test_naive_depthwise_single_pixel_exact():
