@@ -4,25 +4,25 @@ The network executes as a loop of rounds. Round k runs the depthwise
 layer of block k, the projection of block k, the addition slot of block
 k, and the expansion of block k+1, whose output lands in the frame
 buffer the next round's depthwise layer will read. Round 0 additionally
-runs the entry convolution; after the last block, the head layers run
-as single-engine trailing rounds (head expansion, pooling, classifier).
-One frame is in flight.
+runs the entry convolution (and block 0's expansion, if it has one);
+after the last block, the head layers run as single-engine trailing
+rounds (head expansion, pooling, classifier). One frame is in flight.
 
-Engines are independent processes connected by streams: frame buffers
-on both sides of the depthwise engine (it needs random access for
-striding and channel-group passes), bounded word-counted queues from
-projection to addition to expansion, and a bounded residual FIFO that
-carries each shortcut frame from its addition slot to the next round's.
-A frame buffer is one preallocated array filled in place: the addition
-slot fills it batch by batch, every other producer writes its whole
-frame at once, and readers get the array itself or column views of it.
+Each round has two stages. Stage one runs its whole-frame slots one
+after another: each reads the newest frame buffer and writes a fresh
+one. Stage two streams projection to addition to expansion through
+bounded word-counted queues; a bounded residual FIFO carries each
+shortcut frame from its addition slot to the next round's. A frame
+buffer is one preallocated array filled in place: the addition slot
+fills it batch by batch, every other producer writes its whole frame at
+once, and readers get the array itself. One wiring loop walks the
+schedule and builds every round's processes this way up front.
 Processes are plain generators that yield Blocked tokens when a stream
-cannot move. Every round's processes are built up front and chained per
-engine (C2D, EXP, DWC, PRO, ADD) in round order, so data streams from
-round to round with no barrier between rounds. Stream mode resumes the
-five chains under a deterministic round-robin scheduler (the
-reference); threads mode runs them at once, one OS thread per engine
-for the whole frame.
+cannot move; they are chained per engine (C2D, EXP, DWC, PRO, ADD) in
+round order, so data streams from round to round with no barrier
+between rounds. Stream mode resumes the five chains under a
+deterministic round-robin scheduler (the reference); threads mode runs
+them at once, one OS thread per engine for the whole frame.
 
 Both drivers share one deadlock contract. Each stream counts its
 successful operations under its own lock (its progress counter), and a
@@ -51,7 +51,7 @@ from .engines import (
     run_layer,
 )
 from .errors import DeadlockError, DomainError, PlanError, SequencingError, ShapeError
-from .modelkit import LANES, Kind, LayerDesc, PreparedModel, QTensor
+from .modelkit import ENGINE_FOR_KIND, LANES, Kind, LayerDesc, PreparedModel, QTensor
 from .quantcore import Rounding
 
 #: A process yields one of these when a stream cannot move this instant.
@@ -225,25 +225,6 @@ class SingleConsumptionStream:
         return item
 
 
-class _FrameReader:
-    """A finished frame handed out batch by batch through a stream's get_g.
-
-    The round-0 pre-expansion and the head expansion read a frame
-    buffer; through this adapter they run the queue-fed expansion body.
-    Each batch is a column view of the frame.
-    """
-
-    def __init__(self, buf: FrameBuffer):
-        self._buf = buf
-        self._next = 0
-
-    def get_g(self):
-        yield from self._buf.wait_complete_g()
-        b = self._next
-        self._next += 1
-        return b, self._buf.assemble()[:, b * LANES : (b + 1) * LANES]
-
-
 # ---------------------------------------------------------------------------
 # round schedule
 # ---------------------------------------------------------------------------
@@ -270,6 +251,21 @@ class RoundPlan:
                 out.append((name, v))
         return out
 
+    @property
+    def stages(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+        """(stage one, stage two) slots of the round.
+
+        Stage one runs whole frames one after another: the entry
+        convolution, block 0's expansion and the depthwise layer, or a
+        trailing round's single slot. Stage two streams projection to
+        addition to expansion.
+        """
+        slots = self.slots
+        if self.trailing:
+            return slots, []
+        whole = [s for s in slots if s[0] in ("c2d", "exp_pre", "dwc")]
+        return whole, slots[len(whole):]
+
 
 def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
     """Assign every layer to its round and engine slot."""
@@ -289,6 +285,8 @@ def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
         else:
             head.append(idx)
 
+    if entry is None:
+        raise PlanError("model has no entry convolution")
     nblocks = len(by_block)
     if set(by_block) != set(range(nblocks)):
         raise PlanError("block indices are not contiguous from zero")
@@ -364,11 +362,11 @@ def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer,
 
 
 def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
-                   rounding: Rounding, stats: dict, index: int):
-    """Whole frame in, whole frame out: depthwise, pooling and classifier."""
+                   rounding: Rounding, stats: dict, index: int, probe=None):
+    """Whole frame in, whole frame out: every stage-one slot but the entry."""
     yield from in_buf.wait_complete_g()
     x = _tensor_from_frame(in_buf, layer, "in")
-    out, stats[index] = run_layer(x, layer, rounding=rounding)
+    out, stats[index] = run_layer(x, layer, rounding=rounding, probe=probe)
     out_buf.set_tensor(out.data)
 
 
@@ -403,25 +401,17 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
             out = batch
         for sink in sinks:
             yield from sink.put_g((b, out), words=npix)
-    st = nominal_stats(layer)
-    if layer.residual_from is None:
-        st.madds = 0
-    stats[index] = st
+    stats[index] = nominal_stats(layer)
 
 
-def _exp_process(layer: LayerDesc, stream, out_buf: FrameBuffer,
+def _exp_process(layer: LayerDesc, stream: SingleConsumptionStream, out_buf: FrameBuffer,
                  rounding: Rounding, stats: dict, index: int, probe=None):
-    """Expansion: fold each input batch into the accumulators as it arrives.
-
-    stream hands over the input batches in order: the addition slot's
-    queue through a SingleConsumptionStream, or a finished frame through
-    a _FrameReader.
-    """
+    """Streamed expansion: fold each batch from the addition slot into
+    the accumulators as it arrives."""
     first = yield from stream.get_g()
     # the EXP chain reaches this process before its input exists;
     # allocate the accumulator bank only once input arrives
-    kernel = ExpStreamKernel(layer, rounding, probe=probe)
-    kernel.begin_frame(layer.in_h * layer.in_w)
+    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
     kernel.consume(*first)
     for _ in range(1, layer.apass):
         kernel.consume(*(yield from stream.get_g()))
@@ -594,6 +584,13 @@ def run_inference(
     return _run_rounds(model, image, rounding, exp_probe, threaded=(mode == "threads"))
 
 
+def _layer_probe(exp_probe, idx: int):
+    """exp_probe bound to layer idx, or None without a probe."""
+    if exp_probe is None:
+        return None
+    return lambda ab, acc: exp_probe(idx, ab, acc)
+
+
 def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
     stats: dict[int, EngineStats] = {}
     kept: dict[int, QTensor] = {}
@@ -601,115 +598,72 @@ def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
     x = image
     for idx, layer in enumerate(model.layers):
         residual = kept.pop(layer.residual_from, None) if layer.kind is Kind.ADD else None
-        if layer.kind is Kind.EXP and exp_probe is not None:
-            from .engines import exp_forward
-            probe = (lambda i: lambda ab, acc: exp_probe(i, ab, acc))(idx)
-            x, st = exp_forward(x, layer, rounding, probe=probe)
-        else:
-            x, st = run_layer(x, layer, residual=residual, rounding=rounding)
-        stats[idx] = st
+        x, stats[idx] = run_layer(x, layer, residual=residual, rounding=rounding,
+                                  probe=_layer_probe(exp_probe, idx))
         if idx in sources:
             kept[idx] = x
     return InferenceResult(logits=x, stats=stats, mode="sequential")
 
 
 def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
-    """Chain each engine's processes in round order, then run the chains.
+    """Wire every round's processes, chain them per engine, run the chains.
 
     Stream mode resumes the five chains under the round-robin scheduler;
     threads mode runs them at once, one thread each.
     """
-    plans = schedule_rounds(model)
     layers = model.layers
     stats: dict[int, EngineStats] = {}
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
     sources = model.residual_sources
-    last_index = len(layers) - 1
     chains: dict[str, list] = {}  # engine -> its processes in round order
 
-    def add(engine: str, proc) -> None:
-        chains.setdefault(engine, []).append(proc)
+    def add(idx: int, proc) -> None:
+        chains.setdefault(ENGINE_FOR_KIND[layers[idx].kind], []).append(proc)
 
-    def frame_for(idx: int, which: str, label: str) -> FrameBuffer:
+    def out_frame(idx: int, label: str) -> FrameBuffer:
         l = layers[idx]
-        if which == "in":
-            return FrameBuffer(l.in_h * l.in_w, l.in_ch // LANES, label)
         return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
 
-    def exp_for(idx: int, stream, out_buf: FrameBuffer):
-        probe = None
-        if exp_probe is not None:
-            probe = lambda ab, acc: exp_probe(idx, ab, acc)
-        add("exp", _exp_process(
-            layers[idx], stream, out_buf, rounding, stats, idx, probe))
-
-    # frame buffer feeding each round's depthwise (or trailing) input
-    next_in: FrameBuffer | None = None
-    result_buf: FrameBuffer | None = None
-
-    for plan in plans:
-        if plan.trailing:
-            (engine, idx), = plan.slots
-            out_buf = frame_for(idx, "out", f"round{plan.index}-out")
-            if engine == "exp":
-                exp_for(idx, _FrameReader(next_in), out_buf)
+    buf: FrameBuffer | None = None  # the newest frame buffer ...
+    last: int | None = None  # ... and the layer that writes it
+    for plan in schedule_rounds(model):
+        whole, streamed = plan.stages
+        for name, idx in whole:
+            out = out_frame(idx, f"round{plan.index}-{name}-out")
+            if name == "c2d":
+                add(idx, _c2d_process(image, layers[idx], out, rounding, stats, idx))
             else:
-                add(engine, _frame_process(
-                    layers[idx], next_in, out_buf, rounding, stats, idx))
-            next_in = out_buf
-            if idx == last_index:
-                result_buf = out_buf
+                add(idx, _frame_process(layers[idx], buf, out, rounding, stats, idx,
+                                        _layer_probe(exp_probe, idx)))
+            buf, last = out, idx
+        if not streamed:
             continue
 
-        dwc_l = layers[plan.dwc]
-        pro_l = layers[plan.pro]
-        add_l = layers[plan.add]
-        npix_out = pro_l.out_h * pro_l.out_w
-
-        if plan.index == 0:
-            dwc_in = frame_for(plan.dwc, "in", "round0-dwc-in")
-            c2d_out = dwc_in
-            if plan.exp_pre is not None:
-                c2d_out = frame_for(plan.exp_pre, "in", "entry-out")
-            add("c2d", _c2d_process(
-                image, layers[plan.c2d], c2d_out, rounding, stats, plan.c2d))
-            if plan.exp_pre is not None:
-                exp_for(plan.exp_pre, _FrameReader(c2d_out), dwc_in)
-        else:
-            dwc_in = next_in
-
-        dwc_out = frame_for(plan.pro, "in", f"round{plan.index}-dwc-out")
-        q_pro_add = BoundedQueue(2 * npix_out, f"round{plan.index}-pro-add")
-        add("dwc", _frame_process(
-            dwc_l, dwc_in, dwc_out, rounding, stats, plan.dwc))
-        add("pro", _pro_process(
-            pro_l, dwc_out, [q_pro_add], rounding, stats, plan.pro))
-
-        if plan.exp is not None:
-            q_add_exp = BoundedQueue(2 * npix_out, f"round{plan.index}-add-exp")
-            next_in = frame_for(plan.exp, "out", f"round{plan.index}-exp-out")
-            exp_for(plan.exp, SingleConsumptionStream(q_add_exp), next_in)
-            add_sinks: list = [q_add_exp]
-        else:
+        pro_l, add_l = layers[plan.pro], layers[plan.add]
+        words = 2 * pro_l.out_h * pro_l.out_w
+        q_pro_add = BoundedQueue(words, f"round{plan.index}-pro-add")
+        add(plan.pro, _pro_process(pro_l, buf, [q_pro_add], rounding, stats, plan.pro))
+        if plan.exp is None:
             # no expansion next block: the addition output frame feeds
             # the next round's depthwise input (or the trailing head)
-            next_in = frame_for(plan.add, "out", f"round{plan.index}-add-out")
-            add_sinks = [next_in]
+            buf, last = out_frame(plan.add, f"round{plan.index}-add-out"), plan.add
+            add_sinks: list = [buf]
+        else:
+            q_add_exp = BoundedQueue(words, f"round{plan.index}-add-exp")
+            buf, last = out_frame(plan.exp, f"round{plan.index}-exp-out"), plan.exp
+            add(plan.exp, _exp_process(layers[plan.exp], SingleConsumptionStream(q_add_exp),
+                                       buf, rounding, stats, plan.exp,
+                                       _layer_probe(exp_probe, plan.exp)))
+            add_sinks = [q_add_exp]
         if plan.add in sources:
             add_sinks.append(res_fifo)
         res_in = res_fifo if add_l.residual_from is not None else None
-        add("add", _add_process(
-            add_l, q_pro_add, res_in, add_sinks, rounding, stats, plan.add))
-        if plan.add == last_index:
-            if plan.exp is not None:
-                raise PlanError("final layer cannot share its round with an expansion")
-            result_buf = next_in
+        add(plan.add, _add_process(add_l, q_pro_add, res_in, add_sinks, rounding, stats, plan.add))
 
-    if result_buf is None:
+    if last != len(layers) - 1:
         raise PlanError("no round produced the final layer's output")
     # each engine's processes run one after another as one process
     procs = [itertools.chain(*c) for c in chains.values()]
     _run_threaded(procs) if threaded else _run_round_robin(procs)
-    logits = _tensor_from_frame(result_buf, layers[last_index], "out")
-    mode = "threads" if threaded else "stream"
-    return InferenceResult(logits=logits, stats=stats, mode=mode)
+    logits = _tensor_from_frame(buf, layers[last], "out")
+    return InferenceResult(logits=logits, stats=stats, mode="threads" if threaded else "stream")

@@ -120,7 +120,8 @@ def nominal_stats(layer: LayerDesc) -> EngineStats:
     """Stats an engine reports for the layer, without running it."""
     cycles = engine_cycles(layer)
     if layer.kind is Kind.ADD:
-        madds = ADD_OPS_PER_CYCLE * cycles
+        # a pass-through slot streams its frame but does no arithmetic
+        madds = ADD_OPS_PER_CYCLE * cycles if layer.residual_from is not None else 0
     else:
         madds = MADDS_PER_CYCLE[ENGINE_FOR_KIND[layer.kind]] * cycles
     acc = layer.fpass * LANES if layer.kind is Kind.EXP else 0
@@ -360,10 +361,9 @@ def exp_forward(
     if x.channels % LANES or layer.out_ch % LANES:
         raise ShapeError("expansion channel counts must be multiples of 16")
 
-    kernel = ExpStreamKernel(layer, rounding, probe=probe)
     npix = x.height * x.width
+    kernel = ExpStreamKernel(layer, npix, rounding, probe=probe)
     flat = x.data.reshape(npix, x.channels)
-    kernel.begin_frame(npix)
     for ab in range(layer.apass):
         kernel.consume(ab, flat[:, ab * LANES : (ab + 1) * LANES])
     data = kernel.outputs().reshape(layer.out_h, layer.out_w, layer.out_ch)
@@ -373,16 +373,16 @@ def exp_forward(
 class ExpStreamKernel:
     """Streaming form of the expansion engine.
 
-    Feed input channel batches in order with consume(); after the last
-    one, outputs() returns the finished frame. The accumulator bank
-    holds every filter's partial sum for every pixel, the fpass*16
-    per-pixel working set of the engine, and persists across batches;
-    each batch is folded into all filter batches by one exact float64
-    GEMM.
+    One kernel runs one frame of npix pixels. Feed input channel batches
+    in order with consume(); after the last one, outputs() returns the
+    finished frame. The accumulator bank holds every filter's partial sum
+    for every pixel, the fpass*16 per-pixel working set of the engine,
+    and persists across batches; each batch is folded into all filter
+    batches by one exact float64 GEMM.
     """
 
-    def __init__(self, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST,
-                 probe=None):
+    def __init__(self, layer: LayerDesc, npix: int,
+                 rounding: Rounding = Rounding.NEAREST, probe=None):
         if layer.kind is not Kind.EXP:
             raise DomainError(f"expansion kernel cannot run a {layer.kind.value} layer")
         if layer.in_ch % LANES or layer.out_ch % LANES:
@@ -392,12 +392,6 @@ class ExpStreamKernel:
         self.rounding = rounding
         self.probe = probe
         self._w = _signed_weights(layer.filters, np.float64)[0, 0]
-        self._acc = None
-        self._next_batch = 0
-        self._out = None
-
-    def begin_frame(self, npix: int) -> None:
-        layer = self.layer
         self._acc = np.empty((npix, layer.out_ch))
         self._acc[...] = layer.filters.biases
         self._next_batch = 0
@@ -405,8 +399,6 @@ class ExpStreamKernel:
 
     def consume(self, ab: int, batch: np.ndarray) -> None:
         """Fold input channel batch ab (pixels x 16 uint8) into the bank."""
-        if self._acc is None:
-            raise DomainError("begin_frame must be called before consume")
         if ab != self._next_batch:
             raise DomainError(f"input batch {ab} arrived, expected {self._next_batch}")
         layer = self.layer
@@ -422,7 +414,7 @@ class ExpStreamKernel:
         self._next_batch = ab + 1
 
     def outputs(self) -> np.ndarray:
-        if self._acc is None or self._next_batch != self.layer.apass:
+        if self._next_batch != self.layer.apass:
             raise DomainError("expansion frame is not finished")
         return self._out
 
@@ -476,9 +468,7 @@ def add_passthrough(x: QTensor, layer: LayerDesc) -> tuple[QTensor, EngineStats]
     _check_edge(x, layer)
     if layer.out_scale != layer.in_scale or layer.out_zero != layer.in_zero:
         raise DomainError("pass-through output edge must equal its input edge")
-    stats = nominal_stats(layer)
-    stats.madds = 0
-    return _out_tensor(layer, x.data.copy()), stats
+    return _out_tensor(layer, x.data.copy()), nominal_stats(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +556,13 @@ def layout_weights(layer: LayerDesc) -> WeightMemoryImage:
 
 def run_layer(
     x: QTensor, layer: LayerDesc, residual: QTensor | None = None,
-    rounding: Rounding = Rounding.NEAREST,
+    rounding: Rounding = Rounding.NEAREST, probe=None,
 ) -> tuple[QTensor, EngineStats]:
-    """Dispatch one layer to its engine."""
+    """Dispatch one layer to its engine.
+
+    probe reaches an expansion's exp_forward; other engines have no
+    partial sums to show it.
+    """
     if layer.kind is Kind.C2D:
         return c2d_forward(x, layer, rounding)
     if layer.kind is Kind.DWC:
@@ -578,7 +572,7 @@ def run_layer(
     if layer.kind is Kind.PRO:
         return pro_forward(x, layer, rounding)
     if layer.kind is Kind.EXP:
-        return exp_forward(x, layer, rounding)
+        return exp_forward(x, layer, rounding, probe)
     if layer.kind is Kind.ADD:
         if layer.residual_from is None:
             if residual is not None:

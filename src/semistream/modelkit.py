@@ -907,11 +907,17 @@ def load_image(path: str | Path) -> np.ndarray:
     raise FormatError("unrecognized image file: expected P6 PPM or HWC raw blob")
 
 
+#: Longest image header size field, in digits; a longer one could never
+#: match the file's body, and int() refuses strings past 4300 digits.
+MAX_HEADER_DIGITS = 9
+
+
 def _header_sizes(fields: list[bytes], what: str) -> list[int]:
     """Image header fields as positive decimal integers, else FormatError."""
-    if not all(f.isdigit() and int(f) > 0 for f in fields):
-        shown = b" ".join(fields).decode("ascii", "replace")
-        raise FormatError(f"{what} header fields must be positive integers, got '{shown}'")
+    if not all(f.isdigit() and len(f) <= MAX_HEADER_DIGITS and int(f) > 0 for f in fields):
+        shown = b" ".join(fields)[:60].decode("ascii", "replace")
+        raise FormatError(f"{what} header fields must be positive integers of at most "
+                          f"{MAX_HEADER_DIGITS} digits, got '{shown}'")
     return [int(f) for f in fields]
 
 

@@ -1,13 +1,14 @@
 """Analytic performance model.
 
-Latency comes from the round schedule: each round overlaps its
-stage-one raster work (entry convolution and depthwise) with the
-loading of the projection and expansion weights it needs, then runs its
-stage-two engines (projection, addition, expansion) which pace each
-other; the slower of stage one and the weight load gates stage two.
-Trailing head rounds have no stage one, so their weight loads serialize
-with their compute. One frame is in flight, so throughput is the
-reciprocal of latency.
+Latency comes from the round schedule (RoundPlan.stages): each round
+overlaps its stage-one whole-frame work (entry convolution, block 0's
+expansion and depthwise) with the loading of the projection and
+expansion weights it needs, then runs its stage-two engines
+(projection, addition, expansion) which pace each other; the slower of
+stage one and the weight load gates stage two. A trailing head round
+runs one engine with nothing beside it to hide the load, so its weight
+load serializes with its compute. One frame is in flight, so throughput
+is the reciprocal of latency.
 
 The model also reports nominal engine throughput, per-engine weight
 port bandwidth, and a normalization that maps a measured throughput to
@@ -29,7 +30,7 @@ from .engines import (
     weight_bytes,
 )
 from .errors import DomainError
-from .modelkit import PreparedModel
+from .modelkit import Kind, PreparedModel
 
 #: External memory bandwidth (gigabytes per second) at which the
 #: standard 224x224 model lands at 10.596 ms per frame under the
@@ -99,35 +100,18 @@ class TimelineEntry:
 
 
 def _round_numbers(model: PreparedModel, plan: RoundPlan) -> tuple[int, int, int]:
-    """(stage1 cycles, weight bytes to load, stage2 cycles) of a round."""
-    layers = model.layers
-    stage1 = 0
-    load_bytes = 0
-    stage2 = 0
-    if plan.c2d is not None:
-        stage1 += engine_cycles(layers[plan.c2d])
-    if plan.exp_pre is not None:
-        stage1 += engine_cycles(layers[plan.exp_pre])
-        load_bytes += weight_bytes(layers[plan.exp_pre])
+    """(stage1 cycles, weight bytes to load, stage2 cycles) of a round.
+
+    Only the pointwise engines (projection and expansion) load their
+    weights for the round.
+    """
+    whole, streamed = ([model.layers[i] for _, i in part] for part in plan.stages)
+    load_bytes = sum(weight_bytes(l) for l in whole + streamed if l.kind in (Kind.PRO, Kind.EXP))
+    whole_cycles = sum(engine_cycles(l) for l in whole)
     if plan.trailing:
-        # single-engine round: its compute is stage two, its weights load first
-        for _, idx in plan.slots:
-            stage2 += engine_cycles(layers[idx])
-            load_bytes += weight_bytes(layers[idx])
-        return stage1, load_bytes, stage2
-    if plan.dwc is not None:
-        stage1 += engine_cycles(layers[plan.dwc])
-    parallel = []
-    for name in ("pro", "add", "exp"):
-        idx = getattr(plan, name)
-        if idx is None:
-            continue
-        parallel.append(engine_cycles(layers[idx]))
-        if name in ("pro", "exp"):
-            load_bytes += weight_bytes(layers[idx])
-    if parallel:
-        stage2 = max(parallel)
-    return stage1, load_bytes, stage2
+        # nothing hides the load: it runs first, then the slot's compute
+        return 0, load_bytes, whole_cycles
+    return whole_cycles, load_bytes, max(engine_cycles(l) for l in streamed)
 
 
 def estimate_timeline(

@@ -15,7 +15,6 @@ from semistream.dataflow import (
     BoundedQueue,
     FrameBuffer,
     SingleConsumptionStream,
-    _FrameReader,
     _run_round_robin,
     _run_threaded,
     residual_fifo_capacity,
@@ -166,14 +165,6 @@ def test_frame_buffer_is_one_array_filled_in_place():
     frame = buf.assemble()
     np.testing.assert_array_equal(frame, data)
     assert np.shares_memory(frame, buf.assemble())
-    reader = _FrameReader(buf)
-    for b in range(3):
-        with pytest.raises(StopIteration) as stop:
-            next(reader.get_g())  # the frame is complete: no block
-        index, batch = stop.value.value
-        assert index == b
-        np.testing.assert_array_equal(batch, data[:, b * LANES : (b + 1) * LANES])
-        assert np.shares_memory(batch, frame)
 
 
 def test_frame_buffer_counts_early_reads():
@@ -258,8 +249,10 @@ def test_schedule_rejects_malformed_graphs():
     dup_block = next(l for l in model.layers if l.kind is Kind.DWC)
     with pytest.raises(PlanError, match="two DWC"):
         schedule_rounds(_with_layers(model, model.layers + [dup_block]))
-    with pytest.raises(PlanError, match="entry convolution"):
+    with pytest.raises(PlanError, match="more than one entry convolution"):
         schedule_rounds(_with_layers(model, model.layers + [model.layers[0]]))
+    with pytest.raises(PlanError, match="no entry convolution"):
+        schedule_rounds(_with_layers(model, model.layers[1:]))
     shifted = [
         dataclasses.replace(l, block=l.block + 3) if l.block is not None else l
         for l in model.layers
@@ -273,6 +266,20 @@ def test_schedule_rejects_malformed_graphs():
     stray = dataclasses.replace(dup_block, block=None)
     with pytest.raises(PlanError, match="trailing"):
         schedule_rounds(_with_layers(model, model.layers + [stray]))
+
+
+@pytest.mark.parametrize("mode", ["stream", "threads"])
+def test_rounds_must_produce_the_final_layer(mode):
+    # the entry convolution runs in round 0, so later rounds overwrite
+    # its frame before a run could read it as the logits
+    model = toy_model(2)
+    moved = _with_layers(model, model.layers[1:] + model.layers[:1])
+    first = moved.layers[0]
+    pixels = np.zeros((first.in_h, first.in_w, first.in_ch), dtype=np.uint8)
+    image = QTensor(first.in_h, first.in_w, first.in_ch, pixels,
+                    first.in_zero, first.in_scale)
+    with pytest.raises(PlanError, match="no round produced the final layer's output"):
+        run_inference(moved, image, mode=mode)
 
 
 def test_residual_fifo_capacity(standard):
@@ -491,6 +498,22 @@ def test_random_graphs_survive_a_package_and_match_the_oracle(case, pixel_seed):
     image = image_to_qtensor(pixels, loaded)
     for mode in ("sequential", "stream", "threads"):
         got = run_inference(loaded, image, mode=mode)
+        np.testing.assert_array_equal(got.logits.data, want)
+
+
+@pytest.mark.parametrize("width, resolution, rounding", [
+    (0.5, 32, Rounding.NEAREST),
+    (0.75, 64, Rounding.TRUNCATE),
+    (0.5, 64, Rounding.TRUNCATE),
+])
+def test_small_mobilenets_match_the_oracle(width, resolution, rounding):
+    model = prepare(build_mobilenet_v2(width, resolution, seed=3), rounding)
+    pixels = np.random.default_rng(resolution).integers(
+        0, 256, size=(resolution, resolution, 3), dtype=np.uint8)
+    want = run_model_naive(model, pixels)
+    image = image_to_qtensor(pixels, model)
+    for mode in ("sequential", "stream", "threads"):
+        got = run_inference(model, image, mode=mode)
         np.testing.assert_array_equal(got.logits.data, want)
 
 

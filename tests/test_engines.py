@@ -297,10 +297,7 @@ def test_exp_kernel_sequencing():
     layer = pointwise_layer(rng, Kind.EXP, h=2, w=2, cin=32, cout=16)
     x = qinput(rng, layer)
     flat = x.data.reshape(4, 32)
-    kernel = ExpStreamKernel(layer)
-    with pytest.raises(DomainError, match="begin_frame"):
-        kernel.consume(0, flat[:, :16])
-    kernel.begin_frame(4)
+    kernel = ExpStreamKernel(layer, 4)
     with pytest.raises(DomainError, match="expected 0"):
         kernel.consume(1, flat[:, 16:])
     kernel.consume(0, flat[:, :16])
@@ -711,7 +708,7 @@ def test_every_engine_checks_the_bound():
         with pytest.raises(DomainError, match="2\\*\\*30"):
             run_layer(qinput(rng, layer), layer)
     with pytest.raises(DomainError, match="2\\*\\*30"):
-        ExpStreamKernel(cases[-1])
+        ExpStreamKernel(cases[-1], 1)
     pool = pool_layer(rng)
     check_acc_bound(pool)
     with pytest.raises(DomainError, match="2\\*\\*30"):

@@ -548,12 +548,47 @@ def test_raw_roundtrip(tmp_path):
     pytest.param(b"P6 -2 -2 255\n" + bytes(12), id="ppm-negative"),
     pytest.param(b"P6 0 0 255\n", id="ppm-zero"),
     pytest.param(b"P6 2 x 255\n" + bytes(12), id="ppm-not-integer"),
+    # past Python's 4300-digit int() limit
+    pytest.param(b"HWC " + b"9" * 5000 + b" 1 1\n", id="raw-oversized"),
+    pytest.param(b"P6 " + b"9" * 5000 + b" 1 255\n", id="ppm-oversized"),
 ])
 def test_malformed_image_headers_raise_format_error(tmp_path, blob):
     path = tmp_path / "bad.img"
     path.write_bytes(blob)
     with pytest.raises(FormatError):
         load_image(path)
+
+
+#: What a fuzzed image header field may become.
+HEADER_TOKENS = st.one_of(
+    st.integers(-5, 10**12).map(lambda n: str(n).encode()),
+    st.integers(1, 6000).map(lambda n: b"9" * n),
+    st.binary(max_size=6),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_image_headers_raise_only_format_errors(tmp_path_factory, data):
+    magic, valid = data.draw(st.sampled_from([
+        (b"HWC", [b"2", b"3", b"3"]),  # h w c
+        (b"P6", [b"3", b"2", b"255"]),  # w h maxval
+    ]))
+    fields = list(valid)
+    for i in data.draw(st.sets(st.integers(0, 2))):
+        fields[i] = data.draw(HEADER_TOKENS)
+    if data.draw(st.booleans()):
+        fields.insert(data.draw(st.integers(0, 3)), data.draw(HEADER_TOKENS))
+    blob = b" ".join([magic] + fields) + b"\n" + bytes(data.draw(st.integers(0, 20)))
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    path = tmp_path_factory.getbasetemp() / "fuzz.img"
+    path.write_bytes(blob)
+    try:
+        pixels = load_image(path)
+    except FormatError:
+        return
+    assert pixels.dtype == np.uint8 and pixels.ndim == 3
 
 
 def test_unknown_image_magic(tmp_path):

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from semistream.dataflow import run_inference
 from semistream.errors import DomainError
-from semistream.modelkit import build_mobilenet_v2, prepare
+from semistream.modelkit import build_mobilenet_v2, image_to_qtensor, prepare
 from semistream.perfmodel import (
     CALIBRATED_BANDWIDTH_GBPS,
     REFERENCE_FREQUENCY_MHZ,
@@ -209,3 +211,10 @@ def test_performance_report_consistency(standard):
     assert rep["effective_gops"] == pytest.approx(
         rep["total_madds"] / (rep["latency_ms"] * 1e6), rel=1e-12)
     assert len(rep["rounds"]) == 20
+
+
+def test_report_counts_the_madds_a_run_reports(standard):
+    # pass-through addition slots do no arithmetic in either count
+    pixels = np.zeros((224, 224, 3), dtype=np.uint8)
+    run = run_inference(standard, image_to_qtensor(pixels, standard), mode="sequential")
+    assert performance_report(standard)["total_madds"] == run.total.madds == 383943672
