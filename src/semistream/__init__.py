@@ -40,6 +40,7 @@ from .modelkit import (
     PreparedModel,
     QFilterSet,
     QTensor,
+    RoundPlan,
     build_mobilenet_v2,
     build_model,
     check_acc_bound,
@@ -48,9 +49,11 @@ from .modelkit import (
     load_package,
     pad_channels,
     prepare,
+    residual_fifo_capacity,
     save_package,
     save_ppm,
     save_raw,
+    schedule_rounds,
     validate_graph,
 )
 from .engines import (
@@ -86,11 +89,8 @@ from .dataflow import (
     BoundedQueue,
     FrameBuffer,
     InferenceResult,
-    RoundPlan,
     SingleConsumptionStream,
-    residual_fifo_capacity,
     run_inference,
-    schedule_rounds,
 )
 from .perfmodel import (
     CALIBRATED_BANDWIDTH_GBPS,

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .dataflow import run_inference, schedule_rounds
+from .dataflow import run_inference
 from .engines import EngineStats, exp_forward, pro_forward
 from .errors import SemistreamError
 from .modelkit import (
@@ -41,6 +41,7 @@ from .quantcore import Rounding, quantize_multiplier
 
 _ROUNDING = click.Choice(["nearest", "truncate"])
 _MODE = click.Choice(["stream", "sequential", "threads"])
+_SEED = click.IntRange(min=0)
 
 
 def _fail(message: str, code: int = 2) -> None:
@@ -55,7 +56,7 @@ def main():
 
 @main.command("gen-model")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Package directory to write.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--width", default=1.0, show_default=True, type=float, help="Width multiplier.")
 @click.option("--resolution", default=224, show_default=True, type=int)
 @click.option("--rounding", default="nearest", show_default=True, type=_ROUNDING)
@@ -69,7 +70,7 @@ def gen_model(out_dir, seed, width, resolution, rounding):
         _fail(str(e))
     click.echo(f"wrote {out_dir}: {len(model.layers)} layers, "
                f"{model.num_blocks} blocks, resolution {resolution}, seed {seed}")
-    click.echo(_round_summary(schedule_rounds(model)))
+    click.echo(_round_summary(model.rounds))
 
 
 def _round_summary(plans: list) -> str:
@@ -81,9 +82,9 @@ def _round_summary(plans: list) -> str:
 
 @main.command("gen-image")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--resolution", default=224, show_default=True, type=int)
-@click.option("--channels", default=3, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--resolution", default=224, show_default=True, type=click.IntRange(min=1))
+@click.option("--channels", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 def gen_image(out_path, resolution, channels, seed):
     """Generate a random test image (PPM for 3 channels, raw otherwise)."""
     rng = np.random.default_rng(seed)
@@ -104,7 +105,7 @@ def prepare_cmd(model_dir):
     """Load a package, validate it, and print a layer summary."""
     try:
         model = load_package(model_dir)
-        plans = schedule_rounds(model)
+        plans = model.rounds
     except SemistreamError as e:
         _fail(str(e))
     click.echo(f"package ok: {len(model.layers)} layers, {model.num_blocks} blocks, "
@@ -119,10 +120,11 @@ def prepare_cmd(model_dir):
         res = "-" if l.residual_from is None else f"layer {l.residual_from}"
         click.echo(f"{idx:>3}  {l.kind.value:<8}{ins:<16}{outs:<16}{l.stride:<7}{block:<6}{res}")
     click.echo(f"{'round':>5}  slots")
-    for p in plans:
+    for r, p in enumerate(plans):
         tag = "T" if p.trailing else " "
-        slots = ", ".join(f"{name} -> layer {idx}" for name, idx in p.slots)
-        click.echo(f"{p.index:>4}{tag}  {slots}")
+        slots = ", ".join(f"{ENGINE_FOR_KIND[model.layers[i].kind].lower()} -> layer {i}"
+                          for i in p.whole + p.streamed)
+        click.echo(f"{r:>4}{tag}  {slots}")
 
 
 @main.command("infer")
@@ -299,7 +301,7 @@ def run_verification(
 
 
 @main.command("verify")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--trials", default=5, show_default=True, type=int)
 @click.option("--model", "model_dir", default=None, type=click.Path(exists=True),
               help="Verify this package instead of fresh random models.")

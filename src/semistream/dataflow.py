@@ -1,28 +1,32 @@
-"""Dataflow runner: round schedule, streams, and inference drivers.
+"""Dataflow runner: streams, processes and inference drivers.
 
-The network executes as a loop of rounds. Round k runs the depthwise
-layer of block k, the projection of block k, the addition slot of block
-k, and the expansion of block k+1, whose output lands in the frame
-buffer the next round's depthwise layer will read. Round 0 additionally
-runs the entry convolution (and block 0's expansion, if it has one);
-after the last block, the head layers run as single-engine trailing
-rounds (head expansion, pooling, classifier). One frame is in flight.
+The network executes as a loop of rounds, following the model's round
+plan (PreparedModel.rounds, built once per model in modelkit). Round k
+runs the depthwise layer of block k, the projection of block k, the
+addition slot of block k, and the expansion of block k+1, whose output
+lands in the frame buffer the next round's depthwise layer will read.
+Round 0 additionally runs the entry convolution (and block 0's
+expansion, if it has one); after the last block, the head layers run as
+single-engine trailing rounds (head expansion, pooling, classifier).
+One frame is in flight.
 
-Each round has two stages. Stage one runs its whole-frame slots one
-after another: each reads the newest frame buffer and writes a fresh
-one. Stage two streams projection to addition to expansion through
-bounded word-counted queues; a bounded residual FIFO carries each
-shortcut frame from its addition slot to the next round's. A frame
-buffer is one preallocated array filled in place: the addition slot
-fills it batch by batch, every other producer writes its whole frame at
-once, and readers get the array itself. One wiring loop walks the
-schedule and builds every round's processes this way up front.
-Processes are plain generators that yield Blocked tokens when a stream
-cannot move; they are chained per engine (C2D, EXP, DWC, PRO, ADD) in
-round order, so data streams from round to round with no barrier
-between rounds. Stream mode resumes the five chains under a
-deterministic round-robin scheduler (the reference); threads mode runs
-them at once, one OS thread per engine for the whole frame.
+Each round has two stages, the plan's two tuples of layers. Stage one
+runs its whole-frame layers one after another: each reads the newest
+frame buffer and writes a fresh one. Stage two streams projection to
+addition to expansion through bounded word-counted queues; a bounded
+residual FIFO carries each shortcut frame from its addition slot to the
+next round's. A frame buffer is one preallocated array filled in place:
+the addition slot fills it batch by batch, every other producer writes
+its whole frame at once, and readers get the array itself. One wiring
+loop walks the plan and builds every round's processes this way up
+front. Processes are plain generators that take only their streams and
+yield Blocked tokens when a stream cannot move; per-layer work
+accounting comes from the layers themselves after the run. They are
+chained per engine (C2D, EXP, DWC, PRO, ADD) in round order, so data
+streams from round to round with no barrier between rounds. Stream mode
+resumes the five chains under a deterministic round-robin scheduler
+(the reference); threads mode runs them at once, one OS thread per
+engine for the whole frame.
 
 Both drivers share one deadlock contract. Each stream counts its
 successful operations under its own lock (its progress counter), and a
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +54,18 @@ from .engines import (
     pro_forward,
     run_layer,
 )
-from .errors import DeadlockError, DomainError, PlanError, SequencingError, ShapeError
-from .modelkit import ENGINE_FOR_KIND, LANES, Kind, LayerDesc, PreparedModel, QTensor
+from .errors import DeadlockError, DomainError, SequencingError, ShapeError
+from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from here
+    ENGINE_FOR_KIND,
+    LANES,
+    Kind,
+    LayerDesc,
+    PreparedModel,
+    QTensor,
+    RoundPlan,
+    residual_fifo_capacity,
+    schedule_rounds,
+)
 from .quantcore import Rounding
 
 #: A process yields one of these when a stream cannot move this instant.
@@ -226,121 +240,6 @@ class SingleConsumptionStream:
 
 
 # ---------------------------------------------------------------------------
-# round schedule
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RoundPlan:
-    """Engine slots of one round; values are layer indices."""
-
-    index: int
-    c2d: int | None = None
-    exp_pre: int | None = None
-    dwc: int | None = None
-    pro: int | None = None
-    add: int | None = None
-    exp: int | None = None
-    trailing: bool = False
-
-    @property
-    def slots(self) -> list[tuple[str, int]]:
-        out = []
-        for name in ("c2d", "exp_pre", "dwc", "pro", "add", "exp"):
-            v = getattr(self, name)
-            if v is not None:
-                out.append((name, v))
-        return out
-
-    @property
-    def stages(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-        """(stage one, stage two) slots of the round.
-
-        Stage one runs whole frames one after another: the entry
-        convolution, block 0's expansion and the depthwise layer, or a
-        trailing round's single slot. Stage two streams projection to
-        addition to expansion.
-        """
-        slots = self.slots
-        if self.trailing:
-            return slots, []
-        whole = [s for s in slots if s[0] in ("c2d", "exp_pre", "dwc")]
-        return whole, slots[len(whole):]
-
-
-def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
-    """Assign every layer to its round and engine slot."""
-    by_block: dict[int, dict[Kind, int]] = {}
-    head: list[int] = []
-    entry: int | None = None
-    for idx, l in enumerate(model.layers):
-        if l.block is not None:
-            slot = by_block.setdefault(l.block, {})
-            if l.kind in slot:
-                raise PlanError(f"block {l.block} has two {l.kind.value} layers")
-            slot[l.kind] = idx
-        elif l.kind is Kind.C2D:
-            if entry is not None:
-                raise PlanError("more than one entry convolution")
-            entry = idx
-        else:
-            head.append(idx)
-
-    if entry is None:
-        raise PlanError("model has no entry convolution")
-    nblocks = len(by_block)
-    if set(by_block) != set(range(nblocks)):
-        raise PlanError("block indices are not contiguous from zero")
-    plans: list[RoundPlan] = []
-    for k in range(nblocks):
-        slot = by_block[k]
-        if Kind.DWC not in slot or Kind.PRO not in slot or Kind.ADD not in slot:
-            raise PlanError(f"block {k} is missing an engine slot")
-        plan = RoundPlan(
-            index=k,
-            dwc=slot[Kind.DWC],
-            pro=slot[Kind.PRO],
-            add=slot[Kind.ADD],
-        )
-        if k == 0:
-            plan.c2d = entry
-            plan.exp_pre = slot.get(Kind.EXP)
-        next_slot = by_block.get(k + 1, {})
-        plan.exp = next_slot.get(Kind.EXP)
-        plans.append(plan)
-
-    base = nblocks
-    for j, idx in enumerate(head):
-        l = model.layers[idx]
-        plan = RoundPlan(index=base + j, trailing=True)
-        if l.kind is Kind.EXP:
-            plan.exp = idx
-        elif l.kind is Kind.AVGPOOL:
-            plan.dwc = idx
-        elif l.kind is Kind.PRO:
-            plan.pro = idx
-        else:
-            raise PlanError(f"layer {idx} ({l.kind.value}) cannot run as a trailing round")
-        plans.append(plan)
-    return plans
-
-
-def residual_fifo_capacity(model: PreparedModel) -> int:
-    """Residual FIFO capacity in 16-lane words.
-
-    The FIFO must hold one full projection output frame while the next
-    round drains it, so it is sized by the largest projection frame in
-    the network (pixels times channel batches).
-    """
-    best = 0
-    for l in model.layers:
-        if l.kind is Kind.PRO:
-            best = max(best, l.out_h * l.out_w * (l.out_ch // LANES))
-    if best == 0:
-        raise PlanError("model has no projection layers")
-    return best
-
-
-# ---------------------------------------------------------------------------
 # processes
 # ---------------------------------------------------------------------------
 
@@ -353,42 +252,31 @@ def _tensor_from_frame(buf: FrameBuffer, layer: LayerDesc, which: str) -> QTenso
     return QTensor(h, w, c, data.reshape(h, w, c), zp, sc)
 
 
-def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer,
-                 rounding: Rounding, stats: dict, index: int):
-    out, stats[index] = c2d_forward(image, layer, rounding)
-    out_buf.set_tensor(out.data)
+def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer, rounding: Rounding):
+    out_buf.set_tensor(c2d_forward(image, layer, rounding)[0].data)
     return
     yield  # a process is a generator, even one that never blocks
 
 
 def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
-                   rounding: Rounding, stats: dict, index: int, probe=None):
-    """Whole frame in, whole frame out: every stage-one slot but the entry."""
+                   rounding: Rounding, probe=None):
+    """Whole frame in, whole frame out: every stage-one layer but the entry."""
     yield from in_buf.wait_complete_g()
     x = _tensor_from_frame(in_buf, layer, "in")
-    out, stats[index] = run_layer(x, layer, rounding=rounding, probe=probe)
-    out_buf.set_tensor(out.data)
+    out_buf.set_tensor(run_layer(x, layer, rounding=rounding, probe=probe)[0].data)
 
 
-def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, sinks: list,
-                 rounding: Rounding, stats: dict, index: int):
+def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, out_q: BoundedQueue, rounding: Rounding):
     yield from in_buf.wait_complete_g()
-    x = _tensor_from_frame(in_buf, layer, "in")
-    out, st = pro_forward(x, layer, rounding)
-    stats[index] = st
+    out, _ = pro_forward(_tensor_from_frame(in_buf, layer, "in"), layer, rounding)
     flat = out.data.reshape(-1, out.channels)
-    npix = flat.shape[0]
     for fb in range(layer.fpass):
-        batch = flat[:, fb * LANES : (fb + 1) * LANES]
-        for sink in sinks:
-            yield from sink.put_g((fb, batch), words=npix)
+        yield from out_q.put_g((fb, flat[:, fb * LANES : (fb + 1) * LANES]), words=flat.shape[0])
 
 
-def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
-                 rounding: Rounding, stats: dict, index: int):
-    nb = layer.out_ch // LANES
+def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, rounding: Rounding):
     npix = layer.out_h * layer.out_w
-    for b in range(nb):
+    for b in range(layer.out_ch // LANES):
         bi, batch = yield from in_q.get_g()
         if bi != b:
             raise SequencingError(f"addition slot got batch {bi}, expected {b}")
@@ -396,16 +284,13 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
             ri, rbatch = yield from res_q.get_g()
             if ri != b:
                 raise SequencingError(f"residual batch {ri} arrived out of order")
-            out = add_elements(batch, rbatch, layer.add_params, rounding)
-        else:
-            out = batch
+            batch = add_elements(batch, rbatch, layer.add_params, rounding)
         for sink in sinks:
-            yield from sink.put_g((b, out), words=npix)
-    stats[index] = nominal_stats(layer)
+            yield from sink.put_g((b, batch), words=npix)
 
 
 def _exp_process(layer: LayerDesc, stream: SingleConsumptionStream, out_buf: FrameBuffer,
-                 rounding: Rounding, stats: dict, index: int, probe=None):
+                 rounding: Rounding, probe=None):
     """Streamed expansion: fold each batch from the addition slot into
     the accumulators as it arrives."""
     first = yield from stream.get_g()
@@ -416,7 +301,6 @@ def _exp_process(layer: LayerDesc, stream: SingleConsumptionStream, out_buf: Fra
     for _ in range(1, layer.apass):
         kernel.consume(*(yield from stream.get_g()))
     out_buf.set_tensor(kernel.outputs())
-    stats[index] = nominal_stats(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -612,58 +496,54 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     threads mode runs them at once, one thread each.
     """
     layers = model.layers
-    stats: dict[int, EngineStats] = {}
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
     sources = model.residual_sources
     chains: dict[str, list] = {}  # engine -> its processes in round order
 
-    def add(idx: int, proc) -> None:
+    def chain(idx: int, proc) -> None:
         chains.setdefault(ENGINE_FOR_KIND[layers[idx].kind], []).append(proc)
 
-    def out_frame(idx: int, label: str) -> FrameBuffer:
+    def out_frame(r: int, idx: int) -> FrameBuffer:
         l = layers[idx]
+        label = f"round{r}-{ENGINE_FOR_KIND[l.kind].lower()}-out"
         return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
 
-    buf: FrameBuffer | None = None  # the newest frame buffer ...
-    last: int | None = None  # ... and the layer that writes it
-    for plan in schedule_rounds(model):
-        whole, streamed = plan.stages
-        for name, idx in whole:
-            out = out_frame(idx, f"round{plan.index}-{name}-out")
-            if name == "c2d":
-                add(idx, _c2d_process(image, layers[idx], out, rounding, stats, idx))
+    buf: FrameBuffer | None = None  # the newest frame buffer
+    for r, (whole, streamed) in enumerate(model.rounds):
+        for idx in whole:
+            out = out_frame(r, idx)
+            if layers[idx].kind is Kind.C2D:
+                chain(idx, _c2d_process(image, layers[idx], out, rounding))
             else:
-                add(idx, _frame_process(layers[idx], buf, out, rounding, stats, idx,
-                                        _layer_probe(exp_probe, idx)))
-            buf, last = out, idx
+                chain(idx, _frame_process(layers[idx], buf, out, rounding,
+                                          _layer_probe(exp_probe, idx)))
+            buf = out
         if not streamed:
             continue
 
-        pro_l, add_l = layers[plan.pro], layers[plan.add]
+        pro, add = streamed[:2]
+        exp = streamed[2] if len(streamed) == 3 else None
+        pro_l, add_l = layers[pro], layers[add]
         words = 2 * pro_l.out_h * pro_l.out_w
-        q_pro_add = BoundedQueue(words, f"round{plan.index}-pro-add")
-        add(plan.pro, _pro_process(pro_l, buf, [q_pro_add], rounding, stats, plan.pro))
-        if plan.exp is None:
-            # no expansion next block: the addition output frame feeds
-            # the next round's depthwise input (or the trailing head)
-            buf, last = out_frame(plan.add, f"round{plan.index}-add-out"), plan.add
+        q_pro_add = BoundedQueue(words, f"round{r}-pro-add")
+        chain(pro, _pro_process(pro_l, buf, q_pro_add, rounding))
+        # the round's last layer writes the frame the next round reads
+        buf = out_frame(r, streamed[-1])
+        if exp is None:
             add_sinks: list = [buf]
         else:
-            q_add_exp = BoundedQueue(words, f"round{plan.index}-add-exp")
-            buf, last = out_frame(plan.exp, f"round{plan.index}-exp-out"), plan.exp
-            add(plan.exp, _exp_process(layers[plan.exp], SingleConsumptionStream(q_add_exp),
-                                       buf, rounding, stats, plan.exp,
-                                       _layer_probe(exp_probe, plan.exp)))
+            q_add_exp = BoundedQueue(words, f"round{r}-add-exp")
+            chain(exp, _exp_process(layers[exp], SingleConsumptionStream(q_add_exp), buf,
+                                    rounding, _layer_probe(exp_probe, exp)))
             add_sinks = [q_add_exp]
-        if plan.add in sources:
+        if add in sources:
             add_sinks.append(res_fifo)
         res_in = res_fifo if add_l.residual_from is not None else None
-        add(plan.add, _add_process(add_l, q_pro_add, res_in, add_sinks, rounding, stats, plan.add))
+        chain(add, _add_process(add_l, q_pro_add, res_in, add_sinks, rounding))
 
-    if last != len(layers) - 1:
-        raise PlanError("no round produced the final layer's output")
     # each engine's processes run one after another as one process
     procs = [itertools.chain(*c) for c in chains.values()]
     _run_threaded(procs) if threaded else _run_round_robin(procs)
-    logits = _tensor_from_frame(buf, layers[last], "out")
-    return InferenceResult(logits=logits, stats=stats, mode="threads" if threaded else "stream")
+    return InferenceResult(logits=_tensor_from_frame(buf, layers[-1], "out"),
+                           stats={i: nominal_stats(l) for i, l in enumerate(layers)},
+                           mode="threads" if threaded else "stream")

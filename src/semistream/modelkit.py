@@ -4,7 +4,8 @@ Builds quantized MobileNetV2-style graphs (entry 3x3 convolution, a
 chain of expansion/depthwise/projection bottleneck blocks with residual
 shortcuts, and an optional classification head), derives every run-time
 integer parameter from the floating-point quantization scalars, pads
-channel counts to the 16-lane engine width, and reads/writes the
+channel counts to the 16-lane engine width, plans the round schedule
+each prepared model runs (PreparedModel.rounds), and reads/writes the
 on-disk model package format. Image file loading lives here too since
 images are just quantized tensors with an external encoding.
 """
@@ -16,12 +17,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from numbers import Integral
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FormatError, SemistreamError
+from .errors import DomainError, FormatError, PlanError, SemistreamError
 from .quantcore import (
     AddParams,
     MultShift,
@@ -274,6 +277,11 @@ class PreparedModel:
     def residual_sources(self) -> set[int]:
         return set(self.residual_table.values())
 
+    @cached_property
+    def rounds(self) -> list[RoundPlan]:
+        """The round plan, built on first use; never saved, not part of ==."""
+        return schedule_rounds(self)
+
     def __eq__(self, other):
         if not isinstance(other, PreparedModel):
             return NotImplemented
@@ -354,6 +362,8 @@ def build_model(
     """
     if resolution < 4 or resolution % 2:
         raise DomainError(f"resolution {resolution} must be even and at least 4")
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be non-negative")
     if not blocks:
         raise DomainError("at least one bottleneck block is required")
     for b in blocks:
@@ -494,8 +504,8 @@ def build_mobilenet_v2(
     """
     if resolution % 32:
         raise DomainError(f"resolution {resolution} is not divisible by 32")
-    if width_multiplier <= 0:
-        raise DomainError("width multiplier must be positive")
+    if not 0 < width_multiplier < math.inf:
+        raise DomainError(f"width multiplier {width_multiplier} must be positive and finite")
     blocks = _expand_settings(MOBILENET_V2_SETTINGS, width_multiplier)
     head = HEAD_CHANNELS
     if width_multiplier > 1.0:
@@ -692,6 +702,90 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
             l.mults = [ms] * l.out_ch
         elif l.kind is Kind.ADD and l.residual_from is not None:
             l.add_params = _derive_add_params(l, layers[l.residual_from], rounding)
+
+
+class RoundPlan(NamedTuple):
+    """Layer indices of one round, stage by stage.
+
+    whole runs whole frames one after another: the entry convolution,
+    block 0's expansion and the depthwise layer, or a trailing round's
+    single layer. streamed is (projection, addition) or (projection,
+    addition, next block's expansion), paced through queues; a trailing
+    round has none.
+    """
+
+    whole: tuple[int, ...]
+    streamed: tuple[int, ...] = ()
+
+    @property
+    def trailing(self) -> bool:
+        return not self.streamed
+
+
+def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
+    """Assign every layer to its round and stage (read it as PreparedModel.rounds).
+
+    Raises PlanError unless every layer runs in a round and the last
+    round writes the final layer.
+    """
+    by_block: dict[int, dict[Kind, int]] = {}
+    head: list[int] = []
+    entry: int | None = None
+    for idx, l in enumerate(model.layers):
+        if l.block is not None:
+            slot = by_block.setdefault(l.block, {})
+            if l.kind in slot:
+                raise PlanError(f"block {l.block} has two {l.kind.value} layers")
+            slot[l.kind] = idx
+        elif l.kind is Kind.C2D:
+            if entry is not None:
+                raise PlanError("more than one entry convolution")
+            entry = idx
+        else:
+            head.append(idx)
+
+    if entry is None:
+        raise PlanError("model has no entry convolution")
+    nblocks = len(by_block)
+    if set(by_block) != set(range(nblocks)):
+        raise PlanError("block indices are not contiguous from zero")
+    plans: list[RoundPlan] = []
+    for k in range(nblocks):
+        slot = by_block[k]
+        if Kind.DWC not in slot or Kind.PRO not in slot or Kind.ADD not in slot:
+            raise PlanError(f"block {k} is missing an engine slot")
+        whole = (entry, slot.get(Kind.EXP), slot[Kind.DWC]) if k == 0 else (slot[Kind.DWC],)
+        # each round hosts the next block's expansion, one block ahead
+        streamed = (slot[Kind.PRO], slot[Kind.ADD], by_block.get(k + 1, {}).get(Kind.EXP))
+        plans.append(RoundPlan(tuple(i for i in whole if i is not None),
+                               tuple(i for i in streamed if i is not None)))
+    for idx in head:
+        l = model.layers[idx]
+        if l.kind not in (Kind.EXP, Kind.AVGPOOL, Kind.PRO):
+            raise PlanError(f"layer {idx} ({l.kind.value}) cannot run as a trailing round")
+        plans.append(RoundPlan((idx,)))
+    missing = set(range(len(model.layers))).difference(*(p.whole + p.streamed for p in plans))
+    if missing:
+        raise PlanError(f"layers {sorted(missing)} run in no round")
+    if (plans[-1].streamed or plans[-1].whole)[-1] != len(model.layers) - 1:
+        raise PlanError("no round produced the final layer's output")
+    return plans
+
+
+def residual_fifo_capacity(model: PreparedModel) -> int:
+    """Residual FIFO capacity in 16-lane words.
+
+    The FIFO must hold one full projection output frame while the next
+    round drains it, so it is sized by the largest projection frame in
+    the network (pixels times channel batches).
+    """
+    best = 0
+    for l in model.layers:
+        if l.kind is Kind.PRO:
+            best = max(best, l.out_h * l.out_w * (l.out_ch // LANES))
+    if best == 0:
+        raise PlanError("model has no projection layers")
+    return best
 
 
 def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> PreparedModel:

@@ -1,9 +1,9 @@
 """Analytic performance model.
 
-Latency comes from the round schedule (RoundPlan.stages): each round
-overlaps its stage-one whole-frame work (entry convolution, block 0's
-expansion and depthwise) with the loading of the projection and
-expansion weights it needs, then runs its stage-two engines
+Latency comes from the model's round plan (PreparedModel.rounds): each
+round overlaps its stage-one whole-frame layers (entry convolution,
+block 0's expansion and depthwise) with the loading of the projection
+and expansion weights it needs, then runs its streamed layers
 (projection, addition, expansion) which pace each other; the slower of
 stage one and the weight load gates stage two. A trailing head round
 runs one engine with nothing beside it to hide the load, so its weight
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dataflow import RoundPlan, schedule_rounds
 from .engines import (
     ADD_OPS_PER_CYCLE,
     ADD_STREAM_BITS,
@@ -30,7 +29,7 @@ from .engines import (
     weight_bytes,
 )
 from .errors import DomainError
-from .modelkit import Kind, PreparedModel
+from .modelkit import Kind, PreparedModel, RoundPlan
 
 #: External memory bandwidth (gigabytes per second) at which the
 #: standard 224x224 model lands at 10.596 ms per frame under the
@@ -50,8 +49,11 @@ class ClockConfig:
     bandwidth_gbps: float = CALIBRATED_BANDWIDTH_GBPS
 
     def __post_init__(self):
-        if self.frequency_mhz <= 0 or self.bandwidth_gbps <= 0:
-            raise DomainError("clock frequency and bandwidth must be positive")
+        # NaN fails every comparison; infinite bandwidth stays legal
+        if not (0 < self.frequency_mhz < math.inf and self.bandwidth_gbps > 0
+                and self.bytes_per_cycle > 0):
+            raise DomainError("clock frequency and bandwidth must be positive, "
+                              "the frequency finite")
 
     @property
     def bytes_per_cycle(self) -> float:
@@ -105,7 +107,7 @@ def _round_numbers(model: PreparedModel, plan: RoundPlan) -> tuple[int, int, int
     Only the pointwise engines (projection and expansion) load their
     weights for the round.
     """
-    whole, streamed = ([model.layers[i] for _, i in part] for part in plan.stages)
+    whole, streamed = ([model.layers[i] for i in stage] for stage in (plan.whole, plan.streamed))
     load_bytes = sum(weight_bytes(l) for l in whole + streamed if l.kind in (Kind.PRO, Kind.EXP))
     whole_cycles = sum(engine_cycles(l) for l in whole)
     if plan.trailing:
@@ -120,15 +122,19 @@ def estimate_timeline(
     """Per-round latency timeline of one frame."""
     entries: list[TimelineEntry] = []
     cursor = 0
-    for plan in schedule_rounds(model):
+    for r, plan in enumerate(model.rounds):
         stage1, load_bytes, stage2 = _round_numbers(model, plan)
-        load = math.ceil(load_bytes / clock.bytes_per_cycle)
+        load = load_bytes / clock.bytes_per_cycle
+        if not math.isfinite(load):
+            raise DomainError(f"round {r}: loading {load_bytes} weight bytes at "
+                              f"{clock.bytes_per_cycle!r} bytes/cycle takes no finite time")
+        load = math.ceil(load)
         gate = max(stage1, load)
         # a trailing round has no stage-one raster to hide the load behind,
         # so its own compute is the yardstick instead
         yardstick = stage2 if plan.trailing else stage1
         entry = TimelineEntry(
-            round_index=plan.index,
+            round_index=r,
             stage1_cycles=stage1,
             weight_load_cycles=load,
             stage2_cycles=stage2,

@@ -183,6 +183,32 @@ def test_infer_rejects_a_malformed_image(pkg64, tmp_path):
     assert "Traceback" not in alltext(res)
 
 
+@pytest.mark.parametrize("args", [
+    ("gen-model", "--width", "nan"),
+    ("gen-model", "--width", "inf"),
+    ("gen-model", "--seed", "-1"),
+    ("gen-image", "--seed", "-1"),
+    ("gen-image", "--resolution", "-4"),
+    ("gen-image", "--channels", "-1"),
+    ("gen-image", "--resolution", "0"),
+    ("gen-image", "--channels", "0"),
+    ("verify", "--seed", "-1"),
+    ("report", "--freq-mhz", "nan"),
+    ("report", "--freq-mhz", "inf"),
+    ("report", "--bandwidth-gbps", "nan"),
+    ("report", "--bandwidth-gbps", "1e-320"),
+], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
+def test_bad_numeric_inputs_exit_2_without_a_traceback(args, pkg64, tmp_path):
+    target = {"gen-model": ["--out", tmp_path / "m", "--resolution", 32],
+              "gen-image": ["--out", tmp_path / "i.ppm"],
+              "verify": ["--trials", 1],
+              "report": ["--model", pkg64]}[args[0]]
+    res = run_cli(*args, *target)
+    assert res.exit_code == 2, alltext(res)
+    assert "Traceback" not in alltext(res)
+    assert not (tmp_path / "m").exists() and not (tmp_path / "i.ppm").exists()
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from semistream.modelkit import (
     save_package,
 )
 from semistream.oracle import run_model_naive
+from semistream.perfmodel import estimate_timeline
 from semistream.quantcore import Rounding
 
 from conftest import toy_model, toy_pair
@@ -197,41 +198,67 @@ def test_single_consumption_stream():
 # round schedule
 # ---------------------------------------------------------------------------
 
+def _kinds(model, stage):
+    return [model.layers[i].kind for i in stage]
+
+
 def test_standard_schedule_shape(standard):
     plans = schedule_rounds(standard)
     assert len(plans) == 20
     main = [p for p in plans if not p.trailing]
     assert len(main) == 17
-    assert main[0].c2d == 0 and main[0].exp_pre is None
-    for p in main:
-        assert p.dwc is not None and p.pro is not None and p.add is not None
+    assert main[0].whole[0] == 0
+    assert _kinds(standard, main[0].whole) == [Kind.C2D, Kind.DWC]  # block 0 has no expansion
+    for k, p in enumerate(main):
+        assert _kinds(standard, p.whole)[-1] is Kind.DWC
+        assert _kinds(standard, p.streamed)[:2] == [Kind.PRO, Kind.ADD]
+        assert all(standard.layers[i].block == k for i in p.whole[-1:] + p.streamed[:2])
     # each round hosts the NEXT block's expansion, pipelined one ahead
     for k, p in enumerate(main[:-1]):
-        exp = p.exp
-        if exp is not None:
-            assert standard.layers[exp].kind is Kind.EXP
-            assert standard.layers[exp].block == k + 1
-    assert main[16].exp is None  # the head expansion runs as its own round
+        (exp,) = p.streamed[2:]
+        assert standard.layers[exp].kind is Kind.EXP
+        assert standard.layers[exp].block == k + 1
+    assert len(main[16].streamed) == 2  # the head expansion runs as its own round
     tail = plans[17:]
-    kinds = [standard.layers[p.slots[0][1]].kind for p in tail]
-    assert kinds == [Kind.EXP, Kind.AVGPOOL, Kind.PRO]
-    assert all(p.trailing for p in tail)
+    assert [_kinds(standard, p.whole) for p in tail] == [[Kind.EXP], [Kind.AVGPOOL], [Kind.PRO]]
+    assert all(p.trailing and p.streamed == () for p in tail)
 
 
 def test_slots_are_ordered(standard):
-    plans = schedule_rounds(standard)
-    order = ["c2d", "exp_pre", "dwc", "pro", "add", "exp"]
-    for p in plans:
-        names = [n for n, _ in p.slots]
-        assert names == [n for n in order if n in names]
+    with_exp0 = prepare(build_model([BlockSpec(2, 16, 1), BlockSpec(3, 16, 1)], 8, seed=5))
+    assert _kinds(with_exp0, with_exp0.rounds[0].whole) == [Kind.C2D, Kind.EXP, Kind.DWC]
+    whole_order = [Kind.C2D, Kind.EXP, Kind.DWC]
+    for model in (standard, with_exp0):
+        for p in schedule_rounds(model):
+            whole = _kinds(model, p.whole)
+            if p.trailing:
+                assert len(whole) == 1
+                continue
+            assert whole == [k for k in whole_order if k in whole]
+            assert _kinds(model, p.streamed) in (
+                [Kind.PRO, Kind.ADD], [Kind.PRO, Kind.ADD, Kind.EXP])
 
 
 def test_toy_schedule_covers_every_layer():
     for seed in range(6):
         model = toy_model(seed, include_head=seed % 2 == 0)
         plans = schedule_rounds(model)
-        assigned = sorted(i for p in plans for _, i in p.slots)
+        assigned = sorted(i for p in plans for i in p.whole + p.streamed)
         assert assigned == list(range(len(model.layers)))
+
+
+def test_one_round_plan_per_model(monkeypatch):
+    import semistream.modelkit as modelkit
+
+    calls = []
+    real = modelkit.schedule_rounds
+    monkeypatch.setattr(modelkit, "schedule_rounds", lambda m: calls.append(m) or real(m))
+    model, image, _ = toy_pair(3)
+    want = run_inference(model, image, mode="sequential").logits
+    for mode in ("stream", "stream", "threads"):
+        assert run_inference(model, image, mode=mode).logits == want
+    estimate_timeline(model)
+    assert calls == [model]
 
 
 def _with_layers(model, layers):
@@ -266,9 +293,16 @@ def test_schedule_rejects_malformed_graphs():
     stray = dataclasses.replace(dup_block, block=None)
     with pytest.raises(PlanError, match="trailing"):
         schedule_rounds(_with_layers(model, model.layers + [stray]))
+    # a pooling layer tagged with a block has no slot there
+    headed = toy_model(0, include_head=True)
+    pool = next(i for i, l in enumerate(headed.layers) if l.kind is Kind.AVGPOOL)
+    layers = list(headed.layers)
+    layers[pool] = dataclasses.replace(layers[pool], block=0)
+    with pytest.raises(PlanError, match=rf"layers \[{pool}\] run in no round"):
+        schedule_rounds(_with_layers(headed, layers))
 
 
-@pytest.mark.parametrize("mode", ["stream", "threads"])
+@pytest.mark.parametrize("mode", ["stream", "threads", "timeline"])
 def test_rounds_must_produce_the_final_layer(mode):
     # the entry convolution runs in round 0, so later rounds overwrite
     # its frame before a run could read it as the logits
@@ -279,7 +313,10 @@ def test_rounds_must_produce_the_final_layer(mode):
     image = QTensor(first.in_h, first.in_w, first.in_ch, pixels,
                     first.in_zero, first.in_scale)
     with pytest.raises(PlanError, match="no round produced the final layer's output"):
-        run_inference(moved, image, mode=mode)
+        if mode == "timeline":
+            estimate_timeline(moved)
+        else:
+            run_inference(moved, image, mode=mode)
 
 
 def test_residual_fifo_capacity(standard):

@@ -120,6 +120,17 @@ def test_width_multiplier_integrality():
         build_mobilenet_v2(width_multiplier=1.3, resolution=32)
 
 
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -0.5])
+def test_width_multiplier_must_be_positive_and_finite(width):
+    with pytest.raises(DomainError, match="positive and finite"):
+        build_mobilenet_v2(width, 32)
+
+
+def test_build_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="seed -1"):
+        build_model([BlockSpec(1, 16, 1)], 8, seed=-1)
+
+
 def test_width_multiplier_scales_channels():
     graph = build_mobilenet_v2(width_multiplier=0.5, resolution=32)
     # entry conv is pinned at 32 filters regardless of width

@@ -66,6 +66,15 @@ def test_clock_config_validation():
     with pytest.raises(DomainError):
         ClockConfig(bandwidth_gbps=-1.0)
     assert ClockConfig(bandwidth_gbps=math.inf).bytes_per_cycle == math.inf
+    for bad in (dict(frequency_mhz=math.nan), dict(frequency_mhz=math.inf),
+                dict(bandwidth_gbps=math.nan)):
+        with pytest.raises(DomainError):
+            ClockConfig(**bad)
+
+
+def test_timeline_rejects_a_load_that_takes_no_finite_time(standard):
+    with pytest.raises(DomainError, match="no finite time"):
+        estimate_timeline(standard, ClockConfig(bandwidth_gbps=1e-320))
 
 
 # ---------------------------------------------------------------------------
