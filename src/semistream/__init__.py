@@ -21,15 +21,11 @@ from .quantcore import (
     AddParams,
     BatchNormParams,
     MultShift,
-    RequantParams,
     Rounding,
-    clamp,
     fold_batch_norm,
     narrow_bias,
     quantize_multiplier,
-    requantize,
     requantize_array,
-    shift_round,
 )
 from .modelkit import (
     ACC_BOUND,

@@ -2,7 +2,7 @@
 
 Commands: gen-model, gen-image, prepare, infer, verify, report.
 Exit codes: 0 on success, 1 when verification finds a mismatch, 2 for
-usage errors or malformed inputs.
+usage errors, malformed inputs or a file that cannot be read or written.
 """
 from __future__ import annotations
 
@@ -44,12 +44,19 @@ _MODE = click.Choice(["stream", "sequential", "threads"])
 _SEED = click.IntRange(min=0)
 
 
-def _fail(message: str, code: int = 2) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """The one error boundary: a rejected input or a failed file access
+    prints ``error: ...`` and exits 2, without a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SemistreamError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            ctx.exit(2)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Integer-only quantized CNN inference with an analytic performance model."""
 
@@ -62,12 +69,9 @@ def main():
 @click.option("--rounding", default="nearest", show_default=True, type=_ROUNDING)
 def gen_model(out_dir, seed, width, resolution, rounding):
     """Generate a seeded random quantized model and save it as a package."""
-    try:
-        graph = build_mobilenet_v2(width_multiplier=width, resolution=resolution, seed=seed)
-        model = prepare(graph, Rounding(rounding))
-        save_package(model, out_dir)
-    except SemistreamError as e:
-        _fail(str(e))
+    graph = build_mobilenet_v2(width_multiplier=width, resolution=resolution, seed=seed)
+    model = prepare(graph, Rounding(rounding))
+    save_package(model, out_dir)
     click.echo(f"wrote {out_dir}: {len(model.layers)} layers, "
                f"{model.num_blocks} blocks, resolution {resolution}, seed {seed}")
     click.echo(_round_summary(model.rounds))
@@ -89,13 +93,10 @@ def gen_image(out_path, resolution, channels, seed):
     """Generate a random test image (PPM for 3 channels, raw otherwise)."""
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(resolution, resolution, channels), dtype=np.uint8)
-    try:
-        if channels == 3 and not str(out_path).endswith(".raw"):
-            save_ppm(out_path, pixels)
-        else:
-            save_raw(out_path, pixels)
-    except SemistreamError as e:
-        _fail(str(e))
+    if channels == 3 and not str(out_path).endswith(".raw"):
+        save_ppm(out_path, pixels)
+    else:
+        save_raw(out_path, pixels)
     click.echo(f"wrote {out_path}")
 
 
@@ -103,11 +104,8 @@ def gen_image(out_path, resolution, channels, seed):
 @click.option("--model", "model_dir", required=True, type=click.Path(exists=True))
 def prepare_cmd(model_dir):
     """Load a package, validate it, and print a layer summary."""
-    try:
-        model = load_package(model_dir)
-        plans = model.rounds
-    except SemistreamError as e:
-        _fail(str(e))
+    model = load_package(model_dir)
+    plans = model.rounds
     click.echo(f"package ok: {len(model.layers)} layers, {model.num_blocks} blocks, "
                f"resolution {model.resolution}, rounding {model.rounding.value}")
     click.echo(_round_summary(plans))
@@ -133,26 +131,24 @@ def prepare_cmd(model_dir):
 @click.option("--mode", default="stream", show_default=True, type=_MODE)
 @click.option("--rounding", default=None, type=_ROUNDING,
               help="Override the rounding mode the package was prepared with.")
-@click.option("--top", default=5, show_default=True, type=int, help="Classes to print.")
+@click.option("--top", default=5, show_default=True, type=click.IntRange(min=0),
+              help="Classes to print.")
 @click.option("--stats", is_flag=True, help="Print per-layer work accounting.")
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Write all logits as JSON.")
 def infer(model_dir, image_path, mode, rounding, top, stats, out_path):
     """Run one image through a model package."""
-    try:
-        model = load_package(model_dir)
-        pixels = load_image(image_path)
-        image = image_to_qtensor(pixels, model)
-        result = run_inference(
-            model, image, mode=mode,
-            rounding=None if rounding is None else Rounding(rounding),
-        )
-    except SemistreamError as e:
-        _fail(str(e))
+    model = load_package(model_dir)
+    pixels = load_image(image_path)
+    image = image_to_qtensor(pixels, model)
+    result = run_inference(
+        model, image, mode=mode,
+        rounding=None if rounding is None else Rounding(rounding),
+    )
     last = model.layers[-1]
     raw = result.logits.data.reshape(-1)[: last.orig_out_ch]
     real = dequantize(raw, last.out_scale, last.out_zero)
-    order = np.argsort(real)[::-1][: max(0, top)]
+    order = np.argsort(real)[::-1][:top]
     click.echo(f"mode {result.mode}, {len(raw)} classes")
     for rank, cls in enumerate(order, 1):
         click.echo(f"  {rank}. class {cls}: code {int(raw[cls])}, value {real[cls]:+.6f}")
@@ -218,10 +214,10 @@ def _random_pointwise_twins(rng) -> tuple[LayerDesc, LayerDesc, QTensor]:
         in_h=h, in_w=w, in_ch=cin, out_h=h, out_w=w, out_ch=cout,
         in_scale=0.05, in_zero=int(rng.integers(0, 256)),
         out_scale=0.05, out_zero=int(rng.integers(0, 256)),
-        filters=filters, mults=mults, apass=cin // 16, fpass=cout // 16,
+        filters=filters, mults=mults,
     )
-    pro = LayerDesc(kind=Kind.PRO, bias_bits=18, **common)
-    exp = LayerDesc(kind=Kind.EXP, bias_bits=16, **common)
+    pro = LayerDesc(kind=Kind.PRO, **common)
+    exp = LayerDesc(kind=Kind.EXP, **common)
     x = QTensor(h, w, cin,
                 rng.integers(0, 256, size=(h, w, cin), dtype=np.uint8),
                 zero_point=pro.in_zero, scale=pro.in_scale)
@@ -302,22 +298,17 @@ def run_verification(
 
 @main.command("verify")
 @click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("--trials", default=5, show_default=True, type=int)
+@click.option("--trials", default=5, show_default=True, type=click.IntRange(min=0))
 @click.option("--model", "model_dir", default=None, type=click.Path(exists=True),
               help="Verify this package instead of fresh random models.")
 def verify(seed, trials, model_dir):
     """Run randomized self-checks; exit 1 if any fail."""
-    if trials < 0:
-        _fail("--trials must be >= 0")
     if trials == 0:
         click.echo("warning: 0 trials requested, no checks run", err=True)
         click.echo("0/0 checks passed")
         return
-    try:
-        model = load_package(model_dir) if model_dir else None
-        results = run_verification(seed=seed, trials=trials, model=model)
-    except SemistreamError as e:
-        _fail(str(e))
+    model = load_package(model_dir) if model_dir else None
+    results = run_verification(seed=seed, trials=trials, model=model)
     failed = 0
     for name, ok, detail in results:
         mark = "ok" if ok else "FAIL"
@@ -343,12 +334,9 @@ def report(model_dir, freq_mhz, bandwidth_gbps, infinite_bandwidth, fmt, out_pat
     """Print the analytic performance report for a model package."""
     if infinite_bandwidth:
         bandwidth_gbps = float("inf")
-    try:
-        model = load_package(model_dir)
-        clock = ClockConfig(frequency_mhz=freq_mhz, bandwidth_gbps=bandwidth_gbps)
-        rep = performance_report(model, clock)
-    except SemistreamError as e:
-        _fail(str(e))
+    model = load_package(model_dir)
+    clock = ClockConfig(frequency_mhz=freq_mhz, bandwidth_gbps=bandwidth_gbps)
+    rep = performance_report(model, clock)
     if fmt == "csv":
         target = open(out_path, "w", newline="") if out_path else sys.stdout
         try:

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .modelkit import (
     ACC_BOUND,
+    BIAS_BITS,
     ENGINE_FOR_KIND,
     LANES,
     Kind,
@@ -60,12 +61,11 @@ ADD_OPS_PER_CYCLE = 54
 
 #: Per-engine weight port geometry: (memories, word bits, bias word bits).
 #: Each memory delivers one word per cycle; the bias port delivers one
-#: bias word per output batch. The entry convolution keeps its weights
-#: in fabric constants and has no port.
+#: bias word (16 lanes of BIAS_BITS) per output batch. The entry
+#: convolution keeps its weights in fabric constants and has no port.
 WEIGHT_GEOMETRY = {
-    "DWC": (9, 128, 256),
-    "PRO": (16, 128, 288),
-    "EXP": (16, 128, 256),
+    engine: (memories, 128, LANES * BIAS_BITS[engine])
+    for engine, memories in (("DWC", 9), ("PRO", 16), ("EXP", 16))
 }
 #: Width of the streams feeding the addition engine.
 ADD_STREAM_BITS = 128
@@ -550,7 +550,7 @@ def layout_weights(layer: LayerDesc) -> WeightMemoryImage:
         bias_words=bias_words,
         word_bits=word_bits,
         bias_word_bits=bias_word_bits,
-        bias_lane_bits=18 if engine == "PRO" else 16,
+        bias_lane_bits=BIAS_BITS[engine],
     )
 
 

@@ -77,6 +77,10 @@ ENGINE_FOR_KIND = {
     Kind.AVGPOOL: "DWC",
 }
 
+#: Signed bit width of each engine's bias lanes; the projection engine's
+#: are wider. The addition engine has no bias.
+BIAS_BITS = {"C2D": 16, "DWC": 16, "PRO": 18, "EXP": 16}
+
 #: Kernel side of each filter-bearing kind; ADD and AVGPOOL carry no filters.
 _KERNEL_SIDE = {Kind.C2D: 3, Kind.DWC: 3, Kind.EXP: 1, Kind.PRO: 1}
 
@@ -189,14 +193,11 @@ class LayerDesc:
     filters: QFilterSet | None = None
     block: int | None = None
     residual_from: int | None = None
-    bias_bits: int = 16
     orig_in_ch: int = 0
     orig_out_ch: int = 0
     # derived from the fields above by prepare() and load_package()
     mults: list[MultShift] | None = None
     add_params: AddParams | None = None
-    apass: int = 0
-    fpass: int = 0
     # (mults, int64 multipliers, int64 shifts), built by mult_vectors()
     _mult_vectors: tuple | None = field(default=None, init=False, repr=False)
 
@@ -211,12 +212,27 @@ class LayerDesc:
             return NotImplemented
         plain = (
             "kind in_h in_w in_ch out_h out_w out_ch in_scale in_zero out_scale "
-            "out_zero stride block residual_from bias_bits orig_in_ch orig_out_ch "
-            "mults add_params apass fpass"
+            "out_zero stride block residual_from orig_in_ch orig_out_ch "
+            "mults add_params"
         ).split()
         return all(getattr(self, f) == getattr(other, f) for f in plain) and (
             self.filters == other.filters
         )
+
+    @property
+    def apass(self) -> int:
+        """Input-channel batches per pass; the entry convolution takes one."""
+        return 1 if self.kind is Kind.C2D else self.in_ch // LANES
+
+    @property
+    def fpass(self) -> int:
+        """Output-channel batches (filter passes)."""
+        return self.out_ch // LANES
+
+    @property
+    def bias_bits(self) -> int | None:
+        """Bias lane width of the layer's engine; None on the addition engine."""
+        return BIAS_BITS.get(ENGINE_FOR_KIND[self.kind])
 
     def mult_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """``mults`` as read-only int64 multiplier and shift vectors.
@@ -386,7 +402,7 @@ def build_model(
         out_h=out_side, out_w=out_side, out_ch=ENTRY_FILTERS,
         in_scale=image_scale, in_zero=image_zero,
         out_scale=out_scale, out_zero=out_zero,
-        stride=2, filters=entry_filters, bias_bits=16,
+        stride=2, filters=entry_filters,
     ))
 
     side = out_side
@@ -406,7 +422,7 @@ def build_model(
                 out_h=side, out_w=side, out_ch=expanded,
                 in_scale=in_scale, in_zero=in_zero,
                 out_scale=s, out_zero=z,
-                filters=f, block=bi, bias_bits=16,
+                filters=f, block=bi,
             ))
             in_scale, in_zero = s, z
 
@@ -419,7 +435,7 @@ def build_model(
             out_h=dw_out, out_w=dw_out, out_ch=expanded,
             in_scale=in_scale, in_zero=in_zero,
             out_scale=s, out_zero=z,
-            stride=spec.stride, filters=f, block=bi, bias_bits=16,
+            stride=spec.stride, filters=f, block=bi,
         ))
         in_scale, in_zero = s, z
 
@@ -431,7 +447,7 @@ def build_model(
             out_h=dw_out, out_w=dw_out, out_ch=spec.out_ch,
             in_scale=in_scale, in_zero=in_zero,
             out_scale=s, out_zero=z,
-            filters=f, block=bi, bias_bits=18,
+            filters=f, block=bi,
         ))
 
         has_residual = spec.stride == 1 and spec.out_ch == cin and prev_add_index is not None
@@ -462,7 +478,7 @@ def build_model(
             out_h=side, out_w=side, out_ch=head_channels,
             in_scale=in_scale, in_zero=in_zero,
             out_scale=s, out_zero=z,
-            filters=f, bias_bits=16,
+            filters=f,
         ))
         in_scale, in_zero = s, z
         # pooled edge scale sits above in_scale/(H*W) so the pooling
@@ -484,7 +500,7 @@ def build_model(
             out_h=1, out_w=1, out_ch=classes,
             in_scale=pool_scale, in_zero=pool_zero,
             out_scale=s, out_zero=z,
-            filters=f, bias_bits=18,
+            filters=f,
         ))
 
     return ModelGraph(layers=layers, resolution=resolution,
@@ -524,13 +540,16 @@ def build_mobilenet_v2(
 # ---------------------------------------------------------------------------
 
 def validate_graph(graph: ModelGraph | PreparedModel) -> None:
-    """Check sizes, dimension chaining, edge quantization and filters.
+    """Check sizes, dimension chaining, edge quantization, shortcuts and filters.
 
-    Also accepts a prepared model, whose padded channels chain the same way.
+    A shortcut must read the nearest earlier addition, whose frame is the
+    one the residual FIFO holds. Also accepts a prepared model, whose
+    padded channels chain the same way.
     """
     layers = graph.layers
     if not layers:
         raise DomainError("graph has no layers")
+    last_add = None
     for idx, l in enumerate(layers):
         sizes = (l.in_h, l.in_w, l.in_ch, l.out_h, l.out_w, l.out_ch,
                  l.stride, l.orig_in_ch, l.orig_out_ch)
@@ -566,6 +585,9 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
             src = layers[r]
             if (src.out_h, src.out_w, src.out_ch) != (l.in_h, l.in_w, l.in_ch):
                 raise DomainError(f"layer {idx} residual dims do not match its input")
+            if r != last_add:
+                raise DomainError(
+                    f"layer {idx} residual source {r} is not the nearest earlier addition")
         elif l.kind is Kind.ADD and (l.in_scale, l.in_zero) != (l.out_scale, l.out_zero):
             raise DomainError(f"pass-through layer {idx} must keep its input edge")
         side, f = _KERNEL_SIDE.get(l.kind), l.filters
@@ -576,6 +598,8 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
             expect = (side, side, 1 if l.kind is Kind.DWC else l.in_ch, l.out_ch)
             if (f.kernel_h, f.kernel_w, f.in_channels, f.out_channels) != expect:
                 raise DomainError(f"layer {idx} filter bank does not match the layer")
+        if l.kind is Kind.ADD:
+            last_add = idx
     first = layers[0]
     if (first.in_h, first.in_w) != (graph.resolution, graph.resolution):
         raise DomainError(f"resolution {graph.resolution!r} does not match the entry layer")
@@ -674,16 +698,14 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
     """Derive every run-time integer parameter of validated, padded layers in place.
 
     The one derivation behind prepare() and load_package(): converts
-    per-channel rescale factors to multiplier/shift pairs, checks narrow
-    bias storage (16 bits, or 18 for projection layers) and the
-    accumulator bound, and sets addition parameters and pass counts.
+    per-channel rescale factors to multiplier/shift pairs, checks each
+    bias against its engine's lane width (BIAS_BITS) and the accumulator
+    bound, and sets addition parameters.
     """
     for idx, l in enumerate(layers):
         check_acc_bound(l)
-        l.apass = 1 if l.kind is Kind.C2D else l.in_ch // LANES
-        l.fpass = l.out_ch // LANES
         if l.kind in (Kind.C2D, Kind.DWC, Kind.EXP, Kind.PRO):
-            f = l.filters
+            f, bits = l.filters, l.bias_bits
             mults = []
             for ch, (scale, bias) in enumerate(zip(f.scales.tolist(), f.biases.tolist())):
                 m = l.in_scale * scale / l.out_scale
@@ -692,7 +714,7 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
                         f"layer {idx} channel {ch}: rescale factor {m!r} outside (0, 1)"
                     )
                 mults.append(quantize_multiplier(m, rounding))
-                narrow_bias(bias, l.bias_bits)
+                narrow_bias(bias, bits)
             l.mults = mults
         elif l.kind is Kind.AVGPOOL:
             m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
@@ -793,7 +815,7 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
 
     Validates the graph, pads channels to the 16-lane width and runs the
     derivation load_package() shares: multiplier/shift pairs, narrow bias
-    storage, the accumulator bound, addition parameters and pass counts.
+    storage, the accumulator bound and addition parameters.
     """
     validate_graph(graph)
     layers: list[LayerDesc] = []
@@ -824,8 +846,8 @@ def _sha256(data: bytes) -> str:
 
 
 #: LayerDesc fields a manifest layer entry stores under their own names.
-_SCALAR_FIELDS = ("stride", "block", "residual_from", "bias_bits", "orig_in_ch",
-                  "orig_out_ch", "in_scale", "in_zero", "out_scale", "out_zero")
+_SCALAR_FIELDS = ("stride", "block", "residual_from", "orig_in_ch", "orig_out_ch",
+                  "in_scale", "in_zero", "out_scale", "out_zero")
 
 
 def _blob_name(idx: int, part: str) -> str:
@@ -840,9 +862,9 @@ def save_package(model: PreparedModel, path: str | Path) -> Path:
     geometry, quantization, per-blob checksums and the rounding mode. No
     derived parameter is stored; load_package() re-derives them all.
     Blobs are raw little-endian, named by layer position: uint8 weights,
-    and biases widened to 32-bit two's complement with their logical
-    width declared in the manifest. Saving the same model twice produces
-    byte-identical trees.
+    and biases widened to 32-bit two's complement. Pass counts and bias
+    widths follow from each layer's engine and are never stored. Saving
+    the same model twice produces byte-identical trees.
     """
     root = Path(path)
     (root / "blobs").mkdir(parents=True, exist_ok=True)
@@ -937,6 +959,8 @@ def load_package(path: str | Path) -> PreparedModel:
     Raises FormatError for a malformed manifest, another format version
     (regenerate older packages) or a missing, truncated or corrupt blob;
     DomainError or RangeError when validation or derivation rejects it.
+    Keys the reader does not use, such as the bias_bits older writers
+    stored, are ignored: bias widths come from each layer's engine.
     """
     root = Path(path)
     mpath = root / "manifest.json"

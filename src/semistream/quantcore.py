@@ -4,8 +4,9 @@ Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
 m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, and
 applying it to an accumulator is a 64-bit multiply followed by a
-rounding shift. The module also folds batch normalization into
-convolution weights/biases and validates narrow bias storage.
+rounding shift (requantize_array, over whole arrays). The module also
+folds batch normalization into convolution weights/biases and validates
+narrow bias storage.
 """
 from __future__ import annotations
 
@@ -57,23 +58,6 @@ class MultShift:
     def value(self) -> float:
         """The real scalar this pair encodes."""
         return self.mult * 2.0 ** -self.shift
-
-
-@dataclass(frozen=True)
-class RequantParams:
-    """Per-channel requantization: rescale, re-center and clamp bounds."""
-
-    ms: MultShift
-    out_zero: int
-    out_min: int = 0
-    out_max: int = 255
-
-    def __post_init__(self):
-        if not (self.out_min <= self.out_zero <= self.out_max):
-            raise DomainError(
-                f"output zero point {self.out_zero} outside clamp "
-                f"[{self.out_min}, {self.out_max}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -150,32 +134,6 @@ def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> Mult
     return MultShift(mult, shift)
 
 
-def shift_round(x: int, shift: int, rounding: Rounding = Rounding.NEAREST) -> int:
-    """Arithmetic right shift of a signed integer with selectable rounding."""
-    if shift == 0:
-        return x
-    if rounding is Rounding.TRUNCATE:
-        return x >> shift
-    half = 1 << (shift - 1)
-    if x >= 0:
-        return (x + half) >> shift
-    return -((-x + half) >> shift)
-
-
-def apply_mult_shift(acc: int, ms: MultShift, rounding: Rounding = Rounding.NEAREST) -> int:
-    """Rescale a signed accumulator by ms.value using integer arithmetic."""
-    return shift_round(int(acc) * ms.mult, ms.shift, rounding)
-
-
-def requantize(acc: int, params: RequantParams, rounding: Rounding = Rounding.NEAREST) -> int:
-    """Rescale an accumulator and add the output zero point.
-
-    The result is returned unclamped; callers clamp to the params'
-    [out_min, out_max] when producing activations.
-    """
-    return apply_mult_shift(acc, params.ms, rounding) + params.out_zero
-
-
 def requantize_array(
     acc: np.ndarray,
     mults: np.ndarray | int,
@@ -183,11 +141,12 @@ def requantize_array(
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """Vectorized requantize over an integer accumulator array.
+    """Rescale an integer accumulator array and add the output zero point.
 
     mults/shifts/out_zero broadcast against acc, which is left untouched:
     the product p = acc * mult is formed in one new int64 buffer and
-    every later step runs in place on it.
+    every later step runs in place on it. The result is not clamped;
+    the engines clamp it to uint8.
 
     Preconditions: every mult is positive (MultShift keeps it in
     [2**31, 2**32)), so sign(p) == sign(acc); every shift is at least 1;
@@ -218,13 +177,6 @@ def requantize_array(
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero
     return res
-
-
-def clamp(value: int, lo: int, hi: int) -> int:
-    """Clamp a scalar to [lo, hi]; DomainError if the bounds are inverted."""
-    if lo > hi:
-        raise DomainError(f"clamp bounds inverted: [{lo}, {hi}]")
-    return lo if value < lo else hi if value > hi else value
 
 
 def fold_batch_norm(

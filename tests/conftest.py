@@ -1,10 +1,11 @@
 """Shared builders for the test suite.
 
-Layer constructors assemble LayerDesc records directly, multiplier
-pairs included, so each engine can be driven in isolation without going
-through graph generation. The "benign" builders additionally calibrate
-the output quantization from the layer's real response range, which is
-what the dequantization error-bound tests rely on.
+Layer constructors assemble LayerDesc records directly and derive their
+parameters with the derivation prepare() runs, so each engine can be
+driven in isolation without going through graph generation. The
+"benign" builders additionally calibrate the output quantization from
+the layer's real response range, which is what the dequantization
+error-bound tests rely on.
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from semistream.modelkit import (
-    LANES,
     BlockSpec,
     Kind,
     LayerDesc,
     PreparedModel,
     QFilterSet,
     QTensor,
+    _derive_parameters,
     build_model,
     image_to_qtensor,
     prepare,
@@ -90,20 +91,9 @@ def random_filters(
     )
 
 
-def derive_mults(layer: LayerDesc, rounding: Rounding = Rounding.NEAREST) -> LayerDesc:
-    """Fill in the multiplier pairs and pass counts, mirroring prepare()."""
-    f = layer.filters
-    if f is not None:
-        layer.mults = [
-            quantize_multiplier(float(layer.in_scale * s / layer.out_scale), rounding)
-            for s in f.scales
-        ]
-    if layer.kind is Kind.C2D:
-        layer.apass, layer.fpass = 1, layer.out_ch // LANES
-    elif layer.kind in (Kind.DWC, Kind.AVGPOOL, Kind.ADD):
-        layer.apass = layer.fpass = layer.out_ch // LANES
-    else:
-        layer.apass, layer.fpass = layer.in_ch // LANES, layer.out_ch // LANES
+def derive(layer: LayerDesc, rounding: Rounding = Rounding.NEAREST) -> LayerDesc:
+    """A filter or pooling layer with the parameters prepare() derives."""
+    _derive_parameters([layer], rounding)
     return layer
 
 
@@ -120,7 +110,7 @@ def c2d_layer(rng: np.random.Generator) -> LayerDesc:
         stride=2,
         filters=random_filters(rng, 3, 3, 3, 32, in_scale, out_scale, bias_span=8000),
     )
-    return derive_mults(layer)
+    return derive(layer)
 
 
 def dwc_layer(
@@ -147,7 +137,7 @@ def dwc_layer(
         stride=stride,
         filters=f,
     )
-    return derive_mults(layer)
+    return derive(layer)
 
 
 def pool_layer(rng: np.random.Generator, h: int = 7, w: int = 7, ch: int = 16) -> LayerDesc:
@@ -160,9 +150,7 @@ def pool_layer(rng: np.random.Generator, h: int = 7, w: int = 7, ch: int = 16) -
         out_scale=in_scale * float(2.0 ** rng.uniform(-1.0, 1.0)),
         out_zero=int(rng.integers(0, 256)),
     )
-    layer = derive_mults(layer)
-    layer.mults = [quantize_multiplier(layer.in_scale / (h * w * layer.out_scale))] * ch
-    return layer
+    return derive(layer)
 
 
 def pointwise_layer(
@@ -186,9 +174,8 @@ def pointwise_layer(
         in_scale=in_scale, in_zero=int(rng.integers(0, 256)),
         out_scale=out_scale, out_zero=int(rng.integers(0, 256)),
         filters=random_filters(rng, 1, 1, cin, cout, in_scale, out_scale),
-        bias_bits=18 if kind is Kind.PRO else 16,
     )
-    return derive_mults(layer)
+    return derive(layer)
 
 
 def pointwise_twins(rng: np.random.Generator) -> tuple[LayerDesc, LayerDesc, QTensor]:
@@ -196,9 +183,7 @@ def pointwise_twins(rng: np.random.Generator) -> tuple[LayerDesc, LayerDesc, QTe
     import dataclasses
 
     pro = pointwise_layer(rng, Kind.PRO)
-    exp = dataclasses.replace(pro, kind=Kind.EXP, bias_bits=16)
-    exp.mults = pro.mults
-    exp.apass, exp.fpass = pro.apass, pro.fpass
+    exp = dataclasses.replace(pro, kind=Kind.EXP)
     return pro, exp, qinput(rng, pro)
 
 
@@ -233,7 +218,7 @@ def add_layer(
         residual_from=0,
         add_params=params,
     )
-    return derive_mults(layer)
+    return layer
 
 
 def qinput(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
@@ -339,10 +324,9 @@ def benign_conv_case(
         stride=stride,
         filters=QFilterSet(kh, kw, depth, cout, wq,
                            np.full(cout, wz), w_scale, bias_q),
-        bias_bits=18 if kind is Kind.PRO else 16,
     )
     x = QTensor(h, w, cin, data, zero_point=in_zero, scale=in_scale)
-    return derive_mults(layer), x
+    return derive(layer), x
 
 
 def benign_add_case(
@@ -373,7 +357,7 @@ def benign_add_case(
     )
     x1 = QTensor(h, w, ch, d1, zero_point=z1, scale=s1)
     x2 = QTensor(h, w, ch, d2, zero_point=z2, scale=s2)
-    return derive_mults(layer), x1, x2
+    return layer, x1, x2
 
 
 # ---------------------------------------------------------------------------

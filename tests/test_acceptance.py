@@ -42,11 +42,10 @@ from semistream.perfmodel import (
     total_latency,
 )
 from semistream.quantcore import (
-    RequantParams,
     Rounding,
     quantize_multiplier,
     narrow_bias,
-    requantize,
+    requantize_array,
 )
 
 from conftest import (
@@ -54,7 +53,7 @@ from conftest import (
     benign_add_case,
     benign_conv_case,
     c2d_layer,
-    derive_mults,
+    derive,
     dwc_layer,
     nearest_ties_away,
     pointwise_layer,
@@ -165,10 +164,9 @@ def _padded_pointwise_case(rng, kind):
         in_scale=in_scale, in_zero=int(rng.integers(0, 256)),
         out_scale=out_scale, out_zero=int(rng.integers(0, 256)),
         filters=random_filters(rng, 1, 1, cin, cout, in_scale, out_scale),
-        bias_bits=18 if kind is Kind.PRO else 16,
     )
-    orig = derive_mults(orig)
-    padded = derive_mults(pad_channels(dataclasses.replace(orig)))
+    orig = derive(orig)
+    padded = derive(pad_channels(dataclasses.replace(orig)))
     data = np.full((4, 4, padded.in_ch), orig.in_zero, dtype=np.uint8)
     data[:, :, :cin] = rng.integers(0, 256, size=(4, 4, cin), dtype=np.uint8)
     x = QTensor(4, 4, padded.in_ch, data, padded.in_zero, padded.in_scale)
@@ -208,12 +206,12 @@ def test_criterion_06_engines_bit_exact_vs_reference():
             x = qinput(rng, layer)
             got, _ = dwc_avgpool(x, layer, rounding)
         elif seed % 7 == 6:
-            orig24 = derive_mults(LayerDesc(
+            orig24 = derive(LayerDesc(
                 kind=Kind.DWC, in_h=5, in_w=5, in_ch=24, out_h=5, out_w=5,
                 out_ch=24, in_scale=0.01, in_zero=int(rng.integers(0, 256)),
                 out_scale=0.02, out_zero=int(rng.integers(0, 256)), stride=1,
                 filters=random_filters(rng, 3, 3, 1, 24, 0.01, 0.02)))
-            layer = derive_mults(pad_channels(dataclasses.replace(orig24)))
+            layer = derive(pad_channels(dataclasses.replace(orig24)))
             x = qinput(rng, layer)
             got, _ = dwc_forward(x, layer, rounding)
             assert np.all(got.data[:, :, 24:] == layer.out_zero)
@@ -288,15 +286,18 @@ def test_criterion_07_streaming_matches_the_oracle(standard224):
 def test_criterion_08_requantization_error_bound():
     rng = np.random.default_rng(8)
     log_lo, log_hi = -20.0, float(np.log2(1.0 - 2.0 ** -20))
-    ms_cache: dict[float, object] = {}
-    worst = 0
+    pairs = []
     for _ in range(REQUANT_PAIRS):
         m = float(2.0 ** rng.uniform(log_lo, log_hi))
         x = int(rng.integers(-(1 << 20), (1 << 20) + 1))
-        ms = ms_cache.get(m)
-        if ms is None:
-            ms = ms_cache.setdefault(m, quantize_multiplier(m))
-        got = requantize(x, RequantParams(ms, out_zero=0))
+        pairs.append((m, x, quantize_multiplier(m)))
+    results = requantize_array(
+        np.array([x for _, x, _ in pairs]),
+        np.array([ms.mult for _, _, ms in pairs]),
+        np.array([ms.shift for _, _, ms in pairs]),
+    ).tolist()
+    worst = 0
+    for (m, x, ms), got in zip(pairs, results):
         # the integer path must agree exactly with rational arithmetic
         assert got == rational_requant(x, ms)
         want = nearest_ties_away(Fraction(x) * Fraction(m))
@@ -346,12 +347,12 @@ def test_criterion_10_lossless_structure_transforms(standard224):
         for seed in range(3):
             rng = np.random.default_rng(100_000 + seed)
             if kind is Kind.DWC:
-                orig = derive_mults(LayerDesc(
+                orig = derive(LayerDesc(
                     kind=kind, in_h=4, in_w=4, in_ch=24, out_h=4, out_w=4,
                     out_ch=24, in_scale=0.015, in_zero=int(rng.integers(0, 256)),
                     out_scale=0.03, out_zero=int(rng.integers(0, 256)), stride=1,
                     filters=random_filters(rng, 3, 3, 1, 24, 0.015, 0.03)))
-                padded = derive_mults(pad_channels(dataclasses.replace(orig)))
+                padded = derive(pad_channels(dataclasses.replace(orig)))
                 data = np.full((4, 4, 32), orig.in_zero, dtype=np.uint8)
                 data[:, :, :24] = rng.integers(0, 256, size=(4, 4, 24), dtype=np.uint8)
                 x = QTensor(4, 4, 32, data, padded.in_zero, padded.in_scale)

@@ -193,20 +193,53 @@ def test_infer_rejects_a_malformed_image(pkg64, tmp_path):
     ("gen-image", "--resolution", "0"),
     ("gen-image", "--channels", "0"),
     ("verify", "--seed", "-1"),
+    ("verify", "--trials", "-1"),
+    ("infer", "--top", "-1"),
     ("report", "--freq-mhz", "nan"),
     ("report", "--freq-mhz", "inf"),
     ("report", "--bandwidth-gbps", "nan"),
     ("report", "--bandwidth-gbps", "1e-320"),
 ], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
-def test_bad_numeric_inputs_exit_2_without_a_traceback(args, pkg64, tmp_path):
+def test_bad_numeric_inputs_exit_2_without_a_traceback(args, pkg64, img64, tmp_path):
     target = {"gen-model": ["--out", tmp_path / "m", "--resolution", 32],
               "gen-image": ["--out", tmp_path / "i.ppm"],
               "verify": ["--trials", 1],
+              "infer": ["--model", pkg64, "--image", img64],
               "report": ["--model", pkg64]}[args[0]]
-    res = run_cli(*args, *target)
+    # the option under test comes last, so it overrides a default in target
+    res = run_cli(args[0], *target, *args[1:])
     assert res.exit_code == 2, alltext(res)
     assert "Traceback" not in alltext(res)
     assert not (tmp_path / "m").exists() and not (tmp_path / "i.ppm").exists()
+
+
+@pytest.mark.parametrize("case", [
+    "gen-image-into-missing-dir",
+    "gen-model-over-a-file",
+    "infer-image-is-a-dir",
+    "infer-out-into-missing-dir",
+    "report-out-into-missing-dir",
+    "report-csv-into-missing-dir",
+])
+def test_file_errors_exit_2_without_a_traceback(case, pkg64, img64, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    missing = tmp_path / "missing"
+    args = {
+        "gen-image-into-missing-dir": ["gen-image", "--out", missing / "x.ppm"],
+        "gen-model-over-a-file": ["gen-model", "--out", afile, "--resolution", 32],
+        "infer-image-is-a-dir": ["infer", "--model", pkg64, "--image", tmp_path],
+        "infer-out-into-missing-dir": ["infer", "--model", pkg64, "--image", img64,
+                                       "--out", missing / "x.json"],
+        "report-out-into-missing-dir": ["report", "--model", pkg64, "--out", missing / "r.txt"],
+        "report-csv-into-missing-dir": ["report", "--model", pkg64, "--format", "csv",
+                                        "--out", missing / "r.csv"],
+    }[case]
+    res = run_cli(*args)
+    assert res.exit_code == 2, alltext(res)
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in alltext(res)
+    assert not missing.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from semistream.quantcore import Rounding, quantize_multiplier
 from conftest import (
     add_layer,
     c2d_layer,
-    derive_mults,
+    derive,
     dwc_layer,
     pointwise_layer,
     pointwise_twins,
@@ -88,7 +88,7 @@ def test_c2d_single_tap_rounding_split():
     layer = LayerDesc(
         kind=Kind.C2D, in_h=8, in_w=8, in_ch=3, out_h=4, out_w=4, out_ch=32,
         in_scale=0.01, in_zero=128, out_scale=0.02, out_zero=100,
-        stride=2, filters=f, mults=[HALF] * 32, apass=1, fpass=2,
+        stride=2, filters=f, mults=[HALF] * 32,
     )
     x = flat_input(layer, 128)
     x.data[2, 2, 0] = 129  # seen by the center tap of output pixel (1, 1)
@@ -160,7 +160,7 @@ def test_dwc_identity_kernel_halves_the_offset():
     layer = LayerDesc(
         kind=Kind.DWC, in_h=5, in_w=6, in_ch=ch, out_h=5, out_w=6, out_ch=ch,
         in_scale=0.03, in_zero=100, out_scale=0.06, out_zero=60,
-        stride=1, filters=f, mults=[HALF] * ch, apass=1, fpass=1,
+        stride=1, filters=f, mults=[HALF] * ch,
     )
     x = flat_input(layer, 200)  # 100 above the input zero point
     for rounding in Rounding:
@@ -244,7 +244,7 @@ def test_pro_single_term():
     layer = LayerDesc(
         kind=Kind.PRO, in_h=2, in_w=3, in_ch=cin, out_h=2, out_w=3, out_ch=cout,
         in_scale=0.02, in_zero=50, out_scale=0.04, out_zero=77,
-        filters=f, mults=[HALF] * cout, apass=1, fpass=1, bias_bits=18,
+        filters=f, mults=[HALF] * cout,
     )
     x = flat_input(layer, 50)
     x.data[:, :, 0] = 150  # only the surviving product term
@@ -335,10 +335,9 @@ def test_padded_channels_preserve_the_original_layer():
             in_scale=in_scale, in_zero=int(rng.integers(0, 256)),
             out_scale=out_scale, out_zero=int(rng.integers(0, 256)),
             filters=random_filters(rng, 1, 1, 24, 24, in_scale, out_scale),
-            bias_bits=18,
         )
-        orig = derive_mults(orig)
-        padded = derive_mults(pad_channels(dataclasses.replace(orig)))
+        orig = derive(orig)
+        padded = derive(pad_channels(dataclasses.replace(orig)))
         assert (padded.in_ch, padded.out_ch) == (32, 32)
         assert (padded.orig_in_ch, padded.orig_out_ch) == (24, 24)
 

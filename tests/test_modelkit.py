@@ -32,7 +32,7 @@ from semistream.modelkit import (
 )
 from semistream.quantcore import MultShift, Rounding, quantize_multiplier
 
-from conftest import c2d_layer, pointwise_layer, toy_model
+from conftest import c2d_layer, pointwise_layer, random_filters, toy_model
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_width_multiplier_scales_channels():
 # ---------------------------------------------------------------------------
 
 def _singleton_graph(layer: LayerDesc, resolution: int = 224) -> ModelGraph:
-    bare = dataclasses.replace(layer, mults=None, apass=0, fpass=0)
+    bare = dataclasses.replace(layer, mults=None)
     return ModelGraph([bare], resolution=resolution)
 
 
@@ -202,7 +202,12 @@ def test_prepare_rejects_accumulators_beyond_2_30():
     rng = np.random.default_rng(16)
     fits = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16512, cout=16)
     prepare(_singleton_graph(fits, resolution=1))
-    over = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16513, cout=16)
+    # built by hand, since pointwise_layer's own derivation rejects it
+    over = LayerDesc(
+        kind=Kind.PRO, in_h=1, in_w=1, in_ch=16513, out_h=1, out_w=1, out_ch=16,
+        in_scale=fits.in_scale, in_zero=0, out_scale=fits.out_scale, out_zero=0,
+        filters=random_filters(rng, 1, 1, 16513, 16, fits.in_scale, fits.out_scale),
+    )
     with pytest.raises(DomainError, match=r"2\*\*30"):
         prepare(_singleton_graph(over, resolution=1))
 
@@ -217,6 +222,27 @@ def test_prepare_pass_counts():
         else:
             assert l.apass == l.in_ch // LANES
             assert l.fpass == l.out_ch // LANES
+
+
+def test_pass_counts_and_bias_width_follow_kind_and_channels():
+    rng = np.random.default_rng(7)
+    pro = pointwise_layer(rng, Kind.PRO, cin=32, cout=48)
+    facts = lambda l: (l.apass, l.fpass, l.bias_bits)  # noqa: E731
+    assert facts(pro) == (2, 3, 18)
+    assert facts(dataclasses.replace(pro, kind=Kind.EXP)) == (2, 3, 16)
+    assert facts(dataclasses.replace(pro, kind=Kind.C2D)) == (1, 3, 16)
+    assert facts(dataclasses.replace(pro, in_ch=64, out_ch=16)) == (4, 1, 18)
+    pool = dataclasses.replace(pro, kind=Kind.AVGPOOL, in_ch=48, filters=None)
+    assert facts(pool) == (3, 3, 16)  # pooling runs on the depthwise engine
+    add = dataclasses.replace(pro, kind=Kind.ADD, in_ch=48, filters=None)
+    assert facts(add) == (3, 3, None)  # the addition engine has no bias
+    # derived, so neither settable nor a constructor argument
+    assert sum(f.init for f in dataclasses.fields(LayerDesc)) == 19
+    for name in ("apass", "fpass", "bias_bits"):
+        with pytest.raises(AttributeError):
+            setattr(pro, name, 1)
+        with pytest.raises(TypeError):
+            dataclasses.replace(pro, **{name: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +400,30 @@ def test_saved_manifest_stores_no_derived_fields(tmp_path):
     assert model.residual_table and any(l.add_params for l in model.layers)
     save_package(model, tmp_path)
     text = (tmp_path / "manifest.json").read_text()
-    for key in ("mults", "add_params", "apass", "fpass", "residual_table",
+    for key in ("mults", "add_params", "apass", "fpass", "bias_bits", "residual_table",
                 "weights_blob", "bias_blob"):
         assert f'"{key}"' not in text
     assert load_package(tmp_path) == model
+
+
+def test_manifest_bias_width_is_the_engines(tmp_path):
+    model = small_model()
+    save_package(model, tmp_path)
+
+    def declare_widths(manifest, widths):
+        for entry in manifest["layers"]:
+            entry["bias_bits"] = widths(entry["kind"])
+
+    # older writers stored each layer's width; the reader ignores the key
+    _rewrite_manifest(tmp_path, lambda m: declare_widths(
+        m, lambda kind: 18 if kind == "PRO" else 16))
+    assert load_package(tmp_path) == model
+    exp = next(i for i, l in enumerate(model.layers) if l.kind is Kind.EXP)
+    model.layers[exp].filters.biases[0] = 100000
+    save_package(model, tmp_path)
+    _rewrite_manifest(tmp_path, lambda m: declare_widths(m, lambda kind: 18))
+    with pytest.raises(RangeError, match="100000 does not fit 16 signed bits"):
+        load_package(tmp_path)
 
 
 def test_blob_names_come_from_layer_positions(tmp_path):
@@ -409,6 +455,13 @@ def _wrong_residual_shape(manifest):
     add["residual_from"] = 2  # the first block's 64-channel depthwise layer
 
 
+def _residual_from_a_projection(manifest):
+    layers = manifest["layers"]
+    add = next(i for i, e in enumerate(layers) if e["residual_from"] is not None)
+    assert layers[add - 1]["kind"] == "PRO"  # same dims as the addition's input
+    layers[add]["residual_from"] = add - 1
+
+
 def _requantizes_a_pass_through(manifest):
     add = next(e for e in manifest["layers"] if e["kind"] == "ADD")
     after = manifest["layers"][manifest["layers"].index(add) + 1]
@@ -426,6 +479,8 @@ def _drops_dwc_filters(manifest):
                  id="long-kernel"),
     pytest.param(_breaks_chain, DomainError, "does not chain", id="broken-chain"),
     pytest.param(_wrong_residual_shape, DomainError, "residual dims", id="residual-shape"),
+    pytest.param(_residual_from_a_projection, DomainError, "nearest earlier addition",
+                 id="residual-not-an-addition"),
     pytest.param(_requantizes_a_pass_through, DomainError, "pass-through",
                  id="pass-through-edge"),
     pytest.param(_drops_dwc_filters, DomainError, "need filters", id="dwc-without-filters"),

@@ -1,7 +1,4 @@
 """Fixed-point multiplier encoding and the requantizing shift."""
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,16 +12,11 @@ from semistream.quantcore import (
     AddParams,
     BatchNormParams,
     MultShift,
-    RequantParams,
     Rounding,
-    apply_mult_shift,
-    clamp,
     fold_batch_norm,
     narrow_bias,
     quantize_multiplier,
-    requantize,
     requantize_array,
-    shift_round,
 )
 
 from conftest import rational_requant
@@ -87,31 +79,34 @@ def test_quantize_multiplier_normalization(m):
 
 
 # ---------------------------------------------------------------------------
-# shifting and requantization
+# requantization
 # ---------------------------------------------------------------------------
 
+def _requant(accs, ms, rounding=Rounding.NEAREST, out_zero=0, dtype=np.int64):
+    """requantize_array over a list of accumulators, as Python ints."""
+    acc = np.array(accs, dtype=dtype)
+    return requantize_array(acc, ms.mult, ms.shift, out_zero, rounding).tolist()
+
+
 def test_shift_round_frozen_cases():
-    assert shift_round(5, 1, Rounding.NEAREST) == 3       # 2.5 ties away
-    assert shift_round(-5, 1, Rounding.NEAREST) == -3
-    assert shift_round(5, 1, Rounding.TRUNCATE) == 2
-    assert shift_round(-5, 1, Rounding.TRUNCATE) == -3    # arithmetic shift
-    assert shift_round(7, 0, Rounding.NEAREST) == 7
+    # a multiplier of 1 leaves the bare rounding shift
+    five = np.array([5, -5])
+    assert requantize_array(five, 1, 1, 0, Rounding.NEAREST).tolist() == [3, -3]  # ties away
+    assert requantize_array(five, 1, 1, 0, Rounding.TRUNCATE).tolist() == [2, -3]  # arithmetic
 
 
 def test_requantize_frozen_cases():
-    p = RequantParams(quantize_multiplier(0.375), out_zero=0)
-    assert requantize(255, p, Rounding.TRUNCATE) == 95
-    assert requantize(255, p, Rounding.NEAREST) == 96
-    p = RequantParams(MultShift(1 << 31, 32), out_zero=0)
-    assert requantize(100, p) == 50
-    assert requantize(0, RequantParams(quantize_multiplier(0.9), out_zero=7)) == 7
+    ms = quantize_multiplier(0.375)
+    assert _requant([255], ms, Rounding.TRUNCATE) == [95]
+    assert _requant([255], ms, Rounding.NEAREST) == [96]
+    assert _requant([100], MultShift(1 << 31, 32)) == [50]
+    assert _requant([0], quantize_multiplier(0.9), out_zero=7) == [7]
     # negative accumulators keep ties away from zero
-    assert requantize(-3, RequantParams(quantize_multiplier(0.5), out_zero=0)) == -2
+    assert _requant([-3], quantize_multiplier(0.5)) == [-2]
 
 
 def test_requantize_result_is_unclamped():
-    p = RequantParams(quantize_multiplier(0.9), out_zero=250)
-    assert requantize(100, p) == 340
+    assert _requant([100], quantize_multiplier(0.9), out_zero=250) == [340]
 
 
 @given(st.integers(min_value=-(2 ** 20), max_value=2 ** 20),
@@ -120,27 +115,20 @@ def test_requantize_result_is_unclamped():
 @settings(max_examples=400)
 def test_requantize_matches_rational_reference(x, m, rounding):
     ms = quantize_multiplier(m, rounding)
-    got = requantize(x, RequantParams(ms, out_zero=0), rounding)
-    assert got == rational_requant(x, ms, 0, rounding)
+    assert _requant([x], ms, rounding) == [rational_requant(x, ms, 0, rounding)]
 
 
 @given(st.floats(min_value=2.0 ** -16, max_value=1.0 - 2.0 ** -16))
 @settings(max_examples=200)
 def test_requantize_monotone_in_accumulator(m):
     ms = quantize_multiplier(m)
-    p = RequantParams(ms, out_zero=0)
-    xs = [-4096, -100, -3, -1, 0, 1, 2, 77, 5000, 1 << 19]
-    outs = [requantize(x, p) for x in xs]
-    assert outs == sorted(outs)
-
-
-def test_apply_mult_shift_matches_requantize():
-    ms = quantize_multiplier(0.123)
-    assert apply_mult_shift(999, ms) + 3 == requantize(
-        999, RequantParams(ms, out_zero=3))
+    for rounding in Rounding:
+        outs = _requant([-4096, -100, -3, -1, 0, 1, 2, 77, 5000, 1 << 19], ms, rounding)
+        assert outs == sorted(outs)
 
 
 def test_requantize_array_matches_scalar():
+    """Per-channel vectors against the exact scalar rational reference."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 64))
@@ -155,15 +143,8 @@ def test_requantize_array_matches_scalar():
                 zp,
                 rounding,
             )
-            want = [requantize(int(a), RequantParams(m, out_zero=zp), rounding)
-                    for a, m in zip(acc, ms)]
+            want = [rational_requant(int(a), m, zp, rounding) for a, m in zip(acc, ms)]
             assert got.tolist() == want
-
-
-def _array_vs_scalar(accs, ms, rounding, dtype=np.int64):
-    got = requantize_array(np.array(accs, dtype=dtype), ms.mult, ms.shift, 0, rounding)
-    want = [requantize(a, RequantParams(ms, out_zero=0), rounding) for a in accs]
-    return got.tolist(), want
 
 
 def test_requantize_array_ties_round_away_from_zero():
@@ -180,41 +161,26 @@ def test_requantize_array_ties_round_away_from_zero():
             for dtype in negative_ties:
                 info = np.iinfo(dtype)
                 fit = [a for a in accs if info.min <= a <= info.max]
-                got, want = _array_vs_scalar(fit, ms, Rounding.NEAREST, dtype)
-                assert got == want, (ms, dtype)
+                want = [rational_requant(a, ms) for a in fit]
+                assert _requant(fit, ms, dtype=dtype) == want, (ms, dtype)
                 negative_ties[dtype] += sum(a < 0 for a in fit)
     assert min(negative_ties.values()) >= 10
 
 
 def test_requantize_array_large_shifts():
-    """Shifts up to MAX_SHIFT agree with the scalar path under both roundings."""
+    """Shifts from 32 to MAX_SHIFT are exact under both roundings."""
     accs = [2 ** 29, -(2 ** 29), 5, -5, 1, -1, 0]
-    for shift in (32, 62, 63, 64, 65, MAX_SHIFT):
+    for shift in range(32, MAX_SHIFT + 1):
         for mult in (MULT_MIN, 3 << 30, MULT_MAX):
+            ms = MultShift(mult, shift)
             for rounding in Rounding:
-                got, want = _array_vs_scalar(accs, MultShift(mult, shift), rounding)
-                assert got == want, (shift, mult, rounding)
-
-
-def test_clamp():
-    assert clamp(-5, 0, 255) == 0
-    assert clamp(300, 0, 255) == 255
-    assert clamp(128, 0, 255) == 128
-    with pytest.raises(DomainError):
-        clamp(1, 10, 0)
+                want = [rational_requant(a, ms, 0, rounding) for a in accs]
+                assert _requant(accs, ms, rounding) == want, (shift, mult, rounding)
 
 
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
-
-def test_requant_params_validation():
-    ms = quantize_multiplier(0.5)
-    with pytest.raises(DomainError):
-        RequantParams(ms, out_zero=300)
-    with pytest.raises(DomainError):
-        RequantParams(ms, out_zero=-1)
-
 
 def test_add_params_pre_shift_is_pinned():
     ms = quantize_multiplier(0.5)
