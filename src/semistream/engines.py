@@ -18,6 +18,15 @@ rescale, whose |acc| * mult < 2**62 precondition the bound also gives.
 This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
 arXiv 1712.05877.
 
+The bound is checked once per layer, when an engine first runs the
+layer and compiles its record (layer_record): a layer that breaks it
+gets no record, so every call raises. The record also holds the
+layer's stats and rescale constants, so no engine call recomputes
+them. It is rebuilt when the layer's filters or mults are rebound. A
+layer's arrays are facts: to change one after a run, rebind the field
+(dataclasses.replace on the filter bank), as mults already requires;
+an in-place edit is not seen.
+
 A one-pixel projection (the classifier) is a GEMV, too small for a
 zero-corrected float64 weight copy to pay off. It runs on the raw uint8
 weights instead, using the same zero-point algebra:
@@ -52,7 +61,14 @@ from .modelkit import (
     QTensor,
     check_acc_bound,
 )
-from .quantcore import AddParams, Rounding, requantize_array
+from .quantcore import (
+    AddParams,
+    Rescale,
+    Rounding,
+    apply_rescale,
+    requantize_array,
+    rescale_constants,
+)
 
 #: Multiply-accumulate throughput of each engine, per clock cycle.
 MADDS_PER_CYCLE = {"C2D": 896, "DWC": 160, "PRO": 272, "EXP": 272}
@@ -71,7 +87,7 @@ WEIGHT_GEOMETRY = {
 ADD_STREAM_BITS = 128
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EngineStats:
     """Work accounting for one engine invocation."""
 
@@ -116,8 +132,7 @@ def weight_bytes(layer: LayerDesc) -> int:
     return int(layer.filters.weights.size)
 
 
-def nominal_stats(layer: LayerDesc) -> EngineStats:
-    """Stats an engine reports for the layer, without running it."""
+def _layer_stats(layer: LayerDesc) -> EngineStats:
     cycles = engine_cycles(layer)
     if layer.kind is Kind.ADD:
         # a pass-through slot streams its frame but does no arithmetic
@@ -132,6 +147,48 @@ def nominal_stats(layer: LayerDesc) -> EngineStats:
         output_elements=layer.out_h * layer.out_w * layer.out_ch,
         acc_working_set=acc,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class LayerRecord:
+    """A layer's run-time facts, compiled once per layer by layer_record.
+
+    filters and mults are the layer's own objects the record was built
+    from (no copies); stats is what every engine call reports; rescale
+    holds the read-only per-channel constants of mults, or None for a
+    layer without them.
+    """
+
+    filters: QFilterSet | None
+    mults: list | None
+    stats: EngineStats
+    rescale: Rescale | None
+
+
+def layer_record(layer: LayerDesc) -> LayerRecord:
+    """The layer's compiled record, built on first use.
+
+    Checks the accumulator bound before building, so a layer that breaks
+    it never gets a record. Rebuilt whenever the layer's filters or mults
+    has been rebound since; in-place edits of their arrays are not seen.
+    """
+    rec = layer._record
+    if rec is None or rec.filters is not layer.filters or rec.mults is not layer.mults:
+        check_acc_bound(layer)
+        rescale = None
+        if layer.mults is not None:
+            rescale = rescale_constants([m.mult for m in layer.mults],
+                                        [m.shift for m in layer.mults])
+            for v in rescale:
+                v.flags.writeable = False
+        rec = layer._record = LayerRecord(layer.filters, layer.mults,
+                                          _layer_stats(layer), rescale)
+    return rec
+
+
+def nominal_stats(layer: LayerDesc) -> EngineStats:
+    """Stats an engine reports for the layer, without running it."""
+    return layer_record(layer).stats
 
 
 def _check_edge(x: QTensor, layer: LayerDesc) -> None:
@@ -171,10 +228,10 @@ def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
     return out
 
 
-def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rounding: Rounding) -> np.ndarray:
+def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rec: LayerRecord,
+                   rounding: Rounding) -> np.ndarray:
     """Rescale a layer's accumulators onto its output edge, clamped to uint8."""
-    mults, shifts = layer.mult_vectors()
-    return _narrow_uint8(requantize_array(acc, mults, shifts, 0, rounding), layer.out_zero)
+    return _narrow_uint8(apply_rescale(acc, rec.rescale, 0, rounding), layer.out_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +256,7 @@ def c2d_forward(
     if x.height % 2 or x.width % 2:
         raise ShapeError(f"entry frame {x.height}x{x.width} must have even sides")
 
-    check_acc_bound(layer)
-
+    rec = layer_record(layer)
     f = layer.filters
     in_h, in_w = x.height, x.width
     out_h, out_w = layer.out_h, layer.out_w
@@ -217,8 +273,8 @@ def c2d_forward(
     taps = _signed_weights(f, np.float64).reshape(27, 32)
     acc = (cols.reshape(out_h * out_w, 27) @ taps).astype(np.int64)
     acc += f.biases
-    out = _requant_uint8(acc, layer, rounding).reshape(out_h, out_w, 32)
-    return _out_tensor(layer, out), nominal_stats(layer)
+    out = _requant_uint8(acc, layer, rec, rounding).reshape(out_h, out_w, 32)
+    return _out_tensor(layer, out), rec.stats
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +298,7 @@ def dwc_forward(
     if layer.stride not in (1, 2):
         raise ShapeError(f"depthwise stride {layer.stride} unsupported")
 
-    check_acc_bound(layer)
-
+    rec = layer_record(layer)
     f = layer.filters
     in_h, in_w, ch = x.height, x.width, x.channels
     out_h, out_w = layer.out_h, layer.out_w
@@ -263,7 +318,7 @@ def dwc_forward(
                 :,
             ]
             acc += window * taps[i, j]
-    return _out_tensor(layer, _requant_uint8(acc, layer, rounding)), nominal_stats(layer)
+    return _out_tensor(layer, _requant_uint8(acc, layer, rec, rounding)), rec.stats
 
 
 def dwc_avgpool(
@@ -283,11 +338,10 @@ def dwc_avgpool(
     if x.channels % LANES:
         raise ShapeError(f"pooled channels {x.channels} not a multiple of {LANES}")
 
-    check_acc_bound(layer)
-
+    rec = layer_record(layer)
     acc = (x.data.astype(np.int64) - x.zero_point).sum(axis=(0, 1))
-    out = _requant_uint8(acc, layer, rounding).reshape(1, 1, x.channels)
-    return _out_tensor(layer, out), nominal_stats(layer)
+    out = _requant_uint8(acc, layer, rec, rounding).reshape(1, 1, x.channels)
+    return _out_tensor(layer, out), rec.stats
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +367,7 @@ def pro_forward(
     if x.channels % LANES or layer.out_ch % LANES:
         raise ShapeError("projection channel counts must be multiples of 16")
 
-    check_acc_bound(layer)
-
+    rec = layer_record(layer)
     f = layer.filters
     npix = x.height * x.width
     flat = x.data.reshape(npix, x.channels).astype(np.float64)
@@ -328,8 +381,8 @@ def pro_forward(
         acc = flat @ _signed_weights(f, np.float64)[0, 0]
     acc = acc.astype(np.int64)
     acc += f.biases
-    data = _requant_uint8(acc, layer, rounding).reshape(layer.out_h, layer.out_w, -1)
-    return _out_tensor(layer, data), nominal_stats(layer)
+    data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
+    return _out_tensor(layer, data), rec.stats
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +440,7 @@ class ExpStreamKernel:
             raise DomainError(f"expansion kernel cannot run a {layer.kind.value} layer")
         if layer.in_ch % LANES or layer.out_ch % LANES:
             raise ShapeError("expansion channel counts must be multiples of 16")
-        check_acc_bound(layer)
+        self.record = layer_record(layer)
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
@@ -406,7 +459,8 @@ class ExpStreamKernel:
         signed -= layer.in_zero
         self._acc += signed @ self._w[ab * LANES : (ab + 1) * LANES]
         if ab == layer.apass - 1:
-            self._out = _requant_uint8(self._acc.astype(np.int64), layer, self.rounding)
+            self._out = _requant_uint8(self._acc.astype(np.int64), layer, self.record,
+                                       self.rounding)
         if self.probe is not None:
             npix = self._acc.shape[0]
             banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)

@@ -198,8 +198,9 @@ class LayerDesc:
     # derived from the fields above by prepare() and load_package()
     mults: list[MultShift] | None = None
     add_params: AddParams | None = None
-    # (mults, int64 multipliers, int64 shifts), built by mult_vectors()
-    _mult_vectors: tuple | None = field(default=None, init=False, repr=False)
+    # the engines' compiled record of the fields above (engines.layer_record);
+    # rebuilt when filters or mults is rebound, never saved, not part of ==
+    _record: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.orig_in_ch == 0:
@@ -233,20 +234,6 @@ class LayerDesc:
     def bias_bits(self) -> int | None:
         """Bias lane width of the layer's engine; None on the addition engine."""
         return BIAS_BITS.get(ENGINE_FOR_KIND[self.kind])
-
-    def mult_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``mults`` as read-only int64 multiplier and shift vectors.
-
-        Built on first use and again whenever ``mults`` is reassigned, so
-        the engines convert the MultShift list once per layer, not per call.
-        """
-        cached = self._mult_vectors
-        if cached is None or cached[0] is not self.mults:
-            mults = np.array([m.mult for m in self.mults], dtype=np.int64)
-            shifts = np.array([m.shift for m in self.mults], dtype=np.int64)
-            mults.flags.writeable = shifts.flags.writeable = False
-            cached = self._mult_vectors = (self.mults, mults, shifts)
-        return cached[1], cached[2]
 
 
 @dataclass(eq=False)
@@ -543,14 +530,20 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
     """Check sizes, dimension chaining, edge quantization, shortcuts and filters.
 
     A shortcut must read the nearest earlier addition, whose frame is the
-    one the residual FIFO holds. Also accepts a prepared model, whose
-    padded channels chain the same way.
+    one the residual FIFO holds, and a block's layers need an entry
+    convolution before them to start round 0. Also accepts a prepared
+    model, whose padded channels chain the same way.
     """
     layers = graph.layers
     if not layers:
         raise DomainError("graph has no layers")
     last_add = None
+    entry_seen = False
     for idx, l in enumerate(layers):
+        entry_seen = entry_seen or l.kind is Kind.C2D
+        if l.block is not None and not entry_seen:
+            raise DomainError(
+                f"layer {idx} belongs to block {l.block}, but no entry convolution precedes it")
         sizes = (l.in_h, l.in_w, l.in_ch, l.out_h, l.out_w, l.out_ch,
                  l.stride, l.orig_in_ch, l.orig_out_ch)
         if not all(isinstance(v, Integral) and v > 0 for v in sizes):

@@ -24,9 +24,7 @@ from .engines import (
     ADD_STREAM_BITS,
     MADDS_PER_CYCLE,
     WEIGHT_GEOMETRY,
-    engine_cycles,
     nominal_stats,
-    weight_bytes,
 )
 from .errors import DomainError
 from .modelkit import Kind, PreparedModel, RoundPlan
@@ -108,12 +106,13 @@ def _round_numbers(model: PreparedModel, plan: RoundPlan) -> tuple[int, int, int
     weights for the round.
     """
     whole, streamed = ([model.layers[i] for i in stage] for stage in (plan.whole, plan.streamed))
-    load_bytes = sum(weight_bytes(l) for l in whole + streamed if l.kind in (Kind.PRO, Kind.EXP))
-    whole_cycles = sum(engine_cycles(l) for l in whole)
+    load_bytes = sum(nominal_stats(l).weight_bytes
+                     for l in whole + streamed if l.kind in (Kind.PRO, Kind.EXP))
+    whole_cycles = sum(nominal_stats(l).cycles for l in whole)
     if plan.trailing:
         # nothing hides the load: it runs first, then the slot's compute
         return 0, load_bytes, whole_cycles
-    return whole_cycles, load_bytes, max(engine_cycles(l) for l in streamed)
+    return whole_cycles, load_bytes, max(nominal_stats(l).cycles for l in streamed)
 
 
 def estimate_timeline(

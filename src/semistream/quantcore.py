@@ -4,15 +4,17 @@ Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
 m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, and
 applying it to an accumulator is a 64-bit multiply followed by a
-rounding shift (requantize_array, over whole arrays). The module also
-folds batch normalization into convolution weights/biases and validates
-narrow bias storage.
+rounding shift over whole arrays (apply_rescale, with the per-channel
+constants from rescale_constants; requantize_array composes the two).
+The module also folds batch normalization into convolution
+weights/biases and validates narrow bias storage.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,26 +136,51 @@ def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> Mult
     return MultShift(mult, shift)
 
 
-def requantize_array(
+class Rescale(NamedTuple):
+    """Per-channel rescale constants, built once per layer by rescale_constants.
+
+    mults are the int64 multipliers, shifts are clamped to 63, and half
+    is 1 << (shift - 1), the NEAREST rounding offset. half does not
+    depend on the rounding mode, so one set serves both.
+    """
+
+    mults: np.ndarray | np.int64
+    shifts: np.ndarray | np.int64
+    half: np.ndarray | np.int64
+
+
+def rescale_constants(mults: np.ndarray | int, shifts: np.ndarray | int) -> Rescale:
+    """The constants apply_rescale needs for these multipliers and shifts.
+
+    Shifts above 63 are applied as 63, which is exact under both
+    roundings while |acc * mult| < 2**62: NEAREST gives 0 either way,
+    TRUNCATE gives 0 or -1 by sign. Without the clamp 1 << 63 wraps in
+    int64 and a shift of 64 or more is undefined.
+    """
+    shifts = np.minimum(shifts, 63, dtype=np.int64)
+    return Rescale(np.asarray(mults, dtype=np.int64), shifts, np.int64(1) << (shifts - 1))
+
+
+def apply_rescale(
     acc: np.ndarray,
-    mults: np.ndarray | int,
-    shifts: np.ndarray | int,
+    rescale: Rescale,
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
     """Rescale an integer accumulator array and add the output zero point.
 
-    mults/shifts/out_zero broadcast against acc, which is left untouched:
-    the product p = acc * mult is formed in one new int64 buffer and
-    every later step runs in place on it. The result is not clamped;
-    the engines clamp it to uint8.
+    The constants broadcast against acc, which is left untouched: the
+    product p = acc * mult is formed in one new int64 buffer and every
+    later step runs in place on it. The result is not clamped; the
+    engines clamp it to uint8.
 
     Preconditions: every mult is positive (MultShift keeps it in
     [2**31, 2**32)), so sign(p) == sign(acc); every shift is at least 1;
     and |acc| * mult < 2**62, so the int64 product cannot overflow. A
-    per-layer accumulator bound (modelkit.ACC_BOUND), checked when a
-    layer's parameters are derived and on every engine call, implies the
-    last one.
+    per-layer accumulator bound (modelkit.ACC_BOUND) implies the last
+    one. It is checked when a layer's parameters are derived and once
+    more when the engines first compile the layer; each later engine
+    call reuses that verdict.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)
@@ -161,22 +188,30 @@ def requantize_array(
     -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
     path adds h, subtracts (acc < 0) and shifts once; an exact tie
     p = (2j + 1) * h is where the -1 matters.
-
-    Shifts above 63 are applied as 63, which is exact under both
-    roundings while |p| < 2**62: NEAREST gives 0 either way, TRUNCATE
-    gives 0 or -1 by sign. Without the clamp 1 << 63 wraps in int64 and
-    a shift of 64 or more is undefined.
     """
-    mults = np.asarray(mults, dtype=np.int64)
-    shifts = np.minimum(shifts, 63, dtype=np.int64)
-    res = np.multiply(acc, mults, dtype=np.int64)
+    res = np.multiply(acc, rescale.mults, dtype=np.int64)
     if rounding is Rounding.NEAREST:
-        res += np.int64(1) << (shifts - 1)
+        res += rescale.half
         res -= acc < 0
-    res >>= shifts
+    res >>= rescale.shifts
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero
     return res
+
+
+def requantize_array(
+    acc: np.ndarray,
+    mults: np.ndarray | int,
+    shifts: np.ndarray | int,
+    out_zero: np.ndarray | int = 0,
+    rounding: Rounding = Rounding.NEAREST,
+) -> np.ndarray:
+    """apply_rescale with constants built for this one call.
+
+    mults/shifts/out_zero broadcast against acc. A layer's engine builds
+    its constants once, in the layer's record, and calls apply_rescale.
+    """
+    return apply_rescale(acc, rescale_constants(mults, shifts), out_zero, rounding)
 
 
 def fold_batch_norm(

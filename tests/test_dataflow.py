@@ -261,6 +261,25 @@ def test_one_round_plan_per_model(monkeypatch):
     assert calls == [model]
 
 
+def test_one_layer_record_per_layer(monkeypatch):
+    """The engines check the bound and build the stats once per layer."""
+    import semistream.engines as engines
+
+    model, image, _ = toy_pair(4)
+    bound, stats = [], []
+    real_bound, real_stats = engines.check_acc_bound, engines._layer_stats
+    monkeypatch.setattr(engines, "check_acc_bound", lambda l: bound.append(l) or real_bound(l))
+    monkeypatch.setattr(engines, "_layer_stats", lambda l: stats.append(l) or real_stats(l))
+    want = run_inference(model, image, mode="sequential").logits
+    for mode in ("sequential", "sequential", "stream", "stream", "stream"):
+        result = run_inference(model, image, mode=mode)
+        assert result.logits == want
+        assert all(result.stats[i] is engines.nominal_stats(l)
+                   for i, l in enumerate(model.layers))
+    for calls in (bound, stats):
+        assert sorted(map(id, calls)) == sorted(map(id, model.layers))
+
+
 def _with_layers(model, layers):
     return PreparedModel(
         layers=layers,

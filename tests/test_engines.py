@@ -25,6 +25,7 @@ from semistream.engines import (
     dwc_forward,
     engine_cycles,
     exp_forward,
+    layer_record,
     layout_weights,
     nominal_stats,
     pro_forward,
@@ -632,16 +633,19 @@ def mac_cases(draw):
 
 
 def _check_against_oracle(layer, x, rounding):
-    """Outputs match the oracle; EXP's raw final partials match exactly."""
-    partials = []
-    if layer.kind is Kind.EXP:
-        got, _ = exp_forward(x, layer, rounding, probe=lambda ab, acc: partials.append(acc))
-        last = partials[-1].transpose(1, 0, 2).reshape(-1, layer.out_ch)
-        np.testing.assert_array_equal(last, _raw_pointwise_acc(layer, x))
-    else:
-        got, _ = run_layer(x, layer, rounding=rounding)
+    """Outputs match the oracle on the first run, which compiles the
+    layer's record, and on a second, which reuses it; EXP's raw final
+    partials match exactly."""
     want = naive_quant_layer(x.data, layer, rounding=rounding)
-    np.testing.assert_array_equal(got.data, want)
+    for _ in range(2):
+        partials = []
+        if layer.kind is Kind.EXP:
+            got, _ = exp_forward(x, layer, rounding, probe=lambda ab, acc: partials.append(acc))
+            last = partials[-1].transpose(1, 0, 2).reshape(-1, layer.out_ch)
+            np.testing.assert_array_equal(last, _raw_pointwise_acc(layer, x))
+        else:
+            got, _ = run_layer(x, layer, rounding=rounding)
+        np.testing.assert_array_equal(got.data, want)
     return want
 
 
@@ -693,7 +697,10 @@ def test_acc_bound_guard_is_tight():
     check_acc_bound(layer)
     got, _ = pro_forward(x, layer)  # |acc| = 2**30 - 1, still exact
     np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
-    layer.filters.biases[0] += 1
+    # a layer's arrays are facts: rebind the filter bank to change one
+    biases = layer.filters.biases.copy()
+    biases[0] += 1
+    layer.filters = dataclasses.replace(layer.filters, biases=biases)
     with pytest.raises(DomainError, match="2\\*\\*30"):
         pro_forward(x, layer)
 
@@ -735,16 +742,40 @@ def test_exp_probe_partials_are_int64_banks():
 
 
 def test_mult_vectors_follow_reassignment():
+    """The layer record is built once and rebuilt when mults or filters is rebound."""
     rng = np.random.default_rng(35)
     layer = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
     x = qinput(rng, layer)
     before, _ = pro_forward(x, layer)
-    mults, _ = layer.mult_vectors()
-    assert layer.mult_vectors()[0] is mults  # built once
+    record = layer_record(layer)
+    pro_forward(x, layer)
+    assert layer_record(layer) is record  # built once
     layer.mults = [quantize_multiplier(m.value / 2) for m in layer.mults]
     after, _ = pro_forward(x, layer)
+    assert layer_record(layer) is not record
     assert not np.array_equal(before.data, after.data)
     np.testing.assert_array_equal(after.data, naive_quant_layer(x.data, layer))
+    f = layer.filters
+    layer.filters = dataclasses.replace(f, weights=255 - f.weights)
+    rebound, _ = pro_forward(x, layer)
+    assert not np.array_equal(after.data, rebound.data)
+    np.testing.assert_array_equal(rebound.data, naive_quant_layer(x.data, layer))
+    biases = f.biases.copy()
+    biases[-1] = -ACC_BOUND
+    layer.filters = dataclasses.replace(f, biases=biases)
+    for _ in range(2):  # an over-bound layer never gets a record
+        with pytest.raises(DomainError, match="2\\*\\*30"):
+            pro_forward(x, layer)
+
+
+def test_nominal_stats_is_one_frozen_record():
+    rng = np.random.default_rng(37)
+    layer = pointwise_layer(rng, Kind.EXP)
+    stats = nominal_stats(layer)
+    assert nominal_stats(layer) is stats
+    assert run_layer(qinput(rng, layer), layer)[1] is stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.cycles = 0
 
 
 @pytest.mark.parametrize("width, resolution", [(1.0, 224), (0.5, 64)])
@@ -754,3 +785,20 @@ def test_standard_models_pass_the_bound_guard(tmp_path, width, resolution):
     for m in (model, loaded):
         for layer in m.layers:
             check_acc_bound(layer)
+
+
+def test_layer_records_hold_no_weight_copies():
+    """A record references its layer's arrays and owns only per-channel
+    vectors, so no resident weight copy can grow the memory footprint."""
+    model = prepare(build_mobilenet_v2(0.5, 64))
+    for layer in model.layers:
+        rec, owned = layer_record(layer), []
+        for fld in dataclasses.fields(rec):
+            value = getattr(rec, fld.name)
+            if fld.name in ("filters", "mults"):
+                assert value is getattr(layer, fld.name)
+            else:
+                owned += value if isinstance(value, tuple) else [value]
+        arrays = [v for v in owned if isinstance(v, np.ndarray)]
+        assert len(arrays) == (0 if layer.mults is None else 3)
+        assert all(v.size <= layer.out_ch for v in arrays)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistream.dataflow import run_inference
+from semistream.engines import run_layer
 from semistream.errors import DomainError, FormatError, RangeError, SemistreamError
 from semistream.modelkit import (
     LANES,
@@ -490,6 +492,28 @@ def test_package_rejects_a_malformed_manifest(tmp_path, edit, error, match):
     _rewrite_manifest(tmp_path, edit)
     with pytest.raises(error, match=match):
         load_package(tmp_path)
+
+
+def test_package_rejects_blocks_without_an_entry_convolution(tmp_path):
+    """Block layers need the entry convolution that starts round 0; a
+    single layer outside any block still loads and runs on its own."""
+    model = prepare(build_model([BlockSpec(2, 16, 1), BlockSpec(2, 24, 2)], 16,
+                                include_head=False))
+    layers = model.layers[1:]
+    headless = dataclasses.replace(model, layers=layers, resolution=layers[0].in_h)
+    save_package(headless, tmp_path / "headless")
+    with pytest.raises(DomainError, match="no entry convolution"):
+        load_package(tmp_path / "headless")
+    pro = next(l for l in layers if l.kind is Kind.PRO)
+    single = dataclasses.replace(model, layers=[dataclasses.replace(pro, block=None)],
+                                 resolution=pro.in_h)
+    loaded = load_package(save_package(single, tmp_path / "single"))
+    assert loaded == single
+    rng = np.random.default_rng(0)
+    x = QTensor(pro.in_h, pro.in_w, pro.in_ch,
+                rng.integers(0, 256, size=(pro.in_h, pro.in_w, pro.in_ch)),
+                pro.in_zero, pro.in_scale)
+    assert run_inference(loaded, x, mode="sequential").logits == run_layer(x, pro)[0]
 
 
 #: One value of each type json.loads produces.
