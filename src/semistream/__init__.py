@@ -19,10 +19,8 @@ from .errors import (
 )
 from .quantcore import (
     AddParams,
-    BatchNormParams,
     MultShift,
     Rounding,
-    fold_batch_norm,
     narrow_bias,
     quantize_multiplier,
     requantize_array,
@@ -78,7 +76,6 @@ from .oracle import (
     dequantize,
     float_layer,
     naive_quant_layer,
-    run_model_float,
     run_model_naive,
 )
 from .dataflow import (

@@ -284,7 +284,7 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, round
             ri, rbatch = yield from res_q.get_g()
             if ri != b:
                 raise SequencingError(f"residual batch {ri} arrived out of order")
-            batch = add_elements(batch, rbatch, layer.add_params, rounding)
+            batch = add_elements(batch, rbatch, layer, rounding)
         for sink in sinks:
             yield from sink.put_g((b, batch), words=npix)
 

@@ -13,19 +13,25 @@ zero-corrected operands lie in [-255, 255], and check_acc_bound holds
 every accumulator of a layer, K * 255**2 plus its largest bias for K
 terms, below ACC_BOUND = 2**30. Every partial sum is then an integer
 far below 2**53, so any summation order is exact. DWC accumulates in
-int32 under the same bound. Results are widened to int64 for the
-rescale, whose |acc| * mult < 2**62 precondition the bound also gives.
+int32 under the same bound; it sums raw codes onto a bias that holds
+-in_zero times the tap sum, so its partial sums may pass the bound by
+at most 2 * 9 * 255**2, still far below 2**31. Results are widened to
+int64 for the rescale, whose |acc| * mult < 2**62 precondition the
+bound also gives.
 This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
 arXiv 1712.05877.
 
 The bound is checked once per layer, when an engine first runs the
 layer and compiles its record (layer_record): a layer that breaks it
 gets no record, so every call raises. The record also holds the
-layer's stats and rescale constants, so no engine call recomputes
-them. It is rebuilt when the layer's filters or mults are rebound. A
-layer's arrays are facts: to change one after a run, rebind the field
-(dataclasses.replace on the filter bank), as mults already requires;
-an in-place edit is not seen.
+layer's stats, its rescale constants, the zero-corrected taps of the
+entry and depthwise convolutions (with the depthwise input zero point
+folded into a bias) and an addition's per-code operand tables, so no
+engine call recomputes them. It is rebuilt when the layer's filters,
+mults, add_params or in_zero are rebound. A layer's arrays are facts:
+to change one after a run, rebind the field (dataclasses.replace on
+the filter bank), as mults already requires; an in-place edit is not
+seen.
 
 A one-pixel projection (the classifier) is a GEMV, too small for a
 zero-corrected float64 weight copy to pay off. It runs on the raw uint8
@@ -41,7 +47,8 @@ Engines:
   PRO  1x1 projection, one GEMM per frame (one GEMV at one pixel)
   EXP  1x1 expansion, channel-major pass order, partial sums held across
        input batches (streaming kernel available for the dataflow runner)
-  ADD  elementwise residual addition through a fixed-point chain
+  ADD  elementwise residual addition: each operand's rescale is a
+       256-entry per-code table (Jacob et al.), then one rescale of the sum
 """
 from __future__ import annotations
 
@@ -66,7 +73,6 @@ from .quantcore import (
     Rescale,
     Rounding,
     apply_rescale,
-    requantize_array,
     rescale_constants,
 )
 
@@ -153,36 +159,84 @@ def _layer_stats(layer: LayerDesc) -> EngineStats:
 class LayerRecord:
     """A layer's run-time facts, compiled once per layer by layer_record.
 
-    filters and mults are the layer's own objects the record was built
-    from (no copies); stats is what every engine call reports; rescale
-    holds the read-only per-channel constants of mults, or None for a
-    layer without them.
+    filters, mults, add_params and in_zero are the layer's own facts the
+    record was built from (no copies); stats is what every engine call
+    reports; rescale holds the read-only per-channel constants of mults
+    (of an addition's mult3), or None for a layer without them. The rest
+    is None except on the layers that use it, and read-only: taps are
+    the zero-corrected entry (27 x 32 float64) or depthwise (3 x 3 x C
+    int32) weights; bias is the depthwise bias minus in_zero times each
+    channel's tap sum, so the engine sums raw codes; add_tables maps
+    each Rounding to an addition's two 256-entry per-code tables.
     """
 
     filters: QFilterSet | None
     mults: list | None
+    add_params: AddParams | None
+    in_zero: int
     stats: EngineStats
     rescale: Rescale | None
+    taps: np.ndarray | None
+    bias: np.ndarray | None
+    add_tables: dict | None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _add_tables(p: AddParams) -> dict:
+    """Per-code operand tables of an addition, one pair per rounding.
+
+    Each operand is rescaled on its own before the sum (Jacob et al.,
+    arXiv 1712.05877), so its rescaled value is a function of one uint8
+    code: T[a] = rescale((a - zero) << pre_shift, mult). Raises
+    DomainError unless (max|T1| + max|T2|) * mult3 < 2**62, the
+    precondition of the final rescale; normalized multipliers always
+    meet it (each |T| < 2**28, mult3 < 2**32).
+    """
+    codes = np.arange(256, dtype=np.int64)
+    operands = [((codes - zero) << p.pre_shift, rescale_constants(m.mult, m.shift))
+                for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2))]
+    tables = {}
+    for rounding in Rounding:
+        t1, t2 = (_read_only(apply_rescale(x, r, 0, rounding)) for x, r in operands)
+        worst = int(np.abs(t1).max()) + int(np.abs(t2).max())
+        if worst * p.mult3.mult >= 1 << 62:
+            raise DomainError(
+                f"addition sums reach {worst}, and times mult3 not below 2**62: "
+                "the output rescale would overflow int64"
+            )
+        tables[rounding] = (t1, t2)
+    return tables
 
 
 def layer_record(layer: LayerDesc) -> LayerRecord:
     """The layer's compiled record, built on first use.
 
-    Checks the accumulator bound before building, so a layer that breaks
-    it never gets a record. Rebuilt whenever the layer's filters or mults
-    has been rebound since; in-place edits of their arrays are not seen.
+    Checks the accumulator bound (and an addition's sum bound) before
+    building, so a layer that breaks it never gets a record. Rebuilt
+    whenever the layer's filters, mults, add_params or in_zero has been
+    rebound since; in-place edits of their arrays are not seen.
     """
     rec = layer._record
-    if rec is None or rec.filters is not layer.filters or rec.mults is not layer.mults:
+    if (rec is None or rec.filters is not layer.filters or rec.mults is not layer.mults
+            or rec.add_params is not layer.add_params or rec.in_zero != layer.in_zero):
         check_acc_bound(layer)
-        rescale = None
-        if layer.mults is not None:
-            rescale = rescale_constants([m.mult for m in layer.mults],
-                                        [m.shift for m in layer.mults])
-            for v in rescale:
-                v.flags.writeable = False
-        rec = layer._record = LayerRecord(layer.filters, layer.mults,
-                                          _layer_stats(layer), rescale)
+        p = layer.add_params
+        mults = layer.mults if p is None else [p.mult3]
+        rescale = None if mults is None else Rescale(*map(_read_only, rescale_constants(
+            [m.mult for m in mults], [m.shift for m in mults])))
+        taps = bias = None
+        if layer.kind is Kind.C2D:
+            taps = _read_only(_signed_weights(layer.filters, np.float64).reshape(27, 32))
+        elif layer.kind is Kind.DWC:
+            taps = _read_only(_signed_weights(layer.filters, np.int32)[:, :, 0, :])
+            bias = _read_only(layer.filters.biases - layer.in_zero * taps.sum(axis=(0, 1)))
+        rec = layer._record = LayerRecord(
+            layer.filters, layer.mults, p, layer.in_zero, _layer_stats(layer), rescale,
+            taps, bias, None if p is None else _add_tables(p))
     return rec
 
 
@@ -257,7 +311,6 @@ def c2d_forward(
         raise ShapeError(f"entry frame {x.height}x{x.width} must have even sides")
 
     rec = layer_record(layer)
-    f = layer.filters
     in_h, in_w = x.height, x.width
     out_h, out_w = layer.out_h, layer.out_w
     # zero-corrected frame with a ring of zeros (the zero-point padding)
@@ -270,9 +323,8 @@ def c2d_forward(
         for j in range(3):
             cols[:, :, i, j, :] = padded[i : i + 2 * out_h - 1 : 2,
                                          j : j + 2 * out_w - 1 : 2, :]
-    taps = _signed_weights(f, np.float64).reshape(27, 32)
-    acc = (cols.reshape(out_h * out_w, 27) @ taps).astype(np.int64)
-    acc += f.biases
+    acc = (cols.reshape(out_h * out_w, 27) @ rec.taps).astype(np.int64)
+    acc += layer.filters.biases
     out = _requant_uint8(acc, layer, rec, rounding).reshape(out_h, out_w, 32)
     return _out_tensor(layer, out), rec.stats
 
@@ -299,17 +351,17 @@ def dwc_forward(
         raise ShapeError(f"depthwise stride {layer.stride} unsupported")
 
     rec = layer_record(layer)
-    f = layer.filters
     in_h, in_w, ch = x.height, x.width, x.channels
     out_h, out_w = layer.out_h, layer.out_w
     s = layer.stride
-    padded = np.zeros((in_h + 2, in_w + 2, ch), dtype=np.int32)
+    # raw codes with a ring of the zero point; the record's bias holds
+    # -in_zero * sum(taps), so the sum is the zero-corrected one
+    padded = np.full((in_h + 2, in_w + 2, ch), x.zero_point, dtype=np.int32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    padded[1 : in_h + 1, 1 : in_w + 1, :] -= x.zero_point
-    taps = _signed_weights(f, np.int32)[:, :, 0, :]
+    taps = rec.taps
 
     acc = np.empty((out_h, out_w, ch), dtype=np.int32)
-    acc[...] = f.biases
+    acc[...] = rec.bias
     for i in range(3):
         for j in range(3):
             window = padded[
@@ -478,21 +530,21 @@ class ExpStreamKernel:
 # ---------------------------------------------------------------------------
 
 def add_elements(
-    a1: np.ndarray, a2: np.ndarray, params: AddParams,
+    a1: np.ndarray, a2: np.ndarray, layer: LayerDesc,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """Elementwise fixed-point addition of two uint8 arrays.
+    """Elementwise fixed-point addition of two uint8 arrays on a shortcut layer.
 
     Each operand is zero-point corrected, widened by the 2**20 headroom
-    shift, scaled onto the common intermediate grid by its multiplier,
-    and the sum is rescaled onto the output grid. Returns uint8.
+    shift and scaled onto the common intermediate grid by its multiplier;
+    that is one lookup in the record's per-code table. The sum is
+    rescaled onto the output grid. Returns uint8.
     """
-    x1 = (np.asarray(a1, dtype=np.int64) - params.in1_zero) << params.pre_shift
-    x2 = (np.asarray(a2, dtype=np.int64) - params.in2_zero) << params.pre_shift
-    t = requantize_array(x1, params.mult1.mult, params.mult1.shift, 0, rounding)
-    t += requantize_array(x2, params.mult2.mult, params.mult2.shift, 0, rounding)
-    vals = requantize_array(t, params.mult3.mult, params.mult3.shift, 0, rounding)
-    return _narrow_uint8(vals, params.out_zero)
+    rec = layer_record(layer)
+    t1, t2 = rec.add_tables[rounding]
+    t = t1.take(a1)
+    t += t2.take(a2)
+    return _narrow_uint8(apply_rescale(t, rec.rescale, 0, rounding), rec.add_params.out_zero)
 
 
 def add_forward(
@@ -507,7 +559,7 @@ def add_forward(
         raise ShapeError("residual operand dims do not match the layer")
     if x2.zero_point != layer.add_params.in2_zero:
         raise DomainError("residual operand zero point does not match")
-    out = add_elements(x1.data, x2.data, layer.add_params, rounding)
+    out = add_elements(x1.data, x2.data, layer, rounding)
     return _out_tensor(layer, out), nominal_stats(layer)
 
 

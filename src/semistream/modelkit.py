@@ -669,8 +669,9 @@ def check_acc_bound(layer: LayerDesc) -> None:
 
     A filter bank of K = kh * kw * in_ch taps per output sums K products
     of two zero-corrected codes onto its bias; average pooling sums
-    in_h * in_w zero-corrected codes. Addition needs no check: its
-    operands are bounded by construction.
+    in_h * in_w zero-corrected codes. Addition has its own bound on
+    the sum of its operand tables, checked once when its record is
+    compiled (engines.layer_record).
     """
     f = layer.filters
     if f is not None:

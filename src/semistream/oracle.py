@@ -6,10 +6,10 @@ model's integer parameters (so results must match the engines bit for
 bit) but none of the engines' pass structure or code, which is what
 makes agreement between the two a meaningful check.
 
-float_layer and run_model_float evaluate the same network in real
-arithmetic on dequantized values, clamping each activation to its
-representable quantized range. The gap between a quantized run and the
-float run bounds the rounding error the integer pipeline introduces.
+float_layer evaluates one layer in real arithmetic on dequantized
+values, clamping each activation to its representable quantized range.
+The gap between a quantized layer and the float layer bounds the
+rounding error the integer pipeline introduces.
 """
 from __future__ import annotations
 
@@ -184,17 +184,3 @@ def float_layer(
         return _clamp_to_grid(x + residual, layer.out_scale, layer.out_zero)
 
     raise DomainError(f"no real-arithmetic evaluator for {layer.kind}")
-
-
-def run_model_float(model: PreparedModel, image: np.ndarray) -> np.ndarray:
-    """Evaluate the whole model in real arithmetic from a uint8 image."""
-    scale, zero = model.entry_quant
-    x = dequantize(np.asarray(image, dtype=np.uint8), scale, zero)
-    sources = model.residual_sources
-    kept: dict[int, np.ndarray] = {}
-    for idx, layer in enumerate(model.layers):
-        residual = kept.pop(layer.residual_from, None) if layer.kind is Kind.ADD else None
-        x = float_layer(x, layer, residual=residual)
-        if idx in sources:
-            kept[idx] = x
-    return x

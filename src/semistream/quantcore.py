@@ -6,8 +6,7 @@ m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, and
 applying it to an accumulator is a 64-bit multiply followed by a
 rounding shift over whole arrays (apply_rescale, with the per-channel
 constants from rescale_constants; requantize_array composes the two).
-The module also folds batch normalization into convolution
-weights/biases and validates narrow bias storage.
+The module also validates narrow bias storage.
 """
 from __future__ import annotations
 
@@ -85,17 +84,6 @@ class AddParams:
                 raise DomainError(f"{name} zero point {z} outside [0, 255]")
         if self.pre_shift != 20:
             raise DomainError("the addition pre-shift is fixed at 20 bits")
-
-
-@dataclass
-class BatchNormParams:
-    """Per-channel batch normalization statistics and affine terms."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    epsilon: float = 1e-3
 
 
 def _round_half_away(x: float) -> int:
@@ -212,34 +200,6 @@ def requantize_array(
     its constants once, in the layer's record, and calls apply_rescale.
     """
     return apply_rescale(acc, rescale_constants(mults, shifts), out_zero, rounding)
-
-
-def fold_batch_norm(
-    weights: np.ndarray, bias: np.ndarray, bn: BatchNormParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold batch normalization into the preceding convolution.
-
-    weights must have output channels on the last axis; bias, and all
-    BatchNormParams vectors, must match that channel count. Returns the
-    folded real-valued (weights, bias) pair.
-    """
-    gamma = np.asarray(bn.gamma, dtype=np.float64)
-    beta = np.asarray(bn.beta, dtype=np.float64)
-    mean = np.asarray(bn.mean, dtype=np.float64)
-    variance = np.asarray(bn.variance, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    n = weights.shape[-1]
-    for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean), ("variance", variance), ("bias", bias)):
-        if v.shape != (n,):
-            raise DomainError(f"{name} has shape {v.shape}, expected ({n},)")
-    denom2 = variance + bn.epsilon
-    if np.any(denom2 <= 0.0):
-        raise DomainError("variance + epsilon must be positive for every channel")
-    scale = gamma / np.sqrt(denom2)
-    folded_w = weights * scale
-    folded_b = (bias - mean) * scale + beta
-    return folded_w, folded_b
 
 
 def narrow_bias(bias: int, bits: int) -> int:

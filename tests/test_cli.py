@@ -270,8 +270,8 @@ def test_verify_negative_trials(capsys):
 
 
 def test_verify_catches_an_off_by_one(monkeypatch):
-    real = engines.requantize_array
-    monkeypatch.setattr(engines, "requantize_array",
+    real = engines.apply_rescale
+    monkeypatch.setattr(engines, "apply_rescale",
                         lambda *a, **k: real(*a, **k) + 1)
     res = run_cli("verify", "--trials", 1)
     assert res.exit_code == 1

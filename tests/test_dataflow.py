@@ -262,22 +262,59 @@ def test_one_round_plan_per_model(monkeypatch):
 
 
 def test_one_layer_record_per_layer(monkeypatch):
-    """The engines check the bound and build the stats once per layer."""
+    """The engines check the bound and build the stats once per layer,
+    and the addition tables once per shortcut layer."""
     import semistream.engines as engines
 
-    model, image, _ = toy_pair(4)
-    bound, stats = [], []
     real_bound, real_stats = engines.check_acc_bound, engines._layer_stats
-    monkeypatch.setattr(engines, "check_acc_bound", lambda l: bound.append(l) or real_bound(l))
-    monkeypatch.setattr(engines, "_layer_stats", lambda l: stats.append(l) or real_stats(l))
-    want = run_inference(model, image, mode="sequential").logits
-    for mode in ("sequential", "sequential", "stream", "stream", "stream"):
-        result = run_inference(model, image, mode=mode)
-        assert result.logits == want
-        assert all(result.stats[i] is engines.nominal_stats(l)
-                   for i, l in enumerate(model.layers))
-    for calls in (bound, stats):
-        assert sorted(map(id, calls)) == sorted(map(id, model.layers))
+    real_tables = engines._add_tables
+    for seed in (4, 1):  # toy model 1 has two shortcuts, model 4 none
+        model, image, _ = toy_pair(seed)
+        bound, stats, tables = [], [], []
+        monkeypatch.setattr(engines, "check_acc_bound",
+                            lambda l: bound.append(l) or real_bound(l))
+        monkeypatch.setattr(engines, "_layer_stats", lambda l: stats.append(l) or real_stats(l))
+        monkeypatch.setattr(engines, "_add_tables", lambda p: tables.append(p) or real_tables(p))
+        want = run_inference(model, image, mode="sequential").logits
+        for mode in ("sequential", "sequential", "stream", "stream", "stream"):
+            result = run_inference(model, image, mode=mode)
+            assert result.logits == want
+            assert all(result.stats[i] is engines.nominal_stats(l)
+                       for i, l in enumerate(model.layers))
+        for calls in (bound, stats):
+            assert sorted(map(id, calls)) == sorted(map(id, model.layers))
+        shortcuts = [l.add_params for l in model.layers if l.residual_from is not None]
+        assert len(shortcuts) == (2 if seed == 1 else 0)
+        assert sorted(map(id, tables)) == sorted(map(id, shortcuts))
+
+
+def test_later_frames_build_no_constants_or_taps(monkeypatch):
+    """After the first frame no engine call builds rescale constants or
+    zero-corrects entry or depthwise taps, in any mode or rounding."""
+    import semistream.engines as engines
+    import semistream.quantcore as quantcore
+
+    model = prepare(build_mobilenet_v2(0.5, 64), rounding=Rounding.TRUNCATE)
+    pixels = np.random.default_rng(53).integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+    image = image_to_qtensor(pixels, model)
+    for mode in ("sequential", "stream"):
+        run_inference(model, image, mode=mode)
+    rescales, signed = [], []
+    real_rescale, real_signed = quantcore.rescale_constants, engines._signed_weights
+    counted = lambda *a: rescales.append(a) or real_rescale(*a)  # noqa: E731
+    monkeypatch.setattr(quantcore, "rescale_constants", counted)
+    monkeypatch.setattr(engines, "rescale_constants", counted)
+    monkeypatch.setattr(engines, "_signed_weights",
+                        lambda f, dtype: signed.append(f) or real_signed(f, dtype))
+    want = run_model_naive(model, pixels)
+    for mode in ("sequential", "stream", "sequential", "stream"):
+        assert np.array_equal(run_inference(model, image, mode=mode).logits.data, want)
+    other = run_inference(model, image, mode="stream", rounding=Rounding.NEAREST).logits
+    assert np.array_equal(other.data, run_model_naive(model, pixels, Rounding.NEAREST))
+    assert rescales == []
+    entry_and_depthwise = {id(l.filters) for l in model.layers
+                           if l.kind in (Kind.C2D, Kind.DWC)}
+    assert signed and not entry_and_depthwise & set(map(id, signed))
 
 
 def _with_layers(model, layers):

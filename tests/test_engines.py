@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from semistream.engines import (
     WEIGHT_GEOMETRY,
     EngineStats,
     ExpStreamKernel,
+    add_elements,
     add_forward,
     add_passthrough,
     address_map,
@@ -39,12 +41,14 @@ from semistream.modelkit import (
     QFilterSet,
     QTensor,
     build_mobilenet_v2,
+    image_to_qtensor,
     load_package,
     pad_channels,
     prepare,
     save_package,
 )
-from semistream.oracle import naive_quant_layer
+from semistream.dataflow import run_inference
+from semistream.oracle import naive_quant_layer, run_model_naive
 from semistream.quantcore import Rounding, quantize_multiplier
 
 from conftest import (
@@ -57,6 +61,7 @@ from conftest import (
     pool_layer,
     qinput,
     random_filters,
+    rational_requant,
     residual_input,
 )
 
@@ -788,17 +793,131 @@ def test_standard_models_pass_the_bound_guard(tmp_path, width, resolution):
 
 
 def test_layer_records_hold_no_weight_copies():
-    """A record references its layer's arrays and owns only per-channel
-    vectors, so no resident weight copy can grow the memory footprint."""
+    """What a record may own, per engine kind, so that resident copies
+    cannot grow the memory footprint unnoticed: PRO and EXP records own
+    only per-channel vectors (never a copy of the GEMM bank); the entry
+    and depthwise records own their zero-corrected taps; an addition
+    owns two 256-entry tables per rounding."""
     model = prepare(build_mobilenet_v2(0.5, 64))
+    kinds = set()
     for layer in model.layers:
         rec, owned = layer_record(layer), []
         for fld in dataclasses.fields(rec):
             value = getattr(rec, fld.name)
-            if fld.name in ("filters", "mults"):
+            if fld.name in ("filters", "mults", "add_params", "in_zero"):
                 assert value is getattr(layer, fld.name)
+            elif fld.name == "add_tables" and value is not None:
+                assert set(value) == set(Rounding)
+                tables = [t for pair in value.values() for t in pair]
+                assert len(tables) == 4
+                assert all(t.shape == (256,) and t.dtype == np.int64 for t in tables)
             else:
                 owned += value if isinstance(value, tuple) else [value]
         arrays = [v for v in owned if isinstance(v, np.ndarray)]
-        assert len(arrays) == (0 if layer.mults is None else 3)
-        assert all(v.size <= layer.out_ch for v in arrays)
+        for v in arrays:
+            assert not v.flags.writeable
+            if layer.filters is not None:
+                assert not np.shares_memory(v, layer.filters.weights)
+        per_channel = [v for v in arrays if v is not rec.taps]
+        assert all(v.size <= layer.out_ch for v in per_channel)
+        kinds.add(layer.kind)
+        if layer.kind in (Kind.PRO, Kind.EXP, Kind.AVGPOOL):
+            assert len(arrays) == 3 and rec.taps is None
+        elif layer.kind is Kind.DWC:
+            assert len(arrays) == 5  # rescale, taps and the folded bias
+            assert rec.taps.dtype == np.int32 and rec.taps.size == 9 * layer.out_ch
+            assert rec.bias.size == layer.out_ch
+        elif layer.kind is Kind.C2D:
+            assert len(arrays) == 4
+            assert rec.taps.dtype == np.float64 and rec.taps.shape == (27, 32)
+        elif layer.residual_from is not None:
+            assert len(arrays) == 3 and all(v.size == 1 for v in arrays)  # mult3
+            assert rec.add_tables is not None
+        else:  # a pass-through slot
+            assert arrays == [] and rec.add_tables is None
+    assert kinds == set(Kind)
+
+
+def _all_code_pairs() -> tuple[np.ndarray, np.ndarray]:
+    a1, a2 = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8),
+                         indexing="ij")
+    return a1.reshape(256, 256, 1), a2.reshape(256, 256, 1)
+
+
+@pytest.mark.parametrize("model_rounding", list(Rounding))
+def test_add_tables_match_the_oracle_on_every_code_pair(model_rounding):
+    """Every (a1, a2) code pair of every residual addition of mnv2 0.5/64,
+    under the model's own rounding and under the other one as an override."""
+    model = prepare(build_mobilenet_v2(0.5, 64), rounding=model_rounding)
+    adds = [l for l in model.layers if l.residual_from is not None]
+    assert len(adds) == 10
+    a1, a2 = _all_code_pairs()
+    for layer in adds:
+        p = layer.add_params
+        for rounding in Rounding:
+            got = add_elements(a1, a2, layer, rounding)
+            want = naive_quant_layer(a1, layer, residual=a2, rounding=rounding)
+            np.testing.assert_array_equal(got, want)
+            # a table entry off by one rarely moves an output code, so
+            # the tables are also checked entry by entry
+            tables = layer_record(layer).add_tables[rounding]
+            for table, zero, ms in zip(tables, (p.in1_zero, p.in2_zero), (p.mult1, p.mult2)):
+                assert table.tolist() == [rational_requant((a - zero) << p.pre_shift, ms,
+                                                           rounding=rounding)
+                                          for a in range(256)]
+    other = next(r for r in Rounding if r is not model_rounding)
+    image = image_to_qtensor(
+        np.random.default_rng(41).integers(0, 256, size=(64, 64, 3), dtype=np.uint8), model)
+    want = run_model_naive(model, image.data, rounding=other)
+    for mode in ("sequential", "stream"):
+        got = run_inference(model, image, mode=mode, rounding=other).logits
+        np.testing.assert_array_equal(got.data, want)
+
+
+def test_add_record_follows_rebinding_add_params():
+    rng = np.random.default_rng(43)
+    layer = add_layer(rng, h=2, w=3)
+    x1, x2 = qinput(rng, layer), residual_input(rng, layer)
+    before, _ = add_forward(x1, x2, layer)
+    record = layer_record(layer)
+    add_forward(x1, x2, layer)
+    assert layer_record(layer) is record  # built once
+    p = layer.add_params
+    layer.add_params = dataclasses.replace(p, out_zero=(p.out_zero + 7) % 256)
+    layer.out_zero = layer.add_params.out_zero
+    after, _ = add_forward(x1, x2, layer)
+    assert layer_record(layer) is not record
+    assert not np.array_equal(before.data, after.data)
+    np.testing.assert_array_equal(
+        after.data, naive_quant_layer(x1.data, layer, residual=x2.data))
+
+
+def test_depthwise_record_follows_in_zero():
+    """The depthwise record folds the input zero point into its bias,
+    so rebinding in_zero rebuilds it."""
+    rng = np.random.default_rng(45)
+    layer = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
+    dwc_forward(qinput(rng, layer), layer)
+    record = layer_record(layer)
+    layer.in_zero = (layer.in_zero + 91) % 256
+    x = qinput(rng, layer)
+    got, _ = dwc_forward(x, layer)
+    assert layer_record(layer) is not record
+    np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
+
+
+def test_add_record_checks_its_sum_bound():
+    """The record rejects tables whose sum times mult3 could reach 2**62.
+
+    Normalized multipliers never do, and MultShift rejects a shift below
+    32, so a stand-in carries the raw pair mult 2**31, shift 1 (a scale
+    of 2**30) into the first operand."""
+    rng = np.random.default_rng(47)
+    layer = add_layer(rng, h=2, w=2)
+    x1, x2 = qinput(rng, layer), residual_input(rng, layer)
+    add_forward(x1, x2, layer)
+    layer.add_params = dataclasses.replace(
+        layer.add_params, mult1=SimpleNamespace(mult=2**31, shift=1))
+    for _ in range(2):  # an over-bound addition never gets a record
+        with pytest.raises(DomainError, match="2\\*\\*62"):
+            add_forward(x1, x2, layer)

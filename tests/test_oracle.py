@@ -12,7 +12,6 @@ from semistream.oracle import (
     dequantize,
     float_layer,
     naive_quant_layer,
-    run_model_float,
     run_model_naive,
 )
 from semistream.quantcore import MultShift, Rounding
@@ -230,12 +229,3 @@ def test_quantized_pipeline_tracks_float_on_benign_layers():
     assert err.max() <= 2 * layer.out_scale
     assert err.mean() <= 0.5 * layer.out_scale
 
-
-def test_run_model_float_shape_and_range():
-    model, qt, pixels = toy_pair(2)
-    out = run_model_float(model, pixels)
-    last = model.layers[-1]
-    assert out.shape == (last.out_h, last.out_w, last.out_ch)
-    lo = (0 - last.out_zero) * last.out_scale
-    hi = (255 - last.out_zero) * last.out_scale
-    assert out.min() >= lo - 1e-12 and out.max() <= hi + 1e-12

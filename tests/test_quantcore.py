@@ -10,10 +10,8 @@ from semistream.quantcore import (
     MULT_MAX,
     MULT_MIN,
     AddParams,
-    BatchNormParams,
     MultShift,
     Rounding,
-    fold_batch_norm,
     narrow_bias,
     quantize_multiplier,
     requantize_array,
@@ -190,67 +188,6 @@ def test_add_params_pre_shift_is_pinned():
         AddParams(ms, ms, tiny, 0, 0, 0, pre_shift=16)
     with pytest.raises(DomainError):
         AddParams(ms, ms, tiny, in1_zero=256, in2_zero=0, out_zero=0)
-
-
-# ---------------------------------------------------------------------------
-# batch norm folding
-# ---------------------------------------------------------------------------
-
-def test_fold_batch_norm_identity():
-    w = np.arange(12.0).reshape(2, 2, 3)
-    b = np.array([1.0, -2.0, 0.5])
-    bn = BatchNormParams(
-        gamma=np.ones(3), beta=np.zeros(3), mean=np.zeros(3),
-        variance=np.ones(3) - 1e-3,
-    )
-    fw, fb = fold_batch_norm(w, b, bn)
-    np.testing.assert_allclose(fw, w, rtol=1e-12)
-    np.testing.assert_allclose(fb, b, rtol=1e-12)
-
-
-def test_fold_batch_norm_pure_scale():
-    w = np.ones((1, 1, 2))
-    b = np.zeros(2)
-    bn = BatchNormParams(
-        gamma=np.array([2.0, 3.0]), beta=np.zeros(2), mean=np.zeros(2),
-        variance=np.ones(2) - 1e-3,
-    )
-    fw, fb = fold_batch_norm(w, b, bn)
-    np.testing.assert_allclose(fw[0, 0], [2.0, 3.0], rtol=1e-12)
-    np.testing.assert_allclose(fb, 0.0, atol=1e-15)
-
-
-def test_fold_batch_norm_against_direct_formula():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(1, 17))
-        w = rng.normal(size=(3, 3, 4, n))
-        b = rng.normal(size=n)
-        bn = BatchNormParams(
-            gamma=rng.normal(size=n),
-            beta=rng.normal(size=n),
-            mean=rng.normal(size=n),
-            variance=rng.uniform(0.01, 2.0, size=n),
-            epsilon=1e-3,
-        )
-        fw, fb = fold_batch_norm(w, b, bn)
-        # a folded layer must respond exactly like conv followed by bn
-        x = rng.normal(size=(3, 3, 4))
-        conv = np.einsum("ijc,ijcn->n", x, w) + b
-        direct = (conv - bn.mean) / np.sqrt(bn.variance + bn.epsilon) * bn.gamma + bn.beta
-        folded = np.einsum("ijc,ijcn->n", x, fw) + fb
-        np.testing.assert_allclose(folded, direct, rtol=1e-5, atol=1e-9)
-
-
-def test_fold_batch_norm_shape_and_variance_checks():
-    w = np.ones((1, 1, 3))
-    bn = BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
-    with pytest.raises(DomainError):
-        fold_batch_norm(w, np.zeros(3), bn)
-    bad = BatchNormParams(np.ones(3), np.zeros(3), np.zeros(3),
-                          np.array([1.0, 1.0, -2.0]))
-    with pytest.raises(DomainError):
-        fold_batch_norm(w, np.zeros(3), bad)
 
 
 # ---------------------------------------------------------------------------
