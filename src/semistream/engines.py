@@ -7,17 +7,23 @@ to uint8. The observable pass boundaries of each engine are preserved
 its probe sees every partial bank); inside those boundaries the
 arithmetic is vectorized with numpy.
 
-The multiply-accumulate of C2D, PRO and EXP runs on float64 as an exact
-integer carrier, so numpy can hand it to a BLAS GEMM: both
-zero-corrected operands lie in [-255, 255], and check_acc_bound holds
+The multiply-accumulate of C2D, PRO and EXP runs on float32 as an exact
+integer carrier, so numpy can hand it to a BLAS GEMM. Both
+zero-corrected operands lie in [-255, 255], so every product is an
+integer of at most 255**2. The entry convolution sums 27 of them, and
+the pointwise engines fold their bank of K rows in slices of at most
+K_CHUNK = 256 rows (fold_gemm): each slice is cast from the uint8 bank
+into one reused float32 buffer and zero-corrected there. Every partial
+sum of a slice then stays below 256 * 255**2 < 2**24, where float32
+holds every integer, so any summation order is exact. Each slice's
+result is added to an int64 or float64 bank, and check_acc_bound holds
 every accumulator of a layer, K * 255**2 plus its largest bias for K
-terms, below ACC_BOUND = 2**30. Every partial sum is then an integer
-far below 2**53, so any summation order is exact. DWC accumulates in
-int32 under the same bound; it sums raw codes onto a bias that holds
--in_zero times the tap sum, so its partial sums may pass the bound by
-at most 2 * 9 * 255**2, still far below 2**31. Results are widened to
-int64 for the rescale, whose |acc| * mult < 2**62 precondition the
-bound also gives.
+terms, below ACC_BOUND = 2**30, far below 2**53. No engine call copies
+a whole bank to float64. DWC accumulates in int32 under the same bound;
+it sums raw codes onto a bias that holds -in_zero times the tap sum,
+so its partial sums may pass the bound by at most 2 * 9 * 255**2,
+still far below 2**31. Results are widened to int64 for the rescale,
+whose |acc| * mult < 2**62 precondition the bound also gives.
 This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
 arXiv 1712.05877.
 
@@ -33,18 +39,10 @@ to change one after a run, rebind the field (dataclasses.replace on
 the filter bank), as mults already requires; an in-place edit is not
 seen.
 
-A one-pixel projection (the classifier) is a GEMV, too small for a
-zero-corrected float64 weight copy to pay off. It runs on the raw uint8
-weights instead, using the same zero-point algebra:
-acc_n = sum_k x'_k * W_kn - zw_n * sum_k x'_k, with the first term cast
-from uint8 in small buffers. |x'_k| <= 255 and W_kn in [0, 255], so each
-term is also below K * 255**2 < 2**30 and exact. Larger frames keep the
-GEMM, which beats this form there.
-
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
   DWC  depthwise 3x3 over 16-channel groups (also runs average pooling)
-  PRO  1x1 projection, one GEMM per frame (one GEMV at one pixel)
+  PRO  1x1 projection, one GEMM per frame
   EXP  1x1 expansion, channel-major pass order, partial sums held across
        input batches (streaming kernel available for the dataflow runner)
   ADD  elementwise residual addition: each operand's rescale is a
@@ -91,6 +89,10 @@ WEIGHT_GEOMETRY = {
 }
 #: Width of the streams feeding the addition engine.
 ADD_STREAM_BITS = 128
+
+#: Weight rows per float32 GEMM slice: the largest multiple of LANES
+#: whose worst-case slice sum, K_CHUNK * 255**2, float32 holds exactly.
+K_CHUNK = 2**24 // (255 * 255) // LANES * LANES
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +166,7 @@ class LayerRecord:
     reports; rescale holds the read-only per-channel constants of mults
     (of an addition's mult3), or None for a layer without them. The rest
     is None except on the layers that use it, and read-only: taps are
-    the zero-corrected entry (27 x 32 float64) or depthwise (3 x 3 x C
+    the zero-corrected entry (27 x 32 float32) or depthwise (3 x 3 x C
     int32) weights; bias is the depthwise bias minus in_zero times each
     channel's tap sum, so the engine sums raw codes; add_tables maps
     each Rounding to an addition's two 256-entry per-code tables.
@@ -230,7 +232,7 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             [m.mult for m in mults], [m.shift for m in mults])))
         taps = bias = None
         if layer.kind is Kind.C2D:
-            taps = _read_only(_signed_weights(layer.filters, np.float64).reshape(27, 32))
+            taps = _read_only(_signed_weights(layer.filters, np.float32).reshape(27, 32))
         elif layer.kind is Kind.DWC:
             taps = _read_only(_signed_weights(layer.filters, np.int32)[:, :, 0, :])
             bias = _read_only(layer.filters.biases - layer.in_zero * taps.sum(axis=(0, 1)))
@@ -265,6 +267,26 @@ def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     w = f.weights.astype(dtype)
     w -= f.zero_points
     return w
+
+
+def fold_gemm(acc: np.ndarray, signed: np.ndarray, f: QFilterSet,
+              zw: np.ndarray, row0: int = 0) -> None:
+    """Add signed @ (W[row0 : row0 + K] - zw) to acc, exactly.
+
+    signed holds K zero-corrected activation columns (float32); W is the
+    layer's uint8 bank and zw its zero points as float32. Each slice of
+    at most K_CHUNK weight rows is cast into one reused float32 buffer
+    and zero-corrected there, so its GEMM is exact (see the module
+    docstring); acc (int64 or float64) takes each slice's result.
+    """
+    k = signed.shape[1]
+    w = f.weights[0, 0, row0 : row0 + k]
+    buf = np.empty((min(k, K_CHUNK), w.shape[1]), dtype=np.float32)
+    for j in range(0, k, K_CHUNK):
+        rows = buf[: min(K_CHUNK, k - j)]
+        rows[...] = w[j : j + K_CHUNK]
+        rows -= zw
+        np.add(acc, signed[:, j : j + K_CHUNK] @ rows, out=acc, casting="unsafe")
 
 
 def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
@@ -314,11 +336,11 @@ def c2d_forward(
     in_h, in_w = x.height, x.width
     out_h, out_w = layer.out_h, layer.out_w
     # zero-corrected frame with a ring of zeros (the zero-point padding)
-    padded = np.zeros((in_h + 2, in_w + 2, 3))
+    padded = np.zeros((in_h + 2, in_w + 2, 3), dtype=np.float32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
     padded[1 : in_h + 1, 1 : in_w + 1, :] -= x.zero_point
     # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
-    cols = np.empty((out_h, out_w, 3, 3, 3))
+    cols = np.empty((out_h, out_w, 3, 3, 3), dtype=np.float32)
     for i in range(3):
         for j in range(3):
             cols[:, :, i, j, :] = padded[i : i + 2 * out_h - 1 : 2,
@@ -409,8 +431,7 @@ def pro_forward(
     loop over input channel batches; the accumulator bank starts at the
     bias word and each output batch is rescaled and written the moment
     its last input batch lands. Integer sums do not depend on their
-    order, so the whole frame runs here as one exact GEMM (a GEMV on the
-    raw weights at one pixel, see the module docstring), with results
+    order, so the whole frame runs here as one exact GEMM, with results
     identical to the per-pass schedule.
     """
     if layer.kind is not Kind.PRO:
@@ -422,17 +443,11 @@ def pro_forward(
     rec = layer_record(layer)
     f = layer.filters
     npix = x.height * x.width
-    flat = x.data.reshape(npix, x.channels).astype(np.float64)
-    flat -= x.zero_point
-    if npix == 1:
-        # sum_k x'_k (W_kn - zw_n) = sum_k x'_k W_kn - zw_n sum_k x'_k
-        acc = np.einsum("pk,kn->pn", flat, f.weights[0, 0],
-                        dtype=np.float64, casting="unsafe")
-        acc -= flat.sum() * f.zero_points
-    else:
-        acc = flat @ _signed_weights(f, np.float64)[0, 0]
-    acc = acc.astype(np.int64)
-    acc += f.biases
+    signed = x.data.reshape(npix, x.channels).astype(np.float32)
+    signed -= x.zero_point
+    acc = np.empty((npix, layer.out_ch), dtype=np.int64)
+    acc[...] = f.biases
+    fold_gemm(acc, signed, f, f.zero_points.astype(np.float32))
     data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), rec.stats
 
@@ -468,9 +483,7 @@ def exp_forward(
 
     npix = x.height * x.width
     kernel = ExpStreamKernel(layer, npix, rounding, probe=probe)
-    flat = x.data.reshape(npix, x.channels)
-    for ab in range(layer.apass):
-        kernel.consume(ab, flat[:, ab * LANES : (ab + 1) * LANES])
+    kernel.consume(0, x.data.reshape(npix, x.channels))
     data = kernel.outputs().reshape(layer.out_h, layer.out_w, layer.out_ch)
     return _out_tensor(layer, data), nominal_stats(layer)
 
@@ -479,11 +492,12 @@ class ExpStreamKernel:
     """Streaming form of the expansion engine.
 
     One kernel runs one frame of npix pixels. Feed input channel batches
-    in order with consume(); after the last one, outputs() returns the
-    finished frame. The accumulator bank holds every filter's partial sum
-    for every pixel, the fpass*16 per-pixel working set of the engine,
-    and persists across batches; each batch is folded into all filter
-    batches by one exact float64 GEMM.
+    in order with consume(), one or several consecutive batches per call;
+    after the last one, outputs() returns the finished frame. The
+    accumulator bank holds every filter's partial sum for every pixel,
+    the fpass*16 per-pixel working set of the engine, and persists
+    across calls; each call folds its batches into all filter batches
+    with fold_gemm, reading the weight rows straight from the uint8 bank.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -496,28 +510,41 @@ class ExpStreamKernel:
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
-        self._w = _signed_weights(layer.filters, np.float64)[0, 0]
+        self._zw = layer.filters.zero_points.astype(np.float32)
         self._acc = np.empty((npix, layer.out_ch))
         self._acc[...] = layer.filters.biases
         self._next_batch = 0
         self._out = None
 
-    def consume(self, ab: int, batch: np.ndarray) -> None:
-        """Fold input channel batch ab (pixels x 16 uint8) into the bank."""
+    def consume(self, ab: int, batches: np.ndarray) -> None:
+        """Fold input channel batches ab, ab + 1, ... into the bank.
+
+        batches is pixels x (16 * n) uint8, n consecutive batches side by
+        side. Without a probe all n fold in one call of fold_gemm; with
+        one, each batch is folded and probed in turn, so the probe sees
+        every partial in pass order.
+        """
+        layer = self.layer
         if ab != self._next_batch:
             raise DomainError(f"input batch {ab} arrived, expected {self._next_batch}")
-        layer = self.layer
-        signed = batch.astype(np.float64)
+        n, ragged = divmod(batches.shape[1], LANES)
+        if ragged or not 0 < n <= layer.apass - ab:
+            raise DomainError(f"{batches.shape[1]} channels from batch {ab} do not fill "
+                              f"whole batches within the layer's {layer.apass} input batches")
+        signed = batches.astype(np.float32)
         signed -= layer.in_zero
-        self._acc += signed @ self._w[ab * LANES : (ab + 1) * LANES]
-        if ab == layer.apass - 1:
+        step = LANES if self.probe is not None else n * LANES
+        for lo in range(0, n * LANES, step):
+            fold_gemm(self._acc, signed[:, lo : lo + step], layer.filters, self._zw,
+                      ab * LANES + lo)
+            if self.probe is not None:
+                npix = self._acc.shape[0]
+                banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)
+                self.probe(ab + lo // LANES, np.ascontiguousarray(banks, dtype=np.int64))
+        self._next_batch = ab + n
+        if self._next_batch == layer.apass:
             self._out = _requant_uint8(self._acc.astype(np.int64), layer, self.record,
                                        self.rounding)
-        if self.probe is not None:
-            npix = self._acc.shape[0]
-            banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)
-            self.probe(ab, np.ascontiguousarray(banks, dtype=np.int64))
-        self._next_batch = ab + 1
 
     def outputs(self) -> np.ndarray:
         if self._next_batch != self.layer.apass:

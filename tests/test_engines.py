@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from semistream.engines import (
     ACC_BOUND,
     ADD_OPS_PER_CYCLE,
+    K_CHUNK,
     MADDS_PER_CYCLE,
     WEIGHT_GEOMETRY,
     EngineStats,
@@ -27,6 +30,7 @@ from semistream.engines import (
     dwc_forward,
     engine_cycles,
     exp_forward,
+    fold_gemm,
     layer_record,
     layout_weights,
     nominal_stats,
@@ -49,7 +53,7 @@ from semistream.modelkit import (
 )
 from semistream.dataflow import run_inference
 from semistream.oracle import naive_quant_layer, run_model_naive
-from semistream.quantcore import Rounding, quantize_multiplier
+from semistream.quantcore import MULT_MAX, MULT_MIN, MultShift, Rounding, quantize_multiplier
 
 from conftest import (
     add_layer,
@@ -300,18 +304,64 @@ def test_exp_partials_after_first_batch():
 
 def test_exp_kernel_sequencing():
     rng = np.random.default_rng(12)
-    layer = pointwise_layer(rng, Kind.EXP, h=2, w=2, cin=32, cout=16)
+    layer = pointwise_layer(rng, Kind.EXP, h=2, w=2, cin=48, cout=16)
     x = qinput(rng, layer)
-    flat = x.data.reshape(4, 32)
+    flat = x.data.reshape(4, 48)
+    want = naive_quant_layer(x.data, layer).reshape(4, 16)
     kernel = ExpStreamKernel(layer, 4)
     with pytest.raises(DomainError, match="expected 0"):
-        kernel.consume(1, flat[:, 16:])
+        kernel.consume(1, flat[:, 16:32])
     kernel.consume(0, flat[:, :16])
     with pytest.raises(DomainError, match="not finished"):
         kernel.outputs()
-    kernel.consume(1, flat[:, 16:])
-    want = naive_quant_layer(x.data, layer).reshape(4, 16)
+    with pytest.raises(DomainError, match="whole batches"):
+        kernel.consume(1, flat)  # batches 1..3 of a 3-batch layer
+    with pytest.raises(DomainError, match="whole batches"):
+        kernel.consume(1, flat[:, 16:40])  # a ragged batch
+    kernel.consume(1, flat[:, 16:32])
+    kernel.consume(2, flat[:, 32:])
     np.testing.assert_array_equal(kernel.outputs(), want)
+    # several consecutive batches per call, and the whole frame in one
+    for splits in ((0, 16, 48), (0, 48)):
+        kernel = ExpStreamKernel(layer, 4)
+        for lo, hi in zip(splits, splits[1:]):
+            kernel.consume(lo // LANES, flat[:, lo:hi])
+        np.testing.assert_array_equal(kernel.outputs(), want)
+    # a probe still sees every batch's partials, in pass order
+    f = layer.filters
+    w = f.weights[0, 0].astype(np.int64) - f.zero_points
+    signed = flat.astype(np.int64) - layer.in_zero
+    seen = []
+    kernel = ExpStreamKernel(layer, 4, probe=lambda ab, acc: seen.append((ab, acc)))
+    kernel.consume(0, flat[:, :16])
+    kernel.consume(1, flat[:, 16:])
+    assert [ab for ab, _ in seen] == [0, 1, 2]
+    for ab, acc in seen:
+        k = (ab + 1) * LANES
+        want_acc = f.biases + signed[:, :k] @ w[:k]
+        assert acc.dtype == np.int64
+        np.testing.assert_array_equal(acc[0], want_acc)
+    np.testing.assert_array_equal(kernel.outputs(), want)
+
+
+def test_exp_kernel_holds_no_weight_copy():
+    """Between consume calls a kernel owns nothing as large as its
+    layer's uint8 weight bank: it reads the bank slice by slice."""
+    rng = np.random.default_rng(38)
+    layer = pointwise_layer(rng, Kind.EXP, h=2, w=2, cin=160, cout=1280)
+    flat = qinput(rng, layer).data.reshape(4, 160)
+    bank = layer.filters.weights.nbytes
+
+    def owned(kernel):
+        return [v.nbytes for v in vars(kernel).values() if isinstance(v, np.ndarray)]
+
+    for step in (LANES, 3 * LANES, 160):
+        kernel = ExpStreamKernel(layer, 4)
+        assert max(owned(kernel)) < bank
+        for lo in range(0, 160, step):
+            kernel.consume(lo // LANES, flat[:, lo : lo + step])
+            assert max(owned(kernel)) < bank
+        kernel.outputs()
 
 
 def test_exp_accumulator_working_set():
@@ -710,6 +760,68 @@ def test_acc_bound_guard_is_tight():
         pro_forward(x, layer)
 
 
+def test_k_chunk_is_the_float32_exactness_bound():
+    """K_CHUNK is the largest multiple of LANES whose worst-case slice
+    sum float32 still holds exactly."""
+    assert K_CHUNK % LANES == 0
+    assert K_CHUNK * 255**2 < 2**24 <= (K_CHUNK + LANES) * 255**2
+
+
+def _edge_mults(acc: int, rounding: Rounding, n: int) -> list:
+    """n multipliers that each put acc one unit from a rounding edge of
+    its output: an even channel's output changes if acc comes out one
+    higher, an odd channel's if it comes out one lower. Outputs land
+    about 45 codes from the zero point."""
+    shift = round(math.log2(abs(acc))) + 26
+    edge = round(acc * 2.0**31.5 / 2**shift) << shift
+    if rounding is Rounding.NEAREST:
+        edge += 1 << (shift - 1)
+    mults = []
+    for c in range(n):
+        step = 1 if c % 2 == 0 else -1
+        ms = MultShift(round(Fraction(edge) / (acc + Fraction(step, 2))), shift)
+        assert MULT_MIN <= ms.mult <= MULT_MAX and abs(acc) * ms.mult < 2**62
+        assert (rational_requant(acc, ms, 0, rounding)
+                != rational_requant(acc + step, ms, 0, rounding))
+        mults.append(ms)
+    return mults
+
+
+@pytest.mark.parametrize("k", [1280, (ACC_BOUND - 1) // (255 * 255)])
+@pytest.mark.parametrize("kind", [Kind.PRO, Kind.EXP])
+def test_float32_slices_are_exact_at_odd_sums(kind, k):
+    """Every product is +-255**2 but one, which is 0, so the exact sum
+    is odd and above 2**24: float32 cannot hold it, and only slices of
+    at most K_CHUNK rows keep it exact. Each output channel sits one
+    unit from a rounding edge, so a sum one off in either direction
+    changes the output."""
+    rng = np.random.default_rng(39)
+    layer = pointwise_layer(rng, kind, h=1, w=1, cin=k, cout=16)
+    for act_hi in (True, False):
+        x = qinput(rng, layer)
+        _worst_case(layer, x, act_hi, True)
+        layer.filters.biases[...] = 32766 if act_hi else -32766
+        x.data[0, 0, k // 3] = layer.in_zero
+        acc = _raw_pointwise_acc(layer, x)[0]
+        products = acc[0] - layer.filters.biases[0]
+        assert products % 2 and abs(products) > 2**24 and np.all(acc == acc[0])
+        signed = x.data.reshape(1, k).astype(np.float32) - layer.in_zero
+        raw = np.zeros((1, 16), dtype=np.int64)
+        fold_gemm(raw, signed, layer.filters, layer.filters.zero_points.astype(np.float32))
+        np.testing.assert_array_equal(raw[0], acc - layer.filters.biases)
+        for rounding in Rounding:
+            layer.mults = _edge_mults(int(acc[0]), rounding, 16)
+            want = naive_quant_layer(x.data, layer, rounding=rounding)
+            assert 0 < want.min() and want.max() < 255
+            got, _ = run_layer(x, layer, rounding=rounding)
+            np.testing.assert_array_equal(got.data, want)
+            if kind is Kind.EXP:
+                kernel = ExpStreamKernel(layer, 1, rounding)
+                for ab in range(layer.apass):
+                    kernel.consume(ab, x.data[0, :, ab * LANES : (ab + 1) * LANES])
+                np.testing.assert_array_equal(kernel.outputs(), want[0])
+
+
 def test_every_engine_checks_the_bound():
     rng = np.random.default_rng(33)
     cases = [small_c2d(rng), dwc_layer(rng), pointwise_layer(rng, Kind.PRO),
@@ -829,7 +941,7 @@ def test_layer_records_hold_no_weight_copies():
             assert rec.bias.size == layer.out_ch
         elif layer.kind is Kind.C2D:
             assert len(arrays) == 4
-            assert rec.taps.dtype == np.float64 and rec.taps.shape == (27, 32)
+            assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
         elif layer.residual_from is not None:
             assert len(arrays) == 3 and all(v.size == 1 for v in arrays)  # mult3
             assert rec.add_tables is not None
