@@ -25,16 +25,18 @@ accounting comes from the layers themselves after the run. They are
 chained per engine (C2D, EXP, DWC, PRO, ADD) in round order, so data
 streams from round to round with no barrier between rounds. Stream mode
 resumes the five chains under a deterministic round-robin scheduler
-(the reference); threads mode runs them at once, one OS thread per
-engine for the whole frame.
+(the reference); threads mode gives each engine one OS thread for the
+whole frame, and the threads take turns under one run lock. Streams
+are plain single-threaded structures: all locking lives in the threads
+driver.
 
 Both drivers share one deadlock contract. Each stream counts its
-successful operations under its own lock (its progress counter), and a
-Blocked token carries the count seen before the attempt that failed;
-when every unfinished process is blocked on a stream that has not moved
-since, none can move again and the driver raises DeadlockError. The
-counters belong to the streams a run builds, so other runs cannot mask
-a deadlock.
+successful operations (its progress counter), and a Blocked token
+carries the count seen before the attempt that failed; when every
+unfinished process is blocked on a stream that has not moved since,
+none can move again and the driver raises DeadlockError. The counters
+belong to the streams a run builds, so other runs cannot mask a
+deadlock.
 """
 from __future__ import annotations
 
@@ -92,7 +94,6 @@ class BoundedQueue:
         self._words = 0
         self.peak_words = 0
         self.progress = 0  # successful puts and gets
-        self._cond = threading.Condition()
 
     @property
     def words(self) -> int:
@@ -104,25 +105,21 @@ class BoundedQueue:
                 f"item of {words} words can never fit queue '{self.label}' "
                 f"of capacity {self.capacity}"
             )
-        with self._cond:
-            if self._words + words > self.capacity:
-                return False
-            self._items.append((words, item))
-            self._words += words
-            self.peak_words = max(self.peak_words, self._words)
-            self.progress += 1
-            self._cond.notify_all()
-            return True
+        if self._words + words > self.capacity:
+            return False
+        self._items.append((words, item))
+        self._words += words
+        self.peak_words = max(self.peak_words, self._words)
+        self.progress += 1
+        return True
 
     def try_get(self):
-        with self._cond:
-            if not self._items:
-                return False, None
-            words, item = self._items.popleft()
-            self._words -= words
-            self.progress += 1
-            self._cond.notify_all()
-            return True, item
+        if not self._items:
+            return False, None
+        words, item = self._items.popleft()
+        self._words -= words
+        self.progress += 1
+        return True, item
 
     def put_g(self, item, words: int = 1):
         """Generator put: yields Blocked until the item fits."""
@@ -161,7 +158,6 @@ class FrameBuffer:
         self._fed = [False] * nbatches
         self.progress = 0  # batches fed
         self.reads_before_complete = 0
-        self._cond = threading.Condition()
 
     def feed(self, index: int, batch: np.ndarray) -> None:
         if not (0 <= index < self.nbatches):
@@ -176,19 +172,17 @@ class FrameBuffer:
         self._store(0, self.nbatches, arr.reshape(-1, arr.shape[-1]))
 
     def _store(self, first: int, stop: int, data: np.ndarray) -> None:
-        """Copy batches first..stop-1 in place under one lock and one wakeup."""
+        """Copy batches first..stop-1 in place."""
         data = np.asarray(data)
         want = (self.npix, (stop - first) * LANES)
         if data.shape != want:
             raise DomainError(f"frame '{self.label}' data shape {data.shape} != {want}")
-        with self._cond:
-            if any(self._fed[first:stop]):
-                index = self._fed.index(True, first, stop)
-                raise SequencingError(f"frame '{self.label}' batch {index} was fed twice")
-            self._data[:, first * LANES : stop * LANES] = data
-            self._fed[first:stop] = [True] * (stop - first)
-            self.progress += stop - first
-            self._cond.notify_all()
+        if any(self._fed[first:stop]):
+            index = self._fed.index(True, first, stop)
+            raise SequencingError(f"frame '{self.label}' batch {index} was fed twice")
+        self._data[:, first * LANES : stop * LANES] = data
+        self._fed[first:stop] = [True] * (stop - first)
+        self.progress += stop - first
 
     def put_g(self, item, words: int = 0):
         """Queue-compatible sink: feeding a frame never blocks."""
@@ -199,8 +193,7 @@ class FrameBuffer:
 
     @property
     def complete(self) -> bool:
-        with self._cond:
-            return self.progress == self.nbatches
+        return self.progress == self.nbatches
 
     def wait_complete_g(self):
         while True:
@@ -345,55 +338,55 @@ def _run_round_robin(procs: list) -> None:
 
 
 def _run_threaded(procs: list) -> None:
-    """One thread per process, under the round-robin deadlock contract.
+    """One thread per process, taking turns under one run lock.
 
-    A thread whose process yields Blocked waits on that stream's
+    A thread holds the lock while it steps its process and releases it
+    only inside wait(), so streams change only under the lock and no
+    wakeup is lost. A process that yields Blocked waits on its own
     condition until the stream's progress counter moves past the value
-    the process saw; the check and the wait happen under the stream's
-    lock, so no wakeup is lost. When every live thread waits on a stream
-    that has not moved, the thread that completes that picture raises
-    DeadlockError for the run. The first error wakes every waiting
-    thread, and every thread is joined before this returns or raises.
+    the process saw. Whenever a process blocks or ends, its thread wakes
+    the waiters whose stream has moved, and when every live process waits
+    on a stream that has not moved it raises DeadlockError for the run.
+    The first error wakes every waiter, and every thread is joined before
+    this returns or raises.
     """
-    lock = threading.Lock()  # guards waiting, live and errors
+    lock = threading.Lock()  # guards every stream, waiting, live and errors
+    wakes = [threading.Condition(lock) for _ in procs]
     waiting: dict[int, Blocked] = {}
     errors: list[BaseException] = []
     live = len(procs)
 
     def fail(err: BaseException) -> None:  # caller holds lock
         errors.append(err)
-        for t in waiting.values():
-            with t.resource._cond:
-                t.resource._cond.notify_all()
+        for wake in wakes:
+            wake.notify()
 
-    def judge() -> None:  # caller holds lock
+    def settle() -> None:  # caller holds lock
+        for j, t in waiting.items():
+            if t.resource.progress != t.seen:
+                wakes[j].notify()
         if not errors and waiting and len(waiting) == live and _stuck(waiting.values()):
             fail(_deadlock(waiting.values()))
 
     def drive(i: int, g) -> None:
         nonlocal live
-        try:
-            for token in g:
-                if not isinstance(token, Blocked):
-                    continue
-                with lock:
+        with lock:
+            try:
+                for token in g:
+                    if not isinstance(token, Blocked):
+                        continue
                     waiting[i] = token
-                    judge()
-                cond = token.resource._cond
-                with cond:
+                    settle()
                     while not errors and token.resource.progress == token.seen:
-                        cond.wait()
-                with lock:
+                        wakes[i].wait()
                     del waiting[i]
-                if errors:
-                    return
-        except BaseException as e:  # surface through the caller
-            with lock:
+                    if errors:
+                        return
+            except BaseException as e:  # surface through the caller
                 fail(e)
-        finally:
-            with lock:
+            finally:
                 live -= 1
-                judge()
+                settle()
 
     threads = [threading.Thread(target=drive, args=(i, g), daemon=True,
                                 name=f"semistream-{i}")
@@ -455,8 +448,8 @@ def run_inference(
     on their engines; "stream" and "threads" run the round dataflow with
     each engine's processes chained in round order, "stream" under the
     deterministic round-robin scheduler and "threads" with one OS thread
-    per engine for the whole frame. Both dataflow modes raise
-    DeadlockError rather than hang. All three produce identical
+    per engine for the whole frame, taking turns under one run lock. Both
+    dataflow modes raise DeadlockError rather than hang. All three produce identical
     logits; they differ only in how engine execution is interleaved.
     """
     if mode not in ("sequential", "stream", "threads"):
@@ -493,7 +486,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     """Wire every round's processes, chain them per engine, run the chains.
 
     Stream mode resumes the five chains under the round-robin scheduler;
-    threads mode runs them at once, one thread each.
+    threads mode gives each its own thread, taking turns under one lock.
     """
     layers = model.layers
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")

@@ -198,8 +198,8 @@ class LayerDesc:
     # derived from the fields above by prepare() and load_package()
     mults: list[MultShift] | None = None
     add_params: AddParams | None = None
-    # the engines' compiled record of the fields above (engines.layer_record);
-    # rebuilt when filters or mults is rebound, never saved, not part of ==
+    # the engines' compiled record (engines.layer_record): rebuilt when filters,
+    # mults, add_params or in_zero is rebound; never saved, not part of ==
     _record: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -659,8 +659,9 @@ def _derive_add_params(layer: LayerDesc, source: LayerDesc, rounding: Rounding) 
     )
 
 
-#: Bound on every accumulator magnitude: below it, every integer sum the
-#: engines form is exact on their float64 GEMM carrier and in int32.
+#: Bound on every accumulator magnitude: below it, every accumulator fits
+#: int32 and stays exact in the int64 or float64 bank that PRO and EXP add
+#: their float32 GEMM slices of K_CHUNK rows into (engines.fold_gemm).
 ACC_BOUND = 1 << 30
 
 

@@ -174,13 +174,14 @@ def apply_rescale(
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)
     for p < 0. The latter equals (p + h - 1) >> s, because
     -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
-    path adds h, subtracts (acc < 0) and shifts once; an exact tie
-    p = (2j + 1) * h is where the -1 matters.
+    path adds h, adds acc >> 63 (-1 for a negative acc, 0 otherwise; an
+    arithmetic shift past the width of a signed int32 acc gives the same)
+    and shifts once; an exact tie p = (2j + 1) * h is where the -1 matters.
     """
     res = np.multiply(acc, rescale.mults, dtype=np.int64)
     if rounding is Rounding.NEAREST:
         res += rescale.half
-        res -= acc < 0
+        res += acc >> 63
     res >>= rescale.shifts
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero

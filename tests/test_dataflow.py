@@ -5,6 +5,7 @@ import dataclasses
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -478,6 +479,28 @@ def test_threaded_relay_under_frequent_switches():
             assert out == list(range(n))
     finally:
         sys.setswitchinterval(old)
+
+
+def test_threaded_processes_step_one_at_a_time():
+    """A process that sleeps mid-step (releasing the interpreter lock)
+    still has the run to itself until it blocks or ends."""
+    inside: set = set()
+
+    def player(k, outbox, inbox):
+        for _ in range(20):
+            yield from outbox.put_g(k)
+            # the put may wake the next player: it must not step yet
+            inside.add(k)
+            time.sleep(0.001)
+            assert inside == {k}, f"player {k} shared its step with {inside - {k}}"
+            inside.discard(k)
+            yield from inbox.get_g()
+
+    for n in (2, 3):
+        qs = [BoundedQueue(1, f"q{k}") for k in range(n)]
+        procs = [player(k, qs[k], qs[k - 1]) for k in range(n)]
+        assert outcome(lambda: _run_threaded(procs)) is None
+        assert all(q.words == 0 for q in qs)
 
 
 def test_round_robin_deadlock_is_not_masked_by_another_thread():

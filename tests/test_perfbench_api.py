@@ -4,12 +4,19 @@ perfbench/ drives the package through its public names: imports from
 semistream and its modules, and attributes of the module it passes
 around as ``api``. Deleting one of those names breaks the benchmark;
 this check reads the scripts (it never runs them) so that shows up here.
+Likewise every execution mode the benchmark times must still run and
+agree with the others.
 """
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from semistream.dataflow import run_inference
+
+from conftest import toy_pair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +41,22 @@ def test_benchmark_scripts_find_their_semistream_names(script):
                      if not hasattr(importlib.import_module(module), name))
     assert not missing
 
+
+def _benchmark_modes() -> tuple[str, ...]:
+    """measure.MODES, the execution modes the benchmark times, read without importing it."""
+    for node in ast.walk(ast.parse((PERFBENCH / "measure.py").read_text())):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "MODES"):
+            return ast.literal_eval(node.value)
+    pytest.fail("perfbench/measure.py defines no MODES; has the benchmark moved?")
+
+
+def test_every_benchmarked_mode_runs_and_agrees():
+    modes = _benchmark_modes()
+    assert modes
+    model, image, _ = toy_pair(1)
+    want = run_inference(model, image, mode="sequential").logits.data
+    for mode in modes:
+        got = run_inference(model, image, mode=mode)
+        assert got.mode == mode
+        np.testing.assert_array_equal(got.logits.data, want)

@@ -166,14 +166,22 @@ def test_requantize_array_ties_round_away_from_zero():
 
 
 def test_requantize_array_large_shifts():
-    """Shifts from 32 to MAX_SHIFT are exact under both roundings."""
-    accs = [2 ** 29, -(2 ** 29), 5, -5, 1, -1, 0]
+    """Shifts from 32 to MAX_SHIFT are exact under both roundings, for
+    int32 and int64 accumulators, exact ties of both signs included."""
     for shift in range(32, MAX_SHIFT + 1):
+        # MULT_MIN * (2k + 1) * 2**(shift - 32) is an exact tie at this shift
+        ties = [s * k << (shift - 32) for k in (1, 3, 255) for s in (1, -1)]
         for mult in (MULT_MIN, 3 << 30, MULT_MAX):
             ms = MultShift(mult, shift)
-            for rounding in Rounding:
-                want = [rational_requant(a, ms, 0, rounding) for a in accs]
-                assert _requant(accs, ms, rounding) == want, (shift, mult, rounding)
+            accs = [2 ** 29, -(2 ** 29), 5, -5, 1, -1, 0]
+            accs += [a for a in ties if abs(a) * mult < 2 ** 62]
+            for dtype in (np.int32, np.int64):
+                info = np.iinfo(dtype)
+                fit = [a for a in accs if info.min <= a <= info.max]
+                for rounding in Rounding:
+                    want = [rational_requant(a, ms, 0, rounding) for a in fit]
+                    assert _requant(fit, ms, rounding, dtype=dtype) == want, (
+                        shift, mult, dtype, rounding)
 
 
 # ---------------------------------------------------------------------------
