@@ -13,11 +13,12 @@ One frame is in flight.
 Each round has two stages, the plan's two tuples of layers. Stage one
 runs its whole-frame layers one after another: each reads the newest
 frame buffer and writes a fresh one. Stage two streams projection to
-addition to expansion through bounded word-counted queues; a bounded
-residual FIFO carries each shortcut frame from its addition slot to the
-next round's. A frame buffer is one preallocated array filled in place:
-the addition slot fills it batch by batch, every other producer writes
-its whole frame at once, and readers get the array itself. One wiring
+addition to expansion through bounded word-counted queues, one message
+per run of as many 16-channel batches as a queue holds; a bounded
+residual FIFO carries each shortcut frame, in the same runs, to the next
+round's addition slot. A frame buffer adopts the finished array of a
+whole-frame producer; the addition slot fills one in place run by run,
+and readers get the array itself. One wiring
 loop walks the plan and builds every round's processes this way up
 front. Processes are plain generators that take only their streams and
 yield Blocked tokens when a stream cannot move; per-layer work
@@ -140,54 +141,62 @@ class BoundedQueue:
 
 
 class FrameBuffer:
-    """One full activation frame: a preallocated (npix, channels) uint8
-    array filled in place.
+    """One full activation frame: an (npix, channels) uint8 array.
 
-    Producers fill each 16-channel batch exactly once, one batch at a
-    time with feed or the whole frame with set_tensor; consumers wait
-    until every batch is present and then read the array itself.
-    Attempted reads before completion are counted (and blocked), which
-    is what makes the depthwise reorder boundary observable in tests.
+    Producers fill each 16-channel batch exactly once: feed copies a run
+    of batches into an array allocated on the first feed, set_tensor
+    adopts a whole frame without a copy. Consumers wait until every batch
+    is present and then read the array itself. Attempted reads before
+    completion are counted (and blocked), which is what makes the
+    depthwise reorder boundary observable in tests.
     """
 
     def __init__(self, npix: int, nbatches: int, label: str = ""):
         self.npix = npix
         self.nbatches = nbatches
         self.label = label
-        self._data = np.empty((npix, nbatches * LANES), dtype=np.uint8)
+        self._data: np.ndarray | None = None
         self._fed = [False] * nbatches
         self.progress = 0  # batches fed
         self.reads_before_complete = 0
 
-    def feed(self, index: int, batch: np.ndarray) -> None:
-        if not (0 <= index < self.nbatches):
-            raise SequencingError(
-                f"frame '{self.label}' has no batch {index} (holds {self.nbatches})"
-            )
-        self._store(index, index + 1, batch)
+    def feed(self, index: int, run: np.ndarray) -> None:
+        """Copy run, batches index, index + 1, ... side by side, in place."""
+        n = run.shape[-1] // LANES
+        self._check(run, n)
+        if not 0 <= index <= self.nbatches - n:
+            raise SequencingError(f"frame '{self.label}' has no batches {index}.."
+                                  f"{index + n - 1} (holds {self.nbatches})")
+        self._store(index, index + n)
+        if self._data is None:
+            self._data = np.empty((self.npix, self.nbatches * LANES), dtype=np.uint8)
+        self._data[:, index * LANES : (index + n) * LANES] = run
 
     def set_tensor(self, data: np.ndarray) -> None:
-        """Fill the whole frame from one (..., channels) array."""
-        arr = np.asarray(data)
-        self._store(0, self.nbatches, arr.reshape(-1, arr.shape[-1]))
+        """Adopt the whole finished frame, one (..., channels) uint8 array."""
+        flat = data.reshape(-1, data.shape[-1])
+        self._check(flat, self.nbatches)
+        self._store(0, self.nbatches)
+        self._data = flat
 
-    def _store(self, first: int, stop: int, data: np.ndarray) -> None:
-        """Copy batches first..stop-1 in place."""
-        data = np.asarray(data)
-        want = (self.npix, (stop - first) * LANES)
-        if data.shape != want:
-            raise DomainError(f"frame '{self.label}' data shape {data.shape} != {want}")
+    def _check(self, data: np.ndarray, n: int) -> None:
+        """DomainError unless data is npix pixels of n >= 1 whole uint8 batches."""
+        if data.dtype != np.uint8 or not n or data.shape != (self.npix, n * LANES):
+            raise DomainError(f"frame '{self.label}' takes {self.npix} pixels of whole uint8 "
+                              f"batches, {self.nbatches} in all; got {data.dtype} of shape "
+                              f"{data.shape}")
+
+    def _store(self, first: int, stop: int) -> None:
+        """Mark batches first..stop-1 fed; SequencingError if one already was."""
         if any(self._fed[first:stop]):
             index = self._fed.index(True, first, stop)
             raise SequencingError(f"frame '{self.label}' batch {index} was fed twice")
-        self._data[:, first * LANES : stop * LANES] = data
         self._fed[first:stop] = [True] * (stop - first)
         self.progress += stop - first
 
     def put_g(self, item, words: int = 0):
         """Queue-compatible sink: feeding a frame never blocks."""
-        index, batch = item
-        self.feed(index, batch)
+        self.feed(*item)
         return
         yield  # makes this a generator like BoundedQueue.put_g
 
@@ -211,7 +220,8 @@ class FrameBuffer:
 
 
 class SingleConsumptionStream:
-    """Adapter enforcing that each batch index is taken exactly once.
+    """Adapter enforcing that each batch index of the runs (first, data)
+    it passes on is taken exactly once.
 
     The expansion engine folds every input batch into its accumulators
     the moment it arrives and can never ask for it again; this adapter
@@ -225,10 +235,12 @@ class SingleConsumptionStream:
 
     def get_g(self):
         item = yield from self._queue.get_g()
-        index = item[0]
-        if index in self._seen:
+        first, run = item
+        taken = range(first, first + run.shape[1] // LANES)
+        if not self._seen.isdisjoint(taken):
+            index = min(self._seen.intersection(taken))
             raise SequencingError(f"input batch {index} consumed twice")
-        self._seen.add(index)
+        self._seen.update(taken)
         return item
 
 
@@ -263,36 +275,44 @@ def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, out_q: BoundedQueue, rou
     yield from in_buf.wait_complete_g()
     out, _ = pro_forward(_tensor_from_frame(in_buf, layer, "in"), layer, rounding)
     flat = out.data.reshape(-1, out.channels)
-    for fb in range(layer.fpass):
-        yield from out_q.put_g((fb, flat[:, fb * LANES : (fb + 1) * LANES]), words=flat.shape[0])
+    step = out_q.capacity // flat.shape[0] * LANES
+    for lo in range(0, flat.shape[1], step):
+        run = flat[:, lo : lo + step]
+        yield from out_q.put_g((lo // LANES, run), words=run.size // LANES)
 
 
 def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, rounding: Rounding):
-    npix = layer.out_h * layer.out_w
-    for b in range(layer.out_ch // LANES):
-        bi, batch = yield from in_q.get_g()
-        if bi != b:
-            raise SequencingError(f"addition slot got batch {bi}, expected {b}")
+    """One run in, one run out to every sink. A shortcut slot adds the
+    residual run of the same first batch and shape: shortcut ends have
+    equal dims, so both rounds cut their frames into the same runs."""
+    b = 0
+    while b < layer.out_ch // LANES:
+        first, run = yield from in_q.get_g()
+        if first != b:
+            raise SequencingError(f"addition slot got batch {first}, expected {b}")
         if layer.residual_from is not None:
-            ri, rbatch = yield from res_q.get_g()
-            if ri != b:
-                raise SequencingError(f"residual batch {ri} arrived out of order")
-            batch = add_elements(batch, rbatch, layer, rounding)
+            rfirst, rrun = yield from res_q.get_g()
+            if rfirst != first or rrun.shape != run.shape:
+                raise SequencingError(f"residual run {rfirst} {rrun.shape} does not line "
+                                      f"up with run {first} {run.shape}")
+            run = add_elements(run, rrun, layer, rounding)
         for sink in sinks:
-            yield from sink.put_g((b, batch), words=npix)
+            yield from sink.put_g((first, run), words=run.size // LANES)
+        b += run.shape[1] // LANES
 
 
 def _exp_process(layer: LayerDesc, stream: SingleConsumptionStream, out_buf: FrameBuffer,
                  rounding: Rounding, probe=None):
-    """Streamed expansion: fold each batch from the addition slot into
+    """Streamed expansion: fold each run from the addition slot into
     the accumulators as it arrives."""
-    first = yield from stream.get_g()
+    ab, run = yield from stream.get_g()
     # the EXP chain reaches this process before its input exists;
     # allocate the accumulator bank only once input arrives
     kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
-    kernel.consume(*first)
-    for _ in range(1, layer.apass):
-        kernel.consume(*(yield from stream.get_g()))
+    kernel.consume(ab, run)
+    while ab + run.shape[1] // LANES < layer.apass:
+        ab, run = yield from stream.get_g()
+        kernel.consume(ab, run)
     out_buf.set_tensor(kernel.outputs())
 
 

@@ -175,10 +175,13 @@ def normalize_performance(
 
     Divides out the design's clock and hardware multiplier count and
     multiplies the reference budget back in, giving GOp/s the design
-    would deliver per reference-sized resource envelope.
+    would deliver per reference-sized resource envelope. All five inputs
+    must be finite and positive.
     """
-    if gops <= 0 or frequency_mhz <= 0 or multipliers <= 0:
-        raise DomainError("throughput, frequency and multiplier count must be positive")
+    args = (gops, frequency_mhz, multipliers, ref_frequency_mhz, ref_multipliers)
+    if not all(0 < a < math.inf for a in args):  # NaN fails every comparison
+        raise DomainError("throughput, frequencies and multiplier counts must be "
+                          "finite and positive")
     return gops * (ref_frequency_mhz / frequency_mhz) * (ref_multipliers / multipliers)
 
 

@@ -16,6 +16,7 @@ from semistream.dataflow import (
     BoundedQueue,
     FrameBuffer,
     SingleConsumptionStream,
+    _add_process,
     _run_round_robin,
     _run_threaded,
     residual_fifo_capacity,
@@ -180,19 +181,77 @@ def test_frame_buffer_counts_early_reads():
         next(waiter)
 
 
-def test_single_consumption_stream():
-    q = BoundedQueue(16)
-    q.try_put((0, "payload"))
-    stream = SingleConsumptionStream(q)
+def test_frame_buffer_feeds_a_run_of_batches():
+    buf = FrameBuffer(npix=3, nbatches=3, label="r")
+    data = np.arange(3 * 48, dtype=np.uint8).reshape(3, 48)
+    buf.feed(0, data[:, :32])
+    assert buf.progress == 2 and not buf.complete
+    buf.feed(2, data[:, 32:])
+    np.testing.assert_array_equal(buf.assemble(), data)
+
+
+def test_frame_buffer_rejects_misplaced_and_malformed_runs():
+    buf = FrameBuffer(npix=2, nbatches=3, label="m")
+    run = np.zeros((2, 2 * LANES), dtype=np.uint8)
+    with pytest.raises(SequencingError, match="no batches 2..3"):
+        buf.feed(2, run)  # runs past the end
+    with pytest.raises(SequencingError, match="no batches -1..0"):
+        buf.feed(-1, run)
+    buf.feed(1, run)
+    with pytest.raises(SequencingError, match="batch 1 was fed twice"):
+        buf.feed(0, run)  # overlaps a fed batch
+    for bad in (np.zeros((2, 20), np.uint8), np.zeros((2, 0), np.uint8),
+                np.zeros((2, LANES), np.int64)):
+        with pytest.raises(DomainError, match="whole uint8 batches"):
+            buf.feed(0, bad)
+    assert buf.progress == 2
+    buf.feed(0, run[:, :LANES])
+    assert buf.complete
+
+
+def test_frame_buffer_adopts_a_whole_frame():
+    buf = FrameBuffer(npix=6, nbatches=2, label="a")
+    data = np.arange(6 * 32, dtype=np.uint8).reshape(2, 3, 32)
+    buf.set_tensor(data)
+    assert buf.complete
+    frame = buf.assemble()
+    assert frame.shape == (6, 32) and np.shares_memory(frame, data)
+    np.testing.assert_array_equal(frame, data.reshape(6, 32))
+    with pytest.raises(SequencingError, match="fed twice"):
+        buf.set_tensor(data)
+    with pytest.raises(SequencingError, match="fed twice"):
+        buf.feed(1, data.reshape(6, 32)[:, 16:])
+    with pytest.raises(DomainError, match="uint8"):
+        FrameBuffer(npix=6, nbatches=2).set_tensor(data.astype(np.int64))
+    with pytest.raises(DomainError, match="2 in all"):
+        FrameBuffer(npix=6, nbatches=2).set_tensor(np.zeros((6, 48), np.uint8))
+
+
+def _take(stream):
     got = None
     try:
         next(stream.get_g())
     except StopIteration as stop:
         got = stop.value
-    assert got == (0, "payload")
-    q.try_put((0, "again"))
-    with pytest.raises(SequencingError, match="consumed twice"):
+    return got
+
+
+def test_single_consumption_stream():
+    q = BoundedQueue(16)
+    run = np.arange(2 * 2 * LANES, dtype=np.uint8).reshape(2, 2 * LANES)
+    q.try_put((0, run))
+    stream = SingleConsumptionStream(q)
+    first, got = _take(stream)
+    assert first == 0 and got is run
+    q.try_put((0, run[:, :LANES]))
+    with pytest.raises(SequencingError, match="batch 0 consumed twice"):
         drain(stream.get_g())
+    # a run that starts on a new batch but overlaps one already taken
+    q.try_put((1, run))
+    with pytest.raises(SequencingError, match="batch 1 consumed twice"):
+        drain(stream.get_g())
+    q.try_put((2, run))
+    assert _take(stream)[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +707,51 @@ def test_total_stats_aggregate():
     assert total.cycles == sum(s.cycles for s in res.stats.values())
     exp_sets = [s.acc_working_set for s in res.stats.values()]
     assert total.acc_working_set == max(exp_sets)
+
+
+def test_stage_two_moves_one_run_per_queue_full(monkeypatch):
+    """Each round queue holds two batches, so projection, addition and
+    expansion trade ceil(fpass / 2) runs per round, never overfilling."""
+    import semistream.dataflow as dataflow
+
+    queues = []
+
+    class Recording(BoundedQueue):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.puts = 0
+            queues.append(self)
+
+        def try_put(self, item, words=1):
+            ok = super().try_put(item, words)
+            self.puts += ok
+            return ok
+
+    monkeypatch.setattr(dataflow, "BoundedQueue", Recording)
+    model = prepare(build_mobilenet_v2(0.5, 32))
+    image = image_to_qtensor(np.random.default_rng(3).integers(0, 256, (32, 32, 3)), model)
+    run_inference(model, image, mode="stream")
+    fpass = {r: model.layers[streamed[0]].fpass
+             for r, (_, streamed) in enumerate(model.rounds) if streamed}
+    stage_two = [q for q in queues if q.label.endswith(("-pro-add", "-add-exp"))]
+    assert len(stage_two) >= len(fpass) and max(fpass.values()) > 2
+    for q in stage_two:
+        r = int(q.label[len("round"):].split("-")[0])
+        assert q.puts == (fpass[r] + 1) // 2, q.label
+        assert q.peak_words <= q.capacity, q.label
+
+
+def test_addition_slot_rejects_a_misaligned_residual_run():
+    model, _, _ = toy_pair(1)
+    layer = next(l for l in model.layers if l.residual_from is not None)
+    npix = layer.out_h * layer.out_w
+    run = np.zeros((npix, LANES), np.uint8)
+    for residual in [(1, run), (0, np.zeros((npix, 2 * LANES), np.uint8))]:
+        in_q, res_q = BoundedQueue(2 * npix, "in"), BoundedQueue(2 * npix, "res")
+        in_q.try_put((0, run), npix)
+        res_q.try_put(residual, npix)
+        with pytest.raises(SequencingError, match="does not line up"):
+            drain(_add_process(layer, in_q, res_q, [], Rounding.NEAREST))
 
 
 def test_exp_probe_sees_every_partial():

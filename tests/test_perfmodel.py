@@ -205,6 +205,22 @@ def test_normalization_rejects_nonpositive_inputs():
         normalize_performance(10.0, 100.0, 0)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 100.0, 220),
+    (10.0, math.inf, 220),
+    (math.inf, 100.0, 220),
+    (10.0, 100.0, math.nan),
+    (10.0, 100.0, 220, 0.0),
+    (10.0, 100.0, 220, math.nan),
+    (10.0, 100.0, 220, math.inf),
+    (10.0, 100.0, 220, 100.0, 0),
+    (10.0, 100.0, 220, 100.0, -608),
+])
+def test_normalization_rejects_nonfinite_inputs_and_references(args):
+    with pytest.raises(DomainError, match="finite and positive"):
+        normalize_performance(*args)
+
+
 # ---------------------------------------------------------------------------
 # aggregate report
 # ---------------------------------------------------------------------------
