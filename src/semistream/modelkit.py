@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -29,11 +30,13 @@ from .quantcore import (
     AddParams,
     MultShift,
     Rounding,
+    bias_limits,
     narrow_bias,
     quantize_multiplier,
+    quantize_multipliers,
 )
 
-PACKAGE_FORMAT_VERSION = 2
+PACKAGE_FORMAT_VERSION = 3
 LANES = 16
 
 #: (expand, out_channels, repeats, first_stride) rows of the standard topology.
@@ -692,25 +695,31 @@ def check_acc_bound(layer: LayerDesc) -> None:
 def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
     """Derive every run-time integer parameter of validated, padded layers in place.
 
-    The one derivation behind prepare() and load_package(): converts
-    per-channel rescale factors to multiplier/shift pairs, checks each
-    bias against its engine's lane width (BIAS_BITS) and the accumulator
-    bound, and sets addition parameters.
+    The one derivation behind prepare() and load_package(): converts each
+    filter bank's per-channel rescale factors to multiplier/shift pairs in
+    one array pass (quantize_multipliers), checks its biases against its
+    engine's lane width (BIAS_BITS) with one min and max, checks the
+    accumulator bound and sets addition parameters. The first bad channel
+    of a layer is the one named.
     """
     for idx, l in enumerate(layers):
         check_acc_bound(l)
-        if l.kind in (Kind.C2D, Kind.DWC, Kind.EXP, Kind.PRO):
-            f, bits = l.filters, l.bias_bits
-            mults = []
-            for ch, (scale, bias) in enumerate(zip(f.scales.tolist(), f.biases.tolist())):
-                m = l.in_scale * scale / l.out_scale
-                if not (0.0 < m < 1.0):
-                    raise DomainError(
-                        f"layer {idx} channel {ch}: rescale factor {m!r} outside (0, 1)"
-                    )
-                mults.append(quantize_multiplier(m, rounding))
-                narrow_bias(bias, bits)
-            l.mults = mults
+        if l.kind in _KERNEL_SIDE:
+            f = l.filters
+            with np.errstate(all="ignore"):  # nan and inf factors are rejected below
+                m = l.in_scale * f.scales / l.out_scale
+            bad = ~((m > 0.0) & (m < 1.0))
+            if bad.any():
+                ch = int(bad.argmax())
+                raise DomainError(
+                    f"layer {idx} channel {ch}: rescale factor {float(m[ch])!r} outside (0, 1)"
+                )
+            mults, shifts = quantize_multipliers(m, rounding)
+            l.mults = [MultShift(a, s) for a, s in zip(mults.tolist(), shifts.tolist())]
+            lo, hi = bias_limits(l.bias_bits)
+            b = f.biases
+            if b.size and not (lo <= b.min() and b.max() <= hi):
+                narrow_bias(b[(b < lo) | (b > hi)][0], l.bias_bits)  # raises for the first
         elif l.kind is Kind.AVGPOOL:
             m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
             if not (0.0 < m < 1.0):
@@ -836,7 +845,7 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
 # package format
 # ---------------------------------------------------------------------------
 
-def _sha256(data: bytes) -> str:
+def _sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -844,50 +853,51 @@ def _sha256(data: bytes) -> str:
 _SCALAR_FIELDS = ("stride", "block", "residual_from", "orig_in_ch", "orig_out_ch",
                   "in_scale", "in_zero", "out_scale", "out_zero")
 
-
-def _blob_name(idx: int, part: str) -> str:
-    """Package-relative path of a layer's blob, fixed by the layer's position."""
-    return f"blobs/layer{idx:03d}.{part}.bin"
+#: The package's one blob file: each filter bank's weights, then its biases.
+BLOB_FILE = "blobs.bin"
 
 
 def save_package(model: PreparedModel, path: str | Path) -> Path:
-    """Write a prepared model as a package directory.
+    """Write a prepared model as a package directory of two files.
 
-    The ``manifest.json`` stores only facts, every scalar in decimal:
-    geometry, quantization, per-blob checksums and the rounding mode. No
-    derived parameter is stored; load_package() re-derives them all.
-    Blobs are raw little-endian, named by layer position: uint8 weights,
-    and biases widened to 32-bit two's complement. Pass counts and bias
-    widths follow from each layer's engine and are never stored. Saving
-    the same model twice produces byte-identical trees.
+    ``manifest.json`` stores only facts, every scalar in decimal, on one
+    line: geometry, quantization, a sha-256 per blob region and the
+    rounding mode. No derived parameter is stored; load_package()
+    re-derives them all. ``blobs.bin`` holds, for each filter-bearing
+    layer in order, its uint8 weights and then its biases widened to
+    little-endian 32-bit two's complement. No offset is stored: each
+    region's place and length follow from the manifest's geometry. Pass
+    counts and bias widths follow from each layer's engine and are never
+    stored. Saving the same model twice produces byte-identical trees.
     """
     root = Path(path)
-    (root / "blobs").mkdir(parents=True, exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
     manifest_layers = []
-    for idx, l in enumerate(model.layers):
-        entry = {
-            "kind": l.kind.value,
-            "in": [l.in_h, l.in_w, l.in_ch],
-            "out": [l.out_h, l.out_w, l.out_ch],
-            "filters": None,
-            **{name: getattr(l, name) for name in _SCALAR_FIELDS},
-        }
-        if l.filters is not None:
-            f = l.filters
-            wdata = f.weights.tobytes()
-            bdata = f.biases.astype("<i4").tobytes()
-            (root / _blob_name(idx, "weights")).write_bytes(wdata)
-            (root / _blob_name(idx, "biases")).write_bytes(bdata)
-            entry["filters"] = {
-                "kernel": [f.kernel_h, f.kernel_w],
-                "in_channels": f.in_channels,
-                "out_channels": f.out_channels,
-                "weights_sha256": _sha256(wdata),
-                "bias_sha256": _sha256(bdata),
-                "zero_points": [int(z) for z in f.zero_points],
-                "scales": [float(s) for s in f.scales],
+    with (root / BLOB_FILE).open("wb") as fh:
+        for l in model.layers:
+            entry = {
+                "kind": l.kind.value,
+                "in": [l.in_h, l.in_w, l.in_ch],
+                "out": [l.out_h, l.out_w, l.out_ch],
+                "filters": None,
+                **{name: getattr(l, name) for name in _SCALAR_FIELDS},
             }
-        manifest_layers.append(entry)
+            if l.filters is not None:
+                f = l.filters
+                weights = np.ascontiguousarray(f.weights)
+                biases = f.biases.astype("<i4")
+                fh.write(weights)
+                fh.write(biases)
+                entry["filters"] = {
+                    "kernel": [f.kernel_h, f.kernel_w],
+                    "in_channels": f.in_channels,
+                    "out_channels": f.out_channels,
+                    "weights_sha256": _sha256(weights),
+                    "bias_sha256": _sha256(biases),
+                    "zero_points": f.zero_points.tolist(),
+                    "scales": f.scales.tolist(),
+                }
+            manifest_layers.append(entry)
 
     manifest = {
         "format_version": PACKAGE_FORMAT_VERSION,
@@ -898,41 +908,57 @@ def save_package(model: PreparedModel, path: str | Path) -> Path:
         "rounding": model.rounding.value,
         "layers": manifest_layers,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (root / "manifest.json").write_text(text)
+    # no indent, so CPython's C encoder writes it
+    (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
     return root
 
 
-def _load_blob(root: Path, rel: str, sha: str, expect_len: int) -> bytes:
-    p = root / rel
-    if not p.is_file():
-        raise FormatError(f"package blob missing: {rel}")
-    data = p.read_bytes()
-    if len(data) != expect_len:
-        raise FormatError(
-            f"blob {rel} truncated or oversized: {len(data)} bytes, expected {expect_len}"
-        )
-    if _sha256(data) != sha:
-        raise FormatError(f"blob {rel} failed its checksum")
-    return data
+class _BlobReader:
+    """Reads blobs.bin front to back, each region straight into a new array.
+
+    A region that would run past the end of the file raises FormatError
+    at once. Checksums and trailing bytes are judged later, by verify(),
+    so that a manifest which misplaces the regions is reported by graph
+    validation instead.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+        self.pending: list[tuple[int, str, object, np.ndarray]] = []
+
+    def read(self, idx: int, part: str, shape: tuple, dtype: str, sha) -> np.ndarray:
+        if not all(isinstance(d, Integral) and d >= 0 for d in shape):
+            raise FormatError(f"layer {idx} {part} shape {shape!r} is not a list of sizes")
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes > self.left:  # refused before anything is allocated
+            raise FormatError(f"{BLOB_FILE} ends inside layer {idx}'s {part}")
+        arr = np.empty(shape, dtype)
+        if self.fh.readinto(arr) != nbytes:
+            raise FormatError(f"{BLOB_FILE} ends inside layer {idx}'s {part}")
+        self.left -= nbytes
+        self.pending.append((idx, part, sha, arr))
+        return arr
+
+    def verify(self) -> None:
+        for idx, part, sha, arr in self.pending:
+            if _sha256(arr) != sha:
+                raise FormatError(f"layer {idx} {part} in {BLOB_FILE} failed its checksum")
+        if self.left:
+            raise FormatError(f"{BLOB_FILE} holds {self.left} bytes past its last region")
 
 
-def _load_layer(root: Path, idx: int, entry: dict) -> LayerDesc:
-    """One manifest layer entry and its blobs, before validation."""
+def _load_layer(blobs: _BlobReader, idx: int, entry: dict) -> LayerDesc:
+    """One manifest layer entry and its blob regions, before validation."""
     filters = None
     fent = entry["filters"]
     if fent is not None:
         (kh, kw), cin, cout = fent["kernel"], fent["in_channels"], fent["out_channels"]
-        wdata = _load_blob(
-            root, _blob_name(idx, "weights"), fent["weights_sha256"], kh * kw * cin * cout
-        )
-        bdata = _load_blob(root, _blob_name(idx, "biases"), fent["bias_sha256"], 4 * cout)
+        weights = blobs.read(idx, "weights", (kh, kw, cin, cout), "u1", fent["weights_sha256"])
+        biases = blobs.read(idx, "biases", (cout,), "<i4", fent["bias_sha256"])
         filters = QFilterSet(
-            kh, kw, cin, cout,
-            np.frombuffer(wdata, dtype=np.uint8).reshape(kh, kw, cin, cout).copy(),
-            fent["zero_points"],
-            fent["scales"],
-            np.frombuffer(bdata, dtype="<i4").astype(np.int64),
+            kh, kw, cin, cout, weights, fent["zero_points"], fent["scales"],
+            biases.astype(np.int64),
         )
     (in_h, in_w, in_ch), (out_h, out_w, out_ch) = entry["in"], entry["out"]
     return LayerDesc(
@@ -947,15 +973,19 @@ def _load_layer(root: Path, idx: int, entry: dict) -> LayerDesc:
 def load_package(path: str | Path) -> PreparedModel:
     """Read a package directory back into a PreparedModel.
 
-    Blob names follow from layer positions, so the manifest cannot point
-    a read outside the package. The model must pass validate_graph(), and
-    every integer parameter is re-derived by the code prepare() runs.
+    The manifest names no file and stores no offset: blobs.bin is read
+    front to back, one region per filter bank in layer order, each with
+    the length its geometry gives, so the manifest cannot point a read
+    anywhere else. The model must pass validate_graph(), and every
+    integer parameter is re-derived by the code prepare() runs.
 
     Raises FormatError for a malformed manifest, another format version
-    (regenerate older packages) or a missing, truncated or corrupt blob;
-    DomainError or RangeError when validation or derivation rejects it.
-    Keys the reader does not use, such as the bias_bits older writers
-    stored, are ignored: bias widths come from each layer's engine.
+    (regenerate older packages), or a missing or short blob file at once;
+    after graph validation, FormatError for a region that fails its
+    checksum or bytes past the last region; DomainError or RangeError
+    when validation or derivation rejects the model. Keys the reader
+    does not use, such as the bias_bits older writers stored, are
+    ignored: bias widths come from each layer's engine.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -974,16 +1004,23 @@ def load_package(path: str | Path) -> PreparedModel:
             f"only version {PACKAGE_FORMAT_VERSION}: regenerate the package "
             "(semistream gen-model, or prepare() and save_package())"
         )
+    bpath = root / BLOB_FILE
+    if not bpath.is_file():
+        raise FormatError(f"package blob file missing: {BLOB_FILE}")
     try:
+        with bpath.open("rb") as fh:
+            blobs = _BlobReader(fh)
+            layers = [_load_layer(blobs, idx, entry)
+                      for idx, entry in enumerate(manifest["layers"])]
         model = PreparedModel(
-            layers=[_load_layer(root, idx, entry)
-                    for idx, entry in enumerate(manifest["layers"])],
+            layers=layers,
             resolution=manifest["resolution"],
             width_multiplier=manifest["width_multiplier"],
             seed=manifest["seed"],
             rounding=Rounding(manifest["rounding"]),
         )
         validate_graph(model)
+        blobs.verify()
         _derive_parameters(model.layers, model.rounding)
     except SemistreamError:
         raise

@@ -2,11 +2,13 @@
 
 Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
-m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, and
+m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, one
+whole array of factors at a time (quantize_multipliers; the scalar
+quantize_multiplier wraps it, so the encoding exists once), and
 applying it to an accumulator is a 64-bit multiply followed by a
 rounding shift over whole arrays (apply_rescale, with the per-channel
 constants from rescale_constants; requantize_array composes the two).
-The module also validates narrow bias storage.
+The module also validates narrow bias storage (bias_limits, narrow_bias).
 """
 from __future__ import annotations
 
@@ -86,42 +88,52 @@ class AddParams:
             raise DomainError("the addition pre-shift is fixed at 20 bits")
 
 
-def _round_half_away(x: float) -> int:
-    # positive domain only; adding 0.5 is exact for the magnitudes used here
-    return math.floor(x + 0.5)
+def quantize_multipliers(
+    m: np.ndarray, rounding: Rounding = Rounding.NEAREST
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode an array of real scalars in (0, 1) as int64 multiplier and shift arrays.
+
+    Each m is doubled until it lands in [0.5, 1); the doubled value is
+    scaled by 2**32 and rounded to the 32-bit multiplier per ``rounding``
+    (NEAREST rounds half away from zero). The relative encoding error is
+    at most 2**-31. When rounding reaches 2**32 the multiplier is halved
+    and the shift drops by one, or, for an m that needed no doubling, the
+    multiplier drops by one. Raises DomainError, naming the first
+    offending factor, for a factor that is not finite or not in (0, 1),
+    or whose shift would not fit the 8-bit encoding.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    bad = ~((m > 0.0) & (m < 1.0))  # nan compares false, so it lands here
+    if bad.any():
+        first = float(m.flat[bad.argmax()])
+        why = "is not a finite number" if not math.isfinite(first) else "outside (0, 1)"
+        raise DomainError(f"rescale factor {first!r} {why}")
+    norm, exponent = np.frexp(m)  # exact: m == norm * 2**exponent, norm in [0.5, 1)
+    shifts = MULT_BITS - exponent.astype(np.int64)
+    too_far = shifts > MAX_SHIFT
+    if too_far.any():
+        first = float(m.flat[too_far.argmax()])
+        raise DomainError(f"rescale factor {first!r} needs a shift beyond {MAX_SHIFT}")
+    scaled = norm * float(1 << MULT_BITS)  # still exact, and so is adding 0.5 to it
+    if rounding is Rounding.NEAREST:
+        scaled += 0.5
+    mults = np.floor(scaled).astype(np.int64)
+    # rounding pushed the normalized value up to exactly 1.0
+    top = mults == 1 << MULT_BITS
+    if top.any():
+        doubled = top & (shifts > MULT_BITS)
+        mults[doubled] >>= 1
+        shifts[doubled] -= 1
+        mults[top & ~doubled] -= 1
+    return mults, shifts
 
 
 def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> MultShift:
-    """Encode a real scalar m in (0, 1) as a MultShift pair.
-
-    m is doubled until it lands in [0.5, 1); the doubled value is scaled
-    by 2**32 and rounded to the 32-bit multiplier per ``rounding``. The
-    relative encoding error is at most 2**-31. Raises DomainError for
-    m <= 0, m >= 1, non-finite m, or when the shift would not fit the
-    8-bit encoding.
-    """
-    if not isinstance(m, (int, float)) or not math.isfinite(m):
+    """Encode one real scalar m in (0, 1) as a MultShift pair (quantize_multipliers)."""
+    if not isinstance(m, (int, float)):
         raise DomainError(f"rescale factor {m!r} is not a finite number")
-    if m <= 0.0 or m >= 1.0:
-        raise DomainError(f"rescale factor {m!r} outside (0, 1)")
-    norm, exponent = math.frexp(m)  # exact: m == norm * 2**exponent, norm in [0.5, 1)
-    doublings = -exponent
-    if MULT_BITS + doublings > MAX_SHIFT:
-        raise DomainError(f"rescale factor {m!r} needs a shift beyond {MAX_SHIFT}")
-    scaled = norm * float(1 << MULT_BITS)  # still exact
-    if rounding is Rounding.TRUNCATE:
-        mult = math.floor(scaled)
-    else:
-        mult = _round_half_away(scaled)
-    shift = MULT_BITS + doublings
-    if mult == 1 << MULT_BITS:
-        # rounding pushed the normalized value up to exactly 1.0
-        if doublings > 0:
-            mult >>= 1
-            shift -= 1
-        else:
-            mult -= 1
-    return MultShift(mult, shift)
+    mults, shifts = quantize_multipliers(np.array([m], dtype=np.float64), rounding)
+    return MultShift(int(mults[0]), int(shifts[0]))
 
 
 class Rescale(NamedTuple):
@@ -203,16 +215,22 @@ def requantize_array(
     return apply_rescale(acc, rescale_constants(mults, shifts), out_zero, rounding)
 
 
-def narrow_bias(bias: int, bits: int) -> int:
-    """Validate that a bias fits ``bits`` signed bits; returns it unchanged.
+def bias_limits(bits: int) -> tuple[int, int]:
+    """The inclusive range [lo, hi] of a ``bits``-wide signed bias lane.
 
-    bits must be 16 or 18. Raises RangeError when the value falls
-    outside [-2**(bits-1), 2**(bits-1) - 1].
+    bits must be 16 or 18.
     """
     if bits not in (16, 18):
         raise DomainError(f"unsupported bias width {bits}, expected 16 or 18")
-    lo = -(1 << (bits - 1))
-    hi = (1 << (bits - 1)) - 1
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
+def narrow_bias(bias: int, bits: int) -> int:
+    """Validate that a bias fits ``bits`` signed bits; returns it unchanged.
+
+    Raises RangeError when the value falls outside bias_limits(bits).
+    """
+    lo, hi = bias_limits(bits)
     b = int(bias)
     if not (lo <= b <= hi):
         raise RangeError(f"bias {b} does not fit {bits} signed bits [{lo}, {hi}]")

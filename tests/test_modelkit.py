@@ -183,6 +183,15 @@ def test_prepare_rejects_wide_conv_bias():
         prepare(_singleton_graph(layer, resolution=4))
 
 
+def test_prepare_names_the_first_wide_bias():
+    rng = np.random.default_rng(6)
+    layer = pointwise_layer(rng, Kind.EXP, h=4, w=4, cin=16, cout=16)
+    layer.filters.biases[3] = 40000
+    layer.filters.biases[9] = -50000
+    with pytest.raises(RangeError, match="bias 40000 does not fit 16 signed bits"):
+        prepare(_singleton_graph(layer, resolution=4))
+
+
 def test_prepare_equal_scale_addition_is_symmetric():
     model = toy_model(20)
     adds = [l for l in model.layers
@@ -397,6 +406,14 @@ def test_package_rejects_version_1(tmp_path):
         load_package(tmp_path)
 
 
+def test_package_rejects_version_2(tmp_path):
+    """Version 2 kept two blob files per layer under blobs/."""
+    save_package(toy_model(2), tmp_path)
+    _rewrite_manifest(tmp_path, lambda m: m.update(format_version=2))
+    with pytest.raises(FormatError, match="version 2.*only version 3.*regenerate"):
+        load_package(tmp_path)
+
+
 def test_saved_manifest_stores_no_derived_fields(tmp_path):
     model = small_model()
     assert model.residual_table and any(l.add_params for l in model.layers)
@@ -428,23 +445,46 @@ def test_manifest_bias_width_is_the_engines(tmp_path):
         load_package(tmp_path)
 
 
+def _blob_regions(model):
+    """(layer, part, offset, length) of each blobs.bin region, in file order."""
+    regions, offset = [], 0
+    for idx, l in enumerate(model.layers):
+        if l.filters is not None:
+            for part, length in (("weights", l.filters.weights.size),
+                                 ("biases", 4 * l.filters.out_channels)):
+                regions.append((idx, part, offset, length))
+                offset += length
+    return regions
+
+
+def test_saved_package_holds_a_manifest_and_one_blob_file(tmp_path):
+    model = small_model()
+    save_package(model, tmp_path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["blobs.bin", "manifest.json"]
+    idx, part, offset, length = _blob_regions(model)[-1]
+    assert (tmp_path / "blobs.bin").stat().st_size == offset + length
+    assert (tmp_path / "manifest.json").read_text().count("\n") == 1
+
+
 def test_blob_names_come_from_layer_positions(tmp_path):
+    """The manifest names no blob file and stores no offset: regions follow
+    from the layers' order and geometry, so planted names and offsets are
+    ignored and a file outside the package cannot stand in for blobs.bin."""
     root = tmp_path / "pkg"
     model = small_model()
     save_package(model, root)
 
     def plant(manifest):
+        manifest["blob_file"] = "../../x"
         for entry in manifest["layers"]:
             if entry["filters"] is not None:
-                entry["filters"]["weights_blob"] = "../../x"
+                entry["filters"].update(weights_blob="../../x", weights_offset=0, bias_offset=0)
 
     _rewrite_manifest(root, plant)
     assert load_package(root) == model
-    # a copy outside the package cannot stand in for a missing blob
-    (root / "blobs" / "layer000.weights.bin").rename(tmp_path / "outside.bin")
-    _rewrite_manifest(root, lambda m: m["layers"][0]["filters"].update(
-        weights_blob="../outside.bin"))
-    with pytest.raises(FormatError, match="layer000.weights.bin"):
+    (root / "blobs.bin").rename(tmp_path / "outside.bin")
+    _rewrite_manifest(root, lambda m: m.update(blob_file="../outside.bin"))
+    with pytest.raises(FormatError, match="blob file missing: blobs.bin"):
         load_package(root)
 
 
@@ -571,20 +611,38 @@ def test_mutated_manifests_raise_only_package_errors(fuzz_package, data):
 
 
 def test_package_rejects_corrupt_blob(tmp_path):
-    save_package(toy_model(3), tmp_path)
-    blob = next((tmp_path / "blobs").glob("*.weights.bin"))
-    raw = bytearray(blob.read_bytes())
-    raw[0] ^= 0xFF
-    blob.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_package(tmp_path)
+    model = toy_model(3)
+    save_package(model, tmp_path)
+    blob = tmp_path / "blobs.bin"
+    clean = blob.read_bytes()
+    for idx, part, offset, length in _blob_regions(model):
+        raw = bytearray(clean)
+        raw[offset + length // 2] ^= 0xFF
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"layer {idx} {part} in blobs.bin failed its checksum"):
+            load_package(tmp_path)
+    blob.write_bytes(clean)
+    assert load_package(tmp_path) == model
 
 
 def test_package_rejects_truncated_blob(tmp_path):
-    save_package(toy_model(4), tmp_path)
-    blob = next((tmp_path / "blobs").glob("*.biases.bin"))
-    blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(FormatError):
+    model = toy_model(4)
+    save_package(model, tmp_path)
+    blob = tmp_path / "blobs.bin"
+    clean = blob.read_bytes()
+    last, _, _, _ = _blob_regions(model)[-1]
+    blob.write_bytes(clean[:-4])
+    with pytest.raises(FormatError, match=f"ends inside layer {last}'s biases"):
+        load_package(tmp_path)
+    idx, part, offset, length = _blob_regions(model)[2]
+    blob.write_bytes(clean[: offset + length - 1])
+    with pytest.raises(FormatError, match=f"ends inside layer {idx}'s {part}"):
+        load_package(tmp_path)
+    blob.write_bytes(clean + b"\0")
+    with pytest.raises(FormatError, match="1 bytes past its last region"):
+        load_package(tmp_path)
+    blob.unlink()
+    with pytest.raises(FormatError, match="blob file missing"):
         load_package(tmp_path)
 
 

@@ -1,12 +1,18 @@
 """Fixed-point multiplier encoding and the requantizing shift."""
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistream.errors import DomainError, RangeError
+from semistream.modelkit import ModelGraph, prepare
 from semistream.quantcore import (
     MAX_SHIFT,
+    MULT_BITS,
     MULT_MAX,
     MULT_MIN,
     AddParams,
@@ -14,10 +20,11 @@ from semistream.quantcore import (
     Rounding,
     narrow_bias,
     quantize_multiplier,
+    quantize_multipliers,
     requantize_array,
 )
 
-from conftest import rational_requant
+from conftest import c2d_layer, rational_requant
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +51,77 @@ def test_quantize_multiplier_truncate_mode():
     # 1/3 doubled once = 2/3; 2/3 * 2^32 = 2863311530.666..
     assert quantize_multiplier(1.0 / 3.0, Rounding.TRUNCATE).mult == 2863311530
     assert quantize_multiplier(1.0 / 3.0, Rounding.NEAREST).mult == 2863311531
+
+
+def _exact_encoding(m: float, rounding: Rounding) -> tuple[int, int]:
+    """(mult, shift) of m in exact rational arithmetic, without frexp."""
+    p, q = m.as_integer_ratio()
+    shift = MULT_BITS
+    while 2 * p < q:  # double m until it reaches [1/2, 1)
+        p, shift = 2 * p, shift + 1
+    scaled = Fraction(p, q) * 2**MULT_BITS
+    mult = math.floor(scaled + Fraction(1, 2) if rounding is Rounding.NEAREST else scaled)
+    if mult == 2**MULT_BITS:
+        mult, shift = (mult // 2, shift - 1) if shift > MULT_BITS else (mult - 1, shift)
+    return mult, shift
+
+
+@pytest.mark.parametrize("rounding", list(Rounding))
+def test_quantize_multipliers_match_exact_rationals(rounding):
+    rng = np.random.default_rng(1712)
+    factors = np.concatenate([
+        2.0 ** rng.uniform(-40.0, 0.0, 8000),
+        # random 53-bit mantissas down to the smallest encodable exponent
+        np.ldexp(rng.uniform(0.5, 1.0, 2000), -rng.integers(0, 224, 2000)),
+        # mantissas whose rounding lands on 2**32
+        np.ldexp(1.0 - rng.integers(1, 2**8, 200) * 2.0**-48, -rng.integers(0, 60, 200)),
+    ])
+    mults, shifts = quantize_multipliers(factors, rounding)
+    assert mults.dtype == shifts.dtype == np.int64
+    got = list(zip(mults.tolist(), shifts.tolist()))
+    assert got == [_exact_encoding(m, rounding) for m in factors.tolist()]
+
+
+def test_quantize_multipliers_edge_cases():
+    near, trunc = Rounding.NEAREST, Rounding.TRUNCATE
+
+    def enc(m, rounding=near):
+        mults, shifts = quantize_multipliers(np.array([m]), rounding)
+        return int(mults[0]), int(shifts[0])
+
+    # rounding reaches 2**32: halved with a doubling, decremented without one
+    assert enc(0.5 - 2.0**-41) == (2**31, 32)
+    assert enc(0.5 - 2.0**-41, trunc) == (2**32 - 1, 33)
+    assert enc(1.0 - 2.0**-40) == (2**32 - 1, 32)
+    assert enc(1.0 - 2.0**-40, trunc) == (2**32 - 1, 32)
+    # the largest shift fits, one more doubling does not
+    assert enc(2.0**-224) == (2**31, MAX_SHIFT)
+    with pytest.raises(DomainError, match="shift beyond 255"):
+        enc(2.0**-225)
+    # exact half ties of norm * 2**32 round away from zero under NEAREST
+    for doublings in (0, 7):
+        tie = (2**32 + 1) / 2.0**(33 + doublings)  # norm * 2**32 == 2**31 + 0.5
+        assert enc(tie) == (2**31 + 1, 32 + doublings)
+        assert enc(tie, trunc) == (2**31, 32 + doublings)
+    tie = (2**33 - 1) / 2.0**34  # norm * 2**32 == 2**32 - 0.5, then 2**32 halves
+    assert enc(tie) == (2**31, 32)
+    assert enc(tie, trunc) == (2**32 - 1, 33)
+    # one bad factor rejects the array, and the first one is named
+    with pytest.raises(DomainError, match=r"rescale factor 1\.5 outside \(0, 1\)"):
+        quantize_multipliers(np.array([0.25, 1.5, -1.0]))
+    with pytest.raises(DomainError, match="nan is not a finite number"):
+        quantize_multipliers(np.array([0.25, np.nan]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), float("inf")])
+def test_derivation_names_the_layer_and_channel_of_a_bad_scale(bad):
+    layer = c2d_layer(np.random.default_rng(4))
+    layer.filters.scales[5] = bad
+    layer.filters.scales[9] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(DomainError, match="layer 0 channel 5: rescale factor"):
+            prepare(ModelGraph([layer], resolution=224))
 
 
 def test_multshift_validation():
