@@ -22,6 +22,7 @@ from .quantcore import (
     MultShift,
     Rounding,
     narrow_bias,
+    pack_multipliers,
     quantize_multiplier,
     requantize_array,
 )

@@ -37,7 +37,7 @@ from .modelkit import (
 )
 from .oracle import dequantize, naive_quant_layer, run_model_naive
 from .perfmodel import CALIBRATED_BANDWIDTH_GBPS, ClockConfig, performance_report
-from .quantcore import Rounding, quantize_multiplier
+from .quantcore import Rounding, pack_multipliers, quantize_multipliers
 
 _ROUNDING = click.Choice(["nearest", "truncate"])
 _MODE = click.Choice(["stream", "sequential", "threads"])
@@ -209,7 +209,7 @@ def _random_pointwise_twins(rng) -> tuple[LayerDesc, LayerDesc, QTensor]:
         scales=np.full(cout, 1e-2),
         biases=rng.integers(-30000, 30001, size=cout),
     )
-    mults = [quantize_multiplier(float(m)) for m in 2.0 ** rng.uniform(-8.0, -1.0, size=cout)]
+    mults = pack_multipliers(*quantize_multipliers(2.0 ** rng.uniform(-8.0, -1.0, size=cout)))
     common = dict(
         in_h=h, in_w=w, in_ch=cin, out_h=h, out_w=w, out_ch=cout,
         in_scale=0.05, in_zero=int(rng.integers(0, 256)),

@@ -33,11 +33,9 @@ gets no record, so every call raises. The record also holds the
 layer's stats, its rescale constants, the zero-corrected taps of the
 entry and depthwise convolutions (with the depthwise input zero point
 folded into a bias) and an addition's per-code operand tables, so no
-engine call recomputes them. It is rebuilt when the layer's filters,
-mults, add_params or in_zero are rebound. A layer's arrays are facts:
-to change one after a run, rebind the field (dataclasses.replace on
-the filter bank), as mults already requires; an in-place edit is not
-seen.
+engine call recomputes them. A LayerDesc is frozen and its mults are
+read-only, so a layer object's record never goes stale: a changed
+layer is a new object (dataclasses.replace), which gets its own.
 
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
@@ -71,6 +69,7 @@ from .quantcore import (
     Rescale,
     Rounding,
     apply_rescale,
+    pack_multipliers,
     rescale_constants,
 )
 
@@ -159,23 +158,18 @@ def _layer_stats(layer: LayerDesc) -> EngineStats:
 
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
-    """A layer's run-time facts, compiled once per layer by layer_record.
+    """A layer's run-time facts, compiled once per layer object by layer_record.
 
-    filters, mults, add_params and in_zero are the layer's own facts the
-    record was built from (no copies); stats is what every engine call
-    reports; rescale holds the read-only per-channel constants of mults
-    (of an addition's mult3), or None for a layer without them. The rest
-    is None except on the layers that use it, and read-only: taps are
-    the zero-corrected entry (27 x 32 float32) or depthwise (3 x 3 x C
+    stats is what every engine call reports; rescale holds read-only,
+    C-contiguous per-channel constants of the layer's mults (of an
+    addition's mult3), or None for a layer without them. The rest is
+    None except on the layers that use it, and read-only: taps are the
+    zero-corrected entry (27 x 32 float32) or depthwise (3 x 3 x C
     int32) weights; bias is the depthwise bias minus in_zero times each
     channel's tap sum, so the engine sums raw codes; add_tables maps
     each Rounding to an addition's two 256-entry per-code tables.
     """
 
-    filters: QFilterSet | None
-    mults: list | None
-    add_params: AddParams | None
-    in_zero: int
     stats: EngineStats
     rescale: Rescale | None
     taps: np.ndarray | None
@@ -215,30 +209,28 @@ def _add_tables(p: AddParams) -> dict:
 
 
 def layer_record(layer: LayerDesc) -> LayerRecord:
-    """The layer's compiled record, built on first use.
+    """The layer's compiled record, built on the layer object's first use.
 
     Checks the accumulator bound (and an addition's sum bound) before
-    building, so a layer that breaks it never gets a record. Rebuilt
-    whenever the layer's filters, mults, add_params or in_zero has been
-    rebound since; in-place edits of their arrays are not seen.
+    building, so a layer that breaks it never gets a record. The record
+    is kept in the frozen layer's __dict__, which dataclasses.replace
+    does not carry over, so every changed layer compiles its own.
     """
-    rec = layer._record
-    if (rec is None or rec.filters is not layer.filters or rec.mults is not layer.mults
-            or rec.add_params is not layer.add_params or rec.in_zero != layer.in_zero):
+    rec = layer.__dict__.get("_record")
+    if rec is None:
         check_acc_bound(layer)
         p = layer.add_params
-        mults = layer.mults if p is None else [p.mult3]
+        mults = layer.mults if p is None else pack_multipliers([p.mult3.mult], [p.mult3.shift])
         rescale = None if mults is None else Rescale(*map(_read_only, rescale_constants(
-            [m.mult for m in mults], [m.shift for m in mults])))
+            np.ascontiguousarray(mults.mult), mults.shift)))  # columns are strided
         taps = bias = None
         if layer.kind is Kind.C2D:
             taps = _read_only(_signed_weights(layer.filters, np.float32).reshape(27, 32))
         elif layer.kind is Kind.DWC:
             taps = _read_only(_signed_weights(layer.filters, np.int32)[:, :, 0, :])
             bias = _read_only(layer.filters.biases - layer.in_zero * taps.sum(axis=(0, 1)))
-        rec = layer._record = LayerRecord(
-            layer.filters, layer.mults, p, layer.in_zero, _layer_stats(layer), rescale,
-            taps, bias, None if p is None else _add_tables(p))
+        rec = layer.__dict__["_record"] = LayerRecord(
+            _layer_stats(layer), rescale, taps, bias, None if p is None else _add_tables(p))
     return rec
 
 
@@ -571,7 +563,7 @@ def add_elements(
     t1, t2 = rec.add_tables[rounding]
     t = t1.take(a1)
     t += t2.take(a2)
-    return _narrow_uint8(apply_rescale(t, rec.rescale, 0, rounding), rec.add_params.out_zero)
+    return _narrow_uint8(apply_rescale(t, rec.rescale, 0, rounding), layer.add_params.out_zero)
 
 
 def add_forward(

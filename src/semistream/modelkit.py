@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from numbers import Integral
@@ -28,10 +28,10 @@ import numpy as np
 from .errors import DomainError, FormatError, PlanError, SemistreamError
 from .quantcore import (
     AddParams,
-    MultShift,
     Rounding,
     bias_limits,
     narrow_bias,
+    pack_multipliers,
     quantize_multiplier,
     quantize_multipliers,
 )
@@ -177,9 +177,12 @@ class QFilterSet:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerDesc:
-    """One layer of the graph plus everything its engine needs to run it."""
+    """One layer of the graph plus everything its engine needs to run it.
+
+    Frozen: a changed layer is a new one, built with dataclasses.replace.
+    """
 
     kind: Kind
     in_h: int
@@ -198,30 +201,23 @@ class LayerDesc:
     residual_from: int | None = None
     orig_in_ch: int = 0
     orig_out_ch: int = 0
-    # derived from the fields above by prepare() and load_package()
-    mults: list[MultShift] | None = None
+    # derived by prepare() and load_package(); mults is a read-only record
+    # array of one (mult, shift) pair per output channel (pack_multipliers)
+    mults: np.recarray | None = None
     add_params: AddParams | None = None
-    # the engines' compiled record (engines.layer_record): rebuilt when filters,
-    # mults, add_params or in_zero is rebound; never saved, not part of ==
-    _record: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.orig_in_ch == 0:
-            self.orig_in_ch = self.in_ch
+            object.__setattr__(self, "orig_in_ch", self.in_ch)
         if self.orig_out_ch == 0:
-            self.orig_out_ch = self.out_ch
+            object.__setattr__(self, "orig_out_ch", self.out_ch)
 
     def __eq__(self, other):
         if not isinstance(other, LayerDesc):
             return NotImplemented
-        plain = (
-            "kind in_h in_w in_ch out_h out_w out_ch in_scale in_zero out_scale "
-            "out_zero stride block residual_from orig_in_ch orig_out_ch "
-            "mults add_params"
-        ).split()
-        return all(getattr(self, f) == getattr(other, f) for f in plain) and (
-            self.filters == other.filters
-        )
+        plain = [f.name for f in dataclasses.fields(self) if f.name != "mults"]
+        return (all(getattr(self, f) == getattr(other, f) for f in plain)
+                and np.array_equal(self.mults, other.mults))
 
     @property
     def apass(self) -> int:
@@ -607,14 +603,15 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     Added weight positions hold the owning filter's zero point, added
     filters are all-zero-point with zero bias, so padded positions
     contribute exactly nothing to any accumulator and padded output
-    channels emit exactly the output zero point. Idempotent.
+    channels emit exactly the output zero point. Idempotent: a layer that
+    needs no padding is returned as it is.
     """
     if layer.kind not in (Kind.EXP, Kind.PRO, Kind.DWC):
         raise DomainError(f"channel padding applies to EXP/PRO/DWC, not {layer.kind.value}")
     cin_p = pad16(layer.in_ch)
     cout_p = pad16(layer.out_ch)
     if cin_p == layer.in_ch and cout_p == layer.out_ch:
-        return dataclasses.replace(layer)  # a copy: derivation writes into it
+        return layer
     f = layer.filters
     synthetic_scale = 0.5 * layer.out_scale / layer.in_scale
     if layer.kind is Kind.DWC:
@@ -635,11 +632,7 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     biases = np.zeros(cout_p, dtype=np.int64)
     biases[: f.out_channels] = f.biases
     padded = QFilterSet(f.kernel_h, f.kernel_w, new_cin, cout_p, weights, zps, scales, biases)
-    return dataclasses.replace(
-        layer,
-        in_ch=cin_p, out_ch=cout_p, filters=padded,
-        orig_in_ch=layer.orig_in_ch, orig_out_ch=layer.orig_out_ch,
-    )
+    return dataclasses.replace(layer, in_ch=cin_p, out_ch=cout_p, filters=padded)
 
 
 def _derive_add_params(layer: LayerDesc, source: LayerDesc, rounding: Rounding) -> AddParams:
@@ -692,16 +685,18 @@ def check_acc_bound(layer: LayerDesc) -> None:
         )
 
 
-def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
-    """Derive every run-time integer parameter of validated, padded layers in place.
+def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[LayerDesc]:
+    """Validated, padded layers with every run-time integer parameter derived.
 
     The one derivation behind prepare() and load_package(): converts each
-    filter bank's per-channel rescale factors to multiplier/shift pairs in
-    one array pass (quantize_multipliers), checks its biases against its
-    engine's lane width (BIAS_BITS) with one min and max, checks the
-    accumulator bound and sets addition parameters. The first bad channel
-    of a layer is the one named.
+    filter bank's per-channel rescale factors to one packed array of
+    multiplier/shift pairs (quantize_multipliers, pack_multipliers),
+    checks its biases against its engine's lane width (BIAS_BITS) with
+    one min and max, checks the accumulator bound and sets addition
+    parameters. The first bad channel of a layer is the one named. Each
+    layer that gains a parameter is a new one (dataclasses.replace).
     """
+    derived = []
     for idx, l in enumerate(layers):
         check_acc_bound(l)
         if l.kind in _KERNEL_SIDE:
@@ -714,20 +709,23 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> None:
                 raise DomainError(
                     f"layer {idx} channel {ch}: rescale factor {float(m[ch])!r} outside (0, 1)"
                 )
-            mults, shifts = quantize_multipliers(m, rounding)
-            l.mults = [MultShift(a, s) for a, s in zip(mults.tolist(), shifts.tolist())]
+            mults = pack_multipliers(*quantize_multipliers(m, rounding))
             lo, hi = bias_limits(l.bias_bits)
             b = f.biases
             if b.size and not (lo <= b.min() and b.max() <= hi):
                 narrow_bias(b[(b < lo) | (b > hi)][0], l.bias_bits)  # raises for the first
+            l = dataclasses.replace(l, mults=mults)
         elif l.kind is Kind.AVGPOOL:
             m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
             if not (0.0 < m < 1.0):
                 raise DomainError(f"pool layer {idx}: rescale factor {m!r} outside (0, 1)")
-            ms = quantize_multiplier(m, rounding)
-            l.mults = [ms] * l.out_ch
+            mults = pack_multipliers(*quantize_multipliers(np.full(l.out_ch, m), rounding))
+            l = dataclasses.replace(l, mults=mults)
         elif l.kind is Kind.ADD and l.residual_from is not None:
-            l.add_params = _derive_add_params(l, layers[l.residual_from], rounding)
+            l = dataclasses.replace(
+                l, add_params=_derive_add_params(l, layers[l.residual_from], rounding))
+        derived.append(l)
+    return derived
 
 
 class RoundPlan(NamedTuple):
@@ -825,15 +823,13 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
     layers: list[LayerDesc] = []
     for layer in graph.layers:
         if layer.kind in (Kind.EXP, Kind.PRO, Kind.DWC):
-            layers.append(pad_channels(layer))
+            layer = pad_channels(layer)
         elif layer.kind in (Kind.ADD, Kind.AVGPOOL):
-            layers.append(dataclasses.replace(
-                layer, in_ch=pad16(layer.in_ch), out_ch=pad16(layer.out_ch)))
-        else:
-            layers.append(dataclasses.replace(layer))
-    _derive_parameters(layers, rounding)
+            layer = dataclasses.replace(
+                layer, in_ch=pad16(layer.in_ch), out_ch=pad16(layer.out_ch))
+        layers.append(layer)
     return PreparedModel(
-        layers=layers,
+        layers=_derive_parameters(layers, rounding),
         resolution=graph.resolution,
         width_multiplier=graph.width_multiplier,
         seed=graph.seed,
@@ -1021,7 +1017,7 @@ def load_package(path: str | Path) -> PreparedModel:
         )
         validate_graph(model)
         blobs.verify()
-        _derive_parameters(model.layers, model.rounding)
+        model.layers = _derive_parameters(model.layers, model.rounding)
     except SemistreamError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:

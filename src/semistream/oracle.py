@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .modelkit import Kind, LayerDesc, PreparedModel, QTensor
-from .quantcore import MultShift, Rounding
+from .quantcore import Rounding
 
 
 def dequantize(data: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -39,12 +39,6 @@ def _rescale(acc: np.ndarray, mult: np.ndarray, shift: np.ndarray,
     return np.where(neg, -mag, mag)
 
 
-def _layer_mults(layer: LayerDesc) -> tuple[np.ndarray, np.ndarray]:
-    m = np.array([ms.mult for ms in layer.mults], dtype=np.int64)
-    s = np.array([ms.shift for ms in layer.mults], dtype=np.int64)
-    return m, s
-
-
 def naive_quant_layer(
     x: np.ndarray | QTensor,
     layer: LayerDesc,
@@ -61,39 +55,6 @@ def naive_quant_layer(
     if isinstance(residual, QTensor):
         residual = residual.data
     x = np.asarray(x, dtype=np.int64)
-    if layer.kind in (Kind.C2D, Kind.DWC):
-        padded = np.pad(x, ((1, 1), (1, 1), (0, 0)), constant_values=layer.in_zero)
-        s = layer.stride
-        oh, ow = layer.out_h, layer.out_w
-        f = layer.filters
-        w = f.weights.astype(np.int64) - f.zero_points
-        acc = np.zeros((oh, ow, layer.out_ch), dtype=np.int64)
-        acc += f.biases
-        for i in range(3):
-            for j in range(3):
-                patch = padded[i : i + s * oh : s, j : j + s * ow : s] - layer.in_zero
-                if layer.kind is Kind.C2D:
-                    acc += np.einsum("hwc,cf->hwf", patch, w[i, j])
-                else:
-                    acc += patch * w[i, j, 0]
-        mult, shift = _layer_mults(layer)
-        out = _rescale(acc, mult, shift, rounding) + layer.out_zero
-        return np.clip(out, 0, 255).astype(np.uint8)
-
-    if layer.kind in (Kind.EXP, Kind.PRO):
-        f = layer.filters
-        w = f.weights[0, 0].astype(np.int64) - f.zero_points
-        acc = (x - layer.in_zero) @ w + f.biases
-        mult, shift = _layer_mults(layer)
-        out = _rescale(acc, mult, shift, rounding) + layer.out_zero
-        return np.clip(out, 0, 255).astype(np.uint8)
-
-    if layer.kind is Kind.AVGPOOL:
-        acc = (x - layer.in_zero).sum(axis=(0, 1), keepdims=True)
-        mult, shift = _layer_mults(layer)
-        out = _rescale(acc, mult, shift, rounding) + layer.out_zero
-        return np.clip(out, 0, 255).astype(np.uint8)
-
     if layer.kind is Kind.ADD:
         if layer.residual_from is None:
             return x.astype(np.uint8)
@@ -109,7 +70,31 @@ def naive_quant_layer(
                        rounding) + p.out_zero
         return np.clip(out, 0, 255).astype(np.uint8)
 
-    raise DomainError(f"no reference evaluator for {layer.kind}")
+    if layer.kind in (Kind.C2D, Kind.DWC):
+        padded = np.pad(x, ((1, 1), (1, 1), (0, 0)), constant_values=layer.in_zero)
+        s = layer.stride
+        oh, ow = layer.out_h, layer.out_w
+        f = layer.filters
+        w = f.weights.astype(np.int64) - f.zero_points
+        acc = np.zeros((oh, ow, layer.out_ch), dtype=np.int64)
+        acc += f.biases
+        for i in range(3):
+            for j in range(3):
+                patch = padded[i : i + s * oh : s, j : j + s * ow : s] - layer.in_zero
+                if layer.kind is Kind.C2D:
+                    acc += np.einsum("hwc,cf->hwf", patch, w[i, j])
+                else:
+                    acc += patch * w[i, j, 0]
+    elif layer.kind in (Kind.EXP, Kind.PRO):
+        f = layer.filters
+        w = f.weights[0, 0].astype(np.int64) - f.zero_points
+        acc = (x - layer.in_zero) @ w + f.biases
+    elif layer.kind is Kind.AVGPOOL:
+        acc = (x - layer.in_zero).sum(axis=(0, 1), keepdims=True)
+    else:
+        raise DomainError(f"no reference evaluator for {layer.kind}")
+    out = _rescale(acc, layer.mults.mult, layer.mults.shift, rounding) + layer.out_zero
+    return np.clip(out, 0, 255).astype(np.uint8)
 
 
 def run_model_naive(

@@ -4,8 +4,9 @@ Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
 m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, one
 whole array of factors at a time (quantize_multipliers; the scalar
-quantize_multiplier wraps it, so the encoding exists once), and
-applying it to an accumulator is a 64-bit multiply followed by a
+quantize_multiplier wraps it, so the encoding exists once); a layer
+keeps its pairs as one read-only record array (pack_multipliers).
+Applying one to an accumulator is a 64-bit multiply followed by a
 rounding shift over whole arrays (apply_rescale, with the per-channel
 constants from rescale_constants; requantize_array composes the two).
 The module also validates narrow bias storage (bias_limits, narrow_bias).
@@ -136,6 +137,27 @@ def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> Mult
     return MultShift(int(mults[0]), int(shifts[0]))
 
 
+def pack_multipliers(mults, shifts) -> np.recarray:
+    """Per-channel multiplier and shift vectors as one read-only record array.
+
+    packed.mult and packed.shift are its int64 columns, packed[c].mult
+    and packed[c].shift one channel's pair. Raises DomainError, naming
+    the first bad channel, for a multiplier outside [2**31, 2**32) or a
+    shift outside [32, 255], the ranges MultShift keeps.
+    """
+    mults = np.asarray(mults, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    for name, v, lo, hi in (("multiplier", mults, MULT_MIN, MULT_MAX),
+                            ("shift", shifts, MULT_BITS, MAX_SHIFT)):
+        if v.size and (v.min() < lo or v.max() > hi):
+            ch = int(((v < lo) | (v > hi)).argmax())
+            raise DomainError(f"channel {ch}: {name} {int(v[ch])} outside [{lo}, {hi}]")
+    packed = np.empty(mults.shape, [("mult", np.int64), ("shift", np.int64)])
+    packed["mult"], packed["shift"] = mults, shifts
+    packed.flags.writeable = False
+    return packed.view(np.recarray)
+
+
 class Rescale(NamedTuple):
     """Per-channel rescale constants, built once per layer by rescale_constants.
 
@@ -174,13 +196,13 @@ def apply_rescale(
     later step runs in place on it. The result is not clamped; the
     engines clamp it to uint8.
 
-    Preconditions: every mult is positive (MultShift keeps it in
-    [2**31, 2**32)), so sign(p) == sign(acc); every shift is at least 1;
-    and |acc| * mult < 2**62, so the int64 product cannot overflow. A
-    per-layer accumulator bound (modelkit.ACC_BOUND) implies the last
-    one. It is checked when a layer's parameters are derived and once
-    more when the engines first compile the layer; each later engine
-    call reuses that verdict.
+    Preconditions: every mult is positive (pack_multipliers and
+    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc);
+    every shift is at least 1; and |acc| * mult < 2**62, so the int64
+    product cannot overflow. A per-layer accumulator bound
+    (modelkit.ACC_BOUND) implies the last one. It is checked when a
+    layer's parameters are derived and once more when the engines first
+    compile the layer; each later engine call reuses that verdict.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)

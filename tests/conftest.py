@@ -52,8 +52,11 @@ def rational_requant(
     out_zero: int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> int:
-    """Apply mult * 2**-shift to acc in exact rational arithmetic."""
-    q = Fraction(int(acc) * ms.mult, 1 << ms.shift)
+    """Apply mult * 2**-shift to acc in exact rational arithmetic.
+
+    ms is a MultShift or one channel of a packed array, layer.mults[c].
+    """
+    q = Fraction(int(acc) * int(ms.mult), 1 << int(ms.shift))
     if rounding is Rounding.TRUNCATE:
         return math.floor(q) + out_zero
     return nearest_ties_away(q) + out_zero
@@ -93,8 +96,7 @@ def random_filters(
 
 def derive(layer: LayerDesc, rounding: Rounding = Rounding.NEAREST) -> LayerDesc:
     """A filter or pooling layer with the parameters prepare() derives."""
-    _derive_parameters([layer], rounding)
-    return layer
+    return _derive_parameters([layer], rounding)[0]
 
 
 def c2d_layer(rng: np.random.Generator) -> LayerDesc:

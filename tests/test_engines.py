@@ -53,7 +53,14 @@ from semistream.modelkit import (
 )
 from semistream.dataflow import run_inference
 from semistream.oracle import naive_quant_layer, run_model_naive
-from semistream.quantcore import MULT_MAX, MULT_MIN, MultShift, Rounding, quantize_multiplier
+from semistream.quantcore import (
+    MULT_MAX,
+    MULT_MIN,
+    MultShift,
+    Rounding,
+    pack_multipliers,
+    quantize_multipliers,
+)
 
 from conftest import (
     add_layer,
@@ -69,7 +76,10 @@ from conftest import (
     residual_input,
 )
 
-HALF = quantize_multiplier(0.5)
+
+def halves(n: int) -> np.recarray:
+    """n channels of the multiplier 0.5."""
+    return pack_multipliers(*quantize_multipliers(np.full(n, 0.5)))
 
 
 def small_c2d(rng, side=16):
@@ -98,7 +108,7 @@ def test_c2d_single_tap_rounding_split():
     layer = LayerDesc(
         kind=Kind.C2D, in_h=8, in_w=8, in_ch=3, out_h=4, out_w=4, out_ch=32,
         in_scale=0.01, in_zero=128, out_scale=0.02, out_zero=100,
-        stride=2, filters=f, mults=[HALF] * 32,
+        stride=2, filters=f, mults=halves(32),
     )
     x = flat_input(layer, 128)
     x.data[2, 2, 0] = 129  # seen by the center tap of output pixel (1, 1)
@@ -170,7 +180,7 @@ def test_dwc_identity_kernel_halves_the_offset():
     layer = LayerDesc(
         kind=Kind.DWC, in_h=5, in_w=6, in_ch=ch, out_h=5, out_w=6, out_ch=ch,
         in_scale=0.03, in_zero=100, out_scale=0.06, out_zero=60,
-        stride=1, filters=f, mults=[HALF] * ch,
+        stride=1, filters=f, mults=halves(ch),
     )
     x = flat_input(layer, 200)  # 100 above the input zero point
     for rounding in Rounding:
@@ -254,7 +264,7 @@ def test_pro_single_term():
     layer = LayerDesc(
         kind=Kind.PRO, in_h=2, in_w=3, in_ch=cin, out_h=2, out_w=3, out_ch=cout,
         in_scale=0.02, in_zero=50, out_scale=0.04, out_zero=77,
-        filters=f, mults=[HALF] * cout,
+        filters=f, mults=halves(cout),
     )
     x = flat_input(layer, 50)
     x.data[:, :, 0] = 150  # only the surviving product term
@@ -635,28 +645,29 @@ def test_layout_rejects_portless_kinds():
 # ---------------------------------------------------------------------------
 
 def _span_mults(layer, rng):
-    """Reassign multipliers so that outputs span the uint8 range even
-    when every product sits at the extreme (|acc| near K * 255**2)."""
+    """The layer with multipliers that make outputs span the uint8 range
+    even when every product sits at the extreme (|acc| near K * 255**2)."""
     f = layer.filters
     k = f.kernel_h * f.kernel_w * f.in_channels
-    layer.mults = [quantize_multiplier(float(m))
-                   for m in 2.0 ** rng.uniform(-8.0, -1.1, layer.out_ch) / (k * 255)]
+    m = 2.0 ** rng.uniform(-8.0, -1.1, layer.out_ch) / (k * 255)
+    return dataclasses.replace(layer, mults=pack_multipliers(*quantize_multipliers(m)))
 
 
 def _worst_case(layer, x, act_hi, w_hi):
-    """Every operand at 0 or 255 with its zero point at the opposite
-    extreme, and every bias at the edge of its storage width with the
-    products' sign: each accumulator reaches K * 255**2 + max bias.
-    The output zero point is centred so _span_mults keeps results off
-    the clamps."""
+    """The layer, and x in place, with every operand at 0 or 255 and its
+    zero point at the opposite extreme, and every bias at the edge of its
+    storage width with the products' sign: each accumulator reaches
+    K * 255**2 + max bias. The output zero point is centred so
+    _span_mults keeps results off the clamps. The filter bank is edited
+    in place, so run only the returned layer."""
     f = layer.filters
-    layer.out_zero = 128
     x.data[...] = 255 if act_hi else 0
-    x.zero_point = layer.in_zero = 0 if act_hi else 255
+    x.zero_point = 0 if act_hi else 255
     f.weights[...] = 255 if w_hi else 0
     f.zero_points[...] = 0 if w_hi else 255
     sign = 1 if act_hi == w_hi else -1
     f.biases[...] = sign * ((1 << (layer.bias_bits - 1)) - 1)
+    return dataclasses.replace(layer, in_zero=x.zero_point, out_zero=128)
 
 
 def _raw_pointwise_acc(layer, x):
@@ -680,10 +691,10 @@ def mac_cases(draw):
     else:
         layer = dwc_layer(rng, h=draw(st.integers(1, 9)), w=draw(st.integers(1, 9)),
                           ch=LANES * draw(st.integers(1, 6)), stride=draw(st.sampled_from([1, 2])))
-    _span_mults(layer, rng)
+    layer = _span_mults(layer, rng)
     x = qinput(rng, layer)
     if draw(st.booleans()):
-        _worst_case(layer, x, draw(st.booleans()), draw(st.booleans()))
+        layer = _worst_case(layer, x, draw(st.booleans()), draw(st.booleans()))
     return layer, x, draw(st.sampled_from(list(Rounding)))
 
 
@@ -716,10 +727,10 @@ def test_classifier_shape_worst_case_is_exact():
     for kind in (Kind.PRO, Kind.EXP):
         for act_hi in (False, True):
             for w_hi in (False, True):
-                layer = pointwise_layer(rng, kind, h=1, w=1, cin=1280, cout=1008)
-                _span_mults(layer, rng)
+                layer = _span_mults(
+                    pointwise_layer(rng, kind, h=1, w=1, cin=1280, cout=1008), rng)
                 x = qinput(rng, layer)
-                _worst_case(layer, x, act_hi, w_hi)
+                layer = _worst_case(layer, x, act_hi, w_hi)
                 for rounding in Rounding:
                     want = _check_against_oracle(layer, x, rounding)
                     assert 0 < want.min() and want.max() < 255  # not clamped away
@@ -744,18 +755,17 @@ def test_acc_bound_guard_is_tight():
     """K * 255**2 plus the largest bias must stay below 2**30."""
     rng = np.random.default_rng(32)
     k = (ACC_BOUND - 1) // (255 * 255)  # 16512 taps: 49023 of headroom left
-    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=k, cout=16)
-    _span_mults(layer, rng)
+    layer = _span_mults(pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=k, cout=16), rng)
     x = qinput(rng, layer)
-    _worst_case(layer, x, True, True)
+    layer = _worst_case(layer, x, True, True)
     layer.filters.biases[...] = ACC_BOUND - 1 - k * 255 * 255
     check_acc_bound(layer)
     got, _ = pro_forward(x, layer)  # |acc| = 2**30 - 1, still exact
     np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
-    # a layer's arrays are facts: rebind the filter bank to change one
+    # a layer is a fact: to change one after a run, build a new one
     biases = layer.filters.biases.copy()
     biases[0] += 1
-    layer.filters = dataclasses.replace(layer.filters, biases=biases)
+    layer = dataclasses.replace(layer, filters=dataclasses.replace(layer.filters, biases=biases))
     with pytest.raises(DomainError, match="2\\*\\*30"):
         pro_forward(x, layer)
 
@@ -767,10 +777,10 @@ def test_k_chunk_is_the_float32_exactness_bound():
     assert K_CHUNK * 255**2 < 2**24 <= (K_CHUNK + LANES) * 255**2
 
 
-def _edge_mults(acc: int, rounding: Rounding, n: int) -> list:
-    """n multipliers that each put acc one unit from a rounding edge of
-    its output: an even channel's output changes if acc comes out one
-    higher, an odd channel's if it comes out one lower. Outputs land
+def _edge_mults(acc: int, rounding: Rounding, n: int) -> np.recarray:
+    """n packed multipliers that each put acc one unit from a rounding
+    edge of its output: an even channel's output changes if acc comes out
+    one higher, an odd channel's if it comes out one lower. Outputs land
     about 45 codes from the zero point."""
     shift = round(math.log2(abs(acc))) + 26
     edge = round(acc * 2.0**31.5 / 2**shift) << shift
@@ -784,7 +794,7 @@ def _edge_mults(acc: int, rounding: Rounding, n: int) -> list:
         assert (rational_requant(acc, ms, 0, rounding)
                 != rational_requant(acc + step, ms, 0, rounding))
         mults.append(ms)
-    return mults
+    return pack_multipliers([ms.mult for ms in mults], [ms.shift for ms in mults])
 
 
 @pytest.mark.parametrize("k", [1280, (ACC_BOUND - 1) // (255 * 255)])
@@ -799,7 +809,7 @@ def test_float32_slices_are_exact_at_odd_sums(kind, k):
     layer = pointwise_layer(rng, kind, h=1, w=1, cin=k, cout=16)
     for act_hi in (True, False):
         x = qinput(rng, layer)
-        _worst_case(layer, x, act_hi, True)
+        layer = _worst_case(layer, x, act_hi, True)
         layer.filters.biases[...] = 32766 if act_hi else -32766
         x.data[0, 0, k // 3] = layer.in_zero
         acc = _raw_pointwise_acc(layer, x)[0]
@@ -810,7 +820,7 @@ def test_float32_slices_are_exact_at_odd_sums(kind, k):
         fold_gemm(raw, signed, layer.filters, layer.filters.zero_points.astype(np.float32))
         np.testing.assert_array_equal(raw[0], acc - layer.filters.biases)
         for rounding in Rounding:
-            layer.mults = _edge_mults(int(acc[0]), rounding, 16)
+            layer = dataclasses.replace(layer, mults=_edge_mults(int(acc[0]), rounding, 16))
             want = naive_quant_layer(x.data, layer, rounding=rounding)
             assert 0 < want.min() and want.max() < 255
             got, _ = run_layer(x, layer, rounding=rounding)
@@ -858,31 +868,54 @@ def test_exp_probe_partials_are_int64_banks():
     np.testing.assert_array_equal(out.data, naive_quant_layer(x.data, layer))
 
 
-def test_mult_vectors_follow_reassignment():
-    """The layer record is built once and rebuilt when mults or filters is rebound."""
+def test_layers_are_frozen_facts():
+    """A layer cannot change after it is built, so its record cannot go
+    stale: no field can be assigned and mults is read-only. A layer built
+    from it with dataclasses.replace, whether its mults, add_params or
+    in_zero changed, compiles its own record and matches the oracle,
+    while the original keeps its record. An over-bound layer gets no
+    record, so every call raises."""
     rng = np.random.default_rng(35)
-    layer = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
-    x = qinput(rng, layer)
-    before, _ = pro_forward(x, layer)
-    record = layer_record(layer)
-    pro_forward(x, layer)
-    assert layer_record(layer) is record  # built once
-    layer.mults = [quantize_multiplier(m.value / 2) for m in layer.mults]
-    after, _ = pro_forward(x, layer)
-    assert layer_record(layer) is not record
-    assert not np.array_equal(before.data, after.data)
-    np.testing.assert_array_equal(after.data, naive_quant_layer(x.data, layer))
-    f = layer.filters
-    layer.filters = dataclasses.replace(f, weights=255 - f.weights)
-    rebound, _ = pro_forward(x, layer)
-    assert not np.array_equal(after.data, rebound.data)
-    np.testing.assert_array_equal(rebound.data, naive_quant_layer(x.data, layer))
-    biases = f.biases.copy()
+    pro = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
+    for fld in dataclasses.fields(pro):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pro, fld.name, getattr(pro, fld.name))
+    assert not pro.mults.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pro.mults.mult[0] = MULT_MIN
+
+    add = add_layer(rng, h=2, w=3)
+    out_zero = (add.out_zero + 7) % 256
+    dwc = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
+    halved = pack_multipliers(pro.mults.mult, pro.mults.shift + 1)
+    cases = [
+        (pro, dataclasses.replace(pro, mults=halved)),
+        (add, dataclasses.replace(add, out_zero=out_zero, add_params=dataclasses.replace(
+            add.add_params, out_zero=out_zero))),
+        # the depthwise record folds the input zero point into its bias
+        (dwc, dataclasses.replace(dwc, in_zero=(dwc.in_zero + 91) % 256)),
+    ]
+    for layer, changed in cases:
+        x, residual = qinput(rng, layer), None
+        if layer.kind is Kind.ADD:
+            residual = residual_input(rng, layer)
+        before, _ = run_layer(x, layer, residual)
+        record = layer_record(layer)
+        assert run_layer(x, layer, residual)[1] is record.stats  # built once
+        x.zero_point = changed.in_zero
+        after, _ = run_layer(x, changed, residual)
+        assert layer_record(changed) is not record
+        assert layer_record(layer) is record
+        assert not np.array_equal(before.data, after.data)
+        np.testing.assert_array_equal(after.data, naive_quant_layer(x, changed, residual))
+
+    biases = pro.filters.biases.copy()
     biases[-1] = -ACC_BOUND
-    layer.filters = dataclasses.replace(f, biases=biases)
+    over = dataclasses.replace(pro, filters=dataclasses.replace(pro.filters, biases=biases))
+    x = qinput(rng, over)
     for _ in range(2):  # an over-bound layer never gets a record
         with pytest.raises(DomainError, match="2\\*\\*30"):
-            pro_forward(x, layer)
+            pro_forward(x, over)
 
 
 def test_nominal_stats_is_one_frozen_record():
@@ -916,9 +949,7 @@ def test_layer_records_hold_no_weight_copies():
         rec, owned = layer_record(layer), []
         for fld in dataclasses.fields(rec):
             value = getattr(rec, fld.name)
-            if fld.name in ("filters", "mults", "add_params", "in_zero"):
-                assert value is getattr(layer, fld.name)
-            elif fld.name == "add_tables" and value is not None:
+            if fld.name == "add_tables" and value is not None:
                 assert set(value) == set(Rounding)
                 tables = [t for pair in value.values() for t in pair]
                 assert len(tables) == 4
@@ -927,7 +958,7 @@ def test_layer_records_hold_no_weight_copies():
                 owned += value if isinstance(value, tuple) else [value]
         arrays = [v for v in owned if isinstance(v, np.ndarray)]
         for v in arrays:
-            assert not v.flags.writeable
+            assert not v.flags.writeable and v.flags.c_contiguous
             if layer.filters is not None:
                 assert not np.shares_memory(v, layer.filters.weights)
         per_channel = [v for v in arrays if v is not rec.taps]
@@ -986,38 +1017,6 @@ def test_add_tables_match_the_oracle_on_every_code_pair(model_rounding):
         np.testing.assert_array_equal(got.data, want)
 
 
-def test_add_record_follows_rebinding_add_params():
-    rng = np.random.default_rng(43)
-    layer = add_layer(rng, h=2, w=3)
-    x1, x2 = qinput(rng, layer), residual_input(rng, layer)
-    before, _ = add_forward(x1, x2, layer)
-    record = layer_record(layer)
-    add_forward(x1, x2, layer)
-    assert layer_record(layer) is record  # built once
-    p = layer.add_params
-    layer.add_params = dataclasses.replace(p, out_zero=(p.out_zero + 7) % 256)
-    layer.out_zero = layer.add_params.out_zero
-    after, _ = add_forward(x1, x2, layer)
-    assert layer_record(layer) is not record
-    assert not np.array_equal(before.data, after.data)
-    np.testing.assert_array_equal(
-        after.data, naive_quant_layer(x1.data, layer, residual=x2.data))
-
-
-def test_depthwise_record_follows_in_zero():
-    """The depthwise record folds the input zero point into its bias,
-    so rebinding in_zero rebuilds it."""
-    rng = np.random.default_rng(45)
-    layer = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
-    dwc_forward(qinput(rng, layer), layer)
-    record = layer_record(layer)
-    layer.in_zero = (layer.in_zero + 91) % 256
-    x = qinput(rng, layer)
-    got, _ = dwc_forward(x, layer)
-    assert layer_record(layer) is not record
-    np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
-
-
 def test_add_record_checks_its_sum_bound():
     """The record rejects tables whose sum times mult3 could reach 2**62.
 
@@ -1028,8 +1027,8 @@ def test_add_record_checks_its_sum_bound():
     layer = add_layer(rng, h=2, w=2)
     x1, x2 = qinput(rng, layer), residual_input(rng, layer)
     add_forward(x1, x2, layer)
-    layer.add_params = dataclasses.replace(
-        layer.add_params, mult1=SimpleNamespace(mult=2**31, shift=1))
+    layer = dataclasses.replace(layer, add_params=dataclasses.replace(
+        layer.add_params, mult1=SimpleNamespace(mult=2**31, shift=1)))
     for _ in range(2):  # an over-bound addition never gets a record
         with pytest.raises(DomainError, match="2\\*\\*62"):
             add_forward(x1, x2, layer)

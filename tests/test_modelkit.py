@@ -1,5 +1,6 @@
 """Model construction, channel padding, parameter derivation, packages."""
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -32,9 +33,9 @@ from semistream.modelkit import (
     save_raw,
     validate_graph,
 )
-from semistream.quantcore import MultShift, Rounding, quantize_multiplier
+from semistream.quantcore import Rounding, pack_multipliers, quantize_multiplier
 
-from conftest import c2d_layer, pointwise_layer, random_filters, toy_model
+from conftest import c2d_layer, pointwise_layer, random_filters, toy_model, toy_pair
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,12 @@ def test_build_is_deterministic():
     assert a == b
     c = prepare(build_mobilenet_v2(seed=6, resolution=32))
     assert a != c
+    # layers that differ in one multiplier differ
+    layer = a.layers[0]
+    mult = layer.mults.mult.copy()
+    mult[3] ^= 1
+    assert dataclasses.replace(layer) == layer
+    assert dataclasses.replace(layer, mults=pack_multipliers(mult, layer.mults.shift)) != layer
 
 
 def test_prepare_leaves_earlier_models_alone():
@@ -154,9 +161,36 @@ def test_prepare_known_multiplier():
     rng = np.random.default_rng(3)
     layer = c2d_layer(rng)
     layer.filters.scales[:] = 0.375 * layer.out_scale / layer.in_scale
-    model = prepare(_singleton_graph(layer))
-    assert model.layers[0].mults[0] == MultShift(3221225472, 33)
-    assert all(ms == MultShift(3221225472, 33) for ms in model.layers[0].mults)
+    mults = prepare(_singleton_graph(layer)).layers[0].mults
+    assert mults.mult.tolist() == [3221225472] * 32
+    assert mults.shift.tolist() == [33] * 32
+
+
+#: sha-256 of every derived (mult, shift) column and every AddParams of
+#: mnv2 0.5/64 under both roundings and of toy models 0-7. It was taken
+#: while layers still held lists of MultShift, so it also shows that
+#: packing them into arrays changed no parameter.
+PARAMETER_DIGEST = "7b62f757b752f532cb85d020b60bd5d538dd7024ea2e92b69e92b31d5d3c73d0"
+
+
+def test_every_derived_parameter_is_pinned():
+    models = [prepare(build_mobilenet_v2(0.5, 64), rounding) for rounding in Rounding]
+    models += [toy_pair(seed)[0] for seed in range(8)]
+    h = hashlib.sha256()
+    for model in models:
+        for layer in model.layers:
+            h.update(layer.kind.value.encode())
+            if layer.mults is None:
+                h.update(b"-")
+            else:
+                h.update(np.asarray(layer.mults.mult, dtype="<i8").tobytes())
+                h.update(np.asarray(layer.mults.shift, dtype="<i8").tobytes())
+            p = layer.add_params
+            h.update(b"-" if p is None else repr((
+                p.mult1.mult, p.mult1.shift, p.mult2.mult, p.mult2.shift,
+                p.mult3.mult, p.mult3.shift, p.in1_zero, p.in2_zero, p.out_zero,
+                p.pre_shift)).encode())
+    assert h.hexdigest() == PARAMETER_DIGEST
 
 
 def test_prepare_rejects_out_of_range_rescale():
@@ -267,14 +301,14 @@ def test_pad16():
 def test_pad_channels_geometry_and_idempotence():
     rng = np.random.default_rng(9)
     layer = pointwise_layer(rng, Kind.PRO, h=3, w=3, cin=16, cout=16)
-    layer = dataclasses.replace(layer, in_ch=12, out_ch=9, orig_in_ch=0, orig_out_ch=0)
-    layer.filters = QFilterSet(
-        1, 1, 12, 9,
-        weights=rng.integers(0, 256, size=(1, 1, 12, 9), dtype=np.uint8),
-        zero_points=rng.integers(0, 256, size=9),
-        scales=np.full(9, 0.25 * layer.out_scale / layer.in_scale),
-        biases=rng.integers(-100, 100, size=9),
-    )
+    layer = dataclasses.replace(
+        layer, in_ch=12, out_ch=9, orig_in_ch=0, orig_out_ch=0, filters=QFilterSet(
+            1, 1, 12, 9,
+            weights=rng.integers(0, 256, size=(1, 1, 12, 9), dtype=np.uint8),
+            zero_points=rng.integers(0, 256, size=9),
+            scales=np.full(9, 0.25 * layer.out_scale / layer.in_scale),
+            biases=rng.integers(-100, 100, size=9),
+        ))
     padded = pad_channels(layer)
     assert (padded.in_ch, padded.out_ch) == (16, 16)
     assert (padded.orig_in_ch, padded.orig_out_ch) == (12, 9)
@@ -287,14 +321,14 @@ def test_pad_channels_geometry_and_idempotence():
 def test_pad_channels_new_positions_are_inert():
     rng = np.random.default_rng(10)
     layer = pointwise_layer(rng, Kind.PRO, h=2, w=2, cin=16, cout=16)
-    layer = dataclasses.replace(layer, in_ch=10, out_ch=5, orig_in_ch=0, orig_out_ch=0)
-    layer.filters = QFilterSet(
-        1, 1, 10, 5,
-        weights=rng.integers(0, 256, size=(1, 1, 10, 5), dtype=np.uint8),
-        zero_points=rng.integers(0, 256, size=5),
-        scales=np.full(5, 0.25 * layer.out_scale / layer.in_scale),
-        biases=rng.integers(-100, 100, size=5),
-    )
+    layer = dataclasses.replace(
+        layer, in_ch=10, out_ch=5, orig_in_ch=0, orig_out_ch=0, filters=QFilterSet(
+            1, 1, 10, 5,
+            weights=rng.integers(0, 256, size=(1, 1, 10, 5), dtype=np.uint8),
+            zero_points=rng.integers(0, 256, size=5),
+            scales=np.full(5, 0.25 * layer.out_scale / layer.in_scale),
+            biases=rng.integers(-100, 100, size=5),
+        ))
     padded = pad_channels(layer)
     f = padded.filters
     # extended input positions of original filters hold that filter's

@@ -14,7 +14,7 @@ from semistream.oracle import (
     naive_quant_layer,
     run_model_naive,
 )
-from semistream.quantcore import MultShift, Rounding
+from semistream.quantcore import Rounding, pack_multipliers
 
 from conftest import (
     add_layer,
@@ -48,7 +48,8 @@ def test_naive_pointwise_single_pixel_exact():
         # besides the layer's own multipliers, shifts around 64, where a
         # half of 1 << (shift - 1) no longer fits in int64
         variants = [base] + [
-            dataclasses.replace(base, mults=[MultShift(2**31 + 5, s)] * 16, out_zero=128)
+            dataclasses.replace(base, mults=pack_multipliers(np.full(16, 2**31 + 5),
+                                                             np.full(16, s)), out_zero=128)
             for s in (63, 64, 65)
         ]
         for layer in variants:

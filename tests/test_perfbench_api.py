@@ -5,10 +5,12 @@ semistream and its modules, and attributes of the module it passes
 around as ``api``. Deleting one of those names breaks the benchmark;
 this check reads the scripts (it never runs them) so that shows up here.
 Likewise every execution mode the benchmark times must still run and
-agree with the others.
+agree with the others, and the traced run's own reads off prepared
+layers must still work, which a name check cannot see.
 """
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +62,27 @@ def test_every_benchmarked_mode_runs_and_agrees():
         got = run_inference(model, image, mode=mode)
         assert got.mode == mode
         np.testing.assert_array_equal(got.logits.data, want)
+
+
+@pytest.fixture
+def measure(monkeypatch):
+    """perfbench/measure.py, imported the way run.py imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("measure", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("measure")
+    for name in ("measure", "tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_traced_run_reads_every_layers_multipliers(measure):
+    model, _, _ = toy_pair(1)
+    accs = measure._accumulators(model, np.random.default_rng(0))
+    rescaled = [i for i, layer in enumerate(model.layers) if layer.mults is not None]
+    assert [idx for idx, *_ in accs] == rescaled
+    for idx, acc, mults, shifts, zero in accs:
+        layer = model.layers[idx]
+        assert acc.shape == (layer.out_h * layer.out_w, layer.out_ch)
+        np.testing.assert_array_equal(mults, layer.mults.mult)
+        np.testing.assert_array_equal(shifts, layer.mults.shift)
+        assert zero == layer.out_zero

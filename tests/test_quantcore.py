@@ -19,6 +19,7 @@ from semistream.quantcore import (
     MultShift,
     Rounding,
     narrow_bias,
+    pack_multipliers,
     quantize_multiplier,
     quantize_multipliers,
     requantize_array,
@@ -134,6 +135,33 @@ def test_multshift_validation():
     with pytest.raises(DomainError):
         MultShift(MULT_MIN, MAX_SHIFT + 1)
     assert MultShift(MULT_MIN, 32).value == 0.5
+
+
+def test_pack_multipliers_names_the_first_bad_channel():
+    """The packer keeps the ranges MultShift keeps, at every position."""
+    for column, bad in (("mult", MULT_MIN - 1), ("mult", MULT_MAX + 1),
+                        ("shift", MULT_BITS - 1), ("shift", MAX_SHIFT + 1)):
+        for at in range(7):
+            cols = {"mult": np.full(7, MULT_MIN), "shift": np.full(7, MULT_BITS)}
+            cols[column][at:] = bad
+            with pytest.raises(DomainError, match=f"channel {at}: "):
+                pack_multipliers(cols["mult"], cols["shift"])
+
+
+def test_pack_multipliers_is_a_read_only_record_array():
+    mults, shifts = quantize_multipliers(np.array([0.5, 0.375, 2.0**-40]))
+    packed = pack_multipliers(mults, shifts)
+    assert packed.dtype.names == ("mult", "shift")
+    assert packed.mult.dtype == packed.shift.dtype == np.int64
+    np.testing.assert_array_equal(packed.mult, mults)
+    np.testing.assert_array_equal(packed.shift, shifts)
+    assert (packed[1].mult, packed[1].shift) == (3221225472, 33)
+    assert [m.shift for m in packed] == shifts.tolist()
+    assert not packed.flags.writeable and not packed.mult.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        packed.shift[0] = 40
+    mults[0] = 0  # the packed array is a copy, not a view of its inputs
+    assert packed.mult[0] == 2**31
 
 
 @given(st.floats(min_value=2.0 ** -24, max_value=1.0, exclude_max=True))
