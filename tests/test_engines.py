@@ -870,11 +870,7 @@ def test_exp_probe_partials_are_int64_banks():
 
 def test_layers_are_frozen_facts():
     """A layer cannot change after it is built, so its record cannot go
-    stale: no field can be assigned and mults is read-only. A layer built
-    from it with dataclasses.replace, whether its mults, add_params or
-    in_zero changed, compiles its own record and matches the oracle,
-    while the original keeps its record. An over-bound layer gets no
-    record, so every call raises."""
+    stale: no field can be assigned and mults is read-only."""
     rng = np.random.default_rng(35)
     pro = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
     for fld in dataclasses.fields(pro):
@@ -884,38 +880,64 @@ def test_layers_are_frozen_facts():
     with pytest.raises(ValueError, match="read-only"):
         pro.mults.mult[0] = MULT_MIN
 
-    add = add_layer(rng, h=2, w=3)
-    out_zero = (add.out_zero + 7) % 256
-    dwc = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
-    halved = pack_multipliers(pro.mults.mult, pro.mults.shift + 1)
-    cases = [
-        (pro, dataclasses.replace(pro, mults=halved)),
-        (add, dataclasses.replace(add, out_zero=out_zero, add_params=dataclasses.replace(
-            add.add_params, out_zero=out_zero))),
-        # the depthwise record folds the input zero point into its bias
-        (dwc, dataclasses.replace(dwc, in_zero=(dwc.in_zero + 91) % 256)),
-    ]
-    for layer, changed in cases:
-        x, residual = qinput(rng, layer), None
-        if layer.kind is Kind.ADD:
-            residual = residual_input(rng, layer)
-        before, _ = run_layer(x, layer, residual)
-        record = layer_record(layer)
-        assert run_layer(x, layer, residual)[1] is record.stats  # built once
-        x.zero_point = changed.in_zero
-        after, _ = run_layer(x, changed, residual)
-        assert layer_record(changed) is not record
-        assert layer_record(layer) is record
-        assert not np.array_equal(before.data, after.data)
-        np.testing.assert_array_equal(after.data, naive_quant_layer(x, changed, residual))
 
-    biases = pro.filters.biases.copy()
+def check_changed_layer_gets_own_record(rng, layer, changed):
+    """Run layer, then a dataclasses.replace'd copy of it: the copy
+    compiles its own record and matches the oracle, while the original
+    keeps the record it built once."""
+    x, residual = qinput(rng, layer), None
+    if layer.kind is Kind.ADD:
+        residual = residual_input(rng, layer)
+    before, _ = run_layer(x, layer, residual)
+    record = layer_record(layer)
+    assert run_layer(x, layer, residual)[1] is record.stats  # built once
+    x.zero_point = changed.in_zero
+    after, _ = run_layer(x, changed, residual)
+    assert layer_record(changed) is not record
+    assert layer_record(layer) is record
+    assert not np.array_equal(before.data, after.data)
+    np.testing.assert_array_equal(after.data, naive_quant_layer(x, changed, residual))
+
+
+def test_mult_vectors_follow_reassignment():
+    """A layer built with new mults or filters gets its own record; an
+    over-bound layer gets no record, so every call raises."""
+    rng = np.random.default_rng(35)
+    layer = pointwise_layer(rng, Kind.PRO, cin=32, cout=32)
+    halved = dataclasses.replace(
+        layer, mults=pack_multipliers(layer.mults.mult, layer.mults.shift + 1))
+    check_changed_layer_gets_own_record(rng, layer, halved)
+    f = halved.filters
+    rebound = dataclasses.replace(halved, filters=dataclasses.replace(f, weights=255 - f.weights))
+    x = qinput(rng, layer)
+    after, _ = pro_forward(x, halved)
+    got, _ = pro_forward(x, rebound)
+    assert not np.array_equal(after.data, got.data)
+    np.testing.assert_array_equal(got.data, naive_quant_layer(x, rebound))
+    biases = f.biases.copy()
     biases[-1] = -ACC_BOUND
-    over = dataclasses.replace(pro, filters=dataclasses.replace(pro.filters, biases=biases))
-    x = qinput(rng, over)
+    over = dataclasses.replace(layer, filters=dataclasses.replace(f, biases=biases))
     for _ in range(2):  # an over-bound layer never gets a record
         with pytest.raises(DomainError, match="2\\*\\*30"):
             pro_forward(x, over)
+
+
+def test_add_record_follows_rebinding_add_params():
+    rng = np.random.default_rng(43)
+    layer = add_layer(rng, h=2, w=3)
+    out_zero = (layer.out_zero + 7) % 256
+    changed = dataclasses.replace(layer, out_zero=out_zero, add_params=dataclasses.replace(
+        layer.add_params, out_zero=out_zero))
+    check_changed_layer_gets_own_record(rng, layer, changed)
+
+
+def test_depthwise_record_follows_in_zero():
+    """The depthwise record folds the input zero point into its bias,
+    so a layer with a new in_zero gets its own record."""
+    rng = np.random.default_rng(45)
+    layer = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
+    changed = dataclasses.replace(layer, in_zero=(layer.in_zero + 91) % 256)
+    check_changed_layer_gets_own_record(rng, layer, changed)
 
 
 def test_nominal_stats_is_one_frozen_record():
