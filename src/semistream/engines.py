@@ -16,10 +16,10 @@ K_CHUNK = 256 rows (fold_gemm): each slice is cast from the uint8 bank
 into one reused float32 buffer and zero-corrected there. Every partial
 sum of a slice then stays below 256 * 255**2 < 2**24, where float32
 holds every integer, so any summation order is exact. Each slice's
-result is added to an int64 or float64 bank, and check_acc_bound holds
-every accumulator of a layer, K * 255**2 plus its largest bias for K
-terms, below ACC_BOUND = 2**30, far below 2**53. No engine call copies
-a whole bank to float64. DWC accumulates in int32 under the same bound;
+result is cast to int64 and added to an int64 bank, and check_acc_bound
+holds every accumulator of a layer, K * 255**2 plus its largest bias for
+K terms, below ACC_BOUND = 2**30. No engine call copies a whole bank to
+float64. DWC accumulates in int32 under the same bound;
 it sums raw codes onto a bias that holds -in_zero times the tap sum,
 so its partial sums may pass the bound by at most 2 * 9 * 255**2,
 still far below 2**31. Results are widened to int64 for the rescale,
@@ -29,7 +29,10 @@ arXiv 1712.05877.
 
 The bound is checked once per layer, when an engine first runs the
 layer and compiles its record (layer_record): a layer that breaks it
-gets no record, so every call raises. The record also holds the
+gets no record, so every call raises. The bound also gives the
+layer's rescale its tie verdict (quantcore.rescale_constants): when no
+product acc * mult can land exactly halfway between two codes, the
+NEAREST rescale skips its tie correction pass. The record also holds the
 layer's stats, its rescale constants, the zero-corrected taps of the
 entry and depthwise convolutions (with the depthwise input zero point
 folded into a bias) and an addition's per-code operand tables, so no
@@ -212,17 +215,25 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
     """The layer's compiled record, built on the layer object's first use.
 
     Checks the accumulator bound (and an addition's sum bound) before
-    building, so a layer that breaks it never gets a record. The record
+    building, so a layer that breaks it never gets a record; that bound
+    (for an addition, the largest |T1| + |T2| of its NEAREST tables)
+    decides the rescale's tie verdict. The record
     is kept in the frozen layer's __dict__, which dataclasses.replace
     does not carry over, so every changed layer compiles its own.
     """
     rec = layer.__dict__.get("_record")
     if rec is None:
-        check_acc_bound(layer)
+        bound = check_acc_bound(layer)
         p = layer.add_params
-        mults = layer.mults if p is None else pack_multipliers([p.mult3.mult], [p.mult3.shift])
-        rescale = None if mults is None else Rescale(*map(_read_only, rescale_constants(
-            np.ascontiguousarray(mults.mult), mults.shift)))  # columns are strided
+        mults, tables = layer.mults, None
+        if p is not None:
+            mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
+            tables = _add_tables(p)
+            bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
+        rescale = None
+        if mults is not None:  # the packed columns are strided: keep contiguous copies
+            r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound)
+            rescale = Rescale(*map(_read_only, r[:3]), r.ties)
         taps = bias = None
         if layer.kind is Kind.C2D:
             taps = _read_only(_signed_weights(layer.filters, np.float32).reshape(27, 32))
@@ -230,7 +241,7 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             taps = _read_only(_signed_weights(layer.filters, np.int32)[:, :, 0, :])
             bias = _read_only(layer.filters.biases - layer.in_zero * taps.sum(axis=(0, 1)))
         rec = layer.__dict__["_record"] = LayerRecord(
-            _layer_stats(layer), rescale, taps, bias, None if p is None else _add_tables(p))
+            _layer_stats(layer), rescale, taps, bias, tables)
     return rec
 
 
@@ -269,7 +280,7 @@ def fold_gemm(acc: np.ndarray, signed: np.ndarray, f: QFilterSet,
     layer's uint8 bank and zw its zero points as float32. Each slice of
     at most K_CHUNK weight rows is cast into one reused float32 buffer
     and zero-corrected there, so its GEMM is exact (see the module
-    docstring); acc (int64 or float64) takes each slice's result.
+    docstring); the int64 bank acc takes each slice's result.
     """
     k = signed.shape[1]
     w = f.weights[0, 0, row0 : row0 + k]
@@ -278,7 +289,7 @@ def fold_gemm(acc: np.ndarray, signed: np.ndarray, f: QFilterSet,
         rows = buf[: min(K_CHUNK, k - j)]
         rows[...] = w[j : j + K_CHUNK]
         rows -= zw
-        np.add(acc, signed[:, j : j + K_CHUNK] @ rows, out=acc, casting="unsafe")
+        acc += (signed[:, j : j + K_CHUNK] @ rows).astype(np.int64)
 
 
 def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
@@ -485,11 +496,12 @@ class ExpStreamKernel:
 
     One kernel runs one frame of npix pixels. Feed input channel batches
     in order with consume(), one or several consecutive batches per call;
-    after the last one, outputs() returns the finished frame. The
+    after the last one, outputs() returns the finished frame. The int64
     accumulator bank holds every filter's partial sum for every pixel,
     the fpass*16 per-pixel working set of the engine, and persists
     across calls; each call folds its batches into all filter batches
     with fold_gemm, reading the weight rows straight from the uint8 bank.
+    The last batch's call rescales the bank itself; a probe gets copies.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -503,7 +515,7 @@ class ExpStreamKernel:
         self.rounding = rounding
         self.probe = probe
         self._zw = layer.filters.zero_points.astype(np.float32)
-        self._acc = np.empty((npix, layer.out_ch))
+        self._acc = np.empty((npix, layer.out_ch), dtype=np.int64)
         self._acc[...] = layer.filters.biases
         self._next_batch = 0
         self._out = None
@@ -532,11 +544,10 @@ class ExpStreamKernel:
             if self.probe is not None:
                 npix = self._acc.shape[0]
                 banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)
-                self.probe(ab + lo // LANES, np.ascontiguousarray(banks, dtype=np.int64))
+                self.probe(ab + lo // LANES, banks.copy())  # a view when fpass == 1
         self._next_batch = ab + n
         if self._next_batch == layer.apass:
-            self._out = _requant_uint8(self._acc.astype(np.int64), layer, self.record,
-                                       self.rounding)
+            self._out = _requant_uint8(self._acc, layer, self.record, self.rounding)
 
     def outputs(self) -> np.ndarray:
         if self._next_batch != self.layer.apass:

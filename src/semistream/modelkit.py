@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +37,9 @@ from .quantcore import (
 
 PACKAGE_FORMAT_VERSION = 3
 LANES = 16
+#: Integer types accepted for sizes, zero points and indices, the same as
+#: numbers.Integral admits; a plain tuple is several times cheaper to check.
+_INT_TYPES = (int, np.integer)
 
 #: (expand, out_channels, repeats, first_stride) rows of the standard topology.
 MOBILENET_V2_SETTINGS = (
@@ -545,11 +547,11 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
                 f"layer {idx} belongs to block {l.block}, but no entry convolution precedes it")
         sizes = (l.in_h, l.in_w, l.in_ch, l.out_h, l.out_w, l.out_ch,
                  l.stride, l.orig_in_ch, l.orig_out_ch)
-        if not all(isinstance(v, Integral) and v > 0 for v in sizes):
+        if not all(isinstance(v, _INT_TYPES) and v > 0 for v in sizes):
             raise DomainError(f"layer {idx} sizes must be positive integers")
         if not (0 < l.in_scale and 0 < l.out_scale):
             raise DomainError(f"layer {idx} has a non-positive scale")
-        if not all(isinstance(z, Integral) and 0 <= z <= 255 for z in (l.in_zero, l.out_zero)):
+        if not all(isinstance(z, _INT_TYPES) and 0 <= z <= 255 for z in (l.in_zero, l.out_zero)):
             raise DomainError(f"layer {idx} zero point outside [0, 255]")
         if idx > 0:
             prev = layers[idx - 1]
@@ -572,7 +574,7 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
             raise DomainError(f"addition layer {idx} must preserve dims")
         if l.residual_from is not None:
             r = l.residual_from
-            if not (l.kind is Kind.ADD and isinstance(r, Integral) and 0 <= r < idx):
+            if not (l.kind is Kind.ADD and isinstance(r, _INT_TYPES) and 0 <= r < idx):
                 raise DomainError(f"layer {idx} residual source {r!r} invalid")
             src = layers[r]
             if (src.out_h, src.out_w, src.out_ch) != (l.in_h, l.in_w, l.in_ch):
@@ -656,19 +658,20 @@ def _derive_add_params(layer: LayerDesc, source: LayerDesc, rounding: Rounding) 
 
 
 #: Bound on every accumulator magnitude: below it, every accumulator fits
-#: int32 and stays exact in the int64 or float64 bank that PRO and EXP add
-#: their float32 GEMM slices of K_CHUNK rows into (engines.fold_gemm).
+#: int32 and stays exact in the int64 bank that PRO and EXP add their
+#: float32 GEMM slices of K_CHUNK rows into (engines.fold_gemm).
 ACC_BOUND = 1 << 30
 
 
-def check_acc_bound(layer: LayerDesc) -> None:
-    """Raise DomainError unless every accumulator of the layer stays below ACC_BOUND.
+def check_acc_bound(layer: LayerDesc) -> int | None:
+    """The bound on every |accumulator| of the layer, checked below ACC_BOUND.
 
     A filter bank of K = kh * kw * in_ch taps per output sums K products
     of two zero-corrected codes onto its bias; average pooling sums
-    in_h * in_w zero-corrected codes. Addition has its own bound on
-    the sum of its operand tables, checked once when its record is
-    compiled (engines.layer_record).
+    in_h * in_w zero-corrected codes. Raises DomainError when that bound
+    reaches ACC_BOUND. Returns None for a layer without accumulators.
+    Addition has its own bound on the sum of its operand tables, checked
+    once when its record is compiled (engines.layer_record).
     """
     f = layer.filters
     if f is not None:
@@ -677,12 +680,13 @@ def check_acc_bound(layer: LayerDesc) -> None:
     elif layer.kind is Kind.AVGPOOL:
         worst = layer.in_h * layer.in_w * 255
     else:
-        return
+        return None
     if worst >= ACC_BOUND:
         raise DomainError(
             f"{layer.kind.value} layer accumulators reach {worst}, not below 2**30: "
             "integer sums would no longer be exact"
         )
+    return worst
 
 
 def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[LayerDesc]:
@@ -924,7 +928,7 @@ class _BlobReader:
         self.pending: list[tuple[int, str, object, np.ndarray]] = []
 
     def read(self, idx: int, part: str, shape: tuple, dtype: str, sha) -> np.ndarray:
-        if not all(isinstance(d, Integral) and d >= 0 for d in shape):
+        if not all(isinstance(d, _INT_TYPES) and d >= 0 for d in shape):
             raise FormatError(f"layer {idx} {part} shape {shape!r} is not a list of sizes")
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes > self.left:  # refused before anything is allocated

@@ -9,6 +9,9 @@ keeps its pairs as one read-only record array (pack_multipliers).
 Applying one to an accumulator is a 64-bit multiply followed by a
 rounding shift over whole arrays (apply_rescale, with the per-channel
 constants from rescale_constants; requantize_array composes the two).
+Given a bound on the accumulators, rescale_constants also decides once
+whether any product can be a rounding tie, so apply_rescale can skip
+the NEAREST tie correction where none can.
 The module also validates narrow bias storage (bias_limits, narrow_bias).
 """
 from __future__ import annotations
@@ -163,24 +166,43 @@ class Rescale(NamedTuple):
 
     mults are the int64 multipliers, shifts are clamped to 63, and half
     is 1 << (shift - 1), the NEAREST rounding offset. half does not
-    depend on the rounding mode, so one set serves both.
+    depend on the rounding mode, so one set serves both. ties is False
+    only when an accumulator bound proves that no product acc * mult can
+    land exactly halfway between two results, so apply_rescale may skip
+    the NEAREST tie correction (see rescale_constants).
     """
 
     mults: np.ndarray | np.int64
     shifts: np.ndarray | np.int64
     half: np.ndarray | np.int64
+    ties: bool = True
 
 
-def rescale_constants(mults: np.ndarray | int, shifts: np.ndarray | int) -> Rescale:
+def rescale_constants(
+    mults: np.ndarray | int, shifts: np.ndarray | int, acc_bound: int | None = None
+) -> Rescale:
     """The constants apply_rescale needs for these multipliers and shifts.
 
     Shifts above 63 are applied as 63, which is exact under both
     roundings while |acc * mult| < 2**62: NEAREST gives 0 either way,
     TRUNCATE gives 0 or -1 by sign. Without the clamp 1 << 63 wraps in
     int64 and a shift of 64 or more is undefined.
+
+    acc_bound, if given, bounds every |acc| the constants will meet and
+    decides Rescale.ties. A tie is a product p = acc * mult that is an odd
+    multiple of 2**(s - 1) for the applied shift s, that is
+    v2(acc) + v2(mult) == s - 1, where v2(x) counts the trailing zero bits
+    of x. A nonzero |acc| <= acc_bound has v2(acc) <= floor(log2 acc_bound),
+    so no channel can tie when v2(mult) + floor(log2 acc_bound) < s - 1
+    for every channel. Without a bound ties stays True.
     """
     shifts = np.minimum(shifts, 63, dtype=np.int64)
-    return Rescale(np.asarray(mults, dtype=np.int64), shifts, np.int64(1) << (shifts - 1))
+    mults = np.asarray(mults, dtype=np.int64)
+    ties = True
+    if acc_bound is not None:
+        v2 = np.bitwise_count((mults & -mults) - 1)  # trailing zeros of mult > 0
+        ties = bool(np.any(v2 + (int(acc_bound).bit_length() - 1) >= shifts - 1))
+    return Rescale(mults, shifts, np.int64(1) << (shifts - 1), ties)
 
 
 def apply_rescale(
@@ -210,12 +232,16 @@ def apply_rescale(
     -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
     path adds h, adds acc >> 63 (-1 for a negative acc, 0 otherwise; an
     arithmetic shift past the width of a signed int32 acc gives the same)
-    and shifts once; an exact tie p = (2j + 1) * h is where the -1 matters.
+    and shifts once. The -1 matters only at an exact tie p = (2j + 1) * h:
+    elsewhere p + h and p + h - 1 have the same floor over n. So when
+    rescale.ties is False, which its accumulator bound proves tie-free,
+    the correction pass is skipped.
     """
     res = np.multiply(acc, rescale.mults, dtype=np.int64)
     if rounding is Rounding.NEAREST:
         res += rescale.half
-        res += acc >> 63
+        if rescale.ties:
+            res += acc >> 63
     res >>= rescale.shifts
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero

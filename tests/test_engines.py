@@ -354,6 +354,31 @@ def test_exp_kernel_sequencing():
     np.testing.assert_array_equal(kernel.outputs(), want)
 
 
+def test_exp_probe_gets_copies_of_a_one_pass_bank():
+    """With fpass == 1 the transposed bank is itself contiguous, so the
+    probe must still get copies: no probed array shares memory with the
+    kernel's bank, and each keeps its own pass's partials after the frame
+    ends."""
+    rng = np.random.default_rng(39)
+    layer = pointwise_layer(rng, Kind.EXP, h=2, w=3, cin=48, cout=16)
+    assert (layer.fpass, layer.apass) == (1, 3)
+    x = qinput(rng, layer)
+    flat = x.data.reshape(6, 48)
+    seen = []
+    kernel = ExpStreamKernel(layer, 6, probe=lambda ab, acc: seen.append(acc))
+    kernel.consume(0, flat)
+    want = naive_quant_layer(x.data, layer).reshape(6, 16)
+    np.testing.assert_array_equal(kernel.outputs(), want)
+    assert len(seen) == layer.apass
+    f = layer.filters
+    w = f.weights[0, 0].astype(np.int64) - f.zero_points
+    signed = flat.astype(np.int64) - layer.in_zero
+    for ab, acc in enumerate(seen):
+        assert not np.shares_memory(acc, kernel._acc)
+        k = (ab + 1) * LANES
+        np.testing.assert_array_equal(acc, (f.biases + signed[:, :k] @ w[:k])[None])
+
+
 def test_exp_kernel_holds_no_weight_copy():
     """Between consume calls a kernel owns nothing as large as its
     layer's uint8 weight bank: it reads the bank slice by slice."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistream.errors import DomainError, RangeError
-from semistream.modelkit import ModelGraph, prepare
+from semistream.modelkit import ACC_BOUND, ModelGraph, prepare
 from semistream.quantcore import (
     MAX_SHIFT,
     MULT_BITS,
@@ -18,11 +18,13 @@ from semistream.quantcore import (
     AddParams,
     MultShift,
     Rounding,
+    apply_rescale,
     narrow_bias,
     pack_multipliers,
     quantize_multiplier,
     quantize_multipliers,
     requantize_array,
+    rescale_constants,
 )
 
 from conftest import c2d_layer, rational_requant
@@ -288,6 +290,60 @@ def test_requantize_array_large_shifts():
                     want = [rational_requant(a, ms, 0, rounding) for a in fit]
                     assert _requant(fit, ms, rounding, dtype=dtype) == want, (
                         shift, mult, dtype, rounding)
+
+
+def test_tie_verdict_keeps_the_correction_where_a_tie_can_happen():
+    """mult = 2**31, shift = 33: acc = -2 gives p = -2**32, exactly -0.5.
+    A bound of 2 admits that accumulator, so the verdict keeps the
+    correction and NEAREST rounds away from zero to -1."""
+    r = rescale_constants(np.array([MULT_MIN]), np.array([33]), acc_bound=2)
+    assert r.ties
+    acc = np.array([-2])
+    want = rational_requant(-2, MultShift(MULT_MIN, 33))
+    assert apply_rescale(acc, r).tolist() == [want] == [-1]
+    assert apply_rescale(acc, r._replace(ties=False)).tolist() == [0]  # what the skip would give
+    # |acc| <= 1 gives p = +-2**31, a quarter: no tie is possible
+    assert not rescale_constants(np.array([MULT_MIN]), np.array([33]), acc_bound=1).ties
+    assert rescale_constants(np.array([MULT_MIN]), np.array([33])).ties  # no bound, no verdict
+
+
+@st.composite
+def _channel(draw):
+    """A normalized (mult, shift) with t trailing zero bits in mult."""
+    t = draw(st.integers(0, MULT_BITS - 1))
+    odd = draw(st.integers(1 << (MULT_BITS - 1 - t), (1 << (MULT_BITS - t)) - 1)) | 1
+    shift = draw(st.one_of(st.integers(MULT_BITS, 64), st.integers(MULT_BITS, MAX_SHIFT)))
+    return odd << t, shift
+
+
+@given(st.lists(_channel(), min_size=1, max_size=4),
+       st.one_of(st.integers(1, ACC_BOUND - 1), st.integers(0, 29).map(lambda e: 1 << e)),
+       st.integers(0, 2**32))
+@settings(max_examples=400)
+def test_tie_verdict_is_exact(channels, bound, seed):
+    """Where the verdict says tie-free, skipping the correction changes no
+    result on accumulators spread over +-bound, the extremes and the
+    multiples of high powers of two (the likeliest ties) included. Where
+    it keeps the correction, some |acc| <= bound ties on that channel."""
+    mults, shifts = (np.array(v, dtype=np.int64) for v in zip(*channels))
+    r = rescale_constants(mults, shifts, bound)
+    per_channel = [rescale_constants(m, s, bound).ties for m, s in channels]
+    assert r.ties == any(per_channel)
+    top = 1 << (bound.bit_length() - 1)
+    accs = [bound, bound - 1, top, top >> 1, 3 * (top >> 1), 1, 0]
+    accs += np.random.default_rng(seed).integers(-bound, bound, 64, endpoint=True).tolist()
+    accs = np.array([a for a in accs if a <= bound] + [-a for a in accs if a <= bound])
+    acc = np.repeat(accs[:, None], len(channels), axis=1)
+    if not r.ties:
+        np.testing.assert_array_equal(apply_rescale(acc, r),
+                                      apply_rescale(acc, r._replace(ties=True)))
+    for (m, s), ties in zip(channels, per_channel):
+        if ties:  # acc = -2**(s - 1 - v2(m)) makes p an odd multiple of 2**(s - 1)
+            v2 = (m & -m).bit_length() - 1
+            tie = np.array([-(1 << (min(s, 63) - 1 - v2))])
+            assert abs(int(tie[0])) <= bound
+            one = rescale_constants(m, s, bound)
+            assert apply_rescale(tie, one) != apply_rescale(tie, one._replace(ties=False))
 
 
 # ---------------------------------------------------------------------------
