@@ -8,22 +8,28 @@ its probe sees every partial bank); inside those boundaries the
 arithmetic is vectorized with numpy.
 
 The multiply-accumulate of C2D, PRO and EXP runs on float32 as an exact
-integer carrier, so numpy can hand it to a BLAS GEMM. Both
-zero-corrected operands lie in [-255, 255], so every product is an
-integer of at most 255**2. The entry convolution sums 27 of them, and
-the pointwise engines fold their bank of K rows in slices of at most
-K_CHUNK = 256 rows (fold_gemm): each slice is cast from the uint8 bank
-into one reused float32 buffer and zero-corrected there. Every partial
-sum of a slice then stays below 256 * 255**2 < 2**24, where float32
-holds every integer, so any summation order is exact. Each slice's
-result is cast to int64 and added to an int64 bank, and check_acc_bound
-holds every accumulator of a layer, K * 255**2 plus its largest bias for
-K terms, below ACC_BOUND = 2**30. No engine call copies a whole bank to
-float64. DWC accumulates in int32 under the same bound;
-it sums raw codes onto a bias that holds -in_zero times the tap sum,
-so its partial sums may pass the bound by at most 2 * 9 * 255**2,
-still far below 2**31. Results are widened to int64 for the rescale,
-whose |acc| * mult < 2**62 precondition the bound also gives.
+integer carrier, so numpy can hand it to a BLAS GEMM. Every product
+pairs an activation in [-255, 255] (a raw code for C2D, a zero-corrected
+one for PRO and EXP) with a zero-corrected weight in [-255, 255], so it
+is an integer of at most 255**2. The entry convolution sums 27 of them,
+read through one window view of its zero-point-padded frame (_windows);
+its record's bias holds -in_zero times each filter's tap sum, so the
+result is the zero-corrected sum. The pointwise engines fold their
+bank of K rows in slices of at most K_CHUNK = 256 rows (fold_gemm):
+each slice is cast from the uint8 bank into one float32 buffer and
+zero-corrected there. Every partial sum of a slice then stays below
+256 * 255**2 < 2**24, where float32 holds every integer, so any
+summation order is exact. The first slice's result, cast to int64,
+becomes the layer's bank and fold_gemm returns it; every later slice
+is added to it. check_acc_bound
+holds every accumulator of a layer, K * 255**2 plus its largest bias
+for K terms, below ACC_BOUND = 2**30. No engine call copies a whole bank
+to float64. DWC is one int32 einsum over the same window view: it sums
+raw codes times taps, at most 9 * 255**2 in magnitude, and then adds a
+bias that holds -in_zero times the tap sum, so every partial sum stays
+far below 2**31. Each engine hands the rescale an accumulator it owns,
+which apply_rescale rescales in place (DWC's int32 one is widened once),
+under the |acc| * mult < 2**62 precondition the bound also gives.
 This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
 arXiv 1712.05877.
 
@@ -34,11 +40,12 @@ layer's rescale its tie verdict (quantcore.rescale_constants): when no
 product acc * mult can land exactly halfway between two codes, the
 NEAREST rescale skips its tie correction pass. The record also holds the
 layer's stats, its rescale constants, the zero-corrected taps of the
-entry and depthwise convolutions (with the depthwise input zero point
-folded into a bias) and an addition's per-code operand tables, so no
-engine call recomputes them. A LayerDesc is frozen and its mults are
-read-only, so a layer object's record never goes stale: a changed
-layer is a new object (dataclasses.replace), which gets its own.
+entry and depthwise convolutions (with the input zero point folded into
+a bias), the pointwise weight zero points as float32 and an addition's
+per-code operand tables, so no engine call recomputes them. A LayerDesc
+is frozen and its mults are read-only, so a layer object's record never
+goes stale: a changed layer is a new object (dataclasses.replace),
+which gets its own.
 
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
@@ -168,8 +175,10 @@ class LayerRecord:
     addition's mult3), or None for a layer without them. The rest is
     None except on the layers that use it, and read-only: taps are the
     zero-corrected entry (27 x 32 float32) or depthwise (3 x 3 x C
-    int32) weights; bias is the depthwise bias minus in_zero times each
-    channel's tap sum, so the engine sums raw codes; add_tables maps
+    int32) weights; bias is the entry (int64) or depthwise (int32) bias
+    minus in_zero times each filter's tap sum, so those engines sum raw
+    codes; zw holds a pointwise layer's weight zero points as float32,
+    what fold_gemm subtracts from each weight slice; add_tables maps
     each Rounding to an addition's two 256-entry per-code tables.
     """
 
@@ -177,6 +186,7 @@ class LayerRecord:
     rescale: Rescale | None
     taps: np.ndarray | None
     bias: np.ndarray | None
+    zw: np.ndarray | None
     add_tables: dict | None
 
 
@@ -193,14 +203,15 @@ def _add_tables(p: AddParams) -> dict:
     code: T[a] = rescale((a - zero) << pre_shift, mult). Raises
     DomainError unless (max|T1| + max|T2|) * mult3 < 2**62, the
     precondition of the final rescale; normalized multipliers always
-    meet it (each |T| < 2**28, mult3 < 2**32).
+    meet it (each |T| < 2**28, mult3 < 2**32). apply_rescale works in
+    place, so each table is rescaled from its own copy of the operand.
     """
     codes = np.arange(256, dtype=np.int64)
     operands = [((codes - zero) << p.pre_shift, rescale_constants(m.mult, m.shift))
                 for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2))]
     tables = {}
     for rounding in Rounding:
-        t1, t2 = (_read_only(apply_rescale(x, r, 0, rounding)) for x, r in operands)
+        t1, t2 = (_read_only(apply_rescale(x.copy(), r, 0, rounding)) for x, r in operands)
         worst = int(np.abs(t1).max()) + int(np.abs(t2).max())
         if worst * p.mult3.mult >= 1 << 62:
             raise DomainError(
@@ -234,14 +245,19 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
         if mults is not None:  # the packed columns are strided: keep contiguous copies
             r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound)
             rescale = Rescale(*map(_read_only, r[:3]), r.ties)
-        taps = bias = None
+        f, taps, bias, zw = layer.filters, None, None, None
         if layer.kind is Kind.C2D:
-            taps = _read_only(_signed_weights(layer.filters, np.float32).reshape(27, 32))
+            signed = _signed_weights(f, np.int64).reshape(27, 32)
+            taps = _read_only(signed.astype(np.float32))
+            bias = _read_only(f.biases - layer.in_zero * signed.sum(axis=0))
         elif layer.kind is Kind.DWC:
-            taps = _read_only(_signed_weights(layer.filters, np.int32)[:, :, 0, :])
-            bias = _read_only(layer.filters.biases - layer.in_zero * taps.sum(axis=(0, 1)))
+            taps = _read_only(_signed_weights(f, np.int32)[:, :, 0, :])
+            tap_sums = taps.sum(axis=(0, 1))
+            bias = _read_only((f.biases - layer.in_zero * tap_sums).astype(np.int32))
+        elif layer.kind in (Kind.PRO, Kind.EXP):
+            zw = _read_only(f.zero_points.astype(np.float32))
         rec = layer.__dict__["_record"] = LayerRecord(
-            _layer_stats(layer), rescale, taps, bias, tables)
+            _layer_stats(layer), rescale, taps, bias, zw, tables)
     return rec
 
 
@@ -272,24 +288,45 @@ def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     return w
 
 
-def fold_gemm(acc: np.ndarray, signed: np.ndarray, f: QFilterSet,
-              zw: np.ndarray, row0: int = 0) -> None:
-    """Add signed @ (W[row0 : row0 + K] - zw) to acc, exactly.
+def fold_gemm(acc: np.ndarray | None, signed: np.ndarray, f: QFilterSet,
+              zw: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Add signed @ (W[row0 : row0 + K] - zw) to the int64 bank acc, exactly.
 
     signed holds K zero-corrected activation columns (float32); W is the
-    layer's uint8 bank and zw its zero points as float32. Each slice of
-    at most K_CHUNK weight rows is cast into one reused float32 buffer
-    and zero-corrected there, so its GEMM is exact (see the module
-    docstring); the int64 bank acc takes each slice's result.
+    layer's uint8 bank and zw its zero points as float32 (the record's
+    zw). Each slice of at most K_CHUNK weight rows is cast into one
+    float32 buffer, the first slice's own cast, and zero-corrected
+    there, so its GEMM is exact (see the module docstring). Returns the
+    bank: acc itself, or, with acc None, the first slice's int64 result,
+    to which the later slices are added.
     """
     k = signed.shape[1]
     w = f.weights[0, 0, row0 : row0 + k]
-    buf = np.empty((min(k, K_CHUNK), w.shape[1]), dtype=np.float32)
+    rows = buf = w[:K_CHUNK].astype(np.float32)
     for j in range(0, k, K_CHUNK):
-        rows = buf[: min(K_CHUNK, k - j)]
-        rows[...] = w[j : j + K_CHUNK]
+        if j:
+            rows = buf[: min(K_CHUNK, k - j)]
+            rows[...] = w[j : j + K_CHUNK]
         rows -= zw
-        acc += (signed[:, j : j + K_CHUNK] @ rows).astype(np.int64)
+        part = (signed[:, j : j + K_CHUNK] @ rows).astype(np.int64)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc
+
+
+def _windows(padded: np.ndarray, out_h: int, out_w: int, stride: int) -> np.ndarray:
+    """Every 3x3 window a stride-`stride` kernel visits in a padded frame.
+
+    padded is a C-contiguous H x W x C array; the result is one
+    read-only (out_h, out_w, 3, 3, C) view of it, whose window (y, x)
+    starts at row stride * y and column stride * x. Nothing is copied;
+    the ndarray constructor checks that every window lies in padded.
+    """
+    sh, sw, sc = padded.strides
+    return _read_only(np.ndarray((out_h, out_w, 3, 3, padded.shape[2]), padded.dtype,
+                                 padded, 0, (stride * sh, stride * sw, sh, sw, sc)))
 
 
 def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
@@ -325,7 +362,10 @@ def c2d_forward(
     Fixed shape contract: 3 input channels, 32 filters, 3x3 kernel,
     stride 2, even input sides. The engine consumes the frame in row
     raster order with a two-row reach, one input pixel per cycle; here
-    all output pixels are computed together by one im2col GEMM.
+    all output pixels are computed together by one im2col GEMM over raw
+    codes, whose columns are one copy of the padded frame's window view.
+    The record's bias holds -in_zero times each filter's tap sum, so the
+    frame is padded with the zero point and never zero-corrected.
     """
     if layer.kind is not Kind.C2D:
         raise DomainError(f"c2d_forward cannot run a {layer.kind.value} layer")
@@ -338,18 +378,12 @@ def c2d_forward(
     rec = layer_record(layer)
     in_h, in_w = x.height, x.width
     out_h, out_w = layer.out_h, layer.out_w
-    # zero-corrected frame with a ring of zeros (the zero-point padding)
-    padded = np.zeros((in_h + 2, in_w + 2, 3), dtype=np.float32)
+    padded = np.full((in_h + 2, in_w + 2, 3), x.zero_point, dtype=np.float32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    padded[1 : in_h + 1, 1 : in_w + 1, :] -= x.zero_point
     # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
-    cols = np.empty((out_h, out_w, 3, 3, 3), dtype=np.float32)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j, :] = padded[i : i + 2 * out_h - 1 : 2,
-                                         j : j + 2 * out_w - 1 : 2, :]
-    acc = (cols.reshape(out_h * out_w, 27) @ rec.taps).astype(np.int64)
-    acc += layer.filters.biases
+    cols = _windows(padded, out_h, out_w, 2).reshape(out_h * out_w, 27)
+    acc = (cols @ rec.taps).astype(np.int64)
+    acc += rec.bias
     out = _requant_uint8(acc, layer, rec, rounding).reshape(out_h, out_w, 32)
     return _out_tensor(layer, out), rec.stats
 
@@ -365,7 +399,10 @@ def dwc_forward(
 
     The engine makes one full-frame pass per 16-channel group, so the
     channel count must be a multiple of 16. Stride 1 or 2, one ring of
-    zero-point padding.
+    zero-point padding. All nine taps of every window run as one int32
+    einsum over the padded frame's window view, onto raw codes; the
+    record's bias holds -in_zero times each channel's tap sum, so the
+    result is the zero-corrected sum.
     """
     if layer.kind is not Kind.DWC:
         raise DomainError(f"dwc_forward cannot run a {layer.kind.value} layer")
@@ -376,25 +413,12 @@ def dwc_forward(
         raise ShapeError(f"depthwise stride {layer.stride} unsupported")
 
     rec = layer_record(layer)
-    in_h, in_w, ch = x.height, x.width, x.channels
-    out_h, out_w = layer.out_h, layer.out_w
-    s = layer.stride
-    # raw codes with a ring of the zero point; the record's bias holds
-    # -in_zero * sum(taps), so the sum is the zero-corrected one
-    padded = np.full((in_h + 2, in_w + 2, ch), x.zero_point, dtype=np.int32)
+    in_h, in_w = x.height, x.width
+    padded = np.full((in_h + 2, in_w + 2, x.channels), x.zero_point, dtype=np.int32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    taps = rec.taps
-
-    acc = np.empty((out_h, out_w, ch), dtype=np.int32)
-    acc[...] = rec.bias
-    for i in range(3):
-        for j in range(3):
-            window = padded[
-                i : i + s * (out_h - 1) + 1 : s,
-                j : j + s * (out_w - 1) + 1 : s,
-                :,
-            ]
-            acc += window * taps[i, j]
+    windows = _windows(padded, layer.out_h, layer.out_w, layer.stride)
+    acc = np.einsum("hwijc,ijc->hwc", windows, rec.taps)
+    acc += rec.bias
     return _out_tensor(layer, _requant_uint8(acc, layer, rec, rounding)), rec.stats
 
 
@@ -448,9 +472,8 @@ def pro_forward(
     npix = x.height * x.width
     signed = x.data.reshape(npix, x.channels).astype(np.float32)
     signed -= x.zero_point
-    acc = np.empty((npix, layer.out_ch), dtype=np.int64)
-    acc[...] = f.biases
-    fold_gemm(acc, signed, f, f.zero_points.astype(np.float32))
+    acc = fold_gemm(None, signed, f, rec.zw)
+    acc += f.biases
     data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), rec.stats
 
@@ -499,9 +522,11 @@ class ExpStreamKernel:
     after the last one, outputs() returns the finished frame. The int64
     accumulator bank holds every filter's partial sum for every pixel,
     the fpass*16 per-pixel working set of the engine, and persists
-    across calls; each call folds its batches into all filter batches
-    with fold_gemm, reading the weight rows straight from the uint8 bank.
-    The last batch's call rescales the bank itself; a probe gets copies.
+    across calls. The first fold's result becomes the bank, which then
+    takes the biases once, before any probe sees it; each call folds its
+    batches into all filter batches with fold_gemm, reading the weight
+    rows straight from the uint8 bank. The last batch's call rescales
+    the bank itself, in place; a probe gets copies.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -514,9 +539,8 @@ class ExpStreamKernel:
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
-        self._zw = layer.filters.zero_points.astype(np.float32)
-        self._acc = np.empty((npix, layer.out_ch), dtype=np.int64)
-        self._acc[...] = layer.filters.biases
+        self.npix = npix
+        self._acc = None
         self._next_batch = 0
         self._out = None
 
@@ -535,15 +559,19 @@ class ExpStreamKernel:
         if ragged or not 0 < n <= layer.apass - ab:
             raise DomainError(f"{batches.shape[1]} channels from batch {ab} do not fill "
                               f"whole batches within the layer's {layer.apass} input batches")
+        if batches.shape[0] != self.npix:
+            raise ShapeError(f"{batches.shape[0]} pixels arrived for a {self.npix}-pixel frame")
         signed = batches.astype(np.float32)
         signed -= layer.in_zero
         step = LANES if self.probe is not None else n * LANES
         for lo in range(0, n * LANES, step):
-            fold_gemm(self._acc, signed[:, lo : lo + step], layer.filters, self._zw,
-                      ab * LANES + lo)
+            first = self._acc is None
+            self._acc = fold_gemm(self._acc, signed[:, lo : lo + step], layer.filters,
+                                  self.record.zw, ab * LANES + lo)
+            if first:
+                self._acc += layer.filters.biases
             if self.probe is not None:
-                npix = self._acc.shape[0]
-                banks = self._acc.reshape(npix, layer.fpass, LANES).transpose(1, 0, 2)
+                banks = self._acc.reshape(self.npix, layer.fpass, LANES).transpose(1, 0, 2)
                 self.probe(ab + lo // LANES, banks.copy())  # a view when fpass == 1
         self._next_batch = ab + n
         if self._next_batch == layer.apass:

@@ -7,8 +7,9 @@ whole array of factors at a time (quantize_multipliers; the scalar
 quantize_multiplier wraps it, so the encoding exists once); a layer
 keeps its pairs as one read-only record array (pack_multipliers).
 Applying one to an accumulator is a 64-bit multiply followed by a
-rounding shift over whole arrays (apply_rescale, with the per-channel
-constants from rescale_constants; requantize_array composes the two).
+rounding shift over whole arrays, in place on an int64 accumulator the
+caller owns (apply_rescale, with the per-channel constants from
+rescale_constants; requantize_array composes the two on a copy).
 Given a bound on the accumulators, rescale_constants also decides once
 whether any product can be a rounding tie, so apply_rescale can skip
 the NEAREST tie correction where none can.
@@ -213,35 +214,38 @@ def apply_rescale(
 ) -> np.ndarray:
     """Rescale an integer accumulator array and add the output zero point.
 
-    The constants broadcast against acc, which is left untouched: the
-    product p = acc * mult is formed in one new int64 buffer and every
-    later step runs in place on it. The result is not clamped; the
-    engines clamp it to uint8.
+    An int64 acc is rescaled in place and returned: the caller hands
+    over an accumulator it owns and no longer needs. Any narrower acc,
+    such as the depthwise engine's int32 one, is left untouched and
+    widened once into a new int64 array, which is rescaled in place
+    instead. The constants and out_zero must broadcast to acc's shape.
+    The result is not clamped; the engines clamp it to uint8.
 
     Preconditions: every mult is positive (pack_multipliers and
-    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc);
-    every shift is at least 1; and |acc| * mult < 2**62, so the int64
-    product cannot overflow. A per-layer accumulator bound
-    (modelkit.ACC_BOUND) implies the last one. It is checked when a
-    layer's parameters are derived and once more when the engines first
-    compile the layer; each later engine call reuses that verdict.
+    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc) for
+    the product p = acc * mult; every shift is at least 1; and
+    |acc| * mult < 2**62, so the int64 product cannot overflow. A
+    per-layer accumulator bound (modelkit.ACC_BOUND) implies the last
+    one. It is checked when a layer's parameters are derived and once
+    more when the engines first compile the layer; each later engine
+    call reuses that verdict.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)
     for p < 0. The latter equals (p + h - 1) >> s, because
     -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
-    path adds h, adds acc >> 63 (-1 for a negative acc, 0 otherwise; an
-    arithmetic shift past the width of a signed int32 acc gives the same)
-    and shifts once. The -1 matters only at an exact tie p = (2j + 1) * h:
+    path adds p >> 63 (-1 for a negative p, 0 otherwise), then h, and
+    shifts once. The -1 matters only at an exact tie p = (2j + 1) * h:
     elsewhere p + h and p + h - 1 have the same floor over n. So when
     rescale.ties is False, which its accumulator bound proves tie-free,
     the correction pass is skipped.
     """
-    res = np.multiply(acc, rescale.mults, dtype=np.int64)
+    res = acc if acc.dtype == np.int64 else acc.astype(np.int64)
+    res *= rescale.mults
     if rounding is Rounding.NEAREST:
-        res += rescale.half
         if rescale.ties:
-            res += acc >> 63
+            res += res >> 63
+        res += rescale.half
     res >>= rescale.shifts
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero
@@ -255,12 +259,14 @@ def requantize_array(
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """apply_rescale with constants built for this one call.
+    """apply_rescale with constants built for this one call, on a copy of acc.
 
-    mults/shifts/out_zero broadcast against acc. A layer's engine builds
-    its constants once, in the layer's record, and calls apply_rescale.
+    mults/shifts/out_zero must broadcast to acc's shape; acc itself is
+    left untouched. A layer's engine builds its constants once, in the
+    layer's record, and calls apply_rescale on an accumulator it owns.
     """
-    return apply_rescale(acc, rescale_constants(mults, shifts), out_zero, rounding)
+    return apply_rescale(np.array(acc, dtype=np.int64), rescale_constants(mults, shifts),
+                         out_zero, rounding)
 
 
 def bias_limits(bits: int) -> tuple[int, int]:

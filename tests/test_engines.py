@@ -321,7 +321,11 @@ def test_exp_kernel_sequencing():
     kernel = ExpStreamKernel(layer, 4)
     with pytest.raises(DomainError, match="expected 0"):
         kernel.consume(1, flat[:, 16:32])
+    with pytest.raises(ShapeError, match="3 pixels arrived for a 4-pixel frame"):
+        kernel.consume(0, flat[:3, :16])  # the bank is sized by the first batch
     kernel.consume(0, flat[:, :16])
+    with pytest.raises(ShapeError, match="5 pixels"):
+        kernel.consume(1, np.vstack([flat[:, 16:32], flat[:1, 16:32]]))
     with pytest.raises(DomainError, match="not finished"):
         kernel.outputs()
     with pytest.raises(DomainError, match="whole batches"):
@@ -381,7 +385,9 @@ def test_exp_probe_gets_copies_of_a_one_pass_bank():
 
 def test_exp_kernel_holds_no_weight_copy():
     """Between consume calls a kernel owns nothing as large as its
-    layer's uint8 weight bank: it reads the bank slice by slice."""
+    layer's uint8 weight bank: it reads the bank slice by slice. A fresh
+    kernel owns no array at all, since its bank is the first fold's
+    result."""
     rng = np.random.default_rng(38)
     layer = pointwise_layer(rng, Kind.EXP, h=2, w=2, cin=160, cout=1280)
     flat = qinput(rng, layer).data.reshape(4, 160)
@@ -392,7 +398,7 @@ def test_exp_kernel_holds_no_weight_copy():
 
     for step in (LANES, 3 * LANES, 160):
         kernel = ExpStreamKernel(layer, 4)
-        assert max(owned(kernel)) < bank
+        assert owned(kernel) == []
         for lo in range(0, 160, step):
             kernel.consume(lo // LANES, flat[:, lo : lo + step])
             assert max(owned(kernel)) < bank
@@ -987,9 +993,10 @@ def test_standard_models_pass_the_bound_guard(tmp_path, width, resolution):
 def test_layer_records_hold_no_weight_copies():
     """What a record may own, per engine kind, so that resident copies
     cannot grow the memory footprint unnoticed: PRO and EXP records own
-    only per-channel vectors (never a copy of the GEMM bank); the entry
-    and depthwise records own their zero-corrected taps; an addition
-    owns two 256-entry tables per rounding."""
+    only per-channel vectors, their float32 weight zero points among
+    them (never a copy of the GEMM bank); the entry and depthwise records
+    own their zero-corrected taps and folded biases; an addition owns two
+    256-entry tables per rounding."""
     model = prepare(build_mobilenet_v2(0.5, 64))
     kinds = set()
     for layer in model.layers:
@@ -1011,21 +1018,51 @@ def test_layer_records_hold_no_weight_copies():
         per_channel = [v for v in arrays if v is not rec.taps]
         assert all(v.size <= layer.out_ch for v in per_channel)
         kinds.add(layer.kind)
-        if layer.kind in (Kind.PRO, Kind.EXP, Kind.AVGPOOL):
+        if layer.kind in (Kind.PRO, Kind.EXP):
+            assert len(arrays) == 4 and rec.taps is None  # rescale and zero points
+            assert rec.zw.dtype == np.float32 and rec.zw.shape == (layer.out_ch,)
+        elif layer.kind is Kind.AVGPOOL:
             assert len(arrays) == 3 and rec.taps is None
         elif layer.kind is Kind.DWC:
             assert len(arrays) == 5  # rescale, taps and the folded bias
             assert rec.taps.dtype == np.int32 and rec.taps.size == 9 * layer.out_ch
-            assert rec.bias.size == layer.out_ch
+            assert rec.bias.dtype == np.int32 and rec.bias.size == layer.out_ch
         elif layer.kind is Kind.C2D:
-            assert len(arrays) == 4
+            assert len(arrays) == 5  # rescale, taps and the folded bias
             assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
+            assert rec.bias.dtype == np.int64 and rec.bias.size == 32
         elif layer.residual_from is not None:
             assert len(arrays) == 3 and all(v.size == 1 for v in arrays)  # mult3
             assert rec.add_tables is not None
         else:  # a pass-through slot
             assert arrays == [] and rec.add_tables is None
     assert kinds == set(Kind)
+
+
+def test_engines_leave_their_inputs_untouched():
+    """Each engine rescales an accumulator it owns, in place, so none may
+    write its input frame or residual operand, or return an output that
+    shares memory with either: run_layer leaves both bit-identical."""
+    rng = np.random.default_rng(51)
+    exp = pointwise_layer(rng, Kind.EXP, cin=48, cout=32)
+    cases = [(small_c2d(rng), None), (dwc_layer(rng, stride=1), None),
+             (dwc_layer(rng, stride=2), None), (pool_layer(rng), None),
+             (pointwise_layer(rng, Kind.PRO), None), (exp, None), (exp, []),
+             (add_layer(rng), None)]
+    for layer, seen in cases:
+        x = qinput(rng, layer)
+        residual = residual_input(rng, layer) if layer.kind is Kind.ADD else None
+        operands = [t.data for t in (x, residual) if t is not None]
+        before = [a.copy() for a in operands]
+        probe = None if seen is None else lambda ab, acc: seen.append(acc)
+        for rounding in Rounding:
+            out, _ = run_layer(x, layer, residual, rounding, probe)
+            np.testing.assert_array_equal(
+                out.data, naive_quant_layer(x, layer, residual, rounding))
+            for a, b in zip(operands, before):
+                np.testing.assert_array_equal(a, b)
+                assert not np.shares_memory(out.data, a)
+        assert seen is None or len(seen) == 2 * exp.apass
 
 
 def _all_code_pairs() -> tuple[np.ndarray, np.ndarray]:

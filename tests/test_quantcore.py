@@ -292,16 +292,37 @@ def test_requantize_array_large_shifts():
                         shift, mult, dtype, rounding)
 
 
+def test_apply_rescale_works_in_place_on_int64_only():
+    """An int64 accumulator is rescaled in place and returned itself; an
+    int32 one is widened into a new array and left as it was;
+    requantize_array rescales a copy and leaves its input alone."""
+    ms = [MultShift(MULT_MIN, 33), MultShift(MULT_MAX, 40)]
+    r = rescale_constants(np.array([m.mult for m in ms]), np.array([m.shift for m in ms]))
+    original = np.array([[1000, -1000], [-7, 123457], [-3, 5]], dtype=np.int64)
+    want = [[rational_requant(int(a), m) for a, m in zip(row, ms)] for row in original]
+    acc = original.copy()
+    assert requantize_array(acc, r.mults, r.shifts).tolist() == want
+    np.testing.assert_array_equal(acc, original)
+    narrow = original.astype(np.int32)
+    got = apply_rescale(narrow, r)
+    assert got.dtype == np.int64 and not np.shares_memory(got, narrow)
+    assert got.tolist() == want
+    np.testing.assert_array_equal(narrow, original)
+    assert apply_rescale(acc, r) is acc
+    assert acc.tolist() == want
+
+
 def test_tie_verdict_keeps_the_correction_where_a_tie_can_happen():
     """mult = 2**31, shift = 33: acc = -2 gives p = -2**32, exactly -0.5.
     A bound of 2 admits that accumulator, so the verdict keeps the
-    correction and NEAREST rounds away from zero to -1."""
+    correction and NEAREST rounds away from zero to -1. apply_rescale
+    works in place, so each call gets its own accumulator."""
     r = rescale_constants(np.array([MULT_MIN]), np.array([33]), acc_bound=2)
     assert r.ties
-    acc = np.array([-2])
     want = rational_requant(-2, MultShift(MULT_MIN, 33))
-    assert apply_rescale(acc, r).tolist() == [want] == [-1]
-    assert apply_rescale(acc, r._replace(ties=False)).tolist() == [0]  # what the skip would give
+    assert apply_rescale(np.array([-2]), r).tolist() == [want] == [-1]
+    skipped = apply_rescale(np.array([-2]), r._replace(ties=False))
+    assert skipped.tolist() == [0]  # what the skip would give
     # |acc| <= 1 gives p = +-2**31, a quarter: no tie is possible
     assert not rescale_constants(np.array([MULT_MIN]), np.array([33]), acc_bound=1).ties
     assert rescale_constants(np.array([MULT_MIN]), np.array([33])).ties  # no bound, no verdict
@@ -334,16 +355,17 @@ def test_tie_verdict_is_exact(channels, bound, seed):
     accs += np.random.default_rng(seed).integers(-bound, bound, 64, endpoint=True).tolist()
     accs = np.array([a for a in accs if a <= bound] + [-a for a in accs if a <= bound])
     acc = np.repeat(accs[:, None], len(channels), axis=1)
-    if not r.ties:
-        np.testing.assert_array_equal(apply_rescale(acc, r),
-                                      apply_rescale(acc, r._replace(ties=True)))
+    if not r.ties:  # apply_rescale works in place: each call gets its own copy
+        np.testing.assert_array_equal(apply_rescale(acc.copy(), r),
+                                      apply_rescale(acc.copy(), r._replace(ties=True)))
     for (m, s), ties in zip(channels, per_channel):
         if ties:  # acc = -2**(s - 1 - v2(m)) makes p an odd multiple of 2**(s - 1)
             v2 = (m & -m).bit_length() - 1
             tie = np.array([-(1 << (min(s, 63) - 1 - v2))])
             assert abs(int(tie[0])) <= bound
             one = rescale_constants(m, s, bound)
-            assert apply_rescale(tie, one) != apply_rescale(tie, one._replace(ties=False))
+            assert (apply_rescale(tie.copy(), one)
+                    != apply_rescale(tie.copy(), one._replace(ties=False)))
 
 
 # ---------------------------------------------------------------------------
