@@ -12,37 +12,42 @@ integer carrier, so numpy can hand it to a BLAS GEMM. Every product
 pairs an activation in [-255, 255] (a raw code for C2D, a zero-corrected
 one for PRO and EXP) with a zero-corrected weight in [-255, 255], so it
 is an integer of at most 255**2. The entry convolution sums 27 of them,
-read through one window view of its zero-point-padded frame (_windows);
-its record's bias holds -in_zero times each filter's tap sum, so the
-result is the zero-corrected sum. The pointwise engines fold their
+read through one window view of its zero-point-padded frame (_windows),
+so its raw sum lacks -in_zero times each filter's tap sum. The
+pointwise engines fold their
 bank of K rows in slices of at most K_CHUNK = 256 rows (fold_gemm):
 each slice is cast from the uint8 bank into one float32 buffer and
 zero-corrected there. Every partial sum of a slice then stays below
 256 * 255**2 < 2**24, where float32 holds every integer, so any
 summation order is exact. The first slice's result, cast to int64,
 becomes the layer's bank and fold_gemm returns it; every later slice
-is added to it. check_acc_bound
-holds every accumulator of a layer, K * 255**2 plus its largest bias
-for K terms, below ACC_BOUND = 2**30. No engine call copies a whole bank
-to float64. DWC is one int32 einsum over the same window view: it sums
-raw codes times taps, at most 9 * 255**2 in magnitude, and then adds a
-bias that holds -in_zero times the tap sum, so every partial sum stays
-far below 2**31. Each engine hands the rescale an accumulator it owns,
-which apply_rescale rescales in place (DWC's int32 one is widened once),
-under the |acc| * mult < 2**62 precondition the bound also gives.
-This is the integer-GEMM-on-zero-points scheme of Jacob et al.,
-arXiv 1712.05877.
+is added to it. No engine call copies a whole bank to float64. DWC is
+one int32 einsum over the same window view: it sums raw codes times
+taps, at most 9 * 255**2 in magnitude, far below 2**31, and average
+pooling sums raw codes. No engine adds a bias: each hands the rescale
+its raw sums, in an accumulator it owns, which apply_rescale rescales
+in place (DWC's int32 one is widened once). The record's rescale
+offset carries the rest, times the multiplier: the bias, the folded
+zero-point terms (-in_zero times each tap sum for C2D and DWC, -pixels
+times in_zero for pooling) and, under a tie-free NEAREST verdict, the
+rounding half. check_acc_bound holds every accumulator of a layer,
+K * 255**2 plus its largest bias for K terms, below ACC_BOUND = 2**30;
+that bound covers the raw sum, the folded bias and their total, which
+gives apply_rescale its |acc| * mult < 2**62 precondition. This is the
+integer-GEMM-on-zero-points scheme of Jacob et al., arXiv 1712.05877.
 
 The bound is checked once per layer, when an engine first runs the
 layer and compiles its record (layer_record): a layer that breaks it
 gets no record, so every call raises. The bound also gives the
-layer's rescale its tie verdict (quantcore.rescale_constants): when no
-product acc * mult can land exactly halfway between two codes, the
-NEAREST rescale skips its tie correction pass. The record also holds the
-layer's stats, its rescale constants, the zero-corrected taps of the
-entry and depthwise convolutions (with the input zero point folded into
-a bias), the pointwise weight zero points as float32 and an addition's
-per-code operand tables, so no engine call recomputes them. A LayerDesc
+layer's rescale its tie verdict and its shift alignment
+(quantcore.rescale_constants): when no product acc * mult can land
+exactly halfway between two codes, the NEAREST rescale skips its tie
+correction pass, and when the aligned multipliers keep every product
+below 2**62, the shift is one scalar. The record also holds the layer's
+stats, its rescale constants with their folded offsets, the
+zero-corrected taps of the entry and depthwise convolutions, the
+pointwise weight zero points as float32 and an addition's per-code
+operand tables, so no engine call recomputes them. A LayerDesc
 is frozen and its mults are read-only, so a layer object's record never
 goes stale: a changed layer is a new object (dataclasses.replace),
 which gets its own.
@@ -172,20 +177,21 @@ class LayerRecord:
 
     stats is what every engine call reports; rescale holds read-only,
     C-contiguous per-channel constants of the layer's mults (of an
-    addition's mult3), or None for a layer without them. The rest is
-    None except on the layers that use it, and read-only: taps are the
-    zero-corrected entry (27 x 32 float32) or depthwise (3 x 3 x C
-    int32) weights; bias is the entry (int64) or depthwise (int32) bias
-    minus in_zero times each filter's tap sum, so those engines sum raw
-    codes; zw holds a pointwise layer's weight zero points as float32,
-    what fold_gemm subtracts from each weight slice; add_tables maps
-    each Rounding to an addition's two 256-entry per-code tables.
+    addition's mult3), or None for a layer without them. Its offsets
+    hold the bias the engine's raw sums lack, times the multiplier: the
+    layer's biases, minus in_zero times each filter's tap sum for the
+    entry and depthwise convolutions, and -pixels * in_zero for
+    pooling. The rest is None except on the layers that use it, and
+    read-only: taps are the zero-corrected entry (27 x 32 float32) or
+    depthwise (3 x 3 x C int32) weights, which those engines apply to
+    raw codes; zw holds a pointwise layer's weight zero points as
+    float32, what fold_gemm subtracts from each weight slice; add_tables
+    maps each Rounding to an addition's two 256-entry per-code tables.
     """
 
     stats: EngineStats
     rescale: Rescale | None
     taps: np.ndarray | None
-    bias: np.ndarray | None
     zw: np.ndarray | None
     add_tables: dict | None
 
@@ -228,7 +234,8 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
     Checks the accumulator bound (and an addition's sum bound) before
     building, so a layer that breaks it never gets a record; that bound
     (for an addition, the largest |T1| + |T2| of its NEAREST tables)
-    decides the rescale's tie verdict. The record
+    decides the rescale's tie verdict and shift alignment, and covers
+    the bias its offsets fold in. The record
     is kept in the frozen layer's __dict__, which dataclasses.replace
     does not carry over, so every changed layer compiles its own.
     """
@@ -241,23 +248,25 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
             tables = _add_tables(p)
             bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
-        rescale = None
-        if mults is not None:  # the packed columns are strided: keep contiguous copies
-            r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound)
-            rescale = Rescale(*map(_read_only, r[:3]), r.ties)
         f, taps, bias, zw = layer.filters, None, None, None
         if layer.kind is Kind.C2D:
             signed = _signed_weights(f, np.int64).reshape(27, 32)
             taps = _read_only(signed.astype(np.float32))
-            bias = _read_only(f.biases - layer.in_zero * signed.sum(axis=0))
+            bias = f.biases - layer.in_zero * signed.sum(axis=0)
         elif layer.kind is Kind.DWC:
             taps = _read_only(_signed_weights(f, np.int32)[:, :, 0, :])
-            tap_sums = taps.sum(axis=(0, 1))
-            bias = _read_only((f.biases - layer.in_zero * tap_sums).astype(np.int32))
+            bias = f.biases - layer.in_zero * taps.sum(axis=(0, 1), dtype=np.int64)
+        elif layer.kind is Kind.AVGPOOL:
+            bias = -layer.in_h * layer.in_w * layer.in_zero
         elif layer.kind in (Kind.PRO, Kind.EXP):
+            bias = f.biases
             zw = _read_only(f.zero_points.astype(np.float32))
+        rescale = None
+        if mults is not None:  # the packed columns are strided: keep contiguous copies
+            r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
+            rescale = Rescale(*(None if v is None else _read_only(v) for v in r[:5]), r.ties)
         rec = layer.__dict__["_record"] = LayerRecord(
-            _layer_stats(layer), rescale, taps, bias, zw, tables)
+            _layer_stats(layer), rescale, taps, zw, tables)
     return rec
 
 
@@ -364,8 +373,9 @@ def c2d_forward(
     raster order with a two-row reach, one input pixel per cycle; here
     all output pixels are computed together by one im2col GEMM over raw
     codes, whose columns are one copy of the padded frame's window view.
-    The record's bias holds -in_zero times each filter's tap sum, so the
-    frame is padded with the zero point and never zero-corrected.
+    The record's rescale offset holds -in_zero times each filter's tap
+    sum, so the frame is padded with the zero point and never
+    zero-corrected.
     """
     if layer.kind is not Kind.C2D:
         raise DomainError(f"c2d_forward cannot run a {layer.kind.value} layer")
@@ -383,7 +393,6 @@ def c2d_forward(
     # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
     cols = _windows(padded, out_h, out_w, 2).reshape(out_h * out_w, 27)
     acc = (cols @ rec.taps).astype(np.int64)
-    acc += rec.bias
     out = _requant_uint8(acc, layer, rec, rounding).reshape(out_h, out_w, 32)
     return _out_tensor(layer, out), rec.stats
 
@@ -401,8 +410,8 @@ def dwc_forward(
     channel count must be a multiple of 16. Stride 1 or 2, one ring of
     zero-point padding. All nine taps of every window run as one int32
     einsum over the padded frame's window view, onto raw codes; the
-    record's bias holds -in_zero times each channel's tap sum, so the
-    result is the zero-corrected sum.
+    record's rescale offset holds the bias and -in_zero times each
+    channel's tap sum, so the rescale sees the zero-corrected sum.
     """
     if layer.kind is not Kind.DWC:
         raise DomainError(f"dwc_forward cannot run a {layer.kind.value} layer")
@@ -418,7 +427,6 @@ def dwc_forward(
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
     windows = _windows(padded, layer.out_h, layer.out_w, layer.stride)
     acc = np.einsum("hwijc,ijc->hwc", windows, rec.taps)
-    acc += rec.bias
     return _out_tensor(layer, _requant_uint8(acc, layer, rec, rounding)), rec.stats
 
 
@@ -427,9 +435,11 @@ def dwc_avgpool(
 ) -> tuple[QTensor, EngineStats]:
     """Average a frame down to one pixel on the depthwise engine.
 
-    Sums zero-point-corrected activations per channel and rescales by a
-    multiplier encoding in_scale / (pixels * out_scale); 7x7 input in
-    the standard topology, any frame that fits the layer edge otherwise.
+    Sums raw codes per channel in one int64 reduction and rescales by a
+    multiplier encoding in_scale / (pixels * out_scale); the record's
+    rescale offset holds -pixels * in_zero, so the rescale sees the
+    zero-corrected sum. 7x7 input in the standard topology, any frame
+    that fits the layer edge otherwise.
     """
     if layer.kind is not Kind.AVGPOOL:
         raise DomainError(f"dwc_avgpool cannot run a {layer.kind.value} layer")
@@ -440,7 +450,7 @@ def dwc_avgpool(
         raise ShapeError(f"pooled channels {x.channels} not a multiple of {LANES}")
 
     rec = layer_record(layer)
-    acc = (x.data.astype(np.int64) - x.zero_point).sum(axis=(0, 1))
+    acc = x.data.sum(axis=(0, 1), dtype=np.int64)
     out = _requant_uint8(acc, layer, rec, rounding).reshape(1, 1, x.channels)
     return _out_tensor(layer, out), rec.stats
 
@@ -459,7 +469,8 @@ def pro_forward(
     bias word and each output batch is rescaled and written the moment
     its last input batch lands. Integer sums do not depend on their
     order, so the whole frame runs here as one exact GEMM, with results
-    identical to the per-pass schedule.
+    identical to the per-pass schedule; the bias reaches the sums
+    through the record's rescale offset.
     """
     if layer.kind is not Kind.PRO:
         raise DomainError(f"pro_forward cannot run a {layer.kind.value} layer")
@@ -473,7 +484,6 @@ def pro_forward(
     signed = x.data.reshape(npix, x.channels).astype(np.float32)
     signed -= x.zero_point
     acc = fold_gemm(None, signed, f, rec.zw)
-    acc += f.biases
     data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), rec.stats
 
@@ -498,8 +508,8 @@ def exp_forward(
 
     probe, if given, is called as probe(ab, acc) after input batch ab
     has been folded into every filter batch; acc is a fresh int64 array
-    of shape (fpass, pixels, 16) holding the raw partial sums (bias
-    included).
+    of shape (fpass, pixels, 16) holding the partial sums, bias
+    included.
     """
     if layer.kind is not Kind.EXP:
         raise DomainError(f"exp_forward cannot run a {layer.kind.value} layer")
@@ -522,11 +532,12 @@ class ExpStreamKernel:
     after the last one, outputs() returns the finished frame. The int64
     accumulator bank holds every filter's partial sum for every pixel,
     the fpass*16 per-pixel working set of the engine, and persists
-    across calls. The first fold's result becomes the bank, which then
-    takes the biases once, before any probe sees it; each call folds its
-    batches into all filter batches with fold_gemm, reading the weight
-    rows straight from the uint8 bank. The last batch's call rescales
-    the bank itself, in place; a probe gets copies.
+    across calls. The first fold's result becomes the bank; each call
+    folds its batches into all filter batches with fold_gemm, reading
+    the weight rows straight from the uint8 bank. The bank holds raw
+    sums: the biases reach them through the record's rescale offset,
+    and a probe gets a fresh array of the bank plus the biases. The
+    last batch's call rescales the bank itself, in place.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -565,14 +576,12 @@ class ExpStreamKernel:
         signed -= layer.in_zero
         step = LANES if self.probe is not None else n * LANES
         for lo in range(0, n * LANES, step):
-            first = self._acc is None
             self._acc = fold_gemm(self._acc, signed[:, lo : lo + step], layer.filters,
                                   self.record.zw, ab * LANES + lo)
-            if first:
-                self._acc += layer.filters.biases
             if self.probe is not None:
                 banks = self._acc.reshape(self.npix, layer.fpass, LANES).transpose(1, 0, 2)
-                self.probe(ab + lo // LANES, banks.copy())  # a view when fpass == 1
+                biases = layer.filters.biases.reshape(layer.fpass, 1, LANES)
+                self.probe(ab + lo // LANES, banks + biases)
         self._next_batch = ab + n
         if self._next_batch == layer.apass:
             self._out = _requant_uint8(self._acc, layer, self.record, self.rounding)

@@ -6,13 +6,17 @@ m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, one
 whole array of factors at a time (quantize_multipliers; the scalar
 quantize_multiplier wraps it, so the encoding exists once); a layer
 keeps its pairs as one read-only record array (pack_multipliers).
-Applying one to an accumulator is a 64-bit multiply followed by a
-rounding shift over whole arrays, in place on an int64 accumulator the
-caller owns (apply_rescale, with the per-channel constants from
-rescale_constants; requantize_array composes the two on a copy).
-Given a bound on the accumulators, rescale_constants also decides once
-whether any product can be a rounding tie, so apply_rescale can skip
-the NEAREST tie correction where none can.
+Applying one to an accumulator is a 64-bit multiply, one offset add
+and a rounding shift over whole arrays, in place on an int64
+accumulator the caller owns (apply_rescale, with the per-channel
+constants from rescale_constants; requantize_array composes the two on
+a copy). The offset carries a layer's bias, times the multiplier, so
+the engines hand over raw sums, and under NEAREST also the rounding
+half. Given a bound on the accumulators, rescale_constants decides once
+per layer whether any product can be a rounding tie, so apply_rescale
+can skip the NEAREST tie correction where none can, and whether the
+layer's shifts can be aligned to its largest one, so the shift is one
+scalar instead of a per-channel vector.
 The module also validates narrow bias storage (bias_limits, narrow_bias).
 """
 from __future__ import annotations
@@ -165,22 +169,30 @@ def pack_multipliers(mults, shifts) -> np.recarray:
 class Rescale(NamedTuple):
     """Per-channel rescale constants, built once per layer by rescale_constants.
 
-    mults are the int64 multipliers, shifts are clamped to 63, and half
-    is 1 << (shift - 1), the NEAREST rounding offset. half does not
-    depend on the rounding mode, so one set serves both. ties is False
-    only when an accumulator bound proves that no product acc * mult can
-    land exactly halfway between two results, so apply_rescale may skip
-    the NEAREST tie correction (see rescale_constants).
+    mults are the int64 multipliers and shifts their shifts, clamped to
+    63; when the layer's bound allows, the mults are aligned to the
+    largest shift and shifts is that one 0-d value. half is
+    1 << (shift - 1), the NEAREST rounding offset. offset is bias * mult
+    for a layer whose engine hands over raw sums, or None without a
+    bias; offset_half is offset + half, the one offset a tie-free
+    NEAREST rescale adds. None of them depends on the rounding mode, so
+    one set serves both. ties is False only when an accumulator bound
+    proves that no product acc * mult can land exactly halfway between
+    two results, so apply_rescale may skip the NEAREST tie correction
+    (see rescale_constants).
     """
 
     mults: np.ndarray | np.int64
     shifts: np.ndarray | np.int64
     half: np.ndarray | np.int64
+    offset: np.ndarray | None
+    offset_half: np.ndarray | np.int64
     ties: bool = True
 
 
 def rescale_constants(
-    mults: np.ndarray | int, shifts: np.ndarray | int, acc_bound: int | None = None
+    mults: np.ndarray | int, shifts: np.ndarray | int, acc_bound: int | None = None,
+    bias: np.ndarray | int | None = None,
 ) -> Rescale:
     """The constants apply_rescale needs for these multipliers and shifts.
 
@@ -189,13 +201,27 @@ def rescale_constants(
     TRUNCATE gives 0 or -1 by sign. Without the clamp 1 << 63 wraps in
     int64 and a shift of 64 or more is undefined.
 
-    acc_bound, if given, bounds every |acc| the constants will meet and
-    decides Rescale.ties. A tie is a product p = acc * mult that is an odd
-    multiple of 2**(s - 1) for the applied shift s, that is
-    v2(acc) + v2(mult) == s - 1, where v2(x) counts the trailing zero bits
-    of x. A nonzero |acc| <= acc_bound has v2(acc) <= floor(log2 acc_bound),
+    bias, if given, is what the caller's raw sums lack: apply_rescale
+    rescales acc + bias, through the offsets bias * mult.
+
+    acc_bound, if given, bounds every |acc|, every |bias| and every
+    |acc + bias| the constants will meet, and decides two things.
+
+    Rescale.ties. A tie is a product p = x * mult, x = acc + bias, that
+    is an odd multiple of 2**(s - 1) for the applied shift s, that is
+    v2(x) + v2(mult) == s - 1, where v2(y) counts the trailing zero bits
+    of y. A nonzero |x| <= acc_bound has v2(x) <= floor(log2 acc_bound),
     so no channel can tie when v2(mult) + floor(log2 acc_bound) < s - 1
     for every channel. Without a bound ties stays True.
+
+    Alignment. With S the largest shift and mult'_c = mult_c << (S - s_c),
+    (a * mult_c) >> s_c == (a * mult'_c) >> S for every a, under both
+    roundings: the shift scales numerator and denominator by
+    2**(S - s_c), and the NEAREST half scales the same way. So when
+    acc_bound * max(mult') < 2**62, the products stay in int64 and the
+    constants hold mult' and the one shift S (0-d). Otherwise, or
+    without a bound, the per-channel shifts stay. The tie verdict is the
+    same either way, since v2(mult') - (S - s) == v2(mult).
     """
     shifts = np.minimum(shifts, 63, dtype=np.int64)
     mults = np.asarray(mults, dtype=np.int64)
@@ -203,7 +229,13 @@ def rescale_constants(
     if acc_bound is not None:
         v2 = np.bitwise_count((mults & -mults) - 1)  # trailing zeros of mult > 0
         ties = bool(np.any(v2 + (int(acc_bound).bit_length() - 1) >= shifts - 1))
-    return Rescale(mults, shifts, np.int64(1) << (shifts - 1), ties)
+        top = shifts.max()
+        aligned = mults << (top - shifts)
+        if int(acc_bound) * int(aligned.max()) < 1 << 62:
+            mults, shifts = aligned, np.array(top)
+    half = np.asarray(np.int64(1) << (shifts - 1))  # aligned: 0-d, so a record can freeze it
+    offset = None if bias is None else np.asarray(bias, dtype=np.int64) * mults
+    return Rescale(mults, shifts, half, offset, half if offset is None else offset + half, ties)
 
 
 def apply_rescale(
@@ -212,7 +244,7 @@ def apply_rescale(
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """Rescale an integer accumulator array and add the output zero point.
+    """Rescale an integer accumulator array, plus its bias, and add the output zero point.
 
     An int64 acc is rescaled in place and returned: the caller hands
     over an accumulator it owns and no longer needs. Any narrower acc,
@@ -222,30 +254,40 @@ def apply_rescale(
     The result is not clamped; the engines clamp it to uint8.
 
     Preconditions: every mult is positive (pack_multipliers and
-    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc) for
-    the product p = acc * mult; every shift is at least 1; and
-    |acc| * mult < 2**62, so the int64 product cannot overflow. A
-    per-layer accumulator bound (modelkit.ACC_BOUND) implies the last
-    one. It is checked when a layer's parameters are derived and once
-    more when the engines first compile the layer; each later engine
-    call reuses that verdict.
+    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc + bias)
+    for the product p = (acc + bias) * mult; every shift is at least 1;
+    and |acc|, |bias| and |acc + bias| are each at most a bound B with
+    B * mult < 2**62, so no int64 product can overflow. A per-layer
+    accumulator bound (modelkit.ACC_BOUND) gives B; rescale_constants
+    aligns a layer's multipliers only where B * mult' < 2**62 still
+    holds. Then acc * mult and the offset bias * mult are each below
+    2**62 in magnitude, and half is at most 2**62, so adding
+    bias * mult + half in one pass gives p + half < 2**63: every
+    intermediate is exact. The bound is checked when a layer's
+    parameters are derived and once more when the engines first compile
+    the layer; each later engine call reuses that verdict.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)
     for p < 0. The latter equals (p + h - 1) >> s, because
     -floor(y / n) == floor((n - 1 - y) / n) and n - h == h. So the array
-    path adds p >> 63 (-1 for a negative p, 0 otherwise), then h, and
-    shifts once. The -1 matters only at an exact tie p = (2j + 1) * h:
-    elsewhere p + h and p + h - 1 have the same floor over n. So when
-    rescale.ties is False, which its accumulator bound proves tie-free,
-    the correction pass is skipped.
+    path adds the offset, then p >> 63 (-1 for a negative p, 0
+    otherwise), then h, and shifts once. The -1 matters only at an exact
+    tie p = (2j + 1) * h: elsewhere p + h and p + h - 1 have the same
+    floor over n. So when rescale.ties is False, which its accumulator
+    bound proves tie-free, the correction is skipped and offset and h go
+    in as one offset_half: one multiply, one offset and one shift.
     """
     res = acc if acc.dtype == np.int64 else acc.astype(np.int64)
     res *= rescale.mults
-    if rounding is Rounding.NEAREST:
-        if rescale.ties:
+    if rounding is Rounding.NEAREST and not rescale.ties:
+        res += rescale.offset_half
+    else:
+        if rescale.offset is not None:
+            res += rescale.offset
+        if rounding is Rounding.NEAREST:
             res += res >> 63
-        res += rescale.half
+            res += rescale.half
     res >>= rescale.shifts
     if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
         res += out_zero

@@ -23,6 +23,7 @@ from semistream.dataflow import (
     run_inference,
     schedule_rounds,
 )
+from semistream.engines import layer_record
 from semistream.errors import (
     DeadlockError,
     DomainError,
@@ -690,6 +691,9 @@ def test_small_mobilenets_match_the_oracle(width, resolution, rounding):
     for mode in ("sequential", "stream", "threads"):
         got = run_inference(model, image, mode=mode)
         np.testing.assert_array_equal(got.logits.data, want)
+    if (width, resolution) == (0.5, 64):  # both rescale forms ran under the oracle
+        rescales = [layer_record(l).rescale for l in model.layers]
+        assert {np.ndim(r.shifts) for r in rescales if r is not None} == {0, 1}
 
 
 def test_truncate_rounding_propagates():

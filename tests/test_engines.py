@@ -995,10 +995,12 @@ def test_layer_records_hold_no_weight_copies():
     cannot grow the memory footprint unnoticed: PRO and EXP records own
     only per-channel vectors, their float32 weight zero points among
     them (never a copy of the GEMM bank); the entry and depthwise records
-    own their zero-corrected taps and folded biases; an addition owns two
-    256-entry tables per rounding."""
+    own their zero-corrected taps; an addition owns two 256-entry tables
+    per rounding. Every rescale holds its mults, shifts, half and
+    offset_half, plus the offset of the bias its engine's raw sums lack
+    (all but an addition); an aligned one holds a 0-d shift and half."""
     model = prepare(build_mobilenet_v2(0.5, 64))
-    kinds = set()
+    kinds, forms = set(), set()
     for layer in model.layers:
         rec, owned = layer_record(layer), []
         for fld in dataclasses.fields(rec):
@@ -1017,26 +1019,32 @@ def test_layer_records_hold_no_weight_copies():
                 assert not np.shares_memory(v, layer.filters.weights)
         per_channel = [v for v in arrays if v is not rec.taps]
         assert all(v.size <= layer.out_ch for v in per_channel)
+        r = rec.rescale
+        if r is not None:
+            aligned = r.shifts.ndim == 0
+            forms.add(aligned)
+            assert r.half.ndim == r.shifts.ndim
+            assert aligned or r.shifts.shape == (layer.out_ch,)
+            assert (r.offset is None) == (layer.kind is Kind.ADD)
         kinds.add(layer.kind)
         if layer.kind in (Kind.PRO, Kind.EXP):
-            assert len(arrays) == 4 and rec.taps is None  # rescale and zero points
+            assert len(arrays) == 6 and rec.taps is None  # rescale and zero points
             assert rec.zw.dtype == np.float32 and rec.zw.shape == (layer.out_ch,)
         elif layer.kind is Kind.AVGPOOL:
-            assert len(arrays) == 3 and rec.taps is None
+            assert len(arrays) == 5 and rec.taps is None
         elif layer.kind is Kind.DWC:
-            assert len(arrays) == 5  # rescale, taps and the folded bias
+            assert len(arrays) == 6  # rescale and taps
             assert rec.taps.dtype == np.int32 and rec.taps.size == 9 * layer.out_ch
-            assert rec.bias.dtype == np.int32 and rec.bias.size == layer.out_ch
         elif layer.kind is Kind.C2D:
-            assert len(arrays) == 5  # rescale, taps and the folded bias
+            assert len(arrays) == 6  # rescale and taps
             assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
-            assert rec.bias.dtype == np.int64 and rec.bias.size == 32
         elif layer.residual_from is not None:
-            assert len(arrays) == 3 and all(v.size == 1 for v in arrays)  # mult3
+            assert len(arrays) == 4 and all(v.size == 1 for v in arrays)  # mult3
             assert rec.add_tables is not None
         else:  # a pass-through slot
             assert arrays == [] and rec.add_tables is None
     assert kinds == set(Kind)
+    assert forms == {True, False}  # aligned layers, and long banks that stay per-channel
 
 
 def test_engines_leave_their_inputs_untouched():

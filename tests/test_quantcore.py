@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semistream.errors import DomainError, RangeError
@@ -366,6 +366,62 @@ def test_tie_verdict_is_exact(channels, bound, seed):
             one = rescale_constants(m, s, bound)
             assert (apply_rescale(tie.copy(), one)
                     != apply_rescale(tie.copy(), one._replace(ties=False)))
+
+
+@st.composite
+def _layer_rescale(draw):
+    """Normalized per-channel (mults, shifts) of one layer, shifts spread
+    by up to 31 bits, some mults with trailing zero bits (tie verdicts);
+    a bound B, drawn freely or one step either side of the alignment
+    edge B * max(mult') < 2**62; and biases with |b| <= B."""
+    n = draw(st.integers(1, 6))
+    base = draw(st.integers(MULT_BITS, 66))
+    spread = draw(st.integers(0, 31))
+    mults, shifts = [], []
+    for _ in range(n):
+        t = draw(st.sampled_from([0, 0, 1, 9, MULT_BITS - 1]))
+        odd = draw(st.integers(1 << (MULT_BITS - 1 - t), (1 << (MULT_BITS - t)) - 1)) | 1
+        mults.append(odd << t)
+        shifts.append(base + draw(st.integers(0, spread)))
+    applied = [min(s, 63) for s in shifts]
+    top = max(m << (max(applied) - s) for m, s in zip(mults, applied))
+    edge = ((1 << 62) - 1) // top  # the largest B that aligns
+    bound = draw(st.one_of(st.integers(1, ACC_BOUND - 1),
+                           st.integers(0, 29).map(lambda e: 1 << e),
+                           st.sampled_from([edge, edge + 1]).filter(lambda b: b >= 1)))
+    assume(bound * max(mults) < 1 << 62)  # what apply_rescale needs without alignment
+    bias = [draw(st.integers(-bound, bound)) for _ in range(n)]
+    return mults, shifts, bound, bias
+
+
+@given(_layer_rescale(), st.integers(0, 2**32))
+@settings(max_examples=400)
+def test_aligned_rescale_with_offset_is_exact(layer, seed):
+    """apply_rescale(acc, rescale_constants(m, s, B, bias)) is the exact
+    rescale of acc + bias per channel, under both roundings, for every
+    |acc| <= B - max|bias| (the extremes and the likeliest ties
+    included); the constants hold one 0-d shift exactly when
+    B * max(mult << (S - s)) < 2**62, S the largest applied shift."""
+    mults, shifts, bound, bias = layer
+    r = rescale_constants(np.array(mults), np.array(shifts), bound, np.array(bias))
+    applied = [min(s, 63) for s in shifts]
+    top = max(m << (max(applied) - s) for m, s in zip(mults, applied))
+    assert (np.ndim(r.shifts) == 0) == (bound * top < 1 << 62)
+    assert r.ties == rescale_constants(np.array(mults), np.array(shifts), bound).ties
+    lim = bound - max(map(abs, bias))
+    accs = [lim, lim - 1, (1 << lim.bit_length()) >> 1, 1, 0]
+    accs += np.random.default_rng(seed).integers(-lim, lim, 32, endpoint=True).tolist()
+    accs = [a for a in accs if 0 <= a <= lim]
+    rows = [[a] * len(mults) for a in accs + [-a for a in accs]]
+    for m, s, b in zip(mults, applied, bias):  # acc + b = +-2**(s - 1 - v2(m)) ties
+        v2 = (m & -m).bit_length() - 1
+        rows += [[sign * (1 << (s - 1 - v2)) - b] * len(mults) for sign in (1, -1)
+                 if abs(sign * (1 << (s - 1 - v2)) - b) <= lim]
+    acc = np.array(rows, dtype=np.int64)
+    for rounding in Rounding:
+        want = [[rational_requant(int(a) + b, MultShift(m, s), 0, rounding)
+                 for a, m, s, b in zip(row, mults, shifts, bias)] for row in acc]
+        assert apply_rescale(acc.copy(), r, 0, rounding).tolist() == want, rounding
 
 
 # ---------------------------------------------------------------------------
