@@ -7,33 +7,39 @@ to uint8. The observable pass boundaries of each engine are preserved
 its probe sees every partial bank); inside those boundaries the
 arithmetic is vectorized with numpy.
 
-The multiply-accumulate of C2D, PRO and EXP runs on float32 as an exact
-integer carrier, so numpy can hand it to a BLAS GEMM. Every product
-pairs an activation in [-255, 255] (a raw code for C2D, a zero-corrected
-one for PRO and EXP) with a zero-corrected weight in [-255, 255], so it
-is an integer of at most 255**2. The entry convolution sums 27 of them,
-read through one window view of its zero-point-padded frame (_windows),
-so its raw sum lacks -in_zero times each filter's tap sum. The
-pointwise engines fold their
-bank of K rows in slices of at most K_CHUNK = 256 rows (fold_gemm):
-each slice is cast from the uint8 bank into one float32 buffer and
-zero-corrected there. Every partial sum of a slice then stays below
-256 * 255**2 < 2**24, where float32 holds every integer, so any
-summation order is exact. The first slice's result, cast to int64,
-becomes the layer's bank and fold_gemm returns it; every later slice
-is added to it. No engine call copies a whole bank to float64. DWC is
-one int32 einsum over the same window view: it sums raw codes times
-taps, at most 9 * 255**2 in magnitude, far below 2**31, and average
-pooling sums raw codes. No engine adds a bias: each hands the rescale
-its raw sums, in an accumulator it owns, which apply_rescale rescales
-in place (DWC's int32 one is widened once). The record's rescale
-offset carries the rest, times the multiplier: the bias, the folded
-zero-point terms (-in_zero times each tap sum for C2D and DWC, -pixels
-times in_zero for pooling) and, under a tie-free NEAREST verdict, the
-rounding half. check_acc_bound holds every accumulator of a layer,
-K * 255**2 plus its largest bias for K terms, below ACC_BOUND = 2**30;
-that bound covers the raw sum, the folded bias and their total, which
-gives apply_rescale its |acc| * mult < 2**62 precondition. This is the
+Every MAC engine sums raw codes. The multiply-accumulate of C2D, PRO,
+EXP and DWC runs on float32 as an exact integer carrier, so numpy can
+hand the 1x1 and entry GEMMs to BLAS. Every product pairs a raw code in
+[0, 255] with a zero-corrected weight in [-255, 255], so it is an
+integer of at most 255**2 in magnitude. The entry convolution sums 27
+of them, read through one window view of its zero-point-padded frame
+(_windows). The pointwise engines fold their bank of K rows in slices
+of at most K_CHUNK = 256 rows (fold_gemm): each slice is cast from the
+uint8 bank into one float32 buffer and zero-corrected there. Every
+partial sum of a slice then stays below 256 * 255**2 < 2**24, where
+float32 holds every integer, so any summation order is exact. The
+first slice's result, cast to int64, becomes the layer's bank and
+fold_gemm returns it; every later slice is added to it. No engine call
+copies a whole bank to float64. DWC is one float32 einsum over its
+zero-point-padded frame: a window sums nine products, an integer of at
+most 9 * 255**2 = 585225 < 2**24 in magnitude, so float32 holds every
+partial sum in any order. At stride 1 it reads the frame through one
+row view whose last axis is a whole output row of out_w * C lanes
+(_row_windows), against the taps tiled once per call along that row;
+at stride 2 neighbouring output pixels sit 2 * C lanes apart, so pixel
+and channel do not merge into one axis and it reads the 5-D window view
+(_windows). Average pooling sums raw codes in int64.
+No engine zero-corrects an activation and none adds a bias: each hands
+the rescale its raw sums, in an accumulator it owns, which
+apply_rescale rescales in place (DWC's float32 one is widened to int64
+once, exactly). The record's rescale offset carries the rest, times
+the multiplier: the bias, the folded zero-point terms (-in_zero times
+each filter's tap sum for C2D, DWC, PRO and EXP, -pixels times in_zero
+for pooling) and, under a tie-free NEAREST verdict, the rounding half.
+check_acc_bound holds every accumulator of a layer, K * 255**2 plus its
+largest bias for K terms, below ACC_BOUND = 2**30; that bound covers
+the raw sum, the folded bias and their total, which gives apply_rescale
+its |acc| * mult < 2**62 precondition. This is the
 integer-GEMM-on-zero-points scheme of Jacob et al., arXiv 1712.05877.
 
 The bound is checked once per layer, when an engine first runs the
@@ -45,8 +51,8 @@ exactly halfway between two codes, the NEAREST rescale skips its tie
 correction pass, and when the aligned multipliers keep every product
 below 2**62, the shift is one scalar. The record also holds the layer's
 stats, its rescale constants with their folded offsets, the
-zero-corrected taps of the entry and depthwise convolutions, the
-pointwise weight zero points as float32 and an addition's per-code
+zero-corrected float32 taps of the entry and depthwise convolutions,
+the pointwise weight zero points as float32 and an addition's per-code
 operand tables, so no engine call recomputes them. A LayerDesc
 is frozen and its mults are read-only, so a layer object's record never
 goes stale: a changed layer is a new object (dataclasses.replace),
@@ -179,13 +185,14 @@ class LayerRecord:
     C-contiguous per-channel constants of the layer's mults (of an
     addition's mult3), or None for a layer without them. Its offsets
     hold the bias the engine's raw sums lack, times the multiplier: the
-    layer's biases, minus in_zero times each filter's tap sum for the
-    entry and depthwise convolutions, and -pixels * in_zero for
-    pooling. The rest is None except on the layers that use it, and
-    read-only: taps are the zero-corrected entry (27 x 32 float32) or
-    depthwise (3 x 3 x C int32) weights, which those engines apply to
-    raw codes; zw holds a pointwise layer's weight zero points as
-    float32, what fold_gemm subtracts from each weight slice; add_tables
+    layer's biases, minus in_zero times each filter's tap sum for every
+    MAC engine (for PRO and EXP the column sum of W - zw), and
+    -pixels * in_zero for pooling. The rest is None except on the layers
+    that use it, and read-only: taps are the zero-corrected entry
+    (27 x 32) or depthwise (3 x 3 x C) weights as float32, which those
+    engines apply to raw codes; zw holds a pointwise layer's weight zero
+    points as float32, what fold_gemm subtracts from each weight slice;
+    add_tables
     maps each Rounding to an addition's two 256-entry per-code tables.
     """
 
@@ -235,9 +242,12 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
     building, so a layer that breaks it never gets a record; that bound
     (for an addition, the largest |T1| + |T2| of its NEAREST tables)
     decides the rescale's tie verdict and shift alignment, and covers
-    the bias its offsets fold in. The record
-    is kept in the frozen layer's __dict__, which dataclasses.replace
-    does not carry over, so every changed layer compiles its own.
+    the bias its offsets fold in. A pointwise layer's tap sums are
+    column sums of its uint8 bank taken in int32, exact since
+    K * 255 < 2**31, so compiling a record never copies the bank. The
+    record is kept in the frozen layer's __dict__, which
+    dataclasses.replace does not carry over, so every changed layer
+    compiles its own.
     """
     rec = layer.__dict__.get("_record")
     if rec is None:
@@ -254,12 +264,12 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             taps = _read_only(signed.astype(np.float32))
             bias = f.biases - layer.in_zero * signed.sum(axis=0)
         elif layer.kind is Kind.DWC:
-            taps = _read_only(_signed_weights(f, np.int32)[:, :, 0, :])
-            bias = f.biases - layer.in_zero * taps.sum(axis=(0, 1), dtype=np.int64)
+            taps = _read_only(_signed_weights(f, np.float32)[:, :, 0, :])
+            bias = f.biases - layer.in_zero * taps.sum(axis=(0, 1)).astype(np.int64)
         elif layer.kind is Kind.AVGPOOL:
             bias = -layer.in_h * layer.in_w * layer.in_zero
         elif layer.kind in (Kind.PRO, Kind.EXP):
-            bias = f.biases
+            bias = f.biases - layer.in_zero * _tap_sums(f, f.in_channels)
             zw = _read_only(f.zero_points.astype(np.float32))
         rescale = None
         if mults is not None:  # the packed columns are strided: keep contiguous copies
@@ -297,11 +307,20 @@ def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     return w
 
 
-def fold_gemm(acc: np.ndarray | None, signed: np.ndarray, f: QFilterSet,
-              zw: np.ndarray, row0: int = 0) -> np.ndarray:
-    """Add signed @ (W[row0 : row0 + K] - zw) to the int64 bank acc, exactly.
+def _tap_sums(f: QFilterSet, k: int) -> np.ndarray:
+    """Column sums of W[:k] - zw for a pointwise bank W, as int64.
 
-    signed holds K zero-corrected activation columns (float32); W is the
+    Sums the uint8 rows in int32, exact since k * 255 < 2**31, so no
+    copy of the bank is made.
+    """
+    return f.weights[0, 0, :k].sum(axis=0, dtype=np.int32) - k * f.zero_points
+
+
+def fold_gemm(acc: np.ndarray | None, cols: np.ndarray, f: QFilterSet,
+              zw: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Add cols @ (W[row0 : row0 + K] - zw) to the int64 bank acc, exactly.
+
+    cols holds K raw activation columns (float32 codes); W is the
     layer's uint8 bank and zw its zero points as float32 (the record's
     zw). Each slice of at most K_CHUNK weight rows is cast into one
     float32 buffer, the first slice's own cast, and zero-corrected
@@ -309,7 +328,7 @@ def fold_gemm(acc: np.ndarray | None, signed: np.ndarray, f: QFilterSet,
     bank: acc itself, or, with acc None, the first slice's int64 result,
     to which the later slices are added.
     """
-    k = signed.shape[1]
+    k = cols.shape[1]
     w = f.weights[0, 0, row0 : row0 + k]
     rows = buf = w[:K_CHUNK].astype(np.float32)
     for j in range(0, k, K_CHUNK):
@@ -317,7 +336,7 @@ def fold_gemm(acc: np.ndarray | None, signed: np.ndarray, f: QFilterSet,
             rows = buf[: min(K_CHUNK, k - j)]
             rows[...] = w[j : j + K_CHUNK]
         rows -= zw
-        part = (signed[:, j : j + K_CHUNK] @ rows).astype(np.int64)
+        part = (cols[:, j : j + K_CHUNK] @ rows).astype(np.int64)
         if acc is None:
             acc = part
         else:
@@ -336,6 +355,21 @@ def _windows(padded: np.ndarray, out_h: int, out_w: int, stride: int) -> np.ndar
     sh, sw, sc = padded.strides
     return _read_only(np.ndarray((out_h, out_w, 3, 3, padded.shape[2]), padded.dtype,
                                  padded, 0, (stride * sh, stride * sw, sh, sw, sc)))
+
+
+def _row_windows(padded: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Every 3x3 window of a stride-1 kernel, one whole output row per lane run.
+
+    padded is a C-contiguous H x W x C array; the result is one
+    read-only (out_h, 3, 3, out_w * C) view of it, whose element
+    [y, i, j, x * C + c] is padded[y + i, x + j, c]: along its last axis
+    run out_w * C contiguous lanes, so one einsum term covers a whole
+    output row. Nothing is copied.
+    """
+    sh, _, sc = padded.strides
+    lanes = out_w * padded.shape[2]
+    return _read_only(np.ndarray((out_h, 3, 3, lanes), padded.dtype, padded, 0,
+                                 (sh, sh, padded.shape[2] * sc, sc)))
 
 
 def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
@@ -408,10 +442,14 @@ def dwc_forward(
 
     The engine makes one full-frame pass per 16-channel group, so the
     channel count must be a multiple of 16. Stride 1 or 2, one ring of
-    zero-point padding. All nine taps of every window run as one int32
-    einsum over the padded frame's window view, onto raw codes; the
-    record's rescale offset holds the bias and -in_zero times each
-    channel's tap sum, so the rescale sees the zero-corrected sum.
+    zero-point padding. All nine taps of every window run as one float32
+    einsum onto raw codes: each window's sum is an integer of at most
+    9 * 255**2 < 2**24 in magnitude, exact in float32 in any order. At
+    stride 1 the einsum runs along whole output rows (_row_windows),
+    against the taps tiled once per call to (3, 3, out_w, C); at stride
+    2 it runs over the 5-D window view (_windows). The record's rescale
+    offset holds the bias and -in_zero times each channel's tap sum, so
+    the rescale sees the zero-corrected sum.
     """
     if layer.kind is not Kind.DWC:
         raise DomainError(f"dwc_forward cannot run a {layer.kind.value} layer")
@@ -422,11 +460,17 @@ def dwc_forward(
         raise ShapeError(f"depthwise stride {layer.stride} unsupported")
 
     rec = layer_record(layer)
-    in_h, in_w = x.height, x.width
-    padded = np.full((in_h + 2, in_w + 2, x.channels), x.zero_point, dtype=np.int32)
+    in_h, in_w, c = x.height, x.width, x.channels
+    out_h, out_w = layer.out_h, layer.out_w
+    padded = np.full((in_h + 2, in_w + 2, c), x.zero_point, dtype=np.float32)
     padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    windows = _windows(padded, layer.out_h, layer.out_w, layer.stride)
-    acc = np.einsum("hwijc,ijc->hwc", windows, rec.taps)
+    if layer.stride == 1:
+        tiled = np.empty((3, 3, out_w, c), np.float32)
+        tiled[...] = rec.taps[:, :, None, :]
+        acc = np.einsum("hijx,ijx->hx", _row_windows(padded, out_h, out_w),
+                        tiled.reshape(3, 3, out_w * c)).reshape(out_h, out_w, c)
+    else:
+        acc = np.einsum("hwijc,ijc->hwc", _windows(padded, out_h, out_w, 2), rec.taps)
     return _out_tensor(layer, _requant_uint8(acc, layer, rec, rounding)), rec.stats
 
 
@@ -468,9 +512,10 @@ def pro_forward(
     loop over input channel batches; the accumulator bank starts at the
     bias word and each output batch is rescaled and written the moment
     its last input batch lands. Integer sums do not depend on their
-    order, so the whole frame runs here as one exact GEMM, with results
-    identical to the per-pass schedule; the bias reaches the sums
-    through the record's rescale offset.
+    order, so the whole frame runs here as one exact GEMM over raw
+    codes, with results identical to the per-pass schedule; the bias
+    and -in_zero times each filter's tap sum reach the sums through the
+    record's rescale offset.
     """
     if layer.kind is not Kind.PRO:
         raise DomainError(f"pro_forward cannot run a {layer.kind.value} layer")
@@ -481,9 +526,8 @@ def pro_forward(
     rec = layer_record(layer)
     f = layer.filters
     npix = x.height * x.width
-    signed = x.data.reshape(npix, x.channels).astype(np.float32)
-    signed -= x.zero_point
-    acc = fold_gemm(None, signed, f, rec.zw)
+    cols = x.data.reshape(npix, x.channels).astype(np.float32)
+    acc = fold_gemm(None, cols, f, rec.zw)
     data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
     return _out_tensor(layer, data), rec.stats
 
@@ -508,8 +552,8 @@ def exp_forward(
 
     probe, if given, is called as probe(ab, acc) after input batch ab
     has been folded into every filter batch; acc is a fresh int64 array
-    of shape (fpass, pixels, 16) holding the partial sums, bias
-    included.
+    of shape (fpass, pixels, 16) holding the zero-corrected partial
+    sums, bias included (see ExpStreamKernel).
     """
     if layer.kind is not Kind.EXP:
         raise DomainError(f"exp_forward cannot run a {layer.kind.value} layer")
@@ -535,9 +579,12 @@ class ExpStreamKernel:
     across calls. The first fold's result becomes the bank; each call
     folds its batches into all filter batches with fold_gemm, reading
     the weight rows straight from the uint8 bank. The bank holds raw
-    sums: the biases reach them through the record's rescale offset,
-    and a probe gets a fresh array of the bank plus the biases. The
-    last batch's call rescales the bank itself, in place.
+    sums of raw codes: the biases and -in_zero times each filter's tap
+    sum reach them through the record's rescale offset. A probe gets a
+    fresh array of the zero-corrected partials, after k = 16 * (ab + 1)
+    rows: bank + b - in_zero * sum_{r < k} (W[r] - zw), the column sum
+    taken from the uint8 bank in int32 and only when a probe is
+    attached. The last batch's call rescales the bank itself, in place.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -572,16 +619,16 @@ class ExpStreamKernel:
                               f"whole batches within the layer's {layer.apass} input batches")
         if batches.shape[0] != self.npix:
             raise ShapeError(f"{batches.shape[0]} pixels arrived for a {self.npix}-pixel frame")
-        signed = batches.astype(np.float32)
-        signed -= layer.in_zero
+        f = layer.filters
+        cols = batches.astype(np.float32)
         step = LANES if self.probe is not None else n * LANES
         for lo in range(0, n * LANES, step):
-            self._acc = fold_gemm(self._acc, signed[:, lo : lo + step], layer.filters,
-                                  self.record.zw, ab * LANES + lo)
+            row0 = ab * LANES + lo
+            self._acc = fold_gemm(self._acc, cols[:, lo : lo + step], f, self.record.zw, row0)
             if self.probe is not None:
                 banks = self._acc.reshape(self.npix, layer.fpass, LANES).transpose(1, 0, 2)
-                biases = layer.filters.biases.reshape(layer.fpass, 1, LANES)
-                self.probe(ab + lo // LANES, banks + biases)
+                biases = f.biases - layer.in_zero * _tap_sums(f, row0 + step)
+                self.probe(ab + lo // LANES, banks + biases.reshape(layer.fpass, 1, LANES))
         self._next_batch = ab + n
         if self._next_batch == layer.apass:
             self._out = _requant_uint8(self._acc, layer, self.record, self.rounding)

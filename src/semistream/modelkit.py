@@ -667,7 +667,8 @@ def check_acc_bound(layer: LayerDesc) -> int | None:
     """The bound on every |accumulator| of the layer, checked below ACC_BOUND.
 
     A filter bank of K = kh * kw * in_ch taps per output sums K products
-    of two zero-corrected codes onto its bias; average pooling sums
+    of a code (raw or zero-corrected) and a zero-corrected weight, each
+    at most 255**2 in magnitude, onto its bias; average pooling sums
     in_h * in_w zero-corrected codes. Raises DomainError when that bound
     reaches ACC_BOUND. Returns None for a layer without accumulators.
     Addition has its own bound on the sum of its operand tables, checked

@@ -247,10 +247,10 @@ def apply_rescale(
     """Rescale an integer accumulator array, plus its bias, and add the output zero point.
 
     An int64 acc is rescaled in place and returned: the caller hands
-    over an accumulator it owns and no longer needs. Any narrower acc,
-    such as the depthwise engine's int32 one, is left untouched and
-    widened once into a new int64 array, which is rescaled in place
-    instead. The constants and out_zero must broadcast to acc's shape.
+    over an accumulator it owns and no longer needs. Any other acc,
+    such as the depthwise engine's float32 one of exact integers, is
+    left untouched and widened once into a new int64 array, which is
+    rescaled in place instead. The constants and out_zero must broadcast to acc's shape.
     The result is not clamped; the engines clamp it to uint8.
 
     Preconditions: every mult is positive (pack_multipliers and

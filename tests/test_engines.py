@@ -767,19 +767,43 @@ def test_classifier_shape_worst_case_is_exact():
                     assert 0 < want.min() and want.max() < 255  # not clamped away
 
 
+def test_depthwise_rows_worst_case_is_exact():
+    """Stride-1 depthwise rows of 1024 and 3072 lanes, and a 32x32x48
+    stride-2 frame: random codes, then every worst-case corner, where
+    each interior window sums nine products to 9 * 255**2 in magnitude.
+    The corners' taps are all equal, so the random run is the one that
+    pins the tap layout."""
+    rng = np.random.default_rng(37)
+    for h, ch, stride in ((32, 32, 1), (16, 192, 1), (32, 48, 2)):
+        layer = _span_mults(dwc_layer(rng, h=h, w=h, ch=ch, stride=stride), rng)
+        for rounding in Rounding:
+            _check_against_oracle(layer, qinput(rng, layer), rounding)
+        for act_hi in (False, True):
+            for w_hi in (False, True):
+                layer = _span_mults(dwc_layer(rng, h=h, w=h, ch=ch, stride=stride), rng)
+                x = qinput(rng, layer)
+                layer = _worst_case(layer, x, act_hi, w_hi)
+                for rounding in Rounding:
+                    want = _check_against_oracle(layer, x, rounding)
+                    assert 0 < want.min() and want.max() < 255  # not clamped away
+
+
 def test_classifier_allocates_no_weight_copy():
-    """At npix = 1 the projection never builds a float copy of its weights."""
+    """At npix = 1 neither pointwise engine builds a copy of its weights:
+    not on the first call, which compiles the layer's record and its tap
+    sums, and not on a later one."""
     rng = np.random.default_rng(36)
-    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=1280, cout=1008)
-    x = qinput(rng, layer)
-    pro_forward(x, layer)  # first-call set-up (multiplier vectors) untraced
-    tracemalloc.start()
-    try:
-        pro_forward(x, layer)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < layer.filters.weights.nbytes
+    for kind in (Kind.PRO, Kind.EXP):
+        layer = pointwise_layer(rng, kind, h=1, w=1, cin=1280, cout=1008)
+        x = qinput(rng, layer)
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                run_layer(x, layer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < layer.filters.weights.nbytes
 
 
 def test_acc_bound_guard_is_tight():
@@ -1034,7 +1058,7 @@ def test_layer_records_hold_no_weight_copies():
             assert len(arrays) == 5 and rec.taps is None
         elif layer.kind is Kind.DWC:
             assert len(arrays) == 6  # rescale and taps
-            assert rec.taps.dtype == np.int32 and rec.taps.size == 9 * layer.out_ch
+            assert rec.taps.dtype == np.float32 and rec.taps.size == 9 * layer.out_ch
         elif layer.kind is Kind.C2D:
             assert len(arrays) == 6  # rescale and taps
             assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
