@@ -61,13 +61,11 @@ from .engines import (
     add_elements,
     add_forward,
     add_passthrough,
-    address_map,
     c2d_forward,
     dwc_avgpool,
     dwc_forward,
     engine_cycles,
     exp_forward,
-    layout_weights,
     nominal_stats,
     pro_forward,
     run_layer,

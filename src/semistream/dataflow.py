@@ -16,9 +16,12 @@ frame buffer and writes a fresh one. Stage two streams projection to
 addition to expansion through bounded word-counted queues, one message
 per run of as many 16-channel batches as a queue holds; a bounded
 residual FIFO carries each shortcut frame, in the same runs, to the next
-round's addition slot. A frame buffer adopts the finished array of a
-whole-frame producer; the addition slot fills one in place run by run,
-and readers get the array itself. One wiring
+round's addition slot. Processes pass plain uint8 arrays: each runs
+its layer's kernel (the one its engines.layer_record holds) on a frame
+buffer's array, as the sequential driver does from layer to layer, and
+only the logits become a QTensor. A frame buffer adopts the finished
+array of a whole-frame producer; the addition slot fills one in place
+run by run, and readers get the array itself. One wiring
 loop walks the plan and builds every round's processes this way up
 front. Processes are plain generators that take only their streams and
 yield Blocked tokens when a stream cannot move; per-layer work
@@ -52,14 +55,11 @@ from .engines import (
     EngineStats,
     ExpStreamKernel,
     add_elements,
-    c2d_forward,
-    nominal_stats,
-    pro_forward,
-    run_layer,
+    layer_record,
+    output_tensor,
 )
 from .errors import DeadlockError, DomainError, SequencingError, ShapeError
 from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from here
-    ENGINE_FOR_KIND,
     LANES,
     Kind,
     LayerDesc,
@@ -248,17 +248,8 @@ class SingleConsumptionStream:
 # processes
 # ---------------------------------------------------------------------------
 
-def _tensor_from_frame(buf: FrameBuffer, layer: LayerDesc, which: str) -> QTensor:
-    data = buf.assemble()
-    if which == "in":
-        h, w, c, zp, sc = layer.in_h, layer.in_w, layer.in_ch, layer.in_zero, layer.in_scale
-    else:
-        h, w, c, zp, sc = layer.out_h, layer.out_w, layer.out_ch, layer.out_zero, layer.out_scale
-    return QTensor(h, w, c, data.reshape(h, w, c), zp, sc)
-
-
-def _c2d_process(image: QTensor, layer: LayerDesc, out_buf: FrameBuffer, rounding: Rounding):
-    out_buf.set_tensor(c2d_forward(image, layer, rounding)[0].data)
+def _c2d_process(layer: LayerDesc, image: np.ndarray, out_buf: FrameBuffer, rounding: Rounding):
+    out_buf.set_tensor(layer_record(layer).kernel(image, layer, rounding))
     return
     yield  # a process is a generator, even one that never blocks
 
@@ -267,14 +258,12 @@ def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
                    rounding: Rounding, probe=None):
     """Whole frame in, whole frame out: every stage-one layer but the entry."""
     yield from in_buf.wait_complete_g()
-    x = _tensor_from_frame(in_buf, layer, "in")
-    out_buf.set_tensor(run_layer(x, layer, rounding=rounding, probe=probe)[0].data)
+    out_buf.set_tensor(layer_record(layer).kernel(in_buf.assemble(), layer, rounding, probe))
 
 
 def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, out_q: BoundedQueue, rounding: Rounding):
     yield from in_buf.wait_complete_g()
-    out, _ = pro_forward(_tensor_from_frame(in_buf, layer, "in"), layer, rounding)
-    flat = out.data.reshape(-1, out.channels)
+    flat = layer_record(layer).kernel(in_buf.assemble(), layer, rounding)
     step = out_q.capacity // flat.shape[0] * LANES
     for lo in range(0, flat.shape[1], step):
         run = flat[:, lo : lo + step]
@@ -438,10 +427,7 @@ class InferenceResult:
 
     @property
     def total(self) -> EngineStats:
-        out = EngineStats(0, 0, 0, 0)
-        for st in self.stats.values():
-            out = out + st
-        return out
+        return sum(self.stats.values(), EngineStats(0, 0, 0, 0))
 
 
 def _check_image(model: PreparedModel, image: QTensor) -> None:
@@ -471,6 +457,11 @@ def run_inference(
     per engine for the whole frame, taking turns under one run lock. Both
     dataflow modes raise DeadlockError rather than hang. All three produce identical
     logits; they differ only in how engine execution is interleaved.
+
+    The image is checked against the entry edge, and the model against
+    validate_graph once per model object (PreparedModel.verdict); after
+    that every layer runs its record's kernel on plain uint8 arrays, and
+    only the logits become a QTensor.
     """
     if mode not in ("sequential", "stream", "threads"):
         raise DomainError(f"unknown inference mode {mode!r}")
@@ -483,23 +474,26 @@ def run_inference(
 
 def _layer_probe(exp_probe, idx: int):
     """exp_probe bound to layer idx, or None without a probe."""
-    if exp_probe is None:
-        return None
-    return lambda ab, acc: exp_probe(idx, ab, acc)
+    return None if exp_probe is None else lambda ab, acc: exp_probe(idx, ab, acc)
 
 
 def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
+    model.require_valid()
     stats: dict[int, EngineStats] = {}
-    kept: dict[int, QTensor] = {}
+    kept: dict[int, np.ndarray] = {}
     sources = model.residual_sources
-    x = image
+    x = image.data
     for idx, layer in enumerate(model.layers):
-        residual = kept.pop(layer.residual_from, None) if layer.kind is Kind.ADD else None
-        x, stats[idx] = run_layer(x, layer, residual=residual, rounding=rounding,
-                                  probe=_layer_probe(exp_probe, idx))
+        rec = layer_record(layer)
+        if layer.residual_from is None:
+            x = rec.kernel(x, layer, rounding, _layer_probe(exp_probe, idx))
+        else:
+            x = add_elements(x, kept.pop(layer.residual_from), layer, rounding)
+        stats[idx] = rec.stats
         if idx in sources:
             kept[idx] = x
-    return InferenceResult(logits=x, stats=stats, mode="sequential")
+    return InferenceResult(logits=output_tensor(model.layers[-1], x), stats=stats,
+                           mode="sequential")
 
 
 def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
@@ -508,25 +502,28 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     Stream mode resumes the five chains under the round-robin scheduler;
     threads mode gives each its own thread, taking turns under one lock.
     """
+    plan = model.rounds  # a plan error is reported before the verdict's
+    model.require_valid()
     layers = model.layers
+    records = [layer_record(l) for l in layers]
     res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
     sources = model.residual_sources
     chains: dict[str, list] = {}  # engine -> its processes in round order
 
     def chain(idx: int, proc) -> None:
-        chains.setdefault(ENGINE_FOR_KIND[layers[idx].kind], []).append(proc)
+        chains.setdefault(records[idx].engine, []).append(proc)
 
     def out_frame(r: int, idx: int) -> FrameBuffer:
         l = layers[idx]
-        label = f"round{r}-{ENGINE_FOR_KIND[l.kind].lower()}-out"
+        label = f"round{r}-{records[idx].engine.lower()}-out"
         return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
 
     buf: FrameBuffer | None = None  # the newest frame buffer
-    for r, (whole, streamed) in enumerate(model.rounds):
+    for r, (whole, streamed) in enumerate(plan):
         for idx in whole:
             out = out_frame(r, idx)
             if layers[idx].kind is Kind.C2D:
-                chain(idx, _c2d_process(image, layers[idx], out, rounding))
+                chain(idx, _c2d_process(layers[idx], image.data, out, rounding))
             else:
                 chain(idx, _frame_process(layers[idx], buf, out, rounding,
                                           _layer_probe(exp_probe, idx)))
@@ -557,6 +554,6 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     # each engine's processes run one after another as one process
     procs = [itertools.chain(*c) for c in chains.values()]
     _run_threaded(procs) if threaded else _run_round_robin(procs)
-    return InferenceResult(logits=_tensor_from_frame(buf, layers[-1], "out"),
-                           stats={i: nominal_stats(l) for i, l in enumerate(layers)},
+    return InferenceResult(logits=output_tensor(layers[-1], buf.assemble()),
+                           stats={i: rec.stats for i, rec in enumerate(records)},
                            mode="threads" if threaded else "stream")

@@ -1,4 +1,4 @@
-"""The five fixed-function engines and their weight memory layout.
+"""The five fixed-function engines.
 
 Every engine consumes uint8 activations, accumulates exact integer sums,
 rescales through a 32-bit multiplier plus right shift, and clamps back
@@ -6,6 +6,17 @@ to uint8. The observable pass boundaries of each engine are preserved
 (the expansion engine folds input batches in order, one at a time, and
 its probe sees every partial bank); inside those boundaries the
 arithmetic is vectorized with numpy.
+
+Each layer kind runs as one kernel over plain uint8 arrays (KERNELS),
+kernel(data, layer, rounding, probe), which reads its geometry and zero
+points off the layer and returns a (pixels, out_ch) uint8 array; the
+pass-through kernel returns its input, since no kernel writes one. A
+shortcut addition runs add_elements on its two operands instead. The
+dataflow processes and the sequential driver pass these arrays from
+layer to layer, and only a frame's logits become a QTensor. The public
+calls (c2d_forward ... add_passthrough, run_layer) take and return
+QTensors: each checks its input against the layer edge, calls the
+kernel and wraps the result.
 
 Every MAC engine sums raw codes. The multiply-accumulate of C2D, PRO,
 EXP and DWC runs on float32 as an exact integer carrier, so numpy can
@@ -43,20 +54,21 @@ its |acc| * mult < 2**62 precondition. This is the
 integer-GEMM-on-zero-points scheme of Jacob et al., arXiv 1712.05877.
 
 The bound is checked once per layer, when an engine first runs the
-layer and compiles its record (layer_record): a layer that breaks it
-gets no record, so every call raises. The bound also gives the
-layer's rescale its tie verdict and its shift alignment
-(quantcore.rescale_constants): when no product acc * mult can land
-exactly halfway between two codes, the NEAREST rescale skips its tie
-correction pass, and when the aligned multipliers keep every product
-below 2**62, the shift is one scalar. The record also holds the layer's
-stats, its rescale constants with their folded offsets, the
-zero-corrected float32 taps of the entry and depthwise convolutions,
-the pointwise weight zero points as float32 and an addition's per-code
-operand tables, so no engine call recomputes them. A LayerDesc
-is frozen and its mults are read-only, so a layer object's record never
-goes stale: a changed layer is a new object (dataclasses.replace),
-which gets its own.
+layer and compiles its record (layer_record), and so is the engine's
+fixed shape contract: a layer that breaks either gets no record, so
+every call raises. The bound also gives the layer's rescale its tie
+verdict and its shift alignment (quantcore.rescale_constants): when no
+product acc * mult can land exactly halfway between two codes, the
+NEAREST rescale skips its tie correction pass, and when the aligned
+multipliers keep every product below 2**62, the shift is one scalar.
+The record also holds the layer's kernel and stats, its rescale
+constants with their folded offsets, the zero-corrected float32 taps
+of the entry and depthwise convolutions, the pointwise weight zero
+points as float32 and an addition's per-code operand tables, so no
+engine call recomputes them. A LayerDesc is frozen, its mults are
+read-only and so are the filter arrays of a prepared or loaded model,
+so a layer object's record never goes stale: a changed layer is a new
+object (dataclasses.replace), which gets its own.
 
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
@@ -69,7 +81,8 @@ Engines:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,9 +168,7 @@ def engine_cycles(layer: LayerDesc) -> int:
 
 def weight_bytes(layer: LayerDesc) -> int:
     """Bytes of (padded) filter weights the layer occupies."""
-    if layer.filters is None:
-        return 0
-    return int(layer.filters.weights.size)
+    return 0 if layer.filters is None else int(layer.filters.weights.size)
 
 
 def _layer_stats(layer: LayerDesc) -> EngineStats:
@@ -181,22 +192,27 @@ def _layer_stats(layer: LayerDesc) -> EngineStats:
 class LayerRecord:
     """A layer's run-time facts, compiled once per layer object by layer_record.
 
-    stats is what every engine call reports; rescale holds read-only,
-    C-contiguous per-channel constants of the layer's mults (of an
-    addition's mult3), or None for a layer without them. Its offsets
-    hold the bias the engine's raw sums lack, times the multiplier: the
-    layer's biases, minus in_zero times each filter's tap sum for every
-    MAC engine (for PRO and EXP the column sum of W - zw), and
-    -pixels * in_zero for pooling. The rest is None except on the layers
-    that use it, and read-only: taps are the zero-corrected entry
-    (27 x 32) or depthwise (3 x 3 x C) weights as float32, which those
-    engines apply to raw codes; zw holds a pointwise layer's weight zero
-    points as float32, what fold_gemm subtracts from each weight slice;
-    add_tables
-    maps each Rounding to an addition's two 256-entry per-code tables.
+    A layer gets a record only if it meets its engine's fixed shape
+    contract and its accumulator bound, so its kernel checks neither.
+    stats is what every engine call reports; kernel is the kind's array
+    kernel (KERNELS) and engine the name of the engine that runs it;
+    rescale holds read-only, C-contiguous per-channel constants of the
+    layer's mults (of an addition's mult3), or None for a layer without
+    them. Its offsets hold the bias the engine's raw sums lack, times
+    the multiplier: the layer's biases, minus in_zero times each
+    filter's tap sum for every MAC engine (for PRO and EXP the column
+    sum of W - zw), and -pixels * in_zero for pooling. The rest is None
+    except on the layers that use it, and read-only: taps are the
+    zero-corrected entry (27 x 32) or depthwise (3 x 3 x C) weights as
+    float32, which those engines apply to raw codes; zw holds a
+    pointwise layer's weight zero points as float32, what fold_gemm
+    subtracts from each weight slice; add_tables maps each Rounding to
+    an addition's two 256-entry per-code tables.
     """
 
     stats: EngineStats
+    kernel: Callable[..., np.ndarray]
+    engine: str
     rescale: Rescale | None
     taps: np.ndarray | None
     zw: np.ndarray | None
@@ -235,22 +251,50 @@ def _add_tables(p: AddParams) -> dict:
     return tables
 
 
+def _check_contract(layer: LayerDesc) -> None:
+    """ShapeError unless the layer fits its engine's fixed shape contract."""
+    kind = layer.kind
+    if kind is Kind.C2D:
+        if layer.in_ch != 3 or layer.out_ch != 32 or layer.stride != 2:
+            raise ShapeError("entry convolution is fixed at 3->32 channels, stride 2")
+        if layer.in_h % 2 or layer.in_w % 2:
+            raise ShapeError(f"entry frame {layer.in_h}x{layer.in_w} must have even sides")
+    elif kind is Kind.DWC:
+        if layer.in_ch % LANES:
+            raise ShapeError(f"depthwise channels {layer.in_ch} not a multiple of {LANES}")
+        if layer.stride not in (1, 2):
+            raise ShapeError(f"depthwise stride {layer.stride} unsupported")
+    elif kind is Kind.AVGPOOL:
+        if (layer.out_h, layer.out_w) != (1, 1):
+            raise ShapeError("pooling reduces the whole frame to 1x1")
+        if layer.in_ch % LANES:
+            raise ShapeError(f"pooled channels {layer.in_ch} not a multiple of {LANES}")
+    elif kind in (Kind.PRO, Kind.EXP) and (layer.in_ch % LANES or layer.out_ch % LANES):
+        name = "projection" if kind is Kind.PRO else "expansion"
+        raise ShapeError(f"{name} channel counts must be multiples of 16")
+
+
 def layer_record(layer: LayerDesc) -> LayerRecord:
     """The layer's compiled record, built on the layer object's first use.
 
-    Checks the accumulator bound (and an addition's sum bound) before
-    building, so a layer that breaks it never gets a record; that bound
-    (for an addition, the largest |T1| + |T2| of its NEAREST tables)
-    decides the rescale's tie verdict and shift alignment, and covers
-    the bias its offsets fold in. A pointwise layer's tap sums are
-    column sums of its uint8 bank taken in int32, exact since
-    K * 255 < 2**31, so compiling a record never copies the bank. The
-    record is kept in the frozen layer's __dict__, which
-    dataclasses.replace does not carry over, so every changed layer
-    compiles its own.
+    Checks the engine's shape contract, that the layer carries its
+    derived parameters, then the accumulator bound (and an addition's
+    sum bound), so a layer that fails any never gets a record and every
+    call raises the same error; the bound (for an addition, the largest
+    |T1| + |T2| of its NEAREST tables) decides the rescale's tie verdict
+    and shift alignment, and covers the bias its offsets fold in. A
+    pointwise layer's tap sums are column sums of its uint8 bank taken
+    in int32, exact since K * 255 < 2**31, so compiling a record never
+    copies the bank. The record is kept in the frozen layer's __dict__,
+    which dataclasses.replace does not carry over, so every changed
+    layer compiles its own.
     """
     rec = layer.__dict__.get("_record")
     if rec is None:
+        _check_contract(layer)
+        if layer.mults is None and layer.kind is not Kind.ADD or (
+                layer.residual_from is not None and layer.add_params is None):
+            raise DomainError(f"{layer.kind.value} layer lacks the parameters prepare() derives")
         bound = check_acc_bound(layer)
         p = layer.add_params
         mults, tables = layer.mults, None
@@ -275,8 +319,9 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
         if mults is not None:  # the packed columns are strided: keep contiguous copies
             r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
             rescale = Rescale(*(None if v is None else _read_only(v) for v in r[:5]), r.ties)
-        rec = layer.__dict__["_record"] = LayerRecord(
-            _layer_stats(layer), rescale, taps, zw, tables)
+        rec = layer.__dict__["_record"] = LayerRecord(  # stats first: DomainError for no engine
+            _layer_stats(layer), KERNELS[layer.kind], ENGINE_FOR_KIND[layer.kind],
+            rescale, taps, zw, tables)
     return rec
 
 
@@ -295,9 +340,21 @@ def _check_edge(x: QTensor, layer: LayerDesc) -> None:
         raise DomainError("input tensor quantization does not match the layer edge")
 
 
-def _out_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
+def output_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
+    """A kernel's output frame as a QTensor on the layer's output edge."""
     return QTensor(layer.out_h, layer.out_w, layer.out_ch,
-                   data, layer.out_zero, layer.out_scale)
+                   data.reshape(layer.out_h, layer.out_w, layer.out_ch),
+                   layer.out_zero, layer.out_scale)
+
+
+def _forward(call: str, kind: Kind, x: QTensor, layer: LayerDesc, rounding: Rounding,
+             probe=None) -> tuple[QTensor, EngineStats]:
+    """The public call's checks of a kind's layer and x, then its kernel on x."""
+    if layer.kind is not kind:
+        raise DomainError(f"{call} cannot run a {layer.kind.value} layer")
+    _check_edge(x, layer)
+    rec = layer_record(layer)
+    return output_tensor(layer, rec.kernel(x.data, layer, rounding, probe)), rec.stats
 
 
 def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
@@ -397,6 +454,16 @@ def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rec: LayerRecord,
 # C2D: entry convolution
 # ---------------------------------------------------------------------------
 
+def _c2d(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    rec = layer_record(layer)
+    in_h, in_w = layer.in_h, layer.in_w
+    padded = np.full((in_h + 2, in_w + 2, 3), layer.in_zero, dtype=np.float32)
+    padded[1 : in_h + 1, 1 : in_w + 1, :] = data.reshape(in_h, in_w, 3)
+    # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
+    cols = _windows(padded, layer.out_h, layer.out_w, 2).reshape(-1, 27)
+    return _requant_uint8((cols @ rec.taps).astype(np.int64), layer, rec, rounding)
+
+
 def c2d_forward(
     x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
 ) -> tuple[QTensor, EngineStats]:
@@ -411,29 +478,28 @@ def c2d_forward(
     sum, so the frame is padded with the zero point and never
     zero-corrected.
     """
-    if layer.kind is not Kind.C2D:
-        raise DomainError(f"c2d_forward cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    if layer.in_ch != 3 or layer.out_ch != 32 or layer.stride != 2:
-        raise ShapeError("entry convolution is fixed at 3->32 channels, stride 2")
-    if x.height % 2 or x.width % 2:
-        raise ShapeError(f"entry frame {x.height}x{x.width} must have even sides")
-
-    rec = layer_record(layer)
-    in_h, in_w = x.height, x.width
-    out_h, out_w = layer.out_h, layer.out_w
-    padded = np.full((in_h + 2, in_w + 2, 3), x.zero_point, dtype=np.float32)
-    padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    # im2col: one row of 27 taps, ordered (i, j, channel), per output pixel
-    cols = _windows(padded, out_h, out_w, 2).reshape(out_h * out_w, 27)
-    acc = (cols @ rec.taps).astype(np.int64)
-    out = _requant_uint8(acc, layer, rec, rounding).reshape(out_h, out_w, 32)
-    return _out_tensor(layer, out), rec.stats
+    return _forward("c2d_forward", Kind.C2D, x, layer, rounding)
 
 
 # ---------------------------------------------------------------------------
 # DWC: depthwise convolution and average pooling
 # ---------------------------------------------------------------------------
+
+def _dwc(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    rec = layer_record(layer)
+    in_h, in_w, c = layer.in_h, layer.in_w, layer.in_ch
+    out_h, out_w = layer.out_h, layer.out_w
+    padded = np.full((in_h + 2, in_w + 2, c), layer.in_zero, dtype=np.float32)
+    padded[1 : in_h + 1, 1 : in_w + 1, :] = data.reshape(in_h, in_w, c)
+    if layer.stride == 1:
+        tiled = np.empty((3, 3, out_w, c), np.float32)
+        tiled[...] = rec.taps[:, :, None, :]
+        acc = np.einsum("hijx,ijx->hx", _row_windows(padded, out_h, out_w),
+                        tiled.reshape(3, 3, out_w * c))
+    else:
+        acc = np.einsum("hwijc,ijc->hwc", _windows(padded, out_h, out_w, 2), rec.taps)
+    return _requant_uint8(acc.reshape(-1, c), layer, rec, rounding)
+
 
 def dwc_forward(
     x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
@@ -451,27 +517,13 @@ def dwc_forward(
     offset holds the bias and -in_zero times each channel's tap sum, so
     the rescale sees the zero-corrected sum.
     """
-    if layer.kind is not Kind.DWC:
-        raise DomainError(f"dwc_forward cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    if x.channels % LANES:
-        raise ShapeError(f"depthwise channels {x.channels} not a multiple of {LANES}")
-    if layer.stride not in (1, 2):
-        raise ShapeError(f"depthwise stride {layer.stride} unsupported")
+    return _forward("dwc_forward", Kind.DWC, x, layer, rounding)
 
+
+def _avgpool(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
     rec = layer_record(layer)
-    in_h, in_w, c = x.height, x.width, x.channels
-    out_h, out_w = layer.out_h, layer.out_w
-    padded = np.full((in_h + 2, in_w + 2, c), x.zero_point, dtype=np.float32)
-    padded[1 : in_h + 1, 1 : in_w + 1, :] = x.data
-    if layer.stride == 1:
-        tiled = np.empty((3, 3, out_w, c), np.float32)
-        tiled[...] = rec.taps[:, :, None, :]
-        acc = np.einsum("hijx,ijx->hx", _row_windows(padded, out_h, out_w),
-                        tiled.reshape(3, 3, out_w * c)).reshape(out_h, out_w, c)
-    else:
-        acc = np.einsum("hwijc,ijc->hwc", _windows(padded, out_h, out_w, 2), rec.taps)
-    return _out_tensor(layer, _requant_uint8(acc, layer, rec, rounding)), rec.stats
+    acc = data.reshape(-1, layer.in_ch).sum(axis=0, dtype=np.int64)
+    return _requant_uint8(acc, layer, rec, rounding).reshape(1, layer.out_ch)
 
 
 def dwc_avgpool(
@@ -485,23 +537,18 @@ def dwc_avgpool(
     zero-corrected sum. 7x7 input in the standard topology, any frame
     that fits the layer edge otherwise.
     """
-    if layer.kind is not Kind.AVGPOOL:
-        raise DomainError(f"dwc_avgpool cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    if (layer.out_h, layer.out_w) != (1, 1):
-        raise ShapeError("pooling reduces the whole frame to 1x1")
-    if x.channels % LANES:
-        raise ShapeError(f"pooled channels {x.channels} not a multiple of {LANES}")
-
-    rec = layer_record(layer)
-    acc = x.data.sum(axis=(0, 1), dtype=np.int64)
-    out = _requant_uint8(acc, layer, rec, rounding).reshape(1, 1, x.channels)
-    return _out_tensor(layer, out), rec.stats
+    return _forward("dwc_avgpool", Kind.AVGPOOL, x, layer, rounding)
 
 
 # ---------------------------------------------------------------------------
 # PRO: 1x1 projection
 # ---------------------------------------------------------------------------
+
+def _pro(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    rec = layer_record(layer)
+    cols = data.reshape(-1, layer.in_ch).astype(np.float32)
+    return _requant_uint8(fold_gemm(None, cols, layer.filters, rec.zw), layer, rec, rounding)
+
 
 def pro_forward(
     x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
@@ -517,24 +564,18 @@ def pro_forward(
     and -in_zero times each filter's tap sum reach the sums through the
     record's rescale offset.
     """
-    if layer.kind is not Kind.PRO:
-        raise DomainError(f"pro_forward cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    if x.channels % LANES or layer.out_ch % LANES:
-        raise ShapeError("projection channel counts must be multiples of 16")
-
-    rec = layer_record(layer)
-    f = layer.filters
-    npix = x.height * x.width
-    cols = x.data.reshape(npix, x.channels).astype(np.float32)
-    acc = fold_gemm(None, cols, f, rec.zw)
-    data = _requant_uint8(acc, layer, rec, rounding).reshape(layer.out_h, layer.out_w, -1)
-    return _out_tensor(layer, data), rec.stats
+    return _forward("pro_forward", Kind.PRO, x, layer, rounding)
 
 
 # ---------------------------------------------------------------------------
 # EXP: 1x1 expansion
 # ---------------------------------------------------------------------------
+
+def _exp(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
+    kernel.consume(0, data.reshape(-1, layer.in_ch))
+    return kernel.outputs()
+
 
 def exp_forward(
     x: QTensor,
@@ -555,17 +596,7 @@ def exp_forward(
     of shape (fpass, pixels, 16) holding the zero-corrected partial
     sums, bias included (see ExpStreamKernel).
     """
-    if layer.kind is not Kind.EXP:
-        raise DomainError(f"exp_forward cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    if x.channels % LANES or layer.out_ch % LANES:
-        raise ShapeError("expansion channel counts must be multiples of 16")
-
-    npix = x.height * x.width
-    kernel = ExpStreamKernel(layer, npix, rounding, probe=probe)
-    kernel.consume(0, x.data.reshape(npix, x.channels))
-    data = kernel.outputs().reshape(layer.out_h, layer.out_w, layer.out_ch)
-    return _out_tensor(layer, data), nominal_stats(layer)
+    return _forward("exp_forward", Kind.EXP, x, layer, rounding, probe)
 
 
 class ExpStreamKernel:
@@ -591,9 +622,7 @@ class ExpStreamKernel:
                  rounding: Rounding = Rounding.NEAREST, probe=None):
         if layer.kind is not Kind.EXP:
             raise DomainError(f"expansion kernel cannot run a {layer.kind.value} layer")
-        if layer.in_ch % LANES or layer.out_ch % LANES:
-            raise ShapeError("expansion channel counts must be multiples of 16")
-        self.record = layer_record(layer)
+        self.record = layer_record(layer)  # checks the shape contract and the bound
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
@@ -674,125 +703,49 @@ def add_forward(
     if x2.zero_point != layer.add_params.in2_zero:
         raise DomainError("residual operand zero point does not match")
     out = add_elements(x1.data, x2.data, layer, rounding)
-    return _out_tensor(layer, out), nominal_stats(layer)
+    return output_tensor(layer, out), nominal_stats(layer)
+
+
+def _passthrough(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    return data  # no kernel writes its input, so the frame need not be copied
 
 
 def add_passthrough(x: QTensor, layer: LayerDesc) -> tuple[QTensor, EngineStats]:
     """Forward a frame through an ADD slot that has no shortcut.
 
     The frame streams through unchanged (the output edge equals the
-    input edge by construction), costing stream cycles but no math.
+    input edge by construction), costing stream cycles but no math;
+    the output shares the input's array.
     """
     if layer.kind is not Kind.ADD or layer.residual_from is not None:
         raise DomainError("add_passthrough needs an ADD layer without a shortcut")
-    _check_edge(x, layer)
     if layer.out_scale != layer.in_scale or layer.out_zero != layer.in_zero:
         raise DomainError("pass-through output edge must equal its input edge")
-    return _out_tensor(layer, x.data.copy()), nominal_stats(layer)
+    return _forward("add_passthrough", Kind.ADD, x, layer, Rounding.NEAREST)
 
 
-# ---------------------------------------------------------------------------
-# weight memory layout
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WeightMemoryImage:
-    """Weights of one layer arranged into its engine's parallel memories.
-
-    memories has shape (num_memories, depth, 16): one 16-byte word per
-    memory per address. bias_words has shape (num_bias_words, 16): the
-    16 bias lanes delivered together with an output batch, each of
-    bias_lane_bits. word_bits and bias_word_bits give the port widths.
-    """
-
-    engine: str
-    memories: np.ndarray
-    bias_words: np.ndarray
-    word_bits: int
-    bias_word_bits: int
-    bias_lane_bits: int
-    depth: int = field(init=False)
-
-    def __post_init__(self):
-        self.depth = self.memories.shape[1]
-
-
-def address_map(engine: str, layer: LayerDesc, filt: int, channel: int,
-                kpos: int = 0) -> tuple[int, int, int]:
-    """Map one weight to (memory, word address, lane) for its engine.
-
-    DWC spreads the nine kernel positions across nine memories with one
-    word per channel group. PRO keeps filter lanes together: memory =
-    filter within batch, lane = channel within batch. EXP transposes
-    that: memory = channel within batch, lane = filter within batch.
-    Both pointwise engines use address = fpass * APASS + apass.
-    """
-    if engine == "DWC":
-        if not (0 <= kpos < 9):
-            raise DomainError(f"kernel position {kpos} outside 0..8")
-        return kpos, channel // LANES, channel % LANES
-    if engine == "PRO":
-        return filt % LANES, (filt // LANES) * layer.apass + channel // LANES, channel % LANES
-    if engine == "EXP":
-        return channel % LANES, (filt // LANES) * layer.apass + channel // LANES, filt % LANES
-    raise DomainError(f"no weight memory layout for engine {engine!r}")
-
-
-def layout_weights(layer: LayerDesc) -> WeightMemoryImage:
-    """Arrange a prepared layer's weights into engine memory images."""
-    engine = ENGINE_FOR_KIND[layer.kind]
-    if engine not in WEIGHT_GEOMETRY or layer.filters is None:
-        raise DomainError(f"{layer.kind.value} layers have no external weight memories")
-    nmem, word_bits, bias_word_bits = WEIGHT_GEOMETRY[engine]
-    f = layer.filters
-    if engine == "DWC":
-        depth = layer.out_ch // LANES
-        memories = np.zeros((nmem, depth, LANES), dtype=np.uint8)
-        for kpos in range(9):
-            ki, kj = divmod(kpos, 3)
-            for ch in range(layer.out_ch):
-                mem, word, lane = address_map(engine, layer, ch, ch, kpos)
-                memories[mem, word, lane] = f.weights[ki, kj, 0, ch]
-        n_bias_words = layer.out_ch // LANES
-    else:
-        depth = layer.fpass * layer.apass
-        memories = np.zeros((nmem, depth, LANES), dtype=np.uint8)
-        w = f.weights[0, 0]
-        for filt in range(layer.out_ch):
-            for ch in range(layer.in_ch):
-                mem, word, lane = address_map(engine, layer, filt, ch)
-                memories[mem, word, lane] = w[ch, filt]
-        n_bias_words = layer.fpass
-    bias_words = f.biases.reshape(n_bias_words, LANES).copy()
-    return WeightMemoryImage(
-        engine=engine,
-        memories=memories,
-        bias_words=bias_words,
-        word_bits=word_bits,
-        bias_word_bits=bias_word_bits,
-        bias_lane_bits=BIAS_BITS[engine],
-    )
+#: The array kernel of each layer kind, read once per layer into its
+#: record. A shortcut addition's record holds the pass-through kernel
+#: too, but the drivers run add_elements on it instead.
+KERNELS = {
+    Kind.C2D: _c2d,
+    Kind.DWC: _dwc,
+    Kind.AVGPOOL: _avgpool,
+    Kind.PRO: _pro,
+    Kind.EXP: _exp,
+    Kind.ADD: _passthrough,
+}
 
 
 def run_layer(
     x: QTensor, layer: LayerDesc, residual: QTensor | None = None,
     rounding: Rounding = Rounding.NEAREST, probe=None,
 ) -> tuple[QTensor, EngineStats]:
-    """Dispatch one layer to its engine.
+    """Run one layer on its engine, with the checks of its public call.
 
-    probe reaches an expansion's exp_forward; other engines have no
-    partial sums to show it.
+    probe reaches an expansion's kernel; other engines have no partial
+    sums to show it.
     """
-    if layer.kind is Kind.C2D:
-        return c2d_forward(x, layer, rounding)
-    if layer.kind is Kind.DWC:
-        return dwc_forward(x, layer, rounding)
-    if layer.kind is Kind.AVGPOOL:
-        return dwc_avgpool(x, layer, rounding)
-    if layer.kind is Kind.PRO:
-        return pro_forward(x, layer, rounding)
-    if layer.kind is Kind.EXP:
-        return exp_forward(x, layer, rounding, probe)
     if layer.kind is Kind.ADD:
         if layer.residual_from is None:
             if residual is not None:
@@ -801,4 +754,4 @@ def run_layer(
         if residual is None:
             raise DomainError("shortcut layer is missing its residual operand")
         return add_forward(x, residual, layer, rounding)
-    raise DomainError(f"no engine for {layer.kind}")
+    return _forward("run_layer", layer.kind, x, layer, rounding, probe)

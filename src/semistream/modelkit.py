@@ -11,6 +11,7 @@ images are just quantized tensors with an external encoding.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -95,6 +96,16 @@ def pad16(n: int) -> int:
     return (int(n) + LANES - 1) // LANES * LANES
 
 
+def _codes(data) -> np.ndarray:
+    """data as a uint8 array, itself if it is one; DomainError unless every
+    value is an integer in [0, 255] (NaN fails every comparison)."""
+    a = np.asarray(data)
+    if a.dtype != np.uint8 and (a.dtype.kind not in "iuf" or a.size and not (
+            a.min() >= 0 and a.max() <= 255 and (a.dtype.kind != "f" or (a == a.round()).all()))):
+        raise DomainError(f"tensor data of {a.dtype} must hold integers in [0, 255] only")
+    return a.astype(np.uint8, copy=False)
+
+
 @dataclass(eq=False)
 class QTensor:
     """Quantized activation tensor: uint8 data plus its quantization."""
@@ -107,7 +118,7 @@ class QTensor:
     scale: float
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint8)
+        self.data = _codes(self.data)
         if self.data.shape != (self.height, self.width, self.channels):
             raise DomainError(
                 f"tensor data shape {self.data.shape} does not match "
@@ -251,15 +262,27 @@ class ModelGraph:
         return len({l.block for l in self.layers if l.block is not None})
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PreparedModel:
-    """Graph with padded channels and all integer parameters derived."""
+    """Graph with padded channels and all integer parameters derived.
 
-    layers: list[LayerDesc]
+    Frozen: layers is a tuple (a list passed in is stored as one) of
+    frozen layers, and a model from prepare() or load_package() holds
+    read-only filter arrays, so it never changes once built; a changed
+    model is a new one (dataclasses.replace). Its round plan and
+    its validate_graph verdict are computed once per model object, on
+    first use, and the drivers read the verdict instead of re-checking
+    each engine call.
+    """
+
+    layers: tuple[LayerDesc, ...]
     resolution: int
     width_multiplier: float
     seed: int | None
     rounding: Rounding
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
     def num_blocks(self) -> int:
@@ -285,6 +308,20 @@ class PreparedModel:
     def rounds(self) -> list[RoundPlan]:
         """The round plan, built on first use; never saved, not part of ==."""
         return schedule_rounds(self)
+
+    @cached_property
+    def verdict(self) -> SemistreamError | None:
+        """validate_graph's error for this model, or None; found on first use."""
+        try:
+            validate_graph(self)
+        except SemistreamError as e:
+            return e
+        return None
+
+    def require_valid(self) -> None:
+        """Raise the verdict's error, if the model has one."""
+        if self.verdict is not None:
+            raise self.verdict.with_traceback(None)
 
     def __eq__(self, other):
         if not isinstance(other, PreparedModel):
@@ -700,12 +737,17 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
     one min and max, checks the accumulator bound and sets addition
     parameters. The first bad channel of a layer is the one named. Each
     layer that gains a parameter is a new one (dataclasses.replace).
+    Every filter array is made read-only in place, so a compiled engine
+    record can never go stale: the caller hands over arrays nothing
+    else writes (prepare() copies those it shares with its graph).
     """
     derived = []
     for idx, l in enumerate(layers):
         check_acc_bound(l)
         if l.kind in _KERNEL_SIDE:
             f = l.filters
+            for a in (f.weights, f.zero_points, f.scales, f.biases):
+                a.flags.writeable = False
             with np.errstate(all="ignore"):  # nan and inf factors are rejected below
                 m = l.in_scale * f.scales / l.out_scale
             bad = ~((m > 0.0) & (m < 1.0))
@@ -822,16 +864,25 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
 
     Validates the graph, pads channels to the 16-lane width and runs the
     derivation load_package() shares: multiplier/shift pairs, narrow bias
-    storage, the accumulator bound and addition parameters.
+    storage, the accumulator bound and addition parameters. A filter set
+    that padding leaves shared with the graph is copied first, so the
+    model's arrays are read-only and the graph's stay writeable.
     """
     validate_graph(graph)
     layers: list[LayerDesc] = []
-    for layer in graph.layers:
+    for given in graph.layers:
+        layer = given
         if layer.kind in (Kind.EXP, Kind.PRO, Kind.DWC):
             layer = pad_channels(layer)
         elif layer.kind in (Kind.ADD, Kind.AVGPOOL):
             layer = dataclasses.replace(
                 layer, in_ch=pad16(layer.in_ch), out_ch=pad16(layer.out_ch))
+        f = layer.filters
+        if f is not None and f is given.filters:
+            own = copy.copy(f)
+            own.weights, own.zero_points, own.scales, own.biases = (
+                a.copy() for a in (f.weights, f.zero_points, f.scales, f.biases))
+            layer = dataclasses.replace(layer, filters=own)
         layers.append(layer)
     return PreparedModel(
         layers=_derive_parameters(layers, rounding),
@@ -1013,16 +1064,13 @@ def load_package(path: str | Path) -> PreparedModel:
             blobs = _BlobReader(fh)
             layers = [_load_layer(blobs, idx, entry)
                       for idx, entry in enumerate(manifest["layers"])]
-        model = PreparedModel(
-            layers=layers,
-            resolution=manifest["resolution"],
-            width_multiplier=manifest["width_multiplier"],
-            seed=manifest["seed"],
-            rounding=Rounding(manifest["rounding"]),
-        )
-        validate_graph(model)
+        graph = ModelGraph(layers, manifest["resolution"], manifest["width_multiplier"],
+                           manifest["seed"])
+        rounding = Rounding(manifest["rounding"])
+        validate_graph(graph)
         blobs.verify()
-        model.layers = _derive_parameters(model.layers, model.rounding)
+        model = PreparedModel(_derive_parameters(layers, rounding), graph.resolution,
+                              graph.width_multiplier, graph.seed, rounding)
     except SemistreamError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -1121,7 +1169,10 @@ def save_raw(path: str | Path, pixels: np.ndarray) -> None:
 
 
 def image_to_qtensor(pixels: np.ndarray, model: PreparedModel) -> QTensor:
-    """Wrap image pixels in the quantization the model's entry edge expects."""
+    """Wrap image pixels in the quantization the model's entry edge expects.
+
+    Raises DomainError unless every pixel is an integer in [0, 255].
+    """
     scale, zero = model.entry_quant
-    pixels = np.asarray(pixels, dtype=np.uint8)
+    pixels = np.asarray(pixels)
     return QTensor(pixels.shape[0], pixels.shape[1], pixels.shape[2], pixels, zero, scale)

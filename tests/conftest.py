@@ -95,8 +95,18 @@ def random_filters(
 
 
 def derive(layer: LayerDesc, rounding: Rounding = Rounding.NEAREST) -> LayerDesc:
-    """A filter or pooling layer with the parameters prepare() derives."""
-    return _derive_parameters([layer], rounding)[0]
+    """A filter or pooling layer with the parameters prepare() derives.
+
+    The derivation makes a model's filter arrays read-only. A test
+    layer's are made writeable again, so a test can edit its bank in
+    place before the layer first runs and compiles its record.
+    """
+    derived = _derive_parameters([layer], rounding)[0]
+    f = derived.filters
+    if f is not None:
+        for a in (f.weights, f.zero_points, f.scales, f.biases):
+            a.flags.writeable = True
+    return derived
 
 
 def c2d_layer(rng: np.random.Generator) -> LayerDesc:

@@ -349,6 +349,77 @@ def test_one_layer_record_per_layer(monkeypatch):
         assert sorted(map(id, tables)) == sorted(map(id, shortcuts))
 
 
+def test_a_frame_builds_one_qtensor_the_logits(monkeypatch):
+    """Engines pass uint8 arrays from layer to layer in both drivers; only
+    the logits are wrapped."""
+    model, image, pixels = toy_pair(1)
+    run_inference(model, image, mode="sequential")  # records compiled
+    built = []
+    real = QTensor.__post_init__
+    monkeypatch.setattr(QTensor, "__post_init__", lambda t: built.append(t) or real(t))
+    for mode in ("sequential", "stream"):
+        result = run_inference(model, image, mode=mode)
+        assert built == [result.logits]
+        assert np.array_equal(result.logits.data, run_model_naive(model, pixels))
+        built.clear()
+
+
+def test_validate_graph_runs_once_per_model_object(monkeypatch):
+    import semistream.modelkit as modelkit
+
+    model, image, _ = toy_pair(3)
+    calls = []
+    real = modelkit.validate_graph
+    monkeypatch.setattr(modelkit, "validate_graph", lambda g: calls.append(g) or real(g))
+    for mode in ("sequential", "stream", "sequential"):
+        run_inference(model, image, mode=mode)
+    assert calls == [model]
+    again = dataclasses.replace(model)
+    for _ in range(3):
+        run_inference(again, image, mode="sequential")
+    assert calls == [model, again]
+
+
+def test_an_unvalidated_model_that_does_not_chain_is_refused():
+    """A model built with the constructor, never validated, raises the
+    verdict's DomainError on every frame instead of reaching a kernel."""
+    model, image, _ = toy_pair(1)
+    dwc = next(i for i, l in enumerate(model.layers) if l.kind is Kind.DWC)
+    broken = _with_layers(model, model.layers[:dwc] + model.layers[dwc + 1:])
+    for _ in range(3):
+        with pytest.raises(DomainError, match=f"layer {dwc} input"):
+            run_inference(broken, image, mode="sequential")
+
+
+def test_a_model_of_underived_layers_is_refused():
+    """Layers straight from build_model carry no multipliers: a model built
+    from them with the constructor chains, so it passes validate_graph,
+    but raises DomainError in every mode instead of reaching a kernel."""
+    graph = build_model([BlockSpec(1, 16, 1)], 8, seed=1, include_head=False)
+    model = PreparedModel(graph.layers, graph.resolution, 1.0, None, Rounding.NEAREST)
+    image = image_to_qtensor(np.zeros((8, 8, 3), dtype=np.uint8), model)
+    for mode in ("sequential", "stream", "threads"):
+        with pytest.raises(DomainError, match="lacks the parameters prepare"):
+            run_inference(model, image, mode=mode)
+
+
+def test_a_layer_that_breaks_its_engine_contract_raises_in_every_mode():
+    """A depthwise layer at stride 3 chains (1x1 out of 2x2), but its
+    engine runs strides 1 and 2 only: it gets no record, so every frame
+    raises the same ShapeError."""
+    graph = build_model([BlockSpec(1, 16, 1), BlockSpec(2, 16, 2)], 4, seed=5,
+                        include_head=False)
+    dwc = max(i for i, l in enumerate(graph.layers) if l.kind is Kind.DWC)
+    assert graph.layers[dwc].in_h == 2 and graph.layers[dwc].out_h == 1
+    graph.layers[dwc] = dataclasses.replace(graph.layers[dwc], stride=3)
+    model = prepare(graph)
+    pixels = np.zeros((4, 4, 3), dtype=np.uint8)
+    image = image_to_qtensor(pixels, model)
+    for mode in ("sequential", "stream", "sequential", "stream"):
+        with pytest.raises(ShapeError, match="depthwise stride 3 unsupported"):
+            run_inference(model, image, mode=mode)
+
+
 def test_later_frames_build_no_constants_or_taps(monkeypatch):
     """After the first frame no engine call builds rescale constants or
     zero-corrects a filter bank, in any mode or rounding: the entry and
@@ -392,9 +463,9 @@ def test_schedule_rejects_malformed_graphs():
     model = toy_model(1)
     dup_block = next(l for l in model.layers if l.kind is Kind.DWC)
     with pytest.raises(PlanError, match="two DWC"):
-        schedule_rounds(_with_layers(model, model.layers + [dup_block]))
+        schedule_rounds(_with_layers(model, [*model.layers, dup_block]))
     with pytest.raises(PlanError, match="more than one entry convolution"):
-        schedule_rounds(_with_layers(model, model.layers + [model.layers[0]]))
+        schedule_rounds(_with_layers(model, [*model.layers, model.layers[0]]))
     with pytest.raises(PlanError, match="no entry convolution"):
         schedule_rounds(_with_layers(model, model.layers[1:]))
     shifted = [
@@ -409,7 +480,7 @@ def test_schedule_rejects_malformed_graphs():
             model, [l for i, l in enumerate(model.layers) if i != last_add]))
     stray = dataclasses.replace(dup_block, block=None)
     with pytest.raises(PlanError, match="trailing"):
-        schedule_rounds(_with_layers(model, model.layers + [stray]))
+        schedule_rounds(_with_layers(model, [*model.layers, stray]))
     # a pooling layer tagged with a block has no slot there
     headed = toy_model(0, include_head=True)
     pool = next(i for i, l in enumerate(headed.layers) if l.kind is Kind.AVGPOOL)

@@ -1,4 +1,4 @@
-"""Engine-level tests: hand-derived cases, oracle equivalence, layout."""
+"""Engine-level tests: hand-derived cases, oracle equivalence, memory geometry."""
 from __future__ import annotations
 
 import dataclasses
@@ -23,7 +23,6 @@ from semistream.engines import (
     add_elements,
     add_forward,
     add_passthrough,
-    address_map,
     c2d_forward,
     check_acc_bound,
     dwc_avgpool,
@@ -32,10 +31,10 @@ from semistream.engines import (
     exp_forward,
     fold_gemm,
     layer_record,
-    layout_weights,
     nominal_stats,
     pro_forward,
     run_layer,
+    weight_bytes,
 )
 from semistream.errors import DomainError, ShapeError
 from semistream.modelkit import (
@@ -575,100 +574,27 @@ def test_nominal_rates():
     assert nominal_stats(add).weight_bytes == 0
 
 
-# ---------------------------------------------------------------------------
-# weight memory layout
-# ---------------------------------------------------------------------------
-
-def test_dwc_layout_small():
+def test_weights_fill_the_engine_memories_word_by_word():
+    """A layer's weight bytes fill its engine's parallel memories, one
+    word per memory per address: a pointwise bank takes 16 x 16 bytes
+    for each (filter batch, input batch) step its cycles walk through,
+    a depthwise bank 9 words (one per kernel position) per channel
+    group."""
     rng = np.random.default_rng(20)
-    layer = dwc_layer(rng, ch=16)
-    img = layout_weights(layer)
-    assert img.engine == "DWC"
-    assert img.memories.shape == (9, 1, 16)
-    assert img.depth == 1
-    assert (img.word_bits, img.bias_word_bits, img.bias_lane_bits) == (128, 256, 16)
-    w = layer.filters.weights
-    for kpos in range(9):
-        np.testing.assert_array_equal(
-            img.memories[kpos, 0], w[kpos // 3, kpos % 3, 0, :16]
-        )
-    np.testing.assert_array_equal(img.bias_words[0], layer.filters.biases[:16])
-
-
-def test_pro_layout_depth():
-    rng = np.random.default_rng(21)
-    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=256, cout=16)
-    img = layout_weights(layer)
-    assert img.memories.shape == (16, 16, 16)  # 16 words in each memory
-    assert img.bias_words.shape == (1, 16)
-    assert img.bias_lane_bits == 18
-    exp = pointwise_layer(rng, Kind.EXP, h=1, w=1, cin=16, cout=256)
-    img2 = layout_weights(exp)
-    assert img2.memories.shape == (16, 16, 16)
-    assert img2.bias_words.shape == (16, 16)
-    assert img2.bias_lane_bits == 16
-
-
-def test_layout_round_trips_every_weight():
-    rng = np.random.default_rng(22)
-    for kind in (Kind.PRO, Kind.EXP):
-        layer = pointwise_layer(rng, kind, cin=48, cout=32)
-        img = layout_weights(layer)
-        w = layer.filters.weights[0, 0]
-        seen = set()
-        for filt in range(32):
-            for ch in range(48):
-                mem, word, lane = address_map(img.engine, layer, filt, ch)
-                assert 0 <= mem < 16 and 0 <= lane < 16
-                assert 0 <= word < img.depth
-                seen.add((mem, word, lane))
-                assert img.memories[mem, word, lane] == w[ch, filt]
-        assert len(seen) == 48 * 32  # injective: no address holds two weights
-
-
-def test_dwc_layout_round_trips():
-    rng = np.random.default_rng(23)
-    layer = dwc_layer(rng, ch=48)
-    img = layout_weights(layer)
-    seen = set()
-    for kpos in range(9):
-        for ch in range(48):
-            mem, word, lane = address_map("DWC", layer, ch, ch, kpos)
-            seen.add((mem, word, lane))
-            assert img.memories[mem, word, lane] == layer.filters.weights[
-                kpos // 3, kpos % 3, 0, ch
-            ]
-    assert len(seen) == 9 * 48
-
-
-def test_pointwise_cycle_reads_one_word_per_memory():
-    """Every (filter batch, input batch) step hits all 16 memories once."""
-    rng = np.random.default_rng(24)
-    for kind in (Kind.PRO, Kind.EXP):
-        layer = pointwise_layer(rng, kind, cin=48, cout=32)
-        engine = kind.value
-        for fb in range(layer.fpass):
-            for ab in range(layer.apass):
-                addrs = {
-                    address_map(engine, layer, filt, ch)[:2]
-                    for filt in range(fb * LANES, (fb + 1) * LANES)
-                    for ch in range(ab * LANES, (ab + 1) * LANES)
-                }
-                assert len(addrs) == 16
-                assert {m for m, _ in addrs} == set(range(16))
-                assert {w for _, w in addrs} == {fb * layer.apass + ab}
-
-
-def test_layout_rejects_portless_kinds():
-    rng = np.random.default_rng(25)
-    with pytest.raises(DomainError, match="weight memories"):
-        layout_weights(add_layer(rng))
-    with pytest.raises(DomainError):
-        layout_weights(small_c2d(rng))
-    with pytest.raises(DomainError, match="0..8"):
-        address_map("DWC", dwc_layer(rng), 0, 0, kpos=9)
-    with pytest.raises(DomainError, match="layout"):
-        address_map("ADD", dwc_layer(rng), 0, 0)
+    for _ in range(4):
+        for layer in (pointwise_layer(rng, Kind.PRO), pointwise_layer(rng, Kind.EXP),
+                      dwc_layer(rng)):
+            memories, word_bits, _ = WEIGHT_GEOMETRY[layer.kind.value]
+            if layer.kind is Kind.DWC:
+                depth = layer.out_ch // LANES
+                assert weight_bytes(layer) == 9 * layer.out_ch
+                assert engine_cycles(layer) == layer.in_h * layer.in_w * depth
+            else:
+                depth = layer.apass * layer.fpass
+                assert weight_bytes(layer) == 16 * 16 * depth
+                assert engine_cycles(layer) == layer.out_h * layer.out_w * depth
+            assert weight_bytes(layer) == memories * word_bits // 8 * depth
+            assert nominal_stats(layer).weight_bytes == weight_bytes(layer)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from semistream.modelkit import (
     save_raw,
     validate_graph,
 )
+from semistream.oracle import run_model_naive
 from semistream.quantcore import Rounding, pack_multipliers, quantize_multiplier
 
 from conftest import c2d_layer, pointwise_layer, random_filters, toy_model, toy_pair
@@ -471,9 +472,14 @@ def test_manifest_bias_width_is_the_engines(tmp_path):
     _rewrite_manifest(tmp_path, lambda m: declare_widths(
         m, lambda kind: 18 if kind == "PRO" else 16))
     assert load_package(tmp_path) == model
+    # a prepared model's banks are read-only: save a copy with one wide bias
     exp = next(i for i, l in enumerate(model.layers) if l.kind is Kind.EXP)
-    model.layers[exp].filters.biases[0] = 100000
-    save_package(model, tmp_path)
+    f = model.layers[exp].filters
+    biases = f.biases.copy()
+    biases[0] = 100000
+    layers = list(model.layers)
+    layers[exp] = dataclasses.replace(layers[exp], filters=dataclasses.replace(f, biases=biases))
+    save_package(dataclasses.replace(model, layers=layers), tmp_path)
     _rewrite_manifest(tmp_path, lambda m: declare_widths(m, lambda kind: 18))
     with pytest.raises(RangeError, match="100000 does not fit 16 signed bits"):
         load_package(tmp_path)
@@ -688,6 +694,53 @@ def test_package_missing_manifest(tmp_path):
         load_package(tmp_path)
 
 
+def _filter_arrays(model):
+    for l in model.layers:
+        if l.filters is not None:
+            f = l.filters
+            yield from (("weights", f.weights), ("zero_points", f.zero_points),
+                        ("scales", f.scales), ("biases", f.biases))
+
+
+def test_prepared_and_loaded_models_are_frozen(tmp_path):
+    """A model's layers cannot be rebound and its filter arrays cannot be
+    written, so the engine records compiled from them never go stale;
+    prepare copies what it would share, so the caller's graph stays
+    writeable."""
+    graph = build_model([BlockSpec(2, 16, 1), BlockSpec(3, 16, 1)], 8, seed=3,
+                        head_channels=32, classes=16)
+    model = prepare(graph)
+    loaded = load_package(save_package(model, tmp_path))
+    for m in (model, loaded):
+        assert isinstance(m.layers, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.layers = list(m.layers)
+        names = set()
+        for name, a in _filter_arrays(m):
+            names.add(name)
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+        assert names == {"weights", "zero_points", "scales", "biases"}
+    for l in graph.layers:
+        if l.filters is not None:
+            l.filters.biases[0] = l.filters.biases[0]  # still the caller's to edit
+    # a list handed to replace or the constructor is stored as a tuple
+    assert isinstance(dataclasses.replace(model, layers=list(model.layers)).layers, tuple)
+
+
+def test_editing_a_loaded_model_cannot_leave_its_records_stale(tmp_path):
+    model = load_package(save_package(small_model(), tmp_path))
+    pixels = np.random.default_rng(0).integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+    image = image_to_qtensor(pixels, model)
+    before = run_inference(model, image, mode="sequential").logits
+    pro = next(l for l in model.layers if l.kind is Kind.PRO)
+    with pytest.raises(ValueError, match="read-only"):
+        pro.filters.biases[:] += 500
+    after = run_inference(model, image, mode="sequential").logits
+    assert after == before
+    assert np.array_equal(after.data, run_model_naive(model, pixels))
+
+
 # ---------------------------------------------------------------------------
 # images
 # ---------------------------------------------------------------------------
@@ -787,3 +840,28 @@ def test_image_to_qtensor_uses_entry_edge():
     q = image_to_qtensor(pixels, model)
     assert q.zero_point == entry.in_zero
     assert q.scale == entry.in_scale
+
+
+@pytest.mark.parametrize("bad", [300, -1, 2.7, float("nan")])
+def test_out_of_range_codes_are_rejected_not_wrapped(bad):
+    model = small_model()
+    scale, zero = model.entry_quant
+    pixels = np.full((8, 8, 3), 7, dtype=np.float64 if isinstance(bad, float) else np.int64)
+    pixels[3, 4, 1] = bad
+    with pytest.raises(DomainError, match=r"\[0, 255\]"):
+        image_to_qtensor(pixels, model)
+    with pytest.raises(DomainError, match=r"\[0, 255\]"):
+        QTensor(8, 8, 3, pixels, zero, scale)
+    with pytest.raises(DomainError):
+        QTensor(1, 1, 3, np.array([[[300, -1, 2.7]]]), 0, 1.0)
+
+
+def test_in_range_codes_are_accepted_and_uint8_is_not_copied():
+    model = small_model()
+    codes = np.arange(192, dtype=np.int64).reshape(8, 8, 3)
+    assert np.array_equal(image_to_qtensor(codes, model).data, codes)
+    assert image_to_qtensor(codes, model).data.dtype == np.uint8
+    assert np.array_equal(QTensor(1, 1, 2, np.array([[[0.0, 255.0]]]), 0, 1.0).data,
+                          [[[0, 255]]])
+    pixels = codes.astype(np.uint8)
+    assert image_to_qtensor(pixels, model).data is pixels
