@@ -15,17 +15,19 @@ runs its whole-frame layers one after another: each reads the newest
 frame buffer and writes a fresh one. Stage two streams projection to
 addition to expansion through bounded word-counted queues, one message
 per run of as many 16-channel batches as a queue holds; a bounded
-residual FIFO carries each shortcut frame, in the same runs, to the next
-round's addition slot. Processes pass plain uint8 arrays: each runs
-its layer's kernel (the one its engines.layer_record holds) on a frame
-buffer's array, as the sequential driver does from layer to layer, and
-only the logits become a QTensor. A frame buffer adopts the finished
-array of a whole-frame producer; the addition slot fills one in place
-run by run, and readers get the array itself. One wiring
-loop walks the plan and builds every round's processes this way up
-front. Processes are plain generators that take only their streams and
-yield Blocked tokens when a stream cannot move; per-layer work
-accounting comes from the layers themselves after the run. They are
+residual FIFO, one shortcut source frame deep (residual_fifo_capacity)
+and built only for a model with shortcuts, carries each shortcut frame,
+in the same runs, to the next round's addition slot. Processes pass
+plain uint8 arrays: each runs its layer's kernel (the one its
+engines.layer_record holds) on a frame buffer's array, as the sequential
+driver does from layer to layer, and only the logits become a QTensor. A
+frame buffer adopts the finished array of a whole-frame producer; the
+addition slot fills one in place run by run, and readers get the array
+itself. One wiring loop walks the plan and builds every round's
+processes this way up front. Processes are plain generators that take
+only their streams and yield Blocked tokens when a stream cannot move;
+per-layer work accounting comes from the layers themselves after the
+run. They are
 chained per engine (C2D, EXP, DWC, PRO, ADD) in round order, so data
 streams from round to round with no barrier between rounds. Stream mode
 resumes the five chains under a deterministic round-robin scheduler
@@ -506,7 +508,8 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     model.require_valid()
     layers = model.layers
     records = [layer_record(l) for l in layers]
-    res_fifo = BoundedQueue(residual_fifo_capacity(model), "residual-fifo")
+    fifo_words = residual_fifo_capacity(model)
+    res_fifo = BoundedQueue(fifo_words, "residual-fifo") if fifo_words else None
     sources = model.residual_sources
     chains: dict[str, list] = {}  # engine -> its processes in round order
 

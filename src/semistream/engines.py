@@ -24,22 +24,23 @@ hand the 1x1 and entry GEMMs to BLAS. Every product pairs a raw code in
 [0, 255] with a zero-corrected weight in [-255, 255], so it is an
 integer of at most 255**2 in magnitude. The entry convolution sums 27
 of them, read through one window view of its zero-point-padded frame
-(_windows). The pointwise engines fold their bank of K rows in slices
-of at most K_CHUNK = 256 rows (fold_gemm): each slice is cast from the
-uint8 bank into one float32 buffer and zero-corrected there. Every
-partial sum of a slice then stays below 256 * 255**2 < 2**24, where
-float32 holds every integer, so any summation order is exact. The
-first slice's result, cast to int64, becomes the layer's bank and
-fold_gemm returns it; every later slice is added to it. No engine call
-copies a whole bank to float64. DWC is one float32 einsum over its
-zero-point-padded frame: a window sums nine products, an integer of at
-most 9 * 255**2 = 585225 < 2**24 in magnitude, so float32 holds every
-partial sum in any order. At stride 1 it reads the frame through one
-row view whose last axis is a whole output row of out_w * C lanes
-(_row_windows), against the taps tiled once per call along that row;
-at stride 2 neighbouring output pixels sit 2 * C lanes apart, so pixel
-and channel do not merge into one axis and it reads the 5-D window view
-(_windows). Average pooling sums raw codes in int64.
+(_windows). The pointwise engines read a resident zero-corrected int16
+bank, W - zw, built once per layer in its record, and fold its K rows in
+slices of at most K_CHUNK = 256 rows (fold_gemm): each slice is cast
+from the int16 bank into one float32 buffer, with nothing left to
+subtract. Every partial sum of a slice then stays below
+256 * 255**2 < 2**24, where float32 holds every integer, so any
+summation order is exact. The first slice's result, cast to int64, becomes the layer's
+accumulator bank and fold_gemm returns it; every later slice is added to
+it. No engine call copies a whole weight bank. DWC is one float32 einsum
+over its zero-point-padded frame: a window sums nine products, an
+integer of at most 9 * 255**2 = 585225 < 2**24 in magnitude, so float32
+holds every partial sum in any order. At stride 1 it reads the frame
+through one row view whose last axis is a whole output row of out_w * C
+lanes (_row_windows), against the taps tiled once per call along that
+row; at stride 2 neighbouring output pixels sit 2 * C lanes apart, so
+pixel and channel do not merge into one axis and it reads the 5-D window
+view (_windows). Average pooling sums raw codes in int64.
 No engine zero-corrects an activation and none adds a bias: each hands
 the rescale its raw sums, in an accumulator it owns, which
 apply_rescale rescales in place (DWC's float32 one is widened to int64
@@ -62,13 +63,13 @@ product acc * mult can land exactly halfway between two codes, the
 NEAREST rescale skips its tie correction pass, and when the aligned
 multipliers keep every product below 2**62, the shift is one scalar.
 The record also holds the layer's kernel and stats, its rescale
-constants with their folded offsets, the zero-corrected float32 taps
-of the entry and depthwise convolutions, the pointwise weight zero
-points as float32 and an addition's per-code operand tables, so no
-engine call recomputes them. A LayerDesc is frozen, its mults are
-read-only and so are the filter arrays of a prepared or loaded model,
-so a layer object's record never goes stale: a changed layer is a new
-object (dataclasses.replace), which gets its own.
+constants with their folded offsets, the zero-corrected taps of every
+MAC engine (float32 for the entry and depthwise convolutions, the int16
+bank for PRO and EXP, 2 B per pointwise weight) and an addition's
+per-code operand tables, so no engine call recomputes them. A LayerDesc
+is frozen, its mults are read-only and so are the filter arrays of a
+prepared or loaded model, so a layer object's record never goes stale: a
+changed layer is a new object (dataclasses.replace), which gets its own.
 
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
@@ -203,11 +204,12 @@ class LayerRecord:
     filter's tap sum for every MAC engine (for PRO and EXP the column
     sum of W - zw), and -pixels * in_zero for pooling. The rest is None
     except on the layers that use it, and read-only: taps are the
-    zero-corrected entry (27 x 32) or depthwise (3 x 3 x C) weights as
-    float32, which those engines apply to raw codes; zw holds a
-    pointwise layer's weight zero points as float32, what fold_gemm
-    subtracts from each weight slice; add_tables maps each Rounding to
-    an addition's two 256-entry per-code tables.
+    zero-corrected weights of a MAC engine, which it applies to raw
+    codes: the entry (27 x 32) or depthwise (3 x 3 x C) taps as
+    float32, and a pointwise layer's (in_ch, out_ch) bank W - zw as
+    int16, exact since every entry lies in [-255, 255], which fold_gemm
+    reads slice by slice; add_tables maps each Rounding to an
+    addition's two 256-entry per-code tables.
     """
 
     stats: EngineStats
@@ -215,7 +217,6 @@ class LayerRecord:
     engine: str
     rescale: Rescale | None
     taps: np.ndarray | None
-    zw: np.ndarray | None
     add_tables: dict | None
 
 
@@ -283,11 +284,12 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
     call raises the same error; the bound (for an addition, the largest
     |T1| + |T2| of its NEAREST tables) decides the rescale's tie verdict
     and shift alignment, and covers the bias its offsets fold in. A
-    pointwise layer's tap sums are column sums of its uint8 bank taken
-    in int32, exact since K * 255 < 2**31, so compiling a record never
-    copies the bank. The record is kept in the frozen layer's __dict__,
-    which dataclasses.replace does not carry over, so every changed
-    layer compiles its own.
+    pointwise layer's int16 bank is one cast of its uint8 weights and
+    one in-place subtract, and its tap sums are one buffered int64
+    column reduction of that bank, so compiling the record allocates
+    nothing wider than the bank. The record is kept in the frozen
+    layer's __dict__, which dataclasses.replace does not carry over, so
+    every changed layer compiles its own.
     """
     rec = layer.__dict__.get("_record")
     if rec is None:
@@ -302,7 +304,7 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
             tables = _add_tables(p)
             bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
-        f, taps, bias, zw = layer.filters, None, None, None
+        f, taps, bias = layer.filters, None, None
         if layer.kind is Kind.C2D:
             signed = _signed_weights(f, np.int64).reshape(27, 32)
             taps = _read_only(signed.astype(np.float32))
@@ -313,15 +315,15 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
         elif layer.kind is Kind.AVGPOOL:
             bias = -layer.in_h * layer.in_w * layer.in_zero
         elif layer.kind in (Kind.PRO, Kind.EXP):
-            bias = f.biases - layer.in_zero * _tap_sums(f, f.in_channels)
-            zw = _read_only(f.zero_points.astype(np.float32))
+            taps = _read_only(_signed_weights(f, np.int16)[0, 0])
+            bias = f.biases - layer.in_zero * taps.sum(axis=0, dtype=np.int64)
         rescale = None
         if mults is not None:  # the packed columns are strided: keep contiguous copies
             r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
             rescale = Rescale(*(None if v is None else _read_only(v) for v in r[:5]), r.ties)
         rec = layer.__dict__["_record"] = LayerRecord(  # stats first: DomainError for no engine
             _layer_stats(layer), KERNELS[layer.kind], ENGINE_FOR_KIND[layer.kind],
-            rescale, taps, zw, tables)
+            rescale, taps, tables)
     return rec
 
 
@@ -364,35 +366,25 @@ def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     return w
 
 
-def _tap_sums(f: QFilterSet, k: int) -> np.ndarray:
-    """Column sums of W[:k] - zw for a pointwise bank W, as int64.
+def fold_gemm(acc: np.ndarray | None, cols: np.ndarray, bank: np.ndarray,
+              row0: int = 0) -> np.ndarray:
+    """Add cols @ bank[row0 : row0 + K] to the int64 accumulator bank acc, exactly.
 
-    Sums the uint8 rows in int32, exact since k * 255 < 2**31, so no
-    copy of the bank is made.
-    """
-    return f.weights[0, 0, :k].sum(axis=0, dtype=np.int32) - k * f.zero_points
-
-
-def fold_gemm(acc: np.ndarray | None, cols: np.ndarray, f: QFilterSet,
-              zw: np.ndarray, row0: int = 0) -> np.ndarray:
-    """Add cols @ (W[row0 : row0 + K] - zw) to the int64 bank acc, exactly.
-
-    cols holds K raw activation columns (float32 codes); W is the
-    layer's uint8 bank and zw its zero points as float32 (the record's
-    zw). Each slice of at most K_CHUNK weight rows is cast into one
-    float32 buffer, the first slice's own cast, and zero-corrected
-    there, so its GEMM is exact (see the module docstring). Returns the
-    bank: acc itself, or, with acc None, the first slice's int64 result,
-    to which the later slices are added.
+    cols holds K activation columns (float32 codes); bank is a
+    pointwise layer's zero-corrected int16 weights W - zw, the record's
+    taps. Each slice of at most K_CHUNK weight rows is cast into one
+    float32 buffer, the first slice's own cast, so its GEMM is exact
+    (see the module docstring). Returns the accumulator bank: acc
+    itself, or, with acc None, the first slice's int64 result, to which
+    the later slices are added.
     """
     k = cols.shape[1]
-    w = f.weights[0, 0, row0 : row0 + k]
+    w = bank[row0 : row0 + k]
     rows = buf = w[:K_CHUNK].astype(np.float32)
     for j in range(0, k, K_CHUNK):
         if j:
             rows = buf[: min(K_CHUNK, k - j)]
             rows[...] = w[j : j + K_CHUNK]
-        rows -= zw
         part = (cols[:, j : j + K_CHUNK] @ rows).astype(np.int64)
         if acc is None:
             acc = part
@@ -547,7 +539,7 @@ def dwc_avgpool(
 def _pro(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
     rec = layer_record(layer)
     cols = data.reshape(-1, layer.in_ch).astype(np.float32)
-    return _requant_uint8(fold_gemm(None, cols, layer.filters, rec.zw), layer, rec, rounding)
+    return _requant_uint8(fold_gemm(None, cols, rec.taps), layer, rec, rounding)
 
 
 def pro_forward(
@@ -609,13 +601,14 @@ class ExpStreamKernel:
     the fpass*16 per-pixel working set of the engine, and persists
     across calls. The first fold's result becomes the bank; each call
     folds its batches into all filter batches with fold_gemm, reading
-    the weight rows straight from the uint8 bank. The bank holds raw
-    sums of raw codes: the biases and -in_zero times each filter's tap
-    sum reach them through the record's rescale offset. A probe gets a
-    fresh array of the zero-corrected partials, after k = 16 * (ab + 1)
-    rows: bank + b - in_zero * sum_{r < k} (W[r] - zw), the column sum
-    taken from the uint8 bank in int32 and only when a probe is
-    attached. The last batch's call rescales the bank itself, in place.
+    the weight rows slice by slice from the record's resident
+    zero-corrected int16 bank. The accumulator bank holds raw sums of
+    raw codes: the biases and -in_zero times each filter's tap sum reach
+    them through the record's rescale offset. A probe gets a fresh array
+    of the zero-corrected partials, after k = 16 * (ab + 1) rows:
+    bank + b - in_zero * sum_{r < k} (W[r] - zw), the column sum of the
+    int16 bank's first k rows, taken only when a probe is attached. The
+    last batch's call rescales the bank itself, in place.
     """
 
     def __init__(self, layer: LayerDesc, npix: int,
@@ -648,15 +641,16 @@ class ExpStreamKernel:
                               f"whole batches within the layer's {layer.apass} input batches")
         if batches.shape[0] != self.npix:
             raise ShapeError(f"{batches.shape[0]} pixels arrived for a {self.npix}-pixel frame")
-        f = layer.filters
+        taps = self.record.taps
         cols = batches.astype(np.float32)
         step = LANES if self.probe is not None else n * LANES
         for lo in range(0, n * LANES, step):
             row0 = ab * LANES + lo
-            self._acc = fold_gemm(self._acc, cols[:, lo : lo + step], f, self.record.zw, row0)
+            self._acc = fold_gemm(self._acc, cols[:, lo : lo + step], taps, row0)
             if self.probe is not None:
                 banks = self._acc.reshape(self.npix, layer.fpass, LANES).transpose(1, 0, 2)
-                biases = f.biases - layer.in_zero * _tap_sums(f, row0 + step)
+                partial = taps[: row0 + step].sum(axis=0, dtype=np.int64)
+                biases = layer.filters.biases - layer.in_zero * partial
                 self.probe(ab + lo // LANES, banks + biases.reshape(layer.fpass, 1, LANES))
         self._next_batch = ab + n
         if self._next_batch == layer.apass:

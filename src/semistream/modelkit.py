@@ -96,13 +96,13 @@ def pad16(n: int) -> int:
     return (int(n) + LANES - 1) // LANES * LANES
 
 
-def _codes(data) -> np.ndarray:
+def _codes(data, what: str = "tensor data") -> np.ndarray:
     """data as a uint8 array, itself if it is one; DomainError unless every
     value is an integer in [0, 255] (NaN fails every comparison)."""
     a = np.asarray(data)
     if a.dtype != np.uint8 and (a.dtype.kind not in "iuf" or a.size and not (
             a.min() >= 0 and a.max() <= 255 and (a.dtype.kind != "f" or (a == a.round()).all()))):
-        raise DomainError(f"tensor data of {a.dtype} must hold integers in [0, 255] only")
+        raise DomainError(f"{what} of {a.dtype} must hold integers in [0, 255] only")
     return a.astype(np.uint8, copy=False)
 
 
@@ -146,6 +146,9 @@ class QFilterSet:
 
     weights has shape (kernel_h, kernel_w, in_channels, out_channels);
     depthwise banks use in_channels == 1 with one filter per channel.
+    Weights are uint8 codes: uint8 weights are kept as they are, other
+    integer or integral float weights are checked to lie in [0, 255]
+    and cast, and anything else raises DomainError instead of wrapping.
     """
 
     kernel_h: int
@@ -158,7 +161,7 @@ class QFilterSet:
     biases: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.uint8)
+        self.weights = _codes(self.weights, "weights")
         if np.asarray(self.zero_points).dtype.kind not in "iu":
             raise DomainError("weight zero points must be integers")
         self.zero_points = np.asarray(self.zero_points, dtype=np.int64)
@@ -844,19 +847,18 @@ def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
 
 
 def residual_fifo_capacity(model: PreparedModel) -> int:
-    """Residual FIFO capacity in 16-lane words.
+    """Residual FIFO capacity in 16-lane words; 0 for a model without shortcuts.
 
-    The FIFO must hold one full projection output frame while the next
-    round drains it, so it is sized by the largest projection frame in
-    the network (pixels times channel batches).
+    A shortcut source's round puts its whole output frame into the FIFO,
+    and the shortcut's round, which runs later on the same addition
+    chain, takes each residual run before it puts its own output, so the
+    FIFO holds at most one source frame at a time. It is sized by the
+    largest frame among model.residual_sources (pixels times channel
+    batches).
     """
-    best = 0
-    for l in model.layers:
-        if l.kind is Kind.PRO:
-            best = max(best, l.out_h * l.out_w * (l.out_ch // LANES))
-    if best == 0:
-        raise PlanError("model has no projection layers")
-    return best
+    frames = (model.layers[i].out_h * model.layers[i].out_w * model.layers[i].fpass
+              for i in model.residual_sources)
+    return max(frames, default=0)
 
 
 def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> PreparedModel:

@@ -29,6 +29,7 @@ from semistream.errors import (
     DomainError,
     PlanError,
     SequencingError,
+    SemistreamError,
     ShapeError,
 )
 from semistream.modelkit import (
@@ -422,9 +423,9 @@ def test_a_layer_that_breaks_its_engine_contract_raises_in_every_mode():
 
 def test_later_frames_build_no_constants_or_taps(monkeypatch):
     """After the first frame no engine call builds rescale constants or
-    zero-corrects a filter bank, in any mode or rounding: the entry and
-    depthwise taps live in the records, and the pointwise engines read
-    their uint8 banks slice by slice."""
+    zero-corrects a filter bank, in any mode or rounding: every MAC
+    engine's taps live in its record, and the pointwise engines read a
+    resident zero-corrected int16 bank slice by slice."""
     import semistream.engines as engines
     import semistream.quantcore as quantcore
 
@@ -508,17 +509,57 @@ def test_rounds_must_produce_the_final_layer(mode):
 
 
 def test_residual_fifo_capacity(standard):
-    # block 0 projects 112x112 pixels into one 16-channel batch
-    assert residual_fifo_capacity(standard) == 12544
-    model = toy_model(4)
-    want = max(
-        l.out_h * l.out_w * (l.out_ch // LANES)
-        for l in model.layers if l.kind is Kind.PRO
-    )
+    # the largest shortcut frame: 56x56 pixels of two 16-channel batches
+    # (24 channels padded to 32); block 0's 112x112 projection has no shortcut
+    assert residual_fifo_capacity(standard) == 6272
+    model = toy_model(1)
+    assert len(model.residual_sources) == 2
+    sources = [model.layers[i] for i in model.residual_sources]
+    want = max(l.out_h * l.out_w * (l.out_ch // LANES) for l in sources)
     assert residual_fifo_capacity(model) == want
-    gutted = [l for l in model.layers if l.kind is not Kind.PRO]
-    with pytest.raises(PlanError, match="projection"):
-        residual_fifo_capacity(_with_layers(model, gutted))
+    plain = [dataclasses.replace(l, residual_from=None, add_params=None)
+             if l.kind is Kind.ADD else l for l in model.layers]
+    assert residual_fifo_capacity(_with_layers(model, plain)) == 0
+
+
+def test_residual_fifo_capacity_is_the_least_that_runs(monkeypatch, standard):
+    """At residual_fifo_capacity the stream and threads logits equal the
+    sequential ones; one word less leaves a shortcut frame no room, and
+    the stream run raises. Random topologies with shortcuts, mnv2 0.5/64
+    and the 224x224 model."""
+    import semistream.dataflow as dataflow
+
+    models = [m for m in map(toy_model, range(20)) if m.residual_sources]
+    models += [prepare(build_mobilenet_v2(0.5, 64, seed=5)), standard]
+    assert len(models) == 13
+    for model in models:
+        side = model.resolution
+        pixels = np.random.default_rng(side).integers(0, 256, (side, side, 3), dtype=np.uint8)
+        image = image_to_qtensor(pixels, model)
+        want = run_inference(model, image, mode="sequential").logits
+        for mode in ("stream", "threads"):
+            assert run_inference(model, image, mode=mode).logits == want
+        words = residual_fifo_capacity(model)
+        with monkeypatch.context() as m:
+            m.setattr(dataflow, "residual_fifo_capacity", lambda _: words - 1)
+            with pytest.raises(SemistreamError):
+                run_inference(model, image, mode="stream")
+
+
+def test_a_model_without_shortcuts_builds_no_residual_fifo(monkeypatch):
+    import semistream.dataflow as dataflow
+
+    built = []
+    real = dataflow.BoundedQueue
+    monkeypatch.setattr(dataflow, "BoundedQueue",
+                        lambda words, label="": built.append(label) or real(words, label))
+    for seed, shortcuts in ((1, True), (4, False)):
+        model, image, pixels = toy_pair(seed)
+        assert bool(model.residual_sources) == shortcuts
+        built.clear()
+        got = run_inference(model, image, mode="stream").logits
+        assert built and ("residual-fifo" in built) == shortcuts
+        assert np.array_equal(got.data, run_model_naive(model, pixels))
 
 
 # ---------------------------------------------------------------------------

@@ -715,21 +715,26 @@ def test_depthwise_rows_worst_case_is_exact():
 
 
 def test_classifier_allocates_no_weight_copy():
-    """At npix = 1 neither pointwise engine builds a copy of its weights:
-    not on the first call, which compiles the layer's record and its tap
-    sums, and not on a later one."""
+    """At npix = 1 no pointwise engine call builds a copy of its bank.
+    The first call compiles the layer's record, its int16 bank of
+    W - zw and its tap sums, and then runs one float32 K_CHUNK slice:
+    its peak stays below those two plus 128 KiB for the per-channel
+    vectors and numpy's reduction buffers, about 3.7 MB, which a float32
+    copy of the whole bank (5.2 MB) or an int64 copy (10.3 MB) would
+    break. A later call stays below the uint8 bank's bytes."""
     rng = np.random.default_rng(36)
     for kind in (Kind.PRO, Kind.EXP):
         layer = pointwise_layer(rng, kind, h=1, w=1, cin=1280, cout=1008)
         x = qinput(rng, layer)
-        for _ in range(2):
+        bank = layer.filters.weights.nbytes
+        for bound in (2 * bank + K_CHUNK * layer.out_ch * 4 + 2**17, bank):
             tracemalloc.start()
             try:
                 run_layer(x, layer)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < layer.filters.weights.nbytes
+            assert peak < bound
 
 
 def test_acc_bound_guard_is_tight():
@@ -798,7 +803,7 @@ def test_float32_slices_are_exact_at_odd_sums(kind, k):
         assert products % 2 and abs(products) > 2**24 and np.all(acc == acc[0])
         signed = x.data.reshape(1, k).astype(np.float32) - layer.in_zero
         raw = np.zeros((1, 16), dtype=np.int64)
-        fold_gemm(raw, signed, layer.filters, layer.filters.zero_points.astype(np.float32))
+        fold_gemm(raw, signed, layer_record(layer).taps)
         np.testing.assert_array_equal(raw[0], acc - layer.filters.biases)
         for rounding in Rounding:
             layer = dataclasses.replace(layer, mults=_edge_mults(int(acc[0]), rounding, 16))
@@ -943,14 +948,18 @@ def test_standard_models_pass_the_bound_guard(tmp_path, width, resolution):
 def test_layer_records_hold_no_weight_copies():
     """What a record may own, per engine kind, so that resident copies
     cannot grow the memory footprint unnoticed: PRO and EXP records own
-    only per-channel vectors, their float32 weight zero points among
-    them (never a copy of the GEMM bank); the entry and depthwise records
-    own their zero-corrected taps; an addition owns two 256-entry tables
-    per rounding. Every rescale holds its mults, shifts, half and
-    offset_half, plus the offset of the bias its engine's raw sums lack
-    (all but an addition); an aligned one holds a 0-d shift and half."""
+    exactly one array as large as the bank, their int16 (in_ch, out_ch)
+    taps W - zw, and otherwise per-channel vectors; the entry and
+    depthwise records own their zero-corrected float32 taps; an addition
+    owns two 256-entry tables per rounding. Every rescale holds its
+    mults, shifts, half and offset_half, plus the offset of the bias its
+    engine's raw sums lack (all but an addition); an aligned one holds a
+    0-d shift and half. Over the whole model the records own at most
+    twice the uint8 pointwise weight bytes, plus the per-channel vectors,
+    the entry and depthwise taps and the addition tables."""
     model = prepare(build_mobilenet_v2(0.5, 64))
     kinds, forms = set(), set()
+    owned_bytes = pointwise_bytes = other_bytes = 0
     for layer in model.layers:
         rec, owned = layer_record(layer), []
         for fld in dataclasses.fields(rec):
@@ -960,6 +969,8 @@ def test_layer_records_hold_no_weight_copies():
                 tables = [t for pair in value.values() for t in pair]
                 assert len(tables) == 4
                 assert all(t.shape == (256,) and t.dtype == np.int64 for t in tables)
+                owned_bytes += sum(t.nbytes for t in tables)
+                other_bytes += sum(t.nbytes for t in tables)
             else:
                 owned += value if isinstance(value, tuple) else [value]
         arrays = [v for v in owned if isinstance(v, np.ndarray)]
@@ -969,6 +980,8 @@ def test_layer_records_hold_no_weight_copies():
                 assert not np.shares_memory(v, layer.filters.weights)
         per_channel = [v for v in arrays if v is not rec.taps]
         assert all(v.size <= layer.out_ch for v in per_channel)
+        owned_bytes += sum(v.nbytes for v in arrays)
+        other_bytes += sum(v.nbytes for v in per_channel)
         r = rec.rescale
         if r is not None:
             aligned = r.shifts.ndim == 0
@@ -978,16 +991,21 @@ def test_layer_records_hold_no_weight_copies():
             assert (r.offset is None) == (layer.kind is Kind.ADD)
         kinds.add(layer.kind)
         if layer.kind in (Kind.PRO, Kind.EXP):
-            assert len(arrays) == 6 and rec.taps is None  # rescale and zero points
-            assert rec.zw.dtype == np.float32 and rec.zw.shape == (layer.out_ch,)
+            assert len(arrays) == 6  # rescale and taps
+            w = layer.filters.weights[0, 0].astype(np.int64) - layer.filters.zero_points
+            assert rec.taps.dtype == np.int16 and rec.taps.shape == (layer.in_ch, layer.out_ch)
+            np.testing.assert_array_equal(rec.taps, w)
+            pointwise_bytes += layer.filters.weights.nbytes
         elif layer.kind is Kind.AVGPOOL:
             assert len(arrays) == 5 and rec.taps is None
         elif layer.kind is Kind.DWC:
             assert len(arrays) == 6  # rescale and taps
             assert rec.taps.dtype == np.float32 and rec.taps.size == 9 * layer.out_ch
+            other_bytes += rec.taps.nbytes
         elif layer.kind is Kind.C2D:
             assert len(arrays) == 6  # rescale and taps
             assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
+            other_bytes += rec.taps.nbytes
         elif layer.residual_from is not None:
             assert len(arrays) == 4 and all(v.size == 1 for v in arrays)  # mult3
             assert rec.add_tables is not None
@@ -995,6 +1013,7 @@ def test_layer_records_hold_no_weight_copies():
             assert arrays == [] and rec.add_tables is None
     assert kinds == set(Kind)
     assert forms == {True, False}  # aligned layers, and long banks that stay per-channel
+    assert owned_bytes <= 2 * pointwise_bytes + other_bytes
 
 
 def test_engines_leave_their_inputs_untouched():

@@ -865,3 +865,20 @@ def test_in_range_codes_are_accepted_and_uint8_is_not_copied():
                           [[[0, 255]]])
     pixels = codes.astype(np.uint8)
     assert image_to_qtensor(pixels, model).data is pixels
+
+
+@pytest.mark.parametrize("bad", [300, -1, 2.7, float("nan")])
+def test_out_of_range_weights_are_rejected_not_wrapped(bad):
+    weights = np.full((1, 1, 1, 2), 7, dtype=np.float64 if isinstance(bad, float) else np.int64)
+    weights[0, 0, 0, 1] = bad
+    with pytest.raises(DomainError, match=r"weights of .* \[0, 255\]"):
+        QFilterSet(1, 1, 1, 2, weights, [0, 0], [.1, .1], [0, 0])
+
+
+def test_in_range_weights_are_accepted_and_uint8_is_not_copied():
+    weights = np.array([[[[0, 255]]]], dtype=np.int64)
+    f = QFilterSet(1, 1, 1, 2, weights, [0, 0], [.1, .1], [0, 0])
+    assert f.weights.dtype == np.uint8
+    assert np.array_equal(f.weights, weights)
+    codes = weights.astype(np.uint8)
+    assert QFilterSet(1, 1, 1, 2, codes, [0, 0], [.1, .1], [0, 0]).weights is codes
