@@ -59,15 +59,8 @@ from .engines import (
     EngineStats,
     ExpStreamKernel,
     add_elements,
-    add_forward,
-    add_passthrough,
-    c2d_forward,
-    dwc_avgpool,
-    dwc_forward,
     engine_cycles,
-    exp_forward,
     nominal_stats,
-    pro_forward,
     run_layer,
     weight_bytes,
 )
@@ -81,7 +74,6 @@ from .dataflow import (
     BoundedQueue,
     FrameBuffer,
     InferenceResult,
-    SingleConsumptionStream,
     run_inference,
 )
 from .perfmodel import (

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .dataflow import run_inference
-from .engines import EngineStats, exp_forward, pro_forward
+from .engines import EngineStats, run_layer
 from .errors import SemistreamError
 from .modelkit import (
     ENGINE_FOR_KIND,
@@ -25,6 +25,7 @@ from .modelkit import (
     PreparedModel,
     QFilterSet,
     QTensor,
+    _derive_parameters,
     build_model,
     build_mobilenet_v2,
     image_to_qtensor,
@@ -37,7 +38,7 @@ from .modelkit import (
 )
 from .oracle import dequantize, naive_quant_layer, run_model_naive
 from .perfmodel import CALIBRATED_BANDWIDTH_GBPS, ClockConfig, performance_report
-from .quantcore import Rounding, pack_multipliers, quantize_multipliers
+from .quantcore import Rounding
 
 _ROUNDING = click.Choice(["nearest", "truncate"])
 _MODE = click.Choice(["stream", "sequential", "threads"])
@@ -202,22 +203,20 @@ def _random_pointwise_twins(rng) -> tuple[LayerDesc, LayerDesc, QTensor]:
     w = int(rng.integers(1, 9))
     cin = int(rng.choice([16, 32, 48, 64]))
     cout = int(rng.choice([16, 32, 48, 64]))
-    filters = QFilterSet(
-        kernel_h=1, kernel_w=1, in_channels=cin, out_channels=cout,
-        weights=rng.integers(0, 256, size=(1, 1, cin, cout), dtype=np.uint8),
-        zero_points=rng.integers(0, 256, size=cout),
-        scales=np.full(cout, 1e-2),
-        biases=rng.integers(-30000, 30001, size=cout),
-    )
-    mults = pack_multipliers(*quantize_multipliers(2.0 ** rng.uniform(-8.0, -1.0, size=cout)))
+    weights = rng.integers(0, 256, size=(1, 1, cin, cout), dtype=np.uint8)
+    zero_points = rng.integers(0, 256, size=cout)
+    biases = rng.integers(-30000, 30001, size=cout)
+    # equal edge scales, so each rescale factor is its filter's scale
+    filters = QFilterSet(1, 1, cin, cout, weights, zero_points,
+                         2.0 ** rng.uniform(-8.0, -1.0, size=cout), biases)
     common = dict(
         in_h=h, in_w=w, in_ch=cin, out_h=h, out_w=w, out_ch=cout,
         in_scale=0.05, in_zero=int(rng.integers(0, 256)),
         out_scale=0.05, out_zero=int(rng.integers(0, 256)),
-        filters=filters, mults=mults,
+        filters=filters,
     )
-    pro = LayerDesc(kind=Kind.PRO, **common)
-    exp = LayerDesc(kind=Kind.EXP, **common)
+    pro, exp = _derive_parameters([LayerDesc(kind=Kind.PRO, **common),
+                                   LayerDesc(kind=Kind.EXP, **common)], Rounding.NEAREST)
     x = QTensor(h, w, cin,
                 rng.integers(0, 256, size=(h, w, cin), dtype=np.uint8),
                 zero_point=pro.in_zero, scale=pro.in_scale)
@@ -278,8 +277,8 @@ def run_verification(
                         "" if ok else _first_mismatch(threads.logits.data, seq.logits.data)))
 
         pro_layer, exp_layer, x = _random_pointwise_twins(rng)
-        by_pro, _ = pro_forward(x, pro_layer)
-        by_exp, _ = exp_forward(x, exp_layer)
+        by_pro, _ = run_layer(x, pro_layer)
+        by_exp, _ = run_layer(x, exp_layer)
         ok = by_pro == by_exp
         results.append((f"trial {t}: pointwise engine orders agree", ok,
                         "" if ok else _first_mismatch(by_exp.data, by_pro.data)))

@@ -221,31 +221,6 @@ class FrameBuffer:
         return self._data
 
 
-class SingleConsumptionStream:
-    """Adapter enforcing that each batch index of the runs (first, data)
-    it passes on is taken exactly once.
-
-    The expansion engine folds every input batch into its accumulators
-    the moment it arrives and can never ask for it again; this adapter
-    turns a violation of that contract into a SequencingError instead
-    of silent recomputation.
-    """
-
-    def __init__(self, queue: BoundedQueue):
-        self._queue = queue
-        self._seen: set[int] = set()
-
-    def get_g(self):
-        item = yield from self._queue.get_g()
-        first, run = item
-        taken = range(first, first + run.shape[1] // LANES)
-        if not self._seen.isdisjoint(taken):
-            index = min(self._seen.intersection(taken))
-            raise SequencingError(f"input batch {index} consumed twice")
-        self._seen.update(taken)
-        return item
-
-
 # ---------------------------------------------------------------------------
 # processes
 # ---------------------------------------------------------------------------
@@ -292,17 +267,18 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, round
         b += run.shape[1] // LANES
 
 
-def _exp_process(layer: LayerDesc, stream: SingleConsumptionStream, out_buf: FrameBuffer,
+def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
                  rounding: Rounding, probe=None):
     """Streamed expansion: fold each run from the addition slot into
-    the accumulators as it arrives."""
-    ab, run = yield from stream.get_g()
+    the accumulators as it arrives. The kernel takes each input batch
+    once, in order: a repeated or overlapping run raises in consume."""
+    ab, run = yield from in_q.get_g()
     # the EXP chain reaches this process before its input exists;
     # allocate the accumulator bank only once input arrives
     kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
     kernel.consume(ab, run)
     while ab + run.shape[1] // LANES < layer.apass:
-        ab, run = yield from stream.get_g()
+        ab, run = yield from in_q.get_g()
         kernel.consume(ab, run)
     out_buf.set_tensor(kernel.outputs())
 
@@ -546,8 +522,8 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
             add_sinks: list = [buf]
         else:
             q_add_exp = BoundedQueue(words, f"round{r}-add-exp")
-            chain(exp, _exp_process(layers[exp], SingleConsumptionStream(q_add_exp), buf,
-                                    rounding, _layer_probe(exp_probe, exp)))
+            chain(exp, _exp_process(layers[exp], q_add_exp, buf, rounding,
+                                    _layer_probe(exp_probe, exp)))
             add_sinks = [q_add_exp]
         if add in sources:
             add_sinks.append(res_fifo)

@@ -13,10 +13,10 @@ points off the layer and returns a (pixels, out_ch) uint8 array; the
 pass-through kernel returns its input, since no kernel writes one. A
 shortcut addition runs add_elements on its two operands instead. The
 dataflow processes and the sequential driver pass these arrays from
-layer to layer, and only a frame's logits become a QTensor. The public
-calls (c2d_forward ... add_passthrough, run_layer) take and return
-QTensors: each checks its input against the layer edge, calls the
-kernel and wraps the result.
+layer to layer, and only a frame's logits become a QTensor. The one
+public engine call, run_layer, takes and returns QTensors: it checks
+its input (and a shortcut's residual) against the layer edge, runs the
+layer's kernel and wraps the result.
 
 Every MAC engine sums raw codes. The multiply-accumulate of C2D, PRO,
 EXP and DWC runs on float32 as an exact integer carrier, so numpy can
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, SequencingError, ShapeError
 from .modelkit import (
     ACC_BOUND,
     BIAS_BITS,
@@ -349,16 +349,6 @@ def output_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
                    layer.out_zero, layer.out_scale)
 
 
-def _forward(call: str, kind: Kind, x: QTensor, layer: LayerDesc, rounding: Rounding,
-             probe=None) -> tuple[QTensor, EngineStats]:
-    """The public call's checks of a kind's layer and x, then its kernel on x."""
-    if layer.kind is not kind:
-        raise DomainError(f"{call} cannot run a {layer.kind.value} layer")
-    _check_edge(x, layer)
-    rec = layer_record(layer)
-    return output_tensor(layer, rec.kernel(x.data, layer, rounding, probe)), rec.stats
-
-
 def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
     """Zero-corrected weights in one new array of dtype."""
     w = f.weights.astype(dtype)
@@ -447,6 +437,14 @@ def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rec: LayerRecord,
 # ---------------------------------------------------------------------------
 
 def _c2d(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    """The entry convolution: 3 input channels, 32 filters, 3x3 kernel,
+    stride 2, even input sides.
+
+    The engine consumes the frame in row raster order with a two-row
+    reach, one input pixel per cycle; here all output pixels are
+    computed together by one im2col GEMM over raw codes, whose columns
+    are one copy of the padded frame's window view.
+    """
     rec = layer_record(layer)
     in_h, in_w = layer.in_h, layer.in_w
     padded = np.full((in_h + 2, in_w + 2, 3), layer.in_zero, dtype=np.float32)
@@ -456,28 +454,17 @@ def _c2d(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> 
     return _requant_uint8((cols @ rec.taps).astype(np.int64), layer, rec, rounding)
 
 
-def c2d_forward(
-    x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
-) -> tuple[QTensor, EngineStats]:
-    """Run the specialized entry convolution.
-
-    Fixed shape contract: 3 input channels, 32 filters, 3x3 kernel,
-    stride 2, even input sides. The engine consumes the frame in row
-    raster order with a two-row reach, one input pixel per cycle; here
-    all output pixels are computed together by one im2col GEMM over raw
-    codes, whose columns are one copy of the padded frame's window view.
-    The record's rescale offset holds -in_zero times each filter's tap
-    sum, so the frame is padded with the zero point and never
-    zero-corrected.
-    """
-    return _forward("c2d_forward", Kind.C2D, x, layer, rounding)
-
-
 # ---------------------------------------------------------------------------
 # DWC: depthwise convolution and average pooling
 # ---------------------------------------------------------------------------
 
 def _dwc(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
+    """A depthwise 3x3 convolution over 16-channel groups.
+
+    The engine makes one full-frame pass per 16-channel group, so the
+    channel count must be a multiple of 16. Stride 1 or 2, one ring of
+    zero-point padding.
+    """
     rec = layer_record(layer)
     in_h, in_w, c = layer.in_h, layer.in_w, layer.in_ch
     out_h, out_w = layer.out_h, layer.out_w
@@ -493,43 +480,16 @@ def _dwc(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> 
     return _requant_uint8(acc.reshape(-1, c), layer, rec, rounding)
 
 
-def dwc_forward(
-    x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
-) -> tuple[QTensor, EngineStats]:
-    """Run a depthwise 3x3 convolution over 16-channel groups.
-
-    The engine makes one full-frame pass per 16-channel group, so the
-    channel count must be a multiple of 16. Stride 1 or 2, one ring of
-    zero-point padding. All nine taps of every window run as one float32
-    einsum onto raw codes: each window's sum is an integer of at most
-    9 * 255**2 < 2**24 in magnitude, exact in float32 in any order. At
-    stride 1 the einsum runs along whole output rows (_row_windows),
-    against the taps tiled once per call to (3, 3, out_w, C); at stride
-    2 it runs over the 5-D window view (_windows). The record's rescale
-    offset holds the bias and -in_zero times each channel's tap sum, so
-    the rescale sees the zero-corrected sum.
-    """
-    return _forward("dwc_forward", Kind.DWC, x, layer, rounding)
-
-
 def _avgpool(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
-    rec = layer_record(layer)
-    acc = data.reshape(-1, layer.in_ch).sum(axis=0, dtype=np.int64)
-    return _requant_uint8(acc, layer, rec, rounding).reshape(1, layer.out_ch)
-
-
-def dwc_avgpool(
-    x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
-) -> tuple[QTensor, EngineStats]:
     """Average a frame down to one pixel on the depthwise engine.
 
     Sums raw codes per channel in one int64 reduction and rescales by a
-    multiplier encoding in_scale / (pixels * out_scale); the record's
-    rescale offset holds -pixels * in_zero, so the rescale sees the
-    zero-corrected sum. 7x7 input in the standard topology, any frame
-    that fits the layer edge otherwise.
+    multiplier encoding in_scale / (pixels * out_scale). 7x7 input in
+    the standard topology, any frame that fits the layer edge otherwise.
     """
-    return _forward("dwc_avgpool", Kind.AVGPOOL, x, layer, rounding)
+    rec = layer_record(layer)
+    acc = data.reshape(-1, layer.in_ch).sum(axis=0, dtype=np.int64)
+    return _requant_uint8(acc, layer, rec, rounding).reshape(1, layer.out_ch)
 
 
 # ---------------------------------------------------------------------------
@@ -537,26 +497,18 @@ def dwc_avgpool(
 # ---------------------------------------------------------------------------
 
 def _pro(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
-    rec = layer_record(layer)
-    cols = data.reshape(-1, layer.in_ch).astype(np.float32)
-    return _requant_uint8(fold_gemm(None, cols, rec.taps), layer, rec, rounding)
-
-
-def pro_forward(
-    x: QTensor, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST
-) -> tuple[QTensor, EngineStats]:
-    """Run a 1x1 projection.
+    """A 1x1 projection.
 
     Pass order per pixel: outer loop over output filter batches, inner
     loop over input channel batches; the accumulator bank starts at the
     bias word and each output batch is rescaled and written the moment
     its last input batch lands. Integer sums do not depend on their
     order, so the whole frame runs here as one exact GEMM over raw
-    codes, with results identical to the per-pass schedule; the bias
-    and -in_zero times each filter's tap sum reach the sums through the
-    record's rescale offset.
+    codes, with results identical to the per-pass schedule.
     """
-    return _forward("pro_forward", Kind.PRO, x, layer, rounding)
+    rec = layer_record(layer)
+    cols = data.reshape(-1, layer.in_ch).astype(np.float32)
+    return _requant_uint8(fold_gemm(None, cols, rec.taps), layer, rec, rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +516,7 @@ def pro_forward(
 # ---------------------------------------------------------------------------
 
 def _exp(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
-    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
-    kernel.consume(0, data.reshape(-1, layer.in_ch))
-    return kernel.outputs()
-
-
-def exp_forward(
-    x: QTensor,
-    layer: LayerDesc,
-    rounding: Rounding = Rounding.NEAREST,
-    probe=None,
-) -> tuple[QTensor, EngineStats]:
-    """Run a 1x1 expansion.
+    """A 1x1 expansion, the whole frame fed to one ExpStreamKernel.
 
     Pass order is the transpose of the projection engine: outer loop
     over input channel batches, inner loop over output filter batches.
@@ -588,7 +529,9 @@ def exp_forward(
     of shape (fpass, pixels, 16) holding the zero-corrected partial
     sums, bias included (see ExpStreamKernel).
     """
-    return _forward("exp_forward", Kind.EXP, x, layer, rounding, probe)
+    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
+    kernel.consume(0, data.reshape(-1, layer.in_ch))
+    return kernel.outputs()
 
 
 class ExpStreamKernel:
@@ -630,11 +573,14 @@ class ExpStreamKernel:
         batches is pixels x (16 * n) uint8, n consecutive batches side by
         side. Without a probe all n fold in one call of fold_gemm; with
         one, each batch is folded and probed in turn, so the probe sees
-        every partial in pass order.
+        every partial in pass order. The engine can never ask for a
+        batch again, so each is taken exactly once: SequencingError
+        unless ab is the next batch, which rejects a repeated or
+        overlapping run.
         """
         layer = self.layer
         if ab != self._next_batch:
-            raise DomainError(f"input batch {ab} arrived, expected {self._next_batch}")
+            raise SequencingError(f"input batch {ab} arrived, expected {self._next_batch}")
         n, ragged = divmod(batches.shape[1], LANES)
         if ragged or not 0 < n <= layer.apass - ab:
             raise DomainError(f"{batches.shape[1]} channels from batch {ab} do not fill "
@@ -684,38 +630,13 @@ def add_elements(
     return _narrow_uint8(apply_rescale(t, rec.rescale, 0, rounding), layer.add_params.out_zero)
 
 
-def add_forward(
-    x1: QTensor, x2: QTensor, layer: LayerDesc,
-    rounding: Rounding = Rounding.NEAREST,
-) -> tuple[QTensor, EngineStats]:
-    """Add a residual shortcut into the main path."""
-    if layer.kind is not Kind.ADD or layer.add_params is None:
-        raise DomainError("add_forward needs an ADD layer with derived parameters")
-    _check_edge(x1, layer)
-    if (x2.height, x2.width, x2.channels) != (layer.in_h, layer.in_w, layer.in_ch):
-        raise ShapeError("residual operand dims do not match the layer")
-    if x2.zero_point != layer.add_params.in2_zero:
-        raise DomainError("residual operand zero point does not match")
-    out = add_elements(x1.data, x2.data, layer, rounding)
-    return output_tensor(layer, out), nominal_stats(layer)
-
-
 def _passthrough(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:
-    return data  # no kernel writes its input, so the frame need not be copied
+    """An ADD slot without a shortcut: the frame streams through unchanged.
 
-
-def add_passthrough(x: QTensor, layer: LayerDesc) -> tuple[QTensor, EngineStats]:
-    """Forward a frame through an ADD slot that has no shortcut.
-
-    The frame streams through unchanged (the output edge equals the
-    input edge by construction), costing stream cycles but no math;
-    the output shares the input's array.
+    It costs stream cycles but no math. No kernel writes its input, so
+    the output is the input array itself, not a copy.
     """
-    if layer.kind is not Kind.ADD or layer.residual_from is not None:
-        raise DomainError("add_passthrough needs an ADD layer without a shortcut")
-    if layer.out_scale != layer.in_scale or layer.out_zero != layer.in_zero:
-        raise DomainError("pass-through output edge must equal its input edge")
-    return _forward("add_passthrough", Kind.ADD, x, layer, Rounding.NEAREST)
+    return data
 
 
 #: The array kernel of each layer kind, read once per layer into its
@@ -735,17 +656,30 @@ def run_layer(
     x: QTensor, layer: LayerDesc, residual: QTensor | None = None,
     rounding: Rounding = Rounding.NEAREST, probe=None,
 ) -> tuple[QTensor, EngineStats]:
-    """Run one layer on its engine, with the checks of its public call.
+    """Run one layer on its engine: the one public engine call.
 
-    probe reaches an expansion's kernel; other engines have no partial
-    sums to show it.
+    Checks x against the layer's input edge, runs the layer's kernel (a
+    shortcut addition runs add_elements on x and residual, after
+    checking the residual's dims and zero point) and returns the output
+    frame with the layer's stats. A pass-through slot takes no residual,
+    and its output edge must equal its input edge, since its output is
+    x's own array. probe reaches an expansion's kernel; other engines
+    have no partial sums to show it.
     """
-    if layer.kind is Kind.ADD:
-        if layer.residual_from is None:
-            if residual is not None:
-                raise DomainError("pass-through slot received a residual operand")
-            return add_passthrough(x, layer)
-        if residual is None:
-            raise DomainError("shortcut layer is missing its residual operand")
-        return add_forward(x, residual, layer, rounding)
-    return _forward("run_layer", layer.kind, x, layer, rounding, probe)
+    shortcut = layer.kind is Kind.ADD and layer.residual_from is not None
+    if layer.kind is Kind.ADD and not shortcut:
+        if residual is not None:
+            raise DomainError("pass-through slot received a residual operand")
+        if layer.out_scale != layer.in_scale or layer.out_zero != layer.in_zero:
+            raise DomainError("pass-through output edge must equal its input edge")
+    if shortcut and residual is None:
+        raise DomainError("shortcut layer is missing its residual operand")
+    _check_edge(x, layer)
+    rec = layer_record(layer)
+    if not shortcut:
+        return output_tensor(layer, rec.kernel(x.data, layer, rounding, probe)), rec.stats
+    if (residual.height, residual.width, residual.channels) != (x.height, x.width, x.channels):
+        raise ShapeError("residual operand dims do not match the layer")
+    if residual.zero_point != layer.add_params.in2_zero:
+        raise DomainError("residual operand zero point does not match")
+    return output_tensor(layer, add_elements(x.data, residual.data, layer, rounding)), rec.stats

@@ -272,10 +272,10 @@ class PreparedModel:
     Frozen: layers is a tuple (a list passed in is stored as one) of
     frozen layers, and a model from prepare() or load_package() holds
     read-only filter arrays, so it never changes once built; a changed
-    model is a new one (dataclasses.replace). Its round plan and
-    its validate_graph verdict are computed once per model object, on
-    first use, and the drivers read the verdict instead of re-checking
-    each engine call.
+    model is a new one (dataclasses.replace). Its round plan, its
+    validate_graph verdict and its residual sources are computed once
+    per model object, on first use, and the drivers read the verdict
+    instead of re-checking each engine call.
     """
 
     layers: tuple[LayerDesc, ...]
@@ -297,15 +297,10 @@ class PreparedModel:
         first = self.layers[0]
         return first.in_scale, first.in_zero
 
-    @property
-    def residual_table(self) -> dict[int, int]:
-        """Shortcut addition layer index -> index of its residual source."""
-        return {i: l.residual_from for i, l in enumerate(self.layers)
-                if l.residual_from is not None}
-
-    @property
-    def residual_sources(self) -> set[int]:
-        return set(self.residual_table.values())
+    @cached_property
+    def residual_sources(self) -> frozenset[int]:
+        """Indices of the layers whose output frames a shortcut reads."""
+        return frozenset(l.residual_from for l in self.layers if l.residual_from is not None)
 
     @cached_property
     def rounds(self) -> list[RoundPlan]:

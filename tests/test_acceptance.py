@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 
 from semistream.dataflow import run_inference
-from semistream.engines import (
-    add_forward,
-    c2d_forward,
-    dwc_avgpool,
-    dwc_forward,
-    exp_forward,
-    pro_forward,
-    run_layer,
-)
+from semistream.engines import run_layer
 from semistream.modelkit import (
     Kind,
     LayerDesc,
@@ -145,8 +137,8 @@ def test_criterion_05_pointwise_orders_equivalent():
         rng = np.random.default_rng(50_000 + seed)
         pro, exp, x = pointwise_twins(rng)
         rounding = Rounding.NEAREST if seed % 2 else Rounding.TRUNCATE
-        a, _ = pro_forward(x, pro, rounding)
-        b, _ = exp_forward(x, exp, rounding)
+        a, _ = run_layer(x, pro, rounding=rounding)
+        b, _ = run_layer(x, exp, rounding=rounding)
         np.testing.assert_array_equal(a.data, b.data)
     elapsed = time.perf_counter() - t0
     assert elapsed < BUDGET_TWINS_S, f"took {elapsed:.1f}s"
@@ -184,14 +176,14 @@ def test_criterion_06_engines_bit_exact_vs_reference():
             c2d_layer(rng), in_h=side, in_w=side, out_h=side // 2, out_w=side // 2)
         x = qinput(rng, layer)
         rounding = Rounding.NEAREST if seed % 2 else Rounding.TRUNCATE
-        got, _ = c2d_forward(x, layer, rounding)
+        got, _ = run_layer(x, layer, rounding=rounding)
         np.testing.assert_array_equal(
             got.data, naive_quant_layer(x.data, layer, rounding=rounding))
     for seed in (61_000, 61_001):
         rng = np.random.default_rng(seed)
         layer = c2d_layer(rng)
         x = qinput(rng, layer)
-        got, _ = c2d_forward(x, layer)
+        got, _ = run_layer(x, layer)
         np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
 
     # depthwise engine, pooling mode included, both strides exercised
@@ -204,7 +196,7 @@ def test_criterion_06_engines_bit_exact_vs_reference():
                                w=int(rng.integers(2, 8)),
                                ch=int(rng.choice([16, 32])))
             x = qinput(rng, layer)
-            got, _ = dwc_avgpool(x, layer, rounding)
+            got, _ = run_layer(x, layer, rounding=rounding)
         elif seed % 7 == 6:
             orig24 = derive(LayerDesc(
                 kind=Kind.DWC, in_h=5, in_w=5, in_ch=24, out_h=5, out_w=5,
@@ -213,26 +205,25 @@ def test_criterion_06_engines_bit_exact_vs_reference():
                 filters=random_filters(rng, 3, 3, 1, 24, 0.01, 0.02)))
             layer = derive(pad_channels(dataclasses.replace(orig24)))
             x = qinput(rng, layer)
-            got, _ = dwc_forward(x, layer, rounding)
+            got, _ = run_layer(x, layer, rounding=rounding)
             assert np.all(got.data[:, :, 24:] == layer.out_zero)
         else:
             layer = dwc_layer(rng)
             strides.append(layer.stride)
             x = qinput(rng, layer)
-            got, _ = dwc_forward(x, layer, rounding)
+            got, _ = run_layer(x, layer, rounding=rounding)
         np.testing.assert_array_equal(
             got.data, naive_quant_layer(x.data, layer, rounding=rounding))
     assert strides.count(2) >= 15, "stride-2 draws came up short"
 
     # pointwise engines, lane-padded cases every fourth seed
-    for kind, run, base in ((Kind.PRO, pro_forward, 64_000),
-                            (Kind.EXP, exp_forward, 66_000)):
+    for kind, base in ((Kind.PRO, 64_000), (Kind.EXP, 66_000)):
         for seed in range(SEEDS_PER_ENGINE):
             rng = np.random.default_rng(base + seed)
             rounding = Rounding.TRUNCATE if seed % 2 else Rounding.NEAREST
             if seed % 4 == 3:
                 orig, layer, x = _padded_pointwise_case(rng, kind)
-                got, _ = run(x, layer, rounding)
+                got, _ = run_layer(x, layer, rounding=rounding)
                 np.testing.assert_array_equal(
                     got.data[:, :, : orig.out_ch],
                     naive_quant_layer(x.data[:, :, : orig.in_ch], orig,
@@ -241,7 +232,7 @@ def test_criterion_06_engines_bit_exact_vs_reference():
             else:
                 layer = pointwise_layer(rng, kind)
                 x = qinput(rng, layer)
-                got, _ = run(x, layer, rounding)
+                got, _ = run_layer(x, layer, rounding=rounding)
             np.testing.assert_array_equal(
                 got.data, naive_quant_layer(x.data, layer, rounding=rounding))
 
@@ -252,7 +243,7 @@ def test_criterion_06_engines_bit_exact_vs_reference():
         x1 = qinput(rng, layer)
         x2 = residual_input(rng, layer)
         rounding = Rounding.NEAREST if seed % 2 else Rounding.TRUNCATE
-        got, _ = add_forward(x1, x2, layer, rounding)
+        got, _ = run_layer(x1, layer, residual=x2, rounding=rounding)
         np.testing.assert_array_equal(
             got.data,
             naive_quant_layer(x1.data, layer, residual=x2.data, rounding=rounding))
@@ -330,7 +321,7 @@ def test_criterion_09_engine_outputs_track_real_arithmetic():
     for seed in range(6):
         rng = np.random.default_rng(93_000 + seed)
         layer, x1, x2 = benign_add_case(rng)
-        got, _ = add_forward(x1, x2, layer)
+        got, _ = run_layer(x1, layer, residual=x2)
         r1 = dequantize(x1.data, x1.scale, x1.zero_point)
         r2 = dequantize(x2.data, x2.scale, x2.zero_point)
         real = float_layer(r1, layer, residual=r2)
@@ -356,11 +347,10 @@ def test_criterion_10_lossless_structure_transforms(standard224):
                 data = np.full((4, 4, 32), orig.in_zero, dtype=np.uint8)
                 data[:, :, :24] = rng.integers(0, 256, size=(4, 4, 24), dtype=np.uint8)
                 x = QTensor(4, 4, 32, data, padded.in_zero, padded.in_scale)
-                got, _ = dwc_forward(x, padded)
+                got, _ = run_layer(x, padded)
             else:
                 orig, padded, x = _padded_pointwise_case(rng, kind)
-                run = pro_forward if kind is Kind.PRO else exp_forward
-                got, _ = run(x, padded)
+                got, _ = run_layer(x, padded)
             want = naive_quant_layer(x.data[:, :, : orig.in_ch], orig)
             np.testing.assert_array_equal(got.data[:, :, : orig.out_ch], want)
             assert np.all(got.data[:, :, orig.out_ch:] == padded.out_zero)
@@ -369,12 +359,11 @@ def test_criterion_10_lossless_structure_transforms(standard224):
     rng = np.random.default_rng(100_500)
     layer = dwc_layer(rng, h=6, w=6, ch=16, stride=1)
     x = qinput(rng, layer)
-    out, _ = dwc_forward(x, layer)
+    out, _ = run_layer(x, layer)
     grown = dataclasses.replace(layer, in_h=8, in_w=8, out_h=8, out_w=8)
     framed = np.full((8, 8, 16), layer.in_zero, dtype=np.uint8)
     framed[1:7, 1:7] = x.data
-    out2, _ = dwc_forward(
-        QTensor(8, 8, 16, framed, layer.in_zero, layer.in_scale), grown)
+    out2, _ = run_layer(QTensor(8, 8, 16, framed, layer.in_zero, layer.in_scale), grown)
     np.testing.assert_array_equal(out2.data[1:7, 1:7], out.data)
 
     # bias narrowing is the identity on every bias the models carry
@@ -390,7 +379,7 @@ def test_criterion_10_lossless_structure_transforms(standard224):
     narrowed = [narrow_bias(int(b), layer.bias_bits) for b in layer.filters.biases]
     relaid = dataclasses.replace(layer, filters=dataclasses.replace(
         layer.filters, biases=np.array(narrowed, dtype=np.int64)))
-    a, _ = pro_forward(x, layer)
-    b, _ = pro_forward(x, relaid)
+    a, _ = run_layer(x, layer)
+    b, _ = run_layer(x, relaid)
     np.testing.assert_array_equal(a.data, b.data)
     print("ACCEPTANCE 10 padding and bias transforms output-preserving: PASS")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from semistream.dataflow import (
     BoundedQueue,
     FrameBuffer,
-    SingleConsumptionStream,
     _add_process,
     _run_round_robin,
     _run_threaded,
@@ -227,33 +226,6 @@ def test_frame_buffer_adopts_a_whole_frame():
         FrameBuffer(npix=6, nbatches=2).set_tensor(data.astype(np.int64))
     with pytest.raises(DomainError, match="2 in all"):
         FrameBuffer(npix=6, nbatches=2).set_tensor(np.zeros((6, 48), np.uint8))
-
-
-def _take(stream):
-    got = None
-    try:
-        next(stream.get_g())
-    except StopIteration as stop:
-        got = stop.value
-    return got
-
-
-def test_single_consumption_stream():
-    q = BoundedQueue(16)
-    run = np.arange(2 * 2 * LANES, dtype=np.uint8).reshape(2, 2 * LANES)
-    q.try_put((0, run))
-    stream = SingleConsumptionStream(q)
-    first, got = _take(stream)
-    assert first == 0 and got is run
-    q.try_put((0, run[:, :LANES]))
-    with pytest.raises(SequencingError, match="batch 0 consumed twice"):
-        drain(stream.get_g())
-    # a run that starts on a new batch but overlaps one already taken
-    q.try_put((1, run))
-    with pytest.raises(SequencingError, match="batch 1 consumed twice"):
-        drain(stream.get_g())
-    q.try_put((2, run))
-    assert _take(stream)[0] == 2
 
 
 # ---------------------------------------------------------------------------

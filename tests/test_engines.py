@@ -21,22 +21,15 @@ from semistream.engines import (
     EngineStats,
     ExpStreamKernel,
     add_elements,
-    add_forward,
-    add_passthrough,
-    c2d_forward,
     check_acc_bound,
-    dwc_avgpool,
-    dwc_forward,
     engine_cycles,
-    exp_forward,
     fold_gemm,
     layer_record,
     nominal_stats,
-    pro_forward,
     run_layer,
     weight_bytes,
 )
-from semistream.errors import DomainError, ShapeError
+from semistream.errors import DomainError, SequencingError, ShapeError
 from semistream.modelkit import (
     LANES,
     Kind,
@@ -73,6 +66,7 @@ from conftest import (
     random_filters,
     rational_requant,
     residual_input,
+    toy_model,
 )
 
 
@@ -112,9 +106,9 @@ def test_c2d_single_tap_rounding_split():
     x = flat_input(layer, 128)
     x.data[2, 2, 0] = 129  # seen by the center tap of output pixel (1, 1)
 
-    out_t, _ = c2d_forward(x, layer, Rounding.TRUNCATE)
+    out_t, _ = run_layer(x, layer, rounding=Rounding.TRUNCATE)
     assert np.all(out_t.data == 100)  # floor(0.5) = 0, nowhere rounds up
-    out_n, _ = c2d_forward(x, layer, Rounding.NEAREST)
+    out_n, _ = run_layer(x, layer, rounding=Rounding.NEAREST)
     assert out_n.data[1, 1, 0] == 101  # 0.5 ties away from zero
     mask = np.zeros_like(out_n.data, dtype=bool)
     mask[1, 1, 0] = True
@@ -127,7 +121,7 @@ def test_c2d_matches_reference_small():
         layer = small_c2d(rng)
         x = qinput(rng, layer)
         rounding = Rounding.NEAREST if seed % 2 else Rounding.TRUNCATE
-        got, _ = c2d_forward(x, layer, rounding)
+        got, _ = run_layer(x, layer, rounding=rounding)
         want = naive_quant_layer(x.data, layer, rounding=rounding)
         np.testing.assert_array_equal(got.data, want)
 
@@ -136,7 +130,7 @@ def test_c2d_matches_reference_full_frame():
     rng = np.random.default_rng(7)
     layer = c2d_layer(rng)
     x = qinput(rng, layer)
-    got, stats = c2d_forward(x, layer)
+    got, stats = run_layer(x, layer)
     np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
     assert stats.cycles == 224 * 224
 
@@ -146,12 +140,10 @@ def test_c2d_shape_contract():
     layer = small_c2d(rng)
     with pytest.raises(ShapeError, match="even sides"):
         odd = dataclasses.replace(layer, in_h=15, out_h=8)
-        c2d_forward(qinput(rng, odd), odd)
+        run_layer(qinput(rng, odd), odd)
     with pytest.raises(ShapeError, match="3->32"):
         wide = dataclasses.replace(layer, in_ch=16)
-        c2d_forward(qinput(rng, wide), wide)
-    with pytest.raises(DomainError):
-        c2d_forward(qinput(rng, layer), dataclasses.replace(layer, kind=Kind.DWC))
+        run_layer(qinput(rng, wide), wide)
 
 
 def test_c2d_rejects_mismatched_input_edge():
@@ -160,10 +152,10 @@ def test_c2d_rejects_mismatched_input_edge():
     x = qinput(rng, layer)
     bad = QTensor(x.height, x.width, x.channels, x.data, x.zero_point + 1, x.scale)
     with pytest.raises(DomainError, match="quantization"):
-        c2d_forward(bad, layer)
+        run_layer(bad, layer)
     short = QTensor(4, x.width, x.channels, x.data[:4], x.zero_point, x.scale)
     with pytest.raises(ShapeError):
-        c2d_forward(short, layer)
+        run_layer(short, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,7 @@ def test_dwc_identity_kernel_halves_the_offset():
     )
     x = flat_input(layer, 200)  # 100 above the input zero point
     for rounding in Rounding:
-        out, _ = dwc_forward(x, layer, rounding)
+        out, _ = run_layer(x, layer, rounding=rounding)
         assert np.all(out.data == 110)  # 60 + 100 * 0.5, exact either way
 
 
@@ -200,7 +192,7 @@ def test_dwc_matches_reference():
         layer = dwc_layer(rng)
         x = qinput(rng, layer)
         rounding = Rounding.TRUNCATE if seed % 3 == 0 else Rounding.NEAREST
-        got, _ = dwc_forward(x, layer, rounding)
+        got, _ = run_layer(x, layer, rounding=rounding)
         np.testing.assert_array_equal(
             got.data, naive_quant_layer(x.data, layer, rounding=rounding)
         )
@@ -211,7 +203,7 @@ def test_dwc_rejects_ragged_channels():
     layer = dwc_layer(rng, ch=16)
     ragged = dataclasses.replace(layer, in_ch=24, out_ch=24)
     with pytest.raises(ShapeError, match="multiple of 16"):
-        dwc_forward(qinput(rng, ragged), ragged)
+        run_layer(qinput(rng, ragged), ragged)
 
 
 def test_avgpool_tracks_the_true_mean():
@@ -219,7 +211,7 @@ def test_avgpool_tracks_the_true_mean():
         rng = np.random.default_rng(200 + seed)
         layer = pool_layer(rng)
         x = qinput(rng, layer)
-        out, _ = dwc_avgpool(x, layer)
+        out, _ = run_layer(x, layer)
         sums = (x.data.astype(np.int64) - layer.in_zero).sum(axis=(0, 1))
         exact = layer.in_scale * sums / (49 * layer.out_scale) + layer.out_zero
         expected = np.clip(np.floor(exact + 0.5), 0, 255)
@@ -230,7 +222,7 @@ def test_avgpool_any_frame_edge():
     rng = np.random.default_rng(5)
     layer = pool_layer(rng, h=3, w=3, ch=32)
     x = qinput(rng, layer)
-    got, _ = dwc_avgpool(x, layer)
+    got, _ = run_layer(x, layer)
     np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
 
 
@@ -239,7 +231,7 @@ def test_avgpool_output_must_be_single_pixel():
     layer = pool_layer(rng)
     bad = dataclasses.replace(layer, out_h=7, out_w=1)
     with pytest.raises(ShapeError, match="1x1"):
-        dwc_avgpool(qinput(rng, bad), bad)
+        run_layer(qinput(rng, bad), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,7 @@ def test_pro_single_term():
     )
     x = flat_input(layer, 50)
     x.data[:, :, 0] = 150  # only the surviving product term
-    out, _ = pro_forward(x, layer)
+    out, _ = run_layer(x, layer)
     assert np.all(out.data[:, :, 0] == 127)
     assert np.all(out.data[:, :, 1:] == 77)
 
@@ -279,8 +271,7 @@ def test_pointwise_engines_match_reference():
         layer = pointwise_layer(rng, kind)
         x = qinput(rng, layer)
         rounding = Rounding.NEAREST if seed % 3 else Rounding.TRUNCATE
-        run = pro_forward if kind is Kind.PRO else exp_forward
-        got, _ = run(x, layer, rounding)
+        got, _ = run_layer(x, layer, rounding=rounding)
         np.testing.assert_array_equal(
             got.data, naive_quant_layer(x.data, layer, rounding=rounding)
         )
@@ -291,8 +282,8 @@ def test_pass_orders_agree():
     for seed in range(20):
         rng = np.random.default_rng(400 + seed)
         pro, exp, x = pointwise_twins(rng)
-        a, _ = pro_forward(x, pro)
-        b, _ = exp_forward(x, exp)
+        a, _ = run_layer(x, pro)
+        b, _ = run_layer(x, exp)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -301,7 +292,7 @@ def test_exp_partials_after_first_batch():
     layer = pointwise_layer(rng, Kind.EXP, h=1, w=1, cin=32, cout=16)
     x = qinput(rng, layer)
     seen = {}
-    exp_forward(x, layer, probe=lambda ab, acc: seen.__setitem__(ab, acc))
+    run_layer(x, layer, probe=lambda ab, acc: seen.__setitem__(ab, acc))
     assert sorted(seen) == [0, 1]
     f = layer.filters
     w = f.weights[0, 0].astype(np.int64) - f.zero_points[None, :]
@@ -318,7 +309,7 @@ def test_exp_kernel_sequencing():
     flat = x.data.reshape(4, 48)
     want = naive_quant_layer(x.data, layer).reshape(4, 16)
     kernel = ExpStreamKernel(layer, 4)
-    with pytest.raises(DomainError, match="expected 0"):
+    with pytest.raises(SequencingError, match="expected 0"):
         kernel.consume(1, flat[:, 16:32])
     with pytest.raises(ShapeError, match="3 pixels arrived for a 4-pixel frame"):
         kernel.consume(0, flat[:3, :16])  # the bank is sized by the first batch
@@ -332,8 +323,16 @@ def test_exp_kernel_sequencing():
     with pytest.raises(DomainError, match="whole batches"):
         kernel.consume(1, flat[:, 16:40])  # a ragged batch
     kernel.consume(1, flat[:, 16:32])
+    with pytest.raises(SequencingError, match="input batch 1 arrived, expected 2"):
+        kernel.consume(1, flat[:, 16:32])  # a repeated run
+    with pytest.raises(SequencingError, match="input batch 0 arrived, expected 2"):
+        kernel.consume(0, flat)  # a run overlapping batches already folded
     kernel.consume(2, flat[:, 32:])
     np.testing.assert_array_equal(kernel.outputs(), want)
+    kernel = ExpStreamKernel(layer, 4)
+    kernel.consume(0, flat[:, :32])
+    with pytest.raises(SequencingError, match="input batch 1 arrived, expected 2"):
+        kernel.consume(1, flat[:, 16:])  # starts on a batch of the last run
     # several consecutive batches per call, and the whole frame in one
     for splits in ((0, 16, 48), (0, 48)):
         kernel = ExpStreamKernel(layer, 4)
@@ -417,7 +416,7 @@ def test_pointwise_rejects_ragged_channels():
     layer = pointwise_layer(rng, Kind.PRO, cin=16, cout=16)
     bad = dataclasses.replace(layer, out_ch=20)
     with pytest.raises(ShapeError, match="multiples of 16"):
-        pro_forward(qinput(rng, bad), bad)
+        run_layer(qinput(rng, bad), bad)
 
 
 def test_padded_channels_preserve_the_original_layer():
@@ -442,14 +441,14 @@ def test_padded_channels_preserve_the_original_layer():
         x32[:, :, :24] = x24
         xt = QTensor(3, 3, 32, x32, padded.in_zero, padded.in_scale)
 
-        got, _ = pro_forward(xt, padded)
+        got, _ = run_layer(xt, padded)
         np.testing.assert_array_equal(
             got.data[:, :, :24], naive_quant_layer(x24, orig)
         )
         assert np.all(got.data[:, :, 24:] == padded.out_zero)
         # junk in the padded input lanes must not leak through
         x32[:, :, 24:] = rng.integers(0, 256, size=(3, 3, 8), dtype=np.uint8)
-        again, _ = pro_forward(xt, padded)
+        again, _ = run_layer(xt, padded)
         np.testing.assert_array_equal(again.data, got.data)
 
 
@@ -469,7 +468,7 @@ def test_add_equal_scales_is_exact():
                      np.full_like(x1.data, layer.add_params.in2_zero + 1),
                      layer.add_params.in2_zero, layer.in_scale)
         for rounding in Rounding:
-            out, _ = add_forward(x1, x2, layer, rounding)
+            out, _ = run_layer(x1, layer, residual=x2, rounding=rounding)
             # every rescale in the chain is a power of two here
             assert np.all(out.data == layer.out_zero + 2)
         hits += 1
@@ -483,7 +482,7 @@ def test_add_matches_reference():
         x1 = qinput(rng, layer)
         x2 = residual_input(rng, layer)
         rounding = Rounding.TRUNCATE if seed % 2 else Rounding.NEAREST
-        got, stats = add_forward(x1, x2, layer, rounding)
+        got, stats = run_layer(x1, layer, residual=x2, rounding=rounding)
         want = naive_quant_layer(x1.data, layer, residual=x2.data, rounding=rounding)
         np.testing.assert_array_equal(got.data, want)
         assert stats.madds == ADD_OPS_PER_CYCLE * stats.cycles
@@ -497,14 +496,14 @@ def test_add_operand_checks():
     shrunk = QTensor(2, layer.in_w, layer.in_ch, x2.data[:2],
                      x2.zero_point, x2.scale)
     with pytest.raises(ShapeError, match="residual"):
-        add_forward(x1, shrunk, layer)
+        run_layer(x1, layer, residual=shrunk)
     off = QTensor(x2.height, x2.width, x2.channels, x2.data,
                   (x2.zero_point + 1) % 256, x2.scale)
     with pytest.raises(DomainError, match="zero point"):
-        add_forward(x1, off, layer)
+        run_layer(x1, layer, residual=off)
 
 
-def test_add_passthrough_copies_the_frame():
+def test_pass_through_shares_its_input_frame():
     rng = np.random.default_rng(16)
     layer = add_layer(rng)
     plain = dataclasses.replace(
@@ -512,16 +511,15 @@ def test_add_passthrough_copies_the_frame():
         out_scale=layer.in_scale, out_zero=layer.in_zero,
     )
     x = qinput(rng, plain)
-    out, stats = add_passthrough(x, plain)
+    out, stats = run_layer(x, plain)
     np.testing.assert_array_equal(out.data, x.data)
-    assert out.data is not x.data
+    assert np.shares_memory(out.data, x.data)
+    assert (out.zero_point, out.scale) == (x.zero_point, x.scale)
     assert stats.madds == 0
     assert stats.cycles == layer.in_h * layer.in_w * layer.in_ch // LANES
-    with pytest.raises(DomainError, match="without a shortcut"):
-        add_passthrough(x, layer)
     skewed = dataclasses.replace(plain, out_zero=plain.in_zero + 1)
     with pytest.raises(DomainError, match="edge"):
-        add_passthrough(qinput(rng, skewed), skewed)
+        run_layer(qinput(rng, skewed), skewed)
 
 
 def test_run_layer_dispatch():
@@ -530,8 +528,7 @@ def test_run_layer_dispatch():
     x1 = qinput(rng, layer)
     x2 = residual_input(rng, layer)
     got, _ = run_layer(x1, layer, residual=x2)
-    want, _ = add_forward(x1, x2, layer)
-    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got.data, naive_quant_layer(x1.data, layer, residual=x2.data))
     with pytest.raises(DomainError, match="missing its residual"):
         run_layer(x1, layer)
     plain = dataclasses.replace(
@@ -543,6 +540,44 @@ def test_run_layer_dispatch():
     dw = dwc_layer(rng, ch=16)
     got, _ = run_layer(qinput(np.random.default_rng(18), dw), dw)
     assert got.data.shape == (dw.out_h, dw.out_w, 16)
+
+
+def _replay(model, image):
+    """Every layer of a model through run_layer, each residual kept from
+    its source layer until its shortcut takes it, as perfbench's traced
+    replay carries them. Returns the logits and each layer's stats."""
+    x, kept, stats = image, {}, {}
+    for idx, layer in enumerate(model.layers):
+        residual = kept.pop(layer.residual_from, None) if layer.kind is Kind.ADD else None
+        x, stats[idx] = run_layer(x, layer, residual=residual, rounding=model.rounding)
+        if idx in model.residual_sources:
+            kept[idx] = x
+    assert not kept
+    return x, stats
+
+
+def test_run_layer_replays_whole_models():
+    """A layer-by-layer run_layer replay gives the logits and stats of
+    run_inference in every mode, and the oracle's logits: on toy models
+    with both shortcut and pass-through slots, with and without a head,
+    and on MobileNetV2 0.5/64 with its head."""
+    models = [toy_model(seed, include_head=bool(i % 2),
+                        rounding=Rounding.TRUNCATE if i % 2 else Rounding.NEAREST)
+              for i, seed in enumerate((0, 1, 2, 5))]
+    models.append(prepare(build_mobilenet_v2(0.5, 64, seed=4), rounding=Rounding.TRUNCATE))
+    for model in models:
+        adds = [l for l in model.layers if l.kind is Kind.ADD]
+        assert any(l.residual_from is None for l in adds)
+        assert any(l.residual_from is not None for l in adds)
+        pixels = np.random.default_rng(model.resolution).integers(
+            0, 256, size=(model.resolution, model.resolution, 3), dtype=np.uint8)
+        image = image_to_qtensor(pixels, model)
+        logits, stats = _replay(model, image)
+        np.testing.assert_array_equal(logits.data, run_model_naive(model, pixels))
+        for mode in ("sequential", "stream", "threads"):
+            result = run_inference(model, image, mode=mode)
+            assert result.logits == logits
+            assert result.stats == stats
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +698,8 @@ def _check_against_oracle(layer, x, rounding):
     for _ in range(2):
         partials = []
         if layer.kind is Kind.EXP:
-            got, _ = exp_forward(x, layer, rounding, probe=lambda ab, acc: partials.append(acc))
+            got, _ = run_layer(x, layer, rounding=rounding,
+                               probe=lambda ab, acc: partials.append(acc))
             last = partials[-1].transpose(1, 0, 2).reshape(-1, layer.out_ch)
             np.testing.assert_array_equal(last, _raw_pointwise_acc(layer, x))
         else:
@@ -746,14 +782,14 @@ def test_acc_bound_guard_is_tight():
     layer = _worst_case(layer, x, True, True)
     layer.filters.biases[...] = ACC_BOUND - 1 - k * 255 * 255
     check_acc_bound(layer)
-    got, _ = pro_forward(x, layer)  # |acc| = 2**30 - 1, still exact
+    got, _ = run_layer(x, layer)  # |acc| = 2**30 - 1, still exact
     np.testing.assert_array_equal(got.data, naive_quant_layer(x.data, layer))
     # a layer is a fact: to change one after a run, build a new one
     biases = layer.filters.biases.copy()
     biases[0] += 1
     layer = dataclasses.replace(layer, filters=dataclasses.replace(layer.filters, biases=biases))
     with pytest.raises(DomainError, match="2\\*\\*30"):
-        pro_forward(x, layer)
+        run_layer(x, layer)
 
 
 def test_k_chunk_is_the_float32_exactness_bound():
@@ -840,7 +876,7 @@ def test_exp_probe_partials_are_int64_banks():
     layer = pointwise_layer(rng, Kind.EXP, h=2, w=3, cin=32, cout=48)
     x = qinput(rng, layer)
     seen = []
-    out, _ = exp_forward(x, layer, probe=lambda ab, acc: seen.append(acc))
+    out, _ = run_layer(x, layer, probe=lambda ab, acc: seen.append(acc))
     assert len(seen) == layer.apass
     for acc in seen:
         assert acc.dtype == np.int64
@@ -896,8 +932,8 @@ def test_mult_vectors_follow_reassignment():
     f = halved.filters
     rebound = dataclasses.replace(halved, filters=dataclasses.replace(f, weights=255 - f.weights))
     x = qinput(rng, layer)
-    after, _ = pro_forward(x, halved)
-    got, _ = pro_forward(x, rebound)
+    after, _ = run_layer(x, halved)
+    got, _ = run_layer(x, rebound)
     assert not np.array_equal(after.data, got.data)
     np.testing.assert_array_equal(got.data, naive_quant_layer(x, rebound))
     biases = f.biases.copy()
@@ -905,7 +941,7 @@ def test_mult_vectors_follow_reassignment():
     over = dataclasses.replace(layer, filters=dataclasses.replace(f, biases=biases))
     for _ in range(2):  # an over-bound layer never gets a record
         with pytest.raises(DomainError, match="2\\*\\*30"):
-            pro_forward(x, over)
+            run_layer(x, over)
 
 
 def test_add_record_follows_rebinding_add_params():
@@ -1087,9 +1123,9 @@ def test_add_record_checks_its_sum_bound():
     rng = np.random.default_rng(47)
     layer = add_layer(rng, h=2, w=2)
     x1, x2 = qinput(rng, layer), residual_input(rng, layer)
-    add_forward(x1, x2, layer)
+    run_layer(x1, layer, residual=x2)
     layer = dataclasses.replace(layer, add_params=dataclasses.replace(
         layer.add_params, mult1=SimpleNamespace(mult=2**31, shift=1)))
     for _ in range(2):  # an over-bound addition never gets a record
         with pytest.raises(DomainError, match="2\\*\\*62"):
-            add_forward(x1, x2, layer)
+            run_layer(x1, layer, residual=x2)

@@ -451,10 +451,12 @@ def test_package_rejects_version_2(tmp_path):
 
 def test_saved_manifest_stores_no_derived_fields(tmp_path):
     model = small_model()
-    assert model.residual_table and any(l.add_params for l in model.layers)
+    assert model.residual_sources and any(l.add_params for l in model.layers)
     save_package(model, tmp_path)
     text = (tmp_path / "manifest.json").read_text()
-    for key in ("mults", "add_params", "apass", "fpass", "bias_bits", "residual_table",
+    assert set(json.loads(text)) == {"format_version", "family", "resolution",
+                                     "width_multiplier", "seed", "rounding", "layers"}
+    for key in ("mults", "add_params", "apass", "fpass", "bias_bits",
                 "weights_blob", "bias_blob"):
         assert f'"{key}"' not in text
     assert load_package(tmp_path) == model

@@ -133,7 +133,7 @@ def test_naive_entry_conv_exact():
         )
 
 
-def test_naive_add_passthrough_and_missing_residual():
+def test_naive_add_pass_through_and_missing_residual():
     rng = np.random.default_rng(61)
     layer = add_layer(rng)
     with pytest.raises(DomainError, match="residual"):

@@ -1,0 +1,47 @@
+"""Source hygiene checks over src/semistream, read as Python syntax trees."""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "semistream"
+
+
+def _top_level_private_names(tree: ast.Module):
+    """(name, node) for every top-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _references(tree: ast.AST):
+    """Every name a tree reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unused_private_helper():
+    """Every top-level private name in src/semistream is read somewhere in
+    src/ beyond its own definition; a helper nothing calls is dead code."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _references(tree))
+    unused = [f"{module}: {name}"
+              for module, tree in trees.items()
+              for name, node in _top_level_private_names(tree)
+              if reads[name] == Counter(_references(node))[name]]
+    assert not unused, f"private names nothing reads: {unused}"
