@@ -12,29 +12,31 @@ One frame is in flight.
 
 Each round has two stages, the plan's two tuples of layers. Stage one
 runs its whole-frame layers one after another: each reads the newest
-frame buffer and writes a fresh one. Stage two streams projection to
-addition to expansion through bounded word-counted queues, one message
-per run of as many 16-channel batches as a queue holds; a bounded
-residual FIFO, one shortcut source frame deep (residual_fifo_capacity)
-and built only for a model with shortcuts, carries each shortcut frame,
-in the same runs, to the next round's addition slot. Processes pass
-plain uint8 arrays: each runs its layer's kernel (the one its
-engines.layer_record holds) on a frame buffer's array, as the sequential
-driver does from layer to layer, and only the logits become a QTensor. A
-frame buffer adopts the finished array of a whole-frame producer; the
-addition slot fills one in place run by run, and readers get the array
-itself. One wiring loop walks the plan and builds every round's
+frame buffer and writes a fresh one; the image is the first frame
+buffer, so the entry convolution is one of them. Stage two streams
+projection to addition to expansion through bounded word-counted
+queues, one message per run of as many 16-channel batches as a queue
+holds; a bounded residual FIFO, one shortcut source frame deep
+(residual_fifo_capacity) and built only for a model with shortcuts,
+carries each shortcut frame, in the same runs, to the next round's
+addition slot. Processes pass plain uint8 arrays: each runs its layer's
+kernel (the one its engines.layer_record holds) on a frame buffer's
+array, as the sequential driver does from layer to layer, and only the
+logits become a QTensor. A frame buffer is written once, whole: it
+adopts the finished array of its producer, and readers get the array
+itself. In a round without an expansion the addition slot is that
+producer: it copies its runs into a frame it owns and writes it after
+the last run. One wiring loop walks the plan and builds every round's
 processes this way up front. Processes are plain generators that take
 only their streams and yield Blocked tokens when a stream cannot move;
 per-layer work accounting comes from the layers themselves after the
-run. They are
-chained per engine (C2D, EXP, DWC, PRO, ADD) in round order, so data
-streams from round to round with no barrier between rounds. Stream mode
-resumes the five chains under a deterministic round-robin scheduler
-(the reference); threads mode gives each engine one OS thread for the
-whole frame, and the threads take turns under one run lock. Streams
-are plain single-threaded structures: all locking lives in the threads
-driver.
+run. They are chained per engine (C2D, EXP, DWC, PRO, ADD) in round
+order, so data streams from round to round with no barrier between
+rounds. Stream mode resumes the five chains under a deterministic
+round-robin scheduler (the reference); threads mode gives each engine
+one OS thread for the whole frame, and the threads take turns under one
+run lock. Streams are plain single-threaded structures: all locking
+lives in the threads driver.
 
 Both drivers share one deadlock contract. Each stream counts its
 successful operations (its progress counter), and a Blocked token
@@ -63,7 +65,6 @@ from .engines import (
 from .errors import DeadlockError, DomainError, SequencingError, ShapeError
 from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from here
     LANES,
-    Kind,
     LayerDesc,
     PreparedModel,
     QTensor,
@@ -143,68 +144,38 @@ class BoundedQueue:
 
 
 class FrameBuffer:
-    """One full activation frame: an (npix, channels) uint8 array.
+    """One finished activation frame: an (npix, channels) uint8 array.
 
-    Producers fill each 16-channel batch exactly once: feed copies a run
-    of batches into an array allocated on the first feed, set_tensor
-    adopts a whole frame without a copy. Consumers wait until every batch
-    is present and then read the array itself. Attempted reads before
-    completion are counted (and blocked), which is what makes the
-    depthwise reorder boundary observable in tests.
+    Its producer writes it once, whole: set_tensor adopts the finished
+    array without a copy. Readers wait for that write and then read the
+    array itself. Attempted reads before the write are counted (and
+    blocked), which is what makes the depthwise reorder boundary
+    observable in tests.
     """
 
-    def __init__(self, npix: int, nbatches: int, label: str = ""):
+    def __init__(self, npix: int, channels: int, label: str = ""):
         self.npix = npix
-        self.nbatches = nbatches
+        self.channels = channels
         self.label = label
         self._data: np.ndarray | None = None
-        self._fed = [False] * nbatches
-        self.progress = 0  # batches fed
+        self.progress = 0  # 1 once written
         self.reads_before_complete = 0
-
-    def feed(self, index: int, run: np.ndarray) -> None:
-        """Copy run, batches index, index + 1, ... side by side, in place."""
-        n = run.shape[-1] // LANES
-        self._check(run, n)
-        if not 0 <= index <= self.nbatches - n:
-            raise SequencingError(f"frame '{self.label}' has no batches {index}.."
-                                  f"{index + n - 1} (holds {self.nbatches})")
-        self._store(index, index + n)
-        if self._data is None:
-            self._data = np.empty((self.npix, self.nbatches * LANES), dtype=np.uint8)
-        self._data[:, index * LANES : (index + n) * LANES] = run
 
     def set_tensor(self, data: np.ndarray) -> None:
         """Adopt the whole finished frame, one (..., channels) uint8 array."""
+        if self.complete:
+            raise SequencingError(f"frame '{self.label}' was written twice")
         flat = data.reshape(-1, data.shape[-1])
-        self._check(flat, self.nbatches)
-        self._store(0, self.nbatches)
+        if flat.dtype != np.uint8 or flat.shape != (self.npix, self.channels):
+            raise DomainError(f"frame '{self.label}' takes {self.npix} pixels of "
+                              f"{self.channels} uint8 channels; got {data.dtype} of "
+                              f"shape {data.shape}")
         self._data = flat
-
-    def _check(self, data: np.ndarray, n: int) -> None:
-        """DomainError unless data is npix pixels of n >= 1 whole uint8 batches."""
-        if data.dtype != np.uint8 or not n or data.shape != (self.npix, n * LANES):
-            raise DomainError(f"frame '{self.label}' takes {self.npix} pixels of whole uint8 "
-                              f"batches, {self.nbatches} in all; got {data.dtype} of shape "
-                              f"{data.shape}")
-
-    def _store(self, first: int, stop: int) -> None:
-        """Mark batches first..stop-1 fed; SequencingError if one already was."""
-        if any(self._fed[first:stop]):
-            index = self._fed.index(True, first, stop)
-            raise SequencingError(f"frame '{self.label}' batch {index} was fed twice")
-        self._fed[first:stop] = [True] * (stop - first)
-        self.progress += stop - first
-
-    def put_g(self, item, words: int = 0):
-        """Queue-compatible sink: feeding a frame never blocks."""
-        self.feed(*item)
-        return
-        yield  # makes this a generator like BoundedQueue.put_g
+        self.progress = 1
 
     @property
     def complete(self) -> bool:
-        return self.progress == self.nbatches
+        return self.progress == 1
 
     def wait_complete_g(self):
         while True:
@@ -225,15 +196,9 @@ class FrameBuffer:
 # processes
 # ---------------------------------------------------------------------------
 
-def _c2d_process(layer: LayerDesc, image: np.ndarray, out_buf: FrameBuffer, rounding: Rounding):
-    out_buf.set_tensor(layer_record(layer).kernel(image, layer, rounding))
-    return
-    yield  # a process is a generator, even one that never blocks
-
-
 def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
                    rounding: Rounding, probe=None):
-    """Whole frame in, whole frame out: every stage-one layer but the entry."""
+    """Whole frame in, whole frame out: every stage-one layer."""
     yield from in_buf.wait_complete_g()
     out_buf.set_tensor(layer_record(layer).kernel(in_buf.assemble(), layer, rounding, probe))
 
@@ -247,10 +212,14 @@ def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, out_q: BoundedQueue, rou
         yield from out_q.put_g((lo // LANES, run), words=run.size // LANES)
 
 
-def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, rounding: Rounding):
-    """One run in, one run out to every sink. A shortcut slot adds the
-    residual run of the same first batch and shape: shortcut ends have
-    equal dims, so both rounds cut their frames into the same runs."""
+def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
+                 out_buf: FrameBuffer | None, rounding: Rounding):
+    """One run in, one run out to every sink queue. A shortcut slot adds
+    the residual run of the same first batch and shape: shortcut ends
+    have equal dims, so both rounds cut their frames into the same runs.
+    A slot with an out_buf (its round has no expansion) copies each run
+    into a frame it owns and writes that frame whole after its last run."""
+    frame = None if out_buf is None else np.empty((out_buf.npix, out_buf.channels), np.uint8)
     b = 0
     while b < layer.out_ch // LANES:
         first, run = yield from in_q.get_g()
@@ -264,7 +233,11 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list, round
             run = add_elements(run, rrun, layer, rounding)
         for sink in sinks:
             yield from sink.put_g((first, run), words=run.size // LANES)
+        if frame is not None:
+            frame[:, b * LANES : b * LANES + run.shape[1]] = run
         b += run.shape[1] // LANES
+    if frame is not None:
+        out_buf.set_tensor(frame)
 
 
 def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
@@ -272,14 +245,12 @@ def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
     """Streamed expansion: fold each run from the addition slot into
     the accumulators as it arrives. The kernel takes each input batch
     once, in order: a repeated or overlapping run raises in consume."""
-    ab, run = yield from in_q.get_g()
-    # the EXP chain reaches this process before its input exists;
-    # allocate the accumulator bank only once input arrives
-    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
-    kernel.consume(ab, run)
-    while ab + run.shape[1] // LANES < layer.apass:
-        ab, run = yield from in_q.get_g()
-        kernel.consume(ab, run)
+    kernel = ExpStreamKernel(layer, rounding, probe=probe)
+    ab = 0
+    while ab < layer.apass:
+        first, run = yield from in_q.get_g()
+        kernel.consume(first, run)
+        ab = first + run.shape[1] // LANES
     out_buf.set_tensor(kernel.outputs())
 
 
@@ -495,17 +466,16 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     def out_frame(r: int, idx: int) -> FrameBuffer:
         l = layers[idx]
         label = f"round{r}-{records[idx].engine.lower()}-out"
-        return FrameBuffer(l.out_h * l.out_w, l.out_ch // LANES, label)
+        return FrameBuffer(l.out_h * l.out_w, l.out_ch, label)
 
-    buf: FrameBuffer | None = None  # the newest frame buffer
+    entry = layers[0]
+    buf = FrameBuffer(entry.in_h * entry.in_w, entry.in_ch, "image")  # the newest frame buffer
+    buf.set_tensor(image.data)
     for r, (whole, streamed) in enumerate(plan):
         for idx in whole:
             out = out_frame(r, idx)
-            if layers[idx].kind is Kind.C2D:
-                chain(idx, _c2d_process(layers[idx], image.data, out, rounding))
-            else:
-                chain(idx, _frame_process(layers[idx], buf, out, rounding,
-                                          _layer_probe(exp_probe, idx)))
+            chain(idx, _frame_process(layers[idx], buf, out, rounding,
+                                      _layer_probe(exp_probe, idx)))
             buf = out
         if not streamed:
             continue
@@ -518,17 +488,16 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
         chain(pro, _pro_process(pro_l, buf, q_pro_add, rounding))
         # the round's last layer writes the frame the next round reads
         buf = out_frame(r, streamed[-1])
-        if exp is None:
-            add_sinks: list = [buf]
-        else:
+        sinks, add_out = [], buf
+        if exp is not None:
             q_add_exp = BoundedQueue(words, f"round{r}-add-exp")
             chain(exp, _exp_process(layers[exp], q_add_exp, buf, rounding,
                                     _layer_probe(exp_probe, exp)))
-            add_sinks = [q_add_exp]
+            sinks, add_out = [q_add_exp], None
         if add in sources:
-            add_sinks.append(res_fifo)
+            sinks.append(res_fifo)
         res_in = res_fifo if add_l.residual_from is not None else None
-        chain(add, _add_process(add_l, q_pro_add, res_in, add_sinks, rounding))
+        chain(add, _add_process(add_l, q_pro_add, res_in, sinks, add_out, rounding))
 
     # each engine's processes run one after another as one process
     procs = [itertools.chain(*c) for c in chains.values()]

@@ -241,7 +241,7 @@ def _add_tables(p: AddParams) -> dict:
                 for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2))]
     tables = {}
     for rounding in Rounding:
-        t1, t2 = (_read_only(apply_rescale(x.copy(), r, 0, rounding)) for x, r in operands)
+        t1, t2 = (_read_only(apply_rescale(x.copy(), r, rounding)) for x, r in operands)
         worst = int(np.abs(t1).max()) + int(np.abs(t2).max())
         if worst * p.mult3.mult >= 1 << 62:
             raise DomainError(
@@ -429,7 +429,7 @@ def _narrow_uint8(centred: np.ndarray, zero: int) -> np.ndarray:
 def _requant_uint8(acc: np.ndarray, layer: LayerDesc, rec: LayerRecord,
                    rounding: Rounding) -> np.ndarray:
     """Rescale a layer's accumulators onto its output edge, clamped to uint8."""
-    return _narrow_uint8(apply_rescale(acc, rec.rescale, 0, rounding), layer.out_zero)
+    return _narrow_uint8(apply_rescale(acc, rec.rescale, rounding), layer.out_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ def _exp(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> 
     of shape (fpass, pixels, 16) holding the zero-corrected partial
     sums, bias included (see ExpStreamKernel).
     """
-    kernel = ExpStreamKernel(layer, layer.in_h * layer.in_w, rounding, probe=probe)
+    kernel = ExpStreamKernel(layer, rounding, probe=probe)
     kernel.consume(0, data.reshape(-1, layer.in_ch))
     return kernel.outputs()
 
@@ -537,12 +537,12 @@ def _exp(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> 
 class ExpStreamKernel:
     """Streaming form of the expansion engine.
 
-    One kernel runs one frame of npix pixels. Feed input channel batches
-    in order with consume(), one or several consecutive batches per call;
-    after the last one, outputs() returns the finished frame. The int64
-    accumulator bank holds every filter's partial sum for every pixel,
-    the fpass*16 per-pixel working set of the engine, and persists
-    across calls. The first fold's result becomes the bank; each call
+    One kernel runs one frame of the layer's in_h * in_w pixels. Feed
+    input channel batches in order with consume(), one or several
+    consecutive batches per call; after the last one, outputs() returns
+    the finished frame. The int64 accumulator bank holds every filter's
+    partial sum for every pixel, the fpass*16 per-pixel working set of
+    the engine, and persists across calls. The first fold's result becomes the bank; each call
     folds its batches into all filter batches with fold_gemm, reading
     the weight rows slice by slice from the record's resident
     zero-corrected int16 bank. The accumulator bank holds raw sums of
@@ -554,15 +554,14 @@ class ExpStreamKernel:
     last batch's call rescales the bank itself, in place.
     """
 
-    def __init__(self, layer: LayerDesc, npix: int,
-                 rounding: Rounding = Rounding.NEAREST, probe=None):
+    def __init__(self, layer: LayerDesc, rounding: Rounding = Rounding.NEAREST, probe=None):
         if layer.kind is not Kind.EXP:
             raise DomainError(f"expansion kernel cannot run a {layer.kind.value} layer")
         self.record = layer_record(layer)  # checks the shape contract and the bound
         self.layer = layer
         self.rounding = rounding
         self.probe = probe
-        self.npix = npix
+        self.npix = layer.in_h * layer.in_w
         self._acc = None
         self._next_batch = 0
         self._out = None
@@ -627,7 +626,7 @@ def add_elements(
     t1, t2 = rec.add_tables[rounding]
     t = t1.take(a1)
     t += t2.take(a2)
-    return _narrow_uint8(apply_rescale(t, rec.rescale, 0, rounding), layer.add_params.out_zero)
+    return _narrow_uint8(apply_rescale(t, rec.rescale, rounding), layer.add_params.out_zero)
 
 
 def _passthrough(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:

@@ -106,6 +106,19 @@ def _codes(data, what: str = "tensor data") -> np.ndarray:
     return a.astype(np.uint8, copy=False)
 
 
+def _fields_equal(self, other):
+    """== for records holding arrays: same type and every dataclass field
+    equal, arrays compared by np.array_equal."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in dataclasses.fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                else a == b):
+            return False
+    return True
+
+
 @dataclass(eq=False)
 class QTensor:
     """Quantized activation tensor: uint8 data plus its quantization."""
@@ -129,15 +142,7 @@ class QTensor:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale {self.scale!r} must be positive and finite")
 
-    def __eq__(self, other):
-        if not isinstance(other, QTensor):
-            return NotImplemented
-        return (
-            (self.height, self.width, self.channels, self.zero_point) ==
-            (other.height, other.width, other.channels, other.zero_point)
-            and self.scale == other.scale
-            and np.array_equal(self.data, other.data)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(eq=False)
@@ -180,17 +185,7 @@ class QFilterSet:
         if np.any(self.zero_points < 0) or np.any(self.zero_points > 255):
             raise DomainError("weight zero points must lie in [0, 255]")
 
-    def __eq__(self, other):
-        if not isinstance(other, QFilterSet):
-            return NotImplemented
-        return (
-            (self.kernel_h, self.kernel_w, self.in_channels, self.out_channels)
-            == (other.kernel_h, other.kernel_w, other.in_channels, other.out_channels)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.zero_points, other.zero_points)
-            and np.array_equal(self.scales, other.scales)
-            and np.array_equal(self.biases, other.biases)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +223,7 @@ class LayerDesc:
         if self.orig_out_ch == 0:
             object.__setattr__(self, "orig_out_ch", self.out_ch)
 
-    def __eq__(self, other):
-        if not isinstance(other, LayerDesc):
-            return NotImplemented
-        plain = [f.name for f in dataclasses.fields(self) if f.name != "mults"]
-        return (all(getattr(self, f) == getattr(other, f) for f in plain)
-                and np.array_equal(self.mults, other.mults))
+    __eq__ = _fields_equal
 
     @property
     def apass(self) -> int:
@@ -321,17 +311,7 @@ class PreparedModel:
         if self.verdict is not None:
             raise self.verdict.with_traceback(None)
 
-    def __eq__(self, other):
-        if not isinstance(other, PreparedModel):
-            return NotImplemented
-        return (
-            self.resolution == other.resolution
-            and self.width_multiplier == other.width_multiplier
-            and self.seed == other.seed
-            and self.rounding == other.rounding
-            and len(self.layers) == len(other.layers)
-            and all(a == b for a, b in zip(self.layers, other.layers))
-        )
+    __eq__ = _fields_equal
 
 
 # ---------------------------------------------------------------------------
@@ -411,120 +391,52 @@ def build_model(
 
     rng = np.random.default_rng(seed)
     layers: list[LayerDesc] = []
+    # (side, channels, scale, zero point) of the newest edge; the image's first
+    edge = (resolution, 3, _rand_scale(rng), _rand_zero(rng))
 
-    image_scale, image_zero = _rand_scale(rng), _rand_zero(rng)
-    side = resolution
-    out_side = _conv_out_side(side, 2)
-    out_scale, out_zero = _rand_scale(rng), _rand_zero(rng)
-    entry_filters = _gen_filters(
-        rng, 3, 3, 3, ENTRY_FILTERS, image_scale, out_scale, bias_span=8192
-    )
-    layers.append(LayerDesc(
-        kind=Kind.C2D,
-        in_h=side, in_w=side, in_ch=3,
-        out_h=out_side, out_w=out_side, out_ch=ENTRY_FILTERS,
-        in_scale=image_scale, in_zero=image_zero,
-        out_scale=out_scale, out_zero=out_zero,
-        stride=2, filters=entry_filters,
-    ))
+    def append(kind: Kind, out_ch: int, stride: int = 1, out_quant=None, **extra) -> None:
+        """Append a layer of kind reading the newest edge. Draws its output
+        scale and zero point, unless out_quant gives them, then its filters."""
+        nonlocal edge
+        side, cin, in_scale, in_zero = edge
+        out_side = 1 if kind is Kind.AVGPOOL else _conv_out_side(side, stride)
+        out_scale, out_zero = out_quant or (_rand_scale(rng), _rand_zero(rng))
+        filters = None
+        if kind in _KERNEL_SIDE:
+            k = _KERNEL_SIDE[kind]
+            filters = _gen_filters(rng, k, k, 1 if kind is Kind.DWC else cin, out_ch, in_scale,
+                                   out_scale, bias_span=60000 if kind is Kind.PRO else 8192)
+        layers.append(LayerDesc(
+            kind=kind, in_h=side, in_w=side, in_ch=cin,
+            out_h=out_side, out_w=out_side, out_ch=out_ch,
+            in_scale=in_scale, in_zero=in_zero, out_scale=out_scale, out_zero=out_zero,
+            stride=stride, filters=filters, **extra,
+        ))
+        edge = (out_side, out_ch, out_scale, out_zero)
 
-    side = out_side
-    cin = ENTRY_FILTERS
-    prev_add_index: int | None = None
-
+    append(Kind.C2D, ENTRY_FILTERS, stride=2)
+    prev_add: int | None = None
     for bi, spec in enumerate(blocks):
-        in_scale, in_zero = layers[-1].out_scale, layers[-1].out_zero
+        cin = edge[1]
         expanded = spec.expand * cin
-
         if spec.expand > 1:
-            s, z = _rand_scale(rng), _rand_zero(rng)
-            f = _gen_filters(rng, 1, 1, cin, expanded, in_scale, s, bias_span=8192)
-            layers.append(LayerDesc(
-                kind=Kind.EXP,
-                in_h=side, in_w=side, in_ch=cin,
-                out_h=side, out_w=side, out_ch=expanded,
-                in_scale=in_scale, in_zero=in_zero,
-                out_scale=s, out_zero=z,
-                filters=f, block=bi,
-            ))
-            in_scale, in_zero = s, z
-
-        dw_out = _conv_out_side(side, spec.stride)
-        s, z = _rand_scale(rng), _rand_zero(rng)
-        f = _gen_filters(rng, 3, 3, 1, expanded, in_scale, s, bias_span=8192)
-        layers.append(LayerDesc(
-            kind=Kind.DWC,
-            in_h=side, in_w=side, in_ch=expanded,
-            out_h=dw_out, out_w=dw_out, out_ch=expanded,
-            in_scale=in_scale, in_zero=in_zero,
-            out_scale=s, out_zero=z,
-            stride=spec.stride, filters=f, block=bi,
-        ))
-        in_scale, in_zero = s, z
-
-        s, z = _rand_scale(rng), _rand_zero(rng)
-        f = _gen_filters(rng, 1, 1, expanded, spec.out_ch, in_scale, s, bias_span=60000)
-        layers.append(LayerDesc(
-            kind=Kind.PRO,
-            in_h=dw_out, in_w=dw_out, in_ch=expanded,
-            out_h=dw_out, out_w=dw_out, out_ch=spec.out_ch,
-            in_scale=in_scale, in_zero=in_zero,
-            out_scale=s, out_zero=z,
-            filters=f, block=bi,
-        ))
-
-        has_residual = spec.stride == 1 and spec.out_ch == cin and prev_add_index is not None
-        if has_residual:
-            add_scale, add_zero = _rand_scale(rng), _rand_zero(rng)
-        else:
-            add_scale, add_zero = s, z  # pass-through keeps the projection edge
-        layers.append(LayerDesc(
-            kind=Kind.ADD,
-            in_h=dw_out, in_w=dw_out, in_ch=spec.out_ch,
-            out_h=dw_out, out_w=dw_out, out_ch=spec.out_ch,
-            in_scale=s, in_zero=z,
-            out_scale=add_scale, out_zero=add_zero,
-            block=bi,
-            residual_from=prev_add_index if has_residual else None,
-        ))
-        prev_add_index = len(layers) - 1
-        side = dw_out
-        cin = spec.out_ch
+            append(Kind.EXP, expanded, block=bi)
+        append(Kind.DWC, expanded, stride=spec.stride, block=bi)
+        append(Kind.PRO, spec.out_ch, block=bi)
+        shortcut = spec.stride == 1 and spec.out_ch == cin and prev_add is not None
+        # a pass-through slot keeps the projection edge
+        append(Kind.ADD, spec.out_ch, out_quant=None if shortcut else edge[2:], block=bi,
+               residual_from=prev_add if shortcut else None)
+        prev_add = len(layers) - 1
 
     if include_head:
-        in_scale, in_zero = layers[-1].out_scale, layers[-1].out_zero
-        s, z = _rand_scale(rng), _rand_zero(rng)
-        f = _gen_filters(rng, 1, 1, cin, head_channels, in_scale, s, bias_span=8192)
-        layers.append(LayerDesc(
-            kind=Kind.EXP,
-            in_h=side, in_w=side, in_ch=cin,
-            out_h=side, out_w=side, out_ch=head_channels,
-            in_scale=in_scale, in_zero=in_zero,
-            out_scale=s, out_zero=z,
-            filters=f,
-        ))
-        in_scale, in_zero = s, z
+        append(Kind.EXP, head_channels)
         # pooled edge scale sits above in_scale/(H*W) so the pooling
         # rescale factor cannot leave (0, 1) at any frame size
+        side, _, in_scale, _ = edge
         pool_scale = in_scale * float(2.0 ** rng.uniform(0.1, 2.0)) / (side * side)
-        pool_zero = _rand_zero(rng)
-        layers.append(LayerDesc(
-            kind=Kind.AVGPOOL,
-            in_h=side, in_w=side, in_ch=head_channels,
-            out_h=1, out_w=1, out_ch=head_channels,
-            in_scale=in_scale, in_zero=in_zero,
-            out_scale=pool_scale, out_zero=pool_zero,
-        ))
-        s, z = _rand_scale(rng), _rand_zero(rng)
-        f = _gen_filters(rng, 1, 1, head_channels, classes, pool_scale, s, bias_span=60000)
-        layers.append(LayerDesc(
-            kind=Kind.PRO,
-            in_h=1, in_w=1, in_ch=head_channels,
-            out_h=1, out_w=1, out_ch=classes,
-            in_scale=pool_scale, in_zero=pool_zero,
-            out_scale=s, out_zero=z,
-            filters=f,
-        ))
+        append(Kind.AVGPOOL, head_channels, out_quant=(pool_scale, _rand_zero(rng)))
+        append(Kind.PRO, classes)
 
     return ModelGraph(layers=layers, resolution=resolution,
                       width_multiplier=width_multiplier, seed=seed)

@@ -241,17 +241,17 @@ def rescale_constants(
 def apply_rescale(
     acc: np.ndarray,
     rescale: Rescale,
-    out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """Rescale an integer accumulator array, plus its bias, and add the output zero point.
+    """Rescale an integer accumulator array, plus its bias, onto a zero-centred grid.
 
     An int64 acc is rescaled in place and returned: the caller hands
     over an accumulator it owns and no longer needs. Any other acc,
     such as the depthwise engine's float32 one of exact integers, is
     left untouched and widened once into a new int64 array, which is
-    rescaled in place instead. The constants and out_zero must broadcast to acc's shape.
-    The result is not clamped; the engines clamp it to uint8.
+    rescaled in place instead. The constants must broadcast to acc's shape.
+    The result is not clamped; the engines add the output zero point as
+    they clamp it to uint8.
 
     Preconditions: every mult is positive (pack_multipliers and
     MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc + bias)
@@ -289,8 +289,6 @@ def apply_rescale(
             res += res >> 63
             res += rescale.half
     res >>= rescale.shifts
-    if not (isinstance(out_zero, int) and out_zero == 0):  # engines pass 0
-        res += out_zero
     return res
 
 
@@ -301,14 +299,17 @@ def requantize_array(
     out_zero: np.ndarray | int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> np.ndarray:
-    """apply_rescale with constants built for this one call, on a copy of acc.
+    """apply_rescale with constants built for this one call, on a copy of
+    acc, plus the output zero point.
 
     mults/shifts/out_zero must broadcast to acc's shape; acc itself is
     left untouched. A layer's engine builds its constants once, in the
     layer's record, and calls apply_rescale on an accumulator it owns.
     """
-    return apply_rescale(np.array(acc, dtype=np.int64), rescale_constants(mults, shifts),
-                         out_zero, rounding)
+    res = apply_rescale(np.array(acc, dtype=np.int64), rescale_constants(mults, shifts),
+                        rounding)
+    res += out_zero
+    return res
 
 
 def bias_limits(bits: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from semistream.dataflow import (
     run_inference,
     schedule_rounds,
 )
-from semistream.engines import layer_record
+from semistream.engines import add_elements, layer_record
 from semistream.errors import (
     DeadlockError,
     DomainError,
@@ -131,101 +131,63 @@ def test_queue_generators_block_and_resume():
 
 
 def test_frame_buffer_assembly():
-    buf = FrameBuffer(npix=6, nbatches=2, label="f")
+    buf = FrameBuffer(npix=6, channels=32, label="f")
     data = np.arange(6 * 32, dtype=np.uint8).reshape(6, 32)
-    buf.feed(1, data[:, 16:])
-    assert not buf.complete
+    assert not buf.complete and buf.progress == 0
     with pytest.raises(SequencingError, match="before completion"):
         buf.assemble()
-    buf.feed(0, data[:, :16])
+    buf.set_tensor(data)
+    assert buf.complete and buf.progress == 1
     np.testing.assert_array_equal(buf.assemble(), data)
 
 
-def test_frame_buffer_feed_contract():
-    buf = FrameBuffer(npix=4, nbatches=2, label="g")
-    batch = np.zeros((4, LANES), dtype=np.uint8)
-    buf.feed(0, batch)
-    with pytest.raises(SequencingError, match="fed twice"):
-        buf.feed(0, batch)
-    with pytest.raises(SequencingError, match="no batch"):
-        buf.feed(2, batch)
-    with pytest.raises(DomainError, match="shape"):
-        buf.feed(1, np.zeros((3, LANES), dtype=np.uint8))
-    # a whole frame of the right size but the wrong pixel count
-    with pytest.raises(DomainError, match="shape"):
-        FrameBuffer(npix=4, nbatches=2).set_tensor(np.zeros((2, 4 * LANES), dtype=np.uint8))
+def test_frame_buffer_write_contract():
+    """Only npix pixels of the buffer's channels, as uint8, are taken;
+    a rejected write leaves the buffer unwritten."""
+    buf = FrameBuffer(npix=4, channels=32, label="g")
+    for bad in (np.zeros((2, 32), np.uint8),  # right size, wrong pixel count
+                np.zeros((4, 48), np.uint8), np.zeros((4, 16), np.uint8),
+                np.zeros((4, 32), np.int64)):
+        with pytest.raises(DomainError, match="4 pixels of 32 uint8 channels"):
+            buf.set_tensor(bad)
+    assert buf.progress == 0 and not buf.complete
 
 
-def test_frame_buffer_is_one_array_filled_in_place():
-    buf = FrameBuffer(npix=3, nbatches=3, label="h")
+def test_frame_buffer_is_written_once():
+    buf = FrameBuffer(npix=3, channels=48, label="h")
     data = np.arange(3 * 48, dtype=np.uint8).reshape(3, 48)
-    buf.feed(1, data[:, 16:32])
-    # a whole-frame write may not overwrite a batch that is already in
-    with pytest.raises(SequencingError, match="fed twice"):
-        buf.set_tensor(data)
-    assert buf.progress == 1 and not buf.complete
-    buf.feed(0, data[:, :16])
-    buf.feed(2, data[:, 32:])
-    frame = buf.assemble()
-    np.testing.assert_array_equal(frame, data)
-    assert np.shares_memory(frame, buf.assemble())
+    buf.set_tensor(data)
+    with pytest.raises(SequencingError, match="'h' was written twice"):
+        buf.set_tensor(data.copy())
+    assert buf.progress == 1
+    assert buf.assemble() is buf.assemble()
 
 
 def test_frame_buffer_counts_early_reads():
-    buf = FrameBuffer(npix=2, nbatches=1)
+    buf = FrameBuffer(npix=2, channels=16)
     waiter = buf.wait_complete_g()
-    next(waiter)
+    assert next(waiter) == ("frame", buf, 0)
     next(waiter)
     assert buf.reads_before_complete == 2
     buf.set_tensor(np.zeros((2, 16), dtype=np.uint8))
     with pytest.raises(StopIteration):
         next(waiter)
-
-
-def test_frame_buffer_feeds_a_run_of_batches():
-    buf = FrameBuffer(npix=3, nbatches=3, label="r")
-    data = np.arange(3 * 48, dtype=np.uint8).reshape(3, 48)
-    buf.feed(0, data[:, :32])
-    assert buf.progress == 2 and not buf.complete
-    buf.feed(2, data[:, 32:])
-    np.testing.assert_array_equal(buf.assemble(), data)
-
-
-def test_frame_buffer_rejects_misplaced_and_malformed_runs():
-    buf = FrameBuffer(npix=2, nbatches=3, label="m")
-    run = np.zeros((2, 2 * LANES), dtype=np.uint8)
-    with pytest.raises(SequencingError, match="no batches 2..3"):
-        buf.feed(2, run)  # runs past the end
-    with pytest.raises(SequencingError, match="no batches -1..0"):
-        buf.feed(-1, run)
-    buf.feed(1, run)
-    with pytest.raises(SequencingError, match="batch 1 was fed twice"):
-        buf.feed(0, run)  # overlaps a fed batch
-    for bad in (np.zeros((2, 20), np.uint8), np.zeros((2, 0), np.uint8),
-                np.zeros((2, LANES), np.int64)):
-        with pytest.raises(DomainError, match="whole uint8 batches"):
-            buf.feed(0, bad)
-    assert buf.progress == 2
-    buf.feed(0, run[:, :LANES])
-    assert buf.complete
+    assert buf.reads_before_complete == 2
 
 
 def test_frame_buffer_adopts_a_whole_frame():
-    buf = FrameBuffer(npix=6, nbatches=2, label="a")
+    """The buffer holds the written array itself, flattened to pixels,
+    not a copy; any channel count is taken, so an image is a frame."""
+    buf = FrameBuffer(npix=6, channels=32, label="a")
     data = np.arange(6 * 32, dtype=np.uint8).reshape(2, 3, 32)
     buf.set_tensor(data)
-    assert buf.complete
     frame = buf.assemble()
     assert frame.shape == (6, 32) and np.shares_memory(frame, data)
     np.testing.assert_array_equal(frame, data.reshape(6, 32))
-    with pytest.raises(SequencingError, match="fed twice"):
-        buf.set_tensor(data)
-    with pytest.raises(SequencingError, match="fed twice"):
-        buf.feed(1, data.reshape(6, 32)[:, 16:])
-    with pytest.raises(DomainError, match="uint8"):
-        FrameBuffer(npix=6, nbatches=2).set_tensor(data.astype(np.int64))
-    with pytest.raises(DomainError, match="2 in all"):
-        FrameBuffer(npix=6, nbatches=2).set_tensor(np.zeros((6, 48), np.uint8))
+    image = np.arange(4 * 5 * 3, dtype=np.uint8).reshape(4, 5, 3)
+    rgb = FrameBuffer(npix=20, channels=3, label="image")
+    rgb.set_tensor(image)
+    assert rgb.assemble().shape == (20, 3) and np.shares_memory(rgb.assemble(), image)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +801,41 @@ def test_addition_slot_rejects_a_misaligned_residual_run():
         in_q.try_put((0, run), npix)
         res_q.try_put(residual, npix)
         with pytest.raises(SequencingError, match="does not line up"):
-            drain(_add_process(layer, in_q, res_q, [], Rounding.NEAREST))
+            drain(_add_process(layer, in_q, res_q, [], None, Rounding.NEAREST))
+
+
+@pytest.mark.parametrize("shortcut", [True, False])
+@pytest.mark.parametrize("run_batches", [1, 2])
+def test_addition_slot_writes_its_frame_once(shortcut, run_batches):
+    """A slot with an out_buf writes the concatenated runs as one frame,
+    once, after its last run, and still forwards every run to its sinks."""
+    model = prepare(build_model([BlockSpec(2, 48, 1)] * 2, 8, seed=5, include_head=False))
+    layer = next(l for l in model.layers
+                 if l.kind is Kind.ADD and (l.residual_from is not None) == shortcut)
+    npix, step = layer.out_h * layer.out_w, run_batches * LANES
+    rng = np.random.default_rng(run_batches)
+    x, res = (rng.integers(0, 256, (npix, layer.out_ch), dtype=np.uint8) for _ in range(2))
+    runs = [(lo // LANES, x[:, lo : lo + step]) for lo in range(0, layer.out_ch, step)]
+    assert len(runs) > 1 and layer.out_ch == 48
+    cap = npix * layer.out_ch // LANES
+    in_q, res_q, sink = (BoundedQueue(cap, label) for label in ("in", "res", "sink"))
+    for first, run in runs:
+        in_q.try_put((first, run), run.size // LANES)
+        if shortcut:
+            res_q.try_put((first, res[:, first * LANES : first * LANES + run.shape[1]]),
+                          run.size // LANES)
+    out = FrameBuffer(npix, layer.out_ch, "add-out")
+    writes = []
+    set_tensor = out.set_tensor
+    out.set_tensor = lambda data: (writes.append(in_q.words), set_tensor(data))
+    drain(_add_process(layer, in_q, res_q if shortcut else None, [sink], out, Rounding.NEAREST))
+    assert writes == [0]  # once, after the last run was taken
+    want = add_elements(x, res, layer, Rounding.NEAREST) if shortcut else x
+    np.testing.assert_array_equal(out.assemble(), want)
+    forwarded = []
+    while sink.words:
+        forwarded.append(sink.try_get()[1][1])
+    np.testing.assert_array_equal(np.hstack(forwarded), want)
 
 
 def test_exp_probe_sees_every_partial():

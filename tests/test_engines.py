@@ -308,7 +308,7 @@ def test_exp_kernel_sequencing():
     x = qinput(rng, layer)
     flat = x.data.reshape(4, 48)
     want = naive_quant_layer(x.data, layer).reshape(4, 16)
-    kernel = ExpStreamKernel(layer, 4)
+    kernel = ExpStreamKernel(layer)
     with pytest.raises(SequencingError, match="expected 0"):
         kernel.consume(1, flat[:, 16:32])
     with pytest.raises(ShapeError, match="3 pixels arrived for a 4-pixel frame"):
@@ -329,13 +329,13 @@ def test_exp_kernel_sequencing():
         kernel.consume(0, flat)  # a run overlapping batches already folded
     kernel.consume(2, flat[:, 32:])
     np.testing.assert_array_equal(kernel.outputs(), want)
-    kernel = ExpStreamKernel(layer, 4)
+    kernel = ExpStreamKernel(layer)
     kernel.consume(0, flat[:, :32])
     with pytest.raises(SequencingError, match="input batch 1 arrived, expected 2"):
         kernel.consume(1, flat[:, 16:])  # starts on a batch of the last run
     # several consecutive batches per call, and the whole frame in one
     for splits in ((0, 16, 48), (0, 48)):
-        kernel = ExpStreamKernel(layer, 4)
+        kernel = ExpStreamKernel(layer)
         for lo, hi in zip(splits, splits[1:]):
             kernel.consume(lo // LANES, flat[:, lo:hi])
         np.testing.assert_array_equal(kernel.outputs(), want)
@@ -344,7 +344,7 @@ def test_exp_kernel_sequencing():
     w = f.weights[0, 0].astype(np.int64) - f.zero_points
     signed = flat.astype(np.int64) - layer.in_zero
     seen = []
-    kernel = ExpStreamKernel(layer, 4, probe=lambda ab, acc: seen.append((ab, acc)))
+    kernel = ExpStreamKernel(layer, probe=lambda ab, acc: seen.append((ab, acc)))
     kernel.consume(0, flat[:, :16])
     kernel.consume(1, flat[:, 16:])
     assert [ab for ab, _ in seen] == [0, 1, 2]
@@ -367,7 +367,7 @@ def test_exp_probe_gets_copies_of_a_one_pass_bank():
     x = qinput(rng, layer)
     flat = x.data.reshape(6, 48)
     seen = []
-    kernel = ExpStreamKernel(layer, 6, probe=lambda ab, acc: seen.append(acc))
+    kernel = ExpStreamKernel(layer, probe=lambda ab, acc: seen.append(acc))
     kernel.consume(0, flat)
     want = naive_quant_layer(x.data, layer).reshape(6, 16)
     np.testing.assert_array_equal(kernel.outputs(), want)
@@ -395,7 +395,7 @@ def test_exp_kernel_holds_no_weight_copy():
         return [v.nbytes for v in vars(kernel).values() if isinstance(v, np.ndarray)]
 
     for step in (LANES, 3 * LANES, 160):
-        kernel = ExpStreamKernel(layer, 4)
+        kernel = ExpStreamKernel(layer)
         assert owned(kernel) == []
         for lo in range(0, 160, step):
             kernel.consume(lo // LANES, flat[:, lo : lo + step])
@@ -848,7 +848,7 @@ def test_float32_slices_are_exact_at_odd_sums(kind, k):
             got, _ = run_layer(x, layer, rounding=rounding)
             np.testing.assert_array_equal(got.data, want)
             if kind is Kind.EXP:
-                kernel = ExpStreamKernel(layer, 1, rounding)
+                kernel = ExpStreamKernel(layer, rounding)
                 for ab in range(layer.apass):
                     kernel.consume(ab, x.data[0, :, ab * LANES : (ab + 1) * LANES])
                 np.testing.assert_array_equal(kernel.outputs(), want[0])
@@ -863,7 +863,7 @@ def test_every_engine_checks_the_bound():
         with pytest.raises(DomainError, match="2\\*\\*30"):
             run_layer(qinput(rng, layer), layer)
     with pytest.raises(DomainError, match="2\\*\\*30"):
-        ExpStreamKernel(cases[-1], 1)
+        ExpStreamKernel(cases[-1])
     pool = pool_layer(rng)
     check_acc_bound(pool)
     with pytest.raises(DomainError, match="2\\*\\*30"):

@@ -112,6 +112,24 @@ def test_build_is_deterministic():
     assert dataclasses.replace(layer, mults=pack_multipliers(mult, layer.mults.shift)) != layer
 
 
+def test_records_compare_field_by_field():
+    """Array-holding records are equal when every field is, arrays by
+    value, and leave a comparison with any other type to Python."""
+    t = QTensor(1, 2, 3, np.arange(6).reshape(1, 2, 3), 5, 0.5)
+    assert t == QTensor(1, 2, 3, np.arange(6, dtype=np.uint8).reshape(1, 2, 3), 5, 0.5)
+    assert t != dataclasses.replace(t, data=np.ones((1, 2, 3), np.uint8))
+    assert t != dataclasses.replace(t, scale=0.25)
+    model = prepare(build_mobilenet_v2(0.5, 32))
+    layer = model.layers[0]
+    bumped = layer.filters.biases.copy()
+    bumped[0] += 1
+    assert layer.filters != dataclasses.replace(layer.filters, biases=bumped)
+    assert model != dataclasses.replace(model, seed=1)
+    for record in (t, layer.filters, layer, model):
+        assert record.__eq__(object()) is NotImplemented and record != 1
+    assert t.__eq__(layer) is NotImplemented
+
+
 def test_prepare_leaves_earlier_models_alone():
     graph = build_mobilenet_v2(seed=0, resolution=32)
     first = prepare(graph, Rounding.NEAREST)
@@ -192,6 +210,44 @@ def test_every_derived_parameter_is_pinned():
                 p.mult3.mult, p.mult3.shift, p.in1_zero, p.in2_zero, p.out_zero,
                 p.pre_shift)).encode())
     assert h.hexdigest() == PARAMETER_DIGEST
+
+
+#: sha-256 over every field and filter array of the graphs below, as the
+#: generator draws them; the frozen benchmark reference draws the same.
+GRAPH_DIGEST = "0beb09bc54750cf2e09dc045fe4f3132b09892ea28a66be8db02ba01d23c4e46"
+
+
+def _hash_value(h, v) -> None:
+    if dataclasses.is_dataclass(v):
+        h.update(type(v).__name__.encode())
+        for f in dataclasses.fields(v):
+            h.update(f.name.encode())
+            _hash_value(h, getattr(v, f.name))
+    elif isinstance(v, np.ndarray):
+        h.update(f"{v.dtype.str}{v.shape}".encode())
+        h.update(np.ascontiguousarray(v).tobytes())
+    elif isinstance(v, (list, tuple)):
+        for x in v:
+            _hash_value(h, x)
+    else:
+        h.update(repr(v.item() if isinstance(v, np.generic) else v).encode())
+
+
+def test_every_generated_graph_is_pinned():
+    """Weights, biases, zero points, scales and edges of generated graphs
+    are pinned in draw order: the standard topology, a toy with a head
+    and a headless toy with an expand-1 block after an expanding one."""
+    graphs = [
+        build_mobilenet_v2(0.5, 64, seed=3),
+        build_model([BlockSpec(1, 16, 1), BlockSpec(6, 24, 2), BlockSpec(6, 24, 1)], 16,
+                    seed=11, head_channels=48, classes=10),
+        build_model([BlockSpec(4, 24, 2), BlockSpec(1, 24, 1), BlockSpec(3, 40, 1)], 12,
+                    seed=12, include_head=False),
+    ]
+    h = hashlib.sha256()
+    for graph in graphs:
+        _hash_value(h, graph)
+    assert h.hexdigest() == GRAPH_DIGEST
 
 
 def test_prepare_rejects_out_of_range_rescale():

@@ -421,7 +421,7 @@ def test_aligned_rescale_with_offset_is_exact(layer, seed):
     for rounding in Rounding:
         want = [[rational_requant(int(a) + b, MultShift(m, s), 0, rounding)
                  for a, m, s, b in zip(row, mults, shifts, bias)] for row in acc]
-        assert apply_rescale(acc.copy(), r, 0, rounding).tolist() == want, rounding
+        assert apply_rescale(acc.copy(), r, rounding).tolist() == want, rounding
 
 
 # ---------------------------------------------------------------------------
