@@ -30,13 +30,14 @@ from .quantcore import (
     AddParams,
     Rounding,
     bias_limits,
+    first_bad_factor,
     narrow_bias,
     pack_multipliers,
     quantize_multiplier,
     quantize_multipliers,
 )
 
-PACKAGE_FORMAT_VERSION = 3
+PACKAGE_FORMAT_VERSION = 4
 LANES = 16
 #: Integer types accepted for sizes, zero points and indices, the same as
 #: numbers.Integral admits; a plain tuple is several times cheaper to check.
@@ -584,20 +585,19 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     return dataclasses.replace(layer, in_ch=cin_p, out_ch=cout_p, filters=padded)
 
 
-def _derive_add_params(layer: LayerDesc, source: LayerDesc, rounding: Rounding) -> AddParams:
+def _derive_add_params(idx: int, layer: LayerDesc, source: LayerDesc,
+                       rounding: Rounding) -> AddParams:
     s1 = layer.in_scale
     s2 = source.out_scale
     so = layer.out_scale
     smax = max(s1, s2)
-    m1 = s1 / (2.0 * smax)
-    m2 = s2 / (2.0 * smax)
-    m3 = 2.0 * smax / (float(1 << 20) * so)
-    if not (0.0 < m3 < 1.0):
-        raise DomainError(f"addition output rescale {m3!r} outside (0, 1)")
+    factors = (s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / (float(1 << 20) * so))
+    fault = first_bad_factor(np.array(factors))
+    if fault is not None:
+        part = ("input", "residual", "output")[fault[0]]
+        raise DomainError(f"addition layer {idx} {part}: {fault[1]}")
     return AddParams(
-        mult1=quantize_multiplier(m1, rounding),
-        mult2=quantize_multiplier(m2, rounding),
-        mult3=quantize_multiplier(m3, rounding),
+        *(quantize_multiplier(m, rounding) for m in factors),
         in1_zero=layer.in_zero,
         in2_zero=source.out_zero,
         out_zero=layer.out_zero,
@@ -660,12 +660,9 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
                 a.flags.writeable = False
             with np.errstate(all="ignore"):  # nan and inf factors are rejected below
                 m = l.in_scale * f.scales / l.out_scale
-            bad = ~((m > 0.0) & (m < 1.0))
-            if bad.any():
-                ch = int(bad.argmax())
-                raise DomainError(
-                    f"layer {idx} channel {ch}: rescale factor {float(m[ch])!r} outside (0, 1)"
-                )
+            fault = first_bad_factor(m)
+            if fault is not None:
+                raise DomainError(f"layer {idx} channel {fault[0]}: {fault[1]}")
             mults = pack_multipliers(*quantize_multipliers(m, rounding))
             lo, hi = bias_limits(l.bias_bits)
             b = f.biases
@@ -673,14 +670,15 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
                 narrow_bias(b[(b < lo) | (b > hi)][0], l.bias_bits)  # raises for the first
             l = dataclasses.replace(l, mults=mults)
         elif l.kind is Kind.AVGPOOL:
-            m = l.in_scale / (float(l.in_h * l.in_w) * l.out_scale)
-            if not (0.0 < m < 1.0):
-                raise DomainError(f"pool layer {idx}: rescale factor {m!r} outside (0, 1)")
-            mults = pack_multipliers(*quantize_multipliers(np.full(l.out_ch, m), rounding))
+            m = np.full(l.out_ch, l.in_scale / (float(l.in_h * l.in_w) * l.out_scale))
+            fault = first_bad_factor(m)
+            if fault is not None:
+                raise DomainError(f"pool layer {idx}: {fault[1]}")
+            mults = pack_multipliers(*quantize_multipliers(m, rounding))
             l = dataclasses.replace(l, mults=mults)
         elif l.kind is Kind.ADD and l.residual_from is not None:
             l = dataclasses.replace(
-                l, add_params=_derive_add_params(l, layers[l.residual_from], rounding))
+                l, add_params=_derive_add_params(idx, l, layers[l.residual_from], rounding))
         derived.append(l)
     return derived
 
@@ -814,22 +812,36 @@ def _sha256(data) -> str:
 _SCALAR_FIELDS = ("stride", "block", "residual_from", "orig_in_ch", "orig_out_ch",
                   "in_scale", "in_zero", "out_scale", "out_zero")
 
-#: The package's one blob file: each filter bank's weights, then its biases.
+#: The package's one blob file: each filter bank's regions, in layer order.
 BLOB_FILE = "blobs.bin"
+
+#: The regions of one filter bank, in file order: (QFilterSet field, prefix
+#: of its manifest checksum key, stored dtype). Zero points fit uint8
+#: because QFilterSet bounds them to [0, 255]; biases fit 32 bits because
+#: every engine's bias lane (BIAS_BITS) is narrower.
+_BANK_REGIONS = (
+    ("weights", "weights", "u1"),
+    ("zero_points", "zero_points", "u1"),
+    ("scales", "scales", "<f8"),
+    ("biases", "bias", "<i4"),
+)
 
 
 def save_package(model: PreparedModel, path: str | Path) -> Path:
     """Write a prepared model as a package directory of two files.
 
-    ``manifest.json`` stores only facts, every scalar in decimal, on one
-    line: geometry, quantization, a sha-256 per blob region and the
-    rounding mode. No derived parameter is stored; load_package()
-    re-derives them all. ``blobs.bin`` holds, for each filter-bearing
-    layer in order, its uint8 weights and then its biases widened to
-    little-endian 32-bit two's complement. No offset is stored: each
-    region's place and length follow from the manifest's geometry. Pass
-    counts and bias widths follow from each layer's engine and are never
-    stored. Saving the same model twice produces byte-identical trees.
+    ``manifest.json`` stores only per-layer facts, every scalar in
+    decimal, on one line: geometry, edge quantization, each filter bank's
+    kernel and channel counts with a sha-256 per blob region, and the
+    rounding mode. It holds no per-channel number. No derived parameter
+    is stored; load_package() re-derives them all. ``blobs.bin`` holds,
+    for each filter-bearing layer in order, four regions in QFilterSet
+    field order (_BANK_REGIONS): uint8 weights, uint8 zero points,
+    little-endian float64 scales and biases widened to little-endian
+    32-bit two's complement. No offset is stored: each region's place
+    and length follow from the manifest's geometry. Pass counts and bias
+    widths follow from each layer's engine and are never stored. Saving
+    the same model twice produces byte-identical trees.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -843,21 +855,17 @@ def save_package(model: PreparedModel, path: str | Path) -> Path:
                 "filters": None,
                 **{name: getattr(l, name) for name in _SCALAR_FIELDS},
             }
-            if l.filters is not None:
-                f = l.filters
-                weights = np.ascontiguousarray(f.weights)
-                biases = f.biases.astype("<i4")
-                fh.write(weights)
-                fh.write(biases)
-                entry["filters"] = {
+            f = l.filters
+            if f is not None:
+                fent = entry["filters"] = {
                     "kernel": [f.kernel_h, f.kernel_w],
                     "in_channels": f.in_channels,
                     "out_channels": f.out_channels,
-                    "weights_sha256": _sha256(weights),
-                    "bias_sha256": _sha256(biases),
-                    "zero_points": f.zero_points.tolist(),
-                    "scales": f.scales.tolist(),
                 }
+                for field, key, dtype in _BANK_REGIONS:
+                    region = np.ascontiguousarray(getattr(f, field), dtype=dtype)
+                    fh.write(region)
+                    fent[f"{key}_sha256"] = _sha256(region)
             manifest_layers.append(entry)
 
     manifest = {
@@ -877,7 +885,9 @@ def save_package(model: PreparedModel, path: str | Path) -> Path:
 class _BlobReader:
     """Reads blobs.bin front to back, each region straight into a new array.
 
-    A region that would run past the end of the file raises FormatError
+    Each read() takes the region's shape and stored dtype and fills a
+    new array of them with readinto, with no parsing or conversion. A
+    region that would run past the end of the file raises FormatError
     at once. Checksums and trailing bytes are judged later, by verify(),
     so that a manifest which misplaces the regions is reported by graph
     validation instead.
@@ -915,12 +925,12 @@ def _load_layer(blobs: _BlobReader, idx: int, entry: dict) -> LayerDesc:
     fent = entry["filters"]
     if fent is not None:
         (kh, kw), cin, cout = fent["kernel"], fent["in_channels"], fent["out_channels"]
-        weights = blobs.read(idx, "weights", (kh, kw, cin, cout), "u1", fent["weights_sha256"])
-        biases = blobs.read(idx, "biases", (cout,), "<i4", fent["bias_sha256"])
-        filters = QFilterSet(
-            kh, kw, cin, cout, weights, fent["zero_points"], fent["scales"],
-            biases.astype(np.int64),
-        )
+        regions = {
+            field: blobs.read(idx, field, (kh, kw, cin, cout) if field == "weights" else (cout,),
+                              dtype, fent[f"{key}_sha256"])
+            for field, key, dtype in _BANK_REGIONS
+        }
+        filters = QFilterSet(kh, kw, cin, cout, **regions)
     (in_h, in_w, in_ch), (out_h, out_w, out_ch) = entry["in"], entry["out"]
     return LayerDesc(
         kind=Kind(entry["kind"]),
@@ -935,13 +945,17 @@ def load_package(path: str | Path) -> PreparedModel:
     """Read a package directory back into a PreparedModel.
 
     The manifest names no file and stores no offset: blobs.bin is read
-    front to back, one region per filter bank in layer order, each with
-    the length its geometry gives, so the manifest cannot point a read
-    anywhere else. The model must pass validate_graph(), and every
-    integer parameter is re-derived by the code prepare() runs.
+    front to back, four regions per filter bank in layer order
+    (save_package()), each with the length its geometry gives, so the
+    manifest cannot point a read anywhere else. Every per-channel number
+    comes from a checksummed region. The model must pass
+    validate_graph(), and every integer parameter is re-derived by the
+    code prepare() runs.
 
     Raises FormatError for a malformed manifest, another format version
-    (regenerate older packages), or a missing or short blob file at once;
+    (there is no reader for version 3 or older: regenerate the package,
+    which gen-model rebuilds from its seed), or a missing or short blob
+    file at once;
     after graph validation, FormatError for a region that fails its
     checksum or bytes past the last region; DomainError or RangeError
     when validation or derivation rejects the model. Keys the reader

@@ -34,6 +34,9 @@ MULT_BITS = 32
 MULT_MIN = 1 << (MULT_BITS - 1)
 MULT_MAX = (1 << MULT_BITS) - 1
 MAX_SHIFT = 255
+#: The smallest rescale factor whose shift fits MAX_SHIFT: np.frexp puts
+#: 2**-224 at exponent -223, which needs a shift of MULT_BITS + 223.
+MIN_FACTOR = 2.0 ** (MULT_BITS - 1 - MAX_SHIFT)
 
 
 class Rounding(Enum):
@@ -97,6 +100,27 @@ class AddParams:
             raise DomainError("the addition pre-shift is fixed at 20 bits")
 
 
+def first_bad_factor(m: np.ndarray) -> tuple[int, str] | None:
+    """The flat index of the first factor quantize_multipliers rejects, and why.
+
+    A factor must be finite, in (0, 1) and at least MIN_FACTOR, so that
+    its shift fits the 8-bit encoding. Returns None when every factor of
+    the float64 array m qualifies.
+    """
+    bad = ~((m >= MIN_FACTOR) & (m < 1.0))  # nan compares false, so it lands here
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    first = float(m.flat[i])
+    if not math.isfinite(first):
+        why = "is not a finite number"
+    elif 0.0 < first < 1.0:
+        why = f"needs a shift beyond {MAX_SHIFT}"
+    else:
+        why = "outside (0, 1)"
+    return i, f"rescale factor {first!r} {why}"
+
+
 def quantize_multipliers(
     m: np.ndarray, rounding: Rounding = Rounding.NEAREST
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,21 +132,15 @@ def quantize_multipliers(
     at most 2**-31. When rounding reaches 2**32 the multiplier is halved
     and the shift drops by one, or, for an m that needed no doubling, the
     multiplier drops by one. Raises DomainError, naming the first
-    offending factor, for a factor that is not finite or not in (0, 1),
-    or whose shift would not fit the 8-bit encoding.
+    offending factor (first_bad_factor), for a factor that is not finite
+    or not in (0, 1), or whose shift would not fit the 8-bit encoding.
     """
     m = np.asarray(m, dtype=np.float64)
-    bad = ~((m > 0.0) & (m < 1.0))  # nan compares false, so it lands here
-    if bad.any():
-        first = float(m.flat[bad.argmax()])
-        why = "is not a finite number" if not math.isfinite(first) else "outside (0, 1)"
-        raise DomainError(f"rescale factor {first!r} {why}")
+    fault = first_bad_factor(m)
+    if fault is not None:
+        raise DomainError(fault[1])
     norm, exponent = np.frexp(m)  # exact: m == norm * 2**exponent, norm in [0.5, 1)
     shifts = MULT_BITS - exponent.astype(np.int64)
-    too_far = shifts > MAX_SHIFT
-    if too_far.any():
-        first = float(m.flat[too_far.argmax()])
-        raise DomainError(f"rescale factor {first!r} needs a shift beyond {MAX_SHIFT}")
     scaled = norm * float(1 << MULT_BITS)  # still exact, and so is adding 0.5 to it
     if rounding is Rounding.NEAREST:
         scaled += 0.5

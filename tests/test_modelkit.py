@@ -258,6 +258,22 @@ def test_prepare_rejects_out_of_range_rescale():
         prepare(_singleton_graph(layer))
 
 
+@pytest.mark.parametrize("where", ["pool", "addition"])
+def test_prepare_names_the_layer_of_an_unencodable_factor(where):
+    """A pooling or addition factor too small for an 8-bit shift is named by
+    its layer, as a filter bank's is by layer and channel."""
+    graph = build_model([BlockSpec(2, 8, 1), BlockSpec(3, 8, 1)], 8, seed=3,
+                        head_channels=24, classes=10)
+    layers = list(graph.layers)
+    idx = next(i for i, l in enumerate(layers) if (l.kind is Kind.AVGPOOL if where == "pool"
+                                                    else l.residual_from is not None))
+    layers[idx] = dataclasses.replace(layers[idx], out_scale=1e300)
+    layers[idx + 1] = dataclasses.replace(layers[idx + 1], in_scale=1e300)
+    prefix = f"pool layer {idx}" if where == "pool" else f"addition layer {idx} output"
+    with pytest.raises(DomainError, match=f"{prefix}: rescale factor .* needs a shift beyond 255"):
+        prepare(dataclasses.replace(graph, layers=layers))
+
+
 def test_prepare_accepts_wide_projection_bias():
     rng = np.random.default_rng(5)
     layer = pointwise_layer(rng, Kind.PRO, h=4, w=4, cin=16, cout=16)
@@ -501,8 +517,30 @@ def test_package_rejects_version_2(tmp_path):
     """Version 2 kept two blob files per layer under blobs/."""
     save_package(toy_model(2), tmp_path)
     _rewrite_manifest(tmp_path, lambda m: m.update(format_version=2))
-    with pytest.raises(FormatError, match="version 2.*only version 3.*regenerate"):
+    with pytest.raises(FormatError, match="version 2.*only version 4.*regenerate"):
         load_package(tmp_path)
+
+
+def test_package_rejects_version_3(tmp_path):
+    """Version 3 kept each bank's zero points and scales as manifest lists."""
+    save_package(toy_model(2), tmp_path)
+    _rewrite_manifest(tmp_path, lambda m: m.update(format_version=3))
+    with pytest.raises(FormatError, match="version 3.*only version 4.*regenerate"):
+        load_package(tmp_path)
+
+
+#: sha-256 over manifest.json and then blobs.bin of the saved toy_model(1),
+#: computed when format 4 was introduced. A layout change without a
+#: version bump fails here.
+PACKAGE_DIGEST = "200ca2d23fde0f72372f15b2805807dd018eef39924c5add18579b28d5a40445"
+
+
+def test_package_format_is_pinned(tmp_path):
+    save_package(toy_model(1), tmp_path)
+    h = hashlib.sha256()
+    for name in ("manifest.json", "blobs.bin"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == PACKAGE_DIGEST
 
 
 def test_saved_manifest_stores_no_derived_fields(tmp_path):
@@ -544,15 +582,27 @@ def test_manifest_bias_width_is_the_engines(tmp_path):
 
 
 def _blob_regions(model):
-    """(layer, part, offset, length) of each blobs.bin region, in file order."""
+    """(layer, part, offset, length) of each blobs.bin region, in file order:
+    each bank's uint8 weights, uint8 zero points, float64 scales and int32
+    biases."""
     regions, offset = [], 0
     for idx, l in enumerate(model.layers):
         if l.filters is not None:
-            for part, length in (("weights", l.filters.weights.size),
-                                 ("biases", 4 * l.filters.out_channels)):
+            cout = l.filters.out_channels
+            for part, length in (("weights", l.filters.weights.size), ("zero_points", cout),
+                                 ("scales", 8 * cout), ("biases", 4 * cout)):
                 regions.append((idx, part, offset, length))
                 offset += length
     return regions
+
+
+def _assert_no_per_channel_list(text):
+    """Every per-channel number sits in blobs.bin: a manifest filters entry
+    holds no list but its kernel pair."""
+    for entry in json.loads(text)["layers"]:
+        if entry["filters"] is not None:
+            lists = [v for v in entry["filters"].values() if isinstance(v, list)]
+            assert lists == [entry["filters"]["kernel"]] and len(lists[0]) == 2
 
 
 def test_saved_package_holds_a_manifest_and_one_blob_file(tmp_path):
@@ -561,7 +611,17 @@ def test_saved_package_holds_a_manifest_and_one_blob_file(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["blobs.bin", "manifest.json"]
     idx, part, offset, length = _blob_regions(model)[-1]
     assert (tmp_path / "blobs.bin").stat().st_size == offset + length
-    assert (tmp_path / "manifest.json").read_text().count("\n") == 1
+    text = (tmp_path / "manifest.json").read_text()
+    assert text.count("\n") == 1
+    _assert_no_per_channel_list(text)
+
+
+def test_mobilenet_manifest_holds_only_per_layer_facts(tmp_path):
+    """The MobileNetV2 0.5/64 manifest does not grow with channel counts."""
+    save_package(prepare(build_mobilenet_v2(0.5, 64, seed=3), Rounding.TRUNCATE), tmp_path)
+    text = (tmp_path / "manifest.json").read_text()
+    assert len(text) <= 50_000
+    _assert_no_per_channel_list(text)
 
 
 def test_blob_names_come_from_layer_positions(tmp_path):
@@ -708,6 +768,34 @@ def test_mutated_manifests_raise_only_package_errors(fuzz_package, data):
         pass
 
 
+@pytest.fixture(scope="module")
+def fuzz_blobs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-blobs")
+    save_package(small_model(), root)
+    return root, (root / "blobs.bin").read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_blobs_raise_only_format_errors(fuzz_blobs, data):
+    """Every per-channel number sits behind blobs.bin's checksums and length
+    checks: a flipped byte, a truncation or appended bytes all raise
+    FormatError, never another error and never a different model."""
+    root, clean = fuzz_blobs
+    how = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if how == "flip":
+        raw = bytearray(clean)
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        mutated = bytes(raw)
+    elif how == "truncate":
+        mutated = clean[: data.draw(st.integers(0, len(clean) - 1))]
+    else:
+        mutated = clean + data.draw(st.binary(min_size=1, max_size=64))
+    (root / "blobs.bin").write_bytes(mutated)
+    with pytest.raises(FormatError):
+        load_package(root)
+
+
 def test_package_rejects_corrupt_blob(tmp_path):
     model = toy_model(3)
     save_package(model, tmp_path)
@@ -732,15 +820,36 @@ def test_package_rejects_truncated_blob(tmp_path):
     blob.write_bytes(clean[:-4])
     with pytest.raises(FormatError, match=f"ends inside layer {last}'s biases"):
         load_package(tmp_path)
-    idx, part, offset, length = _blob_regions(model)[2]
-    blob.write_bytes(clean[: offset + length - 1])
-    with pytest.raises(FormatError, match=f"ends inside layer {idx}'s {part}"):
-        load_package(tmp_path)
+    for idx, part, offset, length in _blob_regions(model)[4:8]:  # the second bank
+        blob.write_bytes(clean[: offset + length - 1])
+        with pytest.raises(FormatError, match=f"ends inside layer {idx}'s {part}"):
+            load_package(tmp_path)
     blob.write_bytes(clean + b"\0")
     with pytest.raises(FormatError, match="1 bytes past its last region"):
         load_package(tmp_path)
     blob.unlink()
     with pytest.raises(FormatError, match="blob file missing"):
+        load_package(tmp_path)
+
+
+@pytest.mark.parametrize("bad, why", [
+    (1e-300, "needs a shift beyond 255"),
+    (float("nan"), "is not a finite number"),
+    (-0.5, r"outside \(0, 1\)"),
+])
+def test_package_names_the_layer_and_channel_of_a_bad_scale(tmp_path, bad, why):
+    """A scale that passes its checksum but gives no encodable rescale
+    factor is named by layer and channel, whatever makes it unencodable."""
+    model = toy_model(1)
+    save_package(model, tmp_path)
+    idx, _, offset, length = next(r for r in _blob_regions(model) if r[1] == "scales")
+    blob = tmp_path / "blobs.bin"
+    raw = bytearray(blob.read_bytes())
+    raw[offset : offset + 8] = np.array([bad], "<f8").tobytes()
+    blob.write_bytes(bytes(raw))
+    sha = hashlib.sha256(raw[offset : offset + length]).hexdigest()
+    _rewrite_manifest(tmp_path, lambda m: m["layers"][idx]["filters"].update(scales_sha256=sha))
+    with pytest.raises(DomainError, match=f"layer {idx} channel 0: rescale factor .* {why}"):
         load_package(tmp_path)
 
 

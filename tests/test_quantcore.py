@@ -116,7 +116,7 @@ def test_quantize_multipliers_edge_cases():
         quantize_multipliers(np.array([0.25, np.nan]))
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), float("inf"), 1e-300])
 def test_derivation_names_the_layer_and_channel_of_a_bad_scale(bad):
     layer = c2d_layer(np.random.default_rng(4))
     layer.filters.scales[5] = bad
