@@ -285,9 +285,11 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
     |T1| + |T2| of its NEAREST tables) decides the rescale's tie verdict
     and shift alignment, and covers the bias its offsets fold in. A
     pointwise layer's int16 bank is one cast of its uint8 weights and
-    one in-place subtract, and its tap sums are one buffered int64
-    column reduction of that bank, so compiling the record allocates
-    nothing wider than the bank. The record is kept in the frozen
+    one in-place int16 subtract, and its tap sums are one int32 column
+    reduction of that bank, widened once: check_acc_bound keeps
+    K * 255**2 below 2**30, so every |sum of W - zw| <= K * 255 < 2**23.
+    Compiling the record allocates nothing wider than the bank but
+    those sums. The record is kept in the frozen
     layer's __dict__, which dataclasses.replace does not carry over, so
     every changed layer compiles its own.
     """
@@ -316,7 +318,7 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
             bias = -layer.in_h * layer.in_w * layer.in_zero
         elif layer.kind in (Kind.PRO, Kind.EXP):
             taps = _read_only(_signed_weights(f, np.int16)[0, 0])
-            bias = f.biases - layer.in_zero * taps.sum(axis=0, dtype=np.int64)
+            bias = f.biases - layer.in_zero * taps.sum(axis=0, dtype=np.int32).astype(np.int64)
         rescale = None
         if mults is not None:  # the packed columns are strided: keep contiguous copies
             r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
@@ -350,9 +352,14 @@ def output_tensor(layer: LayerDesc, data: np.ndarray) -> QTensor:
 
 
 def _signed_weights(f: QFilterSet, dtype) -> np.ndarray:
-    """Zero-corrected weights in one new array of dtype."""
+    """Zero-corrected weights in one new array of dtype.
+
+    The zero points are cast to dtype first, so the subtract runs in
+    dtype: every weight and zero point lies in [0, 255], so each
+    difference fits int16 and float32 holds it exactly.
+    """
     w = f.weights.astype(dtype)
-    w -= f.zero_points
+    w -= f.zero_points.astype(dtype, copy=False)
     return w
 
 

@@ -28,12 +28,12 @@ import numpy as np
 from .errors import DomainError, FormatError, PlanError, SemistreamError
 from .quantcore import (
     AddParams,
+    MultShift,
     Rounding,
     bias_limits,
     first_bad_factor,
     narrow_bias,
     pack_multipliers,
-    quantize_multiplier,
     quantize_multipliers,
 )
 
@@ -214,7 +214,8 @@ class LayerDesc:
     orig_in_ch: int = 0
     orig_out_ch: int = 0
     # derived by prepare() and load_package(); mults is a read-only record
-    # array of one (mult, shift) pair per output channel (pack_multipliers)
+    # array of one (mult, shift) pair per output channel, a slice of the
+    # model's one packed array (pack_multipliers)
     mults: np.recarray | None = None
     add_params: AddParams | None = None
 
@@ -266,7 +267,8 @@ class PreparedModel:
     model is a new one (dataclasses.replace). Its round plan, its
     validate_graph verdict and its residual sources are computed once
     per model object, on first use, and the drivers read the verdict
-    instead of re-checking each engine call.
+    instead of re-checking each engine call. load_package() sets a
+    loaded model's verdict itself, since it validated those layers.
     """
 
     layers: tuple[LayerDesc, ...]
@@ -585,25 +587,6 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     return dataclasses.replace(layer, in_ch=cin_p, out_ch=cout_p, filters=padded)
 
 
-def _derive_add_params(idx: int, layer: LayerDesc, source: LayerDesc,
-                       rounding: Rounding) -> AddParams:
-    s1 = layer.in_scale
-    s2 = source.out_scale
-    so = layer.out_scale
-    smax = max(s1, s2)
-    factors = (s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / (float(1 << 20) * so))
-    fault = first_bad_factor(np.array(factors))
-    if fault is not None:
-        part = ("input", "residual", "output")[fault[0]]
-        raise DomainError(f"addition layer {idx} {part}: {fault[1]}")
-    return AddParams(
-        *(quantize_multiplier(m, rounding) for m in factors),
-        in1_zero=layer.in_zero,
-        in2_zero=source.out_zero,
-        out_zero=layer.out_zero,
-    )
-
-
 #: Bound on every accumulator magnitude: below it, every accumulator fits
 #: int32 and stays exact in the int64 bank that PRO and EXP add their
 #: float32 GEMM slices of K_CHUNK rows into (engines.fold_gemm).
@@ -637,48 +620,101 @@ def check_acc_bound(layer: LayerDesc) -> int | None:
     return worst
 
 
+def _factors(l: LayerDesc, layers: list[LayerDesc]) -> np.ndarray | None:
+    """The layer's rescale factors, in channel or operand order; None if it has none.
+
+    A filter bank has one per output channel, a pooling layer one per
+    channel, all equal, and a shortcut addition three: its input's, its
+    residual's (each onto the shared intermediate scale) and its output's.
+    """
+    if l.kind in _KERNEL_SIDE:
+        with np.errstate(all="ignore"):  # nan and inf factors are rejected later
+            return l.in_scale * l.filters.scales / l.out_scale
+    if l.kind is Kind.AVGPOOL:
+        return np.full(l.out_ch, l.in_scale / (float(l.in_h * l.in_w) * l.out_scale))
+    if l.kind is Kind.ADD and l.residual_from is not None:
+        s1, s2, so = l.in_scale, layers[l.residual_from].out_scale, l.out_scale
+        smax = max(s1, s2)
+        return np.array((s1 / (2.0 * smax), s2 / (2.0 * smax),
+                         2.0 * smax / (float(1 << 20) * so)))
+    return None
+
+
 def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[LayerDesc]:
     """Validated, padded layers with every run-time integer parameter derived.
 
-    The one derivation behind prepare() and load_package(): converts each
-    filter bank's per-channel rescale factors to one packed array of
-    multiplier/shift pairs (quantize_multipliers, pack_multipliers),
-    checks its biases against its engine's lane width (BIAS_BITS) with
-    one min and max, checks the accumulator bound and sets addition
-    parameters. The first bad channel of a layer is the one named. Each
-    layer that gains a parameter is a new one (dataclasses.replace).
+    The one derivation behind prepare() and load_package(), in
+    whole-model passes. Every filter bank's and pooling layer's rescale
+    factors and every shortcut addition's three are concatenated in
+    layer order and encoded once (first_bad_factor, quantize_multipliers,
+    pack_multipliers): the model has one read-only array of multiplier/
+    shift pairs, each layer's mults is a read-only slice of it, and each
+    AddParams is read off the same encoding. Every bias is checked
+    against its engine's lane width (BIAS_BITS) in one pass over all
+    banks. Errors keep the order of a layer-by-layer derivation: the
+    earliest failing layer is the one named, and within a layer the
+    accumulator bound comes before the rescale factors, which come
+    before the biases; within each, the first bad channel is named.
+    Each layer that gains a parameter is a new one (dataclasses.replace).
     Every filter array is made read-only in place, so a compiled engine
     record can never go stale: the caller hands over arrays nothing
     else writes (prepare() copies those it shares with its graph).
     """
-    derived = []
+    acc_fault = None
+    factors, starts, ends = [], [], []
+    banks, biases, limits = [], [], []
+    end = 0
     for idx, l in enumerate(layers):
-        check_acc_bound(l)
+        try:
+            check_acc_bound(l)
+        except DomainError as e:  # raised below unless an earlier layer fails first
+            acc_fault = e
+            break
         if l.kind in _KERNEL_SIDE:
             f = l.filters
             for a in (f.weights, f.zero_points, f.scales, f.biases):
                 a.flags.writeable = False
-            with np.errstate(all="ignore"):  # nan and inf factors are rejected below
-                m = l.in_scale * f.scales / l.out_scale
-            fault = first_bad_factor(m)
-            if fault is not None:
-                raise DomainError(f"layer {idx} channel {fault[0]}: {fault[1]}")
-            mults = pack_multipliers(*quantize_multipliers(m, rounding))
-            lo, hi = bias_limits(l.bias_bits)
-            b = f.biases
-            if b.size and not (lo <= b.min() and b.max() <= hi):
-                narrow_bias(b[(b < lo) | (b > hi)][0], l.bias_bits)  # raises for the first
-            l = dataclasses.replace(l, mults=mults)
-        elif l.kind is Kind.AVGPOOL:
-            m = np.full(l.out_ch, l.in_scale / (float(l.in_h * l.in_w) * l.out_scale))
-            fault = first_bad_factor(m)
-            if fault is not None:
-                raise DomainError(f"pool layer {idx}: {fault[1]}")
-            mults = pack_multipliers(*quantize_multipliers(m, rounding))
-            l = dataclasses.replace(l, mults=mults)
-        elif l.kind is Kind.ADD and l.residual_from is not None:
-            l = dataclasses.replace(
-                l, add_params=_derive_add_params(idx, l, layers[l.residual_from], rounding))
+            banks.append(idx)
+            biases.append(f.biases)
+            limits.append(bias_limits(l.bias_bits))
+        m = _factors(l, layers)
+        starts.append(end)
+        if m is not None:
+            factors.append(m)
+            end += m.size
+        ends.append(end)
+    m = np.concatenate(factors) if factors else np.empty(0)
+    fault = first_bad_factor(m)
+    at = len(starts) if fault is None else int(np.searchsorted(ends, fault[0], side="right"))
+    b = np.concatenate(biases) if biases else np.empty(0, np.int64)
+    sizes = [a.size for a in biases]
+    lim = np.repeat(np.array(limits, np.int64).reshape(-1, 2), sizes, axis=0)
+    wide = (b < lim[:, 0]) | (b > lim[:, 1])
+    if wide.any():
+        i = int(wide.argmax())
+        bank = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+        if banks[bank] < at:
+            narrow_bias(b[i], layers[banks[bank]].bias_bits)  # raises
+    if fault is not None:
+        l, c = layers[at], fault[0] - starts[at]
+        part = ("input", "residual", "output")[c] if l.kind is Kind.ADD else None
+        where = (f"pool layer {at}" if l.kind is Kind.AVGPOOL else
+                 f"addition layer {at} {part}" if part else f"layer {at} channel {c}")
+        raise DomainError(f"{where}: {fault[1]}")
+    if acc_fault is not None:
+        raise acc_fault
+    mults, shifts = quantize_multipliers(m, rounding)
+    # each layer views a slice of the plain array: slicing a recarray costs ten times more
+    rows = pack_multipliers(mults, shifts).view(np.ndarray)
+    derived = []
+    for l, s, e in zip(layers, starts, ends):
+        if l.kind is Kind.ADD and s < e:
+            l = dataclasses.replace(l, add_params=AddParams(
+                *(MultShift(int(mults[k]), int(shifts[k])) for k in range(s, e)),
+                in1_zero=l.in_zero, in2_zero=layers[l.residual_from].out_zero,
+                out_zero=l.out_zero))
+        elif s < e:
+            l = dataclasses.replace(l, mults=rows[s:e].view(np.recarray))
         derived.append(l)
     return derived
 
@@ -994,6 +1030,9 @@ def load_package(path: str | Path) -> PreparedModel:
         blobs.verify()
         model = PreparedModel(_derive_parameters(layers, rounding), graph.resolution,
                               graph.width_multiplier, graph.seed, rounding)
+        # validate_graph passed on these layers above, and derivation adds
+        # only parameters it does not read: no frame validates them again
+        model.__dict__["verdict"] = None
     except SemistreamError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:

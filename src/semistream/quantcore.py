@@ -4,8 +4,9 @@ Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
 m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, one
 whole array of factors at a time (quantize_multipliers; the scalar
-quantize_multiplier wraps it, so the encoding exists once); a layer
-keeps its pairs as one read-only record array (pack_multipliers).
+quantize_multiplier wraps it, so the encoding exists once); a model
+keeps its pairs as one read-only record array (pack_multipliers), of
+which each layer holds a slice.
 Applying one to an accumulator is a 64-bit multiply, one offset add
 and a rounding shift over whole arrays, in place on an int64
 accumulator the caller owns (apply_rescale, with the per-channel
@@ -169,7 +170,9 @@ def pack_multipliers(mults, shifts) -> np.recarray:
     packed.mult and packed.shift are its int64 columns, packed[c].mult
     and packed[c].shift one channel's pair. Raises DomainError, naming
     the first bad channel, for a multiplier outside [2**31, 2**32) or a
-    shift outside [32, 255], the ranges MultShift keeps.
+    shift outside [32, 255], the ranges MultShift keeps. The derivation
+    packs a whole model's pairs in one call, so a layer's mults may be a
+    read-only slice of the model's array rather than an array of its own.
     """
     mults = np.asarray(mults, dtype=np.int64)
     shifts = np.asarray(shifts, dtype=np.int64)

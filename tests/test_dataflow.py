@@ -315,6 +315,22 @@ def test_validate_graph_runs_once_per_model_object(monkeypatch):
     assert calls == [model, again]
 
 
+def test_a_loaded_model_is_validated_once(tmp_path, monkeypatch):
+    """load_package validates the loaded layers and sets the model's
+    verdict, so its first frame does not validate them again."""
+    import semistream.modelkit as modelkit
+
+    model, image, _ = toy_pair(3)
+    save_package(model, tmp_path)
+    calls = []
+    real = modelkit.validate_graph
+    monkeypatch.setattr(modelkit, "validate_graph", lambda g: calls.append(g) or real(g))
+    loaded = load_package(tmp_path)
+    logits = run_inference(loaded, image, mode="sequential").logits
+    assert len(calls) == 1 and calls[0] is not loaded
+    assert logits == run_inference(model, image, mode="sequential").logits
+
+
 def test_an_unvalidated_model_that_does_not_chain_is_refused():
     """A model built with the constructor, never validated, raises the
     verdict's DomainError on every frame instead of reaching a kernel."""

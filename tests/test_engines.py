@@ -52,6 +52,7 @@ from semistream.quantcore import (
     Rounding,
     pack_multipliers,
     quantize_multipliers,
+    rescale_constants,
 )
 
 from conftest import (
@@ -1050,6 +1051,51 @@ def test_layer_records_hold_no_weight_copies():
     assert kinds == set(Kind)
     assert forms == {True, False}  # aligned layers, and long banks that stay per-channel
     assert owned_bytes <= 2 * pointwise_bytes + other_bytes
+
+
+@pytest.mark.parametrize("w, zw", [(0, 0), (0, 255), (255, 0), (255, 255)])
+def test_record_taps_are_exact_at_the_code_extremes(w, zw):
+    """Each bank's zero points are cast to its dtype before the subtract:
+    at the extremes of weight and zero point, the int16 PRO and EXP banks,
+    the float32 depthwise taps and the entry taps, built from an int64
+    bank, all equal W - zw computed in int64."""
+    rng = np.random.default_rng(52)
+    for layer in (pointwise_layer(rng, Kind.PRO), pointwise_layer(rng, Kind.EXP),
+                  dwc_layer(rng), c2d_layer(rng)):
+        f = layer.filters
+        layer = derive(dataclasses.replace(layer, filters=QFilterSet(
+            f.kernel_h, f.kernel_w, f.in_channels, f.out_channels,
+            np.full(f.weights.shape, w, np.uint8), np.full(f.out_channels, zw),
+            f.scales, f.biases)))
+        want = np.full(f.weights.shape, w, np.int64) - zw
+        taps = layer_record(layer).taps
+        if layer.kind in (Kind.PRO, Kind.EXP):
+            assert taps.dtype == np.int16
+            np.testing.assert_array_equal(taps, want[0, 0])
+        else:
+            assert taps.dtype == np.float32
+            np.testing.assert_array_equal(taps, want[:, :, 0, :] if layer.kind is Kind.DWC
+                                          else want.reshape(27, 32))
+
+
+def test_pointwise_offsets_are_exact_on_the_largest_admitted_bank():
+    """A pointwise record sums its int16 bank's columns in int32: on the
+    longest bank the accumulator bound admits (K = 16512), every entry
+    -255, each sum is -255 * K, and the record's offsets equal those built
+    from int64 tap sums."""
+    rng = np.random.default_rng(16)
+    layer = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=16512, cout=16)
+    f = layer.filters
+    layer = derive(dataclasses.replace(layer, in_zero=255, filters=QFilterSet(
+        1, 1, 16512, 16, np.zeros(f.weights.shape, np.uint8), np.full(16, 255),
+        f.scales, f.biases)))
+    sums = (layer.filters.weights[0, 0].astype(np.int64) - 255).sum(axis=0)
+    assert (sums == -255 * 16512).all()
+    want = rescale_constants(np.ascontiguousarray(layer.mults.mult), layer.mults.shift,
+                             check_acc_bound(layer), layer.filters.biases - 255 * sums)
+    got = layer_record(layer).rescale
+    np.testing.assert_array_equal(got.offset, want.offset)
+    np.testing.assert_array_equal(got.offset_half, want.offset_half)
 
 
 def test_engines_leave_their_inputs_untouched():

@@ -13,6 +13,7 @@ from semistream.dataflow import run_inference
 from semistream.engines import run_layer
 from semistream.errors import DomainError, FormatError, RangeError, SemistreamError
 from semistream.modelkit import (
+    ACC_BOUND,
     LANES,
     BlockSpec,
     Kind,
@@ -22,6 +23,7 @@ from semistream.modelkit import (
     QTensor,
     build_mobilenet_v2,
     build_model,
+    check_acc_bound,
     image_to_qtensor,
     load_image,
     load_package,
@@ -34,7 +36,14 @@ from semistream.modelkit import (
     validate_graph,
 )
 from semistream.oracle import run_model_naive
-from semistream.quantcore import Rounding, pack_multipliers, quantize_multiplier
+from semistream.quantcore import (
+    Rounding,
+    bias_limits,
+    first_bad_factor,
+    narrow_bias,
+    pack_multipliers,
+    quantize_multiplier,
+)
 
 from conftest import c2d_layer, pointwise_layer, random_filters, toy_model, toy_pair
 
@@ -328,6 +337,132 @@ def test_prepare_rejects_accumulators_beyond_2_30():
     )
     with pytest.raises(DomainError, match=r"2\*\*30"):
         prepare(_singleton_graph(over, resolution=1))
+
+
+#: Faults a derivation rejects, each injected into one prepared layer.
+FAULTS = ("bank factor", "pool factor", "addition factor", "wide bias", "accumulator bound")
+
+
+def _fault_applies(fault: str, layer: LayerDesc) -> bool:
+    if fault == "pool factor":
+        return layer.kind is Kind.AVGPOOL
+    if fault == "addition factor":
+        return layer.residual_from is not None
+    return layer.filters is not None
+
+
+def _inject(layers: list[LayerDesc], idx: int, fault: str) -> None:
+    """Break layers[idx] in place of the list; each value depends on idx, so
+    two faults of one kind still give two different messages."""
+    l = layers[idx]
+    if fault in ("pool factor", "addition factor"):
+        # an output scale far above the input's: the factor needs a shift beyond 255
+        layers[idx] = dataclasses.replace(l, out_scale=1e300 / (idx + 1))
+        if idx + 1 < len(layers):
+            layers[idx + 1] = dataclasses.replace(layers[idx + 1], in_scale=1e300 / (idx + 1))
+        return
+    f = l.filters
+    scales, biases = f.scales.copy(), f.biases.copy()
+    c = idx % l.orig_out_ch
+    if fault == "bank factor":
+        scales[c] = (3 + idx) * l.out_scale / l.in_scale  # a factor of about 3 + idx
+    elif fault == "wide bias":
+        biases[c] = bias_limits(l.bias_bits)[1] + 1 + idx
+    else:  # also too wide: the bound must be named first
+        biases[c] = ACC_BOUND + idx
+    layers[idx] = dataclasses.replace(l, filters=QFilterSet(
+        f.kernel_h, f.kernel_w, f.in_channels, f.out_channels, f.weights.copy(),
+        f.zero_points.copy(), scales, biases))
+
+
+def _layer_by_layer_error(layers: list[LayerDesc]) -> tuple[type, str] | None:
+    """The error a derivation that checks one layer at a time raises first:
+    per layer the accumulator bound, then the rescale factors, then the
+    biases, each naming its first bad channel."""
+    for idx, l in enumerate(layers):
+        try:
+            check_acc_bound(l)
+            if l.filters is not None:
+                with np.errstate(all="ignore"):  # nan and inf factors are rejected below
+                    m = l.in_scale * l.filters.scales / l.out_scale
+                where = f"layer {idx} channel "
+            elif l.kind is Kind.AVGPOOL:
+                m = np.full(l.out_ch, l.in_scale / (float(l.in_h * l.in_w) * l.out_scale))
+                where = f"pool layer {idx}"
+            elif l.residual_from is not None:
+                s1, s2, so = l.in_scale, layers[l.residual_from].out_scale, l.out_scale
+                smax = max(s1, s2)
+                m = np.array([s1 / (2.0 * smax), s2 / (2.0 * smax),
+                              2.0 * smax / (float(1 << 20) * so)])
+                where = f"addition layer {idx} "
+            else:
+                continue
+            fault = first_bad_factor(m)
+            if fault is not None:
+                part = (str(fault[0]) if l.filters is not None else "" if l.kind is Kind.AVGPOOL
+                        else ("input", "residual", "output")[fault[0]])
+                raise DomainError(f"{where}{part}: {fault[1]}")
+            for b in l.filters.biases if l.filters is not None else ():
+                narrow_bias(b, l.bias_bits)
+        except SemistreamError as e:
+            return type(e), str(e)
+    return None
+
+
+@pytest.fixture(scope="module")
+def fault_models():
+    return {head: [toy_model(seed, include_head=head) for seed in range(12)]
+            for head in (False, True)}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_derivation_names_the_earliest_of_two_faults(fault_models, tmp_path_factory, data):
+    """With faults at layers i < j, of any two kinds, prepare and
+    load_package raise the fault at i, with the class and message a
+    layer-by-layer derivation gives, although the model is encoded in
+    whole-model passes."""
+    model = data.draw(st.sampled_from(fault_models[data.draw(st.booleans())]))
+    sites = [(idx, fault) for idx, l in enumerate(model.layers) for fault in FAULTS
+             if _fault_applies(fault, l)]
+
+    def draw_site(lo: int, hi: int) -> tuple[int, str]:
+        # the kind first, so that rare kinds (pooling, addition) come up as often
+        inside = [s for s in sites if lo < s[0] < hi]
+        fault = data.draw(st.sampled_from([f for f in FAULTS if any(s[1] == f for s in inside)]))
+        return data.draw(st.sampled_from([s for s in inside if s[1] == fault]))
+
+    i, first = draw_site(-1, max(idx for idx, _ in sites))
+    j, second = draw_site(i, len(model.layers))
+    only_i = list(model.layers)
+    _inject(only_i, i, first)
+    both = list(only_i)
+    _inject(both, j, second)
+    want = _layer_by_layer_error(both)
+    assert want is not None and want == _layer_by_layer_error(only_i)
+    graph = ModelGraph(both, model.resolution, model.width_multiplier, model.seed)
+    with pytest.raises(want[0]) as raised:
+        prepare(graph)
+    assert str(raised.value) == want[1]
+    root = save_package(dataclasses.replace(model, layers=both), tmp_path_factory.mktemp("pkg"))
+    with pytest.raises(want[0]) as raised:
+        load_package(root)
+    assert str(raised.value) == want[1]
+
+
+def test_prepare_and_load_encode_each_model_in_one_call(tmp_path, monkeypatch):
+    """The whole model's multipliers are encoded by one quantize_multipliers
+    call, in prepare and again in load_package, never one per layer."""
+    import semistream.modelkit as modelkit
+
+    calls = []
+    real = modelkit.quantize_multipliers
+    monkeypatch.setattr(modelkit, "quantize_multipliers",
+                        lambda *a, **k: calls.append(a[0].size) or real(*a, **k))
+    model = prepare(build_mobilenet_v2(0.5, 64))
+    assert len(calls) == 1
+    load_package(save_package(model, tmp_path))
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 def test_prepare_pass_counts():
