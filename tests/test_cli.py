@@ -1,6 +1,7 @@
 """End-to-end command line coverage, driven in-process."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -303,6 +304,52 @@ def test_report_reference_design_point(pkg224):
             "EXP 27.2, PRO 27.2") in res.output
     assert ("engine weight Gb/s: ADD 12.8, DWC 140.8, "
             "EXP 230.4, PRO 233.6") in res.output
+
+
+#: `report`'s whole text output for the standard 224 package.
+REPORT_224 = """\
+clock 100.0 MHz, external bandwidth 2.600 GB/s (26.00 bytes/cycle)
+latency 10.596 ms per frame, 94.4 frames/s, 1059648 cycles
+total madds 383943672, effective 36.23 GOp/s
+first bandwidth-limited round: 13
+
+round    stage1      load    stage2        end  limiting
+   0      75264        79     75264     150528  compute
+   1      75264       296     56448     282240  compute
+   2      28224       355     56448     366912  compute
+   3      28224       414     18816     413952  compute
+   4       9408       473     18816     442176  compute
+   5       9408       473     18816     470400  compute
+   6       9408      1418     18816     498624  compute
+   7       4704      1891     18816     522144  compute
+   8       4704      1891     18816     545664  compute
+   9       4704      1891     18816     569184  compute
+  10       4704      3545     42336     616224  compute
+  11       7056      4254     42336     665616  compute
+  12       7056      4254     42336     715008  compute
+  13       7056      9453     29400     753861  bandwidth
+  14       2940     11816     29400     795077  bandwidth
+  15       2940     11816     29400     836293  bandwidth
+  16       2940     11816     58800     906909  bandwidth
+  17T         0     15754     78400    1001063  compute
+  18T         0         0      3920    1004983  compute
+  19T         0     49625      5040    1059648  bandwidth
+
+engine peak GOp/s: ADD 5.4, C2D 89.6, DWC 16.0, EXP 27.2, PRO 27.2
+engine weight Gb/s: ADD 12.8, DWC 140.8, EXP 230.4, PRO 233.6
+"""
+
+
+def test_report_output_is_pinned(pkg224):
+    """The text report, byte for byte, and the CSV rows by sha-256."""
+    pkg, _ = pkg224
+    res = run_cli("report", "--model", pkg)
+    assert res.exit_code == 0, alltext(res)
+    assert res.output == REPORT_224
+    res = run_cli("report", "--model", pkg, "--format", "csv")
+    assert res.exit_code == 0, alltext(res)
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "1b675d9e8ec2f06b50bbcec8f82e4f25172ab99a3f31e34e057421f14baf72e2")
 
 
 def test_report_infinite_bandwidth(pkg224):

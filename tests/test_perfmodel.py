@@ -1,6 +1,7 @@
 """Analytic model: nominal rates, the round timeline, normalization."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -243,3 +244,26 @@ def test_report_counts_the_madds_a_run_reports(standard):
     pixels = np.zeros((224, 224, 3), dtype=np.uint8)
     run = run_inference(standard, image_to_qtensor(pixels, standard), mode="sequential")
     assert performance_report(standard)["total_madds"] == run.total.madds == 383943672
+
+
+#: sha-256 of repr() of a MobileNetV2 run's per-layer stats, one
+#: (cycles, madds, weight_bytes, output_elements, acc_working_set) tuple
+#: of ints per layer in layer order. Geometry alone sets these numbers,
+#: so neither the seed nor the generated weights can move them.
+LAYER_STATS_SHA256 = {
+    224: "29cbc84a9f5875524656d46b22a9aa89b3c910e9a8a37df88a1f8d0a53390978",
+    64: "001afc86922b4d9e0de345c0a993805debd59a2a6a2101e2c3a30c43bd0a23c9",
+}
+
+
+def test_every_layer_stat_is_pinned(standard):
+    for model in (standard, prepare(build_mobilenet_v2(0.5, 64, seed=3))):
+        image = image_to_qtensor(np.zeros((model.resolution,) * 2 + (3,), np.uint8), model)
+        for mode in ("sequential", "stream"):
+            stats = run_inference(model, image, mode=mode).stats
+            rows = [(int(s.cycles), int(s.madds), int(s.weight_bytes),
+                     int(s.output_elements), int(s.acc_working_set))
+                    for _, s in sorted(stats.items())]
+            assert len(rows) == len(model.layers) == 71
+            digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+            assert digest == LAYER_STATS_SHA256[model.resolution], (model.resolution, mode)
