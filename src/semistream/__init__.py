@@ -4,8 +4,8 @@ The package covers the full path from model generation to latency
 estimation: quantization arithmetic (quantcore), graph construction and
 the package format (modelkit), the five fixed-function engines
 (engines), reference evaluators (oracle), the round dataflow with its
-streaming drivers (dataflow), and the analytic performance model
-(perfmodel).
+streaming drivers (dataflow), and the analytic performance model with
+the cycle model of every engine (perfmodel).
 """
 from .errors import (
     DeadlockError,
@@ -51,19 +51,7 @@ from .modelkit import (
     schedule_rounds,
     validate_graph,
 )
-from .engines import (
-    ADD_OPS_PER_CYCLE,
-    ADD_STREAM_BITS,
-    MADDS_PER_CYCLE,
-    WEIGHT_GEOMETRY,
-    EngineStats,
-    ExpStreamKernel,
-    add_elements,
-    engine_cycles,
-    nominal_stats,
-    run_layer,
-    weight_bytes,
-)
+from .engines import ExpStreamKernel, add_elements, run_layer
 from .oracle import (
     dequantize,
     float_layer,
@@ -77,14 +65,20 @@ from .dataflow import (
     run_inference,
 )
 from .perfmodel import (
+    ADD_OPS_PER_CYCLE,
+    ADD_STREAM_BITS,
     CALIBRATED_BANDWIDTH_GBPS,
+    MADDS_PER_CYCLE,
     REFERENCE_FREQUENCY_MHZ,
     REFERENCE_MULTIPLIERS,
     ClockConfig,
+    WEIGHT_GEOMETRY,
+    EngineStats,
     TimelineEntry,
     bandwidth_report,
     estimate_timeline,
     first_bandwidth_limited_round,
+    layer_cost,
     normalize_performance,
     performance_report,
     throughput_report,

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .dataflow import run_inference
-from .engines import EngineStats, run_layer
+from .engines import run_layer
 from .errors import SemistreamError
 from .modelkit import (
     ENGINE_FOR_KIND,
@@ -37,7 +37,7 @@ from .modelkit import (
     save_raw,
 )
 from .oracle import dequantize, naive_quant_layer, run_model_naive
-from .perfmodel import CALIBRATED_BANDWIDTH_GBPS, ClockConfig, performance_report
+from .perfmodel import CALIBRATED_BANDWIDTH_GBPS, ClockConfig, EngineStats, performance_report
 from .quantcore import Rounding
 
 _ROUNDING = click.Choice(["nearest", "truncate"])

@@ -29,8 +29,9 @@ producer: it copies its runs into a frame it owns and writes it after
 the last run. One wiring loop walks the plan and builds every round's
 processes this way up front. Processes are plain generators that take
 only their streams and yield Blocked tokens when a stream cannot move;
-per-layer work accounting comes from the layers themselves after the
-run. They are chained per engine (C2D, EXP, DWC, PRO, ADD) in round
+neither driver accounts for work: a result's per-layer stats are read
+off the layers' geometry (perfmodel.layer_cost) when first asked for.
+They are chained per engine (C2D, EXP, DWC, PRO, ADD) in round
 order, so data streams from round to round with no barrier between
 rounds. Stream mode resumes the five chains under a deterministic
 round-robin scheduler (the reference); threads mode gives each engine
@@ -52,18 +53,14 @@ import itertools
 import threading
 from collections import deque, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .engines import (
-    EngineStats,
-    ExpStreamKernel,
-    add_elements,
-    layer_record,
-    output_tensor,
-)
+from .engines import ExpStreamKernel, add_elements, layer_record, output_tensor
 from .errors import DeadlockError, DomainError, SequencingError, ShapeError
 from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from here
+    ENGINE_FOR_KIND,
     LANES,
     LayerDesc,
     PreparedModel,
@@ -72,6 +69,7 @@ from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from he
     residual_fifo_capacity,
     schedule_rounds,
 )
+from .perfmodel import EngineStats, layer_cost
 from .quantcore import Rounding
 
 #: A process yields one of these when a stream cannot move this instant.
@@ -368,11 +366,16 @@ def _run_threaded(procs: list) -> None:
 
 @dataclass
 class InferenceResult:
-    """Logits plus per-layer work accounting."""
+    """Logits of one frame, with the layers that computed them; their
+    costs (stats, by layer index) are read off the layers on first read."""
 
     logits: QTensor
-    stats: dict[int, EngineStats]
+    layers: tuple[LayerDesc, ...]
     mode: str
+
+    @cached_property
+    def stats(self) -> dict[int, EngineStats]:
+        return {i: layer_cost(l) for i, l in enumerate(self.layers)}
 
     @property
     def total(self) -> EngineStats:
@@ -428,21 +431,17 @@ def _layer_probe(exp_probe, idx: int):
 
 def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
     model.require_valid()
-    stats: dict[int, EngineStats] = {}
     kept: dict[int, np.ndarray] = {}
     sources = model.residual_sources
     x = image.data
     for idx, layer in enumerate(model.layers):
-        rec = layer_record(layer)
         if layer.residual_from is None:
-            x = rec.kernel(x, layer, rounding, _layer_probe(exp_probe, idx))
+            x = layer_record(layer).kernel(x, layer, rounding, _layer_probe(exp_probe, idx))
         else:
             x = add_elements(x, kept.pop(layer.residual_from), layer, rounding)
-        stats[idx] = rec.stats
         if idx in sources:
             kept[idx] = x
-    return InferenceResult(logits=output_tensor(model.layers[-1], x), stats=stats,
-                           mode="sequential")
+    return InferenceResult(output_tensor(model.layers[-1], x), model.layers, "sequential")
 
 
 def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
@@ -454,18 +453,17 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     plan = model.rounds  # a plan error is reported before the verdict's
     model.require_valid()
     layers = model.layers
-    records = [layer_record(l) for l in layers]
     fifo_words = residual_fifo_capacity(model)
     res_fifo = BoundedQueue(fifo_words, "residual-fifo") if fifo_words else None
     sources = model.residual_sources
     chains: dict[str, list] = {}  # engine -> its processes in round order
 
     def chain(idx: int, proc) -> None:
-        chains.setdefault(records[idx].engine, []).append(proc)
+        chains.setdefault(ENGINE_FOR_KIND[layers[idx].kind], []).append(proc)
 
     def out_frame(r: int, idx: int) -> FrameBuffer:
         l = layers[idx]
-        label = f"round{r}-{records[idx].engine.lower()}-out"
+        label = f"round{r}-{ENGINE_FOR_KIND[l.kind].lower()}-out"
         return FrameBuffer(l.out_h * l.out_w, l.out_ch, label)
 
     entry = layers[0]
@@ -483,6 +481,8 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
         pro, add = streamed[:2]
         exp = streamed[2] if len(streamed) == 3 else None
         pro_l, add_l = layers[pro], layers[add]
+        # two batches per run halve the messages a round trades; one batch
+        # (npix words) runs every model too, so two is not a deadlock bound
         words = 2 * pro_l.out_h * pro_l.out_w
         q_pro_add = BoundedQueue(words, f"round{r}-pro-add")
         chain(pro, _pro_process(pro_l, buf, q_pro_add, rounding))
@@ -502,6 +502,5 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     # each engine's processes run one after another as one process
     procs = [itertools.chain(*c) for c in chains.values()]
     _run_threaded(procs) if threaded else _run_round_robin(procs)
-    return InferenceResult(logits=output_tensor(layers[-1], buf.assemble()),
-                           stats={i: rec.stats for i, rec in enumerate(records)},
-                           mode="threads" if threaded else "stream")
+    return InferenceResult(output_tensor(layers[-1], buf.assemble()), layers,
+                           "threads" if threaded else "stream")

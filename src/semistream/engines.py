@@ -62,11 +62,13 @@ verdict and its shift alignment (quantcore.rescale_constants): when no
 product acc * mult can land exactly halfway between two codes, the
 NEAREST rescale skips its tie correction pass, and when the aligned
 multipliers keep every product below 2**62, the shift is one scalar.
-The record also holds the layer's kernel and stats, its rescale
-constants with their folded offsets, the zero-corrected taps of every
-MAC engine (float32 for the entry and depthwise convolutions, the int16
-bank for PRO and EXP, 2 B per pointwise weight) and an addition's
-per-code operand tables, so no engine call recomputes them. A LayerDesc
+The record holds only what the kernels read: the layer's kernel, its
+rescale constants with their folded offsets, the zero-corrected taps of
+every MAC engine (float32 for the entry and depthwise convolutions, the
+int16 bank for PRO and EXP, 2 B per pointwise weight) and an addition's
+per-code operand tables, so no engine call recomputes them. The engines
+own no modelled fact: what a layer costs (cycles, engine capacity,
+weight bytes) is perfmodel.layer_cost, read off the layer's geometry. A LayerDesc
 is frozen, its mults are read-only and so are the filter arrays of a
 prepared or loaded model, so a layer object's record never goes stale: a
 changed layer is a new object (dataclasses.replace), which gets its own.
@@ -90,8 +92,6 @@ import numpy as np
 from .errors import DomainError, SequencingError, ShapeError
 from .modelkit import (
     ACC_BOUND,
-    BIAS_BITS,
-    ENGINE_FOR_KIND,
     LANES,
     Kind,
     LayerDesc,
@@ -99,6 +99,7 @@ from .modelkit import (
     QTensor,
     check_acc_bound,
 )
+from .perfmodel import EngineStats, layer_cost
 from .quantcore import (
     AddParams,
     Rescale,
@@ -108,113 +109,35 @@ from .quantcore import (
     rescale_constants,
 )
 
-#: Multiply-accumulate throughput of each engine, per clock cycle.
-MADDS_PER_CYCLE = {"C2D": 896, "DWC": 160, "PRO": 272, "EXP": 272}
-#: Elementwise operations the addition chain performs per cycle.
-ADD_OPS_PER_CYCLE = 54
-
-#: Per-engine weight port geometry: (memories, word bits, bias word bits).
-#: Each memory delivers one word per cycle; the bias port delivers one
-#: bias word (16 lanes of BIAS_BITS) per output batch. The entry
-#: convolution keeps its weights in fabric constants and has no port.
-WEIGHT_GEOMETRY = {
-    engine: (memories, 128, LANES * BIAS_BITS[engine])
-    for engine, memories in (("DWC", 9), ("PRO", 16), ("EXP", 16))
-}
-#: Width of the streams feeding the addition engine.
-ADD_STREAM_BITS = 128
-
 #: Weight rows per float32 GEMM slice: the largest multiple of LANES
 #: whose worst-case slice sum, K_CHUNK * 255**2, float32 holds exactly.
 K_CHUNK = 2**24 // (255 * 255) // LANES * LANES
 
 
 @dataclass(frozen=True, slots=True)
-class EngineStats:
-    """Work accounting for one engine invocation."""
-
-    cycles: int
-    madds: int
-    weight_bytes: int
-    output_elements: int
-    acc_working_set: int = 0
-
-    def __add__(self, other: "EngineStats") -> "EngineStats":
-        return EngineStats(
-            self.cycles + other.cycles,
-            self.madds + other.madds,
-            self.weight_bytes + other.weight_bytes,
-            self.output_elements + other.output_elements,
-            max(self.acc_working_set, other.acc_working_set),
-        )
-
-
-def engine_cycles(layer: LayerDesc) -> int:
-    """Cycle count of one layer on its engine.
-
-    Raster engines (C2D, DWC) are paced by input pixels per frame pass;
-    the pointwise engines by output pixels times both pass counts; the
-    addition engine by 16-lane words of its output frame.
-    """
-    if layer.kind is Kind.C2D:
-        return layer.in_h * layer.in_w
-    if layer.kind in (Kind.DWC, Kind.AVGPOOL):
-        return layer.in_h * layer.in_w * (layer.in_ch // LANES)
-    if layer.kind in (Kind.PRO, Kind.EXP):
-        return layer.out_h * layer.out_w * layer.apass * layer.fpass
-    if layer.kind is Kind.ADD:
-        return layer.out_h * layer.out_w * (layer.out_ch // LANES)
-    raise DomainError(f"no cycle model for {layer.kind}")
-
-
-def weight_bytes(layer: LayerDesc) -> int:
-    """Bytes of (padded) filter weights the layer occupies."""
-    return 0 if layer.filters is None else int(layer.filters.weights.size)
-
-
-def _layer_stats(layer: LayerDesc) -> EngineStats:
-    cycles = engine_cycles(layer)
-    if layer.kind is Kind.ADD:
-        # a pass-through slot streams its frame but does no arithmetic
-        madds = ADD_OPS_PER_CYCLE * cycles if layer.residual_from is not None else 0
-    else:
-        madds = MADDS_PER_CYCLE[ENGINE_FOR_KIND[layer.kind]] * cycles
-    acc = layer.fpass * LANES if layer.kind is Kind.EXP else 0
-    return EngineStats(
-        cycles=cycles,
-        madds=madds,
-        weight_bytes=weight_bytes(layer),
-        output_elements=layer.out_h * layer.out_w * layer.out_ch,
-        acc_working_set=acc,
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class LayerRecord:
-    """A layer's run-time facts, compiled once per layer object by layer_record.
+    """What a layer's kernels read, compiled once per layer object by layer_record.
 
     A layer gets a record only if it meets its engine's fixed shape
     contract and its accumulator bound, so its kernel checks neither.
-    stats is what every engine call reports; kernel is the kind's array
-    kernel (KERNELS) and engine the name of the engine that runs it;
-    rescale holds read-only, C-contiguous per-channel constants of the
-    layer's mults (of an addition's mult3), or None for a layer without
-    them. Its offsets hold the bias the engine's raw sums lack, times
-    the multiplier: the layer's biases, minus in_zero times each
-    filter's tap sum for every MAC engine (for PRO and EXP the column
-    sum of W - zw), and -pixels * in_zero for pooling. The rest is None
-    except on the layers that use it, and read-only: taps are the
+    kernel is the kind's array kernel (KERNELS); rescale holds
+    read-only, C-contiguous per-channel constants of the layer's mults
+    (of an addition's mult3), or None for a layer without them. Its
+    offsets hold the bias the engine's raw sums lack, times the
+    multiplier: the layer's biases, minus in_zero times each filter's
+    tap sum for every MAC engine (for PRO and EXP the column sum of
+    W - zw), and -pixels * in_zero for pooling. The rest is None except
+    on the layers that use it, and read-only: taps are the
     zero-corrected weights of a MAC engine, which it applies to raw
     codes: the entry (27 x 32) or depthwise (3 x 3 x C) taps as
     float32, and a pointwise layer's (in_ch, out_ch) bank W - zw as
     int16, exact since every entry lies in [-255, 255], which fold_gemm
     reads slice by slice; add_tables maps each Rounding to an
-    addition's two 256-entry per-code tables.
+    addition's two 256-entry per-code tables. The layer's cost is not
+    here: perfmodel.layer_cost reads it off the geometry.
     """
 
-    stats: EngineStats
     kernel: Callable[..., np.ndarray]
-    engine: str
     rescale: Rescale | None
     taps: np.ndarray | None
     add_tables: dict | None
@@ -323,15 +246,8 @@ def layer_record(layer: LayerDesc) -> LayerRecord:
         if mults is not None:  # the packed columns are strided: keep contiguous copies
             r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
             rescale = Rescale(*(None if v is None else _read_only(v) for v in r[:5]), r.ties)
-        rec = layer.__dict__["_record"] = LayerRecord(  # stats first: DomainError for no engine
-            _layer_stats(layer), KERNELS[layer.kind], ENGINE_FOR_KIND[layer.kind],
-            rescale, taps, tables)
+        rec = layer.__dict__["_record"] = LayerRecord(KERNELS[layer.kind], rescale, taps, tables)
     return rec
-
-
-def nominal_stats(layer: LayerDesc) -> EngineStats:
-    """Stats an engine reports for the layer, without running it."""
-    return layer_record(layer).stats
 
 
 def _check_edge(x: QTensor, layer: LayerDesc) -> None:
@@ -667,10 +583,10 @@ def run_layer(
     Checks x against the layer's input edge, runs the layer's kernel (a
     shortcut addition runs add_elements on x and residual, after
     checking the residual's dims and zero point) and returns the output
-    frame with the layer's stats. A pass-through slot takes no residual,
-    and its output edge must equal its input edge, since its output is
-    x's own array. probe reaches an expansion's kernel; other engines
-    have no partial sums to show it.
+    frame with the layer's cost (perfmodel.layer_cost). A pass-through
+    slot takes no residual, and its output edge must equal its input
+    edge, since its output is x's own array. probe reaches an
+    expansion's kernel; other engines have no partial sums to show it.
     """
     shortcut = layer.kind is Kind.ADD and layer.residual_from is not None
     if layer.kind is Kind.ADD and not shortcut:
@@ -683,9 +599,11 @@ def run_layer(
     _check_edge(x, layer)
     rec = layer_record(layer)
     if not shortcut:
-        return output_tensor(layer, rec.kernel(x.data, layer, rounding, probe)), rec.stats
-    if (residual.height, residual.width, residual.channels) != (x.height, x.width, x.channels):
-        raise ShapeError("residual operand dims do not match the layer")
-    if residual.zero_point != layer.add_params.in2_zero:
-        raise DomainError("residual operand zero point does not match")
-    return output_tensor(layer, add_elements(x.data, residual.data, layer, rounding)), rec.stats
+        out = rec.kernel(x.data, layer, rounding, probe)
+    else:
+        if (residual.height, residual.width, residual.channels) != (x.height, x.width, x.channels):
+            raise ShapeError("residual operand dims do not match the layer")
+        if residual.zero_point != layer.add_params.in2_zero:
+            raise DomainError("residual operand zero point does not match")
+        out = add_elements(x.data, residual.data, layer, rounding)
+    return output_tensor(layer, out), layer_cost(layer)

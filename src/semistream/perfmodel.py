@@ -1,5 +1,10 @@
 """Analytic performance model.
 
+The cycle model is layer_cost, one pure function of a layer's geometry
+over the engine tables below: it compiles no kernel record, so the
+analytic side never builds what the engines run. run_layer and every
+InferenceResult report it too.
+
 Latency comes from the model's round plan (PreparedModel.rounds): each
 round overlaps its stage-one whole-frame layers (entry convolution,
 block 0's expansion and depthwise) with the loading of the projection
@@ -19,15 +24,79 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engines import (
-    ADD_OPS_PER_CYCLE,
-    ADD_STREAM_BITS,
-    MADDS_PER_CYCLE,
-    WEIGHT_GEOMETRY,
-    nominal_stats,
-)
 from .errors import DomainError
-from .modelkit import Kind, PreparedModel, RoundPlan
+from .modelkit import BIAS_BITS, ENGINE_FOR_KIND, LANES, Kind, LayerDesc, PreparedModel, RoundPlan
+
+#: Multiply-accumulate throughput of each engine, per clock cycle.
+MADDS_PER_CYCLE = {"C2D": 896, "DWC": 160, "PRO": 272, "EXP": 272}
+#: Elementwise operations the addition chain performs per cycle.
+ADD_OPS_PER_CYCLE = 54
+
+#: Per-engine weight port geometry: (memories, word bits, bias word bits).
+#: Each memory delivers one word per cycle; the bias port delivers one
+#: bias word (16 lanes of BIAS_BITS) per output batch. The entry
+#: convolution keeps its weights in fabric constants and has no port.
+WEIGHT_GEOMETRY = {
+    engine: (memories, 128, LANES * BIAS_BITS[engine])
+    for engine, memories in (("DWC", 9), ("PRO", 16), ("EXP", 16))
+}
+#: Width of the streams feeding the addition engine.
+ADD_STREAM_BITS = 128
+
+
+@dataclass(frozen=True, slots=True)
+class EngineStats:
+    """Work accounting for one layer on its engine. madds is engine
+    capacity, its rate times cycles, padded lanes included."""
+
+    cycles: int
+    madds: int
+    weight_bytes: int
+    output_elements: int
+    acc_working_set: int = 0
+
+    def __add__(self, other: "EngineStats") -> "EngineStats":
+        return EngineStats(
+            self.cycles + other.cycles,
+            self.madds + other.madds,
+            self.weight_bytes + other.weight_bytes,
+            self.output_elements + other.output_elements,
+            max(self.acc_working_set, other.acc_working_set),
+        )
+
+
+def layer_cost(layer: LayerDesc) -> EngineStats:
+    """The layer's cost on its engine, from its geometry alone.
+
+    Raster engines (C2D, DWC) are paced by input pixels per frame pass
+    (apass: one for the entry convolution, one per channel group on
+    DWC); the pointwise engines by output pixels times both pass counts;
+    the addition engine by 16-lane words of its output frame, and a
+    pass-through slot streams its frame but does no arithmetic. Weight
+    bytes are the (padded) filter bank's; an expansion holds fpass * 16
+    accumulators per pixel. DomainError for a kind with no engine.
+    """
+    kind, pixels = layer.kind, layer.out_h * layer.out_w
+    if kind in (Kind.C2D, Kind.DWC, Kind.AVGPOOL):
+        cycles = layer.in_h * layer.in_w * layer.apass
+    elif kind in (Kind.PRO, Kind.EXP):
+        cycles = pixels * layer.apass * layer.fpass
+    elif kind is Kind.ADD:
+        cycles = pixels * layer.fpass
+    else:
+        raise DomainError(f"no cycle model for {kind}")
+    if kind is Kind.ADD:
+        madds = ADD_OPS_PER_CYCLE * cycles if layer.residual_from is not None else 0
+    else:
+        madds = MADDS_PER_CYCLE[ENGINE_FOR_KIND[kind]] * cycles
+    return EngineStats(
+        cycles=cycles,
+        madds=madds,
+        weight_bytes=0 if layer.filters is None else int(layer.filters.weights.size),
+        output_elements=pixels * layer.out_ch,
+        acc_working_set=layer.fpass * LANES if kind is Kind.EXP else 0,
+    )
+
 
 #: External memory bandwidth (gigabytes per second) at which the
 #: standard 224x224 model lands at 10.596 ms per frame under the
@@ -106,13 +175,13 @@ def _round_numbers(model: PreparedModel, plan: RoundPlan) -> tuple[int, int, int
     weights for the round.
     """
     whole, streamed = ([model.layers[i] for i in stage] for stage in (plan.whole, plan.streamed))
-    load_bytes = sum(nominal_stats(l).weight_bytes
+    load_bytes = sum(layer_cost(l).weight_bytes
                      for l in whole + streamed if l.kind in (Kind.PRO, Kind.EXP))
-    whole_cycles = sum(nominal_stats(l).cycles for l in whole)
+    whole_cycles = sum(layer_cost(l).cycles for l in whole)
     if plan.trailing:
         # nothing hides the load: it runs first, then the slot's compute
         return 0, load_bytes, whole_cycles
-    return whole_cycles, load_bytes, max(nominal_stats(l).cycles for l in streamed)
+    return whole_cycles, load_bytes, max(layer_cost(l).cycles for l in streamed)
 
 
 def estimate_timeline(
@@ -191,7 +260,7 @@ def performance_report(
     """Full analytic report: timeline, totals, nominal rates."""
     entries = estimate_timeline(model, clock)
     latency, fps = total_latency(entries, clock)
-    total_madds = sum(nominal_stats(l).madds for l in model.layers)
+    total_madds = sum(layer_cost(l).madds for l in model.layers)
     return {
         "frequency_mhz": clock.frequency_mhz,
         "bandwidth_gbps": clock.bandwidth_gbps,

@@ -258,30 +258,42 @@ def test_one_round_plan_per_model(monkeypatch):
 
 
 def test_one_layer_record_per_layer(monkeypatch):
-    """The engines check the bound and build the stats once per layer,
-    and the addition tables once per shortcut layer."""
+    """The engines check the bound once per layer, and build the
+    addition tables once per shortcut layer."""
     import semistream.engines as engines
 
-    real_bound, real_stats = engines.check_acc_bound, engines._layer_stats
-    real_tables = engines._add_tables
+    real_bound, real_tables = engines.check_acc_bound, engines._add_tables
     for seed in (4, 1):  # toy model 1 has two shortcuts, model 4 none
         model, image, _ = toy_pair(seed)
-        bound, stats, tables = [], [], []
+        bound, tables = [], []
         monkeypatch.setattr(engines, "check_acc_bound",
                             lambda l: bound.append(l) or real_bound(l))
-        monkeypatch.setattr(engines, "_layer_stats", lambda l: stats.append(l) or real_stats(l))
         monkeypatch.setattr(engines, "_add_tables", lambda p: tables.append(p) or real_tables(p))
         want = run_inference(model, image, mode="sequential").logits
         for mode in ("sequential", "sequential", "stream", "stream", "stream"):
-            result = run_inference(model, image, mode=mode)
-            assert result.logits == want
-            assert all(result.stats[i] is engines.nominal_stats(l)
-                       for i, l in enumerate(model.layers))
-        for calls in (bound, stats):
-            assert sorted(map(id, calls)) == sorted(map(id, model.layers))
+            assert run_inference(model, image, mode=mode).logits == want
+        assert sorted(map(id, bound)) == sorted(map(id, model.layers))
         shortcuts = [l.add_params for l in model.layers if l.residual_from is not None]
         assert len(shortcuts) == (2 if seed == 1 else 0)
         assert sorted(map(id, tables)) == sorted(map(id, shortcuts))
+
+
+def test_a_frame_costs_nothing_until_its_stats_are_read(monkeypatch):
+    """Neither driver accounts for work: a result reads each layer's cost
+    off its geometry on the first read of stats, and only then."""
+    import semistream.dataflow as dataflow
+
+    calls = []
+    real = dataflow.layer_cost
+    monkeypatch.setattr(dataflow, "layer_cost", lambda l: calls.append(l) or real(l))
+    model, image, _ = toy_pair(1)
+    for mode in ("sequential", "stream", "threads"):
+        result = run_inference(model, image, mode=mode)
+        assert calls == []
+        assert result.stats == {i: real(l) for i, l in enumerate(model.layers)}
+        assert result.stats is result.stats
+        assert [id(l) for l in calls] == [id(l) for l in model.layers]
+        calls.clear()
 
 
 def test_a_frame_builds_one_qtensor_the_logits(monkeypatch):
@@ -805,6 +817,37 @@ def test_stage_two_moves_one_run_per_queue_full(monkeypatch):
         r = int(q.label[len("round"):].split("-")[0])
         assert q.puts == (fpass[r] + 1) // 2, q.label
         assert q.peak_words <= q.capacity, q.label
+
+
+def test_one_batch_stage_two_queues_run_every_model(monkeypatch):
+    """Two batches per stage-two queue are a choice of message count, not
+    a deadlock bound: with every PRO->ADD and ADD->EXP queue one batch
+    (npix words) deep, stream logits still equal the sequential ones."""
+    import semistream.dataflow as dataflow
+
+    real = dataflow.BoundedQueue
+    shrunk = []
+
+    def one_batch(words, label=""):
+        if label.endswith(("-pro-add", "-add-exp")):
+            q = real(words // 2, label)
+            shrunk.append(q)
+            return q
+        return real(words, label)
+
+    monkeypatch.setattr(dataflow, "BoundedQueue", one_batch)
+    models = [toy_model(seed, include_head=bool(seed % 2)) for seed in range(8)]
+    models.append(prepare(build_mobilenet_v2(0.5, 64, seed=5)))
+    for model in models:
+        side = model.resolution
+        pixels = np.random.default_rng(side).integers(0, 256, (side, side, 3), dtype=np.uint8)
+        image = image_to_qtensor(pixels, model)
+        want = run_inference(model, image, mode="sequential").logits
+        shrunk.clear()
+        assert run_inference(model, image, mode="stream").logits == want
+        assert shrunk
+        for q in shrunk:  # every run carried exactly one batch
+            assert q.peak_words == q.capacity, q.label
 
 
 def test_addition_slot_rejects_a_misaligned_residual_run():

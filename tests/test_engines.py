@@ -1,4 +1,4 @@
-"""Engine-level tests: hand-derived cases, oracle equivalence, memory geometry."""
+"""Engine-level tests: hand-derived cases, oracle equivalence, record memory."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,20 +14,13 @@ from hypothesis import strategies as st
 
 from semistream.engines import (
     ACC_BOUND,
-    ADD_OPS_PER_CYCLE,
     K_CHUNK,
-    MADDS_PER_CYCLE,
-    WEIGHT_GEOMETRY,
-    EngineStats,
     ExpStreamKernel,
     add_elements,
     check_acc_bound,
-    engine_cycles,
     fold_gemm,
     layer_record,
-    nominal_stats,
     run_layer,
-    weight_bytes,
 )
 from semistream.errors import DomainError, SequencingError, ShapeError
 from semistream.modelkit import (
@@ -44,6 +37,7 @@ from semistream.modelkit import (
     save_package,
 )
 from semistream.dataflow import run_inference
+from semistream.perfmodel import ADD_OPS_PER_CYCLE, EngineStats
 from semistream.oracle import naive_quant_layer, run_model_naive
 from semistream.quantcore import (
     MULT_MAX,
@@ -181,10 +175,11 @@ def test_dwc_identity_kernel_halves_the_offset():
 
 
 def test_dwc_cycle_count():
+    """One frame pass per 16-channel group, one input pixel per cycle."""
     rng = np.random.default_rng(0)
-    layer = dwc_layer(rng, h=8, w=8, ch=16, stride=1)
-    assert engine_cycles(layer) == 64
-    assert engine_cycles(dwc_layer(rng, h=8, w=8, ch=48, stride=2)) == 64 * 3
+    for layer, cycles in ((dwc_layer(rng, h=8, w=8, ch=16, stride=1), 64),
+                          (dwc_layer(rng, h=8, w=8, ch=48, stride=2), 64 * 3)):
+        assert run_layer(qinput(rng, layer), layer)[1].cycles == cycles
 
 
 def test_dwc_matches_reference():
@@ -243,7 +238,7 @@ def test_pro_cycle_count():
     rng = np.random.default_rng(0)
     layer = pointwise_layer(rng, Kind.PRO, h=4, w=4, cin=32, cout=48)
     assert (layer.apass, layer.fpass) == (2, 3)
-    assert engine_cycles(layer) == 96
+    assert run_layer(qinput(rng, layer), layer)[1].cycles == 96
 
 
 def test_pro_single_term():
@@ -402,14 +397,6 @@ def test_exp_kernel_holds_no_weight_copy():
             kernel.consume(lo // LANES, flat[:, lo : lo + step])
             assert max(owned(kernel)) < bank
         kernel.outputs()
-
-
-def test_exp_accumulator_working_set():
-    rng = np.random.default_rng(13)
-    layer = pointwise_layer(rng, Kind.EXP, h=1, w=1, cin=16, cout=960)
-    assert nominal_stats(layer).acc_working_set == 960
-    pro = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=960, cout=16)
-    assert nominal_stats(pro).acc_working_set == 0
 
 
 def test_pointwise_rejects_ragged_channels():
@@ -591,46 +578,6 @@ def test_stats_addition():
     c = a + b
     assert (c.cycles, c.madds, c.weight_bytes, c.output_elements) == (15, 150, 8, 5)
     assert c.acc_working_set == 640  # a bank is sized by its peak, not the sum
-
-
-def test_nominal_rates():
-    rng = np.random.default_rng(19)
-    for layer, engine in [
-        (small_c2d(rng), "C2D"),
-        (dwc_layer(rng), "DWC"),
-        (pool_layer(rng), "DWC"),
-        (pointwise_layer(rng, Kind.PRO), "PRO"),
-        (pointwise_layer(rng, Kind.EXP), "EXP"),
-    ]:
-        s = nominal_stats(layer)
-        assert s.madds == MADDS_PER_CYCLE[engine] * s.cycles
-        assert s.output_elements == layer.out_h * layer.out_w * layer.out_ch
-    add = add_layer(rng)
-    assert nominal_stats(add).madds == ADD_OPS_PER_CYCLE * engine_cycles(add)
-    assert nominal_stats(add).weight_bytes == 0
-
-
-def test_weights_fill_the_engine_memories_word_by_word():
-    """A layer's weight bytes fill its engine's parallel memories, one
-    word per memory per address: a pointwise bank takes 16 x 16 bytes
-    for each (filter batch, input batch) step its cycles walk through,
-    a depthwise bank 9 words (one per kernel position) per channel
-    group."""
-    rng = np.random.default_rng(20)
-    for _ in range(4):
-        for layer in (pointwise_layer(rng, Kind.PRO), pointwise_layer(rng, Kind.EXP),
-                      dwc_layer(rng)):
-            memories, word_bits, _ = WEIGHT_GEOMETRY[layer.kind.value]
-            if layer.kind is Kind.DWC:
-                depth = layer.out_ch // LANES
-                assert weight_bytes(layer) == 9 * layer.out_ch
-                assert engine_cycles(layer) == layer.in_h * layer.in_w * depth
-            else:
-                depth = layer.apass * layer.fpass
-                assert weight_bytes(layer) == 16 * 16 * depth
-                assert engine_cycles(layer) == layer.out_h * layer.out_w * depth
-            assert weight_bytes(layer) == memories * word_bits // 8 * depth
-            assert nominal_stats(layer).weight_bytes == weight_bytes(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +860,8 @@ def check_changed_layer_gets_own_record(rng, layer, changed):
         residual = residual_input(rng, layer)
     before, _ = run_layer(x, layer, residual)
     record = layer_record(layer)
-    assert run_layer(x, layer, residual)[1] is record.stats  # built once
+    run_layer(x, layer, residual)
+    assert layer_record(layer) is record  # built once
     x.zero_point = changed.in_zero
     after, _ = run_layer(x, changed, residual)
     assert layer_record(changed) is not record
@@ -961,16 +909,6 @@ def test_depthwise_record_follows_in_zero():
     layer = dwc_layer(rng, h=5, w=4, ch=32, stride=1)
     changed = dataclasses.replace(layer, in_zero=(layer.in_zero + 91) % 256)
     check_changed_layer_gets_own_record(rng, layer, changed)
-
-
-def test_nominal_stats_is_one_frozen_record():
-    rng = np.random.default_rng(37)
-    layer = pointwise_layer(rng, Kind.EXP)
-    stats = nominal_stats(layer)
-    assert nominal_stats(layer) is stats
-    assert run_layer(qinput(rng, layer), layer)[1] is stats
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        stats.cycles = 0
 
 
 @pytest.mark.parametrize("width, resolution", [(1.0, 224), (0.5, 64)])

@@ -1,35 +1,142 @@
-"""Analytic model: nominal rates, the round timeline, normalization."""
+"""Analytic model: the cycle model, nominal rates, the round timeline,
+normalization."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from semistream.dataflow import run_inference
+from semistream.engines import run_layer
 from semistream.errors import DomainError
-from semistream.modelkit import build_mobilenet_v2, image_to_qtensor, prepare
+from semistream.modelkit import (
+    LANES,
+    Kind,
+    build_mobilenet_v2,
+    image_to_qtensor,
+    load_package,
+    prepare,
+    save_package,
+)
 from semistream.perfmodel import (
+    ADD_OPS_PER_CYCLE,
     CALIBRATED_BANDWIDTH_GBPS,
+    MADDS_PER_CYCLE,
     REFERENCE_FREQUENCY_MHZ,
     REFERENCE_MULTIPLIERS,
+    WEIGHT_GEOMETRY,
     ClockConfig,
     bandwidth_report,
     estimate_timeline,
     first_bandwidth_limited_round,
+    layer_cost,
     normalize_performance,
     performance_report,
     throughput_report,
     total_latency,
 )
 
-from conftest import toy_model
+from conftest import (
+    add_layer,
+    c2d_layer,
+    dwc_layer,
+    pointwise_layer,
+    pool_layer,
+    qinput,
+    toy_model,
+)
 
 
 @pytest.fixture(scope="module")
 def standard():
     return prepare(build_mobilenet_v2(seed=0))
+
+
+# ---------------------------------------------------------------------------
+# the cycle model
+# ---------------------------------------------------------------------------
+
+def test_nominal_rates():
+    rng = np.random.default_rng(19)
+    for layer, engine in [
+        (c2d_layer(rng), "C2D"),
+        (dwc_layer(rng), "DWC"),
+        (pool_layer(rng), "DWC"),
+        (pointwise_layer(rng, Kind.PRO), "PRO"),
+        (pointwise_layer(rng, Kind.EXP), "EXP"),
+    ]:
+        s = layer_cost(layer)
+        assert s.madds == MADDS_PER_CYCLE[engine] * s.cycles
+        assert s.output_elements == layer.out_h * layer.out_w * layer.out_ch
+    add = add_layer(rng)
+    assert layer_cost(add).cycles == add.out_h * add.out_w * add.out_ch // LANES
+    assert layer_cost(add).madds == ADD_OPS_PER_CYCLE * layer_cost(add).cycles
+    assert layer_cost(add).weight_bytes == 0
+
+
+def test_weights_fill_the_engine_memories_word_by_word():
+    """A layer's weight bytes fill its engine's parallel memories, one
+    word per memory per address: a pointwise bank takes 16 x 16 bytes
+    for each (filter batch, input batch) step its cycles walk through,
+    a depthwise bank 9 words (one per kernel position) per channel
+    group."""
+    rng = np.random.default_rng(20)
+    for _ in range(4):
+        for layer in (pointwise_layer(rng, Kind.PRO), pointwise_layer(rng, Kind.EXP),
+                      dwc_layer(rng)):
+            memories, word_bits, _ = WEIGHT_GEOMETRY[layer.kind.value]
+            cost = layer_cost(layer)
+            if layer.kind is Kind.DWC:
+                depth = layer.out_ch // LANES
+                assert cost.weight_bytes == 9 * layer.out_ch
+                assert cost.cycles == layer.in_h * layer.in_w * depth
+            else:
+                depth = layer.apass * layer.fpass
+                assert cost.weight_bytes == 16 * 16 * depth
+                assert cost.cycles == layer.out_h * layer.out_w * depth
+            assert cost.weight_bytes == memories * word_bits // 8 * depth
+            assert cost.weight_bytes == layer.filters.weights.size
+
+
+def test_exp_accumulator_working_set():
+    rng = np.random.default_rng(13)
+    layer = pointwise_layer(rng, Kind.EXP, h=1, w=1, cin=16, cout=960)
+    assert layer_cost(layer).acc_working_set == 960
+    pro = pointwise_layer(rng, Kind.PRO, h=1, w=1, cin=960, cout=16)
+    assert layer_cost(pro).acc_working_set == 0
+
+
+def test_layer_cost_is_a_frozen_record():
+    """The cost is a pure function of the layer: equal on every call,
+    what run_layer reports, and frozen."""
+    rng = np.random.default_rng(37)
+    layer = pointwise_layer(rng, Kind.EXP)
+    stats = layer_cost(layer)
+    assert layer_cost(layer) == stats
+    assert run_layer(qinput(rng, layer), layer)[1] == stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.cycles = 0
+
+
+def test_a_kind_with_no_engine_has_no_cycle_model():
+    with pytest.raises(DomainError, match="no cycle model"):
+        layer_cost(SimpleNamespace(kind="POOL", in_h=2, in_w=2, out_h=1, out_w=1,
+                                   in_ch=16, out_ch=16, filters=None))
+
+
+def test_the_analytic_side_compiles_no_record(tmp_path):
+    """Costs come from geometry: neither the report nor the timeline
+    compiles a kernel record on a freshly loaded or prepared model."""
+    model = prepare(build_mobilenet_v2(0.5, 64, seed=3))
+    loaded = load_package(save_package(model, tmp_path / "pkg"))
+    for m, analyse in ((loaded, performance_report), (model, estimate_timeline),
+                       (load_package(tmp_path / "pkg"), estimate_timeline)):
+        analyse(m)
+        assert not any("_record" in l.__dict__ for l in m.layers)
 
 
 # ---------------------------------------------------------------------------

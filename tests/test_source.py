@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "semistream"
 
 
-def _top_level_private_names(tree: ast.Module):
-    """(name, node) for every top-level private def, class or assignment."""
+def _top_level_names(tree: ast.Module):
+    """(name, node) for every top-level def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -19,8 +20,14 @@ def _top_level_private_names(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield name, node
+            yield name, node
+
+
+def _top_level_private_names(tree: ast.Module):
+    """(name, node) for every top-level private def, class or assignment."""
+    for name, node in _top_level_names(tree):
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            yield name, node
 
 
 def _references(tree: ast.AST):
@@ -45,3 +52,28 @@ def test_no_unused_private_helper():
               for name, node in _top_level_private_names(tree)
               if reads[name] == Counter(_references(node))[name]]
     assert not unused, f"private names nothing reads: {unused}"
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """module -> the sibling modules its `from .x import` lines name."""
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        graph[path.stem] = {node.module for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level == 1}
+    return graph
+
+
+def test_the_cycle_model_imports_no_runtime():
+    """The intra-package imports form no cycle; perfmodel, which owns the
+    cycle model, reads only errors and modelkit, and engines defines none
+    of the cycle model's names."""
+    graph = _package_imports()
+    list(TopologicalSorter(graph).static_order())  # CycleError on an import cycle
+    assert graph["perfmodel"] <= {"errors", "modelkit"}
+    assert "perfmodel" in graph["engines"]
+    engines = ast.parse((SRC / "engines.py").read_text())
+    moved = {"MADDS_PER_CYCLE", "ADD_OPS_PER_CYCLE", "WEIGHT_GEOMETRY", "ADD_STREAM_BITS",
+             "EngineStats", "layer_cost", "engine_cycles", "weight_bytes", "nominal_stats",
+             "_layer_stats"}
+    assert not {name for name, _ in _top_level_names(engines)} & moved
