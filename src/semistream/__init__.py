@@ -71,8 +71,8 @@ from .perfmodel import (
     MADDS_PER_CYCLE,
     REFERENCE_FREQUENCY_MHZ,
     REFERENCE_MULTIPLIERS,
-    ClockConfig,
     WEIGHT_GEOMETRY,
+    ClockConfig,
     EngineStats,
     TimelineEntry,
     bandwidth_report,

@@ -68,10 +68,11 @@ every MAC engine (float32 for the entry and depthwise convolutions, the
 int16 bank for PRO and EXP, 2 B per pointwise weight) and an addition's
 per-code operand tables, so no engine call recomputes them. The engines
 own no modelled fact: what a layer costs (cycles, engine capacity,
-weight bytes) is perfmodel.layer_cost, read off the layer's geometry. A LayerDesc
-is frozen, its mults are read-only and so are the filter arrays of a
-prepared or loaded model, so a layer object's record never goes stale: a
-changed layer is a new object (dataclasses.replace), which gets its own.
+weight bytes) is perfmodel.layer_cost, read off the layer's geometry.
+A LayerDesc is frozen, its mults are read-only and so are the filter
+arrays of a prepared or loaded model, so a layer object's record never
+goes stale: a changed layer is a new object (dataclasses.replace),
+which gets its own.
 
 Engines:
   C2D  entry 3x3 stride-2 convolution, 3 -> 32 channels, one im2col GEMM
