@@ -1,12 +1,13 @@
 """Dataflow runner: streams, processes and inference drivers.
 
 The network executes as a loop of rounds, following the model's round
-plan (PreparedModel.rounds, built once per model in modelkit). Round k
-runs the depthwise layer of block k, the projection of block k, the
-addition slot of block k, and the expansion of block k+1, whose output
-lands in the frame buffer the next round's depthwise layer will read.
-Round 0 additionally runs the entry convolution (and block 0's
-expansion, if it has one); after the last block, the head layers run as
+plan (PreparedModel.rounds, read once per model off the layer order
+validate_graph checked). Round k runs the depthwise layer of block k,
+the projection of block k, the addition slot of block k, and the
+expansion of block k+1, whose output lands in the frame buffer the next
+round's depthwise layer will read. Round 0 additionally runs the entry
+convolution (and block 0's expansion, if it has one); the layers after
+the last block (every layer, in a model without blocks) run as
 single-engine trailing rounds (head expansion, pooling, classifier).
 One frame is in flight.
 
@@ -450,8 +451,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     Stream mode resumes the five chains under the round-robin scheduler;
     threads mode gives each its own thread, taking turns under one lock.
     """
-    plan = model.rounds  # a plan error is reported before the verdict's
-    model.require_valid()
+    plan = model.rounds  # raises the model's verdict
     layers = model.layers
     fifo_words = residual_fifo_capacity(model)
     res_fifo = BoundedQueue(fifo_words, "residual-fifo") if fifo_words else None

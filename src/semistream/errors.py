@@ -26,7 +26,7 @@ class FormatError(SemistreamError, ValueError):
 
 
 class PlanError(SemistreamError, ValueError):
-    """A round schedule cannot be built for the model."""
+    """The model's layers break the layer order the round schedule reads."""
 
 
 class DeadlockError(SemistreamError, RuntimeError):

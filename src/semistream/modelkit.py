@@ -91,6 +91,12 @@ BIAS_BITS = {"C2D": 16, "DWC": 16, "PRO": 18, "EXP": 16}
 #: Kernel side of each filter-bearing kind; ADD and AVGPOOL carry no filters.
 _KERNEL_SIDE = {Kind.C2D: 3, Kind.DWC: 3, Kind.EXP: 1, Kind.PRO: 1}
 
+#: The layer order validate_graph checks, for schedule_rounds to read: the
+#: slot of each kind in a block, which runs [EXP] DWC PRO ADD, and the kinds
+#: that may run as trailing head rounds, outside any block.
+_BLOCK_SLOT = {Kind.EXP: 0, Kind.DWC: 1, Kind.PRO: 2, Kind.ADD: 3}
+_HEAD_KINDS = frozenset({Kind.EXP, Kind.AVGPOOL, Kind.PRO})
+
 
 def pad16(n: int) -> int:
     """Round a channel count up to the next multiple of 16."""
@@ -297,7 +303,8 @@ class PreparedModel:
 
     @cached_property
     def rounds(self) -> list[RoundPlan]:
-        """The round plan, built on first use; never saved, not part of ==."""
+        """The round plan, built once (raising the model's verdict if it has
+        one); never saved, not part of ==."""
         return schedule_rounds(self)
 
     @cached_property
@@ -478,23 +485,23 @@ def build_mobilenet_v2(
 # ---------------------------------------------------------------------------
 
 def validate_graph(graph: ModelGraph | PreparedModel) -> None:
-    """Check sizes, dimension chaining, edge quantization, shortcuts and filters.
+    """Check sizes, chaining, edge quantization, shortcuts, filters and order.
 
     A shortcut must read the nearest earlier addition, whose frame is the
-    one the residual FIFO holds, and a block's layers need an entry
-    convolution before them to start round 0. Also accepts a prepared
-    model, whose padded channels chain the same way.
+    one the residual FIFO holds. The order is the one the round plan reads:
+    an optional entry convolution at layer 0, blocks 0, 1, 2, ... each
+    exactly [EXP] DWC PRO ADD, then head layers outside any block, each
+    EXP, AVGPOOL or PRO. Block layers need the entry convolution, which
+    starts round 0. The first layer out of order raises PlanError, after
+    its own DomainErrors. Also accepts a prepared model, whose padded
+    channels chain the same way.
     """
     layers = graph.layers
     if not layers:
         raise DomainError("graph has no layers")
     last_add = None
-    entry_seen = False
+    block, slot = -1, 3  # the newest block layer's; slot 3 ends a block, 4 is the head
     for idx, l in enumerate(layers):
-        entry_seen = entry_seen or l.kind is Kind.C2D
-        if l.block is not None and not entry_seen:
-            raise DomainError(
-                f"layer {idx} belongs to block {l.block}, but no entry convolution precedes it")
         sizes = (l.in_h, l.in_w, l.in_ch, l.out_h, l.out_w, l.out_ch,
                  l.stride, l.orig_in_ch, l.orig_out_ch)
         if not all(isinstance(v, _INT_TYPES) and v > 0 for v in sizes):
@@ -503,6 +510,8 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
             raise DomainError(f"layer {idx} has a non-positive scale")
         if not all(isinstance(z, _INT_TYPES) and 0 <= z <= 255 for z in (l.in_zero, l.out_zero)):
             raise DomainError(f"layer {idx} zero point outside [0, 255]")
+        if l.block is not None and not isinstance(l.block, _INT_TYPES):
+            raise DomainError(f"layer {idx} block {l.block!r} is not an integer")
         if idx > 0:
             prev = layers[idx - 1]
             if (l.in_h, l.in_w, l.in_ch) != (prev.out_h, prev.out_w, prev.out_ch):
@@ -544,6 +553,21 @@ def validate_graph(graph: ModelGraph | PreparedModel) -> None:
                 raise DomainError(f"layer {idx} filter bank does not match the layer")
         if l.kind is Kind.ADD:
             last_add = idx
+        if l.block is None:
+            in_order = (idx == 0 and l.kind is Kind.C2D) or (slot >= 3 and l.kind in _HEAD_KINDS)
+            slot = slot if l.kind is Kind.C2D else 4
+        else:
+            at = _BLOCK_SLOT.get(l.kind)
+            if slot < 3:  # inside a block: its next slot
+                in_order = l.block == block and at == slot + 1
+            else:  # the next block opens, after the entry convolution and before the head
+                in_order = (slot == 3 and layers[0].kind is Kind.C2D
+                            and l.block == block + 1 and at in (0, 1))
+            block, slot = l.block, at
+        if not in_order or (idx == len(layers) - 1 and slot < 3):
+            raise PlanError(f"layer {idx} ({l.kind.value}, block {l.block}) breaks the layer "
+                            "order: an optional C2D at layer 0, blocks 0, 1, ... each "
+                            "[EXP] DWC PRO ADD, then EXP, AVGPOOL or PRO head layers")
     first = layers[0]
     if (first.in_h, first.in_w) != (graph.resolution, graph.resolution):
         raise DomainError(f"resolution {graph.resolution!r} does not match the entry layer")
@@ -740,50 +764,25 @@ class RoundPlan(NamedTuple):
 def schedule_rounds(model: PreparedModel) -> list[RoundPlan]:
     """Assign every layer to its round and stage (read it as PreparedModel.rounds).
 
-    Raises PlanError unless every layer runs in a round and the last
-    round writes the final layer.
+    Raises the model's validate_graph verdict, then reads the order that
+    check enforces: each block is one round, and each later layer (each
+    layer, in a model without blocks) is one trailing round.
     """
+    model.require_valid()
     by_block: dict[int, dict[Kind, int]] = {}
-    head: list[int] = []
-    entry: int | None = None
     for idx, l in enumerate(model.layers):
         if l.block is not None:
-            slot = by_block.setdefault(l.block, {})
-            if l.kind in slot:
-                raise PlanError(f"block {l.block} has two {l.kind.value} layers")
-            slot[l.kind] = idx
-        elif l.kind is Kind.C2D:
-            if entry is not None:
-                raise PlanError("more than one entry convolution")
-            entry = idx
-        else:
-            head.append(idx)
-
-    if entry is None:
-        raise PlanError("model has no entry convolution")
-    nblocks = len(by_block)
-    if set(by_block) != set(range(nblocks)):
-        raise PlanError("block indices are not contiguous from zero")
+            by_block.setdefault(l.block, {})[l.kind] = idx
     plans: list[RoundPlan] = []
-    for k in range(nblocks):
-        slot = by_block[k]
-        if Kind.DWC not in slot or Kind.PRO not in slot or Kind.ADD not in slot:
-            raise PlanError(f"block {k} is missing an engine slot")
-        whole = (entry, slot.get(Kind.EXP), slot[Kind.DWC]) if k == 0 else (slot[Kind.DWC],)
+    for k, slot in by_block.items():
+        whole = (0, slot.get(Kind.EXP), slot[Kind.DWC]) if k == 0 else (slot[Kind.DWC],)
         # each round hosts the next block's expansion, one block ahead
         streamed = (slot[Kind.PRO], slot[Kind.ADD], by_block.get(k + 1, {}).get(Kind.EXP))
         plans.append(RoundPlan(tuple(i for i in whole if i is not None),
                                tuple(i for i in streamed if i is not None)))
-    for idx in head:
-        l = model.layers[idx]
-        if l.kind not in (Kind.EXP, Kind.AVGPOOL, Kind.PRO):
-            raise PlanError(f"layer {idx} ({l.kind.value}) cannot run as a trailing round")
-        plans.append(RoundPlan((idx,)))
-    missing = set(range(len(model.layers))).difference(*(p.whole + p.streamed for p in plans))
-    if missing:
-        raise PlanError(f"layers {sorted(missing)} run in no round")
-    if (plans[-1].streamed or plans[-1].whole)[-1] != len(model.layers) - 1:
-        raise PlanError("no round produced the final layer's output")
+    # the head layers follow the last block's addition, or start the model
+    head = plans[-1].streamed[-1] + 1 if plans else 0
+    plans += [RoundPlan((idx,)) for idx in range(head, len(model.layers))]
     return plans
 
 
@@ -993,9 +992,9 @@ def load_package(path: str | Path) -> PreparedModel:
     which gen-model rebuilds from its seed), or a missing or short blob
     file at once;
     after graph validation, FormatError for a region that fails its
-    checksum or bytes past the last region; DomainError or RangeError
-    when validation or derivation rejects the model. Keys the reader
-    does not use, such as the bias_bits older writers stored, are
+    checksum or bytes past the last region; DomainError, PlanError or
+    RangeError when validation or derivation rejects the model. Keys the
+    reader does not use, such as the bias_bits older writers stored, are
     ignored: bias widths come from each layer's engine.
     """
     root = Path(path)

@@ -9,6 +9,7 @@ error-bound tests rely on.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from semistream.modelkit import (
     BlockSpec,
     Kind,
     LayerDesc,
+    ModelGraph,
     PreparedModel,
     QFilterSet,
     QTensor,
@@ -405,3 +407,42 @@ def toy_pair(seed: int) -> tuple[PreparedModel, QTensor, np.ndarray]:
     pixels = rng.integers(
         0, 256, size=(model.resolution, model.resolution, 3), dtype=np.uint8)
     return model, image_to_qtensor(pixels, model), pixels
+
+
+def edit_layers(graph: ModelGraph, edit: str, at: int) -> ModelGraph:
+    """graph with one edit to its layer list: "swap" layers at and at + 1,
+    "drop" layer at, or "dup" (repeat) layer at.
+
+    Edges keep their places along the chain, so dims and quantization
+    still chain wherever the layers allow and only the order varies: the
+    layer in position i reads edge i and writes edge i + 1. A dropped
+    layer takes its output edge with it, and a repeated one reads and
+    writes its own output edge. Each filter bank's scales follow its new
+    edges, keeping every rescale factor in_scale * scales / out_scale, and
+    shortcut sources follow the layers they name.
+    """
+    layers = list(graph.layers)
+    edges = [(l.in_scale, l.in_zero) for l in layers] + [(layers[-1].out_scale,
+                                                          layers[-1].out_zero)]
+    moved = list(range(len(layers)))  # old index of the layer in each position
+    if edit == "swap":
+        moved[at], moved[at + 1] = moved[at + 1], moved[at]
+    elif edit == "drop":
+        del moved[at], edges[at + 1]
+    else:
+        moved.insert(at + 1, at)
+        edges.insert(at + 1, edges[at + 1])
+    where = {old: new for new, old in enumerate(moved)}
+    out = []
+    for pos, old in enumerate(moved):
+        l = layers[old]
+        (in_scale, in_zero), (out_scale, out_zero) = edges[pos], edges[pos + 1]
+        f = l.filters
+        if f is not None:
+            factor = (l.in_scale * out_scale) / (l.out_scale * in_scale)
+            f = dataclasses.replace(f, scales=f.scales * factor)
+        r = l.residual_from
+        out.append(dataclasses.replace(
+            l, in_scale=in_scale, in_zero=in_zero, out_scale=out_scale, out_zero=out_zero,
+            filters=f, residual_from=None if r is None else where.get(r, r)))
+    return dataclasses.replace(graph, layers=out)

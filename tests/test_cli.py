@@ -12,8 +12,24 @@ from click.testing import CliRunner
 
 import semistream.engines as engines
 from semistream.cli import main, run_verification
-from semistream.modelkit import load_image, load_package
+from semistream.dataflow import run_inference
+from semistream.errors import PlanError
+from semistream.modelkit import (
+    BlockSpec,
+    Kind,
+    PreparedModel,
+    build_model,
+    image_to_qtensor,
+    load_image,
+    load_package,
+    prepare,
+    save_package,
+    save_ppm,
+)
 from semistream.oracle import run_model_naive
+from semistream.quantcore import Rounding
+
+from conftest import edit_layers
 
 runner = CliRunner()
 
@@ -182,6 +198,36 @@ def test_infer_rejects_a_malformed_image(pkg64, tmp_path):
     assert res.exit_code == 2
     assert "positive integers" in res.stderr
     assert "Traceback" not in alltext(res)
+
+
+def test_a_block_out_of_order_is_rejected_everywhere(tmp_path):
+    """A block listing its PRO before its DWC, with edges and rescale
+    factors kept consistent, used to load and run: sequential mode matched
+    run_model_naive while stream and threads mode streamed the wrong layers
+    and returned other logits. The order rule rejects it at load time."""
+    graph = edit_layers(build_model([BlockSpec(2, 16, 1), BlockSpec(1, 16, 1)], 8, seed=3,
+                                    include_head=False), "swap", 5)
+    assert [l.kind for l in graph.layers[5:7]] == [Kind.PRO, Kind.DWC]
+    order = r"layer 5 \(PRO, block 1\) breaks the layer order"
+    with pytest.raises(PlanError, match=order):
+        prepare(graph)
+    # the constructor validates nothing, so this model holds the bad order
+    swapped = PreparedModel(graph.layers, graph.resolution, graph.width_multiplier,
+                            graph.seed, Rounding.NEAREST)
+    pixels = np.random.default_rng(0).integers(0, 256, (8, 8, 3)).astype(np.uint8)
+    for mode in ("sequential", "stream", "threads"):
+        with pytest.raises(PlanError, match=order):
+            run_inference(swapped, image_to_qtensor(pixels, swapped), mode=mode)
+    pkg, img = tmp_path / "swapped", tmp_path / "in.ppm"
+    save_package(swapped, pkg)
+    save_ppm(img, pixels)
+    with pytest.raises(PlanError, match=order):
+        load_package(pkg)
+    for mode in ("sequential", "stream", "threads"):
+        res = run_cli("infer", "--model", pkg, "--image", img, "--mode", mode)
+        assert res.exit_code == 2, alltext(res)
+        assert "breaks the layer order" in res.stderr
+        assert "Traceback" not in alltext(res)
 
 
 @pytest.mark.parametrize("args", [

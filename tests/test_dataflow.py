@@ -36,6 +36,7 @@ from semistream.modelkit import (
     BlockSpec,
     Kind,
     PreparedModel,
+    QFilterSet,
     QTensor,
     build_mobilenet_v2,
     build_model,
@@ -43,12 +44,13 @@ from semistream.modelkit import (
     load_package,
     prepare,
     save_package,
+    validate_graph,
 )
 from semistream.oracle import run_model_naive
 from semistream.perfmodel import estimate_timeline
 from semistream.quantcore import Rounding
 
-from conftest import toy_model, toy_pair
+from conftest import edit_layers, toy_model, toy_pair
 
 
 @pytest.fixture(scope="module")
@@ -422,52 +424,81 @@ def _with_layers(model, layers):
     )
 
 
-def test_schedule_rejects_malformed_graphs():
-    model = toy_model(1)
-    dup_block = next(l for l in model.layers if l.kind is Kind.DWC)
-    with pytest.raises(PlanError, match="two DWC"):
-        schedule_rounds(_with_layers(model, [*model.layers, dup_block]))
-    with pytest.raises(PlanError, match="more than one entry convolution"):
-        schedule_rounds(_with_layers(model, [*model.layers, model.layers[0]]))
-    with pytest.raises(PlanError, match="no entry convolution"):
-        schedule_rounds(_with_layers(model, model.layers[1:]))
-    shifted = [
-        dataclasses.replace(l, block=l.block + 3) if l.block is not None else l
-        for l in model.layers
-    ]
-    with pytest.raises(PlanError, match="contiguous"):
-        schedule_rounds(_with_layers(model, shifted))
-    last_add = max(i for i, l in enumerate(model.layers) if l.kind is Kind.ADD)
-    with pytest.raises(PlanError, match="missing an engine slot"):
-        schedule_rounds(_with_layers(
-            model, [l for i, l in enumerate(model.layers) if i != last_add]))
-    stray = dataclasses.replace(dup_block, block=None)
-    with pytest.raises(PlanError, match="trailing"):
-        schedule_rounds(_with_layers(model, [*model.layers, stray]))
-    # a pooling layer tagged with a block has no slot there
-    headed = toy_model(0, include_head=True)
-    pool = next(i for i, l in enumerate(headed.layers) if l.kind is Kind.AVGPOOL)
-    layers = list(headed.layers)
-    layers[pool] = dataclasses.replace(layers[pool], block=0)
-    with pytest.raises(PlanError, match=rf"layers \[{pool}\] run in no round"):
-        schedule_rounds(_with_layers(headed, layers))
+def _image_for(model):
+    first = model.layers[0]
+    pixels = np.zeros((first.in_h, first.in_w, first.in_ch), dtype=np.uint8)
+    return QTensor(first.in_h, first.in_w, first.in_ch, pixels, first.in_zero, first.in_scale)
 
 
-@pytest.mark.parametrize("mode", ["stream", "threads", "timeline"])
+def _on_edge(layer, src, **changes):
+    """A copy of layer that reads and writes src's output edge."""
+    return dataclasses.replace(layer, in_scale=src.out_scale, in_zero=src.out_zero,
+                               out_scale=src.out_scale, out_zero=src.out_zero, **changes)
+
+
+def test_schedule_rejects_malformed_graphs(tmp_path):
+    """Each broken structure chains and is rejected with PlanError naming
+    its first layer out of order, by validate_graph, load_package, the
+    timeline and every mode."""
+    model = prepare(build_model([BlockSpec(1, 32, 1), BlockSpec(1, 32, 1), BlockSpec(2, 32, 1)],
+                                8, seed=1, include_head=False))
+    L = list(model.layers)
+    assert [(l.kind, l.block) for l in L] == [
+        (Kind.C2D, None), (Kind.DWC, 0), (Kind.PRO, 0), (Kind.ADD, 0),
+        (Kind.DWC, 1), (Kind.PRO, 1), (Kind.ADD, 1),
+        (Kind.EXP, 2), (Kind.DWC, 2), (Kind.PRO, 2), (Kind.ADD, 2)]
+    assert L[3].residual_from is None and L[6].residual_from == 3
+    second_entry = _on_edge(L[0], L[10], in_h=4, in_w=4, in_ch=32, orig_in_ch=32, stride=1,
+                            filters=QFilterSet(3, 3, 32, 32, np.zeros((3, 3, 32, 32), np.uint8),
+                                               np.zeros(32, np.int64), np.ones(32), np.zeros(32)))
+    pool = _on_edge(L[10], L[10], kind=Kind.AVGPOOL, out_h=1, out_w=1, residual_from=None,
+                    add_params=None)
+    # without block 1's addition, block 2's shortcut reads the one before it
+    *no_add, last = edit_layers(model, "drop", 6).layers
+    cases = {  # name: (layers, first layer out of order)
+        "second entry": ([*L, second_entry], 11),
+        "duplicate slot": (edit_layers(model, "dup", 1).layers, 2),
+        "no entry": (L[1:], 0),
+        "non-contiguous blocks": (
+            [dataclasses.replace(l, block=l.block + 1) if l.block else l for l in L], 4),
+        "missing ADD": ([*no_add, dataclasses.replace(last, residual_from=3)], 6),
+        "ends inside a block": (L[:10], 9),
+        "DWC outside a block": ([*L, _on_edge(L[4], L[10], block=None)], 11),
+        "ADD outside a block": ([*L, _on_edge(L[3], L[10], block=None)], 11),
+        "pool in a block": ([*L, pool], 11),
+        "block after the head": ([*L[:7], _on_edge(L[5], L[6], block=None), *L[7:]], 8),
+        "out-of-order slots": (edit_layers(model, "swap", 4).layers, 4),
+    }
+    for name, (layers, bad) in cases.items():
+        first = layers[0]
+        broken = dataclasses.replace(model, layers=layers, resolution=first.in_h)
+        order = rf"layer {bad} \({layers[bad].kind.value}, block {layers[bad].block}\) breaks"
+        with pytest.raises(PlanError, match=order):
+            validate_graph(broken)
+        root = tmp_path / name.replace(" ", "-")
+        save_package(broken, root)
+        with pytest.raises(PlanError, match=order):
+            load_package(root)
+        with pytest.raises(PlanError, match=order):
+            estimate_timeline(broken)
+        for mode in ("sequential", "stream", "threads"):
+            with pytest.raises(PlanError, match=order):
+                run_inference(broken, _image_for(broken), mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "stream", "threads", "timeline"])
 def test_rounds_must_produce_the_final_layer(mode):
-    # the entry convolution runs in round 0, so later rounds overwrite
-    # its frame before a run could read it as the logits
+    # with the entry convolution moved last, no round would write the final
+    # layer last; the order rule rejects the model at its first block
+    # layer, which no entry convolution precedes
     model = toy_model(2)
     moved = _with_layers(model, model.layers[1:] + model.layers[:1])
     first = moved.layers[0]
-    pixels = np.zeros((first.in_h, first.in_w, first.in_ch), dtype=np.uint8)
-    image = QTensor(first.in_h, first.in_w, first.in_ch, pixels,
-                    first.in_zero, first.in_scale)
-    with pytest.raises(PlanError, match="no round produced the final layer's output"):
+    with pytest.raises(PlanError, match=rf"layer 0 \({first.kind.value}, block 0\) breaks"):
         if mode == "timeline":
             estimate_timeline(moved)
         else:
-            run_inference(moved, image, mode=mode)
+            run_inference(moved, _image_for(moved), mode=mode)
 
 
 def test_residual_fifo_capacity(standard):
@@ -749,6 +780,32 @@ def test_random_graphs_survive_a_package_and_match_the_oracle(case, pixel_seed):
     for mode in ("sequential", "stream", "threads"):
         got = run_inference(loaded, image, mode=mode)
         np.testing.assert_array_equal(got.logits.data, want)
+
+
+@st.composite
+def edited_graphs(draw):
+    """A graph of 32-channel stride-1 blocks with one edit to its layer list
+    (edit_layers): layers mostly chain after any edit, so order varies."""
+    blocks = [BlockSpec(draw(st.integers(1, 2)), 32, 1) for _ in range(draw(st.integers(1, 3)))]
+    graph = build_model(blocks, 8, seed=draw(st.integers(0, 2**31 - 1)),
+                        include_head=draw(st.booleans()), head_channels=32, classes=32)
+    edit = draw(st.sampled_from(["swap", "drop", "dup"]))
+    at = draw(st.integers(0, len(graph.layers) - (2 if edit == "swap" else 1)))
+    return edit_layers(graph, edit, at)
+
+
+@given(graph=edited_graphs(), pixel_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_every_model_that_validates_runs_alike_in_every_mode(graph, pixel_seed):
+    try:
+        model = prepare(graph)
+    except SemistreamError:
+        return
+    pixels = np.random.default_rng(pixel_seed).integers(0, 256, (8, 8, 3), dtype=np.uint8)
+    want = run_model_naive(model, pixels)
+    image = image_to_qtensor(pixels, model)
+    for mode in ("sequential", "stream", "threads"):
+        np.testing.assert_array_equal(run_inference(model, image, mode=mode).logits.data, want)
 
 
 @pytest.mark.parametrize("width, resolution, rounding", [

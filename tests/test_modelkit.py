@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from semistream.dataflow import run_inference
 from semistream.engines import run_layer
-from semistream.errors import DomainError, FormatError, RangeError, SemistreamError
+from semistream.errors import DomainError, FormatError, PlanError, RangeError, SemistreamError
 from semistream.modelkit import (
     ACC_BOUND,
     LANES,
@@ -819,6 +819,10 @@ def _drops_dwc_filters(manifest):
     pytest.param(_requantizes_a_pass_through, DomainError, "pass-through",
                  id="pass-through-edge"),
     pytest.param(_drops_dwc_filters, DomainError, "need filters", id="dwc-without-filters"),
+    pytest.param(lambda m: m["layers"][5].update(block=1.0), DomainError,
+                 "block 1.0 is not an integer", id="float-block"),
+    pytest.param(lambda m: m["layers"][5].update(block="1"), DomainError,
+                 "block '1' is not an integer", id="string-block"),
 ])
 def test_package_rejects_a_malformed_manifest(tmp_path, edit, error, match):
     save_package(small_model(), tmp_path)
@@ -829,24 +833,28 @@ def test_package_rejects_a_malformed_manifest(tmp_path, edit, error, match):
 
 def test_package_rejects_blocks_without_an_entry_convolution(tmp_path):
     """Block layers need the entry convolution that starts round 0; a
-    single layer outside any block still loads and runs on its own."""
+    single layer outside any block, or a lone entry convolution, still
+    loads and runs in every mode as one trailing round."""
     model = prepare(build_model([BlockSpec(2, 16, 1), BlockSpec(2, 24, 2)], 16,
                                 include_head=False))
     layers = model.layers[1:]
     headless = dataclasses.replace(model, layers=layers, resolution=layers[0].in_h)
     save_package(headless, tmp_path / "headless")
-    with pytest.raises(DomainError, match="no entry convolution"):
+    with pytest.raises(PlanError, match=r"layer 0 \(EXP, block 0\) breaks the layer order"):
         load_package(tmp_path / "headless")
     pro = next(l for l in layers if l.kind is Kind.PRO)
-    single = dataclasses.replace(model, layers=[dataclasses.replace(pro, block=None)],
-                                 resolution=pro.in_h)
-    loaded = load_package(save_package(single, tmp_path / "single"))
-    assert loaded == single
     rng = np.random.default_rng(0)
-    x = QTensor(pro.in_h, pro.in_w, pro.in_ch,
-                rng.integers(0, 256, size=(pro.in_h, pro.in_w, pro.in_ch)),
-                pro.in_zero, pro.in_scale)
-    assert run_inference(loaded, x, mode="sequential").logits == run_layer(x, pro)[0]
+    for name, lone in (("single", dataclasses.replace(pro, block=None)), ("c2d", model.layers[0])):
+        single = dataclasses.replace(model, layers=[lone], resolution=lone.in_h)
+        loaded = load_package(save_package(single, tmp_path / name))
+        assert loaded == single
+        assert [p.whole for p in loaded.rounds] == [(0,)]
+        x = QTensor(lone.in_h, lone.in_w, lone.in_ch,
+                    rng.integers(0, 256, size=(lone.in_h, lone.in_w, lone.in_ch)),
+                    lone.in_zero, lone.in_scale)
+        want = run_layer(x, lone)[0]
+        for mode in ("sequential", "stream", "threads"):
+            assert run_inference(loaded, x, mode=mode).logits == want
 
 
 #: One value of each type json.loads produces.

@@ -77,3 +77,20 @@ def test_the_cycle_model_imports_no_runtime():
              "EngineStats", "layer_cost", "engine_cycles", "weight_bytes", "nominal_stats",
              "_layer_stats"}
     assert not {name for name, _ in _top_level_names(engines)} & moved
+
+
+def test_the_layer_order_is_checked_in_one_place():
+    """schedule_rounds raises nothing of its own, and PlanError is raised
+    only inside validate_graph: the layer order has one checker."""
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            raises = [n for n in ast.walk(fn) if isinstance(n, ast.Raise)]
+            if fn.name == "schedule_rounds":
+                assert not raises, f"{path.name}: schedule_rounds raises"
+            if any("PlanError" in _references(n) for n in raises):
+                raisers.append(f"{path.name}: {fn.name}")
+    assert raisers == ["modelkit.py: validate_graph"]
