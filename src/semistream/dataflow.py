@@ -21,9 +21,9 @@ holds; a bounded residual FIFO, one shortcut source frame deep
 (residual_fifo_capacity) and built only for a model with shortcuts,
 carries each shortcut frame, in the same runs, to the next round's
 addition slot. Processes pass plain uint8 arrays: each runs its layer's
-kernel (the one its engines.layer_record holds) on a frame buffer's
-array, as the sequential driver does from layer to layer, and only the
-logits become a QTensor. A frame buffer is written once, whole: it
+kernel (the one its record holds, engines.compile_records) on a frame
+buffer's array, as the sequential driver does from layer to layer, and
+only the logits become a QTensor. A frame buffer is written once, whole: it
 adopts the finished array of its producer, and readers get the array
 itself. In a round without an expansion the addition slot is that
 producer: it copies its runs into a frame it owns and writes it after
@@ -58,7 +58,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .engines import ExpStreamKernel, add_elements, layer_record, output_tensor
+from .engines import (
+    ExpStreamKernel,
+    add_elements,
+    compile_records,
+    layer_record,
+    output_tensor,
+)
 from .errors import DeadlockError, DomainError, SequencingError, ShapeError
 from .modelkit import (  # RoundPlan and schedule_rounds are re-exported from here
     ENGINE_FOR_KIND,
@@ -411,17 +417,22 @@ def run_inference(
     dataflow modes raise DeadlockError rather than hang. All three produce identical
     logits; they differ only in how engine execution is interleaved.
 
-    The image is checked against the entry edge, and the model against
-    validate_graph once per model object (PreparedModel.verdict); after
-    that every layer runs its record's kernel on plain uint8 arrays, and
-    only the logits become a QTensor.
+    The model's validate_graph verdict, found once per model object
+    (PreparedModel.verdict), is raised first, then the image is checked
+    against the entry edge. The model's first frame compiles every
+    layer's record in whole-model passes (engines.compile_records),
+    before either driver runs a kernel; after that every layer runs its
+    record's kernel on plain uint8 arrays, and only the logits become a
+    QTensor.
     """
     if mode not in ("sequential", "stream", "threads"):
         raise DomainError(f"unknown inference mode {mode!r}")
     rounding = model.rounding if rounding is None else rounding
+    model.require_valid()
     _check_image(model, image)
+    records = compile_records(model.layers)
     if mode == "sequential":
-        return _run_sequential(model, image, rounding, exp_probe)
+        return _run_sequential(model, records, image, rounding, exp_probe)
     return _run_rounds(model, image, rounding, exp_probe, threaded=(mode == "threads"))
 
 
@@ -430,14 +441,13 @@ def _layer_probe(exp_probe, idx: int):
     return None if exp_probe is None else lambda ab, acc: exp_probe(idx, ab, acc)
 
 
-def _run_sequential(model, image, rounding, exp_probe) -> InferenceResult:
-    model.require_valid()
+def _run_sequential(model, records, image, rounding, exp_probe) -> InferenceResult:
     kept: dict[int, np.ndarray] = {}
     sources = model.residual_sources
     x = image.data
-    for idx, layer in enumerate(model.layers):
+    for idx, (layer, rec) in enumerate(zip(model.layers, records)):
         if layer.residual_from is None:
-            x = layer_record(layer).kernel(x, layer, rounding, _layer_probe(exp_probe, idx))
+            x = rec.kernel(x, layer, rounding, _layer_probe(exp_probe, idx))
         else:
             x = add_elements(x, kept.pop(layer.residual_from), layer, rounding)
         if idx in sources:
@@ -451,7 +461,7 @@ def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceR
     Stream mode resumes the five chains under the round-robin scheduler;
     threads mode gives each its own thread, taking turns under one lock.
     """
-    plan = model.rounds  # raises the model's verdict
+    plan = model.rounds
     layers = model.layers
     fifo_words = residual_fifo_capacity(model)
     res_fifo = BoundedQueue(fifo_words, "residual-fifo") if fifo_words else None

@@ -25,7 +25,7 @@ hand the 1x1 and entry GEMMs to BLAS. Every product pairs a raw code in
 integer of at most 255**2 in magnitude. The entry convolution sums 27
 of them, read through one window view of its zero-point-padded frame
 (_windows). The pointwise engines read a resident zero-corrected int16
-bank, W - zw, built once per layer in its record, and fold its K rows in
+bank, W - zw, built once in the layer's record, and fold its K rows in
 slices of at most K_CHUNK = 256 rows (fold_gemm): each slice is cast
 from the int16 bank into one float32 buffer, with nothing left to
 subtract. Every partial sum of a slice then stays below
@@ -54,11 +54,15 @@ the raw sum, the folded bias and their total, which gives apply_rescale
 its |acc| * mult < 2**62 precondition. This is the
 integer-GEMM-on-zero-points scheme of Jacob et al., arXiv 1712.05877.
 
-The bound is checked once per layer, when an engine first runs the
-layer and compiles its record (layer_record), and so is the engine's
-fixed shape contract: a layer that breaks either gets no record, so
-every call raises. The bound also gives the layer's rescale its tie
-verdict and its shift alignment (quantcore.rescale_constants): when no
+Records are compiled once per model, in whole-model passes, when its
+first frame starts (compile_records; layer_record is its one-layer
+case, for run_layer). The bound is checked once per layer then, and so
+is the engine's fixed shape contract: if any layer breaks either, the
+earliest one raises and no layer gets a record, so every frame raises
+the same error. The bound also gives each layer's rescale its tie
+verdict and its shift alignment, for every layer in one segmented
+quantcore.rescale_constants pass, and every shortcut addition's
+per-code tables are built together, one pass per rounding: when no
 product acc * mult can land exactly halfway between two codes, the
 NEAREST rescale skips its tie correction pass, and when the aligned
 multipliers keep every product below 2**62, the shift is one scalar.
@@ -85,12 +89,12 @@ Engines:
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SequencingError, ShapeError
+from .errors import DomainError, SemistreamError, SequencingError, ShapeError
 from .modelkit import (
     ACC_BOUND,
     LANES,
@@ -117,13 +121,15 @@ K_CHUNK = 2**24 // (255 * 255) // LANES * LANES
 
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
-    """What a layer's kernels read, compiled once per layer object by layer_record.
+    """What a layer's kernels read, compiled once per model, in whole-model
+    passes (compile_records), and kept on each layer object.
 
     A layer gets a record only if it meets its engine's fixed shape
     contract and its accumulator bound, so its kernel checks neither.
     kernel is the kind's array kernel (KERNELS); rescale holds
     read-only, C-contiguous per-channel constants of the layer's mults
-    (of an addition's mult3), or None for a layer without them. Its
+    (of an addition's mult3), slices of the arrays one rescale pass
+    built for the whole model, or None for a layer without them. Its
     offsets hold the bias the engine's raw sums lack, times the
     multiplier: the layer's biases, minus in_zero times each filter's
     tap sum for every MAC engine (for PRO and EXP the column sum of
@@ -134,7 +140,8 @@ class LayerRecord:
     float32, and a pointwise layer's (in_ch, out_ch) bank W - zw as
     int16, exact since every entry lies in [-255, 255], which fold_gemm
     reads slice by slice; add_tables maps each Rounding to an
-    addition's two 256-entry per-code tables. The layer's cost is not
+    addition's two 256-entry per-code tables, rows of the model's
+    (n_shortcuts, 2, 256) tables. The layer's cost is not
     here: perfmodel.layer_cost reads it off the geometry.
     """
 
@@ -149,31 +156,42 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _add_tables(p: AddParams) -> dict:
-    """Per-code operand tables of an addition, one pair per rounding.
+def _add_tables(params: list[AddParams]) -> tuple[dict, np.ndarray]:
+    """Per-code operand tables of every given addition, one array per rounding.
 
     Each operand is rescaled on its own before the sum (Jacob et al.,
     arXiv 1712.05877), so its rescaled value is a function of one uint8
-    code: T[a] = rescale((a - zero) << pre_shift, mult). Raises
-    DomainError unless (max|T1| + max|T2|) * mult3 < 2**62, the
+    code: T[a] = rescale((a - zero) << pre_shift, mult). Maps each
+    Rounding to one read-only (n, 2, 256) int64 array, in which addition
+    k's input and residual tables are [k, 0] and [k, 1], and returns it
+    with each addition's NEAREST bound max|T1| + max|T2|. All 2n operands
+    share one rescale_constants call, and each rounding one
+    apply_rescale pass, on its own copy of the operands since it works
+    in place. Raises DomainError for the first addition, in order,
+    unless (max|T1| + max|T2|) * mult3 < 2**62 under both roundings, the
     precondition of the final rescale; normalized multipliers always
-    meet it (each |T| < 2**28, mult3 < 2**32). apply_rescale works in
-    place, so each table is rescaled from its own copy of the operand.
+    meet it (each |T| < 2**28, mult3 < 2**32).
     """
-    codes = np.arange(256, dtype=np.int64)
-    operands = [((codes - zero) << p.pre_shift, rescale_constants(m.mult, m.shift))
-                for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2))]
-    tables = {}
-    for rounding in Rounding:
-        t1, t2 = (_read_only(apply_rescale(x.copy(), r, rounding)) for x, r in operands)
-        worst = int(np.abs(t1).max()) + int(np.abs(t2).max())
-        if worst * p.mult3.mult >= 1 << 62:
-            raise DomainError(
-                f"addition sums reach {worst}, and times mult3 not below 2**62: "
-                "the output rescale would overflow int64"
-            )
-        tables[rounding] = (t1, t2)
-    return tables
+    operands = [(p.mult1, p.mult2) for p in params]
+    zeros = np.array([(p.in1_zero, p.in2_zero) for p in params], dtype=np.int64)
+    pre = np.array([p.pre_shift for p in params], dtype=np.int64)
+    codes = (np.arange(256, dtype=np.int64) - zeros[:, :, None]) << pre[:, None, None]
+    r = rescale_constants(np.array([[m.mult for m in o] for o in operands])[:, :, None],
+                          np.array([[m.shift for m in o] for o in operands])[:, :, None])
+    tables = {rounding: _read_only(apply_rescale(codes.copy(), r, rounding))
+              for rounding in Rounding}
+    worst = {rounding: np.abs(t).max(axis=2).sum(axis=1) for rounding, t in tables.items()}
+    # worst * mult3 < 2**62, without the int64 product
+    limits = np.array([((1 << 62) - 1) // p.mult3.mult for p in params])
+    over = np.flatnonzero(np.any([w > limits for w in worst.values()], axis=0))
+    if over.size:
+        k = over[0]
+        reach = next(int(w[k]) for w in worst.values() if w[k] > limits[k])
+        raise DomainError(
+            f"addition sums reach {reach}, and times mult3 not below 2**62: "
+            "the output rescale would overflow int64"
+        )
+    return tables, worst[Rounding.NEAREST]
 
 
 def _check_contract(layer: LayerDesc) -> None:
@@ -200,55 +218,107 @@ def _check_contract(layer: LayerDesc) -> None:
 
 
 def layer_record(layer: LayerDesc) -> LayerRecord:
-    """The layer's compiled record, built on the layer object's first use.
-
-    Checks the engine's shape contract, that the layer carries its
-    derived parameters, then the accumulator bound (and an addition's
-    sum bound), so a layer that fails any never gets a record and every
-    call raises the same error; the bound (for an addition, the largest
-    |T1| + |T2| of its NEAREST tables) decides the rescale's tie verdict
-    and shift alignment, and covers the bias its offsets fold in. A
-    pointwise layer's int16 bank is one cast of its uint8 weights and
-    one in-place int16 subtract, and its tap sums are one int32 column
-    reduction of that bank, widened once: check_acc_bound keeps
-    K * 255**2 below 2**30, so every |sum of W - zw| <= K * 255 < 2**23.
-    Compiling the record allocates nothing wider than the bank but
-    those sums. The record is kept in the frozen
-    layer's __dict__, which dataclasses.replace does not carry over, so
-    every changed layer compiles its own.
-    """
+    """The layer's compiled record: compile_records of the one layer, on its first use."""
     rec = layer.__dict__.get("_record")
-    if rec is None:
-        _check_contract(layer)
-        if layer.mults is None and layer.kind is not Kind.ADD or (
-                layer.residual_from is not None and layer.add_params is None):
-            raise DomainError(f"{layer.kind.value} layer lacks the parameters prepare() derives")
-        bound = check_acc_bound(layer)
-        p = layer.add_params
-        mults, tables = layer.mults, None
-        if p is not None:
-            mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
-            tables = _add_tables(p)
-            bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
-        f, taps, bias = layer.filters, None, None
-        if layer.kind is Kind.C2D:
-            signed = _signed_weights(f, np.int64).reshape(27, 32)
-            taps = _read_only(signed.astype(np.float32))
-            bias = f.biases - layer.in_zero * signed.sum(axis=0)
-        elif layer.kind is Kind.DWC:
+    return compile_records((layer,))[0] if rec is None else rec
+
+
+def compile_records(layers: Sequence[LayerDesc]) -> tuple[LayerRecord, ...]:
+    """Every layer's record, compiling those it lacks in whole-model passes.
+
+    Per layer, in order, checks the engine's shape contract, that the
+    layer carries its derived parameters, then the accumulator bound;
+    then builds the per-code tables of every shortcut addition at once
+    (_add_tables) and checks each one's sum bound. If any layer fails,
+    the earliest failing one raises its error and no layer gets a record,
+    so every later call raises the same error. Otherwise the bounds (for
+    an addition, the largest |T1| + |T2| of its NEAREST tables) decide
+    each rescale's tie verdict and shift alignment in one segmented
+    rescale_constants pass over the concatenated channels of every
+    rescaling layer, and cover the bias its offsets fold in: the layer's
+    biases minus in_zero times each filter's tap sum, built for all
+    layers in one pass. The taps are built per layer: a pointwise
+    layer's int16 bank is one cast of its uint8 weights and one in-place
+    int16 subtract, and its tap sums are one int32 column reduction of
+    that bank: check_acc_bound keeps K * 255**2 below 2**30, so every
+    |sum of W - zw| <= K * 255 < 2**23. Compiling a record allocates
+    nothing wider than the bank but the per-channel vectors. Each record
+    holds read-only, C-contiguous slices of the whole-model arrays. It is
+    kept in the frozen layer's __dict__, which dataclasses.replace does
+    not carry over, so every changed layer compiles its own.
+    """
+    recs = [l.__dict__.get("_record") for l in layers]
+    todo = [l for l, rec in zip(layers, recs) if rec is None]
+    if not todo:
+        return tuple(recs)
+    bounds, fault = [], None
+    for l in todo:
+        try:
+            _check_contract(l)
+            if l.mults is None and l.kind is not Kind.ADD or (
+                    l.residual_from is not None and l.add_params is None):
+                raise DomainError(f"{l.kind.value} layer lacks the parameters prepare() derives")
+            bounds.append(check_acc_bound(l))
+        except SemistreamError as e:  # raised after any earlier addition's sum bound
+            fault = e
+            break
+    adds = [k for k, l in enumerate(todo[:len(bounds)]) if l.add_params is not None]
+    tables, add_bounds = _add_tables([todo[k].add_params for k in adds]) if adds else ({}, [])
+    if fault is not None:
+        raise fault
+    for k, b in zip(adds, add_bounds):
+        bounds[k] = int(b)
+    mult3 = pack_multipliers([todo[k].add_params.mult3.mult for k in adds],
+                             [todo[k].add_params.mult3.shift for k in adds])
+    # each layer's (mult, shift) rows, flattened to int64 pairs
+    add_rows = iter(np.asarray(mult3).view(np.int64).reshape(-1, 2))
+    rows, seg_bounds, biases, tap_sums, zeros, taps_of = [], [], [], [], [], []
+    for l, bound in zip(todo, bounds):
+        f, taps, tap_sum = l.filters, None, None
+        if l.kind is Kind.C2D:
+            taps = _read_only(_signed_weights(f, np.float32).reshape(27, 32))
+            tap_sum = taps.sum(axis=0)
+        elif l.kind is Kind.DWC:
             taps = _read_only(_signed_weights(f, np.float32)[:, :, 0, :])
-            bias = f.biases - layer.in_zero * taps.sum(axis=(0, 1)).astype(np.int64)
-        elif layer.kind is Kind.AVGPOOL:
-            bias = -layer.in_h * layer.in_w * layer.in_zero
-        elif layer.kind in (Kind.PRO, Kind.EXP):
+            tap_sum = taps.sum(axis=(0, 1))
+        elif l.kind in (Kind.PRO, Kind.EXP):
             taps = _read_only(_signed_weights(f, np.int16)[0, 0])
-            bias = f.biases - layer.in_zero * taps.sum(axis=0, dtype=np.int32).astype(np.int64)
-        rescale = None
-        if mults is not None:  # the packed columns are strided: keep contiguous copies
-            r = rescale_constants(np.ascontiguousarray(mults.mult), mults.shift, bound, bias)
-            rescale = Rescale(*(None if v is None else _read_only(v) for v in r[:5]), r.ties)
-        rec = layer.__dict__["_record"] = LayerRecord(KERNELS[layer.kind], rescale, taps, tables)
-    return rec
+            tap_sum = taps.sum(axis=0, dtype=np.int32)
+        taps_of.append(taps)
+        if l.add_params is not None:
+            rows.append(next(add_rows))
+            biases.append(np.zeros(1, np.int64))
+            tap_sums.append(np.zeros(1, np.int64))
+        elif l.mults is not None:
+            rows.append(np.asarray(l.mults).view(np.int64))
+            biases.append(f.biases if f is not None else np.zeros(l.mults.size, np.int64))
+            # the pooling engine sums raw codes over every pixel
+            tap_sums.append(tap_sum if f is not None else np.full(l.mults.size, l.in_h * l.in_w))
+        else:
+            continue
+        seg_bounds.append(bound)
+        zeros.append(l.in_zero)
+    rescales = []
+    if rows:
+        sizes = [r.size // 2 for r in rows]
+        pairs = np.concatenate(rows).reshape(-1, 2)
+        bias = np.concatenate(biases) - np.repeat(zeros, sizes) * np.concatenate(
+            tap_sums, dtype=np.int64, casting="unsafe")  # float32 sums of exact integers
+        rescales = rescale_constants(pairs[:, 0], pairs[:, 1], seg_bounds, bias,
+                                     starts=np.cumsum([0] + sizes[:-1]))
+    rescale_of = iter(rescales)
+    tables_of = iter([{rounding: (both[k, 0], both[k, 1]) for rounding, both in tables.items()}
+                      for k in range(len(adds))])
+    for l, taps in zip(todo, taps_of):
+        rescale, per_code = None, None
+        if l.add_params is not None:  # the addition rescales its operands' sum: no bias
+            rescale = next(rescale_of)
+            rescale = rescale._replace(offset=None, offset_half=rescale.half)
+            per_code = next(tables_of)
+        elif l.mults is not None:
+            rescale = next(rescale_of)
+        l.__dict__["_record"] = LayerRecord(KERNELS[l.kind], rescale, taps, per_code)
+    return tuple(l.__dict__["_record"] for l in layers)
 
 
 def _check_edge(x: QTensor, layer: LayerDesc) -> None:

@@ -273,8 +273,8 @@ class PreparedModel:
     model is a new one (dataclasses.replace). Its round plan, its
     validate_graph verdict and its residual sources are computed once
     per model object, on first use, and the drivers read the verdict
-    instead of re-checking each engine call. load_package() sets a
-    loaded model's verdict itself, since it validated those layers.
+    instead of re-checking each engine call. prepare() and load_package()
+    set the verdict themselves, since they validated those layers.
     """
 
     layers: tuple[LayerDesc, ...]
@@ -584,31 +584,39 @@ def pad_channels(layer: LayerDesc) -> LayerDesc:
     """
     if layer.kind not in (Kind.EXP, Kind.PRO, Kind.DWC):
         raise DomainError(f"channel padding applies to EXP/PRO/DWC, not {layer.kind.value}")
-    cin_p = pad16(layer.in_ch)
-    cout_p = pad16(layer.out_ch)
-    if cin_p == layer.in_ch and cout_p == layer.out_ch:
+    if pad16(layer.in_ch) == layer.in_ch and pad16(layer.out_ch) == layer.out_ch:
         return layer
+    return _own_padded(layer)
+
+
+def _own_padded(layer: LayerDesc) -> LayerDesc:
+    """The filter layer rebuilt once, on a padded copy of its filter bank.
+
+    Pads as pad_channels does, except the entry convolution, whose
+    engine fixes its channels: it gets a plain copy. Every filter array
+    is new, even where nothing is padded.
+    """
     f = layer.filters
-    synthetic_scale = 0.5 * layer.out_scale / layer.in_scale
-    if layer.kind is Kind.DWC:
-        weights = np.zeros((3, 3, 1, cout_p), dtype=np.uint8)
-        weights[:, :, :, : f.out_channels] = f.weights
-        new_cin = 1
-    else:
-        weights = np.zeros((1, 1, cin_p, cout_p), dtype=np.uint8)
-        weights[:, :, : f.in_channels, : f.out_channels] = f.weights
-        # padded input channels on real filters carry that filter's zero
-        # point so any activation value there contributes zero
-        weights[:, :, f.in_channels :, : f.out_channels] = f.zero_points[None, None, None, :]
-        new_cin = cin_p
+    cin_p, cout_p = layer.in_ch, layer.out_ch
+    if layer.kind is not Kind.C2D:
+        cin_p, cout_p = pad16(cin_p), pad16(cout_p)
+    new_cin = cin_p if layer.kind in (Kind.EXP, Kind.PRO) else f.in_channels
+    weights = np.empty((f.kernel_h, f.kernel_w, new_cin, cout_p), dtype=np.uint8)
+    weights[:, :, : f.in_channels, : f.out_channels] = f.weights
+    # padded input channels on real filters carry that filter's zero
+    # point so any activation value there contributes zero
+    weights[:, :, f.in_channels :, : f.out_channels] = f.zero_points
+    weights[..., f.out_channels :] = 0
     zps = np.zeros(cout_p, dtype=np.int64)
     zps[: f.out_channels] = f.zero_points
-    scales = np.full(cout_p, synthetic_scale, dtype=np.float64)
+    scales = np.full(cout_p, 0.5 * layer.out_scale / layer.in_scale, dtype=np.float64)
     scales[: f.out_channels] = f.scales
     biases = np.zeros(cout_p, dtype=np.int64)
     biases[: f.out_channels] = f.biases
-    padded = QFilterSet(f.kernel_h, f.kernel_w, new_cin, cout_p, weights, zps, scales, biases)
-    return dataclasses.replace(layer, in_ch=cin_p, out_ch=cout_p, filters=padded)
+    own = copy.copy(f)  # every array below already has its checked dtype and shape
+    own.in_channels, own.out_channels = new_cin, cout_p
+    own.weights, own.zero_points, own.scales, own.biases = weights, zps, scales, biases
+    return dataclasses.replace(layer, in_ch=cin_p, out_ch=cout_p, filters=own)
 
 
 #: Bound on every accumulator magnitude: below it, every accumulator fits
@@ -626,7 +634,7 @@ def check_acc_bound(layer: LayerDesc) -> int | None:
     in_h * in_w zero-corrected codes. Raises DomainError when that bound
     reaches ACC_BOUND. Returns None for a layer without accumulators.
     Addition has its own bound on the sum of its operand tables, checked
-    once when its record is compiled (engines.layer_record).
+    once when its record is compiled (engines.compile_records).
     """
     f = layer.filters
     if f is not None:
@@ -806,33 +814,37 @@ def prepare(graph: ModelGraph, rounding: Rounding = Rounding.NEAREST) -> Prepare
 
     Validates the graph, pads channels to the 16-lane width and runs the
     derivation load_package() shares: multiplier/shift pairs, narrow bias
-    storage, the accumulator bound and addition parameters. A filter set
-    that padding leaves shared with the graph is copied first, so the
-    model's arrays are read-only and the graph's stay writeable.
+    storage, the accumulator bound and addition parameters. Each filter
+    layer is rebuilt once, on its own padded copy of the bank, so the
+    model's arrays are read-only and the graph's stay writeable; an
+    addition or pooling layer is rebuilt only if its channels need
+    padding. Sets the model's verdict, as load_package() does, since
+    padding keeps what validate_graph checked.
     """
     validate_graph(graph)
     layers: list[LayerDesc] = []
-    for given in graph.layers:
-        layer = given
-        if layer.kind in (Kind.EXP, Kind.PRO, Kind.DWC):
-            layer = pad_channels(layer)
-        elif layer.kind in (Kind.ADD, Kind.AVGPOOL):
+    for layer in graph.layers:
+        if layer.filters is not None:
+            layer = _own_padded(layer)
+        elif pad16(layer.in_ch) != layer.in_ch or pad16(layer.out_ch) != layer.out_ch:
             layer = dataclasses.replace(
                 layer, in_ch=pad16(layer.in_ch), out_ch=pad16(layer.out_ch))
-        f = layer.filters
-        if f is not None and f is given.filters:
-            own = copy.copy(f)
-            own.weights, own.zero_points, own.scales, own.biases = (
-                a.copy() for a in (f.weights, f.zero_points, f.scales, f.biases))
-            layer = dataclasses.replace(layer, filters=own)
         layers.append(layer)
-    return PreparedModel(
+    model = PreparedModel(
         layers=_derive_parameters(layers, rounding),
         resolution=graph.resolution,
         width_multiplier=graph.width_multiplier,
         seed=graph.seed,
         rounding=rounding,
     )
+    # padding keeps what validate_graph checked: channels are padded alike
+    # along the chain, banks with them, and edges and order are unchanged;
+    # only an entry convolution's channels stay as they are, which breaks
+    # the chain where its engine's 32 would not
+    entry = layers[0]
+    if entry.kind is not Kind.C2D or entry.out_ch == pad16(entry.out_ch):
+        model.__dict__["verdict"] = None
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ accumulator the caller owns (apply_rescale, with the per-channel
 constants from rescale_constants; requantize_array composes the two on
 a copy). The offset carries a layer's bias, times the multiplier, so
 the engines hand over raw sums, and under NEAREST also the rounding
-half. Given a bound on the accumulators, rescale_constants decides once
-per layer whether any product can be a rounding tie, so apply_rescale
+half. Given a bound on the accumulators, rescale_constants decides for
+each layer whether any product can be a rounding tie, so apply_rescale
 can skip the NEAREST tie correction where none can, and whether the
 layer's shifts can be aligned to its largest one, so the shift is one
-scalar instead of a per-channel vector.
+scalar instead of a per-channel vector; given segment starts, it decides
+both for every layer of a model in one pass over their concatenated
+channels.
 The module also validates narrow bias storage (bias_limits, narrow_bias).
 """
 from __future__ import annotations
@@ -188,7 +190,7 @@ def pack_multipliers(mults, shifts) -> np.recarray:
 
 
 class Rescale(NamedTuple):
-    """Per-channel rescale constants, built once per layer by rescale_constants.
+    """Per-channel rescale constants of one layer, built by rescale_constants.
 
     mults are the int64 multipliers and shifts their shifts, clamped to
     63; when the layer's bound allows, the mults are aligned to the
@@ -213,8 +215,8 @@ class Rescale(NamedTuple):
 
 def rescale_constants(
     mults: np.ndarray | int, shifts: np.ndarray | int, acc_bound: int | None = None,
-    bias: np.ndarray | int | None = None,
-) -> Rescale:
+    bias: np.ndarray | int | None = None, starts: np.ndarray | None = None,
+) -> Rescale | list[Rescale]:
     """The constants apply_rescale needs for these multipliers and shifts.
 
     Shifts above 63 are applied as 63, which is exact under both
@@ -243,20 +245,74 @@ def rescale_constants(
     constants hold mult' and the one shift S (0-d). Otherwise, or
     without a bound, the per-channel shifts stay. The tie verdict is the
     same either way, since v2(mult') - (S - s) == v2(mult).
+
+    starts, if given, cuts the 1-D channel arrays mults, shifts and bias
+    into non-empty segments, one per layer, at these ascending offsets
+    (the first is 0), and acc_bound holds one bound per segment. Each
+    segment gets its own tie verdict and alignment, all in one pass
+    (reduceat), and the result is one Rescale per segment: read-only,
+    C-contiguous slices of one array per field, with a 0-d shift and
+    half where the segment aligns.
     """
     shifts = np.minimum(shifts, 63, dtype=np.int64)
     mults = np.asarray(mults, dtype=np.int64)
+    if starts is not None:
+        return _segment_rescales(mults, shifts, acc_bound, bias, np.asarray(starts))
     ties = True
     if acc_bound is not None:
-        v2 = np.bitwise_count((mults & -mults) - 1)  # trailing zeros of mult > 0
-        ties = bool(np.any(v2 + (int(acc_bound).bit_length() - 1) >= shifts - 1))
-        top = shifts.max()
-        aligned = mults << (top - shifts)
-        if int(acc_bound) * int(aligned.max()) < 1 << 62:
-            mults, shifts = aligned, np.array(top)
+        m, s = np.broadcast_arrays(mults, shifts)
+        verdicts, tops, fits, aligned = _verdicts(m.ravel(), s.ravel(), np.zeros(1, int),
+                                                  [acc_bound])
+        ties = bool(verdicts[0])
+        if fits[0]:
+            mults, shifts = aligned.reshape(m.shape), np.array(tops[0])
     half = np.asarray(np.int64(1) << (shifts - 1))  # aligned: 0-d, so a record can freeze it
     offset = None if bias is None else np.asarray(bias, dtype=np.int64) * mults
     return Rescale(mults, shifts, half, offset, half if offset is None else offset + half, ties)
+
+
+def _verdicts(mults: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
+              bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each segment's tie verdict, largest shift and whether its aligned
+    multipliers fit its bound, with every channel's aligned multiplier
+    (rescale_constants): 1-D int64 mults and clamped shifts, cut at starts."""
+    sizes = np.diff(starts, append=mults.size)
+    log_bound = np.repeat([int(b).bit_length() - 1 for b in bounds], sizes)
+    v2 = np.bitwise_count((mults & -mults) - 1)  # trailing zeros of mult > 0
+    ties = np.logical_or.reduceat(v2 + log_bound >= shifts - 1, starts)
+    tops = np.maximum.reduceat(shifts, starts)
+    aligned = mults << (np.repeat(tops, sizes) - shifts)
+    # bound * max(mult') < 2**62, without the int64 product
+    limits = [((1 << 62) - 1) // int(b) if b else (1 << 63) - 1 for b in bounds]
+    return ties, tops, np.maximum.reduceat(aligned, starts) <= limits, aligned
+
+
+def _segment_rescales(mults: np.ndarray, shifts: np.ndarray, bounds, bias,
+                      starts: np.ndarray) -> list[Rescale]:
+    """rescale_constants over segments: one Rescale per segment, slicing
+    whole arrays built in one pass. An aligned segment's one shift and
+    half are one entry each of the shift and half arrays, so these hold
+    only what the segments' Rescales read."""
+    ties, tops, fits, aligned = _verdicts(mults, shifts, starts, bounds)
+    sizes = np.diff(starts, append=mults.size)
+    fit = np.repeat(fits, sizes)
+    mults = np.where(fit, aligned, mults)
+    shifts = np.where(fit, np.repeat(tops, sizes), shifts)
+    half = np.int64(1) << (shifts - 1)
+    offset = np.asarray(bias, dtype=np.int64) * mults
+    offset_half = offset + half
+    keep = ~fit
+    keep[starts[fits]] = True
+    at = (np.cumsum(keep) - 1)[starts].tolist()  # each segment's first entry in shifts, half
+    shifts, half = shifts[keep], half[keep]
+    for a in (mults, shifts, half, offset, offset_half):
+        a.flags.writeable = False
+    out = []
+    for k, (lo, hi, j) in enumerate(zip(starts.tolist(), (starts + sizes).tolist(), at)):
+        s, h = ((shifts[j : j + 1].reshape(()), half[j : j + 1].reshape(())) if fits[k]
+                else (shifts[j : j + hi - lo], half[j : j + hi - lo]))
+        out.append(Rescale(mults[lo:hi], s, h, offset[lo:hi], offset_half[lo:hi], bool(ties[k])))
+    return out
 
 
 def apply_rescale(
@@ -285,8 +341,8 @@ def apply_rescale(
     2**62 in magnitude, and half is at most 2**62, so adding
     bias * mult + half in one pass gives p + half < 2**63: every
     intermediate is exact. The bound is checked when a layer's
-    parameters are derived and once more when the engines first compile
-    the layer; each later engine call reuses that verdict.
+    parameters are derived and once more when the engines compile the
+    model's records; each later engine call reuses that verdict.
 
     NEAREST needs no sign split. With n = 2**s and h = n / 2, rounding
     half away from zero gives (p + h) >> s for p >= 0 and -((-p + h) >> s)

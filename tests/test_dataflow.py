@@ -22,7 +22,7 @@ from semistream.dataflow import (
     run_inference,
     schedule_rounds,
 )
-from semistream.engines import add_elements, layer_record
+from semistream.engines import add_elements, compile_records, layer_record
 from semistream.errors import (
     DeadlockError,
     DomainError,
@@ -35,11 +35,13 @@ from semistream.modelkit import (
     LANES,
     BlockSpec,
     Kind,
+    ModelGraph,
     PreparedModel,
     QFilterSet,
     QTensor,
     build_mobilenet_v2,
     build_model,
+    check_acc_bound,
     image_to_qtensor,
     load_package,
     prepare,
@@ -48,7 +50,7 @@ from semistream.modelkit import (
 )
 from semistream.oracle import run_model_naive
 from semistream.perfmodel import estimate_timeline
-from semistream.quantcore import Rounding
+from semistream.quantcore import Rounding, apply_rescale, pack_multipliers, rescale_constants
 
 from conftest import edit_layers, toy_model, toy_pair
 
@@ -261,7 +263,7 @@ def test_one_round_plan_per_model(monkeypatch):
 
 def test_one_layer_record_per_layer(monkeypatch):
     """The engines check the bound once per layer, and build the
-    addition tables once per shortcut layer."""
+    addition tables once per shortcut layer, in one bulk call per model."""
     import semistream.engines as engines
 
     real_bound, real_tables = engines.check_acc_bound, engines._add_tables
@@ -270,7 +272,8 @@ def test_one_layer_record_per_layer(monkeypatch):
         bound, tables = [], []
         monkeypatch.setattr(engines, "check_acc_bound",
                             lambda l: bound.append(l) or real_bound(l))
-        monkeypatch.setattr(engines, "_add_tables", lambda p: tables.append(p) or real_tables(p))
+        monkeypatch.setattr(engines, "_add_tables",
+                            lambda ps: tables.extend(ps) or real_tables(ps))
         want = run_inference(model, image, mode="sequential").logits
         for mode in ("sequential", "sequential", "stream", "stream", "stream"):
             assert run_inference(model, image, mode=mode).logits == want
@@ -314,9 +317,12 @@ def test_a_frame_builds_one_qtensor_the_logits(monkeypatch):
 
 
 def test_validate_graph_runs_once_per_model_object(monkeypatch):
+    """A model object built with the constructor is validated on its
+    first frame, and only then."""
     import semistream.modelkit as modelkit
 
-    model, image, _ = toy_pair(3)
+    prepared, image, _ = toy_pair(3)
+    model = dataclasses.replace(prepared)  # a new model object, without a verdict yet
     calls = []
     real = modelkit.validate_graph
     monkeypatch.setattr(modelkit, "validate_graph", lambda g: calls.append(g) or real(g))
@@ -412,6 +418,105 @@ def test_later_frames_build_no_constants_or_taps(monkeypatch):
     assert np.array_equal(other.data, run_model_naive(model, pixels, Rounding.NEAREST))
     assert rescales == []
     assert signed == []
+
+
+def test_a_first_frame_makes_one_rescale_pass(monkeypatch):
+    """A model's first frame builds its records in one segmented
+    rescale_constants pass over every rescaling layer, after one over
+    every shortcut's operand tables, in every mode; later frames build
+    none."""
+    import semistream.engines as engines
+
+    calls = []
+    real = engines.rescale_constants
+    monkeypatch.setattr(engines, "rescale_constants",
+                        lambda *a, **k: calls.append("starts" in k) or real(*a, **k))
+    for mode in ("sequential", "stream", "threads"):
+        model, image, _ = toy_pair(1)  # two shortcut additions
+        calls.clear()
+        for _ in range(3):
+            run_inference(model, image, mode=mode)
+        assert calls == [False, True]
+
+
+def test_the_earlier_of_two_contract_faults_is_named():
+    """Two depthwise layers break their engine's stride contract; every
+    mode names the earlier one, on every frame, and no layer gets a
+    record."""
+    graph = build_model([BlockSpec(1, 16, 2), BlockSpec(2, 16, 2)], 4, seed=5,
+                        include_head=False)
+    dwcs = [i for i, l in enumerate(graph.layers) if l.kind is Kind.DWC]
+    for i, stride in zip(dwcs, (3, 4)):  # 2x2 -> 1x1 and 1x1 -> 1x1 at either stride
+        graph.layers[i] = dataclasses.replace(graph.layers[i], stride=stride)
+    model = prepare(graph)
+    image = image_to_qtensor(np.zeros((4, 4, 3), dtype=np.uint8), model)
+    for mode in ("sequential", "stream", "threads", "stream", "sequential", "threads"):
+        with pytest.raises(ShapeError, match="depthwise stride 3 unsupported"):
+            run_inference(model, image, mode=mode)
+    assert not any("_record" in l.__dict__ for l in model.layers)
+
+
+def test_a_model_without_layers_raises_its_verdict():
+    model = PreparedModel(layers=[], resolution=8, width_multiplier=1.0, seed=None,
+                          rounding=Rounding.NEAREST)
+    image = QTensor(8, 8, 3, np.zeros((8, 8, 3), dtype=np.uint8), 0, 1.0)
+    for mode in ("sequential", "stream", "threads"):
+        with pytest.raises(DomainError, match="graph has no layers"):
+            run_inference(model, image, mode=mode)
+
+
+def test_a_prepared_model_is_validated_once(monkeypatch):
+    """prepare validates the graph and sets the model's verdict, so no
+    first frame validates the padded model again."""
+    import semistream.modelkit as modelkit
+
+    graph = build_model([BlockSpec(2, 24, 1), BlockSpec(3, 24, 1)], 8, seed=2)
+    calls = []
+    real = modelkit.validate_graph
+    monkeypatch.setattr(modelkit, "validate_graph", lambda g: calls.append(g) or real(g))
+    for mode in ("sequential", "stream", "threads"):
+        calls.clear()
+        model = prepare(graph)
+        image = image_to_qtensor(np.zeros((8, 8, 3), dtype=np.uint8), model)
+        run_inference(model, image, mode=mode)
+        model.rounds
+        assert calls == [graph]
+
+
+def test_an_entry_convolution_off_the_lanes_is_validated_after_padding():
+    """The one layer prepare does not pad is the entry convolution, which
+    its engine fixes at 32 filters: with 20 the padded next layer no
+    longer chains from it, so the prepared model's verdict is found on
+    its first frame and raised in every mode."""
+    layers = build_model([BlockSpec(1, 16, 1)], 8, seed=4, include_head=False).layers
+    def cut(layer, w, **changes):  # the layer on the filter bank w, a slice of its own
+        f = layer.filters
+        n = w.shape[3]
+        return dataclasses.replace(layer, **changes, filters=dataclasses.replace(
+            f, in_channels=w.shape[2], out_channels=n, weights=w,
+            zero_points=f.zero_points[:n], scales=f.scales[:n], biases=f.biases[:n]))
+
+    c2d, dwc, pro = layers[:3]
+    layers[:3] = [cut(c2d, c2d.filters.weights[..., :20], out_ch=20),
+                  cut(dwc, dwc.filters.weights[..., :20], in_ch=20, out_ch=20),
+                  cut(pro, pro.filters.weights[:, :, :20], in_ch=20)]
+    graph = ModelGraph(layers, 8)
+    validate_graph(graph)
+    model = prepare(graph)
+    image = image_to_qtensor(np.zeros((8, 8, 3), dtype=np.uint8), model)
+    for mode in ("sequential", "stream", "threads"):
+        with pytest.raises(DomainError, match="layer 1 input .* does not chain"):
+            run_inference(model, image, mode=mode)
+
+
+def test_prepared_models_pass_validate_graph(standard):
+    """Padding keeps every rule validate_graph checks, which is what lets
+    prepare set the model's verdict."""
+    models = [toy_model(seed, include_head=bool(seed % 2)) for seed in range(10)]
+    models += [prepare(build_mobilenet_v2(0.5, 64, seed=1)), standard]
+    for model in models:
+        assert model.verdict is None
+        validate_graph(model)
 
 
 def _with_layers(model, layers):
@@ -780,6 +885,91 @@ def test_random_graphs_survive_a_package_and_match_the_oracle(case, pixel_seed):
     for mode in ("sequential", "stream", "threads"):
         got = run_inference(loaded, image, mode=mode)
         np.testing.assert_array_equal(got.logits.data, want)
+
+
+def _reference_record(layer):
+    """A layer's (rescale, taps, add_tables), built layer by layer and
+    operand by operand: the record compile_records must produce."""
+    bound, p = check_acc_bound(layer), layer.add_params
+    mults, tables = layer.mults, None
+    if p is not None:
+        mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
+        codes = np.arange(256, dtype=np.int64)
+        tables = {rounding: tuple(
+            apply_rescale((codes - zero) << p.pre_shift, rescale_constants(m.mult, m.shift),
+                          rounding)
+            for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2)))
+            for rounding in Rounding}
+        bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
+    f, taps, bias = layer.filters, None, None
+    if f is not None:
+        signed = f.weights.astype(np.int64) - f.zero_points
+        sums = signed.sum(axis=(0, 1, 2))
+        bias = f.biases - layer.in_zero * sums
+        taps = (signed.reshape(27, 32).astype(np.float32) if layer.kind is Kind.C2D else
+                signed[:, :, 0, :].astype(np.float32) if layer.kind is Kind.DWC else
+                signed[0, 0].astype(np.int16))
+    elif layer.kind is Kind.AVGPOOL:
+        bias = -layer.in_h * layer.in_w * layer.in_zero
+    rescale = None
+    if mults is not None:
+        rescale = rescale_constants(np.array(mults.mult), np.array(mults.shift), bound, bias)
+    return rescale, taps, tables
+
+
+def check_records_match_the_reference(model) -> list:
+    """Every compiled record of the model equals the layer-by-layer
+    reference, field by field, shapes and dtypes included; returns the
+    rescales."""
+    rescales = []
+    for layer, rec in zip(model.layers, compile_records(model.layers)):
+        want, taps, tables = _reference_record(layer)
+        assert (rec.rescale is None) == (want is None)
+        if want is not None:
+            rescales.append(rec.rescale)
+            assert rec.rescale.ties == want.ties
+            for got_v, want_v in zip(rec.rescale[:5], want[:5]):
+                assert (got_v is None) == (want_v is None)
+                if want_v is not None:
+                    assert np.shape(got_v) == np.shape(want_v)
+                    np.testing.assert_array_equal(got_v, want_v)
+                    assert not got_v.flags.writeable and got_v.flags.c_contiguous
+        assert (rec.taps is None) == (taps is None)
+        if taps is not None:
+            assert rec.taps.dtype == taps.dtype and rec.taps.shape == taps.shape
+            np.testing.assert_array_equal(rec.taps, taps)
+        assert (rec.add_tables is None) == (tables is None)
+        if tables is not None:
+            assert set(rec.add_tables) == set(tables)
+            for rounding, pair in tables.items():
+                for got_t, want_t in zip(rec.add_tables[rounding], pair):
+                    assert got_t.shape == (256,) and not got_t.flags.writeable
+                    np.testing.assert_array_equal(got_t, want_t)
+    return rescales
+
+
+@pytest.mark.parametrize("rounding", list(Rounding))
+def test_compiled_records_equal_a_layer_by_layer_reference(rounding):
+    """One whole-model compile gives every record of mnv2 0.5/64 and of
+    ten toy models what a layer-by-layer build gives, both shift forms
+    and both tie verdicts included."""
+    model = prepare(build_mobilenet_v2(0.5, 64, seed=1), rounding)
+    rescales = check_records_match_the_reference(model)
+    assert len(rescales) == 64
+    assert sum(np.ndim(r.shifts) == 1 for r in rescales) == 7  # per-channel shifts
+    assert sum(r.ties for r in rescales) == 10  # a tie is possible
+    for seed in range(10):
+        check_records_match_the_reference(toy_model(seed, rounding=rounding))
+
+
+@given(case=block_graphs())
+@settings(max_examples=20, deadline=None)
+def test_random_graphs_compile_the_reference_records(case):
+    """A prepared random graph passes validate_graph itself, and compiles
+    the layer-by-layer reference records."""
+    model = prepare(*case)
+    validate_graph(model)
+    check_records_match_the_reference(model)
 
 
 @st.composite

@@ -465,6 +465,29 @@ def test_prepare_and_load_encode_each_model_in_one_call(tmp_path, monkeypatch):
     assert len(calls) == 2 and calls[0] == calls[1]
 
 
+def test_prepare_and_load_rebuild_few_layers(tmp_path, monkeypatch):
+    """prepare rebuilds each filter layer once, on its own padded copy of
+    the bank, an addition or pooling layer only where its channels need
+    padding, and each layer that gains derived parameters once more;
+    load_package rebuilds only the layers that gain them. On mnv2 0.5/64,
+    of 71 layers: 53 filter layers, 3 additions of 8 or 12 channels and
+    64 rescaling layers in prepare, the 64 in load_package."""
+    graph = build_mobilenet_v2(0.5, 64, seed=1)
+    rebuilt = []
+    real = dataclasses.replace
+    monkeypatch.setattr(dataclasses, "replace", lambda obj, /, **changes: (
+        rebuilt.append(obj) if isinstance(obj, LayerDesc) else None) or real(obj, **changes))
+    model = prepare(graph)
+    assert len(model.layers) == 71 and len(rebuilt) == 53 + 3 + 64
+    for given, layer in zip(graph.layers, model.layers):
+        kept = given.filters is None and given.residual_from is None and (
+            given.out_ch % LANES == 0) and given.kind is Kind.ADD
+        assert (layer is given) == kept  # an aligned pass-through slot is the graph's own
+    rebuilt.clear()
+    load_package(save_package(model, tmp_path))
+    assert len(rebuilt) == 64
+
+
 def test_prepare_pass_counts():
     model = prepare(build_mobilenet_v2(seed=0, resolution=32))
     for l in model.layers:

@@ -94,3 +94,21 @@ def test_the_layer_order_is_checked_in_one_place():
             if any("PlanError" in _references(n) for n in raises):
                 raisers.append(f"{path.name}: {fn.name}")
     assert raisers == ["modelkit.py: validate_graph"]
+
+
+def test_rescale_constants_are_built_by_the_whole_model_compiler_only():
+    """In engines.py, rescale_constants is called only by compile_records
+    and by the bulk table builder that only compile_records calls, and
+    layer_record compiles through compile_records: no per-layer rescale
+    path exists."""
+    tree = ast.parse((SRC / "engines.py").read_text())
+    callers: dict[str, set[str]] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(name, set()).add(fn.name)
+    assert callers["rescale_constants"] == {"compile_records", "_add_tables"}
+    assert callers["_add_tables"] == {"compile_records"}
+    assert "layer_record" in callers["compile_records"]
