@@ -18,16 +18,14 @@ from .errors import (
     ShapeError,
 )
 from .quantcore import (
-    AddParams,
-    MultShift,
     Rounding,
     narrow_bias,
     pack_multipliers,
-    quantize_multiplier,
     requantize_array,
 )
 from .modelkit import (
     ACC_BOUND,
+    AddParams,
     BlockSpec,
     Kind,
     LayerDesc,

@@ -106,11 +106,10 @@ from .modelkit import (
 )
 from .perfmodel import EngineStats, layer_cost
 from .quantcore import (
-    AddParams,
+    ADD_PRE_SHIFT,
     Rescale,
     Rounding,
     apply_rescale,
-    pack_multipliers,
     rescale_constants,
 )
 
@@ -124,25 +123,24 @@ class LayerRecord:
     """What a layer's kernels read, compiled once per model, in whole-model
     passes (compile_records), and kept on each layer object.
 
-    A layer gets a record only if it meets its engine's fixed shape
-    contract and its accumulator bound, so its kernel checks neither.
-    kernel is the kind's array kernel (KERNELS); rescale holds
-    read-only, C-contiguous per-channel constants of the layer's mults
-    (of an addition's mult3), slices of the arrays one rescale pass
-    built for the whole model, or None for a layer without them. Its
-    offsets hold the bias the engine's raw sums lack, times the
-    multiplier: the layer's biases, minus in_zero times each filter's
-    tap sum for every MAC engine (for PRO and EXP the column sum of
-    W - zw), and -pixels * in_zero for pooling. The rest is None except
-    on the layers that use it, and read-only: taps are the
-    zero-corrected weights of a MAC engine, which it applies to raw
-    codes: the entry (27 x 32) or depthwise (3 x 3 x C) taps as
-    float32, and a pointwise layer's (in_ch, out_ch) bank W - zw as
+    A layer gets a record only if it meets its engine's fixed shape contract
+    and its accumulator bound, so its kernel checks neither. kernel is the
+    kind's array kernel (KERNELS); rescale holds read-only, C-contiguous
+    per-channel constants of the layer's mults (of an addition's output
+    pair, add_params.mults[2]), slices of the arrays one rescale pass built
+    for the whole model, or None for a layer without them. Its offsets hold
+    the bias the engine's raw sums lack, times the multiplier: the layer's
+    biases, minus in_zero times each filter's tap sum for every MAC engine
+    (for PRO and EXP the column sum of W - zw), and -pixels * in_zero for
+    pooling. The rest is None except on the layers that use it, and
+    read-only: taps are the zero-corrected weights of a MAC engine, which it
+    applies to raw codes: the entry (27 x 32) or depthwise (3 x 3 x C) taps
+    as float32, and a pointwise layer's (in_ch, out_ch) bank W - zw as
     int16, exact since every entry lies in [-255, 255], which fold_gemm
-    reads slice by slice; add_tables maps each Rounding to an
-    addition's two 256-entry per-code tables, rows of the model's
-    (n_shortcuts, 2, 256) tables. The layer's cost is not
-    here: perfmodel.layer_cost reads it off the geometry.
+    reads slice by slice; add_tables maps each Rounding to an addition's two
+    256-entry per-code tables, rows of the model's (n_shortcuts, 2, 256)
+    tables. The layer's cost is not here: perfmodel.layer_cost reads it off
+    the geometry.
     """
 
     kernel: Callable[..., np.ndarray]
@@ -156,40 +154,42 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _add_tables(params: list[AddParams]) -> tuple[dict, np.ndarray]:
-    """Per-code operand tables of every given addition, one array per rounding.
+def _add_tables(layers: list[LayerDesc]) -> tuple[dict, np.ndarray]:
+    """Per-code operand tables of every given shortcut addition, one array per rounding.
 
     Each operand is rescaled on its own before the sum (Jacob et al.,
     arXiv 1712.05877), so its rescaled value is a function of one uint8
-    code: T[a] = rescale((a - zero) << pre_shift, mult). Maps each
-    Rounding to one read-only (n, 2, 256) int64 array, in which addition
-    k's input and residual tables are [k, 0] and [k, 1], and returns it
-    with each addition's NEAREST bound max|T1| + max|T2|. All 2n operands
-    share one rescale_constants call, and each rounding one
+    code: T[a] = rescale((a - zero) << ADD_PRE_SHIFT, mult), with the
+    layer's in_zero and its add_params.mults[0] for the input, and
+    add_params.in2_zero and add_params.mults[1] for the residual. Maps
+    each Rounding to one read-only (n, 2, 256) int64 array, in which
+    addition k's input and residual tables are [k, 0] and [k, 1], and
+    returns it with each addition's NEAREST bound max|T1| + max|T2|. All
+    2n operands share one rescale_constants call, and each rounding one
     apply_rescale pass, on its own copy of the operands since it works
     in place. Raises DomainError for the first addition, in order,
-    unless (max|T1| + max|T2|) * mult3 < 2**62 under both roundings, the
+    unless (max|T1| + max|T2|) times its output multiplier,
+    add_params.mults[2], is below 2**62 under both roundings, the
     precondition of the final rescale; normalized multipliers always
-    meet it (each |T| < 2**28, mult3 < 2**32).
+    meet it (each |T| < 2**28, every mult < 2**32).
     """
-    operands = [(p.mult1, p.mult2) for p in params]
-    zeros = np.array([(p.in1_zero, p.in2_zero) for p in params], dtype=np.int64)
-    pre = np.array([p.pre_shift for p in params], dtype=np.int64)
-    codes = (np.arange(256, dtype=np.int64) - zeros[:, :, None]) << pre[:, None, None]
-    r = rescale_constants(np.array([[m.mult for m in o] for o in operands])[:, :, None],
-                          np.array([[m.shift for m in o] for o in operands])[:, :, None])
+    pairs = np.stack([l.add_params.mults for l in layers])  # (n, 3) (mult, shift) records
+    zeros = np.array([(l.in_zero, l.add_params.in2_zero) for l in layers], dtype=np.int64)
+    codes = (np.arange(256, dtype=np.int64) - zeros[:, :, None]) << ADD_PRE_SHIFT
+    operands = pairs[:, :2, None]
+    r = rescale_constants(operands["mult"], operands["shift"])
     tables = {rounding: _read_only(apply_rescale(codes.copy(), r, rounding))
               for rounding in Rounding}
     worst = {rounding: np.abs(t).max(axis=2).sum(axis=1) for rounding, t in tables.items()}
-    # worst * mult3 < 2**62, without the int64 product
-    limits = np.array([((1 << 62) - 1) // p.mult3.mult for p in params])
+    # worst * mult < 2**62 for the output multiplier, without the int64 product
+    limits = ((1 << 62) - 1) // pairs["mult"][:, 2]
     over = np.flatnonzero(np.any([w > limits for w in worst.values()], axis=0))
     if over.size:
         k = over[0]
         reach = next(int(w[k]) for w in worst.values() if w[k] > limits[k])
         raise DomainError(
-            f"addition sums reach {reach}, and times mult3 not below 2**62: "
-            "the output rescale would overflow int64"
+            f"addition sums reach {reach}, and times the output multiplier not below "
+            "2**62: the output rescale would overflow int64"
         )
     return tables, worst[Rounding.NEAREST]
 
@@ -263,15 +263,12 @@ def compile_records(layers: Sequence[LayerDesc]) -> tuple[LayerRecord, ...]:
             fault = e
             break
     adds = [k for k, l in enumerate(todo[:len(bounds)]) if l.add_params is not None]
-    tables, add_bounds = _add_tables([todo[k].add_params for k in adds]) if adds else ({}, [])
+    tables, add_bounds = _add_tables([todo[k] for k in adds]) if adds else ({}, [])
     if fault is not None:
         raise fault
     for k, b in zip(adds, add_bounds):
         bounds[k] = int(b)
-    mult3 = pack_multipliers([todo[k].add_params.mult3.mult for k in adds],
-                             [todo[k].add_params.mult3.shift for k in adds])
     # each layer's (mult, shift) rows, flattened to int64 pairs
-    add_rows = iter(np.asarray(mult3).view(np.int64).reshape(-1, 2))
     rows, seg_bounds, biases, tap_sums, zeros, taps_of = [], [], [], [], [], []
     for l, bound in zip(todo, bounds):
         f, taps, tap_sum = l.filters, None, None
@@ -285,8 +282,8 @@ def compile_records(layers: Sequence[LayerDesc]) -> tuple[LayerRecord, ...]:
             taps = _read_only(_signed_weights(f, np.int16)[0, 0])
             tap_sum = taps.sum(axis=0, dtype=np.int32)
         taps_of.append(taps)
-        if l.add_params is not None:
-            rows.append(next(add_rows))
+        if l.add_params is not None:  # the addition's output pair
+            rows.append(np.asarray(l.add_params.mults[2:]).view(np.int64))
             biases.append(np.zeros(1, np.int64))
             tap_sums.append(np.zeros(1, np.int64))
         elif l.mults is not None:
@@ -620,7 +617,7 @@ def add_elements(
     t1, t2 = rec.add_tables[rounding]
     t = t1.take(a1)
     t += t2.take(a2)
-    return _narrow_uint8(apply_rescale(t, rec.rescale, rounding), layer.add_params.out_zero)
+    return _narrow_uint8(apply_rescale(t, rec.rescale, rounding), layer.out_zero)
 
 
 def _passthrough(data: np.ndarray, layer: LayerDesc, rounding: Rounding, probe=None) -> np.ndarray:

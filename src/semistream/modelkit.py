@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError, PlanError, SemistreamError
 from .quantcore import (
-    AddParams,
-    MultShift,
+    ADD_PRE_SHIFT,
     Rounding,
     bias_limits,
     first_bad_factor,
@@ -196,6 +195,32 @@ class QFilterSet:
 
 
 @dataclass(frozen=True, eq=False)
+class AddParams:
+    """What a shortcut addition derives beyond its own edges.
+
+    mults is a read-only 3-row record array of (mult, shift) pairs, a
+    slice of the model's one packed array (pack_multipliers), in operand
+    order: the input's and the residual's rescale onto the shared
+    intermediate scale, after the ADD_PRE_SHIFT headroom shift, then the
+    sum's rescale onto the output (_factors). in2_zero is the residual
+    operand's zero point, its source's out_zero. The input and output
+    zero points are the layer's own in_zero and out_zero. Outputs clamp
+    to [0, 255].
+    """
+
+    mults: np.recarray
+    in2_zero: int
+
+    def __post_init__(self):
+        if np.shape(self.mults) != (3,):
+            raise DomainError("a shortcut has three rescale pairs: input, residual, output")
+        if not (0 <= self.in2_zero <= 255):
+            raise DomainError(f"residual zero point {self.in2_zero} outside [0, 255]")
+
+    __eq__ = _fields_equal
+
+
+@dataclass(frozen=True, eq=False)
 class LayerDesc:
     """One layer of the graph plus everything its engine needs to run it.
 
@@ -221,7 +246,8 @@ class LayerDesc:
     orig_out_ch: int = 0
     # derived by prepare() and load_package(); mults is a read-only record
     # array of one (mult, shift) pair per output channel, a slice of the
-    # model's one packed array (pack_multipliers)
+    # model's one packed array (pack_multipliers), and None on an addition,
+    # whose three pairs are the slice add_params.mults
     mults: np.recarray | None = None
     add_params: AddParams | None = None
 
@@ -668,7 +694,7 @@ def _factors(l: LayerDesc, layers: list[LayerDesc]) -> np.ndarray | None:
         s1, s2, so = l.in_scale, layers[l.residual_from].out_scale, l.out_scale
         smax = max(s1, s2)
         return np.array((s1 / (2.0 * smax), s2 / (2.0 * smax),
-                         2.0 * smax / (float(1 << 20) * so)))
+                         2.0 * smax / (float(1 << ADD_PRE_SHIFT) * so)))
     return None
 
 
@@ -680,8 +706,8 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
     factors and every shortcut addition's three are concatenated in
     layer order and encoded once (first_bad_factor, quantize_multipliers,
     pack_multipliers): the model has one read-only array of multiplier/
-    shift pairs, each layer's mults is a read-only slice of it, and each
-    AddParams is read off the same encoding. Every bias is checked
+    shift pairs, and each layer's mults, or each shortcut's
+    AddParams.mults, is a read-only slice of it. Every bias is checked
     against its engine's lane width (BIAS_BITS) in one pass over all
     banks. Errors keep the order of a layer-by-layer derivation: the
     earliest failing layer is the one named, and within a layer the
@@ -742,9 +768,7 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
     for l, s, e in zip(layers, starts, ends):
         if l.kind is Kind.ADD and s < e:
             l = dataclasses.replace(l, add_params=AddParams(
-                *(MultShift(int(mults[k]), int(shifts[k])) for k in range(s, e)),
-                in1_zero=l.in_zero, in2_zero=layers[l.residual_from].out_zero,
-                out_zero=l.out_zero))
+                rows[s:e].view(np.recarray), layers[l.residual_from].out_zero))
         elif s < e:
             l = dataclasses.replace(l, mults=rows[s:e].view(np.recarray))
         derived.append(l)

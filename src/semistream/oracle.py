@@ -61,13 +61,12 @@ def naive_quant_layer(
         if residual is None:
             raise DomainError("shortcut layer needs its residual operand")
         p = layer.add_params
+        # pairs of input, residual and output; operands get 20 bits of headroom
+        mult, shift = p.mults.mult, p.mults.shift
         r = np.asarray(residual, dtype=np.int64)
-        a1 = _rescale((x - p.in1_zero) << p.pre_shift,
-                      np.int64(p.mult1.mult), np.int64(p.mult1.shift), rounding)
-        a2 = _rescale((r - p.in2_zero) << p.pre_shift,
-                      np.int64(p.mult2.mult), np.int64(p.mult2.shift), rounding)
-        out = _rescale(a1 + a2, np.int64(p.mult3.mult), np.int64(p.mult3.shift),
-                       rounding) + p.out_zero
+        a1 = _rescale((x - layer.in_zero) << 20, mult[0], shift[0], rounding)
+        a2 = _rescale((r - p.in2_zero) << 20, mult[1], shift[1], rounding)
+        out = _rescale(a1 + a2, mult[2], shift[2], rounding) + layer.out_zero
         return np.clip(out, 0, 255).astype(np.uint8)
 
     if layer.kind in (Kind.C2D, Kind.DWC):

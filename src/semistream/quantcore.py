@@ -3,10 +3,10 @@
 Everything on the inference path works on integers. Real-valued rescale
 factors appear only while deriving parameters ahead of time: a factor
 m in (0, 1) is encoded as a 32-bit multiplier plus a right shift, one
-whole array of factors at a time (quantize_multipliers; the scalar
-quantize_multiplier wraps it, so the encoding exists once); a model
-keeps its pairs as one read-only record array (pack_multipliers), of
-which each layer holds a slice.
+whole array of factors at a time (quantize_multipliers, the one
+encoding); a model keeps its pairs as one read-only record array
+(pack_multipliers), of which each layer holds a slice, a shortcut
+addition its three operand pairs.
 Applying one to an accumulator is a 64-bit multiply, one offset add
 and a rounding shift over whole arrays, in place on an int64
 accumulator the caller owns (apply_rescale, with the per-channel
@@ -25,7 +25,6 @@ The module also validates narrow bias storage (bias_limits, narrow_bias).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -40,6 +39,9 @@ MAX_SHIFT = 255
 #: The smallest rescale factor whose shift fits MAX_SHIFT: np.frexp puts
 #: 2**-224 at exponent -223, which needs a shift of MULT_BITS + 223.
 MIN_FACTOR = 2.0 ** (MULT_BITS - 1 - MAX_SHIFT)
+#: Bits a shortcut addition shifts each re-centred operand left by, for
+#: headroom, before rescaling it onto the shared intermediate scale.
+ADD_PRE_SHIFT = 20
 
 
 class Rounding(Enum):
@@ -52,55 +54,6 @@ class Rounding(Enum):
 
     NEAREST = "nearest"
     TRUNCATE = "truncate"
-
-
-@dataclass(frozen=True)
-class MultShift:
-    """Fixed-point encoding of a real scalar m in (0, 1).
-
-    The represented value is mult * 2**-shift. mult is normalized to
-    [2**31, 2**32), so shift equals 32 plus the number of doublings
-    needed to bring m into [0.5, 1).
-    """
-
-    mult: int
-    shift: int
-
-    def __post_init__(self):
-        if not (MULT_MIN <= self.mult <= MULT_MAX):
-            raise DomainError(f"multiplier {self.mult} not normalized to [2^31, 2^32)")
-        if not (MULT_BITS <= self.shift <= MAX_SHIFT):
-            raise DomainError(f"shift {self.shift} outside [{MULT_BITS}, {MAX_SHIFT}]")
-
-    @property
-    def value(self) -> float:
-        """The real scalar this pair encodes."""
-        return self.mult * 2.0 ** -self.shift
-
-
-@dataclass(frozen=True)
-class AddParams:
-    """Parameters of the two-input residual addition.
-
-    Both inputs are re-centered, pre-shifted left by ``pre_shift`` bits
-    for headroom and rescaled to a shared intermediate scale; the sum is
-    then rescaled to the output quantization. Outputs clamp to [0, 255].
-    """
-
-    mult1: MultShift
-    mult2: MultShift
-    mult3: MultShift
-    in1_zero: int
-    in2_zero: int
-    out_zero: int
-    pre_shift: int = 20
-
-    def __post_init__(self):
-        for name, z in (("in1", self.in1_zero), ("in2", self.in2_zero), ("out", self.out_zero)):
-            if not (0 <= z <= 255):
-                raise DomainError(f"{name} zero point {z} outside [0, 255]")
-        if self.pre_shift != 20:
-            raise DomainError("the addition pre-shift is fixed at 20 bits")
 
 
 def first_bad_factor(m: np.ndarray) -> tuple[int, str] | None:
@@ -158,23 +111,16 @@ def quantize_multipliers(
     return mults, shifts
 
 
-def quantize_multiplier(m: float, rounding: Rounding = Rounding.NEAREST) -> MultShift:
-    """Encode one real scalar m in (0, 1) as a MultShift pair (quantize_multipliers)."""
-    if not isinstance(m, (int, float)):
-        raise DomainError(f"rescale factor {m!r} is not a finite number")
-    mults, shifts = quantize_multipliers(np.array([m], dtype=np.float64), rounding)
-    return MultShift(int(mults[0]), int(shifts[0]))
-
-
 def pack_multipliers(mults, shifts) -> np.recarray:
     """Per-channel multiplier and shift vectors as one read-only record array.
 
     packed.mult and packed.shift are its int64 columns, packed[c].mult
     and packed[c].shift one channel's pair. Raises DomainError, naming
     the first bad channel, for a multiplier outside [2**31, 2**32) or a
-    shift outside [32, 255], the ranges MultShift keeps. The derivation
-    packs a whole model's pairs in one call, so a layer's mults may be a
-    read-only slice of the model's array rather than an array of its own.
+    shift outside [32, 255], the ranges quantize_multipliers yields. The
+    derivation packs a whole model's pairs in one call, so a layer's
+    mults, or a shortcut's three pairs, may be a read-only slice of the
+    model's array rather than an array of its own.
     """
     mults = np.asarray(mults, dtype=np.int64)
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -330,9 +276,9 @@ def apply_rescale(
     The result is not clamped; the engines add the output zero point as
     they clamp it to uint8.
 
-    Preconditions: every mult is positive (pack_multipliers and
-    MultShift keep it in [2**31, 2**32)), so sign(p) == sign(acc + bias)
-    for the product p = (acc + bias) * mult; every shift is at least 1;
+    Preconditions: every mult is positive (pack_multipliers keeps it in
+    [2**31, 2**32)), so sign(p) == sign(acc + bias) for the product
+    p = (acc + bias) * mult; every shift is at least 1;
     and |acc|, |bias| and |acc + bias| are each at most a bound B with
     B * mult < 2**62, so no int64 product can overflow. A per-layer
     accumulator bound (modelkit.ACC_BOUND) gives B; rescale_constants

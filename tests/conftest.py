@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from semistream.modelkit import (
+    AddParams,
     BlockSpec,
     Kind,
     LayerDesc,
@@ -29,10 +30,9 @@ from semistream.modelkit import (
     prepare,
 )
 from semistream.quantcore import (
-    AddParams,
-    MultShift,
     Rounding,
-    quantize_multiplier,
+    pack_multipliers,
+    quantize_multipliers,
 )
 
 
@@ -48,17 +48,26 @@ def nearest_ties_away(q: Fraction) -> int:
     return t if n >= 0 else -t
 
 
+def encode(factors, rounding: Rounding = Rounding.NEAREST) -> np.recarray:
+    """Real factors in (0, 1) as the read-only packed (mult, shift) pairs
+    the derivation gives them (quantize_multipliers, pack_multipliers)."""
+    return pack_multipliers(*quantize_multipliers(np.array(factors, dtype=np.float64),
+                                                  rounding))
+
+
 def rational_requant(
     acc: int,
-    ms: MultShift,
+    ms,
     out_zero: int = 0,
     rounding: Rounding = Rounding.NEAREST,
 ) -> int:
     """Apply mult * 2**-shift to acc in exact rational arithmetic.
 
-    ms is a MultShift or one channel of a packed array, layer.mults[c].
+    ms is one (mult, shift) pair: one channel of a packed array,
+    layer.mults[c], or a (mult, shift) tuple.
     """
-    q = Fraction(int(acc) * int(ms.mult), 1 << int(ms.shift))
+    mult, shift = ms
+    q = Fraction(int(acc) * int(mult), 1 << int(shift))
     if rounding is Rounding.TRUNCATE:
         return math.floor(q) + out_zero
     return nearest_ties_away(q) + out_zero
@@ -216,23 +225,18 @@ def add_layer(
     z1 = int(rng.integers(0, 256))
     zo = z1 if equal_scales else int(rng.integers(0, 256))
     params = AddParams(
-        mult1=quantize_multiplier(s1 / (2.0 * smax)),
-        mult2=quantize_multiplier(s2 / (2.0 * smax)),
-        mult3=quantize_multiplier(2.0 * smax / ((1 << 20) * so)),
-        in1_zero=z1,
+        encode([s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / ((1 << 20) * so)]),
         in2_zero=z1 if equal_scales else int(rng.integers(0, 256)),
-        out_zero=zo,
     )
-    layer = LayerDesc(
+    return LayerDesc(
         kind=Kind.ADD,
         in_h=h, in_w=w, in_ch=ch,
         out_h=h, out_w=w, out_ch=ch,
-        in_scale=s1, in_zero=params.in1_zero,
-        out_scale=so, out_zero=params.out_zero,
+        in_scale=s1, in_zero=z1,
+        out_scale=so, out_zero=zo,
         residual_from=0,
         add_params=params,
     )
-    return layer
 
 
 def qinput(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
@@ -247,7 +251,8 @@ def qinput(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
 def residual_input(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
     """Second operand of an addition, on the add_params edge."""
     p = layer.add_params
-    s2 = p.mult2.value * 2.0 * (layer.in_scale / (2.0 * p.mult1.value))
+    m1, m2, _ = p.mults.mult * 2.0 ** -p.mults.shift
+    s2 = m2 * 2.0 * (layer.in_scale / (2.0 * m1))
     return QTensor(
         layer.in_h, layer.in_w, layer.in_ch,
         rng.integers(0, 256, size=(layer.in_h, layer.in_w, layer.in_ch), dtype=np.uint8),
@@ -355,10 +360,8 @@ def benign_add_case(
     so, zo = _calibrate_edge(real)
     smax = max(s1, s2)
     params = AddParams(
-        mult1=quantize_multiplier(s1 / (2.0 * smax)),
-        mult2=quantize_multiplier(s2 / (2.0 * smax)),
-        mult3=quantize_multiplier(2.0 * smax / ((1 << 20) * so)),
-        in1_zero=z1, in2_zero=z2, out_zero=zo,
+        encode([s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / ((1 << 20) * so)]),
+        in2_zero=z2,
     )
     layer = LayerDesc(
         kind=Kind.ADD,

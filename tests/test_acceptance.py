@@ -35,8 +35,8 @@ from semistream.perfmodel import (
 )
 from semistream.quantcore import (
     Rounding,
-    quantize_multiplier,
     narrow_bias,
+    quantize_multipliers,
     requantize_array,
 )
 
@@ -277,18 +277,14 @@ def test_criterion_07_streaming_matches_the_oracle(standard224):
 def test_criterion_08_requantization_error_bound():
     rng = np.random.default_rng(8)
     log_lo, log_hi = -20.0, float(np.log2(1.0 - 2.0 ** -20))
-    pairs = []
+    factors, accs = [], []
     for _ in range(REQUANT_PAIRS):
-        m = float(2.0 ** rng.uniform(log_lo, log_hi))
-        x = int(rng.integers(-(1 << 20), (1 << 20) + 1))
-        pairs.append((m, x, quantize_multiplier(m)))
-    results = requantize_array(
-        np.array([x for _, x, _ in pairs]),
-        np.array([ms.mult for _, _, ms in pairs]),
-        np.array([ms.shift for _, _, ms in pairs]),
-    ).tolist()
+        factors.append(float(2.0 ** rng.uniform(log_lo, log_hi)))
+        accs.append(int(rng.integers(-(1 << 20), (1 << 20) + 1)))
+    mults, shifts = quantize_multipliers(np.array(factors))
+    results = requantize_array(np.array(accs), mults, shifts).tolist()
     worst = 0
-    for (m, x, ms), got in zip(pairs, results):
+    for m, x, ms, got in zip(factors, accs, zip(mults.tolist(), shifts.tolist()), results):
         # the integer path must agree exactly with rational arithmetic
         assert got == rational_requant(x, ms)
         want = nearest_ties_away(Fraction(x) * Fraction(m))

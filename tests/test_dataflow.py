@@ -273,12 +273,12 @@ def test_one_layer_record_per_layer(monkeypatch):
         monkeypatch.setattr(engines, "check_acc_bound",
                             lambda l: bound.append(l) or real_bound(l))
         monkeypatch.setattr(engines, "_add_tables",
-                            lambda ps: tables.extend(ps) or real_tables(ps))
+                            lambda ls: tables.extend(ls) or real_tables(ls))
         want = run_inference(model, image, mode="sequential").logits
         for mode in ("sequential", "sequential", "stream", "stream", "stream"):
             assert run_inference(model, image, mode=mode).logits == want
         assert sorted(map(id, bound)) == sorted(map(id, model.layers))
-        shortcuts = [l.add_params for l in model.layers if l.residual_from is not None]
+        shortcuts = [l for l in model.layers if l.residual_from is not None]
         assert len(shortcuts) == (2 if seed == 1 else 0)
         assert sorted(map(id, tables)) == sorted(map(id, shortcuts))
 
@@ -893,12 +893,11 @@ def _reference_record(layer):
     bound, p = check_acc_bound(layer), layer.add_params
     mults, tables = layer.mults, None
     if p is not None:
-        mults = pack_multipliers([p.mult3.mult], [p.mult3.shift])
+        mults = pack_multipliers(p.mults.mult[2:], p.mults.shift[2:])
         codes = np.arange(256, dtype=np.int64)
         tables = {rounding: tuple(
-            apply_rescale((codes - zero) << p.pre_shift, rescale_constants(m.mult, m.shift),
-                          rounding)
-            for zero, m in ((p.in1_zero, p.mult1), (p.in2_zero, p.mult2)))
+            apply_rescale((codes - zero) << 20, rescale_constants(m.mult, m.shift), rounding)
+            for zero, m in zip((layer.in_zero, p.in2_zero), p.mults[:2]))
             for rounding in Rounding}
         bound = sum(int(np.abs(t).max()) for t in tables[Rounding.NEAREST])
     f, taps, bias = layer.filters, None, None

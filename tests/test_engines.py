@@ -5,7 +5,6 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +41,6 @@ from semistream.oracle import naive_quant_layer, run_model_naive
 from semistream.quantcore import (
     MULT_MAX,
     MULT_MIN,
-    MultShift,
     Rounding,
     pack_multipliers,
     quantize_multipliers,
@@ -759,12 +757,12 @@ def _edge_mults(acc: int, rounding: Rounding, n: int) -> np.recarray:
     mults = []
     for c in range(n):
         step = 1 if c % 2 == 0 else -1
-        ms = MultShift(round(Fraction(edge) / (acc + Fraction(step, 2))), shift)
-        assert MULT_MIN <= ms.mult <= MULT_MAX and abs(acc) * ms.mult < 2**62
-        assert (rational_requant(acc, ms, 0, rounding)
-                != rational_requant(acc + step, ms, 0, rounding))
-        mults.append(ms)
-    return pack_multipliers([ms.mult for ms in mults], [ms.shift for ms in mults])
+        mult = round(Fraction(edge) / (acc + Fraction(step, 2)))
+        assert MULT_MIN <= mult <= MULT_MAX and abs(acc) * mult < 2**62
+        assert (rational_requant(acc, (mult, shift), 0, rounding)
+                != rational_requant(acc + step, (mult, shift), 0, rounding))
+        mults.append(mult)
+    return pack_multipliers(mults, [shift] * n)
 
 
 @pytest.mark.parametrize("k", [1280, (ACC_BOUND - 1) // (255 * 255)])
@@ -893,13 +891,35 @@ def test_mult_vectors_follow_reassignment():
             run_layer(x, over)
 
 
-def test_add_record_follows_rebinding_add_params():
-    rng = np.random.default_rng(43)
-    layer = add_layer(rng, h=2, w=3)
-    out_zero = (layer.out_zero + 7) % 256
-    changed = dataclasses.replace(layer, out_zero=out_zero, add_params=dataclasses.replace(
-        layer.add_params, out_zero=out_zero))
-    check_changed_layer_gets_own_record(rng, layer, changed)
+def test_add_record_follows_rebinding_its_zero_points():
+    """A shortcut reads its input and output zero points off the layer
+    itself. Rebinding out_zero alone moves every output code onto the new
+    zero point; rebinding in_zero alone to in_zero + d, with every input
+    code shifted by d, leaves the output as it was. The inputs sit near
+    their zero points, so no output clamps. Each rebound layer compiles
+    its own record and matches the oracle."""
+    rng = np.random.default_rng(5)
+    layer, d = add_layer(rng), 9
+    shape = (layer.in_h, layer.in_w, layer.in_ch)
+
+    def near(zero, hi):
+        return rng.integers(zero - 48, zero + 48, shape).clip(0, hi).astype(np.uint8)
+
+    x = dataclasses.replace(qinput(rng, layer), data=near(layer.in_zero, 255 - d))
+    r = residual_input(rng, layer)
+    r = dataclasses.replace(r, data=near(r.zero_point, 255))
+    before, _ = run_layer(x, layer, r)
+    assert 0 < before.data.min() and before.data.max() < 255 - d  # nothing clamps
+    moved = dataclasses.replace(layer, out_zero=layer.out_zero + d)
+    out, _ = run_layer(x, moved, r)
+    assert out.zero_point == moved.out_zero
+    np.testing.assert_array_equal(out.data, before.data + d)
+    shifted = dataclasses.replace(layer, in_zero=layer.in_zero + d)
+    x = dataclasses.replace(x, data=x.data + d, zero_point=shifted.in_zero)
+    out, _ = run_layer(x, shifted, r)
+    np.testing.assert_array_equal(out.data, before.data)
+    for changed in (moved, shifted):
+        check_changed_layer_gets_own_record(rng, layer, changed)
 
 
 def test_depthwise_record_follows_in_zero():
@@ -982,7 +1002,7 @@ def test_layer_records_hold_no_weight_copies():
             assert rec.taps.dtype == np.float32 and rec.taps.shape == (27, 32)
             other_bytes += rec.taps.nbytes
         elif layer.residual_from is not None:
-            assert len(arrays) == 4 and all(v.size == 1 for v in arrays)  # mult3
+            assert len(arrays) == 4 and all(v.size == 1 for v in arrays)  # output pair
             assert rec.add_tables is not None
         else:  # a pass-through slot
             assert arrays == [] and rec.add_tables is None
@@ -1085,8 +1105,8 @@ def test_add_tables_match_the_oracle_on_every_code_pair(model_rounding):
             # a table entry off by one rarely moves an output code, so
             # the tables are also checked entry by entry
             tables = layer_record(layer).add_tables[rounding]
-            for table, zero, ms in zip(tables, (p.in1_zero, p.in2_zero), (p.mult1, p.mult2)):
-                assert table.tolist() == [rational_requant((a - zero) << p.pre_shift, ms,
+            for table, zero, ms in zip(tables, (layer.in_zero, p.in2_zero), p.mults[:2]):
+                assert table.tolist() == [rational_requant((a - zero) << 20, ms,
                                                            rounding=rounding)
                                           for a in range(256)]
     other = next(r for r in Rounding if r is not model_rounding)
@@ -1099,17 +1119,20 @@ def test_add_tables_match_the_oracle_on_every_code_pair(model_rounding):
 
 
 def test_add_record_checks_its_sum_bound():
-    """The record rejects tables whose sum times mult3 could reach 2**62.
+    """The record rejects tables whose sum times the output multiplier
+    could reach 2**62.
 
-    Normalized multipliers never do, and MultShift rejects a shift below
-    32, so a stand-in carries the raw pair mult 2**31, shift 1 (a scale
-    of 2**30) into the first operand."""
+    Normalized multipliers never do, and pack_multipliers rejects a shift
+    below 32, so a raw record array, built around it, carries the pair
+    mult 2**31, shift 1 (a scale of 2**30) into the first operand."""
     rng = np.random.default_rng(47)
     layer = add_layer(rng, h=2, w=2)
     x1, x2 = qinput(rng, layer), residual_input(rng, layer)
     run_layer(x1, layer, residual=x2)
+    raw = np.array(layer.add_params.mults)  # a writeable copy
+    raw[0] = (2**31, 1)
     layer = dataclasses.replace(layer, add_params=dataclasses.replace(
-        layer.add_params, mult1=SimpleNamespace(mult=2**31, shift=1)))
+        layer.add_params, mults=raw.view(np.recarray)))
     for _ in range(2):  # an over-bound addition never gets a record
         with pytest.raises(DomainError, match="2\\*\\*62"):
             run_layer(x1, layer, residual=x2)

@@ -21,6 +21,7 @@ from semistream.modelkit import (
     ModelGraph,
     QFilterSet,
     QTensor,
+    _factors,
     build_mobilenet_v2,
     build_model,
     check_acc_bound,
@@ -42,10 +43,10 @@ from semistream.quantcore import (
     first_bad_factor,
     narrow_bias,
     pack_multipliers,
-    quantize_multiplier,
+    quantize_multipliers,
 )
 
-from conftest import c2d_layer, pointwise_layer, random_filters, toy_model, toy_pair
+from conftest import c2d_layer, encode, pointwise_layer, random_filters, toy_model, toy_pair
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +195,13 @@ def test_prepare_known_multiplier():
     assert mults.shift.tolist() == [33] * 32
 
 
-#: sha-256 of every derived (mult, shift) column and every AddParams of
-#: mnv2 0.5/64 under both roundings and of toy models 0-7. It was taken
-#: while layers still held lists of MultShift, so it also shows that
-#: packing them into arrays changed no parameter.
+#: sha-256 of every derived (mult, shift) column and every shortcut's
+#: parameters of mnv2 0.5/64 under both roundings and of toy models 0-7.
+#: It was taken while layers still held lists of scalar pairs, so it also
+#: shows that packing them into arrays changed no parameter. A shortcut
+#: hashes the tuple its parameters were once stored as: its three pairs,
+#: its input, residual and output zero points, and the 20-bit headroom
+#: shift.
 PARAMETER_DIGEST = "7b62f757b752f532cb85d020b60bd5d538dd7024ea2e92b69e92b31d5d3c73d0"
 
 
@@ -215,9 +219,8 @@ def test_every_derived_parameter_is_pinned():
                 h.update(np.asarray(layer.mults.shift, dtype="<i8").tobytes())
             p = layer.add_params
             h.update(b"-" if p is None else repr((
-                p.mult1.mult, p.mult1.shift, p.mult2.mult, p.mult2.shift,
-                p.mult3.mult, p.mult3.shift, p.in1_zero, p.in2_zero, p.out_zero,
-                p.pre_shift)).encode())
+                *(v for pair in p.mults.tolist() for v in pair),
+                layer.in_zero, p.in2_zero, layer.out_zero, 20)).encode())
     assert h.hexdigest() == PARAMETER_DIGEST
 
 
@@ -313,14 +316,15 @@ def test_prepare_equal_scale_addition_is_symmetric():
     adds = [l for l in model.layers
             if l.kind is Kind.ADD and l.residual_from is not None]
     assert adds, "toy model draw without a shortcut; pick another seed"
+    half = encode([0.5])[0].tolist()
     for l in adds:
-        p = l.add_params
+        operands = l.add_params.mults[:2].tolist()
         s1 = l.in_scale
         s2 = model.layers[l.residual_from].out_scale
         if s1 == s2:
-            assert p.mult1 == p.mult2 == quantize_multiplier(0.5)
+            assert operands[0] == operands[1] == half
         # the larger-scaled operand always normalizes to exactly 1/2
-        assert max(p.mult1, p.mult2, key=lambda m: m.value) == quantize_multiplier(0.5)
+        assert max(operands, key=lambda m: m[0] * 2.0 ** -m[1]) == half
 
 
 def test_prepare_rejects_accumulators_beyond_2_30():
@@ -463,6 +467,38 @@ def test_prepare_and_load_encode_each_model_in_one_call(tmp_path, monkeypatch):
     assert len(calls) == 1
     load_package(save_package(model, tmp_path))
     assert len(calls) == 2 and calls[0] == calls[1]
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory, down its chain of views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_shortcut_pairs_are_rows_of_the_packed_array(tmp_path):
+    """After prepare and after load_package, each shortcut's
+    add_params.mults is a read-only 3-row slice of the packed array a
+    filter layer's mults slices too, equal to the encoding of its three
+    factors, and its in2_zero is its residual source's out_zero; its
+    own mults stay None."""
+    models = [prepare(build_mobilenet_v2(0.5, 64))] + [toy_pair(seed)[0] for seed in range(8)]
+    shortcuts = 0
+    for k, model in enumerate(models):
+        for m in (model, load_package(save_package(model, tmp_path / str(k)))):
+            packed = _owner(next(l.mults for l in m.layers if l.filters is not None))
+            for l in m.layers:
+                p = l.add_params
+                if p is None:
+                    continue
+                shortcuts += 1
+                assert l.mults is None and p.mults.shape == (3,)
+                assert not p.mults.flags.writeable and np.shares_memory(p.mults, packed)
+                mults, shifts = quantize_multipliers(_factors(l, m.layers), m.rounding)
+                assert p.mults.mult.tolist() == mults.tolist()
+                assert p.mults.shift.tolist() == shifts.tolist()
+                assert p.in2_zero == m.layers[l.residual_from].out_zero
+    assert shortcuts > 2 * 10  # mnv2 0.5/64 has ten, and some toy models more
 
 
 def test_prepare_and_load_rebuild_few_layers(tmp_path, monkeypatch):

@@ -103,12 +103,12 @@ def test_naive_add_exact():
             out = naive_quant_layer(x1.data, layer, residual=x2.data,
                                     rounding=rounding)
             for idx in np.ndindex(2, 2, 16):
-                a1 = (int(x1.data[idx]) - p.in1_zero) << p.pre_shift
-                a2 = (int(x2.data[idx]) - p.in2_zero) << p.pre_shift
-                t1 = rational_requant(a1, p.mult1, 0, rounding)
-                t2 = rational_requant(a2, p.mult2, 0, rounding)
-                want = clip8(rational_requant(t1 + t2, p.mult3,
-                                              p.out_zero, rounding))
+                a1 = (int(x1.data[idx]) - layer.in_zero) << 20
+                a2 = (int(x2.data[idx]) - p.in2_zero) << 20
+                t1 = rational_requant(a1, p.mults[0], 0, rounding)
+                t2 = rational_requant(a2, p.mults[1], 0, rounding)
+                want = clip8(rational_requant(t1 + t2, p.mults[2],
+                                              layer.out_zero, rounding))
                 assert out[idx] == want
 
 

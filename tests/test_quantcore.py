@@ -9,25 +9,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semistream.errors import DomainError, RangeError
-from semistream.modelkit import ACC_BOUND, ModelGraph, prepare
+from semistream.modelkit import ACC_BOUND, AddParams, ModelGraph, prepare
 from semistream.quantcore import (
+    ADD_PRE_SHIFT,
     MAX_SHIFT,
     MULT_BITS,
     MULT_MAX,
     MULT_MIN,
-    AddParams,
-    MultShift,
     Rounding,
     apply_rescale,
     narrow_bias,
     pack_multipliers,
-    quantize_multiplier,
     quantize_multipliers,
     requantize_array,
     rescale_constants,
 )
 
-from conftest import c2d_layer, rational_requant
+from conftest import c2d_layer, encode, rational_requant
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +33,25 @@ from conftest import c2d_layer, rational_requant
 # ---------------------------------------------------------------------------
 
 def test_quantize_multiplier_frozen_values():
-    assert quantize_multiplier(0.5) == MultShift(2147483648, 32)
-    assert quantize_multiplier(2.0 ** -8) == MultShift(2147483648, 39)
-    assert quantize_multiplier(0.375) == MultShift(3221225472, 33)
-    assert quantize_multiplier(1.0 / 49.0) == MultShift(2804876601, 37)
+    mults, shifts = quantize_multipliers(np.array([0.5, 2.0 ** -8, 0.375, 1.0 / 49.0]))
+    assert mults.tolist() == [2147483648, 2147483648, 3221225472, 2804876601]
+    assert shifts.tolist() == [32, 39, 33, 37]
 
 
 def test_quantize_multiplier_rejects_out_of_domain():
     for bad in (0.0, 1.0, 2.0, -0.25, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            quantize_multiplier(bad)
+            quantize_multipliers(np.array([bad]))
     # doubling count would push the shift beyond its 8-bit encoding
     with pytest.raises(DomainError):
-        quantize_multiplier(2.0 ** -230)
+        quantize_multipliers(np.array([2.0 ** -230]))
 
 
 def test_quantize_multiplier_truncate_mode():
     # 1/3 doubled once = 2/3; 2/3 * 2^32 = 2863311530.666..
-    assert quantize_multiplier(1.0 / 3.0, Rounding.TRUNCATE).mult == 2863311530
-    assert quantize_multiplier(1.0 / 3.0, Rounding.NEAREST).mult == 2863311531
+    third = np.array([1.0 / 3.0])
+    assert quantize_multipliers(third, Rounding.TRUNCATE)[0].tolist() == [2863311530]
+    assert quantize_multipliers(third, Rounding.NEAREST)[0].tolist() == [2863311531]
 
 
 def _exact_encoding(m: float, rounding: Rounding) -> tuple[int, int]:
@@ -127,20 +125,11 @@ def test_derivation_names_the_layer_and_channel_of_a_bad_scale(bad):
             prepare(ModelGraph([layer], resolution=224))
 
 
-def test_multshift_validation():
-    with pytest.raises(DomainError):
-        MultShift(MULT_MIN - 1, 33)
-    with pytest.raises(DomainError):
-        MultShift(MULT_MAX + 1, 33)
-    with pytest.raises(DomainError):
-        MultShift(MULT_MIN, 31)
-    with pytest.raises(DomainError):
-        MultShift(MULT_MIN, MAX_SHIFT + 1)
-    assert MultShift(MULT_MIN, 32).value == 0.5
-
-
 def test_pack_multipliers_names_the_first_bad_channel():
-    """The packer keeps the ranges MultShift keeps, at every position."""
+    """The packer keeps the ranges quantize_multipliers yields, at every
+    position, and the smallest pair it keeps, (2**31, 32), is 0.5."""
+    assert pack_multipliers([MULT_MIN], [MULT_BITS])[0].tolist() == (MULT_MIN, 32)
+    assert MULT_MIN * 2.0 ** -MULT_BITS == 0.5
     for column, bad in (("mult", MULT_MIN - 1), ("mult", MULT_MAX + 1),
                         ("shift", MULT_BITS - 1), ("shift", MAX_SHIFT + 1)):
         for at in range(7):
@@ -169,19 +158,19 @@ def test_pack_multipliers_is_a_read_only_record_array():
 @given(st.floats(min_value=2.0 ** -24, max_value=1.0, exclude_max=True))
 @settings(max_examples=300)
 def test_quantize_multiplier_encoding_error(m):
-    ms = quantize_multiplier(m)
+    mult, shift = encode([m])[0]
     # rounding the normalized mantissa costs at most half a ULP of the
     # 32-bit multiplier; the corner just below 1.0 clamps and may cost
     # a full ULP
-    assert abs(m - ms.value) <= 2.0 ** -ms.shift * 1.0000001
+    assert abs(m - mult * 2.0 ** -shift) <= 2.0 ** -shift * 1.0000001
 
 
 @given(st.floats(min_value=1e-7, max_value=0.9999999))
 @settings(max_examples=300)
 def test_quantize_multiplier_normalization(m):
-    ms = quantize_multiplier(m)
-    assert MULT_MIN <= ms.mult <= MULT_MAX
-    assert 32 <= ms.shift <= MAX_SHIFT
+    (mult,), (shift,) = quantize_multipliers(np.array([m]))
+    assert MULT_MIN <= mult <= MULT_MAX
+    assert 32 <= shift <= MAX_SHIFT
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +179,9 @@ def test_quantize_multiplier_normalization(m):
 
 def _requant(accs, ms, rounding=Rounding.NEAREST, out_zero=0, dtype=np.int64):
     """requantize_array over a list of accumulators, as Python ints."""
-    acc = np.array(accs, dtype=dtype)
-    return requantize_array(acc, ms.mult, ms.shift, out_zero, rounding).tolist()
+    mult, shift = ms
+    return requantize_array(np.array(accs, dtype=dtype), mult, shift, out_zero,
+                            rounding).tolist()
 
 
 def test_shift_round_frozen_cases():
@@ -202,17 +192,17 @@ def test_shift_round_frozen_cases():
 
 
 def test_requantize_frozen_cases():
-    ms = quantize_multiplier(0.375)
+    ms = encode([0.375])[0]
     assert _requant([255], ms, Rounding.TRUNCATE) == [95]
     assert _requant([255], ms, Rounding.NEAREST) == [96]
-    assert _requant([100], MultShift(1 << 31, 32)) == [50]
-    assert _requant([0], quantize_multiplier(0.9), out_zero=7) == [7]
+    assert _requant([100], (1 << 31, 32)) == [50]
+    assert _requant([0], encode([0.9])[0], out_zero=7) == [7]
     # negative accumulators keep ties away from zero
-    assert _requant([-3], quantize_multiplier(0.5)) == [-2]
+    assert _requant([-3], encode([0.5])[0]) == [-2]
 
 
 def test_requantize_result_is_unclamped():
-    assert _requant([100], quantize_multiplier(0.9), out_zero=250) == [340]
+    assert _requant([100], encode([0.9])[0], out_zero=250) == [340]
 
 
 @given(st.integers(min_value=-(2 ** 20), max_value=2 ** 20),
@@ -220,14 +210,14 @@ def test_requantize_result_is_unclamped():
        st.sampled_from([Rounding.NEAREST, Rounding.TRUNCATE]))
 @settings(max_examples=400)
 def test_requantize_matches_rational_reference(x, m, rounding):
-    ms = quantize_multiplier(m, rounding)
+    ms = encode([m], rounding)[0]
     assert _requant([x], ms, rounding) == [rational_requant(x, ms, 0, rounding)]
 
 
 @given(st.floats(min_value=2.0 ** -16, max_value=1.0 - 2.0 ** -16))
 @settings(max_examples=200)
 def test_requantize_monotone_in_accumulator(m):
-    ms = quantize_multiplier(m)
+    ms = encode([m])[0]
     for rounding in Rounding:
         outs = _requant([-4096, -100, -3, -1, 0, 1, 2, 77, 5000, 1 << 19], ms, rounding)
         assert outs == sorted(outs)
@@ -239,16 +229,10 @@ def test_requantize_array_matches_scalar():
     for _ in range(20):
         n = int(rng.integers(1, 64))
         acc = rng.integers(-(2 ** 24), 2 ** 24, size=n)
-        ms = [quantize_multiplier(float(m)) for m in 2.0 ** rng.uniform(-10, -0.01, n)]
+        ms = encode(2.0 ** rng.uniform(-10, -0.01, n))
         zp = int(rng.integers(0, 256))
         for rounding in (Rounding.NEAREST, Rounding.TRUNCATE):
-            got = requantize_array(
-                acc,
-                np.array([m.mult for m in ms]),
-                np.array([m.shift for m in ms]),
-                zp,
-                rounding,
-            )
+            got = requantize_array(acc, ms.mult, ms.shift, zp, rounding)
             want = [rational_requant(int(a), m, zp, rounding) for a, m in zip(acc, ms)]
             assert got.tolist() == want
 
@@ -261,9 +245,9 @@ def test_requantize_array_ties_round_away_from_zero():
     negative_ties = {np.int32: 0, np.int64: 0}
     for m0, t in ((1, 31), (3, 30), (5, 29), (40961, 16)):
         for shift in (32, 33, 40, 61):
-            ms = MultShift(m0 << t, shift)
+            ms = (m0 << t, shift)
             accs = [s * k << (shift - 1 - t) for k in (1, 3, 5, 255) for s in (1, -1)]
-            accs = [a for a in accs if abs(a) * ms.mult < 2 ** 62]
+            accs = [a for a in accs if abs(a) * ms[0] < 2 ** 62]
             for dtype in negative_ties:
                 info = np.iinfo(dtype)
                 fit = [a for a in accs if info.min <= a <= info.max]
@@ -280,7 +264,7 @@ def test_requantize_array_large_shifts():
         # MULT_MIN * (2k + 1) * 2**(shift - 32) is an exact tie at this shift
         ties = [s * k << (shift - 32) for k in (1, 3, 255) for s in (1, -1)]
         for mult in (MULT_MIN, 3 << 30, MULT_MAX):
-            ms = MultShift(mult, shift)
+            ms = (mult, shift)
             accs = [2 ** 29, -(2 ** 29), 5, -5, 1, -1, 0]
             accs += [a for a in ties if abs(a) * mult < 2 ** 62]
             for dtype in (np.int32, np.int64):
@@ -296,8 +280,8 @@ def test_apply_rescale_works_in_place_on_int64_only():
     """An int64 accumulator is rescaled in place and returned itself; an
     int32 one is widened into a new array and left as it was;
     requantize_array rescales a copy and leaves its input alone."""
-    ms = [MultShift(MULT_MIN, 33), MultShift(MULT_MAX, 40)]
-    r = rescale_constants(np.array([m.mult for m in ms]), np.array([m.shift for m in ms]))
+    ms = [(MULT_MIN, 33), (MULT_MAX, 40)]
+    r = rescale_constants(*np.array(ms).T)
     original = np.array([[1000, -1000], [-7, 123457], [-3, 5]], dtype=np.int64)
     want = [[rational_requant(int(a), m) for a, m in zip(row, ms)] for row in original]
     acc = original.copy()
@@ -319,7 +303,7 @@ def test_tie_verdict_keeps_the_correction_where_a_tie_can_happen():
     works in place, so each call gets its own accumulator."""
     r = rescale_constants(np.array([MULT_MIN]), np.array([33]), acc_bound=2)
     assert r.ties
-    want = rational_requant(-2, MultShift(MULT_MIN, 33))
+    want = rational_requant(-2, (MULT_MIN, 33))
     assert apply_rescale(np.array([-2]), r).tolist() == [want] == [-1]
     skipped = apply_rescale(np.array([-2]), r._replace(ties=False))
     assert skipped.tolist() == [0]  # what the skip would give
@@ -419,7 +403,7 @@ def test_aligned_rescale_with_offset_is_exact(layer, seed):
                  if abs(sign * (1 << (s - 1 - v2)) - b) <= lim]
     acc = np.array(rows, dtype=np.int64)
     for rounding in Rounding:
-        want = [[rational_requant(int(a) + b, MultShift(m, s), 0, rounding)
+        want = [[rational_requant(int(a) + b, (m, s), 0, rounding)
                  for a, m, s, b in zip(row, mults, shifts, bias)] for row in acc]
         assert apply_rescale(acc.copy(), r, rounding).tolist() == want, rounding
 
@@ -429,13 +413,17 @@ def test_aligned_rescale_with_offset_is_exact(layer, seed):
 # ---------------------------------------------------------------------------
 
 def test_add_params_pre_shift_is_pinned():
-    ms = quantize_multiplier(0.5)
-    tiny = quantize_multiplier(2.0 ** -19)
-    AddParams(ms, ms, tiny, 0, 0, 0)
-    with pytest.raises(DomainError):
-        AddParams(ms, ms, tiny, 0, 0, 0, pre_shift=16)
-    with pytest.raises(DomainError):
-        AddParams(ms, ms, tiny, in1_zero=256, in2_zero=0, out_zero=0)
+    """The headroom shift is one constant, 20 bits; AddParams holds three
+    packed pairs and a residual zero point in [0, 255]."""
+    assert ADD_PRE_SHIFT == 20
+    pairs = encode([0.5, 0.5, 2.0 ** -19])
+    AddParams(pairs, 0)
+    AddParams(pairs, 255)
+    with pytest.raises(DomainError, match="three rescale pairs"):
+        AddParams(pairs[:2], 0)
+    for bad in (-1, 256):
+        with pytest.raises(DomainError, match="residual zero point"):
+            AddParams(pairs, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from collections import Counter
 from graphlib import TopologicalSorter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "semistream"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "semistream"
 
 
 def _top_level_names(tree: ast.Module):
@@ -52,6 +53,24 @@ def test_no_unused_private_helper():
               for name, node in _top_level_private_names(tree)
               if reads[name] == Counter(_references(node))[name]]
     assert not unused, f"private names nothing reads: {unused}"
+
+
+def test_every_public_quantcore_name_is_used():
+    """Every public function and class quantcore.py defines is read by
+    another module of src/semistream, re-exports in __init__.py aside,
+    or by the benchmark's own modules, perfbench/*.py (which keep
+    requantize_array): an arithmetic wrapper nothing calls is dead code."""
+    tree = ast.parse((SRC / "quantcore.py").read_text())
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    users = [path for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("quantcore.py", "__init__.py")]
+    users += sorted((ROOT / "perfbench").glob("*.py"))
+    reads = {name for path in users
+             for name in _references(ast.parse(path.read_text(), str(path)))}
+    unused = [name for name in public if name not in reads]
+    assert public and not unused, f"public quantcore names nothing reads: {unused}"
 
 
 def _package_imports() -> dict[str, set[str]]:
