@@ -27,18 +27,22 @@ only the logits become a QTensor. A frame buffer is written once, whole: it
 adopts the finished array of its producer, and readers get the array
 itself. In a round without an expansion the addition slot is that
 producer: it copies its runs into a frame it owns and writes it after
-the last run. One wiring loop walks the plan and builds every round's
-processes this way up front. Processes are plain generators that take
-only their streams and yield Blocked tokens when a stream cannot move;
-neither driver accounts for work: a result's per-layer stats are read
-off the layers' geometry (perfmodel.layer_cost) when first asked for.
-They are chained per engine (C2D, EXP, DWC, PRO, ADD) in round
-order, so data streams from round to round with no barrier between
-rounds. Stream mode resumes the five chains under a deterministic
-round-robin scheduler (the reference); threads mode gives each engine
-one OS thread for the whole frame, and the threads take turns under one
-run lock. Streams are plain single-threaded structures: all locking
-lives in the threads driver.
+the last run. The facts a frame's wiring reads (each layer's engine,
+each frame buffer's and queue's size and label) form an immutable wiring
+plan, read off the round plan once per model object, so each frame
+builds only its frame buffers, queues and processes. Processes are
+plain generators that take only their streams: each stream operation is
+one attempt (put, get, read) that returns a Blocked token when the
+stream cannot move, and the process yields that token itself and
+retries when resumed. Neither
+driver accounts for work: a result's per-layer stats are read off the
+layers' geometry (perfmodel.layer_cost) when first asked for. Processes
+are chained per engine (C2D, EXP, DWC, PRO, ADD) in round order, so data
+streams from round to round with no barrier between rounds. Stream mode
+resumes the five chains under a deterministic round-robin scheduler (the
+reference); threads mode gives each engine one OS thread for the whole
+frame, and the threads take turns under one run lock. Streams are plain
+single-threaded structures: all locking lives in the threads driver.
 
 Both drivers share one deadlock contract. Each stream counts its
 successful operations (its progress counter), and a Blocked token
@@ -92,7 +96,11 @@ class BoundedQueue:
     Items carry a word weight (a whole-frame channel batch of npix
     pixels weighs npix words), so capacity semantics match a hardware
     FIFO holding individual words regardless of message granularity.
+    put and get are one attempt each: they move an item or return the
+    Blocked token a process yields; an item is never a Blocked token.
     """
+
+    __slots__ = ("capacity", "label", "_items", "_words", "peak_words", "progress")
 
     def __init__(self, capacity_words: int, label: str = ""):
         if capacity_words < 1:
@@ -114,46 +122,52 @@ class BoundedQueue:
                 f"item of {words} words can never fit queue '{self.label}' "
                 f"of capacity {self.capacity}"
             )
-        if self._words + words > self.capacity:
+        total = self._words + words
+        if total > self.capacity:
             return False
         self._items.append((words, item))
-        self._words += words
-        self.peak_words = max(self.peak_words, self._words)
+        self._words = total
+        if total > self.peak_words:
+            self.peak_words = total
         self.progress += 1
         return True
 
     def try_get(self):
+        item = self.get()
+        return (False, None) if type(item) is Blocked else (True, item)
+
+    def put(self, item, words: int = 1) -> Blocked | None:
+        """Put the item and return None, or return Blocked if it does not fit yet."""
+        seen = self.progress
+        return None if self.try_put(item, words) else Blocked("full", self, seen)
+
+    def get(self):
+        """Take the oldest item, or return Blocked if the queue is empty."""
         if not self._items:
-            return False, None
+            return Blocked("empty", self, self.progress)
         words, item = self._items.popleft()
         self._words -= words
         self.progress += 1
-        return True, item
+        return item
 
     def put_g(self, item, words: int = 1):
-        """Generator put: yields Blocked until the item fits."""
-        while True:
-            seen = self.progress
-            if self.try_put(item, words):
-                return
-            yield Blocked("full", self, seen)
+        """Generator put, for hand-written processes: yields until the item fits."""
+        while (token := self.put(item, words)) is not None:
+            yield token
 
     def get_g(self):
-        """Generator get: yields Blocked until an item arrives."""
-        while True:
-            seen = self.progress
-            ok, item = self.try_get()
-            if ok:
-                return item
-            yield Blocked("empty", self, seen)
+        """Generator get, for hand-written processes: yields until an item arrives."""
+        while type(item := self.get()) is Blocked:
+            yield item
+        return item
 
 
 class FrameBuffer:
     """One finished activation frame: an (npix, channels) uint8 array.
 
     Its producer writes it once, whole: set_tensor adopts the finished
-    array without a copy. Readers wait for that write and then read the
-    array itself. Attempted reads before the write are counted (and
+    array without a copy. Readers read the array itself once it is
+    written (read); attempted reads before the write are counted (and
     blocked), which is what makes the depthwise reorder boundary
     observable in tests.
     """
@@ -168,9 +182,9 @@ class FrameBuffer:
 
     def set_tensor(self, data: np.ndarray) -> None:
         """Adopt the whole finished frame, one (..., channels) uint8 array."""
-        if self.complete:
+        if self.progress:
             raise SequencingError(f"frame '{self.label}' was written twice")
-        flat = data.reshape(-1, data.shape[-1])
+        flat = data if data.ndim == 2 else data.reshape(-1, data.shape[-1])
         if flat.dtype != np.uint8 or flat.shape != (self.npix, self.channels):
             raise DomainError(f"frame '{self.label}' takes {self.npix} pixels of "
                               f"{self.channels} uint8 channels; got {data.dtype} of "
@@ -182,13 +196,17 @@ class FrameBuffer:
     def complete(self) -> bool:
         return self.progress == 1
 
+    def read(self):
+        """The finished frame, or Blocked (a counted early read) before its write."""
+        if self.progress:
+            return self._data
+        self.reads_before_complete += 1
+        return Blocked("frame", self, self.progress)
+
     def wait_complete_g(self):
-        while True:
-            seen = self.progress
-            if self.complete:
-                return
-            self.reads_before_complete += 1
-            yield Blocked("frame", self, seen)
+        """Generator wait, for hand-written processes: yields until the write."""
+        while type(token := self.read()) is Blocked:
+            yield token
 
     def assemble(self) -> np.ndarray:
         """The finished frame itself, not a copy."""
@@ -204,17 +222,20 @@ class FrameBuffer:
 def _frame_process(layer: LayerDesc, in_buf: FrameBuffer, out_buf: FrameBuffer,
                    rounding: Rounding, probe=None):
     """Whole frame in, whole frame out: every stage-one layer."""
-    yield from in_buf.wait_complete_g()
-    out_buf.set_tensor(layer_record(layer).kernel(in_buf.assemble(), layer, rounding, probe))
+    while type(x := in_buf.read()) is Blocked:
+        yield x
+    out_buf.set_tensor(layer_record(layer).kernel(x, layer, rounding, probe))
 
 
 def _pro_process(layer: LayerDesc, in_buf: FrameBuffer, out_q: BoundedQueue, rounding: Rounding):
-    yield from in_buf.wait_complete_g()
-    flat = layer_record(layer).kernel(in_buf.assemble(), layer, rounding)
+    while type(x := in_buf.read()) is Blocked:
+        yield x
+    flat = layer_record(layer).kernel(x, layer, rounding)
     step = out_q.capacity // flat.shape[0] * LANES
     for lo in range(0, flat.shape[1], step):
         run = flat[:, lo : lo + step]
-        yield from out_q.put_g((lo // LANES, run), words=run.size // LANES)
+        while (token := out_q.put((lo // LANES, run), run.size // LANES)) is not None:
+            yield token
 
 
 def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
@@ -225,19 +246,25 @@ def _add_process(layer: LayerDesc, in_q: BoundedQueue, res_q, sinks: list,
     A slot with an out_buf (its round has no expansion) copies each run
     into a frame it owns and writes that frame whole after its last run."""
     frame = None if out_buf is None else np.empty((out_buf.npix, out_buf.channels), np.uint8)
+    batches, shortcut = layer.out_ch // LANES, layer.residual_from is not None
     b = 0
-    while b < layer.out_ch // LANES:
-        first, run = yield from in_q.get_g()
+    while b < batches:
+        while type(got := in_q.get()) is Blocked:
+            yield got
+        first, run = got
         if first != b:
             raise SequencingError(f"addition slot got batch {first}, expected {b}")
-        if layer.residual_from is not None:
-            rfirst, rrun = yield from res_q.get_g()
+        if shortcut:
+            while type(got := res_q.get()) is Blocked:
+                yield got
+            rfirst, rrun = got
             if rfirst != first or rrun.shape != run.shape:
                 raise SequencingError(f"residual run {rfirst} {rrun.shape} does not line "
                                       f"up with run {first} {run.shape}")
             run = add_elements(run, rrun, layer, rounding)
         for sink in sinks:
-            yield from sink.put_g((first, run), words=run.size // LANES)
+            while (token := sink.put((first, run), run.size // LANES)) is not None:
+                yield token
         if frame is not None:
             frame[:, b * LANES : b * LANES + run.shape[1]] = run
         b += run.shape[1] // LANES
@@ -251,9 +278,11 @@ def _exp_process(layer: LayerDesc, in_q: BoundedQueue, out_buf: FrameBuffer,
     the accumulators as it arrives. The kernel takes each input batch
     once, in order: a repeated or overlapping run raises in consume."""
     kernel = ExpStreamKernel(layer, rounding, probe=probe)
-    ab = 0
-    while ab < layer.apass:
-        first, run = yield from in_q.get_g()
+    ab, apass = 0, layer.apass
+    while ab < apass:
+        while type(got := in_q.get()) is Blocked:
+            yield got
+        first, run = got
         kernel.consume(first, run)
         ab = first + run.shape[1] // LANES
     out_buf.set_tensor(kernel.outputs())
@@ -283,21 +312,24 @@ def _run_round_robin(procs: list) -> None:
     process saw it: it could only block again. A sweep that resumes no
     process means none can ever move again.
     """
-    waits = dict.fromkeys(procs)  # process -> the Blocked token it last yielded
+    waits = [[g, None] for g in procs]  # each process and the Blocked token it last yielded
     while waits:
-        resumed = False
-        for g, token in list(waits.items()):
+        resumed = ended = False
+        for w in waits:
+            token = w[1]
             if token is not None and token.resource.progress == token.seen:
                 continue
             resumed = True
             try:
-                token = next(g)
+                token = next(w[0])
             except StopIteration:
-                del waits[g]
+                w[0], ended = None, True
                 continue
-            waits[g] = token if isinstance(token, Blocked) else None
-        if not resumed:
-            raise _deadlock(waits.values())
+            w[1] = token if isinstance(token, Blocked) else None
+        if ended:
+            waits = [w for w in waits if w[0] is not None]
+        elif not resumed:
+            raise _deadlock(w[1] for w in waits)
 
 
 def _run_threaded(procs: list) -> None:
@@ -455,62 +487,85 @@ def _run_sequential(model, records, image, rounding, exp_probe) -> InferenceResu
     return InferenceResult(output_tensor(model.layers[-1], x), model.layers, "sequential")
 
 
-def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
-    """Wire every round's processes, chain them per engine, run the chains.
+def _wire(model: PreparedModel) -> tuple:
+    """The model's wiring plan: the immutable facts each frame's wiring reads.
 
-    Stream mode resumes the five chains under the round-robin scheduler;
-    threads mode gives each its own thread, taking turns under one lock.
+    Returns (engine_of, rounds): each layer's engine, and per round a pair
+    (whole, streamed). whole holds a (layer, pixels, channels, label) per
+    stage-one layer, for the frame it writes. streamed is None, or (pro,
+    add, exp or None, queue words, the two queue labels, the out frame's
+    (pixels, channels, label), feeds_fifo, reads_fifo): whether the
+    addition's frame is a shortcut source, and whether it is a shortcut.
     """
-    plan = model.rounds
+    layers, sources = model.layers, model.residual_sources
+    engine_of = tuple(ENGINE_FOR_KIND[l.kind] for l in layers)
+
+    def frame(r: int, idx: int) -> tuple[int, int, str]:
+        l = layers[idx]
+        return l.out_h * l.out_w, l.out_ch, f"round{r}-{engine_of[idx].lower()}-out"
+
+    rounds = []
+    for r, (whole, s) in enumerate(model.rounds):
+        two = None
+        if s:
+            pro = layers[s[0]]
+            # two batches per run halve the messages a round trades; one batch
+            # (npix words) runs every model too, so two is not a deadlock bound
+            two = (s[0], s[1], s[2] if len(s) == 3 else None, 2 * pro.out_h * pro.out_w,
+                   f"round{r}-pro-add", f"round{r}-add-exp", frame(r, s[-1]),
+                   s[1] in sources, layers[s[1]].residual_from is not None)
+        rounds.append((tuple((i, *frame(r, i)) for i in whole), two))
+    return engine_of, tuple(rounds)
+
+
+def _wire_frame(model, image, rounding, exp_probe) -> tuple[list, FrameBuffer]:
+    """One frame's processes, chained per engine, and the frame buffer its
+    logits are read from: its mutable objects, built from the wiring plan
+    (_wire) the model's first stream or threads frame keeps in its __dict__."""
+    engine_of, rounds = model.__dict__.get("_wiring") or model.__dict__.setdefault(
+        "_wiring", _wire(model))
     layers = model.layers
     fifo_words = residual_fifo_capacity(model)
     res_fifo = BoundedQueue(fifo_words, "residual-fifo") if fifo_words else None
-    sources = model.residual_sources
     chains: dict[str, list] = {}  # engine -> its processes in round order
-
-    def chain(idx: int, proc) -> None:
-        chains.setdefault(ENGINE_FOR_KIND[layers[idx].kind], []).append(proc)
-
-    def out_frame(r: int, idx: int) -> FrameBuffer:
-        l = layers[idx]
-        label = f"round{r}-{ENGINE_FOR_KIND[l.kind].lower()}-out"
-        return FrameBuffer(l.out_h * l.out_w, l.out_ch, label)
-
     entry = layers[0]
     buf = FrameBuffer(entry.in_h * entry.in_w, entry.in_ch, "image")  # the newest frame buffer
     buf.set_tensor(image.data)
-    for r, (whole, streamed) in enumerate(plan):
-        for idx in whole:
-            out = out_frame(r, idx)
-            chain(idx, _frame_process(layers[idx], buf, out, rounding,
-                                      _layer_probe(exp_probe, idx)))
+    for whole, streamed in rounds:
+        for idx, npix, channels, label in whole:
+            out = FrameBuffer(npix, channels, label)
+            chains.setdefault(engine_of[idx], []).append(_frame_process(
+                layers[idx], buf, out, rounding, _layer_probe(exp_probe, idx)))
             buf = out
-        if not streamed:
+        if streamed is None:
             continue
-
-        pro, add = streamed[:2]
-        exp = streamed[2] if len(streamed) == 3 else None
-        pro_l, add_l = layers[pro], layers[add]
-        # two batches per run halve the messages a round trades; one batch
-        # (npix words) runs every model too, so two is not a deadlock bound
-        words = 2 * pro_l.out_h * pro_l.out_w
-        q_pro_add = BoundedQueue(words, f"round{r}-pro-add")
-        chain(pro, _pro_process(pro_l, buf, q_pro_add, rounding))
+        pro, add, exp, words, pro_add, add_exp, out_frame, feeds_fifo, reads_fifo = streamed
+        q_pro_add = BoundedQueue(words, pro_add)
+        chains.setdefault(engine_of[pro], []).append(
+            _pro_process(layers[pro], buf, q_pro_add, rounding))
         # the round's last layer writes the frame the next round reads
-        buf = out_frame(r, streamed[-1])
+        buf = FrameBuffer(*out_frame)
         sinks, add_out = [], buf
         if exp is not None:
-            q_add_exp = BoundedQueue(words, f"round{r}-add-exp")
-            chain(exp, _exp_process(layers[exp], q_add_exp, buf, rounding,
-                                    _layer_probe(exp_probe, exp)))
+            q_add_exp = BoundedQueue(words, add_exp)
+            chains.setdefault(engine_of[exp], []).append(_exp_process(
+                layers[exp], q_add_exp, buf, rounding, _layer_probe(exp_probe, exp)))
             sinks, add_out = [q_add_exp], None
-        if add in sources:
+        if feeds_fifo:
             sinks.append(res_fifo)
-        res_in = res_fifo if add_l.residual_from is not None else None
-        chain(add, _add_process(add_l, q_pro_add, res_in, sinks, add_out, rounding))
+        chains.setdefault(engine_of[add], []).append(_add_process(
+            layers[add], q_pro_add, res_fifo if reads_fifo else None, sinks, add_out, rounding))
 
     # each engine's processes run one after another as one process
-    procs = [itertools.chain(*c) for c in chains.values()]
+    return [itertools.chain(*c) for c in chains.values()], buf
+
+
+def _run_rounds(model, image, rounding, exp_probe, threaded: bool) -> InferenceResult:
+    """Wire one frame (_wire_frame: the model's cached plan, this frame's
+    own buffers, queues and processes, which wait inline), then run its
+    engine chains: stream mode under the round-robin scheduler, threads
+    mode with one thread each, taking turns under one lock."""
+    procs, last = _wire_frame(model, image, rounding, exp_probe)
     _run_threaded(procs) if threaded else _run_round_robin(procs)
-    return InferenceResult(output_tensor(layers[-1], buf.assemble()), layers,
+    return InferenceResult(output_tensor(model.layers[-1], last.assemble()), model.layers,
                            "threads" if threaded else "stream")

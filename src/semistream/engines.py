@@ -650,10 +650,10 @@ def run_layer(
 
     Checks x against the layer's input edge, runs the layer's kernel (a
     shortcut addition runs add_elements on x and residual, after
-    checking the residual's dims and zero point) and returns the output
-    frame with the layer's cost (perfmodel.layer_cost). A pass-through
-    slot takes no residual, and its output edge must equal its input
-    edge, since its output is x's own array. probe reaches an
+    checking the residual's dims, zero point and scale) and returns the
+    output frame with the layer's cost (perfmodel.layer_cost). A
+    pass-through slot takes no residual, and its output edge must equal
+    its input edge, since its output is x's own array. probe reaches an
     expansion's kernel; other engines have no partial sums to show it.
     """
     shortcut = layer.kind is Kind.ADD and layer.residual_from is not None
@@ -673,5 +673,7 @@ def run_layer(
             raise ShapeError("residual operand dims do not match the layer")
         if residual.zero_point != layer.add_params.in2_zero:
             raise DomainError("residual operand zero point does not match")
+        if residual.scale != layer.add_params.in2_scale:
+            raise DomainError("residual operand scale does not match")
         out = add_elements(x.data, residual.data, layer, rounding)
     return output_tensor(layer, out), layer_cost(layer)

@@ -202,20 +202,23 @@ class AddParams:
     slice of the model's one packed array (pack_multipliers), in operand
     order: the input's and the residual's rescale onto the shared
     intermediate scale, after the ADD_PRE_SHIFT headroom shift, then the
-    sum's rescale onto the output (_factors). in2_zero is the residual
-    operand's zero point, its source's out_zero. The input and output
-    zero points are the layer's own in_zero and out_zero. Outputs clamp
-    to [0, 255].
+    sum's rescale onto the output (_factors). in2_zero and in2_scale are
+    the residual operand's edge, its source's out_zero and out_scale.
+    The input and output edges are the layer's own. Outputs clamp to
+    [0, 255].
     """
 
     mults: np.recarray
     in2_zero: int
+    in2_scale: float
 
     def __post_init__(self):
         if np.shape(self.mults) != (3,):
             raise DomainError("a shortcut has three rescale pairs: input, residual, output")
         if not (0 <= self.in2_zero <= 255):
             raise DomainError(f"residual zero point {self.in2_zero} outside [0, 255]")
+        if not (math.isfinite(self.in2_scale) and self.in2_scale > 0):
+            raise DomainError(f"residual scale {self.in2_scale} is not finite and positive")
 
     __eq__ = _fields_equal
 
@@ -767,8 +770,9 @@ def _derive_parameters(layers: list[LayerDesc], rounding: Rounding) -> list[Laye
     derived = []
     for l, s, e in zip(layers, starts, ends):
         if l.kind is Kind.ADD and s < e:
+            source = layers[l.residual_from]
             l = dataclasses.replace(l, add_params=AddParams(
-                rows[s:e].view(np.recarray), layers[l.residual_from].out_zero))
+                rows[s:e].view(np.recarray), source.out_zero, source.out_scale))
         elif s < e:
             l = dataclasses.replace(l, mults=rows[s:e].view(np.recarray))
         derived.append(l)

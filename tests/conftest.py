@@ -227,6 +227,7 @@ def add_layer(
     params = AddParams(
         encode([s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / ((1 << 20) * so)]),
         in2_zero=z1 if equal_scales else int(rng.integers(0, 256)),
+        in2_scale=s2,
     )
     return LayerDesc(
         kind=Kind.ADD,
@@ -251,13 +252,11 @@ def qinput(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
 def residual_input(rng: np.random.Generator, layer: LayerDesc) -> QTensor:
     """Second operand of an addition, on the add_params edge."""
     p = layer.add_params
-    m1, m2, _ = p.mults.mult * 2.0 ** -p.mults.shift
-    s2 = m2 * 2.0 * (layer.in_scale / (2.0 * m1))
     return QTensor(
         layer.in_h, layer.in_w, layer.in_ch,
         rng.integers(0, 256, size=(layer.in_h, layer.in_w, layer.in_ch), dtype=np.uint8),
         zero_point=p.in2_zero,
-        scale=s2,
+        scale=p.in2_scale,
     )
 
 
@@ -362,6 +361,7 @@ def benign_add_case(
     params = AddParams(
         encode([s1 / (2.0 * smax), s2 / (2.0 * smax), 2.0 * smax / ((1 << 20) * so)]),
         in2_zero=z2,
+        in2_scale=s2,
     )
     layer = LayerDesc(
         kind=Kind.ADD,

@@ -261,6 +261,63 @@ def test_one_round_plan_per_model(monkeypatch):
     assert calls == [model]
 
 
+def test_one_wiring_plan_per_model(monkeypatch):
+    """Stream and threads frames read one wiring plan per model object,
+    built on the first of them; a changed model is a new object with its own."""
+    import semistream.dataflow as dataflow
+
+    calls = []
+    real = dataflow._wire
+    monkeypatch.setattr(dataflow, "_wire", lambda m: calls.append(m) or real(m))
+    model, image, _ = toy_pair(3)
+    want = run_inference(model, image, mode="sequential").logits
+    assert calls == []
+    for mode in ("stream", "stream", "threads"):
+        assert run_inference(model, image, mode=mode).logits == want
+    assert [id(m) for m in calls] == [id(model)]
+    moved = dataclasses.replace(model)
+    for mode in ("threads", "stream"):
+        assert run_inference(moved, image, mode=mode).logits == want
+    assert [id(m) for m in calls] == [id(model), id(moved)]
+
+
+def test_concurrent_stream_frames_share_one_model():
+    """Two threads run stream frames on one model object at once, each on
+    its own images, from the model's first stream frame on: the wiring
+    plan they share holds nothing mutable, so every frame's logits equal
+    sequential mode's."""
+    model = prepare(build_mobilenet_v2(0.5, 32, seed=2))
+    rng = np.random.default_rng(32)
+    images = [[image_to_qtensor(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8), model)
+               for _ in range(3)] for _ in range(2)]
+    want = [[run_inference(model, im, mode="sequential").logits for im in ims] for ims in images]
+    start = threading.Barrier(2)
+    wrong: list = []  # (thread, frame) of each wrong frame, or an error
+
+    def frames(k: int) -> None:
+        try:
+            start.wait()
+            for f in range(20):
+                got = run_inference(model, images[k][f % 3], mode="stream").logits
+                if got != want[k][f % 3]:
+                    wrong.append((k, f))
+        except BaseException as e:
+            wrong.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-frame
+    runners = [threading.Thread(target=frames, args=(k,), daemon=True) for k in range(2)]
+    try:
+        for t in runners:
+            t.start()
+        for t in runners:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in runners)
+    assert wrong == []
+
+
 def test_one_layer_record_per_layer(monkeypatch):
     """The engines check the bound once per layer, and build the
     addition tables once per shortcut layer, in one bulk call per model."""

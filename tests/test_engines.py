@@ -489,6 +489,21 @@ def test_add_operand_checks():
         run_layer(x1, layer, residual=off)
 
 
+def test_a_residual_on_another_scale_is_rejected():
+    """The residual must carry its source's out_scale exactly, as x must
+    carry the layer's in_scale: the multipliers were derived for that
+    scale, so a residual at 4x it would run to the same codes."""
+    rng = np.random.default_rng(5)
+    layer = add_layer(rng)
+    x1, x2 = qinput(rng, layer), residual_input(rng, layer)
+    assert x2.scale == layer.add_params.in2_scale
+    run_layer(x1, layer, residual=x2)
+    for scale in (4 * x2.scale, float(np.nextafter(x2.scale, 1.0))):
+        skewed = QTensor(x2.height, x2.width, x2.channels, x2.data, x2.zero_point, scale)
+        with pytest.raises(DomainError, match="residual operand scale"):
+            run_layer(x1, layer, residual=skewed)
+
+
 def test_pass_through_shares_its_input_frame():
     rng = np.random.default_rng(16)
     layer = add_layer(rng)

@@ -480,8 +480,8 @@ def test_shortcut_pairs_are_rows_of_the_packed_array(tmp_path):
     """After prepare and after load_package, each shortcut's
     add_params.mults is a read-only 3-row slice of the packed array a
     filter layer's mults slices too, equal to the encoding of its three
-    factors, and its in2_zero is its residual source's out_zero; its
-    own mults stay None."""
+    factors, and its in2_zero and in2_scale are its residual source's
+    out_zero and out_scale; its own mults stay None."""
     models = [prepare(build_mobilenet_v2(0.5, 64))] + [toy_pair(seed)[0] for seed in range(8)]
     shortcuts = 0
     for k, model in enumerate(models):
@@ -498,6 +498,7 @@ def test_shortcut_pairs_are_rows_of_the_packed_array(tmp_path):
                 assert p.mults.mult.tolist() == mults.tolist()
                 assert p.mults.shift.tolist() == shifts.tolist()
                 assert p.in2_zero == m.layers[l.residual_from].out_zero
+                assert p.in2_scale == m.layers[l.residual_from].out_scale
     assert shortcuts > 2 * 10  # mnv2 0.5/64 has ten, and some toy models more
 
 

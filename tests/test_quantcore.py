@@ -414,16 +414,20 @@ def test_aligned_rescale_with_offset_is_exact(layer, seed):
 
 def test_add_params_pre_shift_is_pinned():
     """The headroom shift is one constant, 20 bits; AddParams holds three
-    packed pairs and a residual zero point in [0, 255]."""
+    packed pairs, a residual zero point in [0, 255] and a finite positive
+    residual scale."""
     assert ADD_PRE_SHIFT == 20
     pairs = encode([0.5, 0.5, 2.0 ** -19])
-    AddParams(pairs, 0)
-    AddParams(pairs, 255)
+    AddParams(pairs, 0, 0.01)
+    AddParams(pairs, 255, 0.01)
     with pytest.raises(DomainError, match="three rescale pairs"):
-        AddParams(pairs[:2], 0)
+        AddParams(pairs[:2], 0, 0.01)
     for bad in (-1, 256):
         with pytest.raises(DomainError, match="residual zero point"):
-            AddParams(pairs, bad)
+            AddParams(pairs, bad, 0.01)
+    for bad in (0.0, -0.01, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="residual scale"):
+            AddParams(pairs, 0, bad)
 
 
 # ---------------------------------------------------------------------------
